@@ -14,12 +14,9 @@ def main(argv=None) -> int:
                         help="only run fixtures whose name contains this")
     parser.add_argument("--json", action="store_true",
                         help="emit the raw JSON report instead of a table")
-    parser.add_argument("--serial", action="store_true",
-                        help="run fixtures one at a time")
     args = parser.parse_args(argv)
 
-    outcome = run_corpus(name_filter=args.filter,
-                         parallel=not args.serial)
+    outcome = run_corpus(name_filter=args.filter)
     if args.json:
         print(json.dumps(outcome, sort_keys=True, indent=2))
         return 0 if outcome["all_ok"] else 1

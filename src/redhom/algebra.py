@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import Field, Matrix, nf_columns
+from .linalg import Field, Matrix, contract, nf_columns
 
 
 class AlgebraError(ValueError):
@@ -376,26 +376,12 @@ def _validate_algebra(alg: Algebra) -> None:
             if not (alg.varmat[u] @ alg.varmat[v]) == (alg.varmat[v] @ alg.varmat[u]):
                 raise AlgebraError("variable actions do not commute")
     if d <= 64:
-        if fld.p is not None:
-            stack = alg.action_stack().astype(np.int64)
-            prod = np.einsum("iab,jbc->ijac", stack, stack) % fld.p
-            coef = np.stack(
-                [np.stack([alg.regmat[i].a[:, j].astype(np.int64)
-                           for j in range(d)]) for i in range(d)])
-            want = np.einsum("ijt,tac->ijac", coef, stack) % fld.p
-            if not (prod == want).all():
-                raise AlgebraError("multiplication table is not associative")
-        else:
-            for i in range(d):
-                for j in range(d):
-                    lhs = alg.regmat[i] @ alg.regmat[j]
-                    rhs = Matrix.zeros(fld, d, d)
-                    for t in range(d):
-                        c = alg.regmat[i].entry(t, j)
-                        if c != 0:
-                            rhs = rhs + alg.regmat[t].scale(c)
-                    if not lhs == rhs:
-                        raise AlgebraError("multiplication table is not associative")
+        # b_i b_j = sum_t (b_i b_j)_t b_t, where (b_i b_j)_t = regmat[i][t, j]
+        stack = alg.action_stack()
+        prod = contract(fld, "iab,jbc->ijac", stack, stack)
+        want = contract(fld, "itj,tac->ijac", stack, stack)
+        if not (prod == want).all():
+            raise AlgebraError("multiplication table is not associative")
     # m^N = 0: iterate spans of m, m^2, ...
     span = Matrix.identity(fld, d).take_cols(range(1, d))
     for _ in range(alg.nilpotency - 1):

@@ -12,7 +12,6 @@ the extension-class enumeration finite.
 
 import random
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .algebra import Algebra, build_algebra
@@ -340,17 +339,9 @@ def _run_fixture(fx: Fixture) -> dict:
             "checks": checks}
 
 
-def run_corpus(name_filter: str = "", parallel: bool = True) -> dict:
-    """Run every fixture whose name contains the filter substring.
-
-    Fixtures are independent, so they run on a small thread pool; the
-    report order is fixed by name regardless.
-    """
-    chosen = [fx for fx in FIXTURES if name_filter in fx.name]
-    if parallel and len(chosen) > 1:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            results = list(pool.map(_run_fixture, chosen))
-    else:
-        results = [_run_fixture(fx) for fx in chosen]
+def run_corpus(name_filter: str = "") -> dict:
+    """Run every fixture whose name contains the filter substring, one
+    after another; the report lists them by name."""
+    results = [_run_fixture(fx) for fx in FIXTURES if name_filter in fx.name]
     results.sort(key=lambda r: r["name"])
     return {"fixtures": results, "all_ok": all(r["ok"] for r in results)}

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .algebra import Algebra
-from .linalg import ColumnSolver, Matrix, column_space_basis
+from .linalg import ColumnSolver, Matrix, column_space_basis, contract
 from .modules import (
     Module,
     ModuleMap,
@@ -203,33 +201,16 @@ class ExtTable:
             return Matrix.zeros(fld, b_tgt * dn, b_src * dn)
         diff = self.res.differential(i + 1)
         d = alg.dim
-        if fld.p is not None:
-            acts = n.action_stack().astype(np.int64)
-            dt = np.int8 if fld.p <= 127 else np.int64
-            out = np.empty((b_tgt * dn, b_src * dn), dtype=dt)
-            step = max(1, _FULL_EXT_LIMIT // max(1, b_src * dn))
-            for lo in range(0, b_tgt, step):
-                hi = min(lo + step, b_tgt)
-                coeff = np.stack(
-                    [diff.a[:, s * d].astype(np.int64).reshape(b_src, d)
-                     for s in range(lo, hi)])
-                blk = np.einsum("sjt,tab->sajb", coeff, acts) % fld.p
-                out[lo * dn:hi * dn, :] = blk.reshape(
-                    (hi - lo) * dn, b_src * dn).astype(dt)
-            return Matrix(fld, out)
-        cols = []
-        for j in range(b_src):
-            for b in range(dn):
-                col = Matrix.zeros(fld, b_tgt * dn, 1)
-                vec = Matrix.zeros(fld, dn, 1)
-                vec.a[b, 0] = fld.one()
-                for s in range(b_tgt):
-                    coeff = Matrix(fld, diff.a[j * d:(j + 1) * d,
-                                               s * d:s * d + 1])
-                    img = n.action_of(coeff) @ vec
-                    col.a[s * dn:(s + 1) * dn, :] = img.a
-                cols.append(col)
-        return Matrix.hstack(cols)
+        acts = n.action_stack()
+        out = Matrix.zeros(fld, b_tgt * dn, b_src * dn)
+        step = max(1, _FULL_EXT_LIMIT // max(1, b_src * dn))
+        for lo in range(0, b_tgt, step):
+            hi = min(lo + step, b_tgt)
+            # coeff[j, t, s]: coordinate t of generator s's image in block j
+            coeff = diff.a[:, lo * d:hi * d:d].reshape(b_src, d, hi - lo)
+            blk = contract(fld, "jts,tab->sajb", coeff, acts)
+            out.a[lo * dn:hi * dn, :] = blk.reshape((hi - lo) * dn, b_src * dn)
+        return out
 
     def _rank(self, i: int) -> int:
         if i < 0:

@@ -18,6 +18,7 @@ column span.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -127,6 +128,61 @@ GF3 = Field(3)
 
 def _storage_dtype(p: int):
     return np.int8 if p <= 127 else np.int64
+
+
+# ---------------------------------------------------------------------------
+# Exact bilinear kernels.  This is the only place that decides how field
+# arithmetic accumulates: int64 while no sum can reach 2**63, Python ints
+# beyond that, one reduction mod p at the end.
+
+
+def _int64_exact(p: int, terms: int, a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether every sum of `terms` products of an entry of `a` and an
+    entry of `b` (canonical residues mod p) fits in int64.  The bound
+    terms*(p-1)^2 settles small p without scanning the arrays."""
+    if terms * (p - 1) ** 2 < 2**63:
+        return True
+    return terms * int(a.max(initial=0)) * int(b.max(initial=0)) < 2**63
+
+
+def _exact_product(field: Field, kernel, a: np.ndarray, b: np.ndarray,
+                   terms: int) -> np.ndarray:
+    """kernel(a, b) computed exactly over the field, for a numpy kernel
+    that sums `terms` products per output entry; the result is in the
+    field's storage dtype."""
+    p = field.p
+    if p is None:
+        return kernel(a, b)
+    if _int64_exact(p, terms, a, b):
+        out = kernel(a.astype(np.int64, copy=False), b.astype(np.int64, copy=False))
+    else:
+        out = kernel(a.astype(object), b.astype(object))
+    return (out % p).astype(_storage_dtype(p))
+
+
+@cache  # specs are string literals at the call sites
+def _summed_axes(spec: str) -> tuple[tuple[int, int], ...]:
+    """(operand, axis) of one occurrence of each index `spec` sums over."""
+    inputs, output = spec.split("->")
+    axes: dict[str, tuple[int, int]] = {}
+    for k, operand in enumerate(inputs.split(",")):
+        for ax, index in enumerate(operand):
+            if index not in output:
+                axes.setdefault(index, (k, ax))
+    return tuple(axes.values())
+
+
+def contract(field: Field, spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.einsum(spec, a, b) exactly over the field, in its storage dtype.
+
+    `spec` is an explicit two-operand spec such as "ab,gbs->gas"; the
+    operands hold field entries (canonical residues or Fractions).
+    """
+    shapes = (a.shape, b.shape)
+    terms = 1
+    for k, ax in _summed_axes(spec):
+        terms *= shapes[k][ax]
+    return _exact_product(field, lambda x, y: np.einsum(spec, x, y), a, b, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -370,15 +426,8 @@ class Matrix:
         self._check(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.a.shape} @ {other.a.shape}")
-        p = self.field.p
-        if p is None:
-            return Matrix(self.field, np.dot(self.a, other.a))
-        # int64 accumulation is exact while cols * (p-1)^2 < 2**63
-        if self.cols * (p - 1) ** 2 < 2**62:
-            prod = np.dot(self.a.astype(np.int64), other.a.astype(np.int64)) % p
-            return Matrix(self.field, prod.astype(_storage_dtype(p)))
-        obj = np.dot(self.a.astype(object), other.a.astype(object))
-        return Matrix(self.field, (obj % p).astype(np.int64))
+        return Matrix(self.field,
+                      _exact_product(self.field, np.dot, self.a, other.a, self.cols))
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, self.a.T.copy())
@@ -386,18 +435,14 @@ class Matrix:
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        if self.field.p is not None:
-            return not self.a.any()
-        return all(x == 0 for x in self.a.flat)
+        return not self.a.any()
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.field != other.field or self.a.shape != other.a.shape:
             return False
-        if self.field.p is not None:
-            return bool((self.a == other.a).all())
-        return all(x == y for x, y in zip(self.a.flat, other.a.flat))
+        return bool((self.a == other.a).all())
 
     def __hash__(self):
         raise TypeError("Matrix is unhashable")
@@ -510,21 +555,8 @@ class Matrix:
         Returns (X, ok) where ok[j] is False when column j is unsolvable
         (the corresponding X column is then meaningless).
         """
-        r, piv, c = self._rref_carry(targets)
-        piv = list(piv)
-        rank = len(piv)
-        x = Matrix.zeros(self.field, self.cols, targets.cols)
-        for i, pc in enumerate(piv):
-            x.a[pc, :] = c.a[i, :]
-        if rank < self.rows:
-            tail = c.a[rank:, :]
-            if self.field.p is not None:
-                ok = [not tail[:, j].any() for j in range(targets.cols)]
-            else:
-                ok = [all(v == 0 for v in tail[:, j]) for j in range(targets.cols)]
-        else:
-            ok = [True] * targets.cols
-        return x, ok
+        _, piv, c = self._rref_carry(targets)
+        return _place_solutions(self.cols, piv, c)
 
     def solve(self, target: "Matrix") -> "Matrix | None":
         x, ok = self.solve_columns(target)
@@ -548,54 +580,35 @@ class ColumnSolver:
 
     def __init__(self, a: Matrix):
         self.a = a
-        r, piv, e = a._rref_carry(Matrix.identity(a.field, a.rows))
-        self.rref = r
-        self.pivots = list(piv)
-        self.e = e
-        self.rank = len(self.pivots)
+        _, self.pivots, self.e = a._rref_carry(Matrix.identity(a.field, a.rows))
 
     def solve_columns(self, targets: Matrix) -> tuple[Matrix, list[bool]]:
-        f = self.a.field
-        et = self.e @ targets
-        x = Matrix.zeros(f, self.a.cols, targets.cols)
-        for i, pc in enumerate(self.pivots):
-            x.a[pc, :] = et.a[i, :]
-        if self.rank < self.a.rows:
-            tail = et.a[self.rank:, :]
-            if f.p is not None:
-                ok = [not tail[:, j].any() for j in range(targets.cols)]
-            else:
-                ok = [all(v == 0 for v in tail[:, j]) for j in range(targets.cols)]
-        else:
-            ok = [True] * targets.cols
-        return x, ok
+        return _place_solutions(self.a.cols, self.pivots, self.e @ targets)
 
-    def in_span(self, targets: Matrix) -> list[bool]:
-        return self.solve_columns(targets)[1]
+
+def _place_solutions(ncols: int, pivots: list[int],
+                     carried: Matrix) -> tuple[Matrix, list[bool]]:
+    """Solutions with free variables zero, read off a carried block that
+    the row reduction left aligned with `pivots`: row i is the value of
+    variable pivots[i], and a nonzero entry below the pivot rows makes its
+    column unsolvable."""
+    rank = len(pivots)
+    x = Matrix.zeros(carried.field, ncols, carried.cols)
+    x.a[pivots, :] = carried.a[:rank, :]
+    return x, [not v for v in carried.a[rank:, :].any(axis=0)]
 
 
 def nf_columns(rref: Matrix, pivots, vectors: Matrix) -> Matrix:
     """Normal form of column vectors modulo the row space held in `rref`.
 
     `rref` rows live in the same coordinate space as the columns of
-    `vectors`; each pivot coordinate is eliminated in turn.
+    `vectors` and are in reduced row echelon form with the given pivots.
+    Each row is zero at the other pivots, so eliminating the pivot
+    coordinates one at a time equals the single step v - rref^T v[pivots].
     """
-    out = vectors.copy()
-    f = rref.field
-    for i, pc in enumerate(pivots):
-        coef = out.a[pc, :].copy()
-        if f.p is not None:
-            if not coef.any():
-                continue
-            upd = np.outer(rref.a[i].astype(np.int64), coef.astype(np.int64))
-            out.a[:] = ((out.a.astype(np.int64) - upd) % f.p).astype(out.a.dtype)
-        else:
-            for j in range(out.cols):
-                cv = out.a[pc, j]
-                if cv != 0:
-                    for rr in range(out.rows):
-                        out.a[rr, j] = out.a[rr, j] - cv * rref.a[i, rr]
-    return out
+    piv = list(pivots)
+    upd = contract(rref.field, "ir,ij->rj", rref.a[:len(piv)], vectors.a[piv, :])
+    return vectors - Matrix(rref.field, upd)
 
 
 def column_space_basis(m: Matrix) -> Matrix:
@@ -612,16 +625,5 @@ def random_matrix(field: Field, r: int, c: int, rng) -> Matrix:
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product, exact."""
-    f = a.field
-    if f.p is not None:
-        prod = np.kron(a.a.astype(np.int64), b.a.astype(np.int64)) % f.p
-        return Matrix(f, prod.astype(_storage_dtype(f.p)))
-    out = Matrix.zeros(f, a.rows * b.rows, a.cols * b.cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            v = a.a[i, j]
-            if v != 0:
-                for k in range(b.rows):
-                    for l in range(b.cols):
-                        out.a[i * b.rows + k, j * b.cols + l] = v * b.a[k, l]
-    return out
+    prod = contract(a.field, "ij,kl->ikjl", a.a, b.a)
+    return Matrix(a.field, prod.reshape(a.rows * b.rows, a.cols * b.cols))

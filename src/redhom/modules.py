@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra import Algebra
 from .linalg import (ColumnSolver, Field, Matrix, column_space_basis,
-                     kron, nf_columns)
+                     contract, kron, nf_columns)
 
 
 class ModuleError(ValueError):
@@ -184,15 +184,8 @@ def blockwise_apply(alg: Algebra, small: Matrix, rank: int,
     s = vectors.cols
     if s == 0 or rank == 0:
         return Matrix.zeros(fld, rank * d, s)
-    if fld.p is not None:
-        v3 = vectors.a.astype(np.int64).reshape(rank, d, s)
-        out = np.einsum("ab,gbs->gas", small.a.astype(np.int64), v3) % fld.p
-        return Matrix(fld, out.reshape(rank * d, s).astype(vectors.a.dtype))
-    out = Matrix.zeros(fld, rank * d, s)
-    for g in range(rank):
-        blk = Matrix(fld, vectors.a[g * d:(g + 1) * d, :])
-        out.a[g * d:(g + 1) * d, :] = (small @ blk).a
-    return out
+    out = contract(fld, "ab,gbs->gas", small.a, vectors.a.reshape(rank, d, s))
+    return Matrix(fld, out.reshape(rank * d, s))
 
 
 def free_map_from_columns(alg: Algebra, target_rank: int, stacked: Matrix) -> Matrix:
@@ -209,25 +202,13 @@ def free_map_from_columns(alg: Algebra, target_rank: int, stacked: Matrix) -> Ma
         return Matrix.zeros(fld, g * d, 0)
     if stacked.rows != g * d:
         raise ModuleError("stacked column height does not match target rank")
-    if fld.p is not None:
-        stack = alg.action_stack().astype(np.int64)
-        dtype = stacked.a.dtype
-        out = np.empty((g * d, s * d), dtype=dtype)
-        for lo in range(0, s, _CHUNK):
-            hi = min(lo + _CHUNK, s)
-            chunk = stacked.a[:, lo:hi].astype(np.int64).reshape(g, d, hi - lo)
-            part = np.einsum("tab,gbj->gajt", stack, chunk) % fld.p
-            out[:, lo * d:hi * d] = part.reshape(g * d, (hi - lo) * d).astype(dtype)
-        return Matrix(fld, out)
+    stack = alg.action_stack()
     out = Matrix.zeros(fld, g * d, s * d)
-    for j in range(s):
-        col = Matrix(fld, stacked.a[:, j:j + 1])
-        for t in range(d):
-            img = Matrix.zeros(fld, g * d, 1)
-            for blk in range(g):
-                piece = Matrix(fld, col.a[blk * d:(blk + 1) * d, :])
-                img.a[blk * d:(blk + 1) * d, :] = (alg.regmat[t] @ piece).a
-            out.a[:, j * d + t] = img.a[:, 0]
+    for lo in range(0, s, _CHUNK):
+        hi = min(lo + _CHUNK, s)
+        chunk = stacked.a[:, lo:hi].reshape(g, d, hi - lo)
+        part = contract(fld, "tab,gbj->gajt", stack, chunk)
+        out.a[:, lo * d:hi * d] = part.reshape(g * d, (hi - lo) * d)
     return out
 
 
@@ -459,18 +440,10 @@ def _apply_var_rows(mod: Module, v: int, mat: Matrix) -> Matrix:
 
 def _free_blockwise_apply_right(alg: Algebra, v: int, rank: int,
                                 mat: Matrix) -> Matrix:
-    fld = alg.field
     d = alg.dim
-    small = alg.varmat[v]
-    if fld.p is not None:
-        m3 = mat.a.astype(np.int64).reshape(mat.rows, rank, d)
-        out = np.einsum("rgb,ba->rga", m3, small.a.astype(np.int64)) % fld.p
-        return Matrix(fld, out.reshape(mat.rows, rank * d).astype(mat.a.dtype))
-    out = Matrix.zeros(fld, mat.rows, rank * d)
-    for g in range(rank):
-        blk = Matrix(fld, mat.a[:, g * d:(g + 1) * d])
-        out.a[:, g * d:(g + 1) * d] = (blk @ small).a
-    return out
+    out = contract(alg.field, "rgb,ba->rga", mat.a.reshape(mat.rows, rank, d),
+                   alg.varmat[v].a)
+    return Matrix(alg.field, out.reshape(mat.rows, rank * d))
 
 
 @dataclass
@@ -729,17 +702,8 @@ def split_free_summands(mod: Module, max_peel: int | None = None) -> FreeSplit:
     sections: list[Matrix] = []  # columns in original coordinates
     limit = max_peel if max_peel is not None else mod.dim
     while current.dim > 0 and rank < limit:
-        maps = hom_basis(current, reg)
-        found = None
-        for hm in maps:
-            if fld.p is not None:
-                if hm.a[0, :].any():
-                    found = hm
-                    break
-            else:
-                if any(x != 0 for x in hm.a[0, :]):
-                    found = hm
-                    break
+        found = next((hm for hm in hom_basis(current, reg) if hm.a[0, :].any()),
+                     None)
         if found is None:
             break
         # section: w with found(w) = 1, extended to a splitting R -> current

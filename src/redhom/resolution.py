@@ -15,9 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .linalg import Matrix
+from .linalg import Matrix, contract
 from .modules import (
     Module,
     ModuleMap,
@@ -38,22 +36,12 @@ class ResolutionError(RuntimeError):
 def assemble_action_columns(mod: Module, gens: Matrix) -> Matrix:
     """k-matrix of free(g) -> mod sending generator j to column j of
     `gens`; column j*d + t is basis element t acting on that image."""
-    alg = mod.algebra
-    fld = alg.field
-    d = alg.dim
+    fld = mod.algebra.field
     g = gens.cols
     if g == 0:
         return Matrix.zeros(fld, mod.dim, 0)
-    if fld.p is not None:
-        stack = mod.action_stack().astype(np.int64)
-        out = np.einsum("tab,bj->ajt", stack, gens.a.astype(np.int64)) % fld.p
-        return Matrix(fld, out.reshape(mod.dim, g * d).astype(gens.a.dtype))
-    cols = []
-    for j in range(g):
-        gj = Matrix(fld, gens.a[:, j:j + 1])
-        for t in range(d):
-            cols.append(mod.actions[t] @ gj)
-    return Matrix.hstack(cols)
+    out = contract(fld, "tab,bj->ajt", mod.action_stack(), gens.a)
+    return Matrix(fld, out.reshape(mod.dim, g * mod.algebra.dim))
 
 
 class Resolution:
@@ -331,17 +319,8 @@ def _radical_complement(alg, ambient_rank: int, kb: Matrix,
 
 def _assert_minimal(alg, gens: Matrix) -> None:
     """Chosen generators must lie inside the radical of the ambient free."""
-    d = alg.dim
-    if gens.cols == 0:
-        return
-    unit_rows = list(range(0, gens.rows, d))
-    if alg.field.p is not None:
-        if gens.a[unit_rows, :].any():
-            raise ResolutionError("resolution step lost minimality")
-    else:
-        for r in unit_rows:
-            if any(x != 0 for x in gens.a[r, :]):
-                raise ResolutionError("resolution step lost minimality")
+    if gens.a[::alg.dim, :].any():
+        raise ResolutionError("resolution step lost minimality")
 
 
 def resolve(module: Module) -> Resolution:

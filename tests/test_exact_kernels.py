@@ -1,0 +1,168 @@
+"""Every contraction kernel is exact on every field the code accepts.
+
+Each kernel is compared with a reference built block by block from
+`Matrix @`, on entries drawn from the whole field, including a prime
+close to 2**31 where int64 accumulation can overflow.
+"""
+
+import random
+from fractions import Fraction
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from redhom.algebra import build_algebra
+from redhom.homalg import canonical_module, ext_dims
+from redhom.linalg import (GF2, GF3, QQ, Field, Matrix, contract, kron,
+                           nf_columns, random_matrix)
+from redhom.modules import (Module, _free_blockwise_apply_right,
+                            blockwise_apply, free_map_from_columns)
+from redhom.resolution import assemble_action_columns
+
+P31 = 2**31 - 1
+FIELDS = [GF2, GF3, Field(P31), QQ]
+SEEDS = range(3)
+
+
+def random_basis(mod: Module, rng: random.Random) -> Module:
+    """The same module with each action A replaced by T^-1 A T, for a
+    random invertible T = L U with unit triangular L and U."""
+    fld = mod.algebra.field
+    n = mod.dim
+    lower = [[1 if i == j else (fld.random(rng) if j < i else 0)
+              for j in range(n)] for i in range(n)]
+    upper = [[1 if i == j else (fld.random(rng) if j > i else 0)
+              for j in range(n)] for i in range(n)]
+    t = Matrix.from_rows(fld, lower) @ Matrix.from_rows(fld, upper)
+    t_inv = t.inverse()
+    return Module(mod.algebra, n, [t_inv @ a @ t for a in mod.var_actions],
+                  label=mod.label)
+
+
+class RandomActions:
+    """Duck-typed stand-in for an algebra or a module: `dim`-square action
+    matrices with entries from the whole field, `count` of them.  The
+    kernels read only the field, the sizes and the action stack."""
+
+    def __init__(self, fld: Field, count: int, dim: int, rng: random.Random):
+        self.field = fld
+        self.dim = dim
+        self.actions = [random_matrix(fld, dim, dim, rng) for _ in range(count)]
+        self.regmat = self.actions
+        self.algebra = SimpleNamespace(field=fld, dim=count)
+
+    def action_stack(self) -> np.ndarray:
+        return np.stack([m.a for m in self.actions])
+
+
+def blocks(m: Matrix, size: int, axis: int) -> list[Matrix]:
+    step = range(0, m.a.shape[axis], size)
+    if axis == 0:
+        return [Matrix(m.field, m.a[i:i + size, :]) for i in step]
+    return [Matrix(m.field, m.a[:, i:i + size]) for i in step]
+
+
+@pytest.fixture(params=[(f, s) for f in FIELDS for s in SEEDS],
+                ids=lambda fs: f"{fs[0]}-seed{fs[1]}")
+def case(request):
+    fld, seed = request.param
+    return fld, random.Random(seed)
+
+
+class TestKernelsMatchMatmul:
+    def test_blockwise_apply(self, case):
+        fld, rng = case
+        d, rank, s = 6, 3, 5
+        alg = RandomActions(fld, d, d, rng)
+        small = random_matrix(fld, d, d, rng)
+        vectors = random_matrix(fld, rank * d, s, rng)
+        want = Matrix.vstack([small @ blk for blk in blocks(vectors, d, 0)])
+        assert blockwise_apply(alg, small, rank, vectors) == want
+
+    def test_free_blockwise_apply_right(self, case):
+        fld, rng = case
+        d, rank = 6, 3
+        alg = RandomActions(fld, d, d, rng)
+        alg.varmat = [random_matrix(fld, d, d, rng)]
+        mat = random_matrix(fld, 4, rank * d, rng)
+        want = Matrix.hstack([blk @ alg.varmat[0] for blk in blocks(mat, d, 1)])
+        assert _free_blockwise_apply_right(alg, 0, rank, mat) == want
+
+    def test_free_map_from_columns(self, case):
+        fld, rng = case
+        d, g, s = 6, 2, 3
+        alg = RandomActions(fld, d, d, rng)
+        stacked = random_matrix(fld, g * d, s, rng)
+        cols = []
+        for j in range(s):
+            col = Matrix(fld, stacked.a[:, j:j + 1])
+            for t in range(d):
+                cols.append(Matrix.vstack([alg.regmat[t] @ blk
+                                           for blk in blocks(col, d, 0)]))
+        assert free_map_from_columns(alg, g, stacked) == Matrix.hstack(cols)
+
+    def test_assemble_action_columns(self, case):
+        fld, rng = case
+        d, n, g = 6, 7, 3
+        mod = RandomActions(fld, d, n, rng)
+        gens = random_matrix(fld, n, g, rng)
+        want = Matrix.hstack([mod.actions[t] @ Matrix(fld, gens.a[:, j:j + 1])
+                              for j in range(g) for t in range(d)])
+        assert assemble_action_columns(mod, gens) == want
+
+    def test_kron(self, case):
+        fld, rng = case
+        a = random_matrix(fld, 3, 4, rng)
+        b = random_matrix(fld, 5, 2, rng)
+        want = Matrix.vstack([
+            Matrix.hstack([Matrix.identity(fld, b.rows).scale(a.entry(i, j)) @ b
+                           for j in range(a.cols)])
+            for i in range(a.rows)])
+        assert kron(a, b) == want
+
+    def test_nf_columns(self, case):
+        fld, rng = case
+        rref, piv = random_matrix(fld, 4, 9, rng).rref()
+        rows = Matrix(fld, rref.a[:len(piv), :])
+        vectors = random_matrix(fld, 9, 5, rng)
+        want = vectors.copy()
+        for i, pc in enumerate(piv):
+            want = want - rows.take_rows([i]).transpose() @ want.take_rows([pc])
+        got = nf_columns(rows, list(piv), vectors)
+        assert got == want
+        assert got.take_rows(list(piv)).is_zero()
+
+
+class TestContract:
+    @pytest.mark.parametrize("fld", FIELDS, ids=str)
+    def test_matches_python_integers(self, fld):
+        rng = random.Random(7)
+        a = random_matrix(fld, 6, 8, rng)
+        b = random_matrix(fld, 8, 3, rng)
+        got = contract(fld, "ij,jk->ik", a.a, b.a)
+        if fld.p is None:
+            want = [[sum((a.entry(i, j) * b.entry(j, k) for j in range(8)),
+                         Fraction(0)) for k in range(3)] for i in range(6)]
+        else:
+            want = [[sum(a.entry(i, j) * b.entry(j, k) for j in range(8)) % fld.p
+                     for k in range(3)] for i in range(6)]
+        assert Matrix(fld, got) == Matrix.from_rows(fld, want)
+        assert got.dtype == a.a.dtype
+
+    def test_small_entries_at_large_prime(self):
+        fld = Field(P31)
+        a = Matrix.from_rows(fld, [[1, 2, 3], [0, 3, 1]])
+        b = Matrix.from_rows(fld, [[5], [P31 - 2], [P31 - 1]])
+        got = Matrix(fld, contract(fld, "ij,jk->ik", a.a, b.a))
+        assert got == a @ b
+        assert got.to_lists() == [[(5 + 2 * (P31 - 2) + 3 * (P31 - 1)) % P31],
+                                  [(3 * (P31 - 2) + (P31 - 1)) % P31]]
+
+
+def test_ext_of_canonical_module_at_large_prime():
+    """Ext(w, w) of k[x,y]/m^3 is R in degree 0 and vanishes above it.
+    Over F_{2^31-1} in a random basis the sums of products overflow int64."""
+    alg = build_algebra(Field(P31), ["x", "y"], [], 3)
+    omega = random_basis(canonical_module(alg), random.Random(2))
+    assert ext_dims(omega, omega, 2) == [6, 0, 0]
