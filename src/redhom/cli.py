@@ -4,7 +4,8 @@ Human-readable one-liners go to stderr; stdout carries a single
 deterministic JSON document (sorted keys, no timestamps) embedding the
 tool version and every window and seed that shaped the result.
 Exit codes: 0 success or accept, 1 reject, fail, or absent, 2 malformed
-input located by a JSON pointer.
+input located by a JSON pointer, or a bound out of range (a negative
+`--window`, or `--budget`, `--max-a` or `--max-b` below 1).
 """
 
 import argparse
@@ -358,9 +359,22 @@ def _cmd_corpus(args) -> int:
                  0 if outcome["all_ok"] else 1)
 
 
+def _check_bounds(args) -> None:
+    """Reject bounds that would silently yield empty results."""
+    window = getattr(args, "window", 0)
+    if window < 0:
+        raise ValueError(f"--window must be at least 0, got {window}")
+    for name in ("budget", "max_a", "max_b"):
+        value = getattr(args, name, 1)
+        if value < 1:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} must be at least 1, got {value}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_bounds(args)
         if args.command == "algebra":
             return _cmd_algebra(args)
         if args.command == "resolve":

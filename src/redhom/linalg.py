@@ -17,12 +17,14 @@ column span.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cache
 
 import numpy as np
 
 _GF2_PACK_MIN = 4096  # below this many entries the plain int path is faster
+_ZERO = Fraction(0)  # shared by every zero entry a rational product returns
 
 
 def _is_prime(n: int) -> bool:
@@ -152,12 +154,40 @@ def _exact_product(field: Field, kernel, a: np.ndarray, b: np.ndarray,
     field's storage dtype."""
     p = field.p
     if p is None:
-        return kernel(a, b)
+        return _rational_product(kernel, a, b, terms)
     if _int64_exact(p, terms, a, b):
         out = kernel(a.astype(np.int64, copy=False), b.astype(np.int64, copy=False))
     else:
         out = kernel(a.astype(object), b.astype(object))
     return (out % p).astype(_storage_dtype(p))
+
+
+def _scaled_integers(a: np.ndarray) -> tuple[list[int], int]:
+    """The entries of a rational array times the lcm d of their
+    denominators, flattened, together with d."""
+    flat = a.ravel().tolist()
+    d = math.lcm(*(x.denominator for x in flat))
+    if d == 1:
+        return [x.numerator for x in flat], 1
+    return [x.numerator * (d // x.denominator) for x in flat], d
+
+
+def _rational_product(kernel, a: np.ndarray, b: np.ndarray,
+                      terms: int) -> np.ndarray:
+    """kernel(a, b) over Q: the kernel runs on integer multiples of the
+    operands (int64 under the same bound as mod p, else Python ints) and
+    the result is divided once by the two scale factors."""
+    ia, da = _scaled_integers(a)
+    ib, db = _scaled_integers(b)
+    top = terms * max(map(abs, ia), default=0) * max(map(abs, ib), default=0)
+    dtype = np.int64 if top < 2**63 else object
+    out = kernel(np.array(ia, dtype=dtype).reshape(a.shape),
+                 np.array(ib, dtype=dtype).reshape(b.shape))
+    d = da * db
+    res = np.full(out.shape, _ZERO, dtype=object)
+    nz = np.flatnonzero(out)
+    res.flat[nz] = [Fraction(n, d) for n in out.flat[nz].tolist()]
+    return res
 
 
 @cache  # specs are string literals at the call sites
@@ -297,6 +327,17 @@ def _rref_q_carry(rows: list[list[Fraction]], ncols: int, pivot_cols: int):
     return rows, pivots
 
 
+def _negate(field: Field, x: np.ndarray) -> np.ndarray:
+    """-x over the field, in place and in x's dtype: (p - x) % p stays in
+    [0, p], so it cannot overflow the storage dtype of any p < 2**31."""
+    p = field.p
+    if p is None:
+        return np.negative(x, out=x)
+    np.subtract(p, x, out=x)
+    x %= p
+    return x
+
+
 class Matrix:
     """Dense exact matrix over a `Field`.
 
@@ -410,10 +451,7 @@ class Matrix:
         return Matrix(self.field, self.a - other.a)
 
     def __neg__(self) -> "Matrix":
-        if self.field.p is not None:
-            return Matrix(self.field,
-                          ((-self.a.astype(np.int64)) % self.field.p).astype(self.a.dtype))
-        return Matrix(self.field, -self.a)
+        return Matrix(self.field, _negate(self.field, self.a.copy()))
 
     def scale(self, c) -> "Matrix":
         c = self.field.coerce(c)
@@ -533,16 +571,11 @@ class Matrix:
         """
         f = self.field
         r, piv, _ = self._rref_carry(None)
-        piv = list(piv)
         pivset = set(piv)
         free = [j for j in range(self.cols) if j not in pivset]
         out = Matrix.zeros(f, self.cols, len(free))
-        for k, fc in enumerate(free):
-            out.a[fc, k] = f.one()
-            for i, pc in enumerate(piv):
-                v = r.entry(i, fc)
-                if v != 0:
-                    out.a[pc, k] = f.neg(v)
+        out.a[free, np.arange(len(free))] = f.one()
+        out.a[piv, :] = _negate(f, r.a[:len(piv)].take(free, axis=1))
         return out, free
 
     def kernel_basis(self) -> "Matrix":

@@ -279,6 +279,26 @@ class TestErrorPaths:
         assert code == 2
         assert report["error"]["pointer"] == "/algebra"
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["resolve", "k", "--window", "-3"], "--window"),
+        (["ext", "k", "R", "--window", "-1"], "--window"),
+        (["reduce", "search", "k", "--target", "pd", "--budget", "0"], "--budget"),
+        (["reduce", "search", "k", "--target", "pd", "--max-a", "0"], "--max-a"),
+        (["theorem", "cor33", "--max-b", "-2"], "--max-b"),
+    ], ids=["resolve-window", "ext-window", "budget", "max-a", "max-b"])
+    def test_bound_out_of_range(self, plane_ws, capsys, argv, flag):
+        code, report, _ = run(capsys, "--workspace", plane_ws, *argv)
+        assert code == 2
+        assert report["command"] == argv[0]
+        assert report["error"]["pointer"] == ""
+        assert flag in report["error"]["message"]
+
+    def test_window_zero_accepted(self, plane_ws, capsys):
+        code, report, _ = run(capsys, "--workspace", plane_ws,
+                              "resolve", "k", "--window", "0")
+        assert code == 0
+        assert report["betti"] == [1]
+
 
 class TestCorpusCommand:
     def test_filtered_run(self, capsys):

@@ -166,3 +166,76 @@ def test_ext_of_canonical_module_at_large_prime():
     alg = build_algebra(Field(P31), ["x", "y"], [], 3)
     omega = random_basis(canonical_module(alg), random.Random(2))
     assert ext_dims(omega, omega, 2) == [6, 0, 0]
+
+
+def fraction_product(a: Matrix, b: Matrix) -> list[list[Fraction]]:
+    return [[sum((a.entry(i, j) * b.entry(j, k) for j in range(a.cols)),
+                 Fraction(0)) for k in range(b.cols)] for i in range(a.rows)]
+
+
+def rational_matrix(rows: int, cols: int, entries, rng: random.Random) -> Matrix:
+    return Matrix.from_rows(QQ, [[rng.choice(entries) for _ in range(cols)]
+                                 for _ in range(rows)])
+
+
+MIXED = [Fraction(1, 7), Fraction(3, 11), Fraction(-5, 13), Fraction(0),
+         Fraction(2), Fraction(-1, 2)]
+HUGE = [Fraction(2**40 - 3), Fraction(-(2**40) + 1, 7), Fraction(2**40 + 5, 11),
+        Fraction(0)]
+
+
+class TestRationalProducts:
+    """Products over Q run on integer multiples of the operands; every
+    result must equal the plain Fraction sum, as a Fraction."""
+
+    def assert_product(self, a: Matrix, b: Matrix):
+        want = Matrix.from_rows(QQ, fraction_product(a, b)) if a.rows else \
+            Matrix.zeros(QQ, 0, b.cols)
+        for got in (a @ b, Matrix(QQ, contract(QQ, "ij,jk->ik", a.a, b.a))):
+            assert got.a.dtype == object
+            assert got.a.shape == want.a.shape
+            assert got == want
+            assert all(type(x) is Fraction for x in got.a.flat)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_mixed_denominators(self, seed):
+        rng = random.Random(seed)
+        self.assert_product(rational_matrix(5, 8, MIXED, rng),
+                            rational_matrix(8, 4, MIXED, rng))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_large_numerators_use_python_integers(self, seed):
+        rng = random.Random(seed)
+        a = rational_matrix(4, 6, HUGE + MIXED, rng)
+        b = rational_matrix(6, 3, HUGE, rng)
+        # 6 * (2**40)**2 >= 2**63: int64 could overflow, so Python ints run
+        a.a[0, 0], b.a[0, 0] = HUGE[0], HUGE[0]
+        self.assert_product(a, b)
+
+    def test_int64_boundary(self):
+        m = 2**31 - 1  # 2 m^2 < 2**63: the int64 path, near its limit
+        a = Matrix.from_rows(QQ, [[m, m], [-m, m]])
+        b = Matrix.from_rows(QQ, [[m, Fraction(1, 3)], [m, Fraction(-1, 3)]])
+        self.assert_product(a, b)
+        assert (a @ b).entry(0, 0) == 2 * m * m
+
+    def test_empty_operands(self):
+        rng = random.Random(5)
+        self.assert_product(Matrix.zeros(QQ, 0, 3), rational_matrix(3, 2, MIXED, rng))
+        self.assert_product(rational_matrix(2, 3, MIXED, rng), Matrix.zeros(QQ, 3, 0))
+        self.assert_product(Matrix.zeros(QQ, 2, 0), Matrix.zeros(QQ, 0, 3))
+
+    def test_kron_and_batched_specs(self):
+        rng = random.Random(9)
+        a = rational_matrix(2, 3, MIXED + HUGE, rng)
+        b = rational_matrix(3, 2, MIXED, rng)
+        k = kron(a, b)
+        assert all(k.entry(i * 3 + r, j * 2 + c) == a.entry(i, j) * b.entry(r, c)
+                   for i in range(2) for j in range(3)
+                   for r in range(3) for c in range(2))
+        stack = np.stack([rational_matrix(3, 3, MIXED, rng).a for _ in range(4)])
+        vecs = rational_matrix(3, 5, MIXED + HUGE, rng)
+        got = contract(QQ, "tab,bj->ajt", stack, vecs.a)
+        for t in range(4):
+            want = fraction_product(Matrix(QQ, stack[t]), vecs)
+            assert Matrix(QQ, got[:, :, t]) == Matrix.from_rows(QQ, want)

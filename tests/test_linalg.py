@@ -19,9 +19,11 @@ from redhom.linalg import (
     kron,
     nf_columns,
     random_matrix,
+    _GF2_PACK_MIN,
 )
 
 FIELDS = [GF2, GF3, Field(101), QQ]
+P31 = 2**31 - 1
 
 
 def brute_kernel(field, m):
@@ -145,6 +147,91 @@ class TestKernel:
                     for idx2, fc2 in enumerate(free):
                         want = f.one() if idx == idx2 else f.zero()
                         assert k.entry(fc2, idx) == want
+
+
+def reference_kernel_data(m):
+    """The kernel basis entry by entry: a 1 at each free column and the
+    negated rref entries at the pivot rows."""
+    f = m.field
+    r, piv = m.rref()
+    free = [j for j in range(m.cols) if j not in piv]
+    out = Matrix.zeros(f, m.cols, len(free))
+    for k, fc in enumerate(free):
+        out.a[fc, k] = f.one()
+        for i, pc in enumerate(piv):
+            v = r.entry(i, fc)
+            if v != 0:
+                out.a[pc, k] = f.neg(v)
+    return out, free
+
+
+def low_rank_matrix(f, r, c, rank, rng):
+    if rank == 0:
+        return Matrix.zeros(f, r, c)
+    return random_matrix(f, r, rank, rng) @ random_matrix(f, rank, c, rng)
+
+
+def full_column_rank_matrix(f, r, c, rng):
+    return Matrix.vstack([Matrix.identity(f, c), random_matrix(f, r - c, c, rng)])
+
+
+KERNEL_FIELDS = [GF2, GF3, Field(P31), QQ]
+
+
+class TestKernelDataMatchesReference:
+    """kernel_data returns exactly what the entry-by-entry loop builds:
+    the same dtype, the same values and the same free columns."""
+
+    def assert_same(self, m):
+        got, free = m.kernel_data()
+        want, want_free = reference_kernel_data(m)
+        assert free == want_free
+        assert got.a.dtype == want.a.dtype
+        assert got.a.shape == want.a.shape == (m.cols, len(free))
+        assert (got.a == want.a).all()
+        if m.field.p is None:
+            assert all(type(x) is Fraction for x in got.a.flat)
+        return got
+
+    @pytest.mark.parametrize("rows,cols", [(3, 6), (40, 128)])
+    def test_gf2_both_sides_of_packing(self, rows, cols):
+        rng = random.Random(rows)
+        for rank in (None, rows // 2):
+            m = (random_matrix(GF2, rows, cols, rng) if rank is None
+                 else low_rank_matrix(GF2, rows, cols, rank, rng))
+            self.assert_same(m)
+        assert 3 * 6 < _GF2_PACK_MIN <= 40 * 128
+
+    @pytest.mark.parametrize("f", KERNEL_FIELDS, ids=str)
+    def test_random_and_low_rank(self, f):
+        rng = random.Random(29)
+        for rows, cols, rank in [(5, 9, None), (7, 12, 4), (12, 7, 3), (6, 6, 5)]:
+            m = (random_matrix(f, rows, cols, rng) if rank is None
+                 else low_rank_matrix(f, rows, cols, rank, rng))
+            k = self.assert_same(m)
+            assert (m @ k).is_zero()
+
+    @pytest.mark.parametrize("f", KERNEL_FIELDS, ids=str)
+    def test_degenerate_shapes(self, f):
+        rng = random.Random(31)
+        assert self.assert_same(Matrix.zeros(f, 0, 5)).cols == 5
+        assert self.assert_same(Matrix.zeros(f, 4, 0)).a.shape == (0, 0)
+        assert self.assert_same(Matrix.zeros(f, 0, 0)).a.shape == (0, 0)
+        zero = self.assert_same(Matrix.zeros(f, 4, 5))
+        assert zero == Matrix.identity(f, 5)
+        assert self.assert_same(full_column_rank_matrix(f, 7, 4, rng)).cols == 0
+
+
+class TestNegation:
+    @pytest.mark.parametrize("f", [GF2, GF3, Field(127), Field(P31), QQ], ids=str)
+    def test_negation_keeps_dtype_and_operand(self, f):
+        m = random_matrix(f, 4, 5, random.Random(37))
+        before = m.copy()
+        neg = -m
+        assert neg.a.dtype == m.a.dtype
+        assert m == before
+        assert neg.to_lists() == [[f.neg(x) for x in row] for row in m.to_lists()]
+        assert (neg + m).is_zero()
 
 
 class TestSolve:
