@@ -196,12 +196,8 @@ class Algebra:
 
     def multiply(self, a: Matrix, b: Matrix) -> Matrix:
         """Product of two elements given as basis columns."""
-        out = Matrix.zeros(self.field, self.dim, 1)
-        for i in range(self.dim):
-            c = a.entry(i, 0)
-            if c != self.field.zero():
-                out = out + (self.regmat[i] @ b).scale(c)
-        return out
+        mult = contract(self.field, "i,ijk->jk", a.a[:, 0], self.action_stack())
+        return Matrix(self.field, mult) @ b
 
     def free_varmat(self, rank: int) -> list[Matrix]:
         """Variable actions on the rank-g free module (block diagonal)."""
@@ -224,7 +220,7 @@ class Algebra:
 
     def presentation(self) -> dict:
         return {
-            "characteristic": 0 if self.field.p is None else self.field.p,
+            "characteristic": self.field.p or 0,
             "variables": list(self.var_names),
             "relations": list(self.relation_srcs),
             "nilpotency": self.nilpotency,

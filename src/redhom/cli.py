@@ -4,8 +4,9 @@ Human-readable one-liners go to stderr; stdout carries a single
 deterministic JSON document (sorted keys, no timestamps) embedding the
 tool version and every window and seed that shaped the result.
 Exit codes: 0 success or accept, 1 reject, fail, or absent, 2 malformed
-input located by a JSON pointer, or a bound out of range (a negative
-`--window`, or `--budget`, `--max-a` or `--max-b` below 1).
+input located by a JSON pointer, a bound out of range (a negative
+`--window`, or `--budget`, `--max-a` or `--max-b` below 1), or a command
+line that does not parse (pointer "").
 """
 
 import argparse
@@ -43,6 +44,18 @@ from .resolution import resolve
 from .workspace import WorkspaceError, load_workspace
 
 
+class _UsageError(Exception):
+    """A command line the parser rejects: args are (command, message)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Turns argparse's usage errors into `_UsageError`, so they get the
+    JSON error document; subparsers inherit the class."""
+
+    def error(self, message):
+        raise _UsageError(" ".join(self.prog.split()[1:]), message)
+
+
 def _search_flags(p: argparse.ArgumentParser, window_too: bool = True):
     d = SearchConfig()
     p.add_argument("--max-r", type=int, default=d.max_r)
@@ -70,7 +83,7 @@ def _bounds_dict(cfg: SearchConfig) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="redhom",
         description="exact homological invariants and chain certificates "
                     "over Artinian local algebras")
@@ -372,7 +385,13 @@ def _check_bounds(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        command, message = exc.args
+        report = {"command": command,
+                  "error": {"pointer": "", "message": message}}
+        return _emit(report, f"usage error: {message}", 2)
     try:
         _check_bounds(args)
         if args.command == "algebra":

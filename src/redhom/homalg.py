@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algebra import Algebra
 from .linalg import ColumnSolver, Matrix, column_space_basis, contract
 from .modules import (
@@ -65,12 +67,9 @@ class DualData:
 
     def map_from_coords(self, coords: Matrix) -> Matrix:
         fld = self.source.algebra.field
-        out = Matrix.zeros(fld, self.source.algebra.dim, self.source.dim)
-        for i, m in enumerate(self.maps):
-            c = coords.entry(i, 0)
-            if c != fld.zero():
-                out = out + m.scale(c)
-        return out
+        maps = np.array([m.a for m in self.maps], dtype=fld.dtype).reshape(
+            len(self.maps), self.source.algebra.dim, self.source.dim)
+        return Matrix(fld, contract(fld, "i,irc->rc", coords.a[:, 0], maps))
 
 
 def _flatten(m: Matrix) -> Matrix:

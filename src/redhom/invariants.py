@@ -416,12 +416,7 @@ def is_semidualizing(cmod: Module, window: int = 10) -> bool:
         return False
     if hom_dim(cmod, cmod) != alg.dim:
         return False
-    cols = []
-    for t in range(alg.dim):
-        coords = Matrix.zeros(fld, alg.dim, 1)
-        coords.a[t, 0] = fld.one()
-        cols.append(cmod.action_of(coords).a.reshape(-1, 1))
-    homothety = Matrix(fld, np.hstack(cols))
+    homothety = Matrix(fld, np.hstack([m.a.reshape(-1, 1) for m in cmod.actions]))
     if homothety.rank() != alg.dim:
         return False
     ok, _ = ext_vanishes_through(cmod, cmod, window)

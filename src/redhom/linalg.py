@@ -4,6 +4,16 @@ All arithmetic is exact: prime-field entries are canonical integers in
 [0, p), rational entries are `fractions.Fraction` values.  No floating
 point anywhere.
 
+Storage contract: `Field` is the only code that knows how entries are
+stored.  It fixes three things once, in its constructor: the storage
+dtype of every `Matrix` over it (int8 for p <= 127, int64 for larger p,
+object arrays of Fractions over Q), the wide dtype that a sum or product
+of two entries fits in (int64, or object over Q), and `reduce`, which
+maps a wide array back to canonical entries (x % p, or x itself over Q).
+`Matrix` and the elimination loop are written once against these and
+never ask which field they are over; only the exact product keeps a
+rational path, because it scales Q operands to integers.
+
 Layout contract relied on by the rest of the package: `kernel_basis`
 returns its columns in unit-at-free-column form (each basis vector has a
 1 at its own free column of the rref and 0 at the other free columns),
@@ -39,27 +49,35 @@ def _is_prime(n: int) -> bool:
 
 
 class Field:
-    """A prime field F_p (p < 2**31) or the rationals (p is None)."""
+    """A prime field F_p (p < 2**31) or the rationals (p is None).
 
-    __slots__ = ("p",)
+    Besides p it holds the representation of its entries: `dtype` (the
+    storage dtype), `wide` (the dtype sums and products of two entries
+    fit in) and `reduce(x, out=None)`, which brings a wide array back to
+    canonical entries.
+    """
+
+    __slots__ = ("p", "dtype", "wide", "reduce")
 
     def __init__(self, p: int | None = None):
-        if p is not None:
+        if p is None:
+            self.dtype = self.wide = np.dtype(object)
+            self.reduce = lambda x, out=None: x
+        else:
             if not (2 <= p < 2**31):
                 raise ValueError(f"field characteristic out of range: {p}")
             if not _is_prime(p):
                 raise ValueError(f"field characteristic must be prime: {p}")
+            self.dtype = np.dtype(np.int8 if p <= 127 else np.int64)
+            self.wide = np.dtype(np.int64)
+            self.reduce = lambda x, out=None: np.remainder(x, p, out=out)
         self.p = p
 
-    @property
-    def is_prime_field(self) -> bool:
-        return self.p is not None
-
     def zero(self):
-        return 0 if self.p is not None else Fraction(0)
+        return self.coerce(0)
 
     def one(self):
-        return 1 if self.p is not None else Fraction(1)
+        return self.coerce(1)
 
     def coerce(self, x):
         if self.p is not None:
@@ -71,16 +89,13 @@ class Field:
         raise TypeError(f"cannot coerce {x!r} into {self!r}")
 
     def add(self, a, b):
-        return (a + b) % self.p if self.p is not None else a + b
-
-    def sub(self, a, b):
-        return (a - b) % self.p if self.p is not None else a - b
+        return self.coerce(a + b)
 
     def mul(self, a, b):
-        return (a * b) % self.p if self.p is not None else a * b
+        return self.coerce(a * b)
 
     def neg(self, a):
-        return (-a) % self.p if self.p is not None else -a
+        return self.coerce(-a)
 
     def inv(self, a):
         if self.p is not None:
@@ -119,6 +134,10 @@ class Field:
     def __hash__(self):
         return hash(("Field", self.p))
 
+    def __reduce__(self):
+        """Pickle by characteristic: the `reduce` lambda does not pickle."""
+        return Field, (self.p,)
+
     def __repr__(self):
         return "QQ" if self.p is None else f"GF({self.p})"
 
@@ -126,10 +145,6 @@ class Field:
 QQ = Field(None)
 GF2 = Field(2)
 GF3 = Field(3)
-
-
-def _storage_dtype(p: int):
-    return np.int8 if p <= 127 else np.int64
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +174,7 @@ def _exact_product(field: Field, kernel, a: np.ndarray, b: np.ndarray,
         out = kernel(a.astype(np.int64, copy=False), b.astype(np.int64, copy=False))
     else:
         out = kernel(a.astype(object), b.astype(object))
-    return (out % p).astype(_storage_dtype(p))
+    return (out % p).astype(field.dtype, copy=False)
 
 
 def _scaled_integers(a: np.ndarray) -> tuple[list[int], int]:
@@ -269,81 +284,44 @@ def _gf2_rref_packed(w: np.ndarray, pivot_cols: int) -> tuple[np.ndarray, list[i
 # ---------------------------------------------------------------------------
 
 
-def _rref_fp_carry(a: np.ndarray, p: int, pivot_cols: int):
-    """In-place reduced row echelon over F_p; pivots restricted to the
-    leading `pivot_cols` columns.  `a` must be int64."""
+def _rref_in_place(a: np.ndarray, field: Field, pivot_cols: int):
+    """In-place reduced row echelon form of `a`, an array in the field's
+    wide dtype; pivots restricted to the leading `pivot_cols` columns.
+    Every row operation reduces its result, so `a` stays canonical."""
     r = a.shape[0]
     pivots: list[int] = []
     row = 0
     for col in range(pivot_cols):
         if row == r:
             break
-        nz = np.nonzero(a[row:, col])[0]
+        nz = a[row:, col].nonzero()[0]
         if nz.size == 0:
             continue
         pr = row + int(nz[0])
         if pr != row:
             a[[row, pr]] = a[[pr, row]]
-        pv = int(a[row, col])
+        pv = a.item(row, col)
         if pv != 1:
-            a[row] = (a[row] * pow(pv, p - 2, p)) % p
+            a[row] = field.reduce(a[row] * field.inv(pv))
         fac = a[:, col].copy()
         fac[row] = 0
-        nzm = np.nonzero(fac)[0]
+        nzm = fac.nonzero()[0]
         if nzm.size:
-            a[nzm] = (a[nzm] - np.outer(fac[nzm], a[row])) % p
+            a[nzm] = field.reduce(a[nzm] - np.outer(fac[nzm], a[row]))
         pivots.append(col)
         row += 1
     return a, pivots
 
 
-def _rref_q_carry(rows: list[list[Fraction]], ncols: int, pivot_cols: int):
-    r = len(rows)
-    pivots: list[int] = []
-    row = 0
-    for col in range(pivot_cols):
-        if row == r:
-            break
-        pr = None
-        for i in range(row, r):
-            if rows[i][col] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != row:
-            rows[row], rows[pr] = rows[pr], rows[row]
-        pv = rows[row][col]
-        if pv != 1:
-            inv = 1 / pv
-            rows[row] = [x * inv for x in rows[row]]
-        rr = rows[row]
-        for i in range(r):
-            if i != row and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rr)]
-        pivots.append(col)
-        row += 1
-    return rows, pivots
-
-
 def _negate(field: Field, x: np.ndarray) -> np.ndarray:
-    """-x over the field, in place and in x's dtype: (p - x) % p stays in
-    [0, p], so it cannot overflow the storage dtype of any p < 2**31."""
-    p = field.p
-    if p is None:
-        return np.negative(x, out=x)
-    np.subtract(p, x, out=x)
-    x %= p
-    return x
+    """-x over the field, in place and in x's dtype: -x lies in (-p, 0],
+    which the storage dtype of every p < 2**31 holds."""
+    return field.reduce(np.negative(x, out=x), out=x)
 
 
 class Matrix:
-    """Dense exact matrix over a `Field`.
-
-    Storage: int8/int64 numpy array for prime fields (canonical residues),
-    object array of Fractions for the rationals.
-    """
+    """Dense exact matrix over a `Field`: `a` is a 2-d array in the
+    field's storage dtype holding canonical entries."""
 
     __slots__ = ("field", "a")
 
@@ -357,29 +335,20 @@ class Matrix:
     def from_rows(field: Field, rows) -> "Matrix":
         r = len(rows)
         c = len(rows[0]) if r else 0
-        if field.p is not None:
-            arr = np.array([[int(x) % field.p for x in row] for row in rows],
-                           dtype=_storage_dtype(field.p)).reshape(r, c)
-        else:
-            arr = np.empty((r, c), dtype=object)
-            for i, row in enumerate(rows):
-                for j, x in enumerate(row):
-                    arr[i, j] = field.coerce(x)
-        return Matrix(field, arr)
+        coerce = field.coerce
+        return Matrix(field, np.array([[coerce(x) for x in row] for row in rows],
+                                      dtype=field.dtype).reshape(r, c))
 
     @staticmethod
     def zeros(field: Field, r: int, c: int) -> "Matrix":
-        if field.p is not None:
-            return Matrix(field, np.zeros((r, c), dtype=_storage_dtype(field.p)))
-        arr = np.empty((r, c), dtype=object)
-        arr.fill(Fraction(0))
+        arr = np.empty((r, c), dtype=field.dtype)
+        arr.fill(field.zero())
         return Matrix(field, arr)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
         m = Matrix.zeros(field, n, n)
-        for i in range(n):
-            m.a[i, i] = field.one()
+        np.fill_diagonal(m.a, field.one())
         return m
 
     @staticmethod
@@ -403,11 +372,10 @@ class Matrix:
         v = self.a[key]
         if isinstance(v, np.ndarray):
             return Matrix(self.field, v.copy() if v.base is not None else v)
-        return int(v) if self.field.p is not None else v
+        return self.a.item(key)
 
     def entry(self, i: int, j: int):
-        v = self.a[i, j]
-        return int(v) if self.field.p is not None else v
+        return self.a.item(i, j)
 
     def take_cols(self, idx) -> "Matrix":
         return Matrix(self.field, self.a[:, list(idx)].copy())
@@ -416,9 +384,7 @@ class Matrix:
         return Matrix(self.field, self.a[list(idx), :].copy())
 
     def to_lists(self):
-        if self.field.p is not None:
-            return [[int(x) for x in row] for row in self.a]
-        return [list(row) for row in self.a]
+        return self.a.tolist()
 
     def to_str_rows(self):
         return [[self.field.format(self.entry(i, j)) for j in range(self.cols)]
@@ -434,31 +400,25 @@ class Matrix:
         if self.field != other.field:
             raise ValueError("field mismatch")
 
+    def _from_wide(self, x: np.ndarray) -> "Matrix":
+        """Matrix of a freshly computed wide array, reduced in place."""
+        f = self.field
+        return Matrix(f, f.reduce(x, out=x).astype(f.dtype, copy=False))
+
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check(other)
-        if self.field.p is not None:
-            return Matrix(self.field,
-                          ((self.a.astype(np.int64) + other.a) % self.field.p
-                           ).astype(self.a.dtype))
-        return Matrix(self.field, self.a + other.a)
+        return self._from_wide(self.a.astype(self.field.wide, copy=False) + other.a)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check(other)
-        if self.field.p is not None:
-            return Matrix(self.field,
-                          ((self.a.astype(np.int64) - other.a) % self.field.p
-                           ).astype(self.a.dtype))
-        return Matrix(self.field, self.a - other.a)
+        return self._from_wide(self.a.astype(self.field.wide, copy=False) - other.a)
 
     def __neg__(self) -> "Matrix":
         return Matrix(self.field, _negate(self.field, self.a.copy()))
 
     def scale(self, c) -> "Matrix":
         c = self.field.coerce(c)
-        if self.field.p is not None:
-            return Matrix(self.field,
-                          ((self.a.astype(np.int64) * c) % self.field.p).astype(self.a.dtype))
-        return Matrix(self.field, self.a * c)
+        return self._from_wide(self.a.astype(self.field.wide, copy=False) * c)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check(other)
@@ -524,35 +484,16 @@ class Matrix:
         applied to the carried block as well.  Returns (R, pivots, C).
         """
         f = self.field
-        ccols = carry.cols if carry is not None else 0
-        total = self.cols + ccols
+        total = self.cols + (carry.cols if carry is not None else 0)
+        joint = self.a if carry is None else np.hstack([self.a, carry.a])
         if f.p == 2 and self.rows * total >= _GF2_PACK_MIN:
-            joint = self.a if carry is None else np.hstack([self.a, carry.a])
             w, piv = _gf2_rref_packed(_gf2_pack(joint), self.cols)
-            flat = _gf2_unpack(w, total)
-            r = Matrix(f, flat[:, :self.cols].copy())
-            c = Matrix(f, flat[:, self.cols:].copy()) if carry is not None else None
-            return r, piv, c
-        if f.p is not None:
-            joint = (self.a if carry is None else np.hstack([self.a, carry.a])
-                     ).astype(np.int64)
-            joint, piv = _rref_fp_carry(joint, f.p, self.cols)
-            dt = _storage_dtype(f.p)
-            r = Matrix(f, joint[:, :self.cols].astype(dt))
-            c = Matrix(f, joint[:, self.cols:].astype(dt)) if carry is not None else None
-            return r, piv, c
-        rows = [list(row) for row in self.a]
-        if carry is not None:
-            for row, crow in zip(rows, carry.a):
-                row.extend(crow)
-        rows, piv = _rref_q_carry(rows, total, self.cols)
-        rm = Matrix.from_rows(f, [row[:self.cols] for row in rows]) if self.rows else \
-            Matrix.zeros(f, 0, self.cols)
-        cm = None
-        if carry is not None:
-            cm = Matrix.from_rows(f, [row[self.cols:] for row in rows]) if self.rows else \
-                Matrix.zeros(f, 0, ccols)
-        return rm, piv, cm
+            joint = _gf2_unpack(w, total)
+        else:
+            joint, piv = _rref_in_place(joint.astype(f.wide), f, self.cols)
+        r = Matrix(f, joint[:, :self.cols].astype(f.dtype))
+        c = Matrix(f, joint[:, self.cols:].astype(f.dtype)) if carry is not None else None
+        return r, piv, c
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         r, piv, _ = self._rref_carry(None)

@@ -89,15 +89,6 @@ class Module:
             return self.algebra.free_action_stack(self.free_rank)
         return np.stack([m.a for m in self.actions])
 
-    def action_of(self, coords: Matrix) -> Matrix:
-        """Action of the element with the given basis-coordinate column."""
-        out = Matrix.zeros(self.algebra.field, self.dim, self.dim)
-        for t in range(self.algebra.dim):
-            c = coords.entry(t, 0)
-            if c != self.algebra.field.zero():
-                out = out + self.actions[t].scale(c)
-        return out
-
     def apply_var(self, v: int, vectors: Matrix) -> Matrix:
         """Variable action applied to a batch of coordinate columns.
 
@@ -222,6 +213,7 @@ def validate_module(mod: Module) -> None:
             if not (va[u] @ va[v]) == (va[v] @ va[u]):
                 raise ModuleError("variable actions do not commute")
     acts = mod.actions
+    stack = mod.action_stack()
     for v in range(n):
         for t in range(alg.dim):
             # x_v * b_t reduced through the table must match composition
@@ -229,11 +221,8 @@ def validate_module(mod: Module) -> None:
                                   Matrix.column(alg.field,
                                                 [alg.field.one() if i == t else alg.field.zero()
                                                  for i in range(alg.dim)]))
-            want = Matrix.zeros(alg.field, mod.dim, mod.dim)
-            for u in range(alg.dim):
-                c = coords.entry(u, 0)
-                if c != alg.field.zero():
-                    want = want + acts[u].scale(c)
+            want = Matrix(alg.field, contract(alg.field, "u,uab->ab",
+                                              coords.a[:, 0], stack))
             if not (va[v] @ acts[t]) == want:
                 raise ModuleError("actions violate an algebra relation")
 

@@ -21,7 +21,7 @@ import random
 import numpy as np
 
 from .algebra import Algebra, algebra_from_presentation
-from .linalg import ColumnSolver, Matrix, random_matrix
+from .linalg import ColumnSolver, Matrix, contract, random_matrix
 from .modules import (
     Module,
     ModuleError,
@@ -403,19 +403,9 @@ def _free_middle_step(mod, a, b, n, res_pow, peel, wit) -> ReducingStep:
 def _combination_psi(fld, psis, coeffs, a, b):
     """Assemble the block cocycle with block (i, j) = sum_l c[i,j,l] psi_l."""
     rows, cols = psis[0].rows, psis[0].cols
-    big = Matrix.zeros(fld, a * rows, b * cols)
-    for i in range(a):
-        for j in range(b):
-            block = None
-            for l, psi in enumerate(psis):
-                cf = coeffs.entry(i * b + j, l)
-                if cf == 0:
-                    continue
-                piece = psi.scale(cf)
-                block = piece if block is None else block + piece
-            if block is not None:
-                big.a[i * rows:(i + 1) * rows, j * cols:(j + 1) * cols] = block.a
-    return big
+    big = contract(fld, "ijl,lrc->irjc", coeffs.a.reshape(a, b, len(psis)),
+                   np.stack([psi.a for psi in psis]))
+    return Matrix(fld, big.reshape(a * rows, b * cols))
 
 
 def _dfs(mod: Module, depth: int, st: _SearchState):
@@ -785,12 +775,8 @@ def transform_cosyzygy(seq: ReducingSequence, module: Module,
         if coeffs is None:
             raise CertificateError(
                 f"step {idx}: equivalent extensions admit no connecting map")
-        tau_mat = Matrix.zeros(fld, z2.dim, mid_old.dim)
-        for j in range(hom.cols):
-            cf = coeffs.entry(j, 0)
-            if cf != 0:
-                tau_mat = tau_mat + Matrix(
-                    fld, hom.a[:, j].reshape(z2.dim, mid_old.dim)).scale(cf)
+        tau_mat = Matrix(fld, contract(fld, "kj,j->k", hom.a, coeffs.a[:, 0])
+                         .reshape(z2.dim, mid_old.dim))
         tau = ModuleMap(mid_old, z2, tau_mat, validate=False)
         if not tau.is_isomorphism():
             raise CertificateError(

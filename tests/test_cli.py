@@ -293,6 +293,32 @@ class TestErrorPaths:
         assert report["error"]["pointer"] == ""
         assert flag in report["error"]["message"]
 
+    @pytest.mark.parametrize("argv,command,fragment", [
+        (["resolve", "k", "--window", "abc"], "resolve", "--window"),
+        (["resolve"], "resolve", "module"),
+        (["ext", "k"], "ext", "target"),
+        (["reduce", "search", "k"], "reduce search", "--target"),
+        (["reduce", "search", "k", "--target", "both"], "reduce search",
+         "--target"),
+        (["frobnicate"], "", "frobnicate"),
+        (["resolve", "k", "--bogus"], "", "--bogus"),
+    ], ids=["bad-int", "missing-module", "missing-target", "missing-flag",
+            "bad-choice", "unknown-command", "unknown-flag"])
+    def test_usage_error_is_json(self, plane_ws, capsys, argv, command,
+                                 fragment):
+        code, report, err = run(capsys, "--workspace", plane_ws, *argv)
+        assert code == 2
+        assert report["command"] == command
+        assert report["error"]["pointer"] == ""
+        assert fragment in report["error"]["message"]
+        assert "usage:" not in err
+
+    def test_help_still_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["resolve", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: redhom resolve")
+
     def test_window_zero_accepted(self, plane_ws, capsys):
         code, report, _ = run(capsys, "--workspace", plane_ws,
                               "resolve", "k", "--window", "0")

@@ -44,7 +44,6 @@ class TestFieldOps:
         assert f.mul(2, 2) == 1
         assert f.inv(2) == 2
         assert f.neg(1) == 2
-        assert f.sub(0, 1) == 2
 
     def test_rational_arithmetic(self):
         assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
@@ -234,6 +233,121 @@ class TestNegation:
         assert (neg + m).is_zero()
 
 
+def reference_rref(f, rows, pivot_cols):
+    """Plain Gauss-Jordan on lists of entries with `Field` arithmetic,
+    pivots only among the leading `pivot_cols` columns."""
+    rows = [list(row) for row in rows]
+    pivots = []
+    row = 0
+    for col in range(pivot_cols):
+        if row == len(rows):
+            break
+        pr = next((i for i in range(row, len(rows)) if rows[i][col] != 0), None)
+        if pr is None:
+            continue
+        rows[row], rows[pr] = rows[pr], rows[row]
+        inv = f.inv(rows[row][col])
+        rows[row] = [f.mul(x, inv) for x in rows[row]]
+        for i in range(len(rows)):
+            c = rows[i][col]
+            if i != row and c != 0:
+                rows[i] = [f.add(x, f.neg(f.mul(c, y)))
+                           for x, y in zip(rows[i], rows[row])]
+        pivots.append(col)
+        row += 1
+    return rows, pivots
+
+
+class TestEliminationMatchesReference:
+    """rref, kernel_data and carried solves agree entry for entry with the
+    plain-Python Gauss-Jordan above, on every field and both GF(2) paths."""
+
+    def assert_same(self, m, t):
+        f = m.field
+        ref, ref_piv = reference_rref(f, m.to_lists(), m.cols)
+        r, piv = m.rref()
+        assert piv == tuple(ref_piv)
+        assert r.to_lists() == ref
+
+        free = [j for j in range(m.cols) if j not in ref_piv]
+        want = [[f.zero()] * len(free) for _ in range(m.cols)]
+        for k, fc in enumerate(free):
+            want[fc][k] = f.one()
+            for i, pc in enumerate(ref_piv):
+                want[pc][k] = f.neg(ref[i][fc])
+        basis, got_free = m.kernel_data()
+        assert got_free == free
+        assert basis.to_lists() == want
+
+        joint, _ = reference_rref(f, [a + b for a, b in zip(m.to_lists(), t.to_lists())],
+                                  m.cols)
+        carried = [row[m.cols:] for row in joint]
+        want_x = [[f.zero()] * t.cols for _ in range(m.cols)]
+        for i, pc in enumerate(ref_piv):
+            want_x[pc] = carried[i]
+        want_ok = [all(row[j] == 0 for row in carried[len(ref_piv):])
+                   for j in range(t.cols)]
+        x, ok = m.solve_columns(t)
+        assert ok == want_ok
+        assert x.to_lists() == want_x
+
+    def cases(self, f, rows, cols, rng):
+        for rank in (None, min(rows, cols) // 2):
+            m = (random_matrix(f, rows, cols, rng) if rank is None
+                 else low_rank_matrix(f, rows, cols, rank, rng))
+            t = Matrix.hstack([m @ random_matrix(f, cols, 2, rng),
+                               random_matrix(f, rows, 2, rng)])
+            yield m, t
+
+    @pytest.mark.parametrize("rows,cols", [(3, 6), (40, 128)])
+    def test_gf2_both_sides_of_packing(self, rows, cols):
+        for m, t in self.cases(GF2, rows, cols, random.Random(rows)):
+            self.assert_same(m, t)
+        assert 3 * 10 < _GF2_PACK_MIN <= 40 * 128
+
+    @pytest.mark.parametrize("f", KERNEL_FIELDS, ids=str)
+    def test_fields(self, f):
+        rng = random.Random(43)
+        for rows, cols in [(5, 9), (9, 5), (7, 7), (1, 4), (4, 1)]:
+            for m, t in self.cases(f, rows, cols, rng):
+                self.assert_same(m, t)
+
+
+STORAGE = [(GF2, np.int8), (GF3, np.int8), (Field(127), np.int8),
+           (Field(131), np.int64), (Field(P31), np.int64), (QQ, object)]
+
+
+class TestStorage:
+    """Every Matrix operation returns canonical entries in the field's
+    storage dtype: int8 up to p = 127, int64 above, Fractions over Q."""
+
+    @pytest.mark.parametrize("f,dtype", STORAGE, ids=[str(f) for f, _ in STORAGE])
+    def test_storage_dtype(self, f, dtype):
+        rng = random.Random(41)
+        m = random_matrix(f, 5, 7, rng)
+        n = random_matrix(f, 5, 7, rng)
+        results = {
+            "from_rows": Matrix.from_rows(f, [[1, -2, 3], [0, 5, -1]]),
+            "zeros": Matrix.zeros(f, 2, 3),
+            "identity": Matrix.identity(f, 3),
+            "add": m + n,
+            "sub": m - n,
+            "scale": m.scale(-3),
+            "rref": m.rref()[0],
+            "kernel_basis": m.kernel_basis(),
+        }
+        assert f.dtype == dtype
+        for name, x in results.items():
+            assert x.a.dtype == dtype, name
+            if dtype is object:
+                assert all(type(v) is Fraction for v in x.a.flat), name
+            else:
+                assert ((x.a >= 0) & (x.a < f.p)).all(), name
+        assert results["sub"] + n == m
+        assert results["identity"].to_lists() == [
+            [f.one() if i == j else f.zero() for j in range(3)] for i in range(3)]
+
+
 class TestSolve:
     def test_solve_hits_and_misses(self):
         # x-column solvable, (0,1) target not in the span
@@ -289,9 +403,9 @@ class TestGF2PackedPath:
         rows, cols = 80, 70  # above the packing threshold
         m = random_matrix(GF2, rows, cols, rng)
         r_packed, piv_packed = m.rref()
-        from redhom.linalg import _rref_fp_carry
+        from redhom.linalg import _rref_in_place
 
-        a64, piv_gen = _rref_fp_carry(m.a.astype(np.int64).copy(), 2, cols)
+        a64, piv_gen = _rref_in_place(m.a.astype(np.int64).copy(), GF2, cols)
         assert list(piv_packed) == piv_gen
         assert r_packed.to_lists() == [[int(x) for x in row] for row in a64]
 
@@ -343,7 +457,7 @@ class TestHelpers:
 
 @st.composite
 def field_and_matrix(draw):
-    f = draw(st.sampled_from([GF2, GF3, QQ]))
+    f = draw(st.sampled_from([GF2, GF3, Field(P31), QQ]))
     r = draw(st.integers(min_value=1, max_value=5))
     c = draw(st.integers(min_value=1, max_value=5))
     if f.p is not None:
