@@ -131,10 +131,6 @@ class Algebra:
     def socle_dim(self) -> int:
         return self.socle_basis.cols
 
-    @property
-    def maximal_ideal_dim(self) -> int:
-        return self.dim - 1
-
     def hilbert_function(self) -> list[int]:
         top = max(sum(m) for m in self.basis_mons)
         counts = [0] * (top + 1)
@@ -285,10 +281,7 @@ def build_algebra(fld: Field, var_names: list[str], relations: list[str],
                     nonzero = True
             if nonzero:
                 rows.append(row)
-    if rows:
-        ideal = Matrix.from_rows(fld, rows)
-    else:
-        ideal = Matrix.zeros(fld, 0, nm)
+    ideal = Matrix.from_rows(fld, rows) if rows else Matrix.zeros(fld, 0, nm)
     rref, pivots = ideal.rref()
     pivset = set(pivots)
     basis_pos = [i for i in range(nm) if i not in pivset]
@@ -296,7 +289,6 @@ def build_algebra(fld: Field, var_names: list[str], relations: list[str],
         raise AlgebraError("relations collapse the identity; algebra is zero")
     basis_mons = [mons[i] for i in basis_pos]
     d = len(basis_mons)
-    basis_of_mon = {m: i for i, m in enumerate(basis_mons)}
 
     # normal form of every truncated monomial, as a (d x nm) table
     nf_full = nf_columns(Matrix(fld, rref.a[:len(pivots), :]), list(pivots),

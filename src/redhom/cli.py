@@ -6,7 +6,9 @@ tool version and every window and seed that shaped the result.
 Exit codes: 0 success or accept, 1 reject, fail, or absent, 2 malformed
 input located by a JSON pointer, a bound out of range (a negative
 `--window`, or `--budget`, `--max-a` or `--max-b` below 1), or a command
-line that does not parse (pointer "").
+line that does not parse (pointer ""), 3 an internal error (a
+`HomAlgError`, `ResolutionError` or failed assertion inside a command;
+pointer "").
 """
 
 import argparse
@@ -40,7 +42,7 @@ from .reducing import (
     transform_syzygy,
     verify,
 )
-from .resolution import resolve
+from .resolution import ResolutionError, resolve
 from .workspace import WorkspaceError, load_workspace
 
 
@@ -384,14 +386,17 @@ def _check_bounds(args) -> None:
             raise ValueError(f"{flag} must be at least 1, got {value}")
 
 
+def _error(command: str, pointer: str, message: str, summary: str, code: int) -> int:
+    report = {"command": command, "error": {"pointer": pointer, "message": message}}
+    return _emit(report, summary, code)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except _UsageError as exc:
         command, message = exc.args
-        report = {"command": command,
-                  "error": {"pointer": "", "message": message}}
-        return _emit(report, f"usage error: {message}", 2)
+        return _error(command, "", message, f"usage error: {message}", 2)
     try:
         _check_bounds(args)
         if args.command == "algebra":
@@ -414,17 +419,17 @@ def main(argv=None) -> int:
             return _cmd_theorem(args)
         return _cmd_corpus(args)
     except (WorkspaceError, CertificateFormatError) as exc:
-        report = {"command": args.command,
-                  "error": {"pointer": exc.pointer, "message": exc.message}}
-        return _emit(report, f"input error at {exc.pointer or '/'}: "
-                             f"{exc.message}", 2)
+        return _error(args.command, exc.pointer, exc.message,
+                      f"input error at {exc.pointer or '/'}: {exc.message}", 2)
     except CertificateError as exc:
         report = {"command": args.command, "ok": False, "reason": str(exc)}
         return _emit(report, f"failed: {exc}", 1)
     except ValueError as exc:
-        report = {"command": args.command,
-                  "error": {"pointer": "", "message": str(exc)}}
-        return _emit(report, f"input error: {exc}", 2)
+        return _error(args.command, "", str(exc), f"input error: {exc}", 2)
+    except (HomAlgError, ResolutionError, AssertionError) as exc:
+        message = str(exc) or type(exc).__name__
+        return _error(args.command, "", message,
+                      f"internal error: {type(exc).__name__}: {message}", 3)
 
 
 if __name__ == "__main__":

@@ -5,14 +5,23 @@ All arithmetic is exact: prime-field entries are canonical integers in
 point anywhere.
 
 Storage contract: `Field` is the only code that knows how entries are
-stored.  It fixes three things once, in its constructor: the storage
+stored.  It fixes four things once, in its constructor: the storage
 dtype of every `Matrix` over it (int8 for p <= 127, int64 for larger p,
 object arrays of Fractions over Q), the wide dtype that a sum or product
-of two entries fits in (int64, or object over Q), and `reduce`, which
-maps a wide array back to canonical entries (x % p, or x itself over Q).
-`Matrix` and the elimination loop are written once against these and
-never ask which field they are over; only the exact product keeps a
-rational path, because it scales Q operands to integers.
+of two entries fits in (int64, or object over Q), `reduce`, which maps
+a wide array back to canonical entries (x % p, or x itself over Q), and
+`zeros`, the zero array in the storage dtype.  `Matrix` and the
+elimination loop are written once against these and never ask which
+field they are over; only the exact product keeps a rational path,
+because it scales Q operands to integers.
+
+GF(2) `rref` and `rank` run on rows held as Python ints (bit c-1-j is
+column j; one XOR is one row operation) with an echelon basis keyed by
+leading bit, so the work follows the nonzeros; `rank` skips the
+back-substitution.  The rref is unique, so the results equal the general
+loop's.  Carried solves (`solve_columns`, `ColumnSolver`, `inverse`) run
+the general loop `_rref_in_place` on every field, because the carried
+values of an unsolvable column depend on the order of row operations.
 
 Layout contract relied on by the rest of the package: `kernel_basis`
 returns its columns in unit-at-free-column form (each basis vector has a
@@ -29,23 +38,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
-_GF2_PACK_MIN = 4096  # below this many entries the plain int path is faster
-_ZERO = Fraction(0)  # shared by every zero entry a rational product returns
+_ZERO = Fraction(0)  # the one Fraction that every zero array over Q holds
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 class Field:
@@ -53,16 +54,18 @@ class Field:
 
     Besides p it holds the representation of its entries: `dtype` (the
     storage dtype), `wide` (the dtype sums and products of two entries
-    fit in) and `reduce(x, out=None)`, which brings a wide array back to
-    canonical entries.
+    fit in), `reduce(x, out=None)`, which brings a wide array back to
+    canonical entries, and `zeros(shape)`, an array of canonical zeros in
+    the storage dtype.
     """
 
-    __slots__ = ("p", "dtype", "wide", "reduce")
+    __slots__ = ("p", "dtype", "wide", "reduce", "zeros")
 
     def __init__(self, p: int | None = None):
         if p is None:
             self.dtype = self.wide = np.dtype(object)
             self.reduce = lambda x, out=None: x
+            self.zeros = partial(np.full, fill_value=_ZERO, dtype=self.dtype)
         else:
             if not (2 <= p < 2**31):
                 raise ValueError(f"field characteristic out of range: {p}")
@@ -71,6 +74,7 @@ class Field:
             self.dtype = np.dtype(np.int8 if p <= 127 else np.int64)
             self.wide = np.dtype(np.int64)
             self.reduce = lambda x, out=None: np.remainder(x, p, out=out)
+            self.zeros = partial(np.zeros, dtype=self.dtype)
         self.p = p
 
     def zero(self):
@@ -199,7 +203,7 @@ def _rational_product(kernel, a: np.ndarray, b: np.ndarray,
     out = kernel(np.array(ia, dtype=dtype).reshape(a.shape),
                  np.array(ib, dtype=dtype).reshape(b.shape))
     d = da * db
-    res = np.full(out.shape, _ZERO, dtype=object)
+    res = QQ.zeros(out.shape)
     nz = np.flatnonzero(out)
     res.flat[nz] = [Fraction(n, d) for n in out.flat[nz].tolist()]
     return res
@@ -231,54 +235,58 @@ def contract(field: Field, spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# GF(2) bit-packed kernels.  Rows are packed little-endian into uint64 words.
+# GF(2) elimination on Python-int rows: bit c-1-j of a row holds column j,
+# so a row's highest set bit is its leftmost nonzero column and one XOR is
+# one row operation.
 
 
-def _gf2_pack(a: np.ndarray) -> np.ndarray:
+def _gf2_rows(a: np.ndarray) -> list[int]:
+    """The rows of a 0/1 array as Python ints, column 0 in the top bit."""
     r, c = a.shape
-    if c == 0:
-        return np.zeros((r, 0), dtype=np.uint64)
-    packed = np.packbits(a.astype(np.uint8), axis=1, bitorder="little")
-    pad = (-packed.shape[1]) % 8
-    if pad:
-        packed = np.hstack([packed, np.zeros((r, pad), dtype=np.uint8)])
-    return packed.view(np.uint64)
+    width, pad = -(-c // 8), -c % 8
+    data = np.packbits(a, axis=1).tobytes()
+    return [int.from_bytes(data[i * width:(i + 1) * width], "big") >> pad
+            for i in range(r)]
 
 
-def _gf2_unpack(w: np.ndarray, cols: int) -> np.ndarray:
-    r = w.shape[0]
-    if cols == 0:
-        return np.zeros((r, 0), dtype=np.int8)
-    bytes_ = w.view(np.uint8)
-    bits = np.unpackbits(bytes_, axis=1, count=cols, bitorder="little")
-    return bits.astype(np.int8)
+def _gf2_echelon(rows: list[int]) -> dict[int, int]:
+    """A row echelon basis of the rows' span, keyed by bit_length: each
+    row is reduced by the rows kept so far until its top bit is new."""
+    kept: dict[int, int] = {}
+    for x in rows:
+        while x and (top := x.bit_length()) in kept:
+            x ^= kept[top]
+        if x:
+            kept[top] = x
+    return kept
 
 
-def _gf2_rref_packed(w: np.ndarray, pivot_cols: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of packed rows; pivots only in the first
-    `pivot_cols` columns."""
-    w = w.copy()
-    r = w.shape[0]
-    pivots: list[int] = []
-    row = 0
-    for col in range(pivot_cols):
-        if row == r:
-            break
-        word, bit = col >> 6, np.uint64(col & 63)
-        colbits = (w[row:, word] >> bit) & np.uint64(1)
-        nz = np.nonzero(colbits)[0]
-        if nz.size == 0:
-            continue
-        pr = row + int(nz[0])
-        if pr != row:
-            w[[row, pr]] = w[[pr, row]]
-        mask = ((w[:, word] >> bit) & np.uint64(1)).astype(bool)
-        mask[row] = False
-        if mask.any():
-            w[mask] ^= w[row]
-        pivots.append(col)
-        row += 1
-    return w, pivots
+def _gf2_rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of a 0/1 array, in int8, and its pivots.
+
+    Back-substitution runs lowest pivot first, so each row is cleared at
+    its lower pivot bits by rows that are already reduced; an XOR with
+    such a row clears one pivot bit and sets no other."""
+    r, c = a.shape
+    kept = _gf2_echelon(_gf2_rows(a))
+    tops = sorted(kept)
+    below = 0  # the pivot bits of the rows reduced so far
+    for t in tops:
+        x = kept[t]
+        hit = x & below
+        while hit:
+            b = hit.bit_length()
+            x ^= kept[b]
+            hit ^= 1 << (b - 1)
+        kept[t] = x
+        below |= 1 << (t - 1)
+    tops.reverse()  # leftmost pivot first
+    width, pad = -(-c // 8), -c % 8
+    data = b"".join((kept[t] << pad).to_bytes(width, "big") for t in tops)
+    out = np.zeros((r, c), dtype=np.int8)
+    out[:len(tops)] = np.unpackbits(
+        np.frombuffer(data, dtype=np.uint8).reshape(len(tops), width), axis=1, count=c)
+    return out, [c - t for t in tops]
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +349,7 @@ class Matrix:
 
     @staticmethod
     def zeros(field: Field, r: int, c: int) -> "Matrix":
-        arr = np.empty((r, c), dtype=field.dtype)
-        arr.fill(field.zero())
-        return Matrix(field, arr)
+        return Matrix(field, field.zeros((r, c)))
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
@@ -442,9 +448,6 @@ class Matrix:
             return False
         return bool((self.a == other.a).all())
 
-    def __hash__(self):
-        raise TypeError("Matrix is unhashable")
-
     def __repr__(self):
         return f"Matrix({self.field}, {self.rows}x{self.cols})"
 
@@ -452,7 +455,6 @@ class Matrix:
 
     @staticmethod
     def hstack(mats: list["Matrix"]) -> "Matrix":
-        mats = [m for m in mats]
         if not mats:
             raise ValueError("hstack of nothing")
         return Matrix(mats[0].field, np.hstack([m.a for m in mats]))
@@ -484,13 +486,11 @@ class Matrix:
         applied to the carried block as well.  Returns (R, pivots, C).
         """
         f = self.field
-        total = self.cols + (carry.cols if carry is not None else 0)
+        if carry is None and f.p == 2:
+            r, piv = _gf2_rref(self.a)
+            return Matrix(f, r), piv, None
         joint = self.a if carry is None else np.hstack([self.a, carry.a])
-        if f.p == 2 and self.rows * total >= _GF2_PACK_MIN:
-            w, piv = _gf2_rref_packed(_gf2_pack(joint), self.cols)
-            joint = _gf2_unpack(w, total)
-        else:
-            joint, piv = _rref_in_place(joint.astype(f.wide), f, self.cols)
+        joint, piv = _rref_in_place(joint.astype(f.wide), f, self.cols)
         r = Matrix(f, joint[:, :self.cols].astype(f.dtype))
         c = Matrix(f, joint[:, self.cols:].astype(f.dtype)) if carry is not None else None
         return r, piv, c
@@ -500,8 +500,9 @@ class Matrix:
         return r, tuple(piv)
 
     def rank(self) -> int:
-        _, piv, _ = self._rref_carry(None)
-        return len(piv)
+        if self.field.p == 2:
+            return len(_gf2_echelon(_gf2_rows(self.a)))
+        return len(self._rref_carry(None)[1])
 
     def kernel_data(self) -> tuple["Matrix", list[int]]:
         """Kernel basis plus the free column positions defining it.

@@ -7,6 +7,7 @@ import pytest
 from redhom import cli
 from redhom.linalg import GF2
 from redhom.algebra import build_algebra
+from redhom.homalg import HomAlgError
 from redhom.modules import ModuleMap, free_module, zero_module
 from redhom.reducing import (
     ReducingSequence,
@@ -14,6 +15,7 @@ from redhom.reducing import (
     save_certificate,
 )
 from redhom.modules import ShortExactSequence
+from redhom.resolution import ResolutionError
 
 PLANE = {
     "version": "redhom-workspace/1",
@@ -318,6 +320,31 @@ class TestErrorPaths:
             cli.main(["resolve", "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: redhom resolve")
+
+    @pytest.mark.parametrize("exc", [HomAlgError("no lift"),
+                                     ResolutionError("not minimal"),
+                                     AssertionError()],
+                             ids=["homalg", "resolution", "assertion"])
+    def test_internal_error_is_json(self, plane_ws, capsys, monkeypatch, exc):
+        def boom(args):
+            raise exc
+        monkeypatch.setattr(cli, "_cmd_resolve", boom)
+        code = cli.main(["--workspace", plane_ws, "resolve", "k"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        report = json.loads(out)
+        assert report["command"] == "resolve"
+        assert report["error"]["pointer"] == ""
+        assert report["error"]["message"] == (str(exc) or type(exc).__name__)
+        assert err.startswith("internal error: ")
+        assert err.count("\n") == 1
+
+    def test_other_exceptions_still_raise(self, plane_ws, monkeypatch):
+        def boom(args):
+            raise KeyError("bug")
+        monkeypatch.setattr(cli, "_cmd_resolve", boom)
+        with pytest.raises(KeyError):
+            cli.main(["--workspace", plane_ws, "resolve", "k"])
 
     def test_window_zero_accepted(self, plane_ws, capsys):
         code, report, _ = run(capsys, "--workspace", plane_ws,

@@ -19,7 +19,6 @@ from redhom.linalg import (
     kron,
     nf_columns,
     random_matrix,
-    _GF2_PACK_MIN,
 )
 
 FIELDS = [GF2, GF3, Field(101), QQ]
@@ -199,7 +198,6 @@ class TestKernelDataMatchesReference:
             m = (random_matrix(GF2, rows, cols, rng) if rank is None
                  else low_rank_matrix(GF2, rows, cols, rank, rng))
             self.assert_same(m)
-        assert 3 * 6 < _GF2_PACK_MIN <= 40 * 128
 
     @pytest.mark.parametrize("f", KERNEL_FIELDS, ids=str)
     def test_random_and_low_rank(self, f):
@@ -258,26 +256,37 @@ def reference_rref(f, rows, pivot_cols):
     return rows, pivots
 
 
+def assert_rref_and_kernel(m):
+    """m.rref() and m.kernel_data() equal what `reference_rref` gives, and
+    m.rank() counts its pivots; returns the reference pivots."""
+    f = m.field
+    ref, ref_piv = reference_rref(f, m.to_lists(), m.cols)
+    r, piv = m.rref()
+    assert piv == tuple(ref_piv)
+    assert r.a.dtype == f.dtype
+    assert r.to_lists() == ref
+
+    free = [j for j in range(m.cols) if j not in ref_piv]
+    want = [[f.zero()] * len(free) for _ in range(m.cols)]
+    for k, fc in enumerate(free):
+        want[fc][k] = f.one()
+        for i, pc in enumerate(ref_piv):
+            want[pc][k] = f.neg(ref[i][fc])
+    basis, got_free = m.kernel_data()
+    assert got_free == free
+    assert basis.to_lists() == want
+    assert m.rank() == len(ref_piv)
+    return ref_piv
+
+
 class TestEliminationMatchesReference:
     """rref, kernel_data and carried solves agree entry for entry with the
-    plain-Python Gauss-Jordan above, on every field and both GF(2) paths."""
+    plain-Python Gauss-Jordan above, on every field; over GF(2) rref and
+    kernel_data run on bitset rows and carried solves on the general loop."""
 
     def assert_same(self, m, t):
         f = m.field
-        ref, ref_piv = reference_rref(f, m.to_lists(), m.cols)
-        r, piv = m.rref()
-        assert piv == tuple(ref_piv)
-        assert r.to_lists() == ref
-
-        free = [j for j in range(m.cols) if j not in ref_piv]
-        want = [[f.zero()] * len(free) for _ in range(m.cols)]
-        for k, fc in enumerate(free):
-            want[fc][k] = f.one()
-            for i, pc in enumerate(ref_piv):
-                want[pc][k] = f.neg(ref[i][fc])
-        basis, got_free = m.kernel_data()
-        assert got_free == free
-        assert basis.to_lists() == want
+        ref_piv = assert_rref_and_kernel(m)
 
         joint, _ = reference_rref(f, [a + b for a, b in zip(m.to_lists(), t.to_lists())],
                                   m.cols)
@@ -303,7 +312,6 @@ class TestEliminationMatchesReference:
     def test_gf2_both_sides_of_packing(self, rows, cols):
         for m, t in self.cases(GF2, rows, cols, random.Random(rows)):
             self.assert_same(m, t)
-        assert 3 * 10 < _GF2_PACK_MIN <= 40 * 128
 
     @pytest.mark.parametrize("f", KERNEL_FIELDS, ids=str)
     def test_fields(self, f):
@@ -311,6 +319,78 @@ class TestEliminationMatchesReference:
         for rows, cols in [(5, 9), (9, 5), (7, 7), (1, 4), (4, 1)]:
             for m, t in self.cases(f, rows, cols, rng):
                 self.assert_same(m, t)
+
+
+GF2_WIDTHS = [0, 1, 7, 8, 9, 63, 64, 65]
+
+
+@st.composite
+def gf2_matrices(draw):
+    """0/1 matrices up to 40x90, widths around the byte and word
+    boundaries, from under one nonzero per row to dense, sometimes with a
+    duplicated row and a zero row."""
+    r = draw(st.integers(min_value=0, max_value=40))
+    c = draw(st.one_of(st.sampled_from(GF2_WIDTHS),
+                       st.integers(min_value=0, max_value=90)))
+    per_row = draw(st.sampled_from([0.3, 1.0, 3.0, c / 4, c / 2, 0.9 * c]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    a = (rng.random((r, c)) < per_row / max(c, 1)).astype(np.int8)
+    if r >= 3 and draw(st.booleans()):
+        a[0] = a[r - 1]
+        a[r // 2] = 0
+    return Matrix(GF2, a)
+
+
+def resolution_like_map(blocks_out, blocks_in, rng, prob=0.03):
+    """A sparse 0/1 matrix shaped like a differential of a resolution over
+    F_2[x,y]/m^2 in the basis (1, x, y) of each free summand: every 3x3
+    block is 0 or multiplication by a nonzero element of m, so only the
+    x and y rows of a block and only its first column can be nonzero."""
+    a = np.zeros((3 * blocks_out, 3 * blocks_in), dtype=np.int8)
+    for i in range(blocks_out):
+        for j in range(blocks_in):
+            if rng.random() < prob:
+                cx, cy = rng.choice([(1, 0), (0, 1), (1, 1)])
+                a[3 * i + 1, 3 * j] = cx
+                a[3 * i + 2, 3 * j] = cy
+    return Matrix(GF2, a)
+
+
+class TestGF2Bitset:
+    """The GF(2) rref, kernel and rank on Python-int rows agree with the
+    plain Gauss-Jordan reference at every shape and density."""
+
+    @given(gf2_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, m):
+        assert_rref_and_kernel(m)
+
+    @pytest.mark.parametrize("c", GF2_WIDTHS)
+    def test_widths_at_byte_and_word_boundaries(self, c):
+        rng = np.random.default_rng(c)
+        for r in (0, 1, 5, 2 * c + 1):
+            for per_row in (0.5, 2.0, c / 2):
+                a = (rng.random((r, c)) < per_row / max(c, 1)).astype(np.int8)
+                assert_rref_and_kernel(Matrix(GF2, a))
+        assert_rref_and_kernel(Matrix(GF2, np.ones((3, c), dtype=np.int8)))
+        assert_rref_and_kernel(Matrix.identity(GF2, c))
+
+    def test_sparse_resolution_map(self):
+        m = resolution_like_map(100, 200, random.Random(53))
+        assert m.a.shape == (300, 600)
+        assert 0 < m.a.mean() < 0.01
+        piv = assert_rref_and_kernel(m)
+        assert 50 < len(piv) < 200
+
+    @pytest.mark.parametrize("f", KERNEL_FIELDS, ids=str)
+    def test_rank_counts_rref_pivots(self, f):
+        rng = random.Random(47)
+        for rows, cols, rank in [(0, 3, None), (3, 0, None), (5, 9, None),
+                                 (9, 5, None), (8, 8, 0), (9, 12, 4),
+                                 (12, 9, 3), (6, 6, 6)]:
+            m = (random_matrix(f, rows, cols, rng) if rank is None
+                 else low_rank_matrix(f, rows, cols, rank, rng))
+            assert m.rank() == len(m.rref()[1])
 
 
 STORAGE = [(GF2, np.int8), (GF3, np.int8), (Field(127), np.int8),
@@ -398,16 +478,16 @@ class TestSolve:
 
 class TestGF2PackedPath:
     def test_packed_agrees_with_generic(self):
-        # force both code paths on the same input and compare
+        # the bitset rref against the general loop on the same input
         rng = random.Random(19)
-        rows, cols = 80, 70  # above the packing threshold
+        rows, cols = 80, 70
         m = random_matrix(GF2, rows, cols, rng)
-        r_packed, piv_packed = m.rref()
+        r_bits, piv_bits = m.rref()
         from redhom.linalg import _rref_in_place
 
         a64, piv_gen = _rref_in_place(m.a.astype(np.int64).copy(), GF2, cols)
-        assert list(piv_packed) == piv_gen
-        assert r_packed.to_lists() == [[int(x) for x in row] for row in a64]
+        assert list(piv_bits) == piv_gen
+        assert r_bits.to_lists() == [[int(x) for x in row] for row in a64]
 
     def test_packed_solve_roundtrip(self):
         rng = random.Random(23)
