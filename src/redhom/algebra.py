@@ -240,7 +240,7 @@ class Algebra:
 
 
 def build_algebra(fld: Field, var_names: list[str], relations: list[str],
-                  nilpotency: int, validate: bool = True) -> Algebra:
+                  nilpotency: int) -> Algebra:
     """Construct the algebra and all cached structure data.
 
     `relations` are polynomial strings with zero constant term; the ideal
@@ -349,8 +349,7 @@ def build_algebra(fld: Field, var_names: list[str], relations: list[str],
     )
     alg._mon_index = mon_index  # type: ignore[attr-defined]
     alg._nf_table = nf_table    # type: ignore[attr-defined]
-    if validate:
-        _validate_algebra(alg)
+    _validate_algebra(alg)
     return alg
 
 
@@ -394,8 +393,9 @@ def _cached_algebra(p: int | None, names: tuple, rels: tuple, nilp: int) -> Alge
 
 def algebra_from_presentation(pres: dict) -> Algebra:
     """Rebuild an algebra from its serialized presentation dict."""
-    ch = pres["characteristic"]
-    return _cached_algebra(None if ch == 0 else int(ch),
+    ch, nilp = pres["characteristic"], pres["nilpotency"]
+    if type(ch) is not int or type(nilp) is not int:
+        raise ValueError("characteristic and nilpotency must be integers")
+    return _cached_algebra(None if ch == 0 else ch,
                            tuple(pres["variables"]),
-                           tuple(pres["relations"]),
-                           int(pres["nilpotency"]))
+                           tuple(pres["relations"]), nilp)

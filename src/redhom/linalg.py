@@ -117,12 +117,13 @@ class Field:
     def parse(self, s: str):
         """Parse a field element from decimal text like "3" or "-1/2"."""
         s = s.strip()
-        if self.p is not None:
-            if "/" in s:
-                num, den = s.split("/", 1)
-                return self.div(int(num) % self.p, int(den) % self.p)
-            return int(s) % self.p
-        return Fraction(s)
+        try:
+            if self.p is None:
+                return Fraction(s)
+            num, _, den = s.partition("/")
+            return self.div(int(num), int(den or 1))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {s!r} over {self!r}") from None
 
     def format(self, x) -> str:
         return str(x)
@@ -591,6 +592,37 @@ def column_space_basis(m: Matrix) -> Matrix:
     sitting at the rref pivot positions."""
     _, piv = m.rref()
     return m.take_cols(list(piv))
+
+
+def algebra_radical(basis: Matrix, n: int) -> Matrix:
+    """Jacobson radical of the algebra A of n x n matrices whose basis is
+    the columns of `basis` (row-major), as columns in the same layout.
+
+    Ronyai's chain: I_{-1} = A, I_i = {x in I_{i-1} : Tr(z^(p^i))/p^i = 0
+    mod p for z the [0, p) lift of xy, all y in A}, i = 0..floor(log_p n),
+    ends at J(A); over Q and for p > n only Dickson's Tr(xy) runs.
+    """
+    f = basis.field
+    ys = basis.a.T.reshape(-1, n, n)
+    ideal, i = basis, 0
+    while ideal.cols:
+        xs = ideal.a.T.reshape(-1, n, n)
+        if i == 0:
+            gram = contract(f, "sab,tba->st", xs, ys)
+        else:  # q <= n^2 keeps int64 exact; stacks are cut to 2^22 entries
+            q, rows, parts = f.p ** (i + 1), max(1, 2**22 // ys.size), []
+            for lo in range(0, len(xs), rows):
+                z = contract(f, "sab,tbc->stac", xs[lo:lo + rows], ys).astype(np.int64)
+                w = z
+                for _ in range(f.p ** i - 1):
+                    w = np.matmul(w, z) % q
+                parts.append(np.trace(w, axis1=2, axis2=3) % q // (q // f.p))
+            gram = np.vstack(parts).astype(f.dtype)
+        ideal = ideal @ Matrix(f, gram).transpose().kernel_basis()
+        i += 1
+        if f.p is None or f.p ** i > n:
+            break
+    return ideal
 
 
 def random_matrix(field: Field, r: int, c: int, rng) -> Matrix:

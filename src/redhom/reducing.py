@@ -121,7 +121,7 @@ def module_from_dict(alg: Algebra, data, pointer: str) -> Module:
     if not isinstance(data, dict):
         raise CertificateFormatError(pointer, "expected an object")
     dim = data.get("dim")
-    if not isinstance(dim, int) or dim < 0:
+    if type(dim) is not int or dim < 0:
         raise CertificateFormatError(pointer + "/dim",
                                      "expected a nonnegative integer")
     acts = data.get("actions")
@@ -211,7 +211,7 @@ def sequence_from_dict(data, algebra: Algebra = None) -> ReducingSequence:
         params = {}
         for key in ("a", "b", "n"):
             val = raw.get(key)
-            if not isinstance(val, int) or val < 1:
+            if type(val) is not int or val < 1:
                 raise CertificateFormatError(f"{ptr}/{key}",
                                              "expected a positive integer")
             params[key] = val
@@ -662,25 +662,15 @@ def transform_cosyzygy(seq: ReducingSequence, module: Module,
     report = verify(seq, window=window)
     if not report.ok:
         return _rejected(f"input chain failed verification: {report.reason}")
-    peel = split_free_summands(seq.base)
-    omega_n = syzygy(module, 1)
-    ver = is_isomorphic(peel.remainder, omega_n, seed=0)
-    if ver.kind != "yes":
-        return _rejected("chain base is not a syzygy of the module "
-                         "up to free summands")
-    c_prev = peel.rank
     # rho: old chain module -> syz(new chain module) + free, maintained
     # as the induction moves down the chain
+    omega_n = syzygy(module, 1)
+    c_prev = max((seq.base.dim - omega_n.dim) // d, 0)
     pack = direct_sum([omega_n, free_module(alg, c_prev)])
-    rho_mat = Matrix.zeros(fld, pack.dim, seq.base.dim)
-    inv = peel.iso.inverse().matrix  # coords: [free block | remainder]
-    rho_mat.a[:omega_n.dim, :] = (ver.witness.matrix
-                                  @ inv.take_rows(
-                                      range(c_prev * d, inv.rows))).a
-    rho_mat.a[omega_n.dim:, :] = inv.take_rows(range(c_prev * d)).a
-    rho = ModuleMap(seq.base, pack, rho_mat, validate=False)
-    if not rho.is_isomorphism():
-        raise CertificateError("base repackaging is not invertible")
+    rho = is_isomorphic(seq.base, pack).witness
+    if rho is None:
+        return _rejected("chain base is not a syzygy of the module "
+                         "up to free summands")
     w_prev = module
     prev_old = seq.base
     new_steps = []

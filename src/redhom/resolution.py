@@ -361,8 +361,7 @@ class Periodicity:
     witness: ModuleMap
 
 
-def detect_periodicity(module: Module, window: int,
-                       seed: int = 0) -> Periodicity | None:
+def detect_periodicity(module: Module, window: int) -> Periodicity | None:
     """First isomorphic pair of syzygies within the window, shortest
     period first; absent when the resolution terminates instead."""
     res = resolve(module)
@@ -375,7 +374,7 @@ def detect_periodicity(module: Module, window: int,
             b = res.syzygy_module(start + period)
             if a.dim == 0 or a.dim != b.dim:
                 continue
-            verdict = is_isomorphic(a, b, seed=seed, use_betti=False)
+            verdict = is_isomorphic(a, b)
             if verdict.kind == "yes":
                 return Periodicity(start, period, verdict.witness)
     return None

@@ -54,7 +54,7 @@ def _field_from_dict(data, pointer: str) -> Field:
         return QQ
     if kind == "Fp":
         p = data.get("p")
-        if not isinstance(p, int) or p < 2:
+        if type(p) is not int or p < 2:
             raise WorkspaceError(pointer + "/p",
                                  "expected a prime characteristic")
         try:
@@ -74,7 +74,7 @@ def _algebra_from_dict(data, pointer: str) -> Algebra:
         raise WorkspaceError(pointer + "/vars",
                              "expected a list of variable names")
     nilp = data.get("nilpotency")
-    if not isinstance(nilp, int) or nilp < 1:
+    if type(nilp) is not int or nilp < 1:
         raise WorkspaceError(pointer + "/nilpotency",
                              "expected a positive integer")
     rels = data.get("relations", [])
@@ -102,7 +102,7 @@ def _module_from_spec(alg: Algebra, name: str, data, pointer: str) -> Module:
     kind = data.get("kind")
     if kind == "free":
         rank = data.get("rank")
-        if not isinstance(rank, int) or rank < 0:
+        if type(rank) is not int or rank < 0:
             raise WorkspaceError(pointer + "/rank",
                                  "expected a nonnegative integer")
         return free_module(alg, rank, label=name)
@@ -120,7 +120,7 @@ def _module_from_spec(alg: Algebra, name: str, data, pointer: str) -> Module:
             raise WorkspaceError(pointer + "/relations", str(exc))
     if kind == "presentation":
         gens = data.get("generators")
-        if not isinstance(gens, int) or gens < 0:
+        if type(gens) is not int or gens < 0:
             raise WorkspaceError(pointer + "/generators",
                                  "expected a nonnegative integer")
         rels = _str_rows(data.get("relations", []),
@@ -138,7 +138,7 @@ def _module_from_spec(alg: Algebra, name: str, data, pointer: str) -> Module:
             raise WorkspaceError(pointer + "/relations", str(exc))
     if kind == "actions":
         dim = data.get("dim")
-        if not isinstance(dim, int) or dim < 0:
+        if type(dim) is not int or dim < 0:
             raise WorkspaceError(pointer + "/dim",
                                  "expected a nonnegative integer")
         acts = data.get("actions")

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, report shape, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -373,3 +374,60 @@ class TestDeterminism:
         out2 = capsys.readouterr().out
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
+
+ZERO_DENOMINATORS = [({"field": "Fp", "p": 2}, 2, "1/2"),
+                     ({"field": "Q"}, 0, "1/0")]
+
+
+class TestZeroDenominators:
+    """An entry whose denominator is zero in the field is a located input
+    error (exit 2), not a crash."""
+
+    @staticmethod
+    def workspace(tmp_path, field, modules):
+        data = json.loads(json.dumps(PLANE))
+        data["algebra"] = {**field, "vars": ["x", "y"], "nilpotency": 2,
+                           "relations": []}
+        data["modules"] = modules
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    @pytest.mark.parametrize("field, char, entry", ZERO_DENOMINATORS,
+                             ids=["F2", "Q"])
+    def test_workspace_actions(self, tmp_path, capsys, field, char, entry):
+        ws = self.workspace(tmp_path, field, {"M": {
+            "kind": "actions", "dim": 1, "actions": [[[entry]], [["0"]]]}})
+        code, report, _ = run(capsys, "--workspace", ws, "algebra", "info")
+        assert code == 2
+        assert report["error"]["pointer"] == "/modules/M/actions/0"
+
+    @pytest.mark.parametrize("field, char, entry", ZERO_DENOMINATORS,
+                             ids=["F2", "Q"])
+    def test_certificate_matrix(self, tmp_path, capsys, field, char, entry):
+        ws = self.workspace(tmp_path, field, {})
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({
+            "format": "reducing-certificate/1", "target": "pd",
+            "algebra": {"characteristic": char, "nilpotency": 2,
+                        "relations": [], "variables": ["x", "y"]},
+            "base": {"dim": 1, "actions": [[[entry]], [["0"]]]},
+            "steps": []}))
+        code, report, _ = run(capsys, "--workspace", ws,
+                              "reduce", "verify", str(cert))
+        assert code == 2
+        assert report["error"]["pointer"] == "/base/actions/0"
+
+
+def test_boolean_step_parameter_exit2(tmp_path, capsys):
+    data = json.loads((EXAMPLES / "plane.json").read_text())
+    data["certificates"]["cert_k"]["steps"][0]["n"] = True
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(data))
+    code, report, _ = run(capsys, "--workspace", str(path),
+                          "reduce", "verify", "cert_k")
+    assert code == 2
+    assert report["error"]["pointer"] == "/certificates/cert_k/steps/0/n"

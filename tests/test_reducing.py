@@ -163,6 +163,25 @@ class TestSerialization:
             sequence_from_dict(data)
         assert err.value.pointer == pointer
 
+    @pytest.mark.parametrize("mutate,pointer", [
+        (lambda d: d["base"].update(dim=True), "/base/dim"),
+        (lambda d: d["steps"][0].update(a=True), "/steps/0/a"),
+        (lambda d: d["steps"][0].update(b=True), "/steps/0/b"),
+        (lambda d: d["steps"][0].update(n=True), "/steps/0/n"),
+        (lambda d: d["steps"][0]["middle"].update(dim=True),
+         "/steps/0/middle/dim"),
+        (lambda d: d["algebra"].update(nilpotency=True), "/algebra"),
+        (lambda d: d["algebra"].update(nilpotency=2.5), "/algebra"),
+        (lambda d: d["algebra"].update(characteristic=True), "/algebra"),
+    ], ids=["dim", "a", "b", "n", "middle-dim", "nilpotency",
+            "float-nilpotency", "characteristic"])
+    def test_boolean_is_not_an_integer(self, plane, mutate, pointer):
+        data = sequence_to_dict(pd_cert_for_k(plane))
+        mutate(data)
+        with pytest.raises(CertificateFormatError) as err:
+            sequence_from_dict(data)
+        assert err.value.pointer == pointer
+
     def test_algebra_mismatch_rejected(self, plane, line3):
         data = sequence_to_dict(pd_cert_for_k(plane))
         with pytest.raises(CertificateFormatError) as err:

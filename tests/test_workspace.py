@@ -163,3 +163,26 @@ def test_load_bad_json(tmp_path):
     with pytest.raises(WorkspaceError) as err:
         load_workspace(path)
     assert "JSON" in err.value.message
+
+
+def _algebra(**changes):
+    return {**plane_dict(), "algebra": {**plane_dict()["algebra"], **changes}}
+
+
+BOOLEAN_CASES = [
+    (_algebra(p=True), "/algebra/p"),
+    (_algebra(nilpotency=True), "/algebra/nilpotency"),
+    (plane_dict({"M": {"kind": "free", "rank": True}}), "/modules/M/rank"),
+    (plane_dict({"M": {"kind": "presentation", "generators": True,
+                       "relations": []}}), "/modules/M/generators"),
+    (plane_dict({"M": {"kind": "actions", "dim": True,
+                       "actions": [[["0"]], [["0"]]]}}), "/modules/M/dim"),
+]
+
+
+@pytest.mark.parametrize("data, pointer", BOOLEAN_CASES,
+                         ids=["p", "nilpotency", "rank", "generators", "dim"])
+def test_boolean_is_not_an_integer(data, pointer):
+    with pytest.raises(WorkspaceError) as err:
+        workspace_from_dict(data)
+    assert err.value.pointer == pointer
