@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import Field, Matrix, contract, nf_columns
+from .linalg import Field, Matrix, contract
 
 
 class AlgebraError(ValueError):
@@ -282,18 +282,16 @@ def build_algebra(fld: Field, var_names: list[str], relations: list[str],
             if nonzero:
                 rows.append(row)
     ideal = Matrix.from_rows(fld, rows) if rows else Matrix.zeros(fld, 0, nm)
-    rref, pivots = ideal.rref()
-    pivset = set(pivots)
-    basis_pos = [i for i in range(nm) if i not in pivset]
-    if 0 in pivset:
+    # the kernel of the ideal's rows, in unit-at-free-column layout, is
+    # the transpose of the normal-form map onto the free (basis) monomials
+    kb, basis_pos = ideal.kernel_data()
+    if basis_pos[:1] != [0]:
         raise AlgebraError("relations collapse the identity; algebra is zero")
     basis_mons = [mons[i] for i in basis_pos]
     d = len(basis_mons)
 
     # normal form of every truncated monomial, as a (d x nm) table
-    nf_full = nf_columns(Matrix(fld, rref.a[:len(pivots), :]), list(pivots),
-                         Matrix.identity(fld, nm))
-    nf_table = nf_full.take_rows(basis_pos)
+    nf_table = kb.transpose()
 
     # multiplication through normal forms of product monomials
     regmat = []

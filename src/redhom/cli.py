@@ -5,8 +5,9 @@ deterministic JSON document (sorted keys, no timestamps) embedding the
 tool version and every window and seed that shaped the result.
 Exit codes: 0 success or accept, 1 reject, fail, or absent, 2 malformed
 input located by a JSON pointer, a bound out of range (a negative
-`--window`, or `--budget`, `--max-a` or `--max-b` below 1), or a command
-line that does not parse (pointer ""), 3 an internal error (a
+`--window`, `--max-r` or `--samples`, or `--budget`, `--max-a`, `--max-b`
+or `--max-n` below 1), or a command line that does not parse (pointer
+""), 3 an internal error (a
 `HomAlgError`, `ResolutionError` or failed assertion inside a command;
 pointer "").
 """
@@ -14,6 +15,7 @@ pointer "").
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 
 from . import __version__
 from .homalg import (
@@ -58,30 +60,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(" ".join(self.prog.split()[1:]), message)
 
 
-def _search_flags(p: argparse.ArgumentParser, window_too: bool = True):
-    d = SearchConfig()
-    p.add_argument("--max-r", type=int, default=d.max_r)
-    p.add_argument("--max-a", type=int, default=d.max_a)
-    p.add_argument("--max-b", type=int, default=d.max_b)
-    p.add_argument("--max-n", type=int, default=d.max_n)
-    p.add_argument("--budget", type=int, default=d.budget)
-    p.add_argument("--seed", type=int, default=d.seed)
-    p.add_argument("--samples", type=int, default=d.samples)
-    if window_too:
-        p.add_argument("--window", type=int, default=d.window)
+def _search_flags(p: argparse.ArgumentParser):
+    """One integer flag per `SearchConfig` field, --max-r for max_r."""
+    for f in fields(SearchConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=int,
+                       default=f.default)
 
 
 def _config_from(args) -> SearchConfig:
-    return SearchConfig(max_r=args.max_r, max_a=args.max_a,
-                        max_b=args.max_b, max_n=args.max_n,
-                        budget=args.budget, seed=args.seed,
-                        samples=args.samples, window=args.window)
-
-
-def _bounds_dict(cfg: SearchConfig) -> dict:
-    return {"max_r": cfg.max_r, "max_a": cfg.max_a, "max_b": cfg.max_b,
-            "max_n": cfg.max_n, "budget": cfg.budget, "seed": cfg.seed,
-            "samples": cfg.samples, "window": cfg.window}
+    return SearchConfig(**{f.name: getattr(args, f.name)
+                           for f in fields(SearchConfig)})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,7 +253,7 @@ def _cmd_reduce_search(args) -> int:
     cfg = _config_from(args)
     result = search(mod, args.target, cfg)
     report = {"command": "reduce search", "module": args.module,
-              "target": args.target, "bounds": _bounds_dict(cfg),
+              "target": args.target, "bounds": asdict(cfg),
               "found": result.found, "reason": result.reason,
               "candidates": result.candidates,
               "exhausted": result.exhausted}
@@ -376,14 +364,13 @@ def _cmd_corpus(args) -> int:
 
 def _check_bounds(args) -> None:
     """Reject bounds that would silently yield empty results."""
-    window = getattr(args, "window", 0)
-    if window < 0:
-        raise ValueError(f"--window must be at least 0, got {window}")
-    for name in ("budget", "max_a", "max_b"):
-        value = getattr(args, name, 1)
-        if value < 1:
+    for name, least in (("window", 0), ("budget", 1), ("max_a", 1),
+                        ("max_b", 1), ("max_n", 1), ("max_r", 0),
+                        ("samples", 0)):
+        value = getattr(args, name, least)
+        if value < least:
             flag = "--" + name.replace("_", "-")
-            raise ValueError(f"{flag} must be at least 1, got {value}")
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
 
 
 def _error(command: str, pointer: str, message: str, summary: str, code: int) -> int:

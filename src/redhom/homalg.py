@@ -15,11 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra
-from .linalg import ColumnSolver, Matrix, column_space_basis, contract
+from .linalg import Matrix, column_space_basis, contract, solve_blocks
 from .modules import (
     Module,
     ModuleMap,
     ShortExactSequence,
+    _quotient,
     direct_sum,
     free_map_from_columns,
     free_module,
@@ -88,14 +89,13 @@ def r_dual(mod: Module, label: str = "") -> DualData:
             for i in range(h)]
     if h == 0:
         return DualData(mod, zero_module(alg), [])
-    solver = ColumnSolver(flat)
-    va = []
-    for v in range(alg.nvars):
-        acted = Matrix.hstack([_flatten(alg.varmat[v] @ m) for m in maps])
-        coords, ok = solver.solve_columns(acted)
-        if not all(ok):
-            raise HomAlgError("dual space is not action-closed")
-        va.append(coords)
+    stack = flat.a.reshape(alg.dim, mod.dim, h)
+    va = solve_blocks(flat, [
+        Matrix(fld, contract(fld, "ab,bci->aci", alg.varmat[v].a,
+                             stack).reshape(-1, h))
+        for v in range(alg.nvars)])
+    if va is None:
+        raise HomAlgError("dual space is not action-closed")
     dm = Module(alg, h, va,
                 label=label or (f"({mod.label})^" if mod.label else ""),
                 validate=False)
@@ -119,7 +119,7 @@ def dual_map(f: ModuleMap, dual_target: DualData,
                          Matrix.zeros(fld, 0, dual_target.module.dim),
                          validate=False)
     flat_src = Matrix.hstack([_flatten(m) for m in dual_source.maps])
-    coords, ok = ColumnSolver(flat_src).solve_columns(composed)
+    coords, ok = flat_src.solve_columns(composed)
     if not all(ok):
         raise HomAlgError("dualized map leaves the dual space")
     return ModuleMap(dual_target.module, dual_source.module, coords,
@@ -153,14 +153,13 @@ def biduality(mod: Module) -> BidualityData:
                         validate=False)
         return BidualityData(lam, d1, d2)
     flat2 = Matrix.hstack([_flatten(m) for m in d2.maps])
-    solver = ColumnSolver(flat2)
     cols = []
     for j in range(mod.dim):
         x = Matrix.zeros(fld, mod.dim, 1)
         x.a[j, 0] = fld.one()
         ev = Matrix.hstack([m @ x for m in d1.maps])
         cols.append(_flatten(ev))
-    coords, ok = solver.solve_columns(Matrix.hstack(cols))
+    coords, ok = flat2.solve_columns(Matrix.hstack(cols))
     if not all(ok):
         raise HomAlgError("evaluation map leaves the double dual")
     return BidualityData(ModuleMap(mod, d2.module, coords, validate=False),
@@ -236,12 +235,12 @@ def ext_dim(source: Module, target: Module, i: int) -> int:
     return ExtTable(source, target).dim(i)
 
 
-def ext_vanishes_through(source: Module, target: Module, window: int,
-                         start: int = 1) -> tuple[bool, int | None]:
-    """Whether every Ext^i vanishes for start <= i <= window; on failure
+def ext_vanishes_through(source: Module, target: Module,
+                         window: int) -> tuple[bool, int | None]:
+    """Whether every Ext^i vanishes for 1 <= i <= window; on failure
     also reports the first nonvanishing index."""
     table = ExtTable(source, target)
-    for i in range(start, window + 1):
+    for i in range(1, window + 1):
         if table.dim(i) != 0:
             return False, i
     return True, None
@@ -316,8 +315,7 @@ class Ext1Data:
         rep_idx = [p - nb for p in piv if p >= nb]
         self.reps = self.cocycles.take_cols(rep_idx)
         self.dim = self.reps.cols
-        self._class_solver = ColumnSolver(
-            Matrix.hstack([self.boundaries, self.reps]))
+        self._class_basis = Matrix.hstack([self.boundaries, self.reps])
         self._syz = self.res.syzygy_subspace(1)
         self._fp = self.res.free_positions(1)
         self._lift_cache: Matrix | None = None
@@ -341,7 +339,7 @@ class Ext1Data:
         syzygy's own coordinates)."""
         if self._lift_cache is None:
             diff = self.res.differential(1)
-            lifts, ok = ColumnSolver(diff).solve_columns(self._syz)
+            lifts, ok = diff.solve_columns(self._syz)
             if not all(ok):
                 raise HomAlgError("syzygy does not lift through the "
                                   "first differential")
@@ -365,7 +363,7 @@ class Ext1Data:
         return self.psi_from_flat(flat)
 
     def class_of_flat(self, flat: Matrix) -> Matrix:
-        sol, ok = self._class_solver.solve_columns(flat)
+        sol, ok = self._class_basis.solve_columns(flat)
         if not all(ok):
             raise HomAlgError("vector is not a cocycle for this pair")
         nb = self.boundaries.cols
@@ -403,18 +401,16 @@ def extension_from_psi(left: Module, right: Module,
     amb = res.ambient_free(0)
     big = direct_sum([left, amb])
     glue = Matrix.vstack([psi, -syz])
-    middle, proj = quotient_module(
-        big, glue, label=f"E({left.label or '?'},{right.label or '?'})")
-    inj_cols = Matrix.zeros(fld, big.dim, left.dim)
-    inj_cols.a[:left.dim, :] = Matrix.identity(fld, left.dim).a
-    inject = ModuleMap(left, middle, proj.matrix @ inj_cols, validate=False)
-    section, ok = ColumnSolver(proj.matrix).solve_columns(
-        Matrix.identity(fld, middle.dim))
-    if not all(ok):
-        raise HomAlgError("quotient projection admits no section")
+    middle, proj, keep = _quotient(
+        big, glue, f"E({left.label or '?'},{right.label or '?'})")
+    inject = ModuleMap(left, middle, proj.matrix.take_cols(range(left.dim)),
+                       validate=False)
+    # [0 | cover] kills the glue, so it factors through the projection on
+    # any section, such as the unit columns at the kept coordinates
     project_mat = Matrix.zeros(fld, right.dim, big.dim)
     project_mat.a[:, left.dim:] = res.cover_matrix().a
-    project = ModuleMap(middle, right, project_mat @ section, validate=False)
+    project = ModuleMap(middle, right, project_mat.take_cols(keep),
+                        validate=False)
     return ShortExactSequence(inject, project)
 
 
@@ -426,27 +422,27 @@ def extension_from_class(data: Ext1Data, coords: Matrix) -> ShortExactSequence:
                               data.psi_from_class(coords))
 
 
+def _lift_cover(res, surj: ModuleMap) -> Matrix:
+    """k-matrix of a lift of the cover of `res`'s module through the
+    surjection `surj` onto it, solved one generator at a time."""
+    d = surj.source.algebra.dim
+    cover = res.cover_matrix()
+    sols, ok = surj.matrix.solve_columns(cover.take_cols(range(0, cover.cols, d)))
+    if not all(ok):
+        raise HomAlgError("cover does not lift through the surjection")
+    return assemble_action_columns(surj.source, sols)
+
+
 def class_of_ses(data: Ext1Data, ses: ShortExactSequence) -> Matrix:
     """Extension class of a sequence with this pair's outer terms.
 
     The middle may be anything (free summands included); only the two
     maps matter.
     """
-    alg = data.alg
-    fld = alg.field
     if ses.right.dim != data.right.dim or ses.left.dim != data.left.dim:
         raise HomAlgError("sequence outer terms do not match the pair")
-    res = data.res
-    cover = res.cover_matrix()
-    d = alg.dim
-    gen_cols = [j * d for j in range(res.betti(0))]
-    targets = Matrix(fld, cover.a[:, gen_cols].copy())
-    sols, ok = ColumnSolver(ses.project.matrix).solve_columns(targets)
-    if not all(ok):
-        raise HomAlgError("cover does not lift through the right map")
-    lift = assemble_action_columns(ses.middle, sols)
-    through_syz = lift @ data._syz
-    psi, ok = ColumnSolver(ses.inject.matrix).solve_columns(through_syz)
+    through_syz = _lift_cover(data.res, ses.project) @ data._syz
+    psi, ok = ses.inject.matrix.solve_columns(through_syz)
     if not all(ok):
         raise HomAlgError("syzygy image does not land in the left term")
     return data.class_of_flat(data.flat_from_psi(psi))
@@ -514,19 +510,14 @@ def horseshoe(ses: ShortExactSequence) -> Horseshoe:
     d = alg.dim
     g_big = g_n + g_m
 
-    # lift the right cover through the surjection, generator by generator
-    cover_m = res_m.cover_matrix()
-    targets = Matrix(fld, cover_m.a[:, [j * d for j in range(g_m)]].copy())
-    sols, ok = ColumnSolver(ses.project.matrix).solve_columns(targets)
-    if not all(ok):
-        raise HomAlgError("cover does not lift through the surjection")
-    h_full = assemble_action_columns(l_mod, sols)
-    big = Matrix.hstack([ses.inject.matrix @ res_n.cover_matrix(), h_full])
+    # the left cover and the right cover lifted through the surjection
+    big = Matrix.hstack([ses.inject.matrix @ res_n.cover_matrix(),
+                         _lift_cover(res_m, ses.project)])
 
     # factor the combined cover through the minimal one and split it
     cover_l = res_l.cover_matrix()
     big_gens = Matrix(fld, big.a[:, [j * d for j in range(g_big)]].copy())
-    u_imgs, ok = ColumnSolver(cover_l).solve_columns(big_gens)
+    u_imgs, ok = cover_l.solve_columns(big_gens)
     if not all(ok):
         raise HomAlgError("combined cover does not factor minimally")
     u = free_map_from_columns(alg, g_l, u_imgs)
@@ -535,14 +526,14 @@ def horseshoe(ses: ShortExactSequence) -> Horseshoe:
     unit_cols = Matrix.zeros(fld, g_l * d, g_l)
     for j in range(g_l):
         unit_cols.a[j * d, j] = fld.one()
-    sec_imgs, ok = ColumnSolver(u).solve_columns(unit_cols)
+    sec_imgs, ok = u.solve_columns(unit_cols)
     if not all(ok):
         raise HomAlgError("section of the factored cover does not exist")
     section = free_map_from_columns(alg, g_big, sec_imgs)
 
     # the kernel of u is free; pick minimal generators for it
     ker_u, kfp = u.kernel_data()
-    gen_idx = _radical_complement(alg, g_big, ker_u, kfp)
+    gen_idx = _radical_complement(free_module(alg, g_big), ker_u, kfp)
     f_rank = len(gen_idx)
     if f_rank != g_big - g_l:
         raise HomAlgError("free complement has unexpected rank")
@@ -560,7 +551,7 @@ def horseshoe(ses: ShortExactSequence) -> Horseshoe:
     b_n = res_n.syzygy_subspace(1)
     incl_n = Matrix.zeros(fld, g_big * d, b_n.cols)
     incl_n.a[:g_n * d, :] = b_n.a
-    left_coords, ok = ColumnSolver(embed).solve_columns(incl_n)
+    left_coords, ok = embed.solve_columns(incl_n)
     if not all(ok):
         raise HomAlgError("left syzygy does not land in the middle")
     inject = ModuleMap(res_n.syzygy_module(1), middle, left_coords,

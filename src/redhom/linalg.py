@@ -19,15 +19,18 @@ GF(2) `rref` and `rank` run on rows held as Python ints (bit c-1-j is
 column j; one XOR is one row operation) with an echelon basis keyed by
 leading bit, so the work follows the nonzeros; `rank` skips the
 back-substitution.  The rref is unique, so the results equal the general
-loop's.  Carried solves (`solve_columns`, `ColumnSolver`, `inverse`) run
-the general loop `_rref_in_place` on every field, because the carried
-values of an unsolvable column depend on the order of row operations.
+loop's.  Carried solves (`solve_columns`, `solve`, `inverse`) run the
+general loop `_rref_in_place` on every field, because the carried values
+of an unsolvable column depend on the order of row operations.
 
 Layout contract relied on by the rest of the package: `kernel_basis`
 returns its columns in unit-at-free-column form (each basis vector has a
 1 at its own free column of the rref and 0 at the other free columns),
 so coordinates of any kernel vector with respect to that basis can be
-read off the free positions directly.
+read off the free positions directly.  Quotient maps and sections come
+from the same layout: for a span S, the transpose of the kernel basis of
+S^T is the projection onto the free coordinates modulo S, and the unit
+columns at the free positions are a section of it.
 
 Row reduction never chooses pivots inside carried (augmented) columns,
 which keeps batched solves exact even when some targets lie outside the
@@ -529,10 +532,15 @@ class Matrix:
         """Particular solutions X of self @ X = targets, free vars zero.
 
         Returns (X, ok) where ok[j] is False when column j is unsolvable
-        (the corresponding X column is then meaningless).
+        (the corresponding X column is then meaningless).  Row i of the
+        carried block is the value of variable pivots[i]; a nonzero entry
+        below the pivot rows makes its column unsolvable.
         """
         _, piv, c = self._rref_carry(targets)
-        return _place_solutions(self.cols, piv, c)
+        rank = len(piv)
+        x = Matrix.zeros(self.field, self.cols, c.cols)
+        x.a[piv, :] = c.a[:rank, :]
+        return x, [not v for v in c.a[rank:, :].any(axis=0)]
 
     def solve(self, target: "Matrix") -> "Matrix | None":
         x, ok = self.solve_columns(target)
@@ -547,31 +555,16 @@ class Matrix:
         return x
 
 
-class ColumnSolver:
-    """Repeated exact solves against a fixed coefficient matrix.
-
-    Caches the row-operation matrix E with E @ A in rref, so each batch of
-    targets costs one multiplication.
-    """
-
-    def __init__(self, a: Matrix):
-        self.a = a
-        _, self.pivots, self.e = a._rref_carry(Matrix.identity(a.field, a.rows))
-
-    def solve_columns(self, targets: Matrix) -> tuple[Matrix, list[bool]]:
-        return _place_solutions(self.a.cols, self.pivots, self.e @ targets)
-
-
-def _place_solutions(ncols: int, pivots: list[int],
-                     carried: Matrix) -> tuple[Matrix, list[bool]]:
-    """Solutions with free variables zero, read off a carried block that
-    the row reduction left aligned with `pivots`: row i is the value of
-    variable pivots[i], and a nonzero entry below the pivot rows makes its
-    column unsolvable."""
-    rank = len(pivots)
-    x = Matrix.zeros(carried.field, ncols, carried.cols)
-    x.a[pivots, :] = carried.a[:rank, :]
-    return x, [not v for v in carried.a[rank:, :].any(axis=0)]
+def solve_blocks(a: Matrix, blocks: list[Matrix]) -> list[Matrix] | None:
+    """Solutions of a @ X = B for each of some blocks B of equal width,
+    from one carried elimination; None when some column has none."""
+    if not blocks:
+        return []
+    x, ok = a.solve_columns(Matrix.hstack(blocks))
+    if not all(ok):
+        return None
+    w = blocks[0].cols
+    return [x.take_cols(range(i * w, (i + 1) * w)) for i in range(len(blocks))]
 
 
 def nf_columns(rref: Matrix, pivots, vectors: Matrix) -> Matrix:

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra
-from .linalg import (ColumnSolver, Field, Matrix, algebra_radical,
-                     column_space_basis, contract, kron, nf_columns)
+from .linalg import (Field, Matrix, algebra_radical, column_space_basis,
+                     contract, kron, nf_columns, solve_blocks)
 
 
 class ModuleError(ValueError):
@@ -490,57 +490,62 @@ def split_ses(left: Module, right: Module) -> ShortExactSequence:
 # -- sub/quotient ----------------------------------------------------------
 
 
+def _on_basis(mod: Module, basis: Matrix, va: list[Matrix],
+              label: str) -> tuple[Module, ModuleMap]:
+    """The submodule with actions `va` on the columns of `basis`, and its
+    inclusion."""
+    sub = Module(mod.algebra, basis.cols, va, label=label,
+                 validate=False) if basis.cols else zero_module(mod.algebra)
+    return sub, ModuleMap(sub, mod, basis, validate=False)
+
+
 def submodule(mod: Module, span: Matrix, label: str = "") -> tuple[Module, ModuleMap]:
     """Module structure on a column span closed under the actions."""
-    alg = mod.algebra
     basis = column_space_basis(span)
-    if basis.cols == 0:
-        sub = zero_module(alg)
-        return sub, ModuleMap(sub, mod, Matrix.zeros(alg.field, mod.dim, 0),
-                              validate=False)
-    solver = ColumnSolver(basis)
-    va = []
-    for v in range(alg.nvars):
-        img = mod.apply_var(v, basis)
-        coords, ok = solver.solve_columns(img)
-        if not all(ok):
-            raise ModuleError("span is not closed under the module actions")
-        va.append(coords)
-    sub = Module(alg, basis.cols, va, label=label, validate=False)
-    return sub, ModuleMap(sub, mod, basis, validate=False)
+    va = solve_blocks(basis, [mod.apply_var(v, basis)
+                              for v in range(mod.algebra.nvars)])
+    if va is None:
+        raise ModuleError("span is not closed under the module actions")
+    return _on_basis(mod, basis, va, label)
+
+
+def kernel_actions(mod: Module, kb: Matrix, fp: list[int]) -> list[Matrix]:
+    """The actions of `mod` on the submodule spanned by a kernel basis
+    with free positions `fp`: the basis has identity rows at `fp`, so the
+    coordinates of x_v applied to it are those rows of the image."""
+    return [mod.apply_var(v, kb).take_rows(fp) for v in range(mod.algebra.nvars)]
+
+
+def _quotient(mod: Module, span: Matrix,
+              label: str) -> tuple[Module, ModuleMap, list[int]]:
+    """`quotient_module` and the kept coordinates, at which the unit
+    columns are a section of the projection."""
+    if span.cols == 0 or span.is_zero():
+        # trivial quotient: literally the same module
+        return mod, ModuleMap.identity(mod), list(range(mod.dim))
+    kb, keep = span.transpose().kernel_data()
+    proj = kb.transpose()
+    lift = Matrix.identity(mod.algebra.field, mod.dim).take_cols(keep)
+    va = [proj @ mod.apply_var(v, lift) for v in range(mod.algebra.nvars)]
+    quot = Module(mod.algebra, len(keep), va, label=label, validate=False)
+    return quot, ModuleMap(mod, quot, proj, validate=False), keep
 
 
 def quotient_module(mod: Module, span: Matrix,
                     label: str = "") -> tuple[Module, ModuleMap]:
-    """Quotient by the submodule generated by the given columns."""
-    alg = mod.algebra
-    fld = alg.field
-    if span.cols == 0 or span.is_zero():
-        # trivial quotient: literally the same module
-        return mod, ModuleMap.identity(mod)
-    rr, piv = span.transpose().rref()
-    rows = Matrix(fld, rr.a[:len(piv), :])
-    pivset = set(piv)
-    keep = [i for i in range(mod.dim) if i not in pivset]
-    # reduction of each unit vector, restricted to the kept coordinates
-    red = nf_columns(rows, list(piv), Matrix.identity(fld, mod.dim))
-    proj = red.take_rows(keep)
-    lift = Matrix.zeros(fld, mod.dim, len(keep))
-    for j, pos in enumerate(keep):
-        lift.a[pos, j] = fld.one()
-    va = []
-    for v in range(alg.nvars):
-        va.append(proj @ mod.apply_var(v, lift))
-    quot = Module(alg, len(keep), va, label=label, validate=False)
-    return quot, ModuleMap(mod, quot, proj, validate=False)
+    """Quotient by the submodule generated by the given columns, on the
+    coordinates left free by span^T: the projection is the transpose of
+    the kernel basis of span^T."""
+    return _quotient(mod, span, label)[:2]
 
 
 def kernel_module(f: ModuleMap, label: str = "") -> tuple[Module, ModuleMap]:
-    return submodule(f.source, f.matrix.kernel_basis(), label=label)
+    kb, fp = f.matrix.kernel_data()
+    return _on_basis(f.source, kb, kernel_actions(f.source, kb, fp), label)
 
 
 def image_module(f: ModuleMap, label: str = "") -> tuple[Module, ModuleMap]:
-    return submodule(f.target, column_space_basis(f.matrix), label=label)
+    return submodule(f.target, f.matrix, label=label)
 
 
 def cokernel_module(f: ModuleMap, label: str = "") -> tuple[Module, ModuleMap]:
@@ -713,7 +718,8 @@ def split_free_summands(mod: Module) -> FreeSplit:
     units.a[np.arange(rank) * d, np.arange(rank)] = fld.one()
     w = phi.solve(units)
     sec = contract(fld, "tab,bj->ajt", mod.action_stack(), w.a)
-    rem, incl = submodule(mod, phi.kernel_basis())
+    rem, incl = kernel_module(ModuleMap(mod, free_module(alg, rank), phi,
+                                        validate=False))
     total = direct_sum([free_module(alg, rank), rem])
     cols = Matrix.hstack([Matrix(fld, sec.reshape(mod.dim, rank * d)),
                           incl.matrix])

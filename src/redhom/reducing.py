@@ -21,7 +21,7 @@ import random
 import numpy as np
 
 from .algebra import Algebra, algebra_from_presentation
-from .linalg import ColumnSolver, Matrix, contract, random_matrix
+from .linalg import Matrix, contract, random_matrix
 from .modules import (
     Module,
     ModuleError,
@@ -50,6 +50,7 @@ from .homalg import (
 )
 
 TARGETS = ("pd", "gdim")
+MAX_MIDDLE_DIM = 4096  # the search skips candidate middles larger than this
 FORMAT_TAG = "reducing-certificate/1"
 
 
@@ -335,7 +336,6 @@ class SearchConfig:
     seed: int = 0
     samples: int = 4  # random cocycle combinations tried per cell
     window: int = 10  # Ext window for the totally-reflexive terminal test
-    max_middle_dim: int = 4096
 
 
 @dataclass
@@ -446,7 +446,7 @@ def _dfs(mod: Module, depth: int, st: _SearchState):
         if not st.charge():
             return None
         pw_a = power_module(mod, a)
-        if pw_a.dim + right.dim <= cfg.max_middle_dim:
+        if pw_a.dim + right.dim <= MAX_MIDDLE_DIM:
             ses = split_ses(pw_a, right)
             step = ReducingStep(a, b, n, ses, ModuleMap.identity(right))
             rest = _dfs(ses.middle, depth + 1, st)
@@ -479,7 +479,7 @@ def _dfs(mod: Module, depth: int, st: _SearchState):
             if psi.is_zero():
                 continue
             ses = extension_from_psi(pw_a, right, psi)
-            if ses.middle.dim > cfg.max_middle_dim:
+            if ses.middle.dim > MAX_MIDDLE_DIM:
                 continue
             step = ReducingStep(a, b, n, ses, ModuleMap.identity(right))
             rest = _dfs(ses.middle, depth + 1, st)
@@ -538,7 +538,7 @@ def omega_of_map(g: ModuleMap, steps: int = 1) -> ModuleMap:
         cover_y = res_y.cover_matrix()
         gens = cover_x.take_cols(
             [j * d for j in range(cover_x.cols // d)])
-        sols, ok = ColumnSolver(cover_y).solve_columns(out.matrix @ gens)
+        sols, ok = cover_y.solve_columns(out.matrix @ gens)
         if not all(ok):
             raise CertificateError("cover lift failed to exist")
         u = free_map_from_columns(alg, cover_y.cols // d, sols)

@@ -20,11 +20,11 @@ from .modules import (
     Module,
     ModuleMap,
     ShortExactSequence,
-    blockwise_apply,
     direct_sum,
     free_map_from_columns,
     free_module,
     is_isomorphic,
+    kernel_actions,
     zero_module,
 )
 
@@ -146,7 +146,6 @@ class ChainResolution(Resolution):
 
     def __init__(self, module: Module):
         self.module = module
-        alg = module.algebra
         gens = module.min_generators()
         cover = assemble_action_columns(module, gens)
         self._betti = [gens.cols]
@@ -160,7 +159,7 @@ class ChainResolution(Resolution):
         while len(self._betti) <= upto:
             i = len(self._betti)
             kb, fp = self._kernels[i - 1]
-            gen_idx = _radical_complement(alg, self._betti[i - 1], kb, fp)
+            gen_idx = _radical_complement(self.ambient_free(i - 1), kb, fp)
             gens = kb.take_cols(gen_idx)
             _assert_minimal(alg, gens)
             diff = free_map_from_columns(alg, self._betti[i - 1], gens)
@@ -203,13 +202,10 @@ class ChainResolution(Resolution):
         if kb.cols == 0:
             mod = zero_module(alg)
         else:
-            va = []
-            for v in range(alg.nvars):
-                img = blockwise_apply(alg, alg.varmat[v], self._betti[i - 1], kb)
-                va.append(Matrix(alg.field, img.a[fp, :].copy()))
             lbl = self.module.label or "?"
-            mod = Module(alg, kb.cols, va, label=f"syz^{i}({lbl})",
-                         validate=False)
+            mod = Module(alg, kb.cols,
+                         kernel_actions(self.ambient_free(i - 1), kb, fp),
+                         label=f"syz^{i}({lbl})", validate=False)
             mod._res_hook = (self, i)
         self._syz[i] = mod
         return mod
@@ -293,7 +289,7 @@ class ShiftedResolution(Resolution):
         return self.parent.syzygy_module(self.offset + i)
 
 
-def _radical_complement(alg, ambient_rank: int, kb: Matrix,
+def _radical_complement(ambient: Module, kb: Matrix,
                         fp: list[int]) -> list[int]:
     """Indices of kernel-basis columns that minimally generate the span.
 
@@ -304,14 +300,9 @@ def _radical_complement(alg, ambient_rank: int, kb: Matrix,
     s = kb.cols
     if s == 0:
         return []
-    if alg.nvars == 0:
+    if ambient.algebra.nvars == 0:
         return list(range(s))
-    fld = alg.field
-    blocks = []
-    for v in range(alg.nvars):
-        img = blockwise_apply(alg, alg.varmat[v], ambient_rank, kb)
-        blocks.append(Matrix(fld, img.a[fp, :].copy()))
-    coords = Matrix.hstack(blocks)
+    coords = Matrix.hstack(kernel_actions(ambient, kb, fp))
     _, piv = coords.transpose().rref()
     pivset = set(piv)
     return [j for j in range(s) if j not in pivset]

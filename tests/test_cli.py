@@ -288,7 +288,13 @@ class TestErrorPaths:
         (["reduce", "search", "k", "--target", "pd", "--budget", "0"], "--budget"),
         (["reduce", "search", "k", "--target", "pd", "--max-a", "0"], "--max-a"),
         (["theorem", "cor33", "--max-b", "-2"], "--max-b"),
-    ], ids=["resolve-window", "ext-window", "budget", "max-a", "max-b"])
+        (["reduce", "search", "k", "--target", "pd", "--max-n", "0"], "--max-n"),
+        (["theorem", "prop27", "k", "--max-n", "-2"], "--max-n"),
+        (["theorem", "cor33", "--max-r", "-1"], "--max-r"),
+        (["reduce", "search", "k", "--target", "gdim", "--samples", "-3"],
+         "--samples"),
+    ], ids=["resolve-window", "ext-window", "budget", "max-a", "max-b",
+            "max-n-zero", "max-n-negative", "max-r", "samples"])
     def test_bound_out_of_range(self, plane_ws, capsys, argv, flag):
         code, report, _ = run(capsys, "--workspace", plane_ws, *argv)
         assert code == 2

@@ -1,0 +1,249 @@
+"""Quotient maps, sections and submodule coordinates read off the
+unit-at-free-column kernel layout, pinned against the constructions they
+replace: normal forms of the identity, solved sections and solved
+coordinates, each written out below."""
+
+import random
+
+import pytest
+
+from redhom.algebra import _monomials_below, build_algebra, parse_polynomial
+from redhom.homalg import canonical_module, ext1_data, extension_from_psi
+from redhom.linalg import Field, Matrix, column_space_basis, nf_columns
+from redhom.modules import (
+    Module,
+    direct_sum,
+    from_presentation,
+    kernel_module,
+    quotient_module,
+    regular_module,
+    residue_field,
+    split_free_summands,
+    zero_module,
+)
+from redhom.resolution import resolve
+
+PRIMES = [2, 3, 2**31 - 1, None]  # None is Q
+
+
+def same(got: Matrix, want: Matrix) -> bool:
+    return got.a.dtype == want.a.dtype and got == want
+
+
+def in_random_basis(mod, rng):
+    """The module conjugated by a unimodular change of basis."""
+    fld, n = mod.algebra.field, mod.dim
+    lower, upper = ([[int(i == j) if i <= j else rng.randrange(-1, 2)
+                      for j in range(n)] for i in range(n)] for _ in range(2))
+    p = Matrix.from_rows(fld, lower) @ Matrix.from_rows(fld, upper).transpose()
+    return Module(mod.algebra, n, [p.inverse() @ a @ p for a in mod.var_actions])
+
+
+def modules_over(p):
+    """Plain, free, summed and re-based modules over k[x,y]/m^3."""
+    alg = build_algebra(Field(p), ["x", "y"], [], 3)
+    rng = random.Random(11)
+    k, r = residue_field(alg), regular_module(alg)
+    x = from_presentation(alg, 1, [["x"]])
+    two = from_presentation(alg, 2, [["x", "y^2"], ["y", "x*y"]])
+    return {"k": k, "R": r, "w": canonical_module(alg), "X": x, "two": two,
+            "R+k": direct_sum([r, k]),
+            "X+w~": in_random_basis(direct_sum([x, canonical_module(alg)]), rng),
+            "two~": in_random_basis(two, rng),
+            "0": zero_module(alg)}
+
+
+# -- the constructions the kernel layout replaces -----------------------------
+
+
+def reference_quotient(mod, span):
+    """Projection as the normal form of the identity modulo span^T's rows,
+    restricted to the non-pivot coordinates, and the quotient actions."""
+    fld = mod.algebra.field
+    rr, piv = span.transpose().rref()
+    keep = [i for i in range(mod.dim) if i not in set(piv)]
+    proj = nf_columns(Matrix(fld, rr.a[:len(piv)]), list(piv),
+                      Matrix.identity(fld, mod.dim)).take_rows(keep)
+    lift = Matrix.zeros(fld, mod.dim, len(keep))
+    for j, pos in enumerate(keep):
+        lift.a[pos, j] = fld.one()
+    return proj, [proj @ mod.apply_var(v, lift)
+                  for v in range(mod.algebra.nvars)]
+
+
+def reference_submodule_actions(mod, span):
+    """Actions on the column space of `span`, solved one variable at a time."""
+    basis = column_space_basis(span)
+    out = []
+    for v in range(mod.algebra.nvars):
+        coords, ok = basis.solve_columns(mod.apply_var(v, basis))
+        assert all(ok)
+        out.append(coords)
+    return basis, out
+
+
+def reference_extension(left, right, psi):
+    """inject and project of the pushout sequence through a solved section
+    of the quotient projection."""
+    fld = left.algebra.field
+    res = resolve(right)
+    big = direct_sum([left, res.ambient_free(0)])
+    glue = Matrix.vstack([psi, -res.syzygy_subspace(1)])
+    proj, _ = reference_quotient(big, glue)
+    section, ok = proj.solve_columns(Matrix.identity(fld, proj.rows))
+    assert all(ok)
+    inj_cols = Matrix.zeros(fld, big.dim, left.dim)
+    inj_cols.a[:left.dim, :] = Matrix.identity(fld, left.dim).a
+    project = Matrix.zeros(fld, right.dim, big.dim)
+    project.a[:, left.dim:] = res.cover_matrix().a
+    return proj @ inj_cols, project @ section
+
+
+def reference_nf_table(fld, names, relations, nilpotency):
+    """Normal forms of every truncated monomial onto the non-pivot ones."""
+    mons = _monomials_below(len(names), nilpotency)
+    index = {m: i for i, m in enumerate(mons)}
+    rows = []
+    for src in relations:
+        poly = parse_polynomial(src, names, fld)
+        for u in mons:
+            row = [fld.zero()] * len(mons)
+            for m, c in poly.items():
+                tot = tuple(a + b for a, b in zip(u, m))
+                if sum(tot) < nilpotency:
+                    row[index[tot]] = fld.add(row[index[tot]], c)
+            if any(row):
+                rows.append(row)
+    ideal = (Matrix.from_rows(fld, rows) if rows
+             else Matrix.zeros(fld, 0, len(mons)))
+    rr, piv = ideal.rref()
+    keep = [i for i in range(len(mons)) if i not in set(piv)]
+    nf = nf_columns(Matrix(fld, rr.a[:len(piv)]), list(piv),
+                    Matrix.identity(fld, len(mons)))
+    return [mons[i] for i in keep], nf.take_rows(keep)
+
+
+# -- spans --------------------------------------------------------------------
+
+
+def submodule_spans(mod, rng):
+    """Column spans closed under the actions: zero, everything, the radical,
+    the socle, and images and kernels of multiplication by linear forms."""
+    fld = mod.algebra.field
+    spans = {"zero-cols": Matrix.zeros(fld, mod.dim, 0),
+             "zero": Matrix.zeros(fld, mod.dim, 2),
+             "all": Matrix.identity(fld, mod.dim)}
+    if mod.dim == 0:
+        return spans
+    spans["radical"] = mod.radical_span()
+    spans["socle"] = mod.socle_span()
+    x, y = mod.var_actions
+    for t, (a, b) in enumerate(((1, 0), (0, 1), (1, rng.randrange(1, 5)))):
+        g = x.scale(a) + y.scale(b)
+        spans[f"image{t}"] = g
+        spans[f"kernel{t}"] = g.kernel_basis()
+    return spans
+
+
+@pytest.mark.parametrize("p", PRIMES)
+class TestQuotient:
+    def test_projection_and_actions(self, p):
+        rng = random.Random(5)
+        for name, mod in modules_over(p).items():
+            for which, span in submodule_spans(mod, rng).items():
+                quot, proj = quotient_module(mod, span)
+                want, va = reference_quotient(mod, span)
+                assert same(proj.matrix, want), (name, which)
+                assert quot.dim == want.rows
+                for got_v, want_v in zip(quot.var_actions, va):
+                    assert same(got_v, want_v), (name, which)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+class TestKernelSubmodules:
+    def test_kernel_module_actions(self, p):
+        rng = random.Random(6)
+        for name, mod in modules_over(p).items():
+            for which, span in submodule_spans(mod, rng).items():
+                # the kernel of the quotient map is the span's submodule
+                f = quotient_module(mod, span)[1]
+                sub, incl = kernel_module(f)
+                basis, va = reference_submodule_actions(mod, f.matrix.kernel_basis())
+                assert same(incl.matrix, basis), (name, which)
+                assert sub.dim == basis.cols
+                if sub.dim:
+                    assert all(same(g, w) for g, w in zip(sub.var_actions, va))
+
+    def test_syzygy_actions(self, p):
+        for name, mod in modules_over(p).items():
+            if mod.free_rank is not None or mod.summands is not None:
+                continue
+            res = resolve(mod)
+            for i in range(1, 4):
+                syz = res.syzygy_module(i)
+                if syz.dim == 0:
+                    break
+                basis, va = reference_submodule_actions(
+                    res.ambient_free(i - 1), res.syzygy_subspace(i))
+                assert same(basis, res.syzygy_subspace(i))
+                assert all(same(g, w) for g, w in zip(syz.var_actions, va)), (name, i)
+
+    def test_free_split_remainder(self, p):
+        mods = modules_over(p)
+        for name in ("R+k", "X+w~", "two~"):
+            split = split_free_summands(direct_sum([mods["R"], mods[name]]))
+            rem = split.remainder
+            incl = split.iso.matrix.take_cols(range(split.iso.matrix.cols - rem.dim,
+                                                    split.iso.matrix.cols))
+            _, va = reference_submodule_actions(split.iso.target, incl)
+            assert all(same(g, w) for g, w in zip(rem.var_actions, va)), name
+
+
+def extension_pairs(p):
+    alg = build_algebra(Field(p), ["x", "y"], [], 2)
+    k = residue_field(alg)
+    x = from_presentation(alg, 1, [["x"]])
+    w = canonical_module(alg)
+    return [(k, k), (x, k), (k, x), (w, x), (direct_sum([k, x]), w)]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+class TestExtensionMaps:
+    def test_inject_and_project(self, p):
+        fld = Field(p)
+        rng = random.Random(7)
+        for left, right in extension_pairs(p):
+            data = ext1_data(right, left)
+            classes = [Matrix.identity(fld, data.dim).take_cols([i])
+                       for i in range(data.dim)]
+            classes.append(Matrix.column(fld, [rng.randrange(1, 4)
+                                               for _ in range(data.dim)]))
+            for coords in classes:
+                psi = data.psi_from_class(coords)
+                if psi.is_zero():
+                    continue
+                ses = extension_from_psi(left, right, psi)
+                inject, project = reference_extension(left, right, psi)
+                assert same(ses.inject.matrix, inject)
+                assert same(ses.project.matrix, project)
+                assert ses.is_valid()
+
+
+PRESENTATIONS = [
+    (["x", "y"], [], 2),
+    (["x", "y"], ["x^2 - y^2", "x*y"], 4),
+    (["x", "y", "z"], ["x*y - z^2", "x^2 + 2*y*z"], 3),
+    (["x", "y"], ["x^2 - 2*x*y + y^3", "y^2*x"], 5),
+    (["x", "y"], [], 1),             # the ideal has no rows
+    (["x", "y"], ["x", "y"], 3),     # the ideal spans all of m
+]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("names,relations,nilpotency", PRESENTATIONS)
+def test_nf_table(p, names, relations, nilpotency):
+    fld = Field(p)
+    alg = build_algebra(fld, names, relations, nilpotency)
+    mons, want = reference_nf_table(fld, names, relations, nilpotency)
+    assert alg.basis_mons == mons
+    assert same(alg._nf_table, want)
