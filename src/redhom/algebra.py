@@ -10,6 +10,14 @@ The k-basis consists of the monomials of degree below N that are not
 reducible by the relation ideal; it is closed under monomial division,
 basis index 0 is always the identity element, and indices 1 and up span
 the maximal ideal.
+
+The structure constants c[t, a, b] = (b_t b_b)_a are kept dense
+(`regmat`, `action_stack`) and, for the products of free modules by the
+algebra, in sparse form (`structure`): their nonzero entries, as a
+`linalg.Structure` per product layout, built once per algebra on first
+use.  On a
+monomial presentation every nonzero constant is 1 and no slot receives
+two, so those products are pure indexing.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import Field, Matrix, contract
+from .linalg import Field, Matrix, Structure, contract
 
 
 class AlgebraError(ValueError):
@@ -100,6 +108,30 @@ def parse_polynomial(src: str, var_names: list[str], fld: Field):
         if val != fld.zero():
             out[tuple(int(e) for e in mono)] = val
     return out
+
+
+# (gather axis, scatter axes) of each sparse product: "columns" and
+# "cochains" read c[t, a, b], "left" and "right" a variable's matrix.
+_LAYOUTS = {
+    "columns": (2, (1, 0)),   # b -> (a, t): images of generators times b_t
+    "cochains": (0, (1, 2)),  # t -> (a, b): precomposing maps into R
+    "left": (1, (0,)),        # b -> a: x_v times free coordinates
+    "right": (0, (1,)),       # b -> a: row vectors times x_v
+}
+
+
+def structure(alg, kind: str, v: int | None = None) -> Structure:
+    """The sparse product `kind` of `alg` (see `_LAYOUTS`), built from
+    its dense tables on first use and kept in its `_free_cache`, so each
+    is built once per algebra; `v` names the variable of "left" and
+    "right"."""
+    cache = vars(alg).setdefault("_free_cache", {})
+    key = (kind, v)
+    if key not in cache:
+        dense = (np.stack([m.a for m in alg.regmat]) if v is None
+                 else alg.varmat[v].a)
+        cache[key] = Structure(alg.field, dense, *_LAYOUTS[kind])
+    return cache[key]
 
 
 @dataclass(eq=False)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra
+from .algebra import Algebra, structure
 from .linalg import Matrix, column_space_basis, contract, solve_blocks
 from .modules import (
     Module,
@@ -83,16 +83,18 @@ def r_dual(mod: Module, label: str = "") -> DualData:
     given by postcomposition."""
     alg = mod.algebra
     fld = alg.field
-    flat = hom_space_matrix(mod, regular_module(alg))
+    reg = regular_module(alg)
+    flat = hom_space_matrix(mod, reg)
     h = flat.cols
     maps = [Matrix(fld, flat.a[:, i].reshape(alg.dim, mod.dim).copy())
             for i in range(h)]
     if h == 0:
         return DualData(mod, zero_module(alg), [])
-    stack = flat.a.reshape(alg.dim, mod.dim, h)
+    # x_v acts on the R-coordinate (row) of each map: apply it to the
+    # (dim R) x (dim M * h) stack of all maps' rows
+    stack = Matrix(fld, flat.a.reshape(alg.dim, mod.dim * h))
     va = solve_blocks(flat, [
-        Matrix(fld, contract(fld, "ab,bci->aci", alg.varmat[v].a,
-                             stack).reshape(-1, h))
+        Matrix(fld, reg.apply_var(v, stack).a.reshape(-1, h))
         for v in range(alg.nvars)])
     if va is None:
         raise HomAlgError("dual space is not action-closed")
@@ -199,8 +201,17 @@ class ExtTable:
             return Matrix.zeros(fld, b_tgt * dn, b_src * dn)
         diff = self.res.differential(i + 1)
         d = alg.dim
-        acts = n.action_stack()
         out = Matrix.zeros(fld, b_tgt * dn, b_src * dn)
+        if n.free_rank is not None:
+            # into R^r, each of the r diagonal blocks (s, a; j, b) is
+            # sum_t coeff[j, t, s] c[t, a, b]: the "cochains" structure
+            coeff = diff.a[:, ::d].reshape(b_src, d, b_tgt)
+            blocks = out.a.reshape(b_tgt, n.free_rank, d, b_src, n.free_rank, d)
+            cochains = structure(alg, "cochains")
+            for g in range(n.free_rank):
+                cochains.apply(coeff, blocks[:, g, :, :, g, :].transpose(2, 1, 3, 0))
+            return out
+        acts = n.action_stack()
         step = max(1, _FULL_EXT_LIMIT // max(1, b_src * dn))
         for lo in range(0, b_tgt, step):
             hi = min(lo + step, b_tgt)

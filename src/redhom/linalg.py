@@ -10,10 +10,21 @@ dtype of every `Matrix` over it (int8 for p <= 127, int64 for larger p,
 object arrays of Fractions over Q), the wide dtype that a sum or product
 of two entries fits in (int64, or object over Q), `reduce`, which maps
 a wide array back to canonical entries (x % p, or x itself over Q), and
-`zeros`, the zero array in the storage dtype.  `Matrix` and the
-elimination loop are written once against these and never ask which
-field they are over; only the exact product keeps a rational path,
+`zeros`, the zero array in the storage dtype.  It also says in which
+dtype a sum of products of entries is exact (`sum_dtype`).  `Matrix` and
+the elimination loop are written once against these and never ask which
+field they are over; only the dense product keeps a rational path,
 because it scales Q operands to integers.
+
+Products come in two kinds.  Dense ones (`contract`, `Matrix @`) go
+through `_exact_product`: int64 while no sum can reach 2**63, Python
+ints beyond that, one reduction mod p at the end.  Products with a fixed
+sparse coefficient array, such as the structure constants of an algebra
+acting on free modules, go through `Structure.apply`: a gather and a
+scatter per layer of nonzero coefficients, no multiply where the
+coefficients are 1, and a widening and one reduction only when some
+layer multiplied or added.  On a monomial presentation it is indexing
+alone, in the storage dtype.
 
 GF(2) `rref` and `rank` run on rows held as Python ints (bit c-1-j is
 column j; one XOR is one row operation) with an echelon basis keyed by
@@ -58,17 +69,20 @@ class Field:
     Besides p it holds the representation of its entries: `dtype` (the
     storage dtype), `wide` (the dtype sums and products of two entries
     fit in), `reduce(x, out=None)`, which brings a wide array back to
-    canonical entries, and `zeros(shape)`, an array of canonical zeros in
-    the storage dtype.
+    canonical entries, `zeros(shape)`, an array of canonical zeros in
+    the storage dtype, and `sum_dtype(terms, a, b)`, the dtype in which
+    every sum of `terms` products of an entry of `a` and an entry of `b`
+    is exact.
     """
 
-    __slots__ = ("p", "dtype", "wide", "reduce", "zeros")
+    __slots__ = ("p", "dtype", "wide", "reduce", "zeros", "sum_dtype")
 
     def __init__(self, p: int | None = None):
         if p is None:
             self.dtype = self.wide = np.dtype(object)
             self.reduce = lambda x, out=None: x
             self.zeros = partial(np.full, fill_value=_ZERO, dtype=self.dtype)
+            self.sum_dtype = lambda terms, a, b: self.wide
         else:
             if not (2 <= p < 2**31):
                 raise ValueError(f"field characteristic out of range: {p}")
@@ -78,6 +92,8 @@ class Field:
             self.wide = np.dtype(np.int64)
             self.reduce = lambda x, out=None: np.remainder(x, p, out=out)
             self.zeros = partial(np.zeros, dtype=self.dtype)
+            self.sum_dtype = lambda terms, a, b: (
+                self.wide if _int64_exact(p, terms, a, b) else np.dtype(object))
         self.p = p
 
     def zero(self):
@@ -156,9 +172,10 @@ GF3 = Field(3)
 
 
 # ---------------------------------------------------------------------------
-# Exact bilinear kernels.  This is the only place that decides how field
-# arithmetic accumulates: int64 while no sum can reach 2**63, Python ints
-# beyond that, one reduction mod p at the end.
+# Exact bilinear kernels: dense products accumulate in the field's
+# `sum_dtype` (int64 while no sum can reach 2**63, Python ints beyond
+# that) and are reduced mod p once at the end; `Structure.apply` does the
+# same for a sparse coefficient array, and skips both where it can.
 
 
 def _int64_exact(p: int, terms: int, a: np.ndarray, b: np.ndarray) -> bool:
@@ -175,14 +192,11 @@ def _exact_product(field: Field, kernel, a: np.ndarray, b: np.ndarray,
     """kernel(a, b) computed exactly over the field, for a numpy kernel
     that sums `terms` products per output entry; the result is in the
     field's storage dtype."""
-    p = field.p
-    if p is None:
+    if field.p is None:
         return _rational_product(kernel, a, b, terms)
-    if _int64_exact(p, terms, a, b):
-        out = kernel(a.astype(np.int64, copy=False), b.astype(np.int64, copy=False))
-    else:
-        out = kernel(a.astype(object), b.astype(object))
-    return (out % p).astype(field.dtype, copy=False)
+    dt = field.sum_dtype(terms, a, b)
+    out = kernel(a.astype(dt, copy=False), b.astype(dt, copy=False))
+    return field.reduce(out, out=out).astype(field.dtype, copy=False)
 
 
 def _scaled_integers(a: np.ndarray) -> tuple[list[int], int]:
@@ -236,6 +250,65 @@ def contract(field: Field, spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarra
     for k, ax in _summed_axes(spec):
         terms *= shapes[k][ax]
     return _exact_product(field, lambda x, y: np.einsum(spec, x, y), a, b, terms)
+
+
+class Structure:
+    """The nonzero entries of a fixed coefficient array, laid out for one
+    exact gather/scatter product (`apply`).
+
+    `dense` is read with one `gather` axis and the `scatter` axes, all
+    the others, in the order the output indexes them: an entry c at
+    gather index g and scatter indices o adds c * src[:, g, :] to
+    out[:, o, :].  The output slots that receive an entry are `slots`,
+    those with the most entries first.  Layer k holds the k-th entry of
+    each of the first n_k slots, as their gather indices and coefficients
+    (None when all are 1), so no slot occurs twice in a layer; `coef`
+    holds every coefficient, for the exactness bound.
+    """
+
+    __slots__ = ("field", "slots", "layers", "coef")
+
+    def __init__(self, field: Field, dense: np.ndarray, gather: int,
+                 scatter: tuple[int, ...]):
+        t = dense.transpose(tuple(scatter) + (gather,))
+        idx = np.nonzero(t)
+        self.field = field
+        self.coef = t[idx]
+        entries: dict[tuple, list] = {}  # slot -> [(gather index, coefficient)]
+        for *slot, g, c in zip(*(i.tolist() for i in idx), self.coef.tolist()):
+            entries.setdefault(tuple(slot), []).append((g, c))
+        slots = sorted(entries, key=lambda o: -len(entries[o]))  # stable
+        self.slots = tuple(np.array(slots, dtype=np.intp).reshape(-1, len(scatter)).T)
+        self.layers = []
+        for k in range(len(entries[slots[0]]) if slots else 0):
+            g, c = zip(*(entries[o][k] for o in slots if len(entries[o]) > k))
+            self.layers.append((np.array(g, dtype=np.intp),
+                                None if all(x == 1 for x in c)
+                                else np.array(c, dtype=field.wide)))
+
+    def apply(self, src: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Fill `out` with the product and return it.
+
+        `src` has shape (P, n, Q) and `out` (P, *slot shape, Q), both in
+        the field's storage dtype; `out` must be zero, since slots without
+        an entry are not written.  One layer of unit coefficients is a
+        gather and a scatter; otherwise the slots accumulate in
+        `sum_dtype` (terms = the number of layers) and are reduced once.
+        """
+        if not self.layers:
+            return out
+        (g, c), *rest = self.layers
+        acc = src[:, g, :]
+        if c is not None or rest:
+            f = self.field
+            acc = acc.astype(f.sum_dtype(len(self.layers), self.coef, src))
+            if c is not None:
+                acc *= c[:, None]
+            for g, c in rest:
+                acc[:, :len(g)] += src[:, g, :] if c is None else src[:, g, :] * c[:, None]
+            acc = f.reduce(acc, out=acc).astype(f.dtype, copy=False)
+        out[(slice(None), *self.slots, slice(None))] = acc
+        return out
 
 
 # ---------------------------------------------------------------------------

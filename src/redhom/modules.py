@@ -24,16 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra
-from .linalg import (Field, Matrix, algebra_radical, column_space_basis,
-                     contract, kron, nf_columns, solve_blocks)
+from .algebra import Algebra, structure
+from .linalg import (Field, Matrix, Structure, algebra_radical,
+                     column_space_basis, contract, kron, nf_columns,
+                     solve_blocks)
 
 
 class ModuleError(ValueError):
     """Raised for ill-formed modules or maps."""
-
-
-_CHUNK = 256  # column chunk size for large free-map assembly
 
 
 class Module:
@@ -96,12 +94,13 @@ class Module:
     def apply_var(self, v: int, vectors: Matrix) -> Matrix:
         """Variable action applied to a batch of coordinate columns.
 
-        Free modules use the block structure directly instead of
-        materializing the big diagonal action matrix.
+        Free modules apply the variable's sparse structure blockwise,
+        also after `var_actions` has materialized the big diagonal matrix.
         """
-        if self.free_rank is not None and self._var_actions is None:
-            return blockwise_apply(self.algebra, self.algebra.varmat[v],
-                                         self.free_rank, vectors)
+        if self.free_rank is not None:
+            return blockwise_apply(self.algebra,
+                                   structure(self.algebra, "left", v),
+                                   self.free_rank, vectors)
         return self.var_actions[v] @ vectors
 
     # -- structure -------------------------------------------------------
@@ -171,16 +170,19 @@ class Module:
         return f"Module({tag}, dim={self.dim} over {self.algebra.field})"
 
 
-def blockwise_apply(alg: Algebra, small: Matrix, rank: int,
+def blockwise_apply(alg: Algebra, small: Matrix | Structure, rank: int,
                     vectors: Matrix) -> Matrix:
-    """Apply blockdiag(small, ..., small) (rank blocks) to coordinate columns."""
+    """Apply blockdiag(small, ..., small) (rank blocks) to coordinate
+    columns; `small` is a d x d matrix or its "left" `Structure`, which
+    the algebra keeps for each variable."""
     fld = alg.field
     d = alg.dim
     s = vectors.cols
-    if s == 0 or rank == 0:
-        return Matrix.zeros(fld, rank * d, s)
-    out = contract(fld, "ab,gbs->gas", small.a, vectors.a.reshape(rank, d, s))
-    return Matrix(fld, out.reshape(rank * d, s))
+    if isinstance(small, Matrix):
+        small = Structure(fld, small.a, gather=1, scatter=(0,))
+    out = Matrix.zeros(fld, rank * d, s)
+    small.apply(vectors.a.reshape(rank, d, s), out.a.reshape(rank, d, s))
+    return out
 
 
 def free_map_from_columns(alg: Algebra, target_rank: int, stacked: Matrix) -> Matrix:
@@ -188,7 +190,8 @@ def free_map_from_columns(alg: Algebra, target_rank: int, stacked: Matrix) -> Ma
     generator to the element whose stacked coordinates are column j.
 
     Column j*d + t of the result is the action of basis element t on that
-    image, matching the free-module coordinate layout.
+    image, matching the free-module coordinate layout: the algebra's
+    "columns" structure scatters coordinate b of each image to (a, t).
     """
     fld = alg.field
     d = alg.dim
@@ -197,13 +200,10 @@ def free_map_from_columns(alg: Algebra, target_rank: int, stacked: Matrix) -> Ma
         return Matrix.zeros(fld, g * d, 0)
     if stacked.rows != g * d:
         raise ModuleError("stacked column height does not match target rank")
-    stack = alg.action_stack()
     out = Matrix.zeros(fld, g * d, s * d)
-    for lo in range(0, s, _CHUNK):
-        hi = min(lo + _CHUNK, s)
-        chunk = stacked.a[:, lo:hi].reshape(g, d, hi - lo)
-        part = contract(fld, "tab,gbj->gajt", stack, chunk)
-        out.a[:, lo * d:hi * d] = part.reshape(g * d, (hi - lo) * d)
+    structure(alg, "columns").apply(
+        stacked.a.reshape(g, d, s),
+        out.a.reshape(g, d, s, d).transpose(0, 1, 3, 2))
     return out
 
 
@@ -425,7 +425,7 @@ class ModuleMap:
 
 def _apply_var_rows(mod: Module, v: int, mat: Matrix) -> Matrix:
     """mat composed with the variable action on the source side."""
-    if mod.free_rank is not None and mod._var_actions is None:
+    if mod.free_rank is not None:
         # (M @ A_v) computed column-blockwise through the small action
         return _free_blockwise_apply_right(mod.algebra, v, mod.free_rank, mat)
     return mat @ mod.var_actions[v]
@@ -434,9 +434,10 @@ def _apply_var_rows(mod: Module, v: int, mat: Matrix) -> Matrix:
 def _free_blockwise_apply_right(alg: Algebra, v: int, rank: int,
                                 mat: Matrix) -> Matrix:
     d = alg.dim
-    out = contract(alg.field, "rgb,ba->rga", mat.a.reshape(mat.rows, rank, d),
-                   alg.varmat[v].a)
-    return Matrix(alg.field, out.reshape(mat.rows, rank * d))
+    n = mat.rows * rank
+    out = Matrix.zeros(alg.field, mat.rows, rank * d)
+    structure(alg, "right", v).apply(mat.a.reshape(n, d, 1), out.a.reshape(n, d, 1))
+    return out
 
 
 @dataclass

@@ -29,8 +29,18 @@ from .modules import (
 )
 
 
+# Largest allocation, in bytes, that one resolution step may make: its
+# differential and that differential's kernel basis.  Both sizes are
+# known before the step starts, so a step past the cap is refused before
+# it allocates.  Resolving k over F_2[x,y]/m^2, the step to window 13
+# predicts 0.70 GB and is allowed; the step to window 14 predicts 2.8 GB
+# and is refused.
+MAX_STEP_BYTES = 2**30
+
+
 class ResolutionError(RuntimeError):
-    """Raised when a resolution invariant fails internally."""
+    """Raised when a resolution invariant fails internally, or when a
+    step would allocate more than `MAX_STEP_BYTES`."""
 
 
 def assemble_action_columns(mod: Module, gens: Matrix) -> Matrix:
@@ -160,6 +170,7 @@ class ChainResolution(Resolution):
             i = len(self._betti)
             kb, fp = self._kernels[i - 1]
             gen_idx = _radical_complement(self.ambient_free(i - 1), kb, fp)
+            _check_step_size(alg, i, kb.rows, len(gen_idx) * alg.dim, kb.cols)
             gens = kb.take_cols(gen_idx)
             _assert_minimal(alg, gens)
             diff = free_map_from_columns(alg, self._betti[i - 1], gens)
@@ -306,6 +317,21 @@ def _radical_complement(ambient: Module, kb: Matrix,
     _, piv = coords.transpose().rref()
     pivset = set(piv)
     return [j for j in range(s) if j not in pivset]
+
+
+def _check_step_size(alg, i: int, rows: int, cols: int, image: int) -> None:
+    """Refuse step i before it allocates when its rows x cols differential
+    and the cols x (cols - image) kernel basis of it, in the field's
+    storage dtype (8-byte references over Q), would exceed
+    `MAX_STEP_BYTES`; `image` is the dimension of the syzygy the step
+    covers, which is the differential's rank."""
+    size = alg.field.dtype.itemsize * (rows * cols + cols * (cols - image))
+    if size > MAX_STEP_BYTES:
+        raise ResolutionError(
+            f"resolution step {i} would allocate {size} bytes (a {rows}x{cols} "
+            f"differential and its kernel basis), over MAX_STEP_BYTES = "
+            f"{MAX_STEP_BYTES}; resolve to a window below {i} (--window on "
+            f"the command line)")
 
 
 def _assert_minimal(alg, gens: Matrix) -> None:

@@ -353,6 +353,18 @@ class TestErrorPaths:
         with pytest.raises(KeyError):
             cli.main(["--workspace", plane_ws, "resolve", "k"])
 
+    def test_step_over_the_cap_is_json(self, plane_ws, capsys, monkeypatch):
+        monkeypatch.setattr("redhom.resolution.MAX_STEP_BYTES", 1000)
+        code = cli.main(["--workspace", plane_ws, "resolve", "k", "--window", "6"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        report = json.loads(out)
+        assert report["command"] == "resolve"
+        assert report["error"]["pointer"] == ""
+        assert "MAX_STEP_BYTES" in report["error"]["message"]
+        assert "--window" in report["error"]["message"]
+        assert err.startswith("internal error: ResolutionError")
+
     def test_window_zero_accepted(self, plane_ws, capsys):
         code, report, _ = run(capsys, "--workspace", plane_ws,
                               "resolve", "k", "--window", "0")

@@ -15,9 +15,11 @@ from redhom.modules import (
     residue_field,
     zero_module,
 )
+from redhom import resolution
 from redhom.resolution import (
     ChainResolution,
     FreeResolution,
+    ResolutionError,
     ShiftedResolution,
     SumResolution,
     cover_sequence,
@@ -217,3 +219,34 @@ class TestStructuralChecks:
         e3 = build_algebra(GF3, ["x", "y", "z"], [], 2)
         k = residue_field(e3)
         assert resolve(k).betti_list(3) == [1, 3, 9, 27]
+
+
+class TestStepCap:
+    """A step whose differential and kernel basis would exceed
+    MAX_STEP_BYTES is refused before it allocates either."""
+
+    # step 4 of k over F_2[x,y]/m^2: a 24 x 48 differential of rank 16
+    # and its 48 x 32 kernel basis, one byte an entry
+    STEP4 = 24 * 48 + 48 * 32
+
+    def test_refused_before_the_product(self, plane, monkeypatch):
+        res = resolve(residue_field(plane))
+        res.extend(3)
+        products = []
+        monkeypatch.setattr(resolution, "MAX_STEP_BYTES", self.STEP4 - 1)
+        monkeypatch.setattr(resolution, "free_map_from_columns",
+                            lambda *args: products.append(args))
+        with pytest.raises(ResolutionError) as exc:
+            res.extend(6)
+        assert f"step 4 would allocate {self.STEP4} bytes" in str(exc.value)
+        assert "--window" in str(exc.value)
+        assert products == []
+        assert (len(res._betti), len(res._diffs), len(res._kernels)) == (4, 4, 4)
+
+    def test_resumes_under_a_larger_cap(self, plane, monkeypatch):
+        res = resolve(residue_field(plane))
+        monkeypatch.setattr(resolution, "MAX_STEP_BYTES", self.STEP4 - 1)
+        with pytest.raises(ResolutionError):
+            res.extend(4)
+        monkeypatch.setattr(resolution, "MAX_STEP_BYTES", self.STEP4)
+        assert res.betti_list(4) == [1, 2, 4, 8, 16]

@@ -1,0 +1,172 @@
+"""Products of free modules by the algebra through its sparse structure
+constants, pinned against the dense einsums they replace.
+
+Each reference below is the einsum the call site ran before, over the
+dense structure-constant stack or a variable's matrix, evaluated on
+Python ints (or Fractions over Q) and reduced once, so it is exact on
+every field.  Values and dtypes must match.  Besides monomial rings, two
+presentations give coefficients other than 1 and output slots that
+receive two or three terms, so the multiply and add layers, the widening
+and the reduction all run; over F_{2^31-1} the three-term slot with
+coefficient p-1 needs the Python-int accumulator.
+"""
+
+import random
+from functools import cache
+
+import numpy as np
+import pytest
+
+from redhom.algebra import build_algebra, structure
+from redhom.homalg import ExtTable, r_dual
+from redhom.linalg import Field, Matrix, Structure, random_matrix, solve_blocks
+from redhom.modules import (_free_blockwise_apply_right, blockwise_apply,
+                            free_map_from_columns, free_module,
+                            from_presentation, hom_space_matrix,
+                            regular_module, residue_field)
+from redhom.resolution import resolve
+
+PRIMES = [2, 3, 2**31 - 1, None]  # None is Q
+RINGS = {
+    "xy/m2": (["x", "y"], [], 2),
+    "xyz/m2": (["x", "y", "z"], [], 2),
+    "xy/m3": (["x", "y"], [], 3),
+    "x2=2xy": (["x", "y"], ["x^2-2*x*y"], 3),
+    "x2=xz=-xy": (["x", "y", "z"], ["x^2+x*y", "x*z+x*y"], 3),
+}
+CASES = [(p, ring) for p in PRIMES for ring in RINGS]
+IDS = [f"{'Q' if p is None else p}-{ring}" for p, ring in CASES]
+
+
+@cache
+def algebra(p, ring):
+    names, rels, nil = RINGS[ring]
+    return build_algebra(Field(p), names, rels, nil)
+
+
+def dense(fld, spec, a, b):
+    """np.einsum(spec, a, b) on Python ints or Fractions, reduced once."""
+    out = np.einsum(spec, a.astype(object), b.astype(object))
+    return np.asarray(fld.reduce(out)).astype(fld.dtype)
+
+
+def same(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.fixture(params=CASES, ids=IDS)
+def alg(request):
+    return algebra(*request.param)
+
+
+class TestSparsePattern:
+    def test_nonzero_counts(self):
+        """The stacks are almost all zeros, and every nonzero is 1."""
+        for ring, nonzero, total in (("xy/m2", 5, 27), ("xyz/m2", 7, 64),
+                                     ("xy/m3", 15, 216)):
+            a = algebra(2, ring)
+            s = structure(a, "columns")
+            assert a.action_stack().size == total
+            assert len(s.coef) == nonzero == np.count_nonzero(a.action_stack())
+            assert len(s.layers) == 1 and s.layers[0][1] is None
+
+    def test_layers_of_a_non_monomial_presentation(self):
+        s = structure(algebra(3, "x2=2xy"), "columns")
+        assert len(s.layers) == 2
+        assert s.layers[0][1] is not None and 2 in s.layers[0][1].tolist()
+
+    def test_built_once_per_algebra(self):
+        a = algebra(3, "xy/m2")
+        assert structure(a, "columns") is structure(a, "columns")
+        assert structure(a, "left", 1) is structure(a, "left", 1)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("gather, scatter, spec", [
+        (1, (0, 2), "abc,pbq->pacq"), (2, (1, 0), "abc,pcq->pbaq"),
+        (0, (1, 2), "abc,paq->pbcq")])
+    def test_random_dense_array(self, p, gather, scatter, spec):
+        """A dense random array, up to six terms per slot, in three layouts."""
+        fld, rng = Field(p), random.Random(5)
+        arr = random_matrix(fld, 4, 30, rng).a.reshape(4, 5, 6)
+        for i in rng.sample(range(arr.size), 40):  # uneven slots
+            arr.flat[i] = fld.zero()
+        src = random_matrix(fld, 3 * arr.shape[gather], 2, rng).a.reshape(3, -1, 2)
+        want = dense(fld, spec, arr, src)
+        got = Structure(fld, arr, gather, scatter).apply(src, fld.zeros(want.shape))
+        assert same(got, want)
+
+
+class TestCallSites:
+    def test_free_map_from_columns(self, alg):
+        fld, d, rng = alg.field, alg.dim, random.Random(1)
+        for g, s in ((2, 3), (1, 1), (0, 2), (2, 0), (3, 5)):
+            stacked = random_matrix(fld, g * d, s, rng)
+            want = dense(fld, "tab,gbj->gajt", alg.action_stack(),
+                         stacked.a.reshape(g, d, s)).reshape(g * d, s * d)
+            assert same(free_map_from_columns(alg, g, stacked).a, want)
+
+    def test_free_map_zero_columns(self, alg):
+        fld, d = alg.field, alg.dim
+        stacked = Matrix.zeros(fld, 2 * d, 3)
+        assert same(free_map_from_columns(alg, 2, stacked).a,
+                    fld.zeros((2 * d, 3 * d)))
+
+    def test_blockwise_apply(self, alg):
+        fld, d, rng = alg.field, alg.dim, random.Random(2)
+        for rank, s in ((3, 4), (1, 1), (0, 3), (2, 0)):
+            vectors = random_matrix(fld, rank * d, s, rng)
+            for v in range(alg.nvars):
+                want = dense(fld, "ab,gbs->gas", alg.varmat[v].a,
+                             vectors.a.reshape(rank, d, s)).reshape(rank * d, s)
+                got = blockwise_apply(alg, structure(alg, "left", v), rank, vectors)
+                assert same(got.a, want)
+                assert same(blockwise_apply(alg, alg.varmat[v], rank, vectors).a, want)
+                if rank:
+                    assert same(free_module(alg, rank).apply_var(v, vectors).a, want)
+
+    def test_free_blockwise_apply_right(self, alg):
+        fld, d, rng = alg.field, alg.dim, random.Random(3)
+        for rows, rank in ((4, 3), (1, 1), (0, 2), (3, 0)):
+            mat = random_matrix(fld, rows, rank * d, rng)
+            for v in range(alg.nvars):
+                want = dense(fld, "rgb,ba->rga", mat.a.reshape(rows, rank, d),
+                             alg.varmat[v].a).reshape(rows, rank * d)
+                assert same(_free_blockwise_apply_right(alg, v, rank, mat).a, want)
+
+    def test_r_dual_actions(self, alg):
+        """The dual's actions: x_v on the R-coordinate of every map."""
+        mod = from_presentation(alg, 2, [["x", "0"], ["y", "x"]])
+        flat = hom_space_matrix(mod, regular_module(alg))
+        h = flat.cols
+        stack = flat.a.reshape(alg.dim, mod.dim, h)
+        want = solve_blocks(flat, [
+            Matrix(alg.field, dense(alg.field, "ab,bci->aci", alg.varmat[v].a,
+                                    stack).reshape(-1, h))
+            for v in range(alg.nvars)])
+        got = r_dual(mod).module.var_actions
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert same(g.a, w.a)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_ext_transition_into_free(self, alg, rank):
+        fld, d = alg.field, alg.dim
+        for src in (residue_field(alg),
+                    from_presentation(alg, 1, [["x", "y"]])):
+            table = ExtTable(src, free_module(alg, rank))
+            target = table.target
+            for i in range(2):
+                b_src, b_tgt = table.res.betti(i), table.res.betti(i + 1)
+                got = table.transition(i).a
+                coeff = table.res.differential(i + 1).a[:, ::d].reshape(b_src, d, b_tgt)
+                want = dense(fld, "jts,tab->sajb", coeff,
+                             target.action_stack()).reshape(got.shape)
+                assert same(got, want)
+
+
+class TestResults:
+    @pytest.mark.parametrize("p, window", [(2, 10), (2**31 - 1, 9)])
+    def test_resolve_ext_betti(self, p, window):
+        """The Betti lists of the two deepest resolve-ext jobs: e^i."""
+        k = residue_field(algebra(p, "xy/m2"))
+        assert resolve(k).betti_list(window) == [2**i for i in range(window + 1)]
