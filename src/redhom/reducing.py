@@ -332,7 +332,7 @@ class SearchConfig:
     max_a: int = 8
     max_b: int = 8
     max_n: int = 2
-    budget: int = 200  # total extension realizations per search call
+    budget: int = 200  # extension classes considered per search call
     seed: int = 0
     samples: int = 4  # random cocycle combinations tried per cell
     window: int = 10  # Ext window for the totally-reflexive terminal test
@@ -357,7 +357,7 @@ class _SearchState:
         self.exhausted = False
 
     def charge(self) -> bool:
-        """Consume one candidate realization; False once the budget is gone."""
+        """Consume one candidate; False once the budget is gone."""
         if self.spent >= self.cfg.budget:
             self.exhausted = True
             return False
@@ -365,6 +365,10 @@ class _SearchState:
         return True
 
 
+# Free modules, totally reflexive modules and the windowed test below are
+# all closed under direct summands.  `_dfs` relies on that to skip, at the
+# last depth, every candidate middle that has its node's module (already
+# found not terminal) as a summand.
 def _is_terminal(mod: Module, target: str, window: int) -> bool:
     if target == "pd":
         return mod.is_free()
@@ -438,7 +442,13 @@ def _dfs(mod: Module, depth: int, st: _SearchState):
                                              ver.witness)
                     return [step]  # free middle, terminal for both targets
                 cells.append((n, b, a, right))
-    # second pass: realized extensions, charged against the budget
+    # second pass: extension candidates, charged against the budget.  At
+    # the last depth a middle is only tested for terminality; one that has
+    # `mod` as a summand cannot pass, so it is charged but never built.
+    # That covers the split middle and every class whose a x (b d)
+    # coefficient matrix has rank < a: a change of basis of mod^a then
+    # zeroes a row, and that copy of mod splits off.
+    last = depth + 1 >= cfg.max_r
     for n, b, a, right in cells:
         if st.exhausted:
             return None
@@ -446,7 +456,8 @@ def _dfs(mod: Module, depth: int, st: _SearchState):
         if not st.charge():
             return None
         pw_a = power_module(mod, a)
-        if pw_a.dim + right.dim <= MAX_MIDDLE_DIM:
+        fits = pw_a.dim + right.dim <= MAX_MIDDLE_DIM
+        if fits and not last:
             ses = split_ses(pw_a, right)
             step = ReducingStep(a, b, n, ses, ModuleMap.identity(right))
             rest = _dfs(ses.middle, depth + 1, st)
@@ -454,13 +465,13 @@ def _dfs(mod: Module, depth: int, st: _SearchState):
                 return [step] + rest
         # glued middles from nonzero degree-one cocycle classes
         if n not in small_cache:
-            small_cache[n] = ext1_data(resolve(mod).syzygy_module(n), mod)
-        small = small_cache[n]
+            small = ext1_data(resolve(mod).syzygy_module(n), mod)
+            small_cache[n] = small, [small.psi_from_class(
+                Matrix.identity(fld, small.dim).take_cols([l]))
+                for l in range(small.dim)]
+        small, psis = small_cache[n]
         if small.dim == 0:
             continue
-        psis = [small.psi_from_class(
-            Matrix.identity(fld, small.dim).take_cols([l]))
-            for l in range(small.dim)]
         coeff_list = []
         for i in range(a):
             for j in range(b):
@@ -475,12 +486,15 @@ def _dfs(mod: Module, depth: int, st: _SearchState):
         for coeffs in coeff_list:
             if not st.charge():
                 return None
+            if not fits:
+                continue
+            if last and Matrix(fld, coeffs.a.reshape(
+                    a, b * small.dim)).rank() < a:
+                continue
             psi = _combination_psi(fld, psis, coeffs, a, b)
             if psi.is_zero():
                 continue
             ses = extension_from_psi(pw_a, right, psi)
-            if ses.middle.dim > MAX_MIDDLE_DIM:
-                continue
             step = ReducingStep(a, b, n, ses, ModuleMap.identity(right))
             rest = _dfs(ses.middle, depth + 1, st)
             if rest is not None:
@@ -497,8 +511,12 @@ def search(module: Module, target: str,
     first: it closes the chain immediately and costs no budget.  Each
     cell then tries the split extension and extensions glued from
     degree-one cocycle classes, all basis classes before seeded random
-    combinations.  Only realized extensions count against the budget;
-    the search is deterministic for a fixed seed.
+    combinations.  Every extension class considered counts against the
+    budget, whether or not its middle is built: at the last depth
+    (`max_r`) the split middle and every class whose coefficient matrix
+    has rank below a contain the node's module as a summand, so they
+    cannot be terminal and are charged without being built.  The search
+    is deterministic for a fixed seed.
     """
     if target not in TARGETS:
         raise ValueError(f"target must be one of {TARGETS}")
