@@ -122,7 +122,7 @@ def _reference_dfs(mod, depth, st, on_build=None):
     return None
 
 
-def _outcome(module, target, cfg, steps, st):
+def _outcome(module, target, steps, st):
     seq = (sequence_to_dict(ReducingSequence(module, steps, target))
            if steps is not None else None)
     return (steps is not None, st.exhausted, st.spent, seq)
@@ -130,7 +130,7 @@ def _outcome(module, target, cfg, steps, st):
 
 def _reference_search(module, target, cfg):
     st = _SearchState(cfg, target)
-    return _outcome(module, target, cfg, _reference_dfs(module, 0, st), st)
+    return _outcome(module, target, _reference_dfs(module, 0, st), st)
 
 
 def _new_search(module, target, cfg):
@@ -242,8 +242,8 @@ def test_exact_summand_closed_predicate_matches_reference(
     steps = reducing._dfs(module, 0, st)
     ref = _SearchState(cfg, "gdim")
     ref_steps = _reference_dfs(module, 0, ref)
-    assert _outcome(module, "gdim", cfg, steps, st) == \
-        _outcome(module, "gdim", cfg, ref_steps, ref)
+    assert _outcome(module, "gdim", steps, st) == \
+        _outcome(module, "gdim", ref_steps, ref)
     # the chain ends in a glued candidate built at the last depth: it is
     # max_r long and its final middle is neither free (the free-middle
     # closure) nor a split middle (which has `module`, and so the residue
