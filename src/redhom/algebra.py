@@ -22,6 +22,7 @@ two, so those products are pure indexing.
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
@@ -58,56 +59,71 @@ def _monomials_below(nvars: int, bound: int) -> list[tuple[int, ...]]:
     return out
 
 
-def parse_polynomial(src: str, var_names: list[str], fld: Field):
-    """Parse polynomial text into {exponent_tuple: coefficient}.
+def parse_polynomial(src: str, var_names: list[str], fld: Field,
+                     nilpotency: int | None = None):
+    """Polynomial text (grammar: docs/workspace.md) as {exponent_tuple:
+    coefficient}, evaluated exactly over Q, then reduced into `fld`; terms
+    of degree >= `nilpotency` vanish in the algebra and are dropped early."""
+    one, cap = (0,) * len(var_names), nilpotency or float("inf")
 
-    Accepts caret powers ("x^2"), explicit products ("x*y"), integer and
-    fraction coefficients.  Unknown symbols and non-rational coefficients
-    are rejected.
-    """
-    import sympy
-    from sympy.parsing.sympy_parser import (
-        convert_xor,
-        parse_expr,
-        standard_transformations,
-    )
+    def mul(f, g):
+        out = {}
+        for m, c in f.items():
+            for m2, c2 in g.items():
+                mm = tuple(a + b for a, b in zip(m, m2))
+                if sum(mm) < cap:
+                    out[mm] = out.get(mm, 0) + c * c2
+        return {m: c for m, c in out.items() if c}
 
-    syms = [sympy.Symbol(n) for n in var_names]
-    local = {n: s for n, s in zip(var_names, syms)}
+    def const(node, inverse=False):
+        f = ev(node)
+        if set(f) - {one} or inverse and not f:
+            raise AlgebraError(f"{ast.unparse(node)!r} is not a "
+                               f"{'nonzero ' * inverse}constant")
+        return 1 / Fraction(f[one]) if inverse else Fraction(f.get(one, 0))
+
+    def ev(node):
+        op = type(getattr(node, "op", None))
+        s = -1 if op in (ast.Sub, ast.USub) else 1
+        if op in (ast.Add, ast.Sub):
+            f, g = ev(node.left), ev(node.right)
+            return {m: c for m in f.keys() | g.keys()
+                    if (c := f.get(m, 0) + s * g.get(m, 0))}
+        if op in (ast.UAdd, ast.USub):
+            return {m: s * c for m, c in ev(node.operand).items()}
+        if op is ast.Mult:
+            return mul(ev(node.left), ev(node.right))
+        if op is ast.Div:
+            return mul(ev(node.left), {one: const(node.right, True)})
+        if op is ast.Pow:
+            e = const(node.right)
+            if e.denominator != 1:
+                raise AlgebraError(f"exponent {e} is not an integer")
+            base = {one: const(node.left, True)} if e < 0 else ev(node.left)
+            out = {one: 1}
+            for bit in bin(abs(int(e)))[2:]:
+                out = mul(mul(out, out), base if bit == "1" else {one: 1})
+            return out
+        if isinstance(node, ast.Name) and node.id in var_names:
+            m = tuple(int(v == node.id) for v in var_names)
+            return mul({one: 1}, {m: 1})
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            c = node.value if type(node.value) is int else Fraction(
+                ast.get_source_segment(text, node))
+            return mul({one: 1}, {one: c})
+        raise AlgebraError(f"{ast.unparse(node)!r} is not a variable, "
+                           "a constant or a sum, product, quotient or power")
+
+    text = src.strip().replace("^", "**")
     try:
-        expr = parse_expr(
-            src,
-            local_dict=local,
-            transformations=standard_transformations + (convert_xor,),
-        )
-    except Exception as exc:
+        poly = ev(ast.parse(text, mode="eval").body)
+        return {m: v for m, c in poly.items() if (v := fld.div(
+            fld.coerce(c.numerator), fld.coerce(c.denominator)))}
+    except ZeroDivisionError:
+        raise AlgebraError(f"a coefficient of {src!r} has a denominator "
+                           "divisible by the characteristic") from None
+    except (SyntaxError, ValueError, RecursionError) as exc:
         raise AlgebraError(f"cannot parse polynomial {src!r}: {exc}") from None
-    extra = expr.free_symbols - set(syms)
-    if extra:
-        names = sorted(str(s) for s in extra)
-        raise AlgebraError(f"unknown variables {names} in {src!r}")
-    expr = sympy.expand(expr)
-    if expr == 0:
-        return {}
-    try:
-        poly = sympy.Poly(expr, *syms, domain="QQ")
-    except Exception as exc:
-        raise AlgebraError(f"not a rational-coefficient polynomial: {src!r} ({exc})") from None
-    out = {}
-    for mono, coef in poly.terms():
-        frac = Fraction(int(coef.p), int(coef.q))
-        if fld.p is not None:
-            den = frac.denominator % fld.p
-            if den == 0:
-                raise AlgebraError(
-                    f"coefficient {frac} in {src!r} has denominator divisible "
-                    f"by the characteristic {fld.p}")
-            val = fld.div(frac.numerator % fld.p, den)
-        else:
-            val = frac
-        if val != fld.zero():
-            out[tuple(int(e) for e in mono)] = val
-    return out
 
 
 # (gather axis, scatter axes) of each sparse product: "columns" and
@@ -205,7 +221,8 @@ class Algebra:
 
     def element_from_string(self, src: str) -> Matrix:
         """Basis-coordinate column of a polynomial expression."""
-        poly = parse_polynomial(src, self.var_names, self.field)
+        poly = parse_polynomial(src, self.var_names, self.field,
+                                self.nilpotency)
         vec = Matrix.zeros(self.field, self.dim, 1)
         for mon, coef in poly.items():
             col = self._mon_nf(mon)
@@ -289,11 +306,9 @@ def build_algebra(fld: Field, var_names: list[str], relations: list[str],
 
     parsed = []
     for src in relations:
-        poly = parse_polynomial(src, var_names, fld)
-        zero_mon = (0,) * n
-        if zero_mon in poly:
+        poly = parse_polynomial(src, var_names, fld, nilpotency)
+        if (0,) * n in poly:
             raise AlgebraError(f"relation {src!r} has a nonzero constant term")
-        poly = {m: c for m, c in poly.items() if sum(m) < nilpotency}
         if poly:
             parsed.append(poly)
 

@@ -216,19 +216,13 @@ def validate_module(mod: Module) -> None:
         for v in range(u + 1, n):
             if not (va[u] @ va[v]) == (va[v] @ va[u]):
                 raise ModuleError("variable actions do not commute")
-    acts = mod.actions
     stack = mod.action_stack()
     for v in range(n):
-        for t in range(alg.dim):
-            # x_v * b_t reduced through the table must match composition
-            coords = alg.multiply(alg.var_class[v],
-                                  Matrix.column(alg.field,
-                                                [alg.field.one() if i == t else alg.field.zero()
-                                                 for i in range(alg.dim)]))
-            want = Matrix(alg.field, contract(alg.field, "u,uab->ab",
-                                              coords.a[:, 0], stack))
-            if not (va[v] @ acts[t]) == want:
-                raise ModuleError("actions violate an algebra relation")
+        # x_v b_t = sum_u varmat[v][u, t] b_u, for every basis element t
+        left = contract(alg.field, "ab,tbc->tac", va[v].a, stack)
+        if not (left == contract(alg.field, "ut,uab->tab",
+                                 alg.varmat[v].a, stack)).all():
+            raise ModuleError("actions violate an algebra relation")
 
 
 # -- constructors ----------------------------------------------------------

@@ -15,6 +15,7 @@ that turn a chain for M into one for syz(M) and back.
 """
 
 from dataclasses import dataclass
+import functools
 import json
 import random
 
@@ -420,21 +421,20 @@ def _dfs(mod: Module, depth: int, st: _SearchState):
         return None
     alg = mod.algebra
     fld = alg.field
-    peels = {}
+    power = functools.cache(functools.partial(power_module, mod))
+    peels = functools.cache(lambda a: split_free_summands(power(a)))
     small_cache = {}
     cells = []
     # first pass: free-middle closures; cost nothing, close the chain
     for n in range(1, cfg.max_n + 1):
         for b in range(1, cfg.max_b + 1):
-            res_pow = resolve(power_module(mod, b))
+            res_pow = resolve(power(b))
             right = res_pow.syzygy_module(n)
             if right.dim == 0:
                 continue
             nxt = res_pow.syzygy_module(n + 1)
             for a in range(1, cfg.max_a + 1):
-                if a not in peels:
-                    peels[a] = split_free_summands(power_module(mod, a))
-                peel = peels[a]
+                peel = peels(a)
                 # stable identification: mod^a = free + syz^{n+1}(mod^b)
                 ver = is_isomorphic(peel.remainder, nxt, seed=cfg.seed)
                 if ver.kind == "yes":
@@ -455,10 +455,9 @@ def _dfs(mod: Module, depth: int, st: _SearchState):
         # split middle: the zero extension class
         if not st.charge():
             return None
-        pw_a = power_module(mod, a)
-        fits = pw_a.dim + right.dim <= MAX_MIDDLE_DIM
+        fits = a * mod.dim + right.dim <= MAX_MIDDLE_DIM
         if fits and not last:
-            ses = split_ses(pw_a, right)
+            ses = split_ses(power(a), right)
             step = ReducingStep(a, b, n, ses, ModuleMap.identity(right))
             rest = _dfs(ses.middle, depth + 1, st)
             if rest is not None:
@@ -494,7 +493,7 @@ def _dfs(mod: Module, depth: int, st: _SearchState):
             psi = _combination_psi(fld, psis, coeffs, a, b)
             if psi.is_zero():
                 continue
-            ses = extension_from_psi(pw_a, right, psi)
+            ses = extension_from_psi(power(a), right, psi)
             step = ReducingStep(a, b, n, ses, ModuleMap.identity(right))
             rest = _dfs(ses.middle, depth + 1, st)
             if rest is not None:

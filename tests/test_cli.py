@@ -1,6 +1,9 @@
 """Command-line behavior: exit codes, report shape, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -282,6 +285,19 @@ class TestErrorPaths:
         assert code == 2
         assert report["error"]["pointer"] == "/algebra"
 
+    @pytest.mark.parametrize("relation", [
+        "x,y", "2x", "(x", "x/y", "x^-1", "sqrt(2)*x", "x.y"])
+    def test_bad_polynomial_is_json(self, tmp_path, capsys, relation):
+        data = json.loads(json.dumps(PLANE))
+        data["modules"]["bad"] = {"kind": "cyclic", "relations": [relation]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code = cli.main(["--workspace", str(path), "algebra", "info"])
+        out = capsys.readouterr().out
+        assert code == 2
+        report = json.loads(out)   # raises unless exactly one document
+        assert report["error"]["pointer"] == "/modules/bad/relations"
+
     @pytest.mark.parametrize("argv,flag", [
         (["resolve", "k", "--window", "-3"], "--window"),
         (["ext", "k", "R", "--window", "-1"], "--window"),
@@ -449,3 +465,27 @@ def test_boolean_step_parameter_exit2(tmp_path, capsys):
                           "reduce", "verify", "cert_k")
     assert code == 2
     assert report["error"]["pointer"] == "/certificates/cert_k/steps/0/n"
+
+
+def test_runtime_never_imports_sympy():
+    """Loading every example workspace and running a command must not
+    import sympy, which is only a test dependency."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from pathlib import Path\n"
+        "from redhom import cli\n"
+        "from redhom.workspace import load_workspace\n"
+        "for path in sorted(Path(sys.argv[1]).glob('*.json')):\n"
+        "    load_workspace(str(path))\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(['--workspace', str(path), 'algebra', 'info'])\n"
+        "    assert code == 0, path\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))\n")
+    src = str(EXAMPLES.parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script, str(EXAMPLES)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

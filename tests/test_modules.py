@@ -332,3 +332,12 @@ class TestValidation:
                                        [0, 1, 0, 0], [0, 0, 1, 0]])
         with pytest.raises(ModuleError):
             Module(line3, 4, [shift])
+
+    def test_validate_checks_mixed_relations(self):
+        # x^2 = y^2 and xy = 0 in the algebra; the regular representation
+        # satisfies both, a shift by x with y acting as zero breaks x^2 = y^2
+        alg = build_algebra(GF3, ["x", "y"], ["x^2 - y^2", "x*y"], 3)
+        Module(alg, alg.dim, list(alg.varmat))
+        shift = Matrix.from_rows(GF3, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+        with pytest.raises(ModuleError, match="relation"):
+            Module(alg, 3, [shift, Matrix.zeros(GF3, 3, 3)])
