@@ -123,6 +123,7 @@ def parse_polynomial(src: str, var_names: list[str], fld: Field,
         raise AlgebraError(f"a coefficient of {src!r} has a denominator "
                            "divisible by the characteristic") from None
     except (SyntaxError, ValueError, RecursionError) as exc:
+        # AlgebraError is a ValueError: ev's rejections get this prefix too
         raise AlgebraError(f"cannot parse polynomial {src!r}: {exc}") from None
 
 
