@@ -481,9 +481,10 @@ def test_runtime_never_imports_sympy():
         "        code = cli.main(['--workspace', str(path), 'algebra', 'info'])\n"
         "    assert code == 0, path\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))\n")
+    assert list(EXAMPLES.glob("*.json"))
     src = str(EXAMPLES.parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script, str(EXAMPLES)],
                           env=env, capture_output=True, text=True,
                           timeout=120)

@@ -61,10 +61,10 @@ def sympy_route(src, var_names, fld):
     return out
 
 
-def outcome(parse, src, fld, **kw):
+def outcome(parse, src, fld):
     """The parsed dict, or the AlgebraError class when it is rejected."""
     try:
-        return parse(src, NAMES, fld, **kw)
+        return parse(src, NAMES, fld)
     except AlgebraError:
         return AlgebraError
 
