@@ -11,13 +11,17 @@ reducible by the relation ideal; it is closed under monomial division,
 basis index 0 is always the identity element, and indices 1 and up span
 the maximal ideal.
 
-The structure constants c[t, a, b] = (b_t b_b)_a are kept dense
-(`regmat`, `action_stack`) and, for the products of free modules by the
-algebra, in sparse form (`structure`): their nonzero entries, as a
-`linalg.Structure` per product layout, built once per algebra on first
-use.  On a
-monomial presentation every nonzero constant is 1 and no slot receives
-two, so those products are pure indexing.
+The structure constants c[t, a, b] = (b_t b_b)_a are stored once, as
+one read-only (dim, dim, dim) array with the basis index first
+(`action_stack()`; `regmat[t]` is its slice t), and the variable actions
+likewise as one (nvars, dim, dim) array (`var_stack`; `varmat[v]` is
+its slice v).  Both are gathered from the normal-form table in one
+indexing step.  For the products of free modules by the algebra the
+constants are also kept in sparse form (`structure`): their nonzero
+entries, as a `linalg.Structure` per product layout, built once per
+algebra on first use.  On a monomial presentation every nonzero
+constant is 1 and no slot receives two, so those products are pure
+indexing.
 """
 
 from __future__ import annotations
@@ -25,11 +29,11 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import Field, Matrix, Structure, contract
+from .linalg import Field, Matrix, Structure, column_space_basis, contract
 
 
 class AlgebraError(ValueError):
@@ -145,8 +149,7 @@ def structure(alg, kind: str, v: int | None = None) -> Structure:
     cache = vars(alg).setdefault("_free_cache", {})
     key = (kind, v)
     if key not in cache:
-        dense = (np.stack([m.a for m in alg.regmat]) if v is None
-                 else alg.varmat[v].a)
+        dense = alg.action_stack() if v is None else alg.varmat[v].a
         cache[key] = Structure(alg.field, dense, *_LAYOUTS[kind])
     return cache[key]
 
@@ -161,9 +164,11 @@ class Algebra:
     relation_srcs: list[str]
     basis_mons: list[tuple[int, ...]]
     dim: int
-    regmat: list[Matrix]           # left multiplication by each basis element
-    varmat: list[Matrix]           # left multiplication by each variable
-    var_class: list[Matrix]        # each variable as a basis-coordinate column
+    mult: np.ndarray       # (dim, dim, dim): mult[t] multiplies by b_t
+    var_stack: np.ndarray  # (nvars, dim, dim): var_stack[v] multiplies by x_v
+    regmat: list[Matrix]     # views of mult
+    varmat: list[Matrix]     # views of var_stack
+    var_class: list[Matrix]  # each variable as a basis-coordinate column
     socle_basis: Matrix
     embedding_dim: int
     _free_cache: dict = dc_field(default_factory=dict, repr=False)
@@ -189,7 +194,20 @@ class Algebra:
 
     def action_stack(self) -> np.ndarray:
         """All regular-representation matrices as one (dim, dim, dim) array."""
-        return np.stack([m.a for m in self.regmat])
+        return self.mult
+
+    @cached_property
+    def monomial_steps(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """(v, t, s) index arrays per degree and variable, degrees
+        ascending: b_t = x_v b_s for the first variable v of b_t."""
+        index = {m: i for i, m in enumerate(self.basis_mons)}
+        steps: dict[tuple[int, int], list] = {}
+        for t, mon in enumerate(self.basis_mons[1:], 1):
+            v = next(i for i, e in enumerate(mon) if e)
+            steps.setdefault((sum(mon), v), []).append(
+                (t, index[mon[:v] + (mon[v] - 1,) + mon[v + 1:]]))
+        return [(v, *np.array(ts, dtype=np.intp).T)
+                for (_, v), ts in sorted(steps.items())]
 
     def mon_label(self, mon: tuple[int, ...]) -> str:
         parts = []
@@ -254,13 +272,15 @@ class Algebra:
         return self._free_cache[key]
 
     def free_action_stack(self, rank: int) -> np.ndarray:
+        """`action_stack` on the rank-g free module (block diagonal),
+        read-only and kept per rank."""
         key = ("a", rank)
         if key not in self._free_cache:
-            base = self.action_stack()
             d = self.dim
-            out = np.zeros((d, rank * d, rank * d), dtype=base.dtype)
+            out = self.field.zeros((d, rank * d, rank * d))
             for j in range(rank):
-                out[:, j * d:(j + 1) * d, j * d:(j + 1) * d] = base
+                out[:, j * d:(j + 1) * d, j * d:(j + 1) * d] = self.mult
+            out.flags.writeable = False
             self._free_cache[key] = out
         return self._free_cache[key]
 
@@ -340,57 +360,32 @@ def build_algebra(fld: Field, var_names: list[str], relations: list[str],
 
     # normal form of every truncated monomial, as a (d x nm) table
     nf_table = kb.transpose()
-
-    # multiplication through normal forms of product monomials
-    regmat = []
-    zero_col = Matrix.zeros(fld, d, 1)
-    for i, mi in enumerate(basis_mons):
-        cols = []
-        for j, mj in enumerate(basis_mons):
-            tot = tuple(a + b for a, b in zip(mi, mj))
-            if sum(tot) >= nilpotency:
-                cols.append(zero_col)
-            else:
-                idx = mon_index[tot]
-                cols.append(Matrix(fld, nf_table.a[:, idx:idx + 1]))
-        regmat.append(Matrix.hstack(cols) if cols else Matrix.zeros(fld, d, 0))
-
-    var_class = []
-    varmat = []
-    for v in range(n):
-        e = tuple(1 if t == v else 0 for t in range(n))
-        if nilpotency == 1:
-            var_class.append(Matrix.zeros(fld, d, 1))
-            varmat.append(Matrix.zeros(fld, d, d))
-            continue
-        idx = mon_index[e]
-        var_class.append(Matrix(fld, nf_table.a[:, idx:idx + 1].copy()))
-        cols = []
-        for mj in basis_mons:
-            tot = tuple(a + b for a, b in zip(e, mj))
-            if sum(tot) >= nilpotency:
-                cols.append(zero_col)
-            else:
-                cols.append(Matrix(fld, nf_table.a[:, mon_index[tot]:mon_index[tot] + 1]))
-        varmat.append(Matrix.hstack(cols))
+    # every product b_i b_j and x_v b_j, gathered in one step as columns of
+    # the table; monomials of degree >= N are not in `mon_index` and take
+    # the zero column nm
+    table = np.hstack([nf_table.a, fld.zeros((d, 1))])
+    left = np.vstack([np.array(basis_mons, dtype=np.intp).reshape(d, n),
+                      np.eye(n, dtype=np.intp)])
+    tot = (left[:, None, :] + left[:d]).reshape((d + n) * d, n).tolist()
+    cols = [mon_index.get(tuple(m), nm) for m in tot]
+    stack = np.ascontiguousarray(  # [i, a, j]: coordinate a of left[i] * b_j
+        table[:, cols].reshape(d, d + n, d).transpose(1, 0, 2))
+    stack.flags.writeable = False
+    mult, var_stack = stack[:d], stack[d:]
 
     # socle: simultaneous kernel of the variable actions
-    if n:
-        socle = Matrix.vstack(varmat).kernel_basis()
-    else:
-        socle = Matrix.identity(fld, d)
+    socle = Matrix(fld, var_stack.reshape(n * d, d)).kernel_basis()
 
     # embedding dimension: dim m minus dim m^2
-    if d > 1 and n:
-        m2 = Matrix.hstack([vm.take_cols(range(1, d)) for vm in varmat])
-        emb = (d - 1) - m2.rank()
-    else:
-        emb = 0
+    m2 = var_stack[:, :, 1:].transpose(1, 0, 2).reshape(d, n * (d - 1))
+    emb = (d - 1) - Matrix(fld, m2).rank()
 
     alg = Algebra(
         field=fld, var_names=list(var_names), nilpotency=nilpotency,
         relation_srcs=list(relations), basis_mons=basis_mons, dim=d,
-        regmat=regmat, varmat=varmat, var_class=var_class,
+        mult=mult, var_stack=var_stack, regmat=[Matrix(fld, m) for m in mult],
+        varmat=[Matrix(fld, m) for m in var_stack],
+        var_class=[Matrix(fld, m[:, :1]) for m in var_stack],  # x_v * b_0
         socle_basis=socle, embedding_dim=emb,
     )
     alg._mon_index = mon_index  # type: ignore[attr-defined]
@@ -401,35 +396,30 @@ def build_algebra(fld: Field, var_names: list[str], relations: list[str],
 
 def _validate_algebra(alg: Algebra) -> None:
     """Internal consistency: commutativity, associativity, nilpotency."""
-    d, fld = alg.dim, alg.field
-    assert alg.basis_mons[0] == (0,) * alg.nvars
-    assert alg.regmat[0] == Matrix.identity(fld, d)
-    for u in range(alg.nvars):
-        for v in range(u + 1, alg.nvars):
-            if not (alg.varmat[u] @ alg.varmat[v]) == (alg.varmat[v] @ alg.varmat[u]):
-                raise AlgebraError("variable actions do not commute")
+    d, fld, n = alg.dim, alg.field, alg.nvars
+    assert alg.basis_mons[0] == (0,) * n
+    assert (alg.mult[0] == Matrix.identity(fld, d).a).all()
+    # prod[u, v] = x_u x_v
+    prod = contract(fld, "uab,vbc->uvac", alg.var_stack, alg.var_stack)
+    if not (prod == prod.transpose(1, 0, 2, 3)).all():
+        raise AlgebraError("variable actions do not commute")
     if d <= 64:
-        # b_i b_j = sum_t (b_i b_j)_t b_t, where (b_i b_j)_t = regmat[i][t, j]
-        stack = alg.action_stack()
+        # b_i b_j = sum_t (b_i b_j)_t b_t, where (b_i b_j)_t = mult[i, t, j]
+        stack = alg.mult
         prod = contract(fld, "iab,jbc->ijac", stack, stack)
         want = contract(fld, "itj,tac->ijac", stack, stack)
         if not (prod == want).all():
             raise AlgebraError("multiplication table is not associative")
-    # m^N = 0: iterate spans of m, m^2, ...
+    # m^N = 0: iterate spans of m, m^2, ...; each step is m times the span
     span = Matrix.identity(fld, d).take_cols(range(1, d))
-    for _ in range(alg.nilpotency - 1):
+    for _ in range(alg.nilpotency):
         if span.cols == 0:
-            break
-        if alg.nvars == 0:
-            span = Matrix.zeros(fld, d, 0)
-            break
-        nxt = Matrix.hstack([vm @ span for vm in alg.varmat])
-        keep, piv = nxt.rref()
-        span = nxt.take_cols(list(piv)) if piv else Matrix.zeros(fld, d, 0)
-    if span.cols and alg.nvars:
-        last = Matrix.hstack([vm @ span for vm in alg.varmat])
-        if not last.is_zero():
-            raise AlgebraError("declared nilpotency bound is violated")
+            return
+        nxt = Matrix(fld, contract(fld, "vab,bc->avc", alg.var_stack, span.a)
+                     .reshape(d, n * span.cols))
+        span = column_space_basis(nxt)
+    if span.cols:
+        raise AlgebraError("declared nilpotency bound is violated")
 
 
 @lru_cache(maxsize=32)
@@ -442,6 +432,7 @@ def algebra_from_presentation(pres: dict) -> Algebra:
     ch, nilp = pres["characteristic"], pres["nilpotency"]
     if type(ch) is not int or type(nilp) is not int:
         raise ValueError("characteristic and nilpotency must be integers")
-    return _cached_algebra(None if ch == 0 else ch,
-                           tuple(pres["variables"]),
-                           tuple(pres["relations"]), nilp)
+    names, rels = tuple(pres["variables"]), tuple(pres["relations"])
+    if not all(isinstance(s, str) for s in names + rels):
+        raise ValueError("variables and relations must be strings")
+    return _cached_algebra(None if ch == 0 else ch, names, rels, nilp)

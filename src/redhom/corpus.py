@@ -20,6 +20,7 @@ from .invariants import (
     complete_resolution,
     gdim,
     is_totally_reflexive,
+    structure_test,
 )
 from .linalg import GF2, GF3
 from .modules import (
@@ -97,15 +98,6 @@ def random_module(alg: Algebra, max_gens: int, max_rels: int,
     rows = [[_random_element(alg, rng) for _ in range(rels)]
             for _ in range(gens)]
     return from_presentation(alg, gens, rows, label=label)
-
-
-def structure_test(mod: Module) -> tuple[bool, int, int]:
-    """Free-plus-socle shape test: peel free summands and ask whether
-    the radical kills what is left.  Returns (verdict, free rank,
-    remainder dimension; -1 when the verdict is negative)."""
-    peel = split_free_summands(mod)
-    flat = peel.remainder.dim == 0 or peel.remainder.is_radical_killed()
-    return flat, peel.rank, (peel.remainder.dim if flat else -1)
 
 
 # -- Question 2.2 exploration ------------------------------------------------

@@ -6,6 +6,12 @@ its generators, transitions precompose with the differentials, and the
 table keeps ranks only, so large windows stay cheap.  A separate
 small-scale path keeps full cocycle bases for realizing extension
 classes as short exact sequences and reading classes back off sequences.
+
+Ring duals keep their basis maps once, as the columns of the Hom matrix
+(`DualData.flat`, row-major dim R x dim M maps); `DualData.stack()` is the
+same data as one (h, dim R, dim M) array with the map index first, so
+precomposing every basis map with a module map is one contraction and
+the evaluation into the double dual is a reshape.
 """
 
 from __future__ import annotations
@@ -64,18 +70,24 @@ class DualData:
 
     source: Module
     module: Module
-    maps: list[Matrix]          # k-matrices source -> R, one per basis vector
+    flat: Matrix  # column i: basis map i as a row-major (dim R x dim M) vector
+
+    def stack(self) -> np.ndarray:
+        """The basis maps as one (h, dim R, dim M) array."""
+        return self.flat.a.T.reshape(self.flat.cols, self.source.algebra.dim,
+                                     self.source.dim)
+
+    @property
+    def maps(self) -> list[Matrix]:
+        """k-matrices source -> R, one per basis vector of the dual."""
+        return [Matrix(self.flat.field, m) for m in self.stack()]
 
     def map_from_coords(self, coords: Matrix) -> Matrix:
-        fld = self.source.algebra.field
-        maps = np.array([m.a for m in self.maps], dtype=fld.dtype).reshape(
-            len(self.maps), self.source.algebra.dim, self.source.dim)
-        return Matrix(fld, contract(fld, "i,irc->rc", coords.a[:, 0], maps))
-
-
-def _flatten(m: Matrix) -> Matrix:
-    """Row-major vectorization as a single column."""
-    return Matrix(m.field, m.a.reshape(-1, 1).copy())
+        """The maps with coordinates the columns of `coords`, stacked: row
+        j*dim R + r is row r of map j."""
+        d, m, g = self.source.algebra.dim, self.source.dim, coords.cols
+        return Matrix(self.flat.field, (self.flat @ coords).a.reshape(
+            d, m, g).transpose(2, 0, 1).reshape(g * d, m))
 
 
 def r_dual(mod: Module, label: str = "") -> DualData:
@@ -86,44 +98,33 @@ def r_dual(mod: Module, label: str = "") -> DualData:
     reg = regular_module(alg)
     flat = hom_space_matrix(mod, reg)
     h = flat.cols
-    maps = [Matrix(fld, flat.a[:, i].reshape(alg.dim, mod.dim).copy())
-            for i in range(h)]
     if h == 0:
-        return DualData(mod, zero_module(alg), [])
+        return DualData(mod, zero_module(alg), flat)
     # x_v acts on the R-coordinate (row) of each map: apply it to the
     # (dim R) x (dim M * h) stack of all maps' rows
     stack = Matrix(fld, flat.a.reshape(alg.dim, mod.dim * h))
     va = solve_blocks(flat, [
-        Matrix(fld, reg.apply_var(v, stack).a.reshape(-1, h))
+        Matrix(fld, reg.apply_var(v, stack).a.reshape(mod.dim * alg.dim, h))
         for v in range(alg.nvars)])
     if va is None:
         raise HomAlgError("dual space is not action-closed")
     dm = Module(alg, h, va,
                 label=label or (f"({mod.label})^" if mod.label else ""),
                 validate=False)
-    return DualData(mod, dm, maps)
+    return DualData(mod, dm, flat)
 
 
 def dual_map(f: ModuleMap, dual_target: DualData,
              dual_source: DualData) -> ModuleMap:
     """Precomposition with f, from the target's dual to the source's."""
     fld = f.source.algebra.field
-    if not dual_target.maps:
-        return ModuleMap(dual_target.module, dual_source.module,
-                         Matrix.zeros(fld, dual_source.module.dim, 0),
-                         validate=False)
-    composed = Matrix.hstack([_flatten(m @ f.matrix)
-                              for m in dual_target.maps])
-    if not dual_source.maps:
-        if not composed.is_zero():
-            raise HomAlgError("map dualizes into an empty dual")
-        return ModuleMap(dual_target.module, dual_source.module,
-                         Matrix.zeros(fld, 0, dual_target.module.dim),
-                         validate=False)
-    flat_src = Matrix.hstack([_flatten(m) for m in dual_source.maps])
-    coords, ok = flat_src.solve_columns(composed)
+    composed = contract(fld, "iab,bc->aci", dual_target.stack(), f.matrix.a)
+    coords, ok = dual_source.flat.solve_columns(Matrix(fld, composed.reshape(
+        f.source.algebra.dim * f.source.dim, dual_target.flat.cols)))
     if not all(ok):
-        raise HomAlgError("dualized map leaves the dual space")
+        raise HomAlgError("dualized map leaves the dual space"
+                          if dual_source.flat.cols
+                          else "map dualizes into an empty dual")
     return ModuleMap(dual_target.module, dual_source.module, coords,
                      validate=False)
 
@@ -154,14 +155,12 @@ def biduality(mod: Module) -> BidualityData:
                         Matrix.zeros(fld, d2.module.dim, mod.dim),
                         validate=False)
         return BidualityData(lam, d1, d2)
-    flat2 = Matrix.hstack([_flatten(m) for m in d2.maps])
-    cols = []
-    for j in range(mod.dim):
-        x = Matrix.zeros(fld, mod.dim, 1)
-        x.a[j, 0] = fld.one()
-        ev = Matrix.hstack([m @ x for m in d1.maps])
-        cols.append(_flatten(ev))
-    coords, ok = flat2.solve_columns(Matrix.hstack(cols))
+    # column j: evaluation at basis vector j, the row-major (dim R x h1)
+    # map sending dual basis map i to its column j
+    h1 = d1.flat.cols
+    ev = d1.flat.a.reshape(alg.dim, mod.dim, h1).transpose(0, 2, 1)
+    coords, ok = d2.flat.solve_columns(
+        Matrix(fld, ev.reshape(alg.dim * h1, mod.dim)))
     if not all(ok):
         raise HomAlgError("evaluation map leaves the double dual")
     return BidualityData(ModuleMap(mod, d2.module, coords, validate=False),
@@ -328,26 +327,17 @@ class Ext1Data:
         self.dim = self.reps.cols
         self._class_basis = Matrix.hstack([self.boundaries, self.reps])
         self._syz = self.res.syzygy_subspace(1)
-        self._fp = self.res.free_positions(1)
         self._lift_cache: Matrix | None = None
-
-    # cochain <-> generator-image table
-
-    def _images_from_flat(self, flat: Matrix) -> Matrix:
-        dn = self.left.dim
-        return Matrix(self.alg.field,
-                      flat.a.reshape(self.beta1, dn).T.copy())
-
-    def _flat_from_images(self, images: Matrix) -> Matrix:
-        return Matrix(self.alg.field, images.a.T.reshape(-1, 1).copy())
-
-    def cochain_matrix(self, flat: Matrix) -> Matrix:
-        """Full k-matrix of a cochain as a map off the first free module."""
-        return assemble_action_columns(self.left, self._images_from_flat(flat))
 
     def psi_from_flat(self, flat: Matrix) -> Matrix:
         """Restrict a cocycle to the first syzygy (columns indexed by the
         syzygy's own coordinates)."""
+        return Matrix(self.alg.field, self.psis(flat)[0])
+
+    def psis(self, flats: Matrix) -> np.ndarray:
+        """`psi_from_flat` of every column of `flats`, as one
+        (columns, left dim, syzygy dim) array."""
+        fld, m, k = self.alg.field, self.left.dim, flats.cols
         if self._lift_cache is None:
             diff = self.res.differential(1)
             lifts, ok = diff.solve_columns(self._syz)
@@ -355,17 +345,19 @@ class Ext1Data:
                 raise HomAlgError("syzygy does not lift through the "
                                   "first differential")
             self._lift_cache = lifts
-        return self.cochain_matrix(flat) @ self._lift_cache
+        # cochain l as a map off the first free module: column j*d + t is
+        # basis element t acting on the image of generator j
+        cochains = contract(fld, "tab,jbl->lajt", self.left.action_stack(),
+                            flats.a.reshape(self.beta1, m, k))
+        return contract(fld, "lak,ks->las", cochains.reshape(
+            k, m, self.beta1 * self.alg.dim), self._lift_cache.a)
 
     def flat_from_psi(self, psi: Matrix) -> Matrix:
         """Extend a map off the first syzygy to a cocycle."""
-        fld = self.alg.field
-        diff = self.res.differential(1)
-        reduced = Matrix(fld, diff.a[self._fp, :].copy())
-        full = psi @ reduced
-        d = self.alg.dim
-        images = full.take_cols([j * d for j in range(self.beta1)])
-        return self._flat_from_images(images)
+        full = psi @ self.res.syzygy_cover_matrix(1)
+        # generator j's image is column j*d; flat cochains are generator-major
+        images = full.a[:, ::self.alg.dim]
+        return Matrix(self.alg.field, images.T.reshape(self.flat_dim, 1))
 
     def psi_from_class(self, coords: Matrix) -> Matrix:
         fld = self.alg.field
@@ -482,15 +474,13 @@ def pushforward(mod: Module) -> Pushforward:
             ModuleMap(mod, target, zero, validate=False), proj), forward)
     dual = r_dual(mod)
     gens = dual.module.min_generators()
-    chosen = [dual.map_from_coords(Matrix(alg.field, gens.a[:, j:j + 1]))
-              for j in range(gens.cols)]
-    if not chosen:
+    if gens.cols == 0:
         raise HomAlgError("module has no maps into the ring")
-    q = Matrix.vstack(chosen)
+    q = dual.map_from_coords(gens)
     if q.rank() != mod.dim:
         raise HomAlgError("module does not embed into a free module "
                           "(evaluation has a kernel)")
-    target = free_module(alg, len(chosen))
+    target = free_module(alg, gens.cols)
     forward, proj = quotient_module(target, q,
                                     label=f"push({mod.label or '?'})")
     inject = ModuleMap(mod, target, q, validate=False)
@@ -534,10 +524,7 @@ def horseshoe(ses: ShortExactSequence) -> Horseshoe:
     u = free_map_from_columns(alg, g_l, u_imgs)
     if u.rank() != g_l * d:
         raise HomAlgError("factored cover lost surjectivity")
-    unit_cols = Matrix.zeros(fld, g_l * d, g_l)
-    for j in range(g_l):
-        unit_cols.a[j * d, j] = fld.one()
-    sec_imgs, ok = u.solve_columns(unit_cols)
+    sec_imgs, ok = u.solve_columns(free_module(alg, g_l).min_generators())
     if not all(ok):
         raise HomAlgError("section of the factored cover does not exist")
     section = free_map_from_columns(alg, g_big, sec_imgs)
@@ -597,11 +584,8 @@ def ext_syzygy_map(right: Module, left: Module) -> ExtSyzygyMap:
     tgt = ext1_data(resolve(right).syzygy_module(1),
                     resolve(left).syzygy_module(1))
     fld = right.algebra.field
-    cols = []
-    for i in range(src.dim):
-        unit = Matrix.zeros(fld, src.dim, 1)
-        unit.a[i, 0] = fld.one()
-        shoe = horseshoe(extension_from_class(src, unit))
-        cols.append(class_of_ses(tgt, shoe.sequence))
+    units = Matrix.identity(fld, src.dim)
+    cols = [class_of_ses(tgt, horseshoe(extension_from_class(
+        src, units.take_cols([i]))).sequence) for i in range(src.dim)]
     mat = Matrix.hstack(cols) if cols else Matrix.zeros(fld, tgt.dim, 0)
     return ExtSyzygyMap(src, tgt, mat)

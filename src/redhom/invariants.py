@@ -10,9 +10,7 @@ went through.
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .linalg import Matrix
+from .linalg import Matrix, contract
 from .modules import (
     Module,
     ModuleMap,
@@ -372,18 +370,13 @@ def check_t2(mod: Module, seq: ReducingSequence,
         emb = ses.inject.matrix @ block @ emb
         split_ok = False
         if emb.rank() == mod.dim:
+            # column j: basis map j of Hom(middle, mod) composed with emb
             hom = hom_space_matrix(ses.middle, mod)
-            cols = []
-            for j in range(hom.cols):
-                hmat = Matrix(fld,
-                              hom.a[:, j].reshape(mod.dim, ses.middle.dim))
-                cols.append((hmat @ emb).a.reshape(-1, 1))
-            if cols:
-                sysmat = Matrix(fld, np.hstack(cols))
-                target = Matrix(
-                    fld,
-                    Matrix.identity(fld, mod.dim).a.reshape(-1, 1))
-                split_ok = sysmat.solve(target) is not None
+            sysmat = contract(fld, "abj,bc->acj", hom.a.reshape(
+                mod.dim, ses.middle.dim, hom.cols), emb.a)
+            target = Matrix.identity(fld, mod.dim).a.reshape(mod.dim ** 2, 1)
+            split_ok = hom.cols > 0 and Matrix(fld, sysmat.reshape(
+                mod.dim ** 2, hom.cols)).solve(Matrix(fld, target)) is not None
         report.conclusions.append(_entry(
             f"summand_in_K{i}", split_ok,
             "retraction solved" if split_ok else "no retraction exists"))
@@ -415,7 +408,8 @@ def is_semidualizing(cmod: Module, window: int = 10) -> bool:
         return False
     if hom_dim(cmod, cmod) != alg.dim:
         return False
-    homothety = Matrix(fld, np.hstack([m.a.reshape(-1, 1) for m in cmod.actions]))
+    # the homothety R -> End(C) as rows: row t is b_t's action, flattened
+    homothety = Matrix(fld, cmod.action_stack().reshape(alg.dim, cmod.dim ** 2))
     if homothety.rank() != alg.dim:
         return False
     ok, _ = ext_vanishes_through(cmod, cmod, window)
@@ -454,6 +448,15 @@ def check_cor33(alg, window: int = 10,
     return _finish(report)
 
 
+def structure_test(mod: Module) -> tuple[bool, int, int]:
+    """Free-plus-socle shape test: peel free summands and ask whether
+    the radical kills what is left.  Returns (verdict, free rank,
+    remainder dimension; -1 when the verdict is negative)."""
+    peel = split_free_summands(mod)
+    flat = peel.remainder.dim == 0 or peel.remainder.is_radical_killed()
+    return flat, peel.rank, (peel.remainder.dim if flat else -1)
+
+
 def check_prop27(alg, mod: Module,
                  config: SearchConfig = None) -> TheoremReport:
     """Over a non-Gorenstein ring whose radical squares to zero, chains
@@ -464,20 +467,14 @@ def check_prop27(alg, mod: Module,
     radical kills the remainder; S decides both search outcomes, for
     both targets.
     """
-    sq_zero = all((alg.varmat[i] @ alg.varmat[j]).is_zero()
-                  for i in range(alg.nvars) for j in range(alg.nvars))
-    if not sq_zero:
+    if contract(alg.field, "uab,vbc->uvac", alg.var_stack, alg.var_stack).any():
         raise ValueError("the radical of the algebra must square to zero")
     if alg.is_gorenstein:
         raise ValueError("the algebra must not be Gorenstein")
     report = TheoremReport("prop27", False, 0, [], [])
     report.hypotheses.append(_entry("radical_square_zero", True))
     report.hypotheses.append(_entry("non_gorenstein", True))
-    peel = split_free_summands(mod)
-    structured = (peel.remainder.dim == 0
-                  or peel.remainder.is_radical_killed())
-    alpha = peel.rank
-    beta = peel.remainder.dim if structured else -1
+    structured, alpha, beta = structure_test(mod)
     report.hypotheses.append(_entry(
         "structure_test", True,
         f"S={'true' if structured else 'false'} alpha={alpha} beta={beta}"))

@@ -414,6 +414,10 @@ class Matrix:
         self.field = field
         self.a = a
 
+    def __array__(self, dtype=None, copy=None):
+        """The entries, so numpy takes a Matrix (or a list of them) as an array."""
+        return np.array(self.a, dtype=dtype, copy=copy)
+
     # -- constructors -------------------------------------------------
 
     @staticmethod

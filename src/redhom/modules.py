@@ -3,9 +3,12 @@ matrix representations.
 
 A module of k-dimension m stores one m x m matrix per algebra variable;
 the action of an arbitrary basis element is the corresponding monomial
-product of those matrices.  Free modules of rank g use the block layout
-in which coordinate j*d + t is the t-th algebra basis coordinate of the
-j-th generator, and may keep their actions implicit.
+product of those matrices.  All of those actions are built once per
+module, degree by degree, into one read-only (dim R, m, m) array with
+the basis index first (`action_stack()`; `actions[t]` is its slice t).
+Free modules of rank g use the block layout in which coordinate j*d + t
+is the t-th algebra basis coordinate of the j-th generator, and may keep
+their actions implicit: their stack is the algebra's, one per rank.
 
 Direct sums remember their parts and offsets, so downstream constructions
 (resolutions, syzygies, searches) can work blockwise and return literal
@@ -38,7 +41,7 @@ class Module:
     """One module: a commuting variable representation over an algebra."""
 
     __slots__ = ("algebra", "dim", "label", "free_rank", "summands",
-                 "_var_actions", "_actions", "_radical", "_socle",
+                 "_var_actions", "_stack", "_radical", "_socle",
                  "_resolution", "_res_hook")
 
     def __init__(self, algebra: Algebra, dim: int,
@@ -50,7 +53,7 @@ class Module:
         self.free_rank = free_rank
         self.summands: list[tuple["Module", int]] | None = None
         self._var_actions = var_actions
-        self._actions = None
+        self._stack = None
         self._radical = None
         self._socle = None
         self._resolution = None
@@ -72,24 +75,26 @@ class Module:
 
     @property
     def actions(self) -> list[Matrix]:
-        """Action of every algebra basis element (index 0 is the identity)."""
-        if self._actions is None:
-            alg = self.algebra
-            va = self.var_actions
-            out = []
-            for mon in alg.basis_mons:
-                m = Matrix.identity(alg.field, self.dim)
-                for v, e in enumerate(mon):
-                    for _ in range(e):
-                        m = va[v] @ m
-                out.append(m)
-            self._actions = out
-        return self._actions
+        """Action of every algebra basis element (index 0 is the identity),
+        as views of `action_stack()`."""
+        return [Matrix(self.algebra.field, m) for m in self.action_stack()]
 
     def action_stack(self) -> np.ndarray:
-        if self.free_rank is not None and self._actions is None:
-            return self.algebra.free_action_stack(self.free_rank)
-        return np.stack([m.a for m in self.actions])
+        """All basis-element actions as one read-only (dim R, m, m) array,
+        built once: b_t = x_v b_s acts as one product per degree and
+        variable (`Algebra.monomial_steps`)."""
+        alg = self.algebra
+        if self.free_rank is not None:
+            return alg.free_action_stack(self.free_rank)
+        if self._stack is None:
+            stack = alg.field.zeros((alg.dim, self.dim, self.dim))
+            stack[0] = Matrix.identity(alg.field, self.dim).a
+            for v, t, s in alg.monomial_steps:
+                stack[t] = contract(alg.field, "ab,sbc->sac",
+                                    self.var_actions[v].a, stack[s])
+            stack.flags.writeable = False
+            self._stack = stack
+        return self._stack
 
     def apply_var(self, v: int, vectors: Matrix) -> Matrix:
         """Variable action applied to a batch of coordinate columns.
@@ -126,8 +131,7 @@ class Module:
             elif alg.nvars == 0:
                 self._socle = Matrix.identity(alg.field, self.dim)
             else:
-                self._socle = Matrix.vstack(
-                    [self.var_actions[v] for v in range(alg.nvars)]).kernel_basis()
+                self._socle = Matrix.vstack(self.var_actions).kernel_basis()
         return self._socle
 
     def gens_count(self) -> int:
@@ -141,8 +145,7 @@ class Module:
         if self.free_rank is not None:
             g, d = self.free_rank, self.algebra.dim
             out = Matrix.zeros(fld, self.dim, g)
-            for j in range(g):
-                out.a[j * d, j] = fld.one()
+            out.a[np.arange(g) * d, np.arange(g)] = fld.one()
             return out
         rad = self.radical_span()
         _, piv = rad.transpose().rref()
@@ -209,20 +212,18 @@ def free_map_from_columns(alg: Algebra, target_rank: int, stacked: Matrix) -> Ma
 
 def validate_module(mod: Module) -> None:
     """Check commuting actions compatible with the multiplication table."""
-    alg = mod.algebra
-    va = mod.var_actions
-    n = alg.nvars
-    for u in range(n):
-        for v in range(u + 1, n):
-            if not (va[u] @ va[v]) == (va[v] @ va[u]):
-                raise ModuleError("variable actions do not commute")
+    alg, fld, m = mod.algebra, mod.algebra.field, mod.dim
+    va = np.array([x.a for x in mod.var_actions],
+                  dtype=fld.dtype).reshape(alg.nvars, m, m)
+    prod = contract(fld, "uab,vbc->uvac", va, va)
+    if not (prod == prod.transpose(1, 0, 2, 3)).all():
+        raise ModuleError("variable actions do not commute")
+    # x_v b_t = sum_u varmat[v][u, t] b_u, for every variable v and basis
+    # element t
     stack = mod.action_stack()
-    for v in range(n):
-        # x_v b_t = sum_u varmat[v][u, t] b_u, for every basis element t
-        left = contract(alg.field, "ab,tbc->tac", va[v].a, stack)
-        if not (left == contract(alg.field, "ut,uab->tab",
-                                 alg.varmat[v].a, stack)).all():
-            raise ModuleError("actions violate an algebra relation")
+    if not (contract(fld, "vab,tbc->vtac", va, stack) == contract(
+            fld, "vut,uab->vtab", alg.var_stack, stack)).all():
+        raise ModuleError("actions violate an algebra relation")
 
 
 # -- constructors ----------------------------------------------------------
@@ -571,11 +572,8 @@ def hom_space_matrix(src: Module, tgt: Module) -> Matrix:
 
 def hom_basis(src: Module, tgt: Module) -> list[Matrix]:
     km = hom_space_matrix(src, tgt)
-    fld = src.algebra.field
-    out = []
-    for j in range(km.cols):
-        out.append(Matrix(fld, km.a[:, j].reshape(tgt.dim, src.dim).copy()))
-    return out
+    return [Matrix(km.field, m)
+            for m in km.a.T.reshape(km.cols, tgt.dim, src.dim)]
 
 
 def hom_dim(src: Module, tgt: Module) -> int:

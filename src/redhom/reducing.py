@@ -149,6 +149,8 @@ def _matrix_from_rows(alg: Algebra, rows, nrows: int, ncols: int,
         if not isinstance(row, list) or len(row) != ncols:
             raise CertificateFormatError(f"{pointer}/{i}",
                                          f"expected {ncols} entries")
+    if not all(isinstance(e, str) for row in rows for e in row):
+        raise CertificateFormatError(pointer, "expected a matrix of strings")
     if nrows == 0:
         # no rows to carry the width, so rebuild the shape directly
         return Matrix.zeros(alg.field, 0, ncols)
@@ -406,10 +408,11 @@ def _free_middle_step(mod, a, b, n, res_pow, peel, wit) -> ReducingStep:
 
 
 def _combination_psi(fld, psis, coeffs, a, b):
-    """Assemble the block cocycle with block (i, j) = sum_l c[i,j,l] psi_l."""
-    rows, cols = psis[0].rows, psis[0].cols
-    big = contract(fld, "ijl,lrc->irjc", coeffs.a.reshape(a, b, len(psis)),
-                   np.stack([psi.a for psi in psis]))
+    """Assemble the block cocycle with block (i, j) = sum_l c[i,j,l] psi_l;
+    `psis` is the (L, rows, cols) array of the psi_l (or their list)."""
+    psis = np.asarray(psis)
+    n, rows, cols = psis.shape
+    big = contract(fld, "ijl,lrc->irjc", coeffs.a.reshape(a, b, n), psis)
     return Matrix(fld, big.reshape(a * rows, b * cols))
 
 
@@ -465,19 +468,13 @@ def _dfs(mod: Module, depth: int, st: _SearchState):
         # glued middles from nonzero degree-one cocycle classes
         if n not in small_cache:
             small = ext1_data(resolve(mod).syzygy_module(n), mod)
-            small_cache[n] = small, [small.psi_from_class(
-                Matrix.identity(fld, small.dim).take_cols([l]))
-                for l in range(small.dim)]
+            small_cache[n] = small, small.psis(small.reps)
         small, psis = small_cache[n]
         if small.dim == 0:
             continue
-        coeff_list = []
-        for i in range(a):
-            for j in range(b):
-                for l in range(small.dim):
-                    unit = Matrix.zeros(fld, a * b, small.dim)
-                    unit.a[i * b + j, l] = fld.one()
-                    coeff_list.append(unit)
+        # the unit coefficient matrices, position (i * b + j, l) ascending
+        units = Matrix.identity(fld, a * b * small.dim).a
+        coeff_list = [Matrix(fld, u.reshape(a * b, small.dim)) for u in units]
         for _ in range(cfg.samples):
             rnd = random_matrix(fld, a * b, small.dim, st.rng)
             if not rnd.is_zero():
@@ -765,25 +762,21 @@ def transform_cosyzygy(seq: ReducingSequence, module: Module,
                 f"step {idx}: transported extension class mismatch")
         # the two extensions share end maps, so a connecting map solved
         # in the space of module maps is an isomorphism (five lemma)
+        # column j: basis map j of Hom(mid_old, z2) after i1, then p2
+        # after it, flattened; the connecting map matches i2 and p1
         hom = hom_space_matrix(mid_old, z2)
-        cols_i = []
-        cols_p = []
-        i1 = ses_old.inject.matrix
-        p1 = ses_old.project.matrix
-        for j in range(hom.cols):
-            hmat = Matrix(fld, hom.a[:, j].reshape(z2.dim, mid_old.dim))
-            cols_i.append((hmat @ i1).a.reshape(-1, 1))
-            cols_p.append((p2 @ hmat).a.reshape(-1, 1))
-        sysmat = Matrix(fld, np.vstack([np.hstack(cols_i),
-                                        np.hstack(cols_p)]))
-        rhs = Matrix(fld, np.vstack([i2.a.reshape(-1, 1),
-                                     p1.a.reshape(-1, 1)]))
-        coeffs = sysmat.solve(rhs)
+        h = hom.cols
+        maps = hom.a.reshape(z2.dim, mid_old.dim, h)
+        i1, p1 = ses_old.inject.matrix, ses_old.project.matrix
+        sysmat = np.vstack([
+            contract(fld, "abj,bc->acj", maps, i1.a).reshape(i2.a.size, h),
+            contract(fld, "ca,abj->cbj", p2.a, maps).reshape(p1.a.size, h)])
+        rhs = np.concatenate([i2.a.ravel(), p1.a.ravel()])[:, None]
+        coeffs = Matrix(fld, sysmat).solve(Matrix(fld, rhs))
         if coeffs is None:
             raise CertificateError(
                 f"step {idx}: equivalent extensions admit no connecting map")
-        tau_mat = Matrix(fld, contract(fld, "kj,j->k", hom.a, coeffs.a[:, 0])
-                         .reshape(z2.dim, mid_old.dim))
+        tau_mat = Matrix(fld, (hom @ coeffs).a.reshape(z2.dim, mid_old.dim))
         tau = ModuleMap(mid_old, z2, tau_mat, validate=False)
         if not tau.is_isomorphism():
             raise CertificateError(

@@ -467,6 +467,57 @@ def test_boolean_step_parameter_exit2(tmp_path, capsys):
     assert report["error"]["pointer"] == "/certificates/cert_k/steps/0/n"
 
 
+def _cert_inject_entry(cert, value):
+    cert["steps"][0]["inject"][1][0] = value
+    return "/steps/0/inject"
+
+
+def _cert_base_action(cert, value):
+    cert["base"]["actions"][0][0][0] = value
+    return "/base/actions/0"
+
+
+def _cert_relation(cert, value):
+    cert["algebra"]["relations"] = [value]
+    return "/algebra"
+
+
+NON_STRING_FIELDS = [(_cert_inject_entry, 1), (_cert_base_action, None),
+                     (_cert_relation, 1), (_cert_inject_entry, True),
+                     (_cert_inject_entry, 1.5), (_cert_base_action, False),
+                     (_cert_relation, 2.5)]
+
+
+class TestNonStringCertificateFields:
+    """A certificate entry or relation that is not a string is a located
+    input error (exit 2, one JSON document), not a crash."""
+
+    @pytest.mark.parametrize("edit, value", NON_STRING_FIELDS)
+    def test_workspace_certificate(self, tmp_path, capsys, edit, value):
+        data = json.loads((EXAMPLES / "plane.json").read_text())
+        pointer = edit(data["certificates"]["cert_k"], value)
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(data))
+        code, report, err = run(capsys, "--workspace", str(path),
+                                "algebra", "info")
+        assert code == 2
+        assert report["error"]["pointer"] == "/certificates/cert_k" + pointer
+        assert err.startswith("input error at /certificates/cert_k")
+
+    @pytest.mark.parametrize("edit, value", NON_STRING_FIELDS)
+    def test_certificate_file(self, tmp_path, capsys, edit, value):
+        data = json.loads((EXAMPLES / "plane.json").read_text())
+        cert = data["certificates"]["cert_k"]
+        pointer = edit(cert, value)
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert))
+        code, report, _ = run(capsys, "--workspace",
+                              str(EXAMPLES / "plane.json"),
+                              "reduce", "verify", str(path))
+        assert code == 2
+        assert report["error"]["pointer"] == pointer
+
+
 def test_runtime_never_imports_sympy():
     """Loading every example workspace and running a command must not
     import sympy, which is only a test dependency."""
