@@ -13,7 +13,7 @@ import pytest
 from redhom import invariants, reducing
 from redhom.algebra import build_algebra
 from redhom.homalg import (biduality, canonical_module, dual_map,
-                           pushforward, r_dual)
+                           horseshoe, pushforward, r_dual)
 from redhom.invariants import check_t2
 from redhom.linalg import Field, Matrix
 from redhom.modules import (
@@ -33,7 +33,6 @@ from redhom.modules import (
 )
 from redhom.reducing import (ReducingSequence, ReducingStep, SearchConfig,
                              search, transform_cosyzygy, transform_syzygy)
-from redhom.homalg import horseshoe
 from redhom.resolution import resolve
 
 PRIMES = [2, 3, 2**31 - 1, None]  # None is Q
@@ -279,13 +278,13 @@ def capture_systems(monkeypatch, module):
 def free_chain(alg, rng):
     """A verifying pd chain on R whose middles are free modules written in
     random bases, so each retraction system is a nontrivial one."""
-    fld, prev, steps = alg.field, regular_module(alg), []
+    fld, base, steps = alg.field, regular_module(alg), []
+    prev = base
     for a in (1, 2):
         left = power_module(prev, a)
         middle = in_random_basis(free_module(alg, left.dim // alg.dim), rng)
-        iso = Matrix.identity(fld, left.dim)
+        hom = hom_space_matrix(left, middle)
         while True:  # a random module map left -> middle that is bijective
-            hom = hom_space_matrix(left, middle)
             coeffs = Matrix.column(fld, [fld.random(rng) for _ in range(hom.cols)])
             iso = Matrix(fld, (hom @ coeffs).a.reshape(middle.dim, left.dim))
             if iso.rank() == left.dim:
@@ -295,7 +294,7 @@ def free_chain(alg, rng):
                                  ModuleMap.zero(middle, zero))
         steps.append(ReducingStep(a, 1, 1, ses, ModuleMap.identity(zero)))
         prev = middle
-    return ReducingSequence(regular_module(alg), steps, "pd")
+    return ReducingSequence(base, steps, "pd")
 
 
 @pytest.mark.parametrize("p", PRIMES)
