@@ -21,13 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, structure
-from .linalg import Matrix, column_space_basis, contract, solve_blocks
+from .linalg import (Matrix, column_space_basis, contract, solve_blocks,
+                     sparse_kernel)
 from .modules import (
     Module,
     ModuleMap,
     ShortExactSequence,
     _quotient,
     direct_sum,
+    free_map_columns,
     free_map_from_columns,
     free_module,
     hom_space_matrix,
@@ -198,13 +200,13 @@ class ExtTable:
         dn = n.dim
         if b_src == 0 or b_tgt == 0 or dn == 0:
             return Matrix.zeros(fld, b_tgt * dn, b_src * dn)
-        diff = self.res.differential(i + 1)
+        images = self.res.generator_images(i + 1).a
         d = alg.dim
         out = Matrix.zeros(fld, b_tgt * dn, b_src * dn)
         if n.free_rank is not None:
             # into R^r, each of the r diagonal blocks (s, a; j, b) is
             # sum_t coeff[j, t, s] c[t, a, b]: the "cochains" structure
-            coeff = diff.a[:, ::d].reshape(b_src, d, b_tgt)
+            coeff = images.reshape(b_src, d, b_tgt)
             blocks = out.a.reshape(b_tgt, n.free_rank, d, b_src, n.free_rank, d)
             cochains = structure(alg, "cochains")
             for g in range(n.free_rank):
@@ -215,7 +217,7 @@ class ExtTable:
         for lo in range(0, b_tgt, step):
             hi = min(lo + step, b_tgt)
             # coeff[j, t, s]: coordinate t of generator s's image in block j
-            coeff = diff.a[:, lo * d:hi * d:d].reshape(b_src, d, hi - lo)
+            coeff = images[:, lo:hi].reshape(b_src, d, hi - lo)
             blk = contract(fld, "jts,tab->sajb", coeff, acts)
             out.a[lo * dn:hi * dn, :] = blk.reshape((hi - lo) * dn, b_src * dn)
         return out
@@ -428,9 +430,7 @@ def extension_from_class(data: Ext1Data, coords: Matrix) -> ShortExactSequence:
 def _lift_cover(res, surj: ModuleMap) -> Matrix:
     """k-matrix of a lift of the cover of `res`'s module through the
     surjection `surj` onto it, solved one generator at a time."""
-    d = surj.source.algebra.dim
-    cover = res.cover_matrix()
-    sols, ok = surj.matrix.solve_columns(cover.take_cols(range(0, cover.cols, d)))
+    sols, ok = surj.matrix.solve_columns(res.generator_images(0))
     if not all(ok):
         raise HomAlgError("cover does not lift through the surjection")
     return assemble_action_columns(surj.source, sols)
@@ -530,12 +530,11 @@ def horseshoe(ses: ShortExactSequence) -> Horseshoe:
     section = free_map_from_columns(alg, g_big, sec_imgs)
 
     # the kernel of u is free; pick minimal generators for it
-    ker_u, kfp = u.kernel_data()
-    gen_idx = _radical_complement(free_module(alg, g_big), ker_u, kfp)
-    f_rank = len(gen_idx)
+    gens = _radical_complement(alg, *sparse_kernel(fld, u.sparse_columns()))
+    f_rank = len(gens)
     if f_rank != g_big - g_l:
         raise HomAlgError("free complement has unexpected rank")
-    ker_map = free_map_from_columns(alg, g_big, ker_u.take_cols(gen_idx))
+    ker_map = Matrix.from_sparse(fld, g_big * d, free_map_columns(alg, gens))
 
     omega_l = res_l.syzygy_module(1)
     middle = direct_sum([omega_l, free_module(alg, f_rank)])

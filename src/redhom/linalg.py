@@ -1,4 +1,5 @@
-"""Exact dense linear algebra over prime fields and the rationals.
+"""Exact linear algebra over prime fields and the rationals: dense
+matrices, and sparse elimination for resolution steps.
 
 All arithmetic is exact: prime-field entries are canonical integers in
 [0, p), rational entries are `fractions.Fraction` values.  No floating
@@ -43,6 +44,15 @@ from the same layout: for a span S, the transpose of the kernel basis of
 S^T is the projection onto the free coordinates modulo S, and the unit
 columns at the free positions are a section of it.
 
+Sparse steps keep that layout without the dense basis.  `sparse_rref`
+eliminates rows held as dicts {column: entry}, keyed by leading column,
+on every field; `sparse_kernel` returns the free positions and the
+block -R[piv, free] as {free position: {pivot position: entry}}, with
+the identity rows at the free positions implicit.  The rref is unique,
+so both give what `kernel_data` gives.  A dense matrix is built from
+sparse columns only by `Matrix.from_sparse`, once, where a module-sized
+caller asks for one (`sparse_columns` goes the other way).
+
 Row reduction never chooses pivots inside carried (augmented) columns,
 which keeps batched solves exact even when some targets lie outside the
 column span.
@@ -51,6 +61,7 @@ column span.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 from functools import cache, partial
 
@@ -263,10 +274,11 @@ class Structure:
     those with the most entries first.  Layer k holds the k-th entry of
     each of the first n_k slots, as their gather indices and coefficients
     (None when all are 1), so no slot occurs twice in a layer; `coef`
-    holds every coefficient, for the exactness bound.
+    holds every coefficient, for the exactness bound.  `by_gather` lists
+    the same entries by gather index, for products with sparse columns.
     """
 
-    __slots__ = ("field", "slots", "layers", "coef")
+    __slots__ = ("field", "slots", "layers", "coef", "by_gather")
 
     def __init__(self, field: Field, dense: np.ndarray, gather: int,
                  scatter: tuple[int, ...]):
@@ -277,6 +289,10 @@ class Structure:
         entries: dict[tuple, list] = {}  # slot -> [(gather index, coefficient)]
         for *slot, g, c in zip(*(i.tolist() for i in idx), self.coef.tolist()):
             entries.setdefault(tuple(slot), []).append((g, c))
+        self.by_gather: dict[int, list] = {}  # gather index -> [(slot, coefficient)]
+        for slot, pairs in entries.items():
+            for g, c in pairs:
+                self.by_gather.setdefault(g, []).append((slot, c))
         slots = sorted(entries, key=lambda o: -len(entries[o]))  # stable
         self.slots = tuple(np.array(slots, dtype=np.intp).reshape(-1, len(scatter)).T)
         self.layers = []
@@ -367,6 +383,76 @@ def _gf2_rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 
 # ---------------------------------------------------------------------------
+# Sparse elimination: a row is a dict {column: nonzero entry}, and the
+# echelon basis is keyed by leading column, as `_gf2_echelon` keys by bit.
+
+
+def _axpy(norm, x: dict, f, y: dict) -> None:
+    """x -= f * y in place; an entry that cancels is removed."""
+    for j, v in y.items():
+        if w := norm(x.get(j, 0) - f * v):
+            x[j] = w
+        else:
+            del x[j]
+
+
+def sparse_rref(field: Field, rows, back: bool = True, grow=None) -> dict[int, dict]:
+    """Reduced row echelon form of sparse rows (reduced in place), keyed
+    by pivot column; with `back` False, the echelon form, whose keys are
+    already the pivots.  Each row is reduced by the rows kept so far
+    until its leading column is new, then scaled to 1 there.  Back-
+    substitution runs rightmost pivot first, as in `_gf2_rref`, so each
+    row is cleared by rows already reduced.  `grow(entries)` is called
+    whenever fill-in takes the rows past every earlier entry count."""
+    norm, kept = field.coerce, {}
+    rows = list(rows)
+    size = peak = sum(map(len, rows))
+    for x in rows:
+        before = len(x)
+        while x and (lead := min(x)) in kept:
+            _axpy(norm, x, x[lead], kept[lead])
+        if x:
+            if x[lead] != 1:
+                inv = field.inv(x[lead])
+                for j in x:
+                    x[j] = norm(x[j] * inv)
+            kept[lead] = x
+        size += len(x) - before
+        if grow and size > peak:
+            peak = size
+            grow(size)
+    for c in sorted(kept, reverse=True) if back else ():
+        x = kept[c]
+        before = len(x)
+        for j in [j for j in x if j != c and j in kept]:
+            _axpy(norm, x, x[j], kept[j])
+        size += len(x) - before
+        if grow and size > peak:
+            peak = size
+            grow(size)
+    return kept
+
+
+def sparse_kernel(field: Field, columns: list[dict],
+                  grow=None) -> tuple[list[int], dict[int, dict]]:
+    """Kernel of the matrix with these sparse columns: its free positions
+    and the block -R[piv, free] as {free position: {pivot position:
+    entry}}, omitting empty columns (see the module docstring).  `grow`
+    is passed on to `sparse_rref`."""
+    rows: dict[int, dict] = defaultdict(dict)
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            rows[i][j] = v
+    kept = sparse_rref(field, rows.values(), grow=grow)
+    block: dict[int, dict] = defaultdict(dict)
+    for c in sorted(kept):
+        for j, v in kept[c].items():
+            if j != c:
+                block[j][c] = field.coerce(-v)
+    return [j for j in range(len(columns)) if j not in kept], dict(block)
+
+
+# ---------------------------------------------------------------------------
 
 
 def _rref_in_place(a: np.ndarray, field: Field, pivot_cols: int):
@@ -441,6 +527,24 @@ class Matrix:
     @staticmethod
     def column(field: Field, entries) -> "Matrix":
         return Matrix.from_rows(field, [[x] for x in entries])
+
+    @staticmethod
+    def from_sparse(field: Field, rows: int, columns: list[dict]) -> "Matrix":
+        """The rows x len(columns) matrix whose column j holds the entries
+        of the dict columns[j] ({row: entry})."""
+        out = Matrix.zeros(field, rows, len(columns))
+        at = [(i, j) for j, col in enumerate(columns) for i in col]
+        if at:
+            out.a[tuple(zip(*at))] = [x for col in columns for x in col.values()]
+        return out
+
+    def sparse_columns(self) -> list[dict]:
+        """The columns as dicts {row: entry} of their nonzero entries."""
+        cols: list[dict] = [{} for _ in range(self.cols)]
+        j, i = np.nonzero(self.a.T)
+        for c, r, x in zip(j.tolist(), i.tolist(), self.a.T[j, i].tolist()):
+            cols[c][r] = x
+        return cols
 
     # -- basic shape / access ------------------------------------------
 

@@ -188,26 +188,35 @@ def blockwise_apply(alg: Algebra, small: Matrix | Structure, rank: int,
     return out
 
 
+def free_map_columns(alg: Algebra, gens: list[dict]) -> list[dict]:
+    """Sparse columns of the map free(len(gens)) -> free sending generator
+    j to the element with sparse coordinates gens[j] ({row: entry}):
+    column j*d + t is b_t times it, read off the "columns" structure
+    (coefficient c at gather b and slot (a, t): b_t b_b has c at b_a)."""
+    d, norm = alg.dim, alg.field.coerce
+    by_b = structure(alg, "columns").by_gather
+    out = []
+    for g in gens:
+        cols: list[dict] = [{} for _ in range(d)]
+        for r, x in g.items():
+            for (a, t), c in by_b.get(r % d, ()):
+                col, k = cols[t], r - r % d + a
+                if w := norm(col.get(k, 0) + c * x):
+                    col[k] = w
+                else:
+                    del col[k]
+        out += cols
+    return out
+
+
 def free_map_from_columns(alg: Algebra, target_rank: int, stacked: Matrix) -> Matrix:
     """k-matrix of the map free(s) -> free(target_rank) sending the j-th
-    generator to the element whose stacked coordinates are column j.
-
-    Column j*d + t of the result is the action of basis element t on that
-    image, matching the free-module coordinate layout: the algebra's
-    "columns" structure scatters coordinate b of each image to (a, t).
-    """
-    fld = alg.field
-    d = alg.dim
-    g, s = target_rank, stacked.cols
-    if s == 0:
-        return Matrix.zeros(fld, g * d, 0)
-    if stacked.rows != g * d:
+    generator to the element whose stacked coordinates are column j, in
+    the free-module coordinate layout (`free_map_columns`)."""
+    if stacked.cols and stacked.rows != target_rank * alg.dim:
         raise ModuleError("stacked column height does not match target rank")
-    out = Matrix.zeros(fld, g * d, s * d)
-    structure(alg, "columns").apply(
-        stacked.a.reshape(g, d, s),
-        out.a.reshape(g, d, s, d).transpose(0, 1, 3, 2))
-    return out
+    return Matrix.from_sparse(alg.field, target_rank * alg.dim,
+                              free_map_columns(alg, stacked.sparse_columns()))
 
 
 def validate_module(mod: Module) -> None:

@@ -547,15 +547,11 @@ def omega_of_map(g: ModuleMap, steps: int = 1) -> ModuleMap:
         res_x = resolve(out.source)
         res_y = resolve(out.target)
         alg = out.source.algebra
-        d = alg.dim
-        cover_x = res_x.cover_matrix()
-        cover_y = res_y.cover_matrix()
-        gens = cover_x.take_cols(
-            [j * d for j in range(cover_x.cols // d)])
-        sols, ok = cover_y.solve_columns(out.matrix @ gens)
+        sols, ok = res_y.cover_matrix().solve_columns(
+            out.matrix @ res_x.generator_images(0))
         if not all(ok):
             raise CertificateError("cover lift failed to exist")
-        u = free_map_from_columns(alg, cover_y.cols // d, sols)
+        u = free_map_from_columns(alg, res_y.betti(0), sols)
         full = u @ res_x.syzygy_subspace(1)
         new_mat = full.take_rows(res_y.free_positions(1))
         out = ModuleMap(res_x.syzygy_module(1), res_y.syzygy_module(1),

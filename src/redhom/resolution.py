@@ -1,27 +1,34 @@
 """Minimal free resolutions kept as subspace chains.
 
-Each syzygy is stored as a kernel basis inside the previous free module
-(unit-at-free-column form), never as a standalone dense representation,
-so one exact row reduction per step is the whole cost.  Materialized
-syzygy modules share the chain: taking a syzygy of a materialized syzygy
-reuses the same differentials instead of recomputing them.
+A step is stored in its nonzeros, O(betti * dim R) of them: the
+differential d_i as sparse columns, dicts {row: entry} (d_0 is the
+cover), and its kernel, the next syzygy, in the layout of
+`linalg.sparse_kernel`.  A step takes minimal generators of the last
+kernel off that layout (`_radical_complement`), builds the differential
+on them from the algebra's sparse structure constants
+(`modules.free_map_columns`) and eliminates it sparsely; no dense matrix
+of a step is built.  The dense accessors serve module-sized callers:
+each densifies once, on demand, and keeps the result read-only.
 
-Resolutions of direct sums are assembled blockwise from the parts, which
-makes equalities like "syzygy of a sum is the sum of syzygies" literal
-object-level identities rather than isomorphisms.
+Materialized syzygy modules share the chain: taking a syzygy of a
+materialized syzygy reuses the same differentials instead of recomputing
+them.  Resolutions of direct sums concatenate the column lists of their
+parts, which makes equalities like "syzygy of a sum is the sum of
+syzygies" literal object-level identities rather than isomorphisms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, contract
+from .algebra import structure
+from .linalg import Matrix, contract, sparse_kernel, sparse_rref
 from .modules import (
     Module,
     ModuleMap,
     ShortExactSequence,
     direct_sum,
-    free_map_from_columns,
+    free_map_columns,
     free_module,
     is_isomorphic,
     kernel_actions,
@@ -29,13 +36,12 @@ from .modules import (
 )
 
 
-# Largest allocation, in bytes, that one resolution step may make: its
-# differential and that differential's kernel basis.  Both sizes are
-# known before the step starts, so a step past the cap is refused before
-# it allocates.  Resolving k over F_2[x,y]/m^2, the step to window 13
-# predicts 0.70 GB and is allowed; the step to window 14 predicts 2.8 GB
-# and is refused.
+# Largest allocation, in bytes, that one resolution step may make, at
+# ENTRY_BYTES per entry of its storage (`_check_step_size`): the step is
+# refused before its differential is built, or as fill-in grows.  For k
+# over F_2[x,y]/m^2 the step to window 15 predicts 35 MB.
 MAX_STEP_BYTES = 2**30
+ENTRY_BYTES = 212
 
 
 class ResolutionError(RuntimeError):
@@ -55,37 +61,53 @@ def assemble_action_columns(mod: Module, gens: Matrix) -> Matrix:
 
 
 class Resolution:
-    """Common interface over the chain, free, sum and shifted variants."""
+    """Common interface over the chain, free, sum and shifted variants.
+
+    Subclasses implement `extend`, `betti`, `syzygy_module`, `columns(i)`
+    (the sparse columns of d_i, the cover for i = 0) and
+    `syzygy_layout(i)` (the i-th syzygy as the kernel of d_{i-1}, as
+    `linalg.sparse_kernel` lays it out); the dense accessors are built
+    here from those."""
 
     module: Module
-
-    # subclasses implement extend/betti/differential/cover and the
-    # subspace accessors; everything else is shared
-
-    def extend(self, upto: int) -> None:
-        raise NotImplementedError
-
-    def betti(self, i: int) -> int:
-        raise NotImplementedError
 
     def betti_list(self, window: int) -> list[int]:
         self.extend(window)
         return [self.betti(i) for i in range(window + 1)]
 
+    def _rows(self, i: int) -> int:
+        """Rows of d_i: the dimension of the module, or of F_{i-1}."""
+        return self.module.dim if i == 0 else self.betti(i - 1) * self.module.algebra.dim
+
+    def _dense(self, key, rows: int, columns) -> Matrix:
+        """`Matrix.from_sparse` of columns(), once per key, read-only."""
+        cache = vars(self).setdefault("_dense_cache", {})
+        if key not in cache:
+            cache[key] = Matrix.from_sparse(self.module.algebra.field, rows, columns())
+            cache[key].a.flags.writeable = False
+        return cache[key]
+
     def differential(self, i: int) -> Matrix:
-        raise NotImplementedError
+        if i < 1:
+            raise ResolutionError("differentials start at index 1")
+        return self._dense(("d", i), self._rows(i), lambda: self.columns(i))
 
     def cover_matrix(self) -> Matrix:
-        raise NotImplementedError
+        return self._dense(("d", 0), self._rows(0), lambda: self.columns(0))
+
+    def generator_images(self, i: int) -> Matrix:
+        """d_i on the generators of F_i (columns j*d); the cover for i = 0."""
+        d = self.module.algebra.dim
+        return self._dense(("g", i), self._rows(i), lambda: self.columns(i)[::d])
 
     def syzygy_subspace(self, i: int) -> Matrix:
-        raise NotImplementedError
+        if i < 1:
+            raise ResolutionError("syzygy subspaces start at index 1")
+        return self._dense(("k", i), self._rows(i), lambda: _basis_columns(
+            self.module.algebra, *self.syzygy_layout(i)))
 
     def free_positions(self, i: int) -> list[int]:
-        raise NotImplementedError
-
-    def syzygy_module(self, i: int) -> Module:
-        raise NotImplementedError
+        return self.syzygy_layout(i)[0]
 
     def ambient_free(self, i: int) -> Module:
         if not hasattr(self, "_ambient"):
@@ -94,15 +116,21 @@ class Resolution:
             self._ambient[i] = free_module(self.module.algebra, self.betti(i))
         return self._ambient[i]
 
+    def _cover_columns(self, i: int) -> list[dict]:
+        """Columns of the cover of the i-th syzygy in its own coordinates:
+        the rows of d_i at its free positions."""
+        if i == 0:
+            return self.columns(0)
+        at = {p: k for k, p in enumerate(self.free_positions(i))}
+        return [{at[r]: x for r, x in col.items() if r in at}
+                for col in self.columns(i)]
+
     def syzygy_cover_matrix(self, i: int) -> Matrix:
         """Cover of the i-th syzygy written in its own coordinates."""
         if i == 0:
             return self.cover_matrix()
-        fld = self.module.algebra.field
-        diff = self.differential(i)
-        fp = self.free_positions(i)
-        return Matrix(fld, diff.a[fp, :].copy()) if fp else \
-            Matrix.zeros(fld, 0, diff.cols)
+        return self._dense(("c", i), len(self.free_positions(i)),
+                           lambda: self._cover_columns(i))
 
     def syzygy_embedding(self, i: int) -> ModuleMap:
         """Inclusion of the materialized i-th syzygy into its ambient free."""
@@ -131,76 +159,62 @@ class FreeResolution(Resolution):
     def betti(self, i: int) -> int:
         return self._rank if i == 0 else 0
 
-    def differential(self, i: int) -> Matrix:
-        fld = self.module.algebra.field
-        rows = self.module.dim if i == 1 else 0
-        return Matrix.zeros(fld, rows, 0)
+    def columns(self, i: int) -> list[dict]:
+        one = self.module.algebra.field.one()
+        return [{j: one} for j in range(self.module.dim)] if i == 0 else []
 
-    def cover_matrix(self) -> Matrix:
-        return Matrix.identity(self.module.algebra.field, self.module.dim)
-
-    def syzygy_subspace(self, i: int) -> Matrix:
-        fld = self.module.algebra.field
-        rows = self.module.dim if i == 1 else 0
-        return Matrix.zeros(fld, rows, 0)
-
-    def free_positions(self, i: int) -> list[int]:
-        return []
+    def syzygy_layout(self, i: int) -> tuple[list[int], dict[int, dict]]:
+        return [], {}
 
     def syzygy_module(self, i: int) -> Module:
         return self.module if i == 0 else zero_module(self.module.algebra)
 
 
 class ChainResolution(Resolution):
-    """The working implementation for a plain (non-free, non-sum) module."""
+    """The working implementation for a plain (non-free, non-sum) module:
+    `_steps[i]` holds the columns of d_i and the layout of its kernel."""
 
     def __init__(self, module: Module):
         self.module = module
         gens = module.min_generators()
-        cover = assemble_action_columns(module, gens)
+        cover = assemble_action_columns(module, gens).sparse_columns()
         self._betti = [gens.cols]
-        self._diffs = [cover]          # index i holds d_i; d_0 is the cover
-        kb, fp = cover.kernel_data()
-        self._kernels = [(kb, fp)]     # index i holds the (i+1)-th syzygy
+        self._steps = [(cover, sparse_kernel(module.algebra.field, cover))]
         self._syz: dict[int, Module] = {}
 
     def extend(self, upto: int) -> None:
         alg = self.module.algebra
+        d = alg.dim
+        by_b = structure(alg, "columns").by_gather
         while len(self._betti) <= upto:
             i = len(self._betti)
-            kb, fp = self._kernels[i - 1]
-            gen_idx = _radical_complement(self.ambient_free(i - 1), kb, fp)
-            _check_step_size(alg, i, kb.rows, len(gen_idx) * alg.dim, kb.cols)
-            gens = kb.take_cols(gen_idx)
+            gens = _radical_complement(alg, *self._steps[-1][1])
             _assert_minimal(alg, gens)
-            diff = free_map_from_columns(alg, self._betti[i - 1], gens)
-            nkb, nfp = diff.kernel_data()
-            self._betti.append(len(gen_idx))
-            self._diffs.append(diff)
-            self._kernels.append((nkb, nfp))
+            shape = (self._betti[-1] * d, len(gens) * d)
+            # the columns, and the nonzeros (at most one per structure
+            # constant met) in the columns and again in the rows
+            _check_step_size(i, shape, shape[1] + 2 * sum(
+                len(by_b.get(r % d, ())) for g in gens for r in g))
+            diff = free_map_columns(alg, gens)
+            n = shape[1] + sum(map(len, diff))
+            kernel = sparse_kernel(alg.field, diff,
+                                   lambda m: _check_step_size(i, shape, n + m))
+            self._betti.append(len(gens))
+            self._steps.append((diff, kernel))
 
     def betti(self, i: int) -> int:
         self.extend(i)
         return self._betti[i]
 
-    def differential(self, i: int) -> Matrix:
-        if i < 1:
-            raise ResolutionError("differentials start at index 1")
+    def columns(self, i: int) -> list[dict]:
         self.extend(i)
-        return self._diffs[i]
+        return self._steps[i][0]
 
-    def cover_matrix(self) -> Matrix:
-        return self._diffs[0]
-
-    def syzygy_subspace(self, i: int) -> Matrix:
+    def syzygy_layout(self, i: int) -> tuple[list[int], dict[int, dict]]:
         if i < 1:
             raise ResolutionError("syzygy subspaces start at index 1")
         self.extend(i - 1)
-        return self._kernels[i - 1][0]
-
-    def free_positions(self, i: int) -> list[int]:
-        self.extend(i - 1)
-        return self._kernels[i - 1][1]
+        return self._steps[i - 1][1]
 
     def syzygy_module(self, i: int) -> Module:
         if i == 0:
@@ -208,15 +222,14 @@ class ChainResolution(Resolution):
         if i in self._syz:
             return self._syz[i]
         alg = self.module.algebra
-        self.extend(i - 1)
-        kb, fp = self._kernels[i - 1]
-        if kb.cols == 0:
+        fp = self.free_positions(i)
+        if not fp:
             mod = zero_module(alg)
         else:
             lbl = self.module.label or "?"
-            mod = Module(alg, kb.cols,
-                         kernel_actions(self.ambient_free(i - 1), kb, fp),
-                         label=f"syz^{i}({lbl})", validate=False)
+            mod = Module(alg, len(fp), kernel_actions(
+                self.ambient_free(i - 1), self.syzygy_subspace(i), fp),
+                label=f"syz^{i}({lbl})", validate=False)
             mod._res_hook = (self, i)
         self._syz[i] = mod
         return mod
@@ -237,26 +250,25 @@ class SumResolution(Resolution):
     def betti(self, i: int) -> int:
         return sum(c.betti(i) for c in self.children)
 
-    def differential(self, i: int) -> Matrix:
-        fld = self.module.algebra.field
-        return Matrix.block_diag(fld, [c.differential(i) for c in self.children])
-
-    def cover_matrix(self) -> Matrix:
-        fld = self.module.algebra.field
-        return Matrix.block_diag(fld, [c.cover_matrix() for c in self.children])
-
-    def syzygy_subspace(self, i: int) -> Matrix:
-        fld = self.module.algebra.field
-        return Matrix.block_diag(fld, [c.syzygy_subspace(i) for c in self.children])
-
-    def free_positions(self, i: int) -> list[int]:
-        out = []
+    def columns(self, i: int) -> list[dict]:
+        out: list[dict] = []
         off = 0
         for c in self.children:
-            fp = c.free_positions(i)
-            out.extend(p + off for p in fp)
-            off += c.syzygy_subspace(i).rows
+            out += [{r + off: x for r, x in col.items()} for col in c.columns(i)]
+            off += c._rows(i)
         return out
+
+    def syzygy_layout(self, i: int) -> tuple[list[int], dict[int, dict]]:
+        free: list[int] = []
+        block: dict[int, dict] = {}
+        off = 0
+        for c in self.children:
+            f, b = c.syzygy_layout(i)
+            free += [p + off for p in f]
+            block.update((p + off, {r + off: x for r, x in col.items()})
+                         for p, col in b.items())
+            off += c._rows(i)
+        return free, block
 
     def syzygy_module(self, i: int) -> Module:
         if i == 0:
@@ -284,59 +296,67 @@ class ShiftedResolution(Resolution):
     def betti(self, i: int) -> int:
         return self.parent.betti(self.offset + i)
 
-    def differential(self, i: int) -> Matrix:
-        return self.parent.differential(self.offset + i)
+    def columns(self, i: int) -> list[dict]:
+        return self.parent.columns(self.offset + i) if i else \
+            self.parent._cover_columns(self.offset)
 
-    def cover_matrix(self) -> Matrix:
-        return self.parent.syzygy_cover_matrix(self.offset)
-
-    def syzygy_subspace(self, i: int) -> Matrix:
-        return self.parent.syzygy_subspace(self.offset + i)
-
-    def free_positions(self, i: int) -> list[int]:
-        return self.parent.free_positions(self.offset + i)
+    def syzygy_layout(self, i: int) -> tuple[list[int], dict[int, dict]]:
+        return self.parent.syzygy_layout(self.offset + i)
 
     def syzygy_module(self, i: int) -> Module:
         return self.parent.syzygy_module(self.offset + i)
 
 
-def _radical_complement(ambient: Module, kb: Matrix,
-                        fp: list[int]) -> list[int]:
-    """Indices of kernel-basis columns that minimally generate the span.
-
-    Coordinates of radical elements with respect to the kernel basis are
-    read off the free positions; the complement of their row-reduced
-    pivot set indexes a minimal generating set.
-    """
-    s = kb.cols
-    if s == 0:
-        return []
-    if ambient.algebra.nvars == 0:
-        return list(range(s))
-    coords = Matrix.hstack(kernel_actions(ambient, kb, fp))
-    _, piv = coords.transpose().rref()
-    pivset = set(piv)
-    return [j for j in range(s) if j not in pivset]
+def _basis_columns(alg, free: list[int], block: dict[int, dict]) -> list[dict]:
+    """The basis columns of a kernel laid out by `linalg.sparse_kernel`."""
+    one = alg.field.one()
+    return [{f: one, **block.get(f, {})} for f in free]
 
 
-def _check_step_size(alg, i: int, rows: int, cols: int, image: int) -> None:
-    """Refuse step i before it allocates when its rows x cols differential
-    and the cols x (cols - image) kernel basis of it, in the field's
-    storage dtype (8-byte references over Q), would exceed
-    `MAX_STEP_BYTES`; `image` is the dimension of the syzygy the step
-    covers, which is the differential's rank."""
-    size = alg.field.dtype.itemsize * (rows * cols + cols * (cols - image))
+def _radical_complement(alg, free: list[int], block: dict[int, dict]) -> list[dict]:
+    """The basis columns that minimally generate a kernel laid out by
+    `linalg.sparse_kernel`.  The basis has identity rows at the free
+    positions, so x_v times a basis column has its coordinates at the
+    free rows; the pivots of those coordinate rows index the part of the
+    span inside the radical, and their complement generates it."""
+    d, norm = alg.dim, alg.field.coerce
+    basis = _basis_columns(alg, free, block)
+    at = {p: k for k, p in enumerate(free)}
+    rows = []
+    for v in range(alg.nvars):
+        left = structure(alg, "left", v).by_gather
+        for col in basis:
+            img: dict = {}
+            for r, x in col.items():
+                for (a,), c in left.get(r % d, ()):
+                    if (k := at.get(r - r % d + a)) is not None:
+                        img[k] = norm(img.get(k, 0) + c * x)
+            if img:
+                rows.append({k: x for k, x in img.items() if x})
+    pivots = sparse_rref(alg.field, rows, back=False)
+    return [col for t, col in enumerate(basis) if t not in pivots]
+
+
+def _check_step_size(i: int, shape: tuple[int, int], entries: int) -> None:
+    """Refuse step i (a rows x cols differential, `shape`) when its
+    `entries` would take more than `MAX_STEP_BYTES`.  A step holds one
+    dict per column and, while eliminating, each nonzero twice: in the
+    columns and in the rows.  ENTRY_BYTES is the largest tracemalloc
+    peak per entry over ten steps of k (scripts/step_bytes.py): 209 B
+    for step 13 over F_2[x,y]/m^2 (8.5 MB, 40960 entries), 158-212 B
+    over F_2, F_3, F_{2^31-1} and Q, 2-4 variables, m^2 and m^3."""
+    size = ENTRY_BYTES * entries
     if size > MAX_STEP_BYTES:
         raise ResolutionError(
-            f"resolution step {i} would allocate {size} bytes (a {rows}x{cols} "
-            f"differential and its kernel basis), over MAX_STEP_BYTES = "
-            f"{MAX_STEP_BYTES}; resolve to a window below {i} (--window on "
-            f"the command line)")
+            f"resolution step {i} would allocate {size} bytes (a {shape[0]}x"
+            f"{shape[1]} differential and its kernel basis, {entries} sparse "
+            f"entries), over MAX_STEP_BYTES = {MAX_STEP_BYTES}; resolve to a "
+            f"window below {i} (--window on the command line)")
 
 
-def _assert_minimal(alg, gens: Matrix) -> None:
+def _assert_minimal(alg, gens: list[dict]) -> None:
     """Chosen generators must lie inside the radical of the ambient free."""
-    if gens.a[::alg.dim, :].any():
+    if any(r % alg.dim == 0 for g in gens for r in g):
         raise ResolutionError("resolution step lost minimality")
 
 

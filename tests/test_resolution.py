@@ -222,26 +222,27 @@ class TestStructuralChecks:
 
 
 class TestStepCap:
-    """A step whose differential and kernel basis would exceed
-    MAX_STEP_BYTES is refused before it allocates either."""
+    """A step whose sparse storage would exceed MAX_STEP_BYTES is refused
+    before its differential is built."""
 
-    # step 4 of k over F_2[x,y]/m^2: a 24 x 48 differential of rank 16
-    # and its 48 x 32 kernel basis, one byte an entry
-    STEP4 = 24 * 48 + 48 * 32
+    # step 4 of k over F_2[x,y]/m^2: a 24 x 48 differential whose 16
+    # generators have one nonzero each, so at most 16 nonzeros: 48
+    # columns, plus those nonzeros in the columns and again in the rows
+    STEP4 = resolution.ENTRY_BYTES * (48 + 2 * 16)
 
     def test_refused_before_the_product(self, plane, monkeypatch):
         res = resolve(residue_field(plane))
         res.extend(3)
         products = []
         monkeypatch.setattr(resolution, "MAX_STEP_BYTES", self.STEP4 - 1)
-        monkeypatch.setattr(resolution, "free_map_from_columns",
+        monkeypatch.setattr(resolution, "free_map_columns",
                             lambda *args: products.append(args))
         with pytest.raises(ResolutionError) as exc:
             res.extend(6)
         assert f"step 4 would allocate {self.STEP4} bytes" in str(exc.value)
         assert "--window" in str(exc.value)
         assert products == []
-        assert (len(res._betti), len(res._diffs), len(res._kernels)) == (4, 4, 4)
+        assert (len(res._betti), len(res._steps)) == (4, 4)
 
     def test_resumes_under_a_larger_cap(self, plane, monkeypatch):
         res = resolve(residue_field(plane))

@@ -1,0 +1,183 @@
+"""Sparse resolution steps pinned against the dense construction they
+replace: `sparse_kernel` against `Matrix.kernel_data`, and every stored
+step against the dense step (kernel actions, rref of their coordinates,
+`free_map_from_columns`, `kernel_data`) written out below."""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from redhom import resolution
+from redhom.algebra import build_algebra
+from redhom.corpus import random_module
+from redhom.linalg import GF2, GF3, QQ, Field, Matrix, sparse_kernel, sparse_rref
+from redhom.modules import (Module, direct_sum, free_map_from_columns,
+                            free_module, kernel_actions, residue_field)
+from redhom.resolution import assemble_action_columns, resolve
+
+P31 = 2**31 - 1
+FIELDS = [GF2, GF3, Field(P31), QQ]
+PINNED = settings(max_examples=80, deadline=None, derandomize=True)
+
+
+def same(got: Matrix, want: Matrix) -> bool:
+    return got.a.dtype == want.a.dtype and got == want
+
+
+def dense_kernel(field: Field, rows: int, free, block) -> Matrix:
+    """The kernel basis that a layout (free positions, pivot block) holds."""
+    return Matrix.from_sparse(field, rows, [{f: field.one(), **block.get(f, {})}
+                                            for f in free])
+
+
+@st.composite
+def sparse_or_dense(draw):
+    """A matrix over one of the fields, with a drawn share of zeros;
+    entries mod 2^31-1 crowd near p."""
+    f = draw(st.sampled_from(FIELDS))
+    r, c = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    if f.p is None:
+        value = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    elif f.p == P31:
+        value = st.sampled_from([1, 2, P31 - 1, P31 - 2]) | st.integers(1, P31 - 1)
+    else:
+        value = st.integers(1, f.p - 1)
+    zeros = draw(st.sampled_from([0, 5, 9]))  # tenths of the entries
+    entry = st.integers(0, 9).flatmap(
+        lambda u: st.just(0) if u < zeros else value)
+    rows = draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                         min_size=r, max_size=r))
+    return f, Matrix.from_rows(f, rows) if r else Matrix.zeros(f, 0, c)
+
+
+class TestSparseKernel:
+    @given(sparse_or_dense())
+    @PINNED
+    def test_equals_dense_kernel_data(self, fm):
+        f, m = fm
+        assert same(Matrix.from_sparse(f, m.rows, m.sparse_columns()), m)
+        free, block = sparse_kernel(f, m.sparse_columns())
+        kb, fp = m.kernel_data()
+        assert free == fp
+        assert set(block) <= set(free)
+        assert all(x != 0 and r not in free for col in block.values()
+                   for r, x in col.items())
+        assert same(dense_kernel(f, m.cols, free, block), kb)
+
+    def test_grow_reports_fill_in(self):
+        # an arrow matrix: reducing the rows e_0 + e_j by the all-ones
+        # row fills them in; the rref is the identity
+        def arrow(n):
+            return [dict.fromkeys(range(n), 1)] + [{0: 1, j: 1} for j in range(1, n)]
+        seen = []
+        kept = sparse_rref(GF3, arrow(6), grow=seen.append)
+        assert kept == {c: {c: 1} for c in range(6)}
+        assert seen and seen == sorted(seen) and seen[0] > 6 + 2 * 5
+
+        def refuse(size):
+            raise MemoryError(size)
+        with pytest.raises(MemoryError):
+            sparse_rref(GF3, arrow(6), grow=refuse)
+
+        # no fill-in until back-substitution clears column 1 of the
+        # first row with the second: 6 entries become 8
+        seen = []
+        kept = sparse_rref(GF3, [{0: 1, 1: 1}, dict.fromkeys(range(1, 5), 1)],
+                           grow=seen.append)
+        assert seen == [8] and kept[0] == {0: 1, 2: 2, 3: 2, 4: 2}
+
+
+def in_random_basis(mod: Module, rng: random.Random) -> Module:
+    """The module conjugated by a random unit-triangular change of basis."""
+    fld, n = mod.algebra.field, mod.dim
+    lower = [[1 if i == j else (fld.random(rng) if j < i else 0)
+              for j in range(n)] for i in range(n)]
+    upper = [[1 if i == j else (fld.random(rng) if j > i else 0)
+              for j in range(n)] for i in range(n)]
+    t = Matrix.from_rows(fld, lower) @ Matrix.from_rows(fld, upper)
+    return Module(mod.algebra, n, [t.inverse() @ a @ t for a in mod.var_actions])
+
+
+def dense_steps(mod: Module, window: int):
+    """(differential, kernel basis, free positions) of steps 1..window,
+    computed densely as the resolution did before it stored steps
+    sparsely: generators are the kernel columns outside the pivots of
+    the radical's coordinates."""
+    alg = mod.algebra
+    kb, fp = assemble_action_columns(mod, mod.min_generators()).kernel_data()
+    betti = mod.min_generators().cols
+    for _ in range(window):
+        radical = set()
+        if kb.cols:
+            acts = kernel_actions(free_module(alg, betti), kb, fp)
+            radical = set(Matrix.hstack(acts).transpose().rref()[1])
+        gens = kb.take_cols([j for j in range(kb.cols) if j not in radical])
+        diff = free_map_from_columns(alg, betti, gens)
+        kb, fp = diff.kernel_data()
+        betti = gens.cols
+        yield diff, kb, fp
+
+
+RINGS = [(["x", "y"], 2), (["x", "y"], 3), (["x", "y", "z"], 2)]
+
+
+class TestStepsMatchDense:
+    @given(st.sampled_from(FIELDS), st.sampled_from(RINGS), st.integers(0, 10**6))
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_random_modules_in_a_random_basis(self, f, ring, seed):
+        names, nil = ring
+        alg = build_algebra(f, names, [], nil)
+        mod = in_random_basis(random_module(alg, 3, 3, seed), random.Random(seed))
+        res = resolve(mod)
+        window = 3 if nil == 2 and len(names) == 2 else 2
+        for i, (diff, kb, fp) in enumerate(dense_steps(mod, window), start=1):
+            assert same(res.differential(i), diff)
+            assert same(res.syzygy_subspace(i + 1), kb)
+            assert res.free_positions(i + 1) == fp
+            assert same(res.generator_images(i),
+                        Matrix(f, diff.a[:, ::alg.dim].copy()))
+        assert same(res.cover_matrix(),
+                    assemble_action_columns(mod, mod.min_generators()))
+
+    @pytest.mark.parametrize("f", FIELDS, ids=str)
+    def test_sum_concatenates_its_parts(self, f):
+        alg = build_algebra(f, ["x", "y"], [], 2)
+        parts = [in_random_basis(random_module(alg, 3, 3, s), random.Random(s))
+                 for s in (7, 5)]
+        res = resolve(direct_sum(parts))
+        kids = [resolve(p) for p in parts]
+        assert kids[1].syzygy_layout(1)[1]  # the second part's block is shifted
+        for i in range(1, 4):
+            assert same(res.differential(i),
+                        Matrix.block_diag(f, [k.differential(i) for k in kids]))
+            assert same(res.syzygy_subspace(i),
+                        Matrix.block_diag(f, [k.syzygy_subspace(i) for k in kids]))
+
+
+def test_fill_in_is_refused_as_it_grows(monkeypatch):
+    """A step that passes the check before its differential is built is
+    still refused when its elimination fills in past the cap: step 1 of
+    this module predicts 76 entries and its rows fill in to 79."""
+    alg = build_algebra(Field(P31), ["x", "y", "z"], [], 3)
+    mod = in_random_basis(random_module(alg, 3, 3, 8), random.Random(8))
+    res = resolve(mod)
+    monkeypatch.setattr(resolution, "MAX_STEP_BYTES", 76 * resolution.ENTRY_BYTES)
+    with pytest.raises(resolution.ResolutionError, match="step 1 would allocate"):
+        res.extend(1)
+    assert len(res._steps) == 1
+    monkeypatch.setattr(resolution, "MAX_STEP_BYTES", 79 * resolution.ENTRY_BYTES)
+    res.extend(1)
+    assert len(res._steps) == 2
+
+
+def test_deep_resolution_stays_sparse():
+    """k over F_2[x,y]/m^2 to window 13: Betti 2^i, and each stored step
+    (its differential's columns and its kernel's pivot block) holds at
+    most 2 * betti_i * dim R nonzeros."""
+    alg = build_algebra(GF2, ["x", "y"], [], 2)
+    res = resolve(residue_field(alg))
+    assert res.betti_list(13) == [2**i for i in range(14)]
+    for i, (diff, (_, block)) in enumerate(res._steps):
+        nonzeros = sum(map(len, diff)) + sum(map(len, block.values()))
+        assert nonzeros <= 2 * res.betti(i) * alg.dim
