@@ -131,11 +131,10 @@ def parse_polynomial(src: str, var_names: list[str], fld: Field,
         raise AlgebraError(f"cannot parse polynomial {src!r}: {exc}") from None
 
 
-# (gather axis, scatter axes) of each sparse product: "columns" and
-# "cochains" read c[t, a, b], "left" and "right" a variable's matrix.
+# (gather axis, scatter axes) of each sparse product: "columns" reads
+# c[t, a, b], "left" and "right" a variable's matrix.
 _LAYOUTS = {
     "columns": (2, (1, 0)),   # b -> (a, t): images of generators times b_t
-    "cochains": (0, (1, 2)),  # t -> (a, b): precomposing maps into R
     "left": (1, (0,)),        # b -> a: x_v times free coordinates
     "right": (0, (1,)),       # b -> a: row vectors times x_v
 }

@@ -7,10 +7,9 @@ Exit codes: 0 success or accept, 1 reject, fail, or absent, 2 malformed
 input located by a JSON pointer, a bound out of range (a negative
 `--window`, `--max-r` or `--samples`, or `--budget`, `--max-a`, `--max-b`
 or `--max-n` below 1), or a command line that does not parse (pointer
-""), 3 an internal error (a
-`HomAlgError`, `ResolutionError` or failed assertion inside a command,
-including a resolution step refused for exceeding
-`resolution.MAX_STEP_BYTES`; pointer "").
+""), 3 an internal error (a `HomAlgError`, `ResolutionError` or failed
+assertion inside a command, including a resolution step or an Ext
+transition refused for exceeding `resolution.MAX_STEP_BYTES`; pointer "").
 """
 
 import argparse

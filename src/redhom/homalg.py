@@ -1,10 +1,11 @@
 """Derived-functor machinery: duals, Ext, extensions, pushforwards.
 
-Ext groups are computed from the minimal free resolution of the source:
-maps out of the i-th free module are identified with tuples of images of
-its generators, transitions precompose with the differentials, and the
-table keeps ranks only, so large windows stay cheap.  A separate
-small-scale path keeps full cocycle bases for realizing extension
+Ext groups come from the minimal free resolution of the source: maps
+out of F_i are tuples of generator images.  The transition to F_{i+1}
+precomposes them with d_{i+1}; it is built as sparse columns from the
+sparse images and the target's actions, charged to the resolution step
+cap, and only its rank is kept (`linalg.sparse_rref`).  A separate
+small-scale path keeps dense cocycle bases for realizing extension
 classes as short exact sequences and reading classes back off sequences.
 
 Ring duals keep their basis maps once, as the columns of the Hom matrix
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, structure
-from .linalg import (Matrix, column_space_basis, contract, solve_blocks,
-                     sparse_kernel)
+from .algebra import Algebra
+from .linalg import (Matrix, Structure, column_space_basis, contract,
+                     solve_blocks, sparse_kernel, sparse_rref)
 from .modules import (
     Module,
     ModuleMap,
@@ -38,9 +39,10 @@ from .modules import (
     split_ses,
     zero_module,
 )
-from .resolution import _radical_complement, assemble_action_columns, resolve
+from .resolution import (_check_step_size, _radical_complement,
+                         assemble_action_columns, resolve)
 
-_FULL_EXT_LIMIT = 200_000  # max flat cochain entries for the cocycle path
+_FULL_EXT_LIMIT = 200_000  # max flat cochains on F_1 that Ext1Data keeps dense
 
 
 class HomAlgError(RuntimeError):
@@ -188,45 +190,47 @@ class ExtTable:
         self.target = target
         self.res = resolve(source)
         self._ranks: dict[int, int] = {}
+        # basis element t -> [((a, b), nonzero entry of its action)]
+        self._acts = Structure(source.algebra.field, target.action_stack(),
+                               0, (1, 2)).by_gather
+
+    def transition_columns(self, i: int) -> list[dict]:
+        """Map from maps-out-of-F_i to maps-out-of-F_{i+1} as sparse
+        columns (generator-major, target-coordinate-minor), refused past
+        `MAX_STEP_BYTES`: column (s, b) holds sum_t c acts[t][a, b] at row
+        (j, a), c the coefficient at (s, t) of generator j's image."""
+        fld, d = self.source.algebra.field, self.source.algebra.dim
+        dn, images = self.target.dim, self.res.columns(i + 1)[::d]
+        cols: list[dict] = [{} for _ in range(self.res.betti(i) * dn)]
+        self._charge(i, len(cols) + sum(len(self._acts.get(r % d, ()))
+                                        for img in images for r in img))
+        for j, img in enumerate(images):
+            for r, c in img.items():
+                for (a, b), x in self._acts.get(r % d, ()):
+                    col, k = cols[r // d * dn + b], j * dn + a
+                    col[k] = col.get(k, 0) + c * x
+        return [{k: w for k, v in col.items() if (w := fld.coerce(v))}
+                if col else col for col in cols]
 
     def transition(self, i: int) -> Matrix:
-        """Map from maps-out-of-F_i to maps-out-of-F_{i+1}; flat cochain
-        coordinates are generator-major, target-coordinate-minor."""
-        alg = self.source.algebra
-        fld = alg.field
-        n = self.target
-        b_src = self.res.betti(i)
-        b_tgt = self.res.betti(i + 1)
-        dn = n.dim
-        if b_src == 0 or b_tgt == 0 or dn == 0:
-            return Matrix.zeros(fld, b_tgt * dn, b_src * dn)
-        images = self.res.generator_images(i + 1).a
-        d = alg.dim
-        out = Matrix.zeros(fld, b_tgt * dn, b_src * dn)
-        if n.free_rank is not None:
-            # into R^r, each of the r diagonal blocks (s, a; j, b) is
-            # sum_t coeff[j, t, s] c[t, a, b]: the "cochains" structure
-            coeff = images.reshape(b_src, d, b_tgt)
-            blocks = out.a.reshape(b_tgt, n.free_rank, d, b_src, n.free_rank, d)
-            cochains = structure(alg, "cochains")
-            for g in range(n.free_rank):
-                cochains.apply(coeff, blocks[:, g, :, :, g, :].transpose(2, 1, 3, 0))
-            return out
-        acts = n.action_stack()
-        step = max(1, _FULL_EXT_LIMIT // max(1, b_src * dn))
-        for lo in range(0, b_tgt, step):
-            hi = min(lo + step, b_tgt)
-            # coeff[j, t, s]: coordinate t of generator s's image in block j
-            coeff = images[:, lo:hi].reshape(b_src, d, hi - lo)
-            blk = contract(fld, "jts,tab->sajb", coeff, acts)
-            out.a[lo * dn:hi * dn, :] = blk.reshape((hi - lo) * dn, b_src * dn)
-        return out
+        """`transition_columns` as one dense matrix."""
+        return Matrix.from_sparse(self.source.algebra.field,
+                                  self.res.betti(i + 1) * self.target.dim,
+                                  self.transition_columns(i))
+
+    def _charge(self, i: int, entries: int) -> None:
+        dn = self.target.dim
+        _check_step_size(i, (self.res.betti(i + 1) * dn, self.res.betti(i) * dn),
+                         entries, "Ext transition")
 
     def _rank(self, i: int) -> int:
         if i < 0:
             return 0
         if i not in self._ranks:
-            self._ranks[i] = self.transition(i).rank()
+            cols = [col for col in self.transition_columns(i) if col]
+            self._ranks[i] = len(sparse_rref(
+                self.source.algebra.field, cols, back=False,
+                grow=lambda m: self._charge(i, len(cols) + m)))
         return self._ranks[i]
 
     def dim(self, i: int) -> int:
@@ -308,19 +312,16 @@ class Ext1Data:
     def __init__(self, right: Module, left: Module):
         self.right = right
         self.left = left
-        alg = right.algebra
-        self.alg = alg
+        self.alg = right.algebra
         self.res = resolve(right)
-        table = ExtTable(right, left)
         self.beta1 = self.res.betti(1)
         self.flat_dim = self.beta1 * left.dim
         if self.flat_dim > _FULL_EXT_LIMIT:
             raise HomAlgError("first-Ext cochain space too large for the "
                               "cocycle path")
-        t0 = table.transition(0)
-        t1 = table.transition(1)
-        self.cocycles, _ = t1.kernel_data()
-        self.boundaries = column_space_basis(t0)
+        table = ExtTable(right, left)
+        self.cocycles, _ = table.transition(1).kernel_data()
+        self.boundaries = column_space_basis(table.transition(0))
         joint = Matrix.hstack([self.boundaries, self.cocycles])
         _, piv = joint.rref()
         nb = self.boundaries.cols

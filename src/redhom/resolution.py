@@ -337,20 +337,21 @@ def _radical_complement(alg, free: list[int], block: dict[int, dict]) -> list[di
     return [col for t, col in enumerate(basis) if t not in pivots]
 
 
-def _check_step_size(i: int, shape: tuple[int, int], entries: int) -> None:
+def _check_step_size(i: int, shape: tuple[int, int], entries: int,
+                     what: str = "resolution step") -> None:
     """Refuse step i (a rows x cols differential, `shape`) when its
     `entries` would take more than `MAX_STEP_BYTES`.  A step holds one
-    dict per column and, while eliminating, each nonzero twice: in the
-    columns and in the rows.  ENTRY_BYTES is the largest tracemalloc
-    peak per entry over ten steps of k (scripts/step_bytes.py): 209 B
-    for step 13 over F_2[x,y]/m^2 (8.5 MB, 40960 entries), 158-212 B
-    over F_2, F_3, F_{2^31-1} and Q, 2-4 variables, m^2 and m^3."""
+    dict per column and, while eliminating, each nonzero twice, in the
+    columns and the rows (an Ext transition, `what`, once).  ENTRY_BYTES
+    is the largest tracemalloc peak per entry over ten steps of k
+    (scripts/step_bytes.py): 209 B for step 13 over F_2[x,y]/m^2, 158-212
+    B over F_2, F_3, F_{2^31-1} and Q, 2-4 variables, m^2 and m^3."""
     size = ENTRY_BYTES * entries
     if size > MAX_STEP_BYTES:
         raise ResolutionError(
-            f"resolution step {i} would allocate {size} bytes (a {shape[0]}x"
-            f"{shape[1]} differential and its kernel basis, {entries} sparse "
-            f"entries), over MAX_STEP_BYTES = {MAX_STEP_BYTES}; resolve to a "
+            f"{what} {i} would allocate {size} bytes (a {shape[0]}x"
+            f"{shape[1]} sparse matrix and its elimination, {entries} "
+            f"entries), over MAX_STEP_BYTES = {MAX_STEP_BYTES}; use a "
             f"window below {i} (--window on the command line)")
 
 
