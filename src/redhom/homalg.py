@@ -42,7 +42,7 @@ from .modules import (
 from .resolution import (_check_step_size, _radical_complement,
                          assemble_action_columns, resolve)
 
-_FULL_EXT_LIMIT = 200_000  # max flat cochains on F_1 that Ext1Data keeps dense
+_FULL_EXT_LIMIT = 200_000  # largest F_1 cochain space that Ext1Data keeps dense
 
 
 class HomAlgError(RuntimeError):
