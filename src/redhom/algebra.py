@@ -16,12 +16,12 @@ one read-only (dim, dim, dim) array with the basis index first
 (`action_stack()`; `regmat[t]` is its slice t), and the variable actions
 likewise as one (nvars, dim, dim) array (`var_stack`; `varmat[v]` is
 its slice v).  Both are gathered from the normal-form table in one
-indexing step.  For the products of free modules by the algebra the
-constants are also kept in sparse form (`structure`): their nonzero
-entries, as a `linalg.Structure` per product layout, built once per
-algebra on first use.  On a monomial presentation every nonzero
-constant is 1 and no slot receives two, so those products are pure
-indexing.
+indexing step.  Free modules act through block-diagonal copies of
+these, kept per rank (`free_varmat`, `free_action_stack`).  For the
+products of sparse columns by the algebra the constants are also kept
+in sparse form (`structure`): their nonzero entries listed by the index
+they read (`linalg.by_gather`), one map per layout, built once per
+algebra on first use.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import Field, Matrix, Structure, column_space_basis, contract
+from .linalg import Field, Matrix, by_gather, column_space_basis, contract
 
 
 class AlgebraError(ValueError):
@@ -132,24 +132,23 @@ def parse_polynomial(src: str, var_names: list[str], fld: Field,
 
 
 # (gather axis, scatter axes) of each sparse product: "columns" reads
-# c[t, a, b], "left" and "right" a variable's matrix.
+# c[t, a, b], "left" a variable's matrix.
 _LAYOUTS = {
     "columns": (2, (1, 0)),   # b -> (a, t): images of generators times b_t
     "left": (1, (0,)),        # b -> a: x_v times free coordinates
-    "right": (0, (1,)),       # b -> a: row vectors times x_v
 }
 
 
-def structure(alg, kind: str, v: int | None = None) -> Structure:
-    """The sparse product `kind` of `alg` (see `_LAYOUTS`), built from
-    its dense tables on first use and kept in its `_free_cache`, so each
-    is built once per algebra; `v` names the variable of "left" and
-    "right"."""
+def structure(alg, kind: str, v: int | None = None) -> dict[int, list]:
+    """The sparse product `kind` of `alg` (see `_LAYOUTS`) as
+    `linalg.by_gather` lists it, built from its dense tables on first
+    use and kept in its `_free_cache`, so each is built once per algebra;
+    `v` names the variable of "left"."""
     cache = vars(alg).setdefault("_free_cache", {})
     key = (kind, v)
     if key not in cache:
         dense = alg.action_stack() if v is None else alg.varmat[v].a
-        cache[key] = Structure(alg.field, dense, *_LAYOUTS[kind])
+        cache[key] = by_gather(dense, *_LAYOUTS[kind])
     return cache[key]
 
 

@@ -22,13 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra
-from .linalg import (Matrix, Structure, column_space_basis, contract,
+from .linalg import (Matrix, by_gather, column_space_basis, contract,
                      solve_blocks, sparse_kernel, sparse_rref)
 from .modules import (
     Module,
     ModuleMap,
     ShortExactSequence,
     _quotient,
+    assemble_action_columns,
     direct_sum,
     free_map_columns,
     free_map_from_columns,
@@ -39,10 +40,8 @@ from .modules import (
     split_ses,
     zero_module,
 )
-from .resolution import (_check_step_size, _radical_complement,
-                         assemble_action_columns, resolve)
-
-_FULL_EXT_LIMIT = 200_000  # largest F_1 cochain space that Ext1Data keeps dense
+from .resolution import (_check_dense_size, _check_step_size,
+                         _radical_complement, resolve)
 
 
 class HomAlgError(RuntimeError):
@@ -191,8 +190,7 @@ class ExtTable:
         self.res = resolve(source)
         self._ranks: dict[int, int] = {}
         # basis element t -> [((a, b), nonzero entry of its action)]
-        self._acts = Structure(source.algebra.field, target.action_stack(),
-                               0, (1, 2)).by_gather
+        self._acts = by_gather(target.action_stack(), 0, (1, 2))
 
     def transition_columns(self, i: int) -> list[dict]:
         """Map from maps-out-of-F_i to maps-out-of-F_{i+1} as sparse
@@ -213,10 +211,12 @@ class ExtTable:
                 if col else col for col in cols]
 
     def transition(self, i: int) -> Matrix:
-        """`transition_columns` as one dense matrix."""
-        return Matrix.from_sparse(self.source.algebra.field,
-                                  self.res.betti(i + 1) * self.target.dim,
-                                  self.transition_columns(i))
+        """`transition_columns` as one dense matrix, refused past
+        `MAX_STEP_BYTES`."""
+        fld, dn = self.source.algebra.field, self.target.dim
+        rows = self.res.betti(i + 1) * dn
+        _check_dense_size(i, (rows, self.res.betti(i) * dn), fld)
+        return Matrix.from_sparse(fld, rows, self.transition_columns(i))
 
     def _charge(self, i: int, entries: int) -> None:
         dn = self.target.dim
@@ -316,9 +316,6 @@ class Ext1Data:
         self.res = resolve(right)
         self.beta1 = self.res.betti(1)
         self.flat_dim = self.beta1 * left.dim
-        if self.flat_dim > _FULL_EXT_LIMIT:
-            raise HomAlgError("first-Ext cochain space too large for the "
-                              "cocycle path")
         table = ExtTable(right, left)
         self.cocycles, _ = table.transition(1).kernel_data()
         self.boundaries = column_space_basis(table.transition(0))

@@ -19,13 +19,11 @@ because it scales Q operands to integers.
 
 Products come in two kinds.  Dense ones (`contract`, `Matrix @`) go
 through `_exact_product`: int64 while no sum can reach 2**63, Python
-ints beyond that, one reduction mod p at the end.  Products with a fixed
-sparse coefficient array, such as the structure constants of an algebra
-acting on free modules, go through `Structure.apply`: a gather and a
-scatter per layer of nonzero coefficients, no multiply where the
-coefficients are 1, and a widening and one reduction only when some
-layer multiplied or added.  On a monomial presentation it is indexing
-alone, in the storage dtype.
+ints beyond that, one reduction mod p at the end.  Free modules take
+this path too, through their block-diagonal actions.  Sparse columns,
+such as resolution steps, meet a fixed coefficient array, such as the
+structure constants, entry by entry: `by_gather` lists its nonzeros by
+the index they read.
 
 GF(2) `rref` and `rank` run on rows held as Python ints (bit c-1-j is
 column j; one XOR is one row operation) with an echelon basis keyed by
@@ -185,8 +183,7 @@ GF3 = Field(3)
 # ---------------------------------------------------------------------------
 # Exact bilinear kernels: dense products accumulate in the field's
 # `sum_dtype` (int64 while no sum can reach 2**63, Python ints beyond
-# that) and are reduced mod p once at the end; `Structure.apply` does the
-# same for a sparse coefficient array, and skips both where it can.
+# that) and are reduced mod p once at the end.
 
 
 def _int64_exact(p: int, terms: int, a: np.ndarray, b: np.ndarray) -> bool:
@@ -263,68 +260,17 @@ def contract(field: Field, spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarra
     return _exact_product(field, lambda x, y: np.einsum(spec, x, y), a, b, terms)
 
 
-class Structure:
-    """The nonzero entries of a fixed coefficient array, laid out for one
-    exact gather/scatter product (`apply`).
-
-    `dense` is read with one `gather` axis and the `scatter` axes, all
-    the others, in the order the output indexes them: an entry c at
-    gather index g and scatter indices o adds c * src[:, g, :] to
-    out[:, o, :].  The output slots that receive an entry are `slots`,
-    those with the most entries first.  Layer k holds the k-th entry of
-    each of the first n_k slots, as their gather indices and coefficients
-    (None when all are 1), so no slot occurs twice in a layer; `coef`
-    holds every coefficient, for the exactness bound.  `by_gather` lists
-    the same entries by gather index, for products with sparse columns.
-    """
-
-    __slots__ = ("field", "slots", "layers", "coef", "by_gather")
-
-    def __init__(self, field: Field, dense: np.ndarray, gather: int,
-                 scatter: tuple[int, ...]):
-        t = dense.transpose(tuple(scatter) + (gather,))
-        idx = np.nonzero(t)
-        self.field = field
-        self.coef = t[idx]
-        entries: dict[tuple, list] = {}  # slot -> [(gather index, coefficient)]
-        for *slot, g, c in zip(*(i.tolist() for i in idx), self.coef.tolist()):
-            entries.setdefault(tuple(slot), []).append((g, c))
-        self.by_gather: dict[int, list] = {}  # gather index -> [(slot, coefficient)]
-        for slot, pairs in entries.items():
-            for g, c in pairs:
-                self.by_gather.setdefault(g, []).append((slot, c))
-        slots = sorted(entries, key=lambda o: -len(entries[o]))  # stable
-        self.slots = tuple(np.array(slots, dtype=np.intp).reshape(-1, len(scatter)).T)
-        self.layers = []
-        for k in range(len(entries[slots[0]]) if slots else 0):
-            g, c = zip(*(entries[o][k] for o in slots if len(entries[o]) > k))
-            self.layers.append((np.array(g, dtype=np.intp),
-                                None if all(x == 1 for x in c)
-                                else np.array(c, dtype=field.wide)))
-
-    def apply(self, src: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Fill `out` with the product and return it.
-
-        `src` has shape (P, n, Q) and `out` (P, *slot shape, Q), both in
-        the field's storage dtype; `out` must be zero, since slots without
-        an entry are not written.  One layer of unit coefficients is a
-        gather and a scatter; otherwise the slots accumulate in
-        `sum_dtype` (terms = the number of layers) and are reduced once.
-        """
-        if not self.layers:
-            return out
-        (g, c), *rest = self.layers
-        acc = src[:, g, :]
-        if c is not None or rest:
-            f = self.field
-            acc = acc.astype(f.sum_dtype(len(self.layers), self.coef, src))
-            if c is not None:
-                acc *= c[:, None]
-            for g, c in rest:
-                acc[:, :len(g)] += src[:, g, :] if c is None else src[:, g, :] * c[:, None]
-            acc = f.reduce(acc, out=acc).astype(f.dtype, copy=False)
-        out[(slice(None), *self.slots, slice(None))] = acc
-        return out
+def by_gather(dense: np.ndarray, gather: int,
+              scatter: tuple[int, ...]) -> dict[int, list]:
+    """The nonzero entries c of a coefficient array as {g: [(slot, c)]}:
+    g is the index on the `gather` axis, slot the indices on the
+    `scatter` axes (all the others, in that order), slots increasing."""
+    t = dense.transpose((gather, *scatter))
+    idx = np.nonzero(t)
+    out: dict[int, list] = {}
+    for g, *slot, c in zip(*(i.tolist() for i in idx), t[idx].tolist()):
+        out.setdefault(g, []).append((tuple(slot), c))
+    return out
 
 
 # ---------------------------------------------------------------------------

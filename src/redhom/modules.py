@@ -7,8 +7,10 @@ product of those matrices.  All of those actions are built once per
 module, degree by degree, into one read-only (dim R, m, m) array with
 the basis index first (`action_stack()`; `actions[t]` is its slice t).
 Free modules of rank g use the block layout in which coordinate j*d + t
-is the t-th algebra basis coordinate of the j-th generator, and may keep
-their actions implicit: their stack is the algebra's, one per rank.
+is the t-th algebra basis coordinate of the j-th generator.  They act
+like every other module, through dense matrices, but share them: their
+variable actions and stack are the algebra's block-diagonal copies,
+kept once per rank (`Algebra.free_varmat`, `free_action_stack`).
 
 Direct sums remember their parts and offsets, so downstream constructions
 (resolutions, syzygies, searches) can work blockwise and return literal
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, structure
-from .linalg import (Field, Matrix, Structure, algebra_radical,
+from .linalg import (Field, Matrix, algebra_radical,
                      column_space_basis, contract, kron, nf_columns,
                      solve_blocks)
 
@@ -97,15 +99,7 @@ class Module:
         return self._stack
 
     def apply_var(self, v: int, vectors: Matrix) -> Matrix:
-        """Variable action applied to a batch of coordinate columns.
-
-        Free modules apply the variable's sparse structure blockwise,
-        also after `var_actions` has materialized the big diagonal matrix.
-        """
-        if self.free_rank is not None:
-            return blockwise_apply(self.algebra,
-                                   structure(self.algebra, "left", v),
-                                   self.free_rank, vectors)
+        """Variable action applied to a batch of coordinate columns."""
         return self.var_actions[v] @ vectors
 
     # -- structure -------------------------------------------------------
@@ -173,28 +167,13 @@ class Module:
         return f"Module({tag}, dim={self.dim} over {self.algebra.field})"
 
 
-def blockwise_apply(alg: Algebra, small: Matrix | Structure, rank: int,
-                    vectors: Matrix) -> Matrix:
-    """Apply blockdiag(small, ..., small) (rank blocks) to coordinate
-    columns; `small` is a d x d matrix or its "left" `Structure`, which
-    the algebra keeps for each variable."""
-    fld = alg.field
-    d = alg.dim
-    s = vectors.cols
-    if isinstance(small, Matrix):
-        small = Structure(fld, small.a, gather=1, scatter=(0,))
-    out = Matrix.zeros(fld, rank * d, s)
-    small.apply(vectors.a.reshape(rank, d, s), out.a.reshape(rank, d, s))
-    return out
-
-
 def free_map_columns(alg: Algebra, gens: list[dict]) -> list[dict]:
     """Sparse columns of the map free(len(gens)) -> free sending generator
     j to the element with sparse coordinates gens[j] ({row: entry}):
     column j*d + t is b_t times it, read off the "columns" structure
     (coefficient c at gather b and slot (a, t): b_t b_b has c at b_a)."""
     d, norm = alg.dim, alg.field.coerce
-    by_b = structure(alg, "columns").by_gather
+    by_b = structure(alg, "columns")
     out = []
     for g in gens:
         cols: list[dict] = [{} for _ in range(d)]
@@ -207,6 +186,14 @@ def free_map_columns(alg: Algebra, gens: list[dict]) -> list[dict]:
                     del col[k]
         out += cols
     return out
+
+
+def assemble_action_columns(mod: Module, gens: Matrix) -> Matrix:
+    """k-matrix of free(g) -> mod sending generator j to column j of
+    `gens`; column j*d + t is basis element t acting on that image."""
+    fld = mod.algebra.field
+    out = contract(fld, "tab,bj->ajt", mod.action_stack(), gens.a)
+    return Matrix(fld, out.reshape(mod.dim, gens.cols * mod.algebra.dim))
 
 
 def free_map_from_columns(alg: Algebra, target_rank: int, stacked: Matrix) -> Matrix:
@@ -371,7 +358,7 @@ class ModuleMap:
     def check_linear(self) -> None:
         for v in range(self.source.algebra.nvars):
             lhs = self.target.apply_var(v, self.matrix)
-            rhs = _apply_var_rows(self.source, v, self.matrix)
+            rhs = self.matrix @ self.source.var_actions[v]
             if not lhs == rhs:
                 raise ModuleError("map does not commute with the actions")
 
@@ -425,23 +412,6 @@ class ModuleMap:
     def __repr__(self):
         return (f"ModuleMap({self.source.label or '?'} -> "
                 f"{self.target.label or '?'}, {self.matrix.rows}x{self.matrix.cols})")
-
-
-def _apply_var_rows(mod: Module, v: int, mat: Matrix) -> Matrix:
-    """mat composed with the variable action on the source side."""
-    if mod.free_rank is not None:
-        # (M @ A_v) computed column-blockwise through the small action
-        return _free_blockwise_apply_right(mod.algebra, v, mod.free_rank, mat)
-    return mat @ mod.var_actions[v]
-
-
-def _free_blockwise_apply_right(alg: Algebra, v: int, rank: int,
-                                mat: Matrix) -> Matrix:
-    d = alg.dim
-    n = mat.rows * rank
-    out = Matrix.zeros(alg.field, mat.rows, rank * d)
-    structure(alg, "right", v).apply(mat.a.reshape(n, d, 1), out.a.reshape(n, d, 1))
-    return out
 
 
 @dataclass
@@ -718,13 +688,11 @@ def split_free_summands(mod: Module) -> FreeSplit:
     phi = Matrix(fld, hom.a[:, list(piv)].T.reshape(rank * d, mod.dim))
     units = Matrix.zeros(fld, rank * d, rank)
     units.a[np.arange(rank) * d, np.arange(rank)] = fld.one()
-    w = phi.solve(units)
-    sec = contract(fld, "tab,bj->ajt", mod.action_stack(), w.a)
+    sec = assemble_action_columns(mod, phi.solve(units))
     rem, incl = kernel_module(ModuleMap(mod, free_module(alg, rank), phi,
                                         validate=False))
     total = direct_sum([free_module(alg, rank), rem])
-    cols = Matrix.hstack([Matrix(fld, sec.reshape(mod.dim, rank * d)),
-                          incl.matrix])
+    cols = Matrix.hstack([sec, incl.matrix])
     if cols.rank() != mod.dim:
         raise ModuleError("free splitting produced a non-bijective witness")
     return FreeSplit(rank, rem, ModuleMap(total, mod, cols, validate=False))

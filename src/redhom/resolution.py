@@ -7,8 +7,9 @@ cover), and its kernel, the next syzygy, in the layout of
 kernel off that layout (`_radical_complement`), builds the differential
 on them from the algebra's sparse structure constants
 (`modules.free_map_columns`) and eliminates it sparsely; no dense matrix
-of a step is built.  The dense accessors serve module-sized callers:
-each densifies once, on demand, and keeps the result read-only.
+of a step is built, also not for the actions of a syzygy module, which
+are read off the same layout (`_kernel_images`).  The dense accessors
+serve maps between modules: each densifies once, on demand, read-only.
 
 Materialized syzygy modules share the chain: taking a syzygy of a
 materialized syzygy reuses the same differentials instead of recomputing
@@ -22,16 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import structure
-from .linalg import Matrix, contract, sparse_kernel, sparse_rref
+from .linalg import Matrix, sparse_kernel, sparse_rref
 from .modules import (
     Module,
     ModuleMap,
     ShortExactSequence,
+    assemble_action_columns,
     direct_sum,
     free_map_columns,
     free_module,
     is_isomorphic,
-    kernel_actions,
     zero_module,
 )
 
@@ -39,7 +40,8 @@ from .modules import (
 # Largest allocation, in bytes, that one resolution step may make, at
 # ENTRY_BYTES per entry of its storage (`_check_step_size`): the step is
 # refused before its differential is built, or as fill-in grows.  For k
-# over F_2[x,y]/m^2 the step to window 15 predicts 35 MB.
+# over F_2[x,y]/m^2 the step to window 15 predicts 35 MB.  A dense Ext
+# transition is held to the same cap (`_check_dense_size`).
 MAX_STEP_BYTES = 2**30
 ENTRY_BYTES = 212
 
@@ -47,17 +49,6 @@ ENTRY_BYTES = 212
 class ResolutionError(RuntimeError):
     """Raised when a resolution invariant fails internally, or when a
     step would allocate more than `MAX_STEP_BYTES`."""
-
-
-def assemble_action_columns(mod: Module, gens: Matrix) -> Matrix:
-    """k-matrix of free(g) -> mod sending generator j to column j of
-    `gens`; column j*d + t is basis element t acting on that image."""
-    fld = mod.algebra.field
-    g = gens.cols
-    if g == 0:
-        return Matrix.zeros(fld, mod.dim, 0)
-    out = contract(fld, "tab,bj->ajt", mod.action_stack(), gens.a)
-    return Matrix(fld, out.reshape(mod.dim, g * mod.algebra.dim))
 
 
 class Resolution:
@@ -185,7 +176,7 @@ class ChainResolution(Resolution):
     def extend(self, upto: int) -> None:
         alg = self.module.algebra
         d = alg.dim
-        by_b = structure(alg, "columns").by_gather
+        by_b = structure(alg, "columns")
         while len(self._betti) <= upto:
             i = len(self._betti)
             gens = _radical_complement(alg, *self._steps[-1][1])
@@ -222,14 +213,16 @@ class ChainResolution(Resolution):
         if i in self._syz:
             return self._syz[i]
         alg = self.module.algebra
-        fp = self.free_positions(i)
-        if not fp:
+        free, block = self.syzygy_layout(i)
+        if not free:
             mod = zero_module(alg)
         else:
+            n = len(free)
+            acts = [Matrix.from_sparse(alg.field, n, [im.get(j, {}) for j in range(n)])
+                    for im in map(dict, _kernel_images(alg, free, block)[1])]
             lbl = self.module.label or "?"
-            mod = Module(alg, len(fp), kernel_actions(
-                self.ambient_free(i - 1), self.syzygy_subspace(i), fp),
-                label=f"syz^{i}({lbl})", validate=False)
+            mod = Module(alg, len(free), acts, label=f"syz^{i}({lbl})",
+                         validate=False)
             mod._res_hook = (self, i)
         self._syz[i] = mod
         return mod
@@ -313,27 +306,39 @@ def _basis_columns(alg, free: list[int], block: dict[int, dict]) -> list[dict]:
     return [{f: one, **block.get(f, {})} for f in free]
 
 
-def _radical_complement(alg, free: list[int], block: dict[int, dict]) -> list[dict]:
-    """The basis columns that minimally generate a kernel laid out by
-    `linalg.sparse_kernel`.  The basis has identity rows at the free
-    positions, so x_v times a basis column has its coordinates at the
-    free rows; the pivots of those coordinate rows index the part of the
-    span inside the radical, and their complement generates it."""
+def _kernel_images(alg, free: list[int], block: dict[int, dict]):
+    """The basis columns of a kernel laid out by `linalg.sparse_kernel`,
+    and for each variable v a generator of (j, x_v times basis column j
+    at the free rows), skipping the columns whose image there is zero.
+    The basis has identity rows at the free positions, so those rows are
+    the image's coordinates in the basis."""
     d, norm = alg.dim, alg.field.coerce
     basis = _basis_columns(alg, free, block)
     at = {p: k for k, p in enumerate(free)}
-    rows = []
-    for v in range(alg.nvars):
-        left = structure(alg, "left", v).by_gather
-        for col in basis:
-            img: dict = {}
+
+    def images(v: int):
+        left = structure(alg, "left", v)
+        img: dict = {}  # reused while empty, as most images are
+        for j, col in enumerate(basis):
             for r, x in col.items():
                 for (a,), c in left.get(r % d, ()):
                     if (k := at.get(r - r % d + a)) is not None:
                         img[k] = norm(img.get(k, 0) + c * x)
             if img:
-                rows.append({k: x for k, x in img.items() if x})
-    pivots = sparse_rref(alg.field, rows, back=False)
+                yield j, {k: x for k, x in img.items() if x}
+                img.clear()
+
+    return basis, [images(v) for v in range(alg.nvars)]
+
+
+def _radical_complement(alg, free: list[int], block: dict[int, dict]) -> list[dict]:
+    """The basis columns that minimally generate a kernel laid out by
+    `linalg.sparse_kernel`: the pivots of the coordinates of x_v times
+    the basis (`_kernel_images`) index the part of the span inside the
+    radical, and their complement generates it."""
+    basis, per_var = _kernel_images(alg, free, block)
+    pivots = sparse_rref(alg.field, (img for images in per_var
+                                     for _, img in images), back=False)
     return [col for t, col in enumerate(basis) if t not in pivots]
 
 
@@ -353,6 +358,16 @@ def _check_step_size(i: int, shape: tuple[int, int], entries: int,
             f"{shape[1]} sparse matrix and its elimination, {entries} "
             f"entries), over MAX_STEP_BYTES = {MAX_STEP_BYTES}; use a "
             f"window below {i} (--window on the command line)")
+
+
+def _check_dense_size(i: int, shape: tuple[int, int], field) -> None:
+    """Refuse to densify Ext transition i, a rows x cols matrix, past
+    `MAX_STEP_BYTES` in `field.wide`, the dtype elimination copies into."""
+    size = shape[0] * shape[1] * field.wide.itemsize
+    if size > MAX_STEP_BYTES:
+        raise ResolutionError(
+            f"Ext transition {i} would allocate {size} bytes as a dense "
+            f"{shape[0]}x{shape[1]} matrix, over MAX_STEP_BYTES = {MAX_STEP_BYTES}")
 
 
 def _assert_minimal(alg, gens: list[dict]) -> None:

@@ -16,8 +16,7 @@ from redhom.algebra import build_algebra
 from redhom.homalg import canonical_module, ext_dims
 from redhom.linalg import (GF2, GF3, QQ, Field, Matrix, contract, kron,
                            nf_columns, random_matrix)
-from redhom.modules import (Module, _free_blockwise_apply_right,
-                            blockwise_apply, free_map_from_columns)
+from redhom.modules import Module, free_map_from_columns
 from redhom.resolution import assemble_action_columns
 
 P31 = 2**31 - 1
@@ -71,24 +70,6 @@ def case(request):
 
 
 class TestKernelsMatchMatmul:
-    def test_blockwise_apply(self, case):
-        fld, rng = case
-        d, rank, s = 6, 3, 5
-        alg = RandomActions(fld, d, d, rng)
-        small = random_matrix(fld, d, d, rng)
-        vectors = random_matrix(fld, rank * d, s, rng)
-        want = Matrix.vstack([small @ blk for blk in blocks(vectors, d, 0)])
-        assert blockwise_apply(alg, small, rank, vectors) == want
-
-    def test_free_blockwise_apply_right(self, case):
-        fld, rng = case
-        d, rank = 6, 3
-        alg = RandomActions(fld, d, d, rng)
-        alg.varmat = [random_matrix(fld, d, d, rng)]
-        mat = random_matrix(fld, 4, rank * d, rng)
-        want = Matrix.hstack([blk @ alg.varmat[0] for blk in blocks(mat, d, 1)])
-        assert _free_blockwise_apply_right(alg, 0, rank, mat) == want
-
     def test_free_map_from_columns(self, case):
         fld, rng = case
         d, g, s = 6, 2, 3

@@ -1,7 +1,8 @@
 """Ext transitions built as sparse columns (`ExtTable.transition_columns`)
 pinned against the dense product they replace, written out below as
 `dense_transition`; the rank `ExtTable._rank` reads off `sparse_rref`
-against `Matrix.rank`; and the step cap on oversized transitions."""
+against `Matrix.rank`; and the step cap on oversized transitions, sparse
+or dense."""
 
 import json
 import random
@@ -11,7 +12,7 @@ import pytest
 from redhom import cli, resolution
 from redhom.algebra import build_algebra
 from redhom.corpus import random_module
-from redhom.homalg import ExtTable, canonical_module, ext_dims
+from redhom.homalg import Ext1Data, ExtTable, canonical_module, ext_dims
 from redhom.linalg import GF2, GF3, QQ, Field, Matrix, contract
 from redhom.modules import (Module, free_module, from_presentation,
                             residue_field, zero_module)
@@ -136,6 +137,30 @@ def test_fill_in_is_refused_as_it_grows(monkeypatch):
         table._rank(2)
     monkeypatch.setattr(resolution, "MAX_STEP_BYTES", 1304 * resolution.ENTRY_BYTES)
     assert table._rank(2) == dense_transition(table, 2).rank()
+
+
+def test_dense_transition_is_refused_before_it_is_built(monkeypatch):
+    """Transition 1 of k over F_2[x,y]/m^2 into R^6 is a 72 x 36 dense
+    matrix, 20736 bytes in int64 (`field.wide`), and 60 sparse entries
+    (12720 bytes): a cap one byte lower refuses it before its columns
+    are built, in `transition` and in `Ext1Data`, which densifies it."""
+    alg = build_algebra(GF2, ["x", "y"], [], 2)
+    k, target = residue_field(alg), free_module(alg, 6)
+    resolve(k).extend(3)
+    table = ExtTable(k, target)
+    monkeypatch.setattr(resolution, "MAX_STEP_BYTES", 72 * 36 * 8)
+    assert table.transition(1).a.shape == (72, 36)
+    monkeypatch.setattr(resolution, "MAX_STEP_BYTES", 72 * 36 * 8 - 1)
+
+    def unbuilt(self, i):
+        raise AssertionError(f"transition {i} was built")
+    monkeypatch.setattr(ExtTable, "transition_columns", unbuilt)
+    with pytest.raises(resolution.ResolutionError) as exc:
+        table.transition(1)
+    assert str(exc.value).startswith(
+        "Ext transition 1 would allocate 20736 bytes as a dense 72x36 matrix")
+    with pytest.raises(resolution.ResolutionError, match="Ext transition 1"):
+        Ext1Data(k, target)
 
 
 def test_cli_refuses_an_oversized_table(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,8 @@
 """Sparse resolution steps pinned against the dense construction they
 replace: `sparse_kernel` against `Matrix.kernel_data`, and every stored
-step against the dense step (kernel actions, rref of their coordinates,
-`free_map_from_columns`, `kernel_data`) written out below."""
+step and syzygy module against the dense step (kernel actions, rref of
+their coordinates, `free_map_from_columns`, `kernel_data`) written out
+below."""
 
 import random
 
@@ -9,12 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from redhom import resolution
-from redhom.algebra import build_algebra
+from redhom.algebra import Algebra, build_algebra
 from redhom.corpus import random_module
 from redhom.linalg import GF2, GF3, QQ, Field, Matrix, sparse_kernel, sparse_rref
 from redhom.modules import (Module, direct_sum, free_map_from_columns,
                             free_module, kernel_actions, residue_field)
-from redhom.resolution import assemble_action_columns, resolve
+from redhom.resolution import assemble_action_columns, resolve, syzygy
 
 P31 = 2**31 - 1
 FIELDS = [GF2, GF3, Field(P31), QQ]
@@ -100,7 +101,8 @@ def in_random_basis(mod: Module, rng: random.Random) -> Module:
 
 
 def dense_steps(mod: Module, window: int):
-    """(differential, kernel basis, free positions) of steps 1..window,
+    """(differential, kernel basis, free positions, kernel actions) of
+    steps 1..window,
     computed densely as the resolution did before it stored steps
     sparsely: generators are the kernel columns outside the pivots of
     the radical's coordinates."""
@@ -116,7 +118,7 @@ def dense_steps(mod: Module, window: int):
         diff = free_map_from_columns(alg, betti, gens)
         kb, fp = diff.kernel_data()
         betti = gens.cols
-        yield diff, kb, fp
+        yield diff, kb, fp, kernel_actions(free_module(alg, betti), kb, fp)
 
 
 RINGS = [(["x", "y"], 2), (["x", "y"], 3), (["x", "y", "z"], 2)]
@@ -131,10 +133,13 @@ class TestStepsMatchDense:
         mod = in_random_basis(random_module(alg, 3, 3, seed), random.Random(seed))
         res = resolve(mod)
         window = 3 if nil == 2 and len(names) == 2 else 2
-        for i, (diff, kb, fp) in enumerate(dense_steps(mod, window), start=1):
+        for i, (diff, kb, fp, acts) in enumerate(dense_steps(mod, window), start=1):
             assert same(res.differential(i), diff)
             assert same(res.syzygy_subspace(i + 1), kb)
             assert res.free_positions(i + 1) == fp
+            syz = res.syzygy_module(i + 1).var_actions
+            assert len(syz) == len(acts)
+            assert all(same(s, a) for s, a in zip(syz, acts))
             assert same(res.generator_images(i),
                         Matrix(f, diff.a[:, ::alg.dim].copy()))
         assert same(res.cover_matrix(),
@@ -181,3 +186,19 @@ def test_deep_resolution_stays_sparse():
     for i, (diff, (_, block)) in enumerate(res._steps):
         nonzeros = sum(map(len, diff)) + sum(map(len, block.values()))
         assert nonzeros <= 2 * res.betti(i) * alg.dim
+
+
+def test_deep_syzygy_module_takes_no_free_actions(monkeypatch):
+    """syz^12(k) over F_2[x,y]/m^2, dim 4096 inside a free module of
+    dimension 6144, is built from the sparse step alone: the free
+    modules' dense actions are never asked for.  m kills every syzygy of
+    k over a ring with m^2 = 0, so its actions are zero."""
+    alg = build_algebra(GF2, ["x", "y"], [], 2)
+
+    def refuse(self, rank):
+        raise AssertionError(f"dense free actions of rank {rank} were built")
+    monkeypatch.setattr(Algebra, "free_varmat", refuse)
+    monkeypatch.setattr(Algebra, "free_action_stack", refuse)
+    mod = syzygy(residue_field(alg), 12)
+    assert mod.dim == 4096
+    assert all(a.is_zero() and a.rows == 4096 for a in mod.var_actions)

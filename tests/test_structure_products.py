@@ -1,14 +1,14 @@
-"""Products of free modules by the algebra through its sparse structure
-constants, pinned against the dense einsums they replace.
+"""Products of free modules by the algebra, pinned against dense einsums.
 
-Each reference below is the einsum the call site ran before, over the
-dense structure-constant stack or a variable's matrix, evaluated on
-Python ints (or Fractions over Q) and reduced once, so it is exact on
-every field.  Values and dtypes must match.  Besides monomial rings, two
+Maps between free modules are built from the sparse structure constants
+(`algebra.structure`), and free modules act through their block-diagonal
+matrices.  Each reference below is an einsum over the dense
+structure-constant stack or a variable's matrix, evaluated on Python
+ints (or Fractions over Q) and reduced once, so it is exact on every
+field.  Values and dtypes must match.  Besides monomial rings, two
 presentations give coefficients other than 1 and output slots that
-receive two or three terms, so the multiply and add layers, the widening
-and the reduction all run; over F_{2^31-1} the three-term slot with
-coefficient p-1 needs the Python-int accumulator.
+receive two or three terms; over F_{2^31-1} the three-term slot with
+coefficient p-1 overflows int64 unless reduced.
 """
 
 import random
@@ -19,8 +19,8 @@ import pytest
 
 from redhom.algebra import build_algebra, structure
 from redhom.homalg import ExtTable, r_dual
-from redhom.linalg import Field, Matrix, Structure, random_matrix, solve_blocks
-from redhom.modules import (_free_blockwise_apply_right, blockwise_apply,
+from redhom.linalg import Field, Matrix, random_matrix, solve_blocks
+from redhom.modules import (ModuleError, ModuleMap, assemble_action_columns,
                             free_map_from_columns, free_module,
                             from_presentation, hom_space_matrix,
                             regular_module, residue_field)
@@ -65,35 +65,16 @@ class TestSparsePattern:
         for ring, nonzero, total in (("xy/m2", 5, 27), ("xyz/m2", 7, 64),
                                      ("xy/m3", 15, 216)):
             a = algebra(2, ring)
-            s = structure(a, "columns")
+            entries = [c for pairs in structure(a, "columns").values()
+                       for _, c in pairs]
             assert a.action_stack().size == total
-            assert len(s.coef) == nonzero == np.count_nonzero(a.action_stack())
-            assert len(s.layers) == 1 and s.layers[0][1] is None
-
-    def test_layers_of_a_non_monomial_presentation(self):
-        s = structure(algebra(3, "x2=2xy"), "columns")
-        assert len(s.layers) == 2
-        assert s.layers[0][1] is not None and 2 in s.layers[0][1].tolist()
+            assert len(entries) == nonzero == np.count_nonzero(a.action_stack())
+            assert set(entries) == {1}
 
     def test_built_once_per_algebra(self):
         a = algebra(3, "xy/m2")
         assert structure(a, "columns") is structure(a, "columns")
         assert structure(a, "left", 1) is structure(a, "left", 1)
-
-    @pytest.mark.parametrize("p", PRIMES)
-    @pytest.mark.parametrize("gather, scatter, spec", [
-        (1, (0, 2), "abc,pbq->pacq"), (2, (1, 0), "abc,pcq->pbaq"),
-        (0, (1, 2), "abc,paq->pbcq")])
-    def test_random_dense_array(self, p, gather, scatter, spec):
-        """A dense random array, up to six terms per slot, in three layouts."""
-        fld, rng = Field(p), random.Random(5)
-        arr = random_matrix(fld, 4, 30, rng).a.reshape(4, 5, 6)
-        for i in rng.sample(range(arr.size), 40):  # uneven slots
-            arr.flat[i] = fld.zero()
-        src = random_matrix(fld, 3 * arr.shape[gather], 2, rng).a.reshape(3, -1, 2)
-        want = dense(fld, spec, arr, src)
-        got = Structure(fld, arr, gather, scatter).apply(src, fld.zeros(want.shape))
-        assert same(got, want)
 
 
 class TestCallSites:
@@ -118,20 +99,22 @@ class TestCallSites:
             for v in range(alg.nvars):
                 want = dense(fld, "ab,gbs->gas", alg.varmat[v].a,
                              vectors.a.reshape(rank, d, s)).reshape(rank * d, s)
-                got = blockwise_apply(alg, structure(alg, "left", v), rank, vectors)
-                assert same(got.a, want)
-                assert same(blockwise_apply(alg, alg.varmat[v], rank, vectors).a, want)
-                if rank:
-                    assert same(free_module(alg, rank).apply_var(v, vectors).a, want)
+                assert same(free_module(alg, rank).apply_var(v, vectors).a, want)
 
-    def test_free_blockwise_apply_right(self, alg):
-        fld, d, rng = alg.field, alg.dim, random.Random(3)
-        for rows, rank in ((4, 3), (1, 1), (0, 2), (3, 0)):
-            mat = random_matrix(fld, rows, rank * d, rng)
-            for v in range(alg.nvars):
-                want = dense(fld, "rgb,ba->rga", mat.a.reshape(rows, rank, d),
-                             alg.varmat[v].a).reshape(rows, rank * d)
-                assert same(_free_blockwise_apply_right(alg, v, rank, mat).a, want)
+    def test_check_linear_out_of_a_free_module(self, alg):
+        """A map out of a free module passes `check_linear` when it is
+        given by generator images, and fails once column 1, the image of
+        x_0 times the first generator, no longer equals x_0 times column 0."""
+        fld, rng = alg.field, random.Random(3)
+        target = from_presentation(alg, 2, [["x", "0"], ["y", "x"]])
+        for rank in (1, 3):
+            gens = random_matrix(fld, target.dim, rank, rng)
+            mat = assemble_action_columns(target, gens)
+            ModuleMap(free_module(alg, rank), target, mat)
+            bad = mat.copy()
+            bad.a[0, 1] = fld.add(bad.a[0, 1], fld.one())
+            with pytest.raises(ModuleError, match="commute"):
+                ModuleMap(free_module(alg, rank), target, bad)
 
     def test_r_dual_actions(self, alg):
         """The dual's actions: x_v on the R-coordinate of every map."""
