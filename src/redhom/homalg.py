@@ -354,7 +354,7 @@ class Ext1Data:
 
     def flat_from_psi(self, psi: Matrix) -> Matrix:
         """Extend a map off the first syzygy to a cocycle."""
-        full = psi @ self.res.syzygy_cover_matrix(1)
+        full = psi @ resolve(self.res.syzygy_module(1)).cover_matrix()
         # generator j's image is column j*d; flat cochains are generator-major
         images = full.a[:, ::self.alg.dim]
         return Matrix(self.alg.field, images.T.reshape(self.flat_dim, 1))

@@ -44,7 +44,7 @@ class Module:
 
     __slots__ = ("algebra", "dim", "label", "free_rank", "summands",
                  "_var_actions", "_stack", "_radical", "_socle",
-                 "_resolution", "_res_hook")
+                 "_resolution")
 
     def __init__(self, algebra: Algebra, dim: int,
                  var_actions: list[Matrix] | None, label: str = "",
@@ -59,7 +59,6 @@ class Module:
         self._radical = None
         self._socle = None
         self._resolution = None
-        self._res_hook = None
         if var_actions is not None:
             for va in var_actions:
                 if va.rows != dim or va.cols != dim:

@@ -400,7 +400,7 @@ def _free_middle_step(mod, a, b, n, res_pow, peel, wit) -> ReducingStep:
     mat.a[c * d:, c * d:] = emb.a
     inj = mat @ peel.iso.inverse().matrix
     proj = Matrix.zeros(fld, right.dim, (c + g) * d)
-    proj.a[:, c * d:] = res_pow.syzygy_cover_matrix(n).a
+    proj.a[:, c * d:] = resolve(right).cover_matrix().a
     ses = ShortExactSequence(
         ModuleMap(pw_a, middle, inj, validate=False),
         ModuleMap(middle, right, proj, validate=False))

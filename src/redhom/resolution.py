@@ -11,11 +11,15 @@ of a step is built, also not for the actions of a syzygy module, which
 are read off the same layout (`_kernel_images`).  The dense accessors
 serve maps between modules: each densifies once, on demand, read-only.
 
-Materialized syzygy modules share the chain: taking a syzygy of a
-materialized syzygy reuses the same differentials instead of recomputing
-them.  Resolutions of direct sums concatenate the column lists of their
-parts, which makes equalities like "syzygy of a sum is the sum of
-syzygies" literal object-level identities rather than isomorphisms.
+Three classes implement it.  `ChainResolution` computes the steps of
+one module; a free module's chain starts from its identity cover, whose
+empty kernel ends every later step.  `SumResolution` concatenates the
+column lists of the parts of a direct sum, which makes equalities like
+"syzygy of a sum is the sum of syzygies" literal object-level identities
+rather than isomorphisms.  `ShiftedResolution` is the view of a parent
+from one of its syzygies on: every syzygy module the parent materializes
+carries it as its resolution, so taking a syzygy of a syzygy reuses the
+same differentials instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ class ResolutionError(RuntimeError):
 
 
 class Resolution:
-    """Common interface over the chain, free, sum and shifted variants.
+    """Common interface over the chain, sum and shifted variants.
 
     Subclasses implement `extend`, `betti`, `syzygy_module`, `columns(i)`
     (the sparse columns of d_i, the cover for i = 0) and
@@ -101,32 +105,7 @@ class Resolution:
         return self.syzygy_layout(i)[0]
 
     def ambient_free(self, i: int) -> Module:
-        if not hasattr(self, "_ambient"):
-            self._ambient = {}
-        if i not in self._ambient:
-            self._ambient[i] = free_module(self.module.algebra, self.betti(i))
-        return self._ambient[i]
-
-    def _cover_columns(self, i: int) -> list[dict]:
-        """Columns of the cover of the i-th syzygy in its own coordinates:
-        the rows of d_i at its free positions."""
-        if i == 0:
-            return self.columns(0)
-        at = {p: k for k, p in enumerate(self.free_positions(i))}
-        return [{at[r]: x for r, x in col.items() if r in at}
-                for col in self.columns(i)]
-
-    def syzygy_cover_matrix(self, i: int) -> Matrix:
-        """Cover of the i-th syzygy written in its own coordinates."""
-        if i == 0:
-            return self.cover_matrix()
-        return self._dense(("c", i), len(self.free_positions(i)),
-                           lambda: self._cover_columns(i))
-
-    def syzygy_embedding(self, i: int) -> ModuleMap:
-        """Inclusion of the materialized i-th syzygy into its ambient free."""
-        return ModuleMap(self.syzygy_module(i), self.ambient_free(i - 1),
-                         self.syzygy_subspace(i), validate=False)
+        return free_module(self.module.algebra, self.betti(i))
 
     def terminated_at(self, upto: int) -> int | None:
         """Smallest index within the window where the resolution dies."""
@@ -137,40 +116,22 @@ class Resolution:
         return None
 
 
-class FreeResolution(Resolution):
-    """A free module covers itself; everything beyond is zero."""
-
-    def __init__(self, module: Module):
-        self.module = module
-        self._rank = module.free_rank
-
-    def extend(self, upto: int) -> None:
-        pass
-
-    def betti(self, i: int) -> int:
-        return self._rank if i == 0 else 0
-
-    def columns(self, i: int) -> list[dict]:
-        one = self.module.algebra.field.one()
-        return [{j: one} for j in range(self.module.dim)] if i == 0 else []
-
-    def syzygy_layout(self, i: int) -> tuple[list[int], dict[int, dict]]:
-        return [], {}
-
-    def syzygy_module(self, i: int) -> Module:
-        return self.module if i == 0 else zero_module(self.module.algebra)
-
-
 class ChainResolution(Resolution):
-    """The working implementation for a plain (non-free, non-sum) module:
-    `_steps[i]` holds the columns of d_i and the layout of its kernel."""
+    """The steps of a module that is not a remembered direct sum:
+    `_steps[i]` holds the columns of d_i and the layout of its kernel.  A
+    free module is covered by the unit columns of its own coordinates."""
 
     def __init__(self, module: Module):
         self.module = module
-        gens = module.min_generators()
-        cover = assemble_action_columns(module, gens).sparse_columns()
-        self._betti = [gens.cols]
-        self._steps = [(cover, sparse_kernel(module.algebra.field, cover))]
+        fld = module.algebra.field
+        if module.free_rank is None:
+            gens = module.min_generators()
+            cover = assemble_action_columns(module, gens).sparse_columns()
+            self._betti = [gens.cols]
+        else:
+            cover = [{j: fld.one()} for j in range(module.dim)]
+            self._betti = [module.free_rank]
+        self._steps = [(cover, sparse_kernel(fld, cover))]
         self._syz: dict[int, Module] = {}
 
     def extend(self, upto: int) -> None:
@@ -223,7 +184,7 @@ class ChainResolution(Resolution):
             lbl = self.module.label or "?"
             mod = Module(alg, len(free), acts, label=f"syz^{i}({lbl})",
                          validate=False)
-            mod._res_hook = (self, i)
+        mod._resolution = ShiftedResolution(self, i, mod)
         self._syz[i] = mod
         return mod
 
@@ -267,21 +228,20 @@ class SumResolution(Resolution):
         if i == 0:
             return self.module
         if i not in self._syz:
-            parts = [c.syzygy_module(i) for c in self.children]
-            mod = direct_sum(parts) if len(parts) > 1 else parts[0]
-            if mod._res_hook is None and mod.free_rank is None:
-                mod._res_hook = (self, i)
+            mod = direct_sum([c.syzygy_module(i) for c in self.children])
+            mod._resolution = ShiftedResolution(self, i, mod)
             self._syz[i] = mod
         return self._syz[i]
 
 
 class ShiftedResolution(Resolution):
-    """View of a parent chain starting at one of its syzygies."""
+    """View of a parent (chain or sum) starting at one of its syzygies;
+    the resolution of that syzygy module, set when it is materialized."""
 
-    def __init__(self, parent: Resolution, offset: int):
+    def __init__(self, parent: Resolution, offset: int, module: Module):
         self.parent = parent
         self.offset = offset
-        self.module = parent.syzygy_module(offset)
+        self.module = module
 
     def extend(self, upto: int) -> None:
         self.parent.extend(self.offset + upto)
@@ -290,8 +250,13 @@ class ShiftedResolution(Resolution):
         return self.parent.betti(self.offset + i)
 
     def columns(self, i: int) -> list[dict]:
-        return self.parent.columns(self.offset + i) if i else \
-            self.parent._cover_columns(self.offset)
+        """d_i of the parent at offset + i; the cover (i = 0) is the rows
+        of the parent's differential at its syzygy's free positions."""
+        cols = self.parent.columns(self.offset + i)
+        if i:
+            return cols
+        at = {p: k for k, p in enumerate(self.parent.free_positions(self.offset))}
+        return [{at[r]: x for r, x in col.items() if r in at} for col in cols]
 
     def syzygy_layout(self, i: int) -> tuple[list[int], dict[int, dict]]:
         return self.parent.syzygy_layout(self.offset + i)
@@ -378,18 +343,10 @@ def _assert_minimal(alg, gens: list[dict]) -> None:
 
 def resolve(module: Module) -> Resolution:
     """The cached minimal free resolution of a module."""
-    if module._resolution is not None:
-        return module._resolution
-    if module._res_hook is not None:
-        res: Resolution = ShiftedResolution(*module._res_hook)
-    elif module.free_rank is not None:
-        res = FreeResolution(module)
-    elif module.summands is not None:
-        res = SumResolution(module, [resolve(p) for p, _ in module.summands])
-    else:
-        res = ChainResolution(module)
-    module._resolution = res
-    return res
+    if module._resolution is None:
+        module._resolution = ChainResolution(module) if module.summands is None \
+            else SumResolution(module, [resolve(p) for p, _ in module.summands])
+    return module._resolution
 
 
 def syzygy(module: Module, i: int = 1) -> Module:

@@ -200,7 +200,8 @@ def maps_of(mods):
             res = resolve(mod)
             out.append(ModuleMap(res.ambient_free(0), mod, res.cover_matrix(),
                                  validate=False))
-            out.append(res.syzygy_embedding(1))
+            out.append(ModuleMap(res.syzygy_module(1), res.ambient_free(0),
+                                 res.syzygy_subspace(1), validate=False))
     pair = direct_sum([mods[-1], residue_field(mods[-1].algebra)])
     return out + [injection_map(pair, 0), projection_map(pair, 1)]
 

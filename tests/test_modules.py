@@ -75,15 +75,6 @@ class TestConstructors:
         assert z.is_free()
         assert z.gens_count() == 0
 
-    def test_free_blockwise_apply_matches_materialized(self, plane):
-        f = free_module(plane, 3)
-        rng = random.Random(1)
-        from redhom.linalg import random_matrix
-        vecs = random_matrix(GF2, f.dim, 4, rng)
-        lazy = f.apply_var(0, vecs)
-        dense = f.var_actions[0] @ vecs
-        assert lazy == dense
-
 
 class TestPresentation:
     def test_single_relation(self, plane):

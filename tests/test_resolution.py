@@ -3,9 +3,11 @@
 import pytest
 
 from redhom.algebra import build_algebra
-from redhom.linalg import GF2, GF3, Matrix
+from redhom.homalg import ext_dims
+from redhom.linalg import GF2, GF3, Field, Matrix
 from redhom.modules import (
     Module,
+    ModuleMap,
     direct_sum,
     free_module,
     from_presentation,
@@ -18,10 +20,7 @@ from redhom.modules import (
 from redhom import resolution
 from redhom.resolution import (
     ChainResolution,
-    FreeResolution,
     ResolutionError,
-    ShiftedResolution,
-    SumResolution,
     cover_sequence,
     detect_periodicity,
     resolve,
@@ -89,18 +88,23 @@ class TestLiteralSharing:
         assert syzygy(w, 2) is syzygy(k, 3)
 
     def test_shifted_resolution_kind(self, plane):
+        # a syzygy's resolution reuses its parent's differentials
         k = residue_field(plane)
         w = syzygy(k, 1)
-        assert isinstance(resolve(w), ShiftedResolution)
         assert resolve(w).betti_list(2) == [2, 4, 8]
+        assert resolve(w).columns(2) is resolve(k).columns(3)
+        assert resolve(syzygy(k, 1)).columns(2) is resolve(k).columns(3)
 
     def test_sum_resolution_blockwise(self, plane):
         k = residue_field(plane)
         rx = from_presentation(plane, 1, [["x"]], label="R/x")
         s = direct_sum([k, rx])
         res = resolve(s)
-        assert isinstance(res, SumResolution)
         assert res.betti_list(3) == [2, 3, 6, 12]
+        # the differentials are the parts' own, block by block
+        for i in range(1, 4):
+            assert res.differential(i) == Matrix.block_diag(plane.field, [
+                resolve(k).differential(i), resolve(rx).differential(i)])
         s2 = res.syzygy_module(2)
         assert s2.summands[0][0] is syzygy(k, 2)
         assert s2.summands[1][0] is syzygy(rx, 2)
@@ -128,8 +132,8 @@ class TestFreeAndZero:
     def test_free_terminates(self, plane):
         f = free_module(plane, 2)
         res = resolve(f)
-        assert isinstance(res, FreeResolution)
         assert res.betti_list(3) == [2, 0, 0, 0]
+        assert res.cover_matrix() == Matrix.identity(plane.field, f.dim)
         assert res.terminated_at(3) == 1
         assert res.syzygy_module(1).dim == 0
 
@@ -137,6 +141,29 @@ class TestFreeAndZero:
         res = resolve(zero_module(plane))
         assert res.betti_list(2) == [0, 0, 0]
         assert res.terminated_at(2) == 0
+
+    @pytest.mark.parametrize("p", [2, 3, 2**31 - 1, None])
+    @pytest.mark.parametrize("case", ["R^0", "R^1", "R^3", "R^2+R", "R+k"])
+    def test_free_and_sums(self, p, case):
+        alg = build_algebra(Field(p), ["x", "y"], [], 2)
+        k = residue_field(alg)
+        mod = {"R^0": free_module(alg, 0), "R^1": free_module(alg, 1),
+               "R^3": free_module(alg, 3),
+               "R^2+R": direct_sum([free_module(alg, 2), free_module(alg, 1)]),
+               "R+k": direct_sum([free_module(alg, 1), k])}[case]
+        res = resolve(mod)
+        if case == "R+k":
+            assert res.betti_list(2) == [2, 2, 4]
+            assert res.terminated_at(2) is None
+            assert res.syzygy_module(1).summands[1][0] is syzygy(k, 1)
+            assert ext_dims(mod, k, 2) == [2, 2, 4]
+            return
+        rank = mod.dim // alg.dim
+        assert res.betti_list(2) == [rank, 0, 0]
+        assert res.cover_matrix() == Matrix.identity(alg.field, mod.dim)
+        assert res.syzygy_module(1).dim == 0
+        assert res.terminated_at(2) == (0 if rank == 0 else 1)
+        assert ext_dims(mod, k, 2) == [rank, 0, 0]
 
     def test_infinite_resolutions_do_not_terminate(self, plane):
         k = residue_field(plane)
@@ -211,7 +238,9 @@ class TestStructuralChecks:
 
     def test_syzygy_embedding_is_linear(self, plane):
         k = residue_field(plane)
-        emb = resolve(k).syzygy_embedding(2)
+        res = resolve(k)
+        emb = ModuleMap(res.syzygy_module(2), res.ambient_free(1),
+                        res.syzygy_subspace(2), validate=False)
         emb.check_linear()
         assert emb.is_injective()
 
