@@ -30,6 +30,7 @@ import ast
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+import math
 
 import numpy as np
 
@@ -219,23 +220,6 @@ class Algebra:
     def basis_labels(self) -> list[str]:
         return [self.mon_label(m) for m in self.basis_mons]
 
-    def element_str(self, coords) -> str:
-        """Human-readable form of a basis-coordinate vector."""
-        if isinstance(coords, Matrix):
-            coords = [coords.entry(i, 0) for i in range(coords.rows)]
-        terms = []
-        for c, mon in zip(coords, self.basis_mons):
-            if c == self.field.zero():
-                continue
-            lbl = self.mon_label(mon)
-            if lbl == "1":
-                terms.append(self.field.format(c))
-            elif c == self.field.one():
-                terms.append(lbl)
-            else:
-                terms.append(f"{self.field.format(c)}*{lbl}")
-        return " + ".join(terms) if terms else "0"
-
     def element_from_string(self, src: str) -> Matrix:
         """Basis-coordinate column of a polynomial expression."""
         poly = parse_polynomial(src, self.var_names, self.field,
@@ -255,11 +239,6 @@ class Algebra:
         except KeyError:
             raise AlgebraError(f"monomial {mon} has wrong arity") from None
         return Matrix(self.field, self._nf_table.a[:, idx:idx + 1].copy())
-
-    def multiply(self, a: Matrix, b: Matrix) -> Matrix:
-        """Product of two elements given as basis columns."""
-        mult = contract(self.field, "i,ijk->jk", a.a[:, 0], self.action_stack())
-        return Matrix(self.field, mult) @ b
 
     def free_varmat(self, rank: int) -> list[Matrix]:
         """Variable actions on the rank-g free module (block diagonal)."""
@@ -319,9 +298,11 @@ def build_algebra(fld: Field, var_names: list[str], relations: list[str],
     if len(set(var_names)) != len(var_names):
         raise AlgebraError("duplicate variable names")
     n = len(var_names)
+    nm = math.comb(n + nilpotency - 1, n)
+    _check_table_size(f"the {nm}x{nm} normal-form kernel of the monomials "
+                      f"below degree {nilpotency}", nm * nm, fld)
     mons = _monomials_below(n, nilpotency)
     mon_index = {m: i for i, m in enumerate(mons)}
-    nm = len(mons)
 
     parsed = []
     for src in relations:
@@ -355,6 +336,8 @@ def build_algebra(fld: Field, var_names: list[str], relations: list[str],
         raise AlgebraError("relations collapse the identity; algebra is zero")
     basis_mons = [mons[i] for i in basis_pos]
     d = len(basis_mons)
+    _check_table_size(f"the {d + n}x{d}x{d} product table",
+                      (d + n) * d * d, fld)
 
     # normal form of every truncated monomial, as a (d x nm) table
     nf_table = kb.transpose()
@@ -390,6 +373,17 @@ def build_algebra(fld: Field, var_names: list[str], relations: list[str],
     alg._nf_table = nf_table    # type: ignore[attr-defined]
     _validate_algebra(alg)
     return alg
+
+
+def _check_table_size(what: str, entries: int, fld: Field) -> None:
+    """Refuse a table of `entries` entries in `fld.wide` past
+    `resolution.MAX_STEP_BYTES`, read at call time (resolution imports
+    this module)."""
+    from .resolution import MAX_STEP_BYTES
+    size = entries * fld.wide.itemsize
+    if size > MAX_STEP_BYTES:
+        raise AlgebraError(f"{what} would allocate {size} bytes, over "
+                           f"MAX_STEP_BYTES = {MAX_STEP_BYTES}")
 
 
 def _validate_algebra(alg: Algebra) -> None:

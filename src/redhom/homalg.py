@@ -170,14 +170,6 @@ def biduality(mod: Module) -> BidualityData:
                          d1, d2)
 
 
-def is_torsionless(mod: Module) -> bool:
-    return biduality(mod).is_injective
-
-
-def is_reflexive(mod: Module) -> bool:
-    return biduality(mod).is_bijective
-
-
 # -- Ext dimension tables ------------------------------------------------------
 
 
@@ -371,9 +363,6 @@ class Ext1Data:
             raise HomAlgError("vector is not a cocycle for this pair")
         nb = self.boundaries.cols
         return Matrix(self.alg.field, sol.a[nb:, :].copy())
-
-    def zero_class(self) -> Matrix:
-        return Matrix.zeros(self.alg.field, self.dim, 1)
 
 
 def ext1_data(right: Module, left: Module) -> Ext1Data:

@@ -88,22 +88,6 @@ def is_totally_reflexive(mod: Module, window: int = 10) -> TRVerdict:
 
 
 @dataclass
-class PdReport:
-    finite: bool
-    rank: int  # free rank when finite, -1 otherwise
-
-
-def pd_is_finite(mod: Module) -> PdReport:
-    """Over an Artinian local algebra, finite projective dimension is
-    the same as freeness, so the test is a rank count."""
-    if mod.dim == 0:
-        return PdReport(True, 0)
-    if mod.is_free():
-        return PdReport(True, mod.dim // mod.algebra.dim)
-    return PdReport(False, -1)
-
-
-@dataclass
 class GdimReport:
     value: int       # -1 when no finite value is claimed
     above_window: bool

@@ -31,8 +31,7 @@ import numpy as np
 
 from .algebra import Algebra, structure
 from .linalg import (Field, Matrix, algebra_radical,
-                     column_space_basis, contract, kron, nf_columns,
-                     solve_blocks)
+                     column_space_basis, contract, kron, nf_columns)
 
 
 class ModuleError(ValueError):
@@ -372,13 +371,6 @@ class ModuleMap:
                          Matrix.zeros(source.algebra.field, target.dim, source.dim),
                          validate=False)
 
-    def compose(self, first: "ModuleMap") -> "ModuleMap":
-        """self after first."""
-        if first.target is not self.source and first.target.dim != self.source.dim:
-            raise ModuleError("composition dimension mismatch")
-        return ModuleMap(first.source, self.target, self.matrix @ first.matrix,
-                         validate=False)
-
     def __add__(self, other: "ModuleMap") -> "ModuleMap":
         return ModuleMap(self.source, self.target, self.matrix + other.matrix,
                          validate=False)
@@ -447,14 +439,6 @@ class ShortExactSequence:
         if self.inject.rank() != self.middle.dim - self.project.rank():
             raise ModuleError("sequence is not exact in the middle")
 
-    def is_valid(self) -> bool:
-        try:
-            self.validate()
-            return True
-        except ModuleError:
-            return False
-
-
 def split_ses(left: Module, right: Module) -> ShortExactSequence:
     """The canonical split sequence around a literal direct sum."""
     total = direct_sum([left, right])
@@ -471,16 +455,6 @@ def _on_basis(mod: Module, basis: Matrix, va: list[Matrix],
     sub = Module(mod.algebra, basis.cols, va, label=label,
                  validate=False) if basis.cols else zero_module(mod.algebra)
     return sub, ModuleMap(sub, mod, basis, validate=False)
-
-
-def submodule(mod: Module, span: Matrix, label: str = "") -> tuple[Module, ModuleMap]:
-    """Module structure on a column span closed under the actions."""
-    basis = column_space_basis(span)
-    va = solve_blocks(basis, [mod.apply_var(v, basis)
-                              for v in range(mod.algebra.nvars)])
-    if va is None:
-        raise ModuleError("span is not closed under the module actions")
-    return _on_basis(mod, basis, va, label)
 
 
 def kernel_actions(mod: Module, kb: Matrix, fp: list[int]) -> list[Matrix]:
@@ -518,14 +492,6 @@ def kernel_module(f: ModuleMap, label: str = "") -> tuple[Module, ModuleMap]:
     return _on_basis(f.source, kb, kernel_actions(f.source, kb, fp), label)
 
 
-def image_module(f: ModuleMap, label: str = "") -> tuple[Module, ModuleMap]:
-    return submodule(f.target, f.matrix, label=label)
-
-
-def cokernel_module(f: ModuleMap, label: str = "") -> tuple[Module, ModuleMap]:
-    return quotient_module(f.target, f.matrix, label=label)
-
-
 # -- hom spaces --------------------------------------------------------------
 
 
@@ -546,12 +512,6 @@ def hom_space_matrix(src: Module, tgt: Module) -> Matrix:
         b = tgt.var_actions[v]
         blocks.append(kron(eye_t, a.transpose()) - kron(b, eye_s))
     return Matrix.vstack(blocks).kernel_basis()
-
-
-def hom_basis(src: Module, tgt: Module) -> list[Matrix]:
-    km = hom_space_matrix(src, tgt)
-    return [Matrix(km.field, m)
-            for m in km.a.T.reshape(km.cols, tgt.dim, src.dim)]
 
 
 def hom_dim(src: Module, tgt: Module) -> int:

@@ -24,19 +24,14 @@ same differentials instead of recomputing them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import structure
 from .linalg import Matrix, sparse_kernel, sparse_rref
 from .modules import (
     Module,
-    ModuleMap,
-    ShortExactSequence,
     assemble_action_columns,
     direct_sum,
     free_map_columns,
     free_module,
-    is_isomorphic,
     zero_module,
 )
 
@@ -352,39 +347,3 @@ def resolve(module: Module) -> Resolution:
 def syzygy(module: Module, i: int = 1) -> Module:
     """The i-th syzygy in the minimal resolution, literally shared."""
     return resolve(module).syzygy_module(i)
-
-
-def cover_sequence(module: Module) -> ShortExactSequence:
-    """0 -> syzygy -> minimal free cover -> module -> 0."""
-    res = resolve(module)
-    omega = res.syzygy_module(1)
-    amb = res.ambient_free(0)
-    inject = ModuleMap(omega, amb, res.syzygy_subspace(1), validate=False)
-    project = ModuleMap(amb, module, res.cover_matrix(), validate=False)
-    return ShortExactSequence(inject, project)
-
-
-@dataclass
-class Periodicity:
-    start: int
-    period: int
-    witness: ModuleMap
-
-
-def detect_periodicity(module: Module, window: int) -> Periodicity | None:
-    """First isomorphic pair of syzygies within the window, shortest
-    period first; absent when the resolution terminates instead."""
-    res = resolve(module)
-    res.extend(window)
-    if any(res.betti(i) == 0 for i in range(window + 1)):
-        return None
-    for period in range(1, window + 1):
-        for start in range(0, window - period + 1):
-            a = res.syzygy_module(start)
-            b = res.syzygy_module(start + period)
-            if a.dim == 0 or a.dim != b.dim:
-                continue
-            verdict = is_isomorphic(a, b)
-            if verdict.kind == "yes":
-                return Periodicity(start, period, verdict.witness)
-    return None

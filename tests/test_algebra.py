@@ -138,20 +138,19 @@ class TestElements:
         a = build_algebra(GF3, ["x", "y"], ["x^2", "x*y"], 3)
         v = a.element_from_string("x + 2*y^2")
         assert [v.entry(i, 0) for i in range(4)] == [0, 1, 0, 2]
-        assert a.element_str(v) == "x + 2*y^2"
 
     def test_reduction_in_element_parse(self):
         a = build_algebra(GF3, ["x", "y"], ["x - y"], 2)
         v = a.element_from_string("x")
-        assert a.element_str(v) == "y"
+        assert a.basis_labels() == ["1", "y"]
+        assert [v.entry(i, 0) for i in range(2)] == [0, 1]
 
     def test_multiply(self):
         a = truncated_line(4)
         x = a.element_from_string("x")
-        x2 = a.multiply(x, x)
-        assert a.element_str(x2) == "x^2"
-        x4 = a.multiply(x2, x2)
-        assert x4.is_zero()
+        x2 = a.regmat[1] @ x
+        assert x2 == a.element_from_string("x^2")
+        assert (a.regmat[2] @ x2).is_zero()
 
 
 class TestSerialization:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from redhom import cli
+from redhom import algebra, cli
 from redhom.linalg import GF2
 from redhom.algebra import build_algebra
 from redhom.homalg import HomAlgError
@@ -516,6 +516,63 @@ class TestNonStringCertificateFields:
                               "reduce", "verify", str(path))
         assert code == 2
         assert report["error"]["pointer"] == pointer
+
+
+OVERSIZED = {"nilpotency": {"nilpotency": 100000},
+             "variables": {"vars": [f"v{i}" for i in range(400)],
+                           "nilpotency": 3}}
+
+
+class TestOversizedAlgebra:
+    """An algebra whose monomial kernel or product table would take more
+    than `MAX_STEP_BYTES` is an input error at /algebra, refused before
+    any monomial is enumerated."""
+
+    @pytest.fixture(autouse=True)
+    def plane_only(self, monkeypatch):
+        """Enumerate monomials for the plane.json ring only."""
+        below = algebra._monomials_below
+
+        def guarded(nvars, bound):
+            assert (nvars, bound) == (2, 2), "monomials enumerated"
+            return below(nvars, bound)
+        monkeypatch.setattr(algebra, "_monomials_below", guarded)
+
+    @pytest.mark.parametrize("edit", OVERSIZED.values(), ids=OVERSIZED)
+    def test_workspace(self, tmp_path, capsys, edit):
+        data = json.loads((EXAMPLES / "plane.json").read_text())
+        data["algebra"].update(edit)
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(data))
+        code, report, _ = run(capsys, "--workspace", str(path),
+                              "algebra", "info")
+        assert code == 2
+        assert report["error"]["pointer"] == "/algebra"
+        assert "MAX_STEP_BYTES" in report["error"]["message"]
+
+    def test_certificate_file(self, tmp_path, capsys):
+        cert = json.loads((EXAMPLES / "plane.json").read_text())[
+            "certificates"]["cert_k"]
+        cert["algebra"]["nilpotency"] = 100000
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert))
+        code, report, _ = run(capsys, "--workspace",
+                              str(EXAMPLES / "plane.json"),
+                              "reduce", "verify", str(path))
+        assert code == 2
+        assert report["error"]["pointer"] == "/algebra"
+        assert "MAX_STEP_BYTES" in report["error"]["message"]
+
+    def test_product_table(self, tmp_path, capsys, monkeypatch):
+        """Under a 100-byte cap the plane's 3x3 kernel (72 bytes) passes
+        and its 5x3x3 product table (360 bytes) is refused."""
+        monkeypatch.setattr("redhom.resolution.MAX_STEP_BYTES", 100)
+        code, report, _ = run(capsys, "--workspace",
+                              str(EXAMPLES / "plane.json"), "algebra", "info")
+        assert code == 2
+        assert report["error"]["pointer"] == "/algebra"
+        assert "5x3x3 product table" in report["error"]["message"]
+        assert "MAX_STEP_BYTES = 100" in report["error"]["message"]
 
 
 def test_runtime_never_imports_sympy():

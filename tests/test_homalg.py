@@ -17,8 +17,6 @@ from redhom.homalg import (
     extension_from_class,
     extension_from_psi,
     horseshoe,
-    is_reflexive,
-    is_torsionless,
     k_dual,
     p_invariant,
     pushforward,
@@ -26,6 +24,8 @@ from redhom.homalg import (
 )
 from redhom.linalg import GF2, GF3, Matrix
 from redhom.modules import (
+    ModuleMap,
+    ShortExactSequence,
     direct_sum,
     free_module,
     from_presentation,
@@ -36,7 +36,17 @@ from redhom.modules import (
     split_free_summands,
     split_ses,
 )
-from redhom.resolution import cover_sequence, resolve, syzygy
+from redhom.resolution import resolve, syzygy
+
+
+def cover_sequence(module):
+    """0 -> syzygy -> minimal free cover -> module -> 0."""
+    res = resolve(module)
+    amb = res.ambient_free(0)
+    return ShortExactSequence(
+        ModuleMap(res.syzygy_module(1), amb, res.syzygy_subspace(1),
+                  validate=False),
+        ModuleMap(amb, module, res.cover_matrix(), validate=False))
 
 
 @pytest.fixture(scope="module")
@@ -104,11 +114,11 @@ class TestDuals:
         assert not bid.is_bijective
 
     def test_free_module_is_reflexive(self, plane):
-        assert is_reflexive(free_module(plane, 2))
+        assert biduality(free_module(plane, 2)).is_bijective
 
     def test_cyclic_with_torsion_is_not_torsionless(self, plane):
         mod = from_presentation(plane, 1, [["x"]], label="R/x")
-        assert not is_torsionless(mod)
+        assert not biduality(mod).is_injective
 
     def test_canonical_module_of_square_zero_plane(self, plane):
         w = canonical_module(plane)
@@ -228,7 +238,8 @@ class TestExtensions:
     def test_zero_class_is_literal_split(self, plane):
         k = residue_field(plane)
         data = ext1_data(k, k)
-        ses = extension_from_class(data, data.zero_class())
+        zero = Matrix.zeros(plane.field, data.dim, 1)
+        ses = extension_from_class(data, zero)
         ses.validate()
         assert ses.middle.summands is not None
         assert ses.middle.summands[0][0] is k
@@ -379,6 +390,7 @@ class TestExtSyzygyMap:
     def test_zero_class_maps_to_zero_class(self, line2):
         k = residue_field(line2)
         data = ext1_data(k, k)
-        shoe = horseshoe(extension_from_class(data, data.zero_class()))
+        zero = Matrix.zeros(line2.field, data.dim, 1)
+        shoe = horseshoe(extension_from_class(data, zero))
         tgt = ext1_data(syzygy(k, 1), syzygy(k, 1))
         assert class_of_ses(tgt, shoe.sequence).is_zero()

@@ -27,7 +27,6 @@ from redhom.invariants import (
     gdim,
     is_semidualizing,
     is_totally_reflexive,
-    pd_is_finite,
 )
 
 
@@ -77,17 +76,14 @@ class TestTotallyReflexive:
 
 class TestDimensionReports:
     def test_pd_free(self, plane):
-        rep = pd_is_finite(free_module(plane, 2))
-        assert rep.finite and rep.rank == 2
+        assert free_module(plane, 2).is_free()
 
     def test_pd_zero(self, plane):
-        rep = pd_is_finite(zero_module(plane))
-        assert rep.finite and rep.rank == 0
+        assert zero_module(plane).is_free()
 
     def test_pd_infinite(self, plane):
-        rep = pd_is_finite(residue_field(plane))
-        assert not rep.finite and rep.rank == -1
-        assert not pd_is_finite(mod_rx(plane)).finite
+        assert not residue_field(plane).is_free()
+        assert not mod_rx(plane).is_free()
 
     def test_gdim_free(self, plane):
         rep = gdim(free_module(plane, 1))

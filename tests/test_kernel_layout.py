@@ -226,7 +226,7 @@ class TestExtensionMaps:
                 inject, project = reference_extension(left, right, psi)
                 assert same(ses.inject.matrix, inject)
                 assert same(ses.project.matrix, project)
-                assert ses.is_valid()
+                ses.validate()
 
 
 PRESENTATIONS = [

@@ -1,4 +1,4 @@
-"""Minimal resolutions: betti oracles, literal sharing, periodicity."""
+"""Minimal resolutions: betti oracles, literal sharing, step caps."""
 
 import pytest
 
@@ -8,6 +8,7 @@ from redhom.linalg import GF2, GF3, Field, Matrix
 from redhom.modules import (
     Module,
     ModuleMap,
+    ShortExactSequence,
     direct_sum,
     free_module,
     from_presentation,
@@ -21,8 +22,6 @@ from redhom import resolution
 from redhom.resolution import (
     ChainResolution,
     ResolutionError,
-    cover_sequence,
-    detect_periodicity,
     resolve,
     syzygy,
 )
@@ -76,8 +75,12 @@ class TestResidueFieldOverPlane:
 
     def test_cover_sequence_exact(self, plane):
         k = residue_field(plane)
-        cover_sequence(k).validate()
-        cover_sequence(syzygy(k, 1)).validate()
+        for mod in (k, syzygy(k, 1)):
+            res = resolve(mod)
+            amb = res.ambient_free(0)
+            ShortExactSequence(
+                ModuleMap(res.syzygy_module(1), amb, res.syzygy_subspace(1)),
+                ModuleMap(amb, mod, res.cover_matrix())).validate()
 
 
 class TestLiteralSharing:
@@ -181,25 +184,12 @@ class TestTruncatedLine:
         assert s2.dim == 1
         assert is_isomorphic(s2, rx).kind == "yes"
 
-    def test_periodicity_of_length_two(self, line3):
-        rx = from_presentation(line3, 1, [["x"]], label="R/x")
-        per = detect_periodicity(rx, 4)
-        assert per is not None
-        assert (per.start, per.period) == (0, 2)
-        assert per.witness.is_isomorphism()
-
     def test_periodicity_of_length_one(self):
         line2 = build_algebra(GF2, ["x"], [], 2)
         k = residue_field(line2)
-        per = detect_periodicity(k, 3)
-        assert (per.start, per.period) == (0, 1)
-
-    def test_no_periodicity_when_growing(self, plane):
-        k = residue_field(plane)
-        assert detect_periodicity(k, 3) is None
-
-    def test_no_periodicity_when_terminating(self, line3):
-        assert detect_periodicity(free_module(line3, 1), 3) is None
+        assert resolve(k).betti_list(3) == [1, 1, 1, 1]
+        verdict = is_isomorphic(syzygy(k, 1), k)
+        assert verdict.kind == "yes" and verdict.witness.is_isomorphism()
 
 
 class TestDualizingModule:
