@@ -563,7 +563,7 @@ class TestOversizedAlgebra:
         assert report["error"]["pointer"] == "/algebra"
         assert "MAX_STEP_BYTES" in report["error"]["message"]
 
-    def test_product_table(self, tmp_path, capsys, monkeypatch):
+    def test_product_table(self, capsys, monkeypatch):
         """Under a 100-byte cap the plane's 3x3 kernel (72 bytes) passes
         and its 5x3x3 product table (360 bytes) is refused."""
         monkeypatch.setattr("redhom.resolution.MAX_STEP_BYTES", 100)
