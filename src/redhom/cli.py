@@ -6,10 +6,11 @@ tool version and every window and seed that shaped the result.
 Exit codes: 0 success or accept, 1 reject, fail, or absent, 2 malformed
 input located by a JSON pointer, a bound out of range (a negative
 `--window`, `--max-r` or `--samples`, or `--budget`, `--max-a`, `--max-b`
-or `--max-n` below 1), or a command line that does not parse (pointer
-""), 3 an internal error (a `HomAlgError`, `ResolutionError` or failed
-assertion inside a command, including a resolution step or an Ext
-transition refused for exceeding `resolution.MAX_STEP_BYTES`; pointer "").
+or `--max-n` below 1), a command line that does not parse, or a `--save`
+path that cannot be written (pointer ""), 3 an internal error (a
+`HomAlgError`, `ResolutionError` or failed assertion inside a command,
+including a resolution step or an Ext transition refused for exceeding
+`resolution.MAX_STEP_BYTES`; pointer "").
 """
 
 import argparse
@@ -60,11 +61,62 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(" ".join(self.prog.split()[1:]), message)
 
 
-def _search_flags(p: argparse.ArgumentParser):
-    """One integer flag per `SearchConfig` field, --max-r for max_r."""
-    for f in fields(SearchConfig):
-        p.add_argument("--" + f.name.replace("_", "-"), type=int,
-                       default=f.default)
+class _Lazy(argparse._SubParsersAction):
+    """Subcommands whose parsers are filled only when chosen."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        _fill(self._name_parser_map[values[0]])
+        super().__call__(parser, namespace, values, option_string)
+
+
+_WINDOW = ("--window", {"type": int, "default": 10})
+# One integer flag per `SearchConfig` field, --max-r for max_r.
+_SEARCH = [("--" + f.name.replace("_", "-"),
+            {"type": int, "default": f.default}) for f in fields(SearchConfig)]
+
+# The command grammar: each leaf path, run by `_cmd_<path joined by _>`,
+# and its arguments, each a positional name or (name, add_argument kwargs).
+COMMANDS = {
+    "algebra info": [],
+    "resolve": ["module", _WINDOW],
+    "ext": ["source", "target", _WINDOW],
+    "dual": ["module"],
+    "pushforward": ["module"],
+    "reduce search": [
+        "module", ("--target", {"choices": ["pd", "gdim"], "required": True}),
+        ("--save", {"help": "write the found certificate here"}), *_SEARCH],
+    "reduce verify": [("certificate", {
+        "help": "certificate name in the workspace, or a JSON path"}), _WINDOW],
+    "reduce transform syzygy": ["certificate", _WINDOW, ("--save", {})],
+    "reduce transform cosyzygy": ["certificate", ("module", {
+        "help": "the module whose syzygy the chain reduces"}), _WINDOW,
+        ("--save", {})],
+    "theorem main": ["module", "certificate", _WINDOW],
+    "theorem t2": ["module", "certificate", _WINDOW],
+    "theorem prop27": ["module", *_SEARCH],
+    "theorem cor33": _SEARCH,
+    "theorem ptransfer": ["certificate", ("module", {
+        "help": "the fixed comparison module"}), _WINDOW],
+    "corpus run": [("--filter", {"default": ""})],
+}
+_DESTS = ("command", "sub", "direction")  # subcommand name at each depth
+
+
+def _fill(parser) -> None:
+    """Give a leaf's parser its arguments, and a group's parser one empty
+    subparser per child, to be filled when chosen."""
+    words = parser.prog.split()[1:]  # "redhom reduce" -> ["reduce"]
+    path = " ".join(words)
+    if path in COMMANDS:
+        for arg in COMMANDS[path]:
+            name, kwargs = (arg, {}) if isinstance(arg, str) else arg
+            parser.add_argument(name, **kwargs)
+        return
+    sub = parser.add_subparsers(dest=_DESTS[len(words)], required=True,
+                                action=_Lazy)
+    for name in dict.fromkeys(p.split()[len(words)] for p in COMMANDS
+                              if p.split()[:len(words)] == words):
+        sub.add_parser(name)
 
 
 def _config_from(args) -> SearchConfig:
@@ -73,76 +125,13 @@ def _config_from(args) -> SearchConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The top parser; each subcommand's parser is filled when chosen."""
     top = _Parser(
         prog="redhom",
         description="exact homological invariants and chain certificates "
                     "over Artinian local algebras")
     top.add_argument("--workspace", help="workspace JSON file")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    alg = sub.add_parser("algebra").add_subparsers(dest="sub", required=True)
-    alg.add_parser("info")
-
-    p = sub.add_parser("resolve")
-    p.add_argument("module")
-    p.add_argument("--window", type=int, default=10)
-
-    p = sub.add_parser("ext")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("--window", type=int, default=10)
-
-    p = sub.add_parser("dual")
-    p.add_argument("module")
-
-    p = sub.add_parser("pushforward")
-    p.add_argument("module")
-
-    red = sub.add_parser("reduce").add_subparsers(dest="sub", required=True)
-    p = red.add_parser("search")
-    p.add_argument("module")
-    p.add_argument("--target", choices=["pd", "gdim"], required=True)
-    p.add_argument("--save", help="write the found certificate here")
-    _search_flags(p)
-    p = red.add_parser("verify")
-    p.add_argument("certificate",
-                   help="certificate name in the workspace, or a JSON path")
-    p.add_argument("--window", type=int, default=10)
-    tr = red.add_parser("transform").add_subparsers(dest="direction",
-                                                    required=True)
-    p = tr.add_parser("syzygy")
-    p.add_argument("certificate")
-    p.add_argument("--window", type=int, default=10)
-    p.add_argument("--save")
-    p = tr.add_parser("cosyzygy")
-    p.add_argument("certificate")
-    p.add_argument("module", help="the module whose syzygy the chain reduces")
-    p.add_argument("--window", type=int, default=10)
-    p.add_argument("--save")
-
-    thm = sub.add_parser("theorem").add_subparsers(dest="sub", required=True)
-    p = thm.add_parser("main")
-    p.add_argument("module")
-    p.add_argument("certificate")
-    p.add_argument("--window", type=int, default=10)
-    p = thm.add_parser("t2")
-    p.add_argument("module")
-    p.add_argument("certificate")
-    p.add_argument("--window", type=int, default=10)
-    p = thm.add_parser("prop27")
-    p.add_argument("module")
-    _search_flags(p)
-    p = thm.add_parser("cor33")
-    _search_flags(p)
-    p = thm.add_parser("ptransfer")
-    p.add_argument("certificate")
-    p.add_argument("module", help="the fixed comparison module")
-    p.add_argument("--window", type=int, default=10)
-
-    cor = sub.add_parser("corpus").add_subparsers(dest="sub", required=True)
-    p = cor.add_parser("run")
-    p.add_argument("--filter", default="")
-
+    _fill(top)
     return top
 
 
@@ -173,12 +162,17 @@ def _certificate(ws, args):
     return ws.certificate(name)  # raises with the /certificates pointer
 
 
-def _report_theorem(rep) -> dict:
-    return {"theorem": rep.name, "ok": rep.ok, "window": rep.window,
-            "hypotheses": rep.hypotheses, "conclusions": rep.conclusions}
+def _save(seq, path) -> None:
+    """Write `seq` to the --save path, if one was given."""
+    if path:
+        try:
+            save_certificate(seq, path)
+        except OSError as exc:
+            raise WorkspaceError("", f"cannot write certificate file "
+                                     f"{path}: {exc.strerror or exc}")
 
 
-def _cmd_algebra(args) -> int:
+def _cmd_algebra_info(args) -> int:
     ws = _need_workspace(args)
     report = {"command": "algebra info", "algebra": ws.algebra.summary()}
     return _emit(report, f"algebra: {ws.algebra!r}", 0)
@@ -261,8 +255,7 @@ def _cmd_reduce_search(args) -> int:
         report["r"] = result.sequence.r
         report["steps"] = _step_summaries(result.sequence)
         report["certificate"] = sequence_to_dict(result.sequence)
-        if args.save:
-            save_certificate(result.sequence, args.save)
+        _save(result.sequence, args.save)
         return _emit(report,
                      f"found a chain with r = {result.sequence.r} "
                      f"for {args.module} (target {args.target})", 0)
@@ -285,28 +278,30 @@ def _cmd_reduce_verify(args) -> int:
                  f"certificate rejected at step {rep.step}: {rep.reason}", 1)
 
 
-def _cmd_reduce_transform(args) -> int:
+def _transported(args, report, out, summary) -> int:
+    report.update(ok=True, base_dim=out.base.dim, r=out.r,
+                  steps=_step_summaries(out), result=sequence_to_dict(out))
+    _save(out, args.save)
+    return _emit(report, summary, 0)
+
+
+def _cmd_reduce_transform_syzygy(args) -> int:
     ws = _need_workspace(args)
     seq = _certificate(ws, args)
-    if args.direction == "syzygy":
-        try:
-            out = transform_syzygy(seq, window=args.window)
-        except CertificateError as exc:
-            report = {"command": "reduce transform syzygy",
-                      "certificate": args.certificate,
-                      "window": args.window, "ok": False,
-                      "reason": str(exc)}
-            return _emit(report, f"transform failed: {exc}", 1)
-        report = {"command": "reduce transform syzygy",
-                  "certificate": args.certificate, "window": args.window,
-                  "ok": True, "base_dim": out.base.dim, "r": out.r,
-                  "steps": _step_summaries(out),
-                  "result": sequence_to_dict(out)}
-        if args.save:
-            save_certificate(out, args.save)
-        return _emit(report,
-                     f"chain transported to the syzygy "
-                     f"(base dim {out.base.dim})", 0)
+    report = {"command": "reduce transform syzygy",
+              "certificate": args.certificate, "window": args.window}
+    try:
+        out = transform_syzygy(seq, window=args.window)
+    except CertificateError as exc:
+        report.update(ok=False, reason=str(exc))
+        return _emit(report, f"transform failed: {exc}", 1)
+    return _transported(args, report, out, f"chain transported to the "
+                        f"syzygy (base dim {out.base.dim})")
+
+
+def _cmd_reduce_transform_cosyzygy(args) -> int:
+    ws = _need_workspace(args)
+    seq = _certificate(ws, args)
     mod = ws.module(args.module)
     outcome = transform_cosyzygy(seq, mod, window=args.window)
     report = {"command": "reduce transform cosyzygy",
@@ -315,43 +310,49 @@ def _cmd_reduce_transform(args) -> int:
               "reason": outcome.reason}
     if not outcome.ok:
         return _emit(report, f"transport rejected: {outcome.reason}", 1)
-    out = outcome.sequence
-    report["base_dim"] = out.base.dim
-    report["r"] = out.r
-    report["steps"] = _step_summaries(out)
-    report["result"] = sequence_to_dict(out)
-    if args.save:
-        save_certificate(out, args.save)
-    return _emit(report,
-                 f"chain transported back to {args.module}", 0)
+    return _transported(args, report, outcome.sequence,
+                        f"chain transported back to {args.module}")
 
 
-def _cmd_theorem(args) -> int:
-    ws = _need_workspace(args)
-    name = args.sub
-    if name == "main":
-        rep = check_main_theorem(ws.module(args.module),
-                                 _certificate(ws, args),
-                                 window=args.window)
-    elif name == "t2":
-        rep = check_t2(ws.module(args.module), _certificate(ws, args),
-                       window=args.window)
-    elif name == "prop27":
-        rep = check_prop27(ws.algebra, ws.module(args.module),
-                           config=_config_from(args))
-    elif name == "cor33":
-        rep = check_cor33(ws.algebra, window=args.window,
-                          config=_config_from(args))
-    else:
-        rep = check_P_transfer(_certificate(ws, args),
-                               ws.module(args.module), window=args.window)
-    report = {"command": f"theorem {name}"}
-    report.update(_report_theorem(rep))
+def _theorem(args, rep) -> int:
+    report = {"command": f"theorem {args.sub}", "theorem": rep.name,
+              "ok": rep.ok, "window": rep.window,
+              "hypotheses": rep.hypotheses, "conclusions": rep.conclusions}
     verdict = "holds" if rep.ok else "FAILED"
-    return _emit(report, f"theorem {name}: {verdict}", 0 if rep.ok else 1)
+    return _emit(report, f"theorem {args.sub}: {verdict}", 0 if rep.ok else 1)
 
 
-def _cmd_corpus(args) -> int:
+def _cmd_theorem_main(args) -> int:
+    ws = _need_workspace(args)
+    return _theorem(args, check_main_theorem(
+        ws.module(args.module), _certificate(ws, args), window=args.window))
+
+
+def _cmd_theorem_t2(args) -> int:
+    ws = _need_workspace(args)
+    return _theorem(args, check_t2(
+        ws.module(args.module), _certificate(ws, args), window=args.window))
+
+
+def _cmd_theorem_prop27(args) -> int:
+    ws = _need_workspace(args)
+    return _theorem(args, check_prop27(ws.algebra, ws.module(args.module),
+                                       config=_config_from(args)))
+
+
+def _cmd_theorem_cor33(args) -> int:
+    ws = _need_workspace(args)
+    return _theorem(args, check_cor33(ws.algebra, window=args.window,
+                                      config=_config_from(args)))
+
+
+def _cmd_theorem_ptransfer(args) -> int:
+    ws = _need_workspace(args)
+    return _theorem(args, check_P_transfer(
+        _certificate(ws, args), ws.module(args.module), window=args.window))
+
+
+def _cmd_corpus_run(args) -> int:
     from .corpus import run_corpus
     outcome = run_corpus(name_filter=args.filter)
     report = {"command": "corpus run", "filter": args.filter}
@@ -384,27 +385,10 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         command, message = exc.args
         return _error(command, "", message, f"usage error: {message}", 2)
+    leaf = "_".join(getattr(args, d) for d in _DESTS if hasattr(args, d))
     try:
         _check_bounds(args)
-        if args.command == "algebra":
-            return _cmd_algebra(args)
-        if args.command == "resolve":
-            return _cmd_resolve(args)
-        if args.command == "ext":
-            return _cmd_ext(args)
-        if args.command == "dual":
-            return _cmd_dual(args)
-        if args.command == "pushforward":
-            return _cmd_pushforward(args)
-        if args.command == "reduce":
-            if args.sub == "search":
-                return _cmd_reduce_search(args)
-            if args.sub == "verify":
-                return _cmd_reduce_verify(args)
-            return _cmd_reduce_transform(args)
-        if args.command == "theorem":
-            return _cmd_theorem(args)
-        return _cmd_corpus(args)
+        return globals()["_cmd_" + leaf](args)
     except (WorkspaceError, CertificateFormatError) as exc:
         return _error(args.command, exc.pointer, exc.message,
                       f"input error at {exc.pointer or '/'}: {exc.message}", 2)
