@@ -1,0 +1,122 @@
+"""Snapshot the command line: run a fixed list of command lines in-process
+and print one JSON document mapping each to its exit code, stdout and
+stderr.
+
+    python3 scripts/cli_snapshot.py > snapshot.json
+
+The list: `--help` at every level of `cli.COMMANDS`; usage and bound
+errors; every certify-cli command of `perfbench/reference.json` (with
+`--seed 1` where the reference is seeded); the README "Command line"
+examples in order, as `scripts/check_readme_cli.py` reads them; a
+too-deeply-nested workspace and certificate file and a malformed F_2
+scalar; and `corpus run`.  Everything runs in a fresh temporary directory
+holding a copy of `docs/examples`, so paths in the keys and the output
+are relative and two runs, or two checkouts, can be compared byte for
+byte.  A command that raises instead of returning is recorded with the
+exception's type under "raised".
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import shlex
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts")]
+
+from check_readme_cli import examples
+from redhom import cli
+
+PLANE = ["--workspace", "docs/examples/plane.json"]
+NESTED = 100_000   # past the JSON reader's recursion limit
+ERRORS = [  # usage errors, then bounds out of range
+    [], ["reduce"], ["reduce", "transform"], ["theorem"], ["frobnicate"],
+    ["reduce", "frobnicate"], [*PLANE, "resolve"], [*PLANE, "ext", "k"],
+    [*PLANE, "resolve", "k", "--window", "abc"],
+    [*PLANE, "resolve", "k", "--window", "1.5"],
+    [*PLANE, "resolve", "k", "--bogus"], [*PLANE, "resolve", "k", "extra"],
+    [*PLANE, "reduce", "search", "k"],
+    [*PLANE, "reduce", "search", "k", "--target", "both"],
+    ["algebra", "info"], [*PLANE, "resolve", "ghost"],
+    [*PLANE, "reduce", "verify", "ghost"],
+    [*PLANE, "reduce", "verify", "absent.json"],
+    [*PLANE, "resolve", "k", "--window", "-3"],
+    [*PLANE, "ext", "k", "R", "--window", "-1"],
+    [*PLANE, "reduce", "search", "k", "--target", "pd", "--budget", "0"],
+    [*PLANE, "reduce", "search", "k", "--target", "pd", "--max-a", "0"],
+    [*PLANE, "reduce", "search", "k", "--target", "pd", "--max-n", "0"],
+    [*PLANE, "theorem", "cor33", "--max-b", "-2"],
+    [*PLANE, "theorem", "cor33", "--max-r", "-1"],
+    [*PLANE, "theorem", "prop27", "k", "--max-n", "-2"],
+    [*PLANE, "reduce", "search", "k", "--target", "gdim", "--samples", "-3"],
+]
+MALFORMED = [  # written by `write_malformed`
+    ["--workspace", "nested.json", "algebra", "info"],
+    [*PLANE, "reduce", "verify", "nested_certificate.json"],
+    ["--workspace", "bad_scalar.json", "algebra", "info"],
+]
+
+
+def command_lines() -> list[list[str]]:
+    paths = ["", *dict.fromkeys(" ".join(leaf.split()[:i])
+                                for leaf in cli.COMMANDS
+                                for i in range(1, len(leaf.split()) + 1))]
+    lines = [[*path.split(), "--help"] for path in paths] + ERRORS
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    for spec in reference["certify-cli"]["commands"]:
+        lines.append(["--workspace", f"docs/examples/{spec['workspace']}",
+                      *spec["argv"], *(["--seed", "1"] * bool(spec.get("seeded")))])
+    for argv, _ in examples():
+        lines.append([os.path.relpath(a, ROOT) if a.startswith(str(ROOT)) else a
+                      for a in argv])
+    return lines + MALFORMED + [["corpus", "run"]]
+
+
+def write_malformed() -> None:
+    plane = json.loads(Path("docs/examples/plane.json").read_text())
+    text = json.dumps(plane).replace('"relations": []', '"relations": '
+                                     + "[" * NESTED + "]" * NESTED, 1)
+    Path("nested.json").write_text(text)
+    Path("nested_certificate.json").write_text(
+        '{"format": ' + "[" * NESTED + "]" * NESTED + "}")
+    plane["modules"]["bad"] = {"kind": "actions", "dim": 1,
+                               "actions": [[["3/"]], [["0"]]]}
+    Path("bad_scalar.json").write_text(json.dumps(plane))
+
+
+def run(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = {"exit": cli.main(argv)}
+        except SystemExit as exc:   # --help
+            result = {"exit": exc.code}
+        except Exception as exc:    # a crash is recorded, not hidden
+            result = {"raised": type(exc).__name__}
+    return {**result, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def main() -> int:
+    start = Path.cwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(ROOT / "docs" / "examples",
+                        Path(tmp) / "docs" / "examples")
+        os.chdir(tmp)
+        try:
+            write_malformed()
+            snapshot = {shlex.join(argv): run(argv) for argv in command_lines()}
+        finally:
+            os.chdir(start)
+    sys.stdout.write(json.dumps(snapshot, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

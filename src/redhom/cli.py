@@ -6,10 +6,11 @@ tool version and every window and seed that shaped the result.
 Exit codes: 0 success or accept, 1 reject, fail, or absent, 2 malformed
 input located by a JSON pointer, a bound out of range (a negative
 `--window`, `--max-r` or `--samples`, or `--budget`, `--max-a`, `--max-b`
-or `--max-n` below 1), a command line that does not parse, or a `--save`
-path that cannot be written (pointer ""), 3 an internal error (a
-`HomAlgError`, `ResolutionError` or failed assertion inside a command,
-including a resolution step or an Ext transition refused for exceeding
+or `--max-n` below 1), a command line that does not parse, a workspace or
+certificate file nested too deeply to read, or a `--save` path that
+cannot be written (pointer ""), 3 an internal error (a `HomAlgError`,
+`ResolutionError` or failed assertion inside a command, including a
+resolution step or an Ext transition refused for exceeding
 `resolution.MAX_STEP_BYTES`; pointer "").
 """
 
@@ -62,10 +63,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Lazy(argparse._SubParsersAction):
-    """Subcommands whose parsers are filled only when chosen."""
+    """Subcommands whose parsers are built only when chosen; until then
+    the names alone, as keys, give the choices, usage and error messages."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        _fill(self._name_parser_map[values[0]])
+        child = self._parser_class(prog=f"{self._prog_prefix} {values[0]}")
+        self._name_parser_map[values[0]] = child  # keeps the key order
+        _fill(child)
         super().__call__(parser, namespace, values, option_string)
 
 
@@ -103,8 +107,8 @@ _DESTS = ("command", "sub", "direction")  # subcommand name at each depth
 
 
 def _fill(parser) -> None:
-    """Give a leaf's parser its arguments, and a group's parser one empty
-    subparser per child, to be filled when chosen."""
+    """Give a leaf's parser its arguments, and a group's parser the names
+    of its children, whose parsers are built when chosen."""
     words = parser.prog.split()[1:]  # "redhom reduce" -> ["reduce"]
     path = " ".join(words)
     if path in COMMANDS:
@@ -114,9 +118,9 @@ def _fill(parser) -> None:
         return
     sub = parser.add_subparsers(dest=_DESTS[len(words)], required=True,
                                 action=_Lazy)
-    for name in dict.fromkeys(p.split()[len(words)] for p in COMMANDS
-                              if p.split()[:len(words)] == words):
-        sub.add_parser(name)
+    sub._name_parser_map.update(dict.fromkeys(
+        p.split()[len(words)] for p in COMMANDS
+        if p.split()[:len(words)] == words))
 
 
 def _config_from(args) -> SearchConfig:
@@ -125,7 +129,7 @@ def _config_from(args) -> SearchConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The top parser; each subcommand's parser is filled when chosen."""
+    """The top parser; each subcommand's parser is built when chosen."""
     top = _Parser(
         prog="redhom",
         description="exact homological invariants and chain certificates "

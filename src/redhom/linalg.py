@@ -146,9 +146,10 @@ class Field:
         """Parse a field element from decimal text like "3" or "-1/2"."""
         s = s.strip()
         try:
+            q = Fraction(s)  # Q's syntax on every field
             if self.p is None:
-                return Fraction(s)
-            num, _, den = s.partition("/")
+                return q
+            num, _, den = s.partition("/")  # decimals fail here
             return self.div(int(num), int(den or 1))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {s!r} over {self!r}") from None
@@ -529,7 +530,12 @@ class Matrix:
 
     @staticmethod
     def from_str_rows(field: Field, rows) -> "Matrix":
-        return Matrix.from_rows(field, [[field.parse(s) for s in row] for row in rows])
+        """Each entry as `field.parse` reads it; bare integers skip it."""
+        coerce, parse = field.coerce, field.parse
+        vals = [[coerce(int(s)) if s.removeprefix("-").isdecimal() else parse(s)
+                 for s in row] for row in rows]
+        return Matrix(field, np.array(vals, dtype=field.dtype).reshape(
+            len(vals), len(vals[0]) if vals else 0))
 
     # -- arithmetic -----------------------------------------------------
 

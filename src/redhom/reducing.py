@@ -247,7 +247,10 @@ def save_certificate(seq: ReducingSequence, path) -> None:
 
 def load_certificate(path, algebra: Algebra = None) -> ReducingSequence:
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise CertificateFormatError("", "not valid JSON: nested too deeply")
     return sequence_from_dict(data, algebra)
 
 

@@ -200,4 +200,6 @@ def load_workspace(path) -> Workspace:
         raise WorkspaceError("", f"cannot read workspace: {exc}")
     except json.JSONDecodeError as exc:
         raise WorkspaceError("", f"not valid JSON: {exc}")
+    except RecursionError:
+        raise WorkspaceError("", "not valid JSON: nested too deeply")
     return workspace_from_dict(data)

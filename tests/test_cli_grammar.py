@@ -59,6 +59,21 @@ def test_only_the_chosen_path_is_filled(monkeypatch):
                       "redhom reduce transform syzygy"]
 
 
+@pytest.mark.parametrize("argv, built", [
+    (["resolve", "k"], 2), (["algebra", "info"], 3),
+    (["reduce", "transform", "syzygy", "c"], 4)])
+def test_only_the_chosen_parsers_are_built(monkeypatch, argv, built):
+    progs = []
+
+    class Counting(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            progs.append(kwargs["prog"])
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(cli, "_Parser", Counting)
+    cli.build_parser().parse_args(argv)
+    assert progs == [" ".join(["redhom", *argv[:i]]) for i in range(built)]
+
+
 SAVING = {
     "search": [PLANE, "reduce", "search", "k", "--target", "pd",
                "--max-a", "4"],
