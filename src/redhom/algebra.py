@@ -424,7 +424,8 @@ def algebra_from_presentation(pres: dict) -> Algebra:
     ch, nilp = pres["characteristic"], pres["nilpotency"]
     if type(ch) is not int or type(nilp) is not int:
         raise ValueError("characteristic and nilpotency must be integers")
-    names, rels = tuple(pres["variables"]), tuple(pres["relations"])
-    if not all(isinstance(s, str) for s in names + rels):
-        raise ValueError("variables and relations must be strings")
-    return _cached_algebra(None if ch == 0 else ch, names, rels, nilp)
+    names, rels = pres["variables"], pres["relations"]
+    if not (isinstance(names, list) and isinstance(rels, list)
+            and all(isinstance(s, str) for s in names + rels)):
+        raise ValueError("variables and relations must be lists of strings")
+    return _cached_algebra(ch or None, tuple(names), tuple(rels), nilp)

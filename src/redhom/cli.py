@@ -4,14 +4,15 @@ Human-readable one-liners go to stderr; stdout carries a single
 deterministic JSON document (sorted keys, no timestamps) embedding the
 tool version and every window and seed that shaped the result.
 Exit codes: 0 success or accept, 1 reject, fail, or absent, 2 malformed
-input located by a JSON pointer, a bound out of range (a negative
-`--window`, `--max-r` or `--samples`, or `--budget`, `--max-a`, `--max-b`
-or `--max-n` below 1), a command line that does not parse, a workspace or
-certificate file nested too deeply to read, or a `--save` path that
-cannot be written (pointer ""), 3 an internal error (a `HomAlgError`,
-`ResolutionError` or failed assertion inside a command, including a
-resolution step or an Ext transition refused for exceeding
-`resolution.MAX_STEP_BYTES`; pointer "").
+input located by a JSON pointer (including a certificate step whose power
+`a` or `b`, or whose `n`-th syzygy, would exceed `resolution.MAX_STEP_BYTES`),
+a bound out of range (a negative `--window`, `--max-r` or `--samples`, or
+`--budget`, `--max-a`, `--max-b` or `--max-n` below 1), a command line
+that does not parse, a workspace or certificate file nested too deeply to
+read, or a `--save` path that cannot be written (pointer ""), 3 an
+internal error (a `HomAlgError`, `ResolutionError` or failed assertion
+inside a command, including a resolution step or an Ext transition
+refused for exceeding `resolution.MAX_STEP_BYTES`; pointer "").
 """
 
 import argparse

@@ -28,7 +28,6 @@ from .modules import (
     Module,
     ModuleMap,
     ShortExactSequence,
-    _quotient,
     assemble_action_columns,
     direct_sum,
     free_map_columns,
@@ -309,25 +308,20 @@ class Ext1Data:
         self.beta1 = self.res.betti(1)
         self.flat_dim = self.beta1 * left.dim
         table = ExtTable(right, left)
-        self.cocycles, _ = table.transition(1).kernel_data()
+        cocycles = table.transition(1).kernel_basis()
         self.boundaries = column_space_basis(table.transition(0))
-        joint = Matrix.hstack([self.boundaries, self.cocycles])
-        _, piv = joint.rref()
-        nb = self.boundaries.cols
-        rep_idx = [p - nb for p in piv if p >= nb]
-        self.reps = self.cocycles.take_cols(rep_idx)
+        # the boundaries are independent, so they lead the pivot columns
+        self._class_basis = column_space_basis(
+            Matrix.hstack([self.boundaries, cocycles]))
+        self.reps = self._class_basis.take_cols(
+            range(self.boundaries.cols, self._class_basis.cols))
         self.dim = self.reps.cols
-        self._class_basis = Matrix.hstack([self.boundaries, self.reps])
         self._syz = self.res.syzygy_subspace(1)
         self._lift_cache: Matrix | None = None
 
-    def psi_from_flat(self, flat: Matrix) -> Matrix:
-        """Restrict a cocycle to the first syzygy (columns indexed by the
-        syzygy's own coordinates)."""
-        return Matrix(self.alg.field, self.psis(flat)[0])
-
     def psis(self, flats: Matrix) -> np.ndarray:
-        """`psi_from_flat` of every column of `flats`, as one
+        """The cocycles in the columns of `flats` restricted to the first
+        syzygy (columns indexed by the syzygy's own coordinates), as one
         (columns, left dim, syzygy dim) array."""
         fld, m, k = self.alg.field, self.left.dim, flats.cols
         if self._lift_cache is None:
@@ -344,25 +338,21 @@ class Ext1Data:
         return contract(fld, "lak,ks->las", cochains.reshape(
             k, m, self.beta1 * self.alg.dim), self._lift_cache.a)
 
-    def flat_from_psi(self, psi: Matrix) -> Matrix:
-        """Extend a map off the first syzygy to a cocycle."""
-        full = psi @ resolve(self.res.syzygy_module(1)).cover_matrix()
-        # generator j's image is column j*d; flat cochains are generator-major
-        images = full.a[:, ::self.alg.dim]
-        return Matrix(self.alg.field, images.T.reshape(self.flat_dim, 1))
-
     def psi_from_class(self, coords: Matrix) -> Matrix:
         fld = self.alg.field
         flat = self.reps @ coords if self.dim else \
             Matrix.zeros(fld, self.flat_dim, 1)
-        return self.psi_from_flat(flat)
+        return Matrix(fld, self.psis(flat)[0])
 
-    def class_of_flat(self, flat: Matrix) -> Matrix:
-        sol, ok = self._class_basis.solve_columns(flat)
+    def class_of_psi(self, psi: Matrix) -> Matrix:
+        """Class of the cocycle extending a map off the first syzygy."""
+        full = psi @ resolve(self.res.syzygy_module(1)).cover_matrix()
+        # generator j's image is column j*d; flat cochains are generator-major
+        flat = full.a[:, ::self.alg.dim].T.reshape(self.flat_dim, 1)
+        sol, ok = self._class_basis.solve_columns(Matrix(self.alg.field, flat))
         if not all(ok):
             raise HomAlgError("vector is not a cocycle for this pair")
-        nb = self.boundaries.cols
-        return Matrix(self.alg.field, sol.a[nb:, :].copy())
+        return Matrix(self.alg.field, sol.a[self.boundaries.cols:, :].copy())
 
 
 def ext1_data(right: Module, left: Module) -> Ext1Data:
@@ -374,42 +364,35 @@ def ext1_data(right: Module, left: Module) -> Ext1Data:
 
 def extension_from_psi(left: Module, right: Module,
                        psi: Matrix) -> ShortExactSequence:
-    """Sequence with the given outer terms built as the pushout of the
-    right term's cover along psi.
-
-    psi must be the matrix of a module map from the right term's first
-    syzygy (in syzygy coordinates) to the left term; its graph is then
-    glued against the syzygy inside the sum of the left term and the
-    cover.  The zero map yields the literal split sequence.
-    """
-    alg = left.algebra
-    fld = alg.field
+    """Sequence with the given outer terms whose middle is left + right,
+    x_v acting by [[A_v, psi delta_v], [0, B_v]], with the split maps
+    [I; 0] and [0 I].  psi maps the right term's first syzygy (in its
+    coordinates) to the left term; delta_v = x_v s - s x_v, for s the
+    cover's section (`Resolution.section`), lies in that syzygy, and s is
+    zero at its free positions, so the rows of x_v s there are delta_v's
+    coordinates.  This is the pushout (left + F_0) / graph(psi, -syz) in
+    the basis (a, r) -> (a, s r) (Weibel, An Introduction to Homological
+    Algebra, 3.4).  The zero map yields the literal split sequence."""
     res = resolve(right)
-    syz = res.syzygy_subspace(1)
-    if psi.rows != left.dim or psi.cols != syz.cols:
+    free = res.free_positions(1)
+    if psi.rows != left.dim or psi.cols != len(free):
         raise HomAlgError("psi has the wrong shape for this pair")
+    split = split_ses(left, right)
     if psi.is_zero():
-        return split_ses(left, right)
-    amb = res.ambient_free(0)
-    big = direct_sum([left, amb])
-    glue = Matrix.vstack([psi, -syz])
-    middle, proj, keep = _quotient(
-        big, glue, f"E({left.label or '?'},{right.label or '?'})")
-    inject = ModuleMap(left, middle, proj.matrix.take_cols(range(left.dim)),
-                       validate=False)
-    # [0 | cover] kills the glue, so it factors through the projection on
-    # any section, such as the unit columns at the kept coordinates
-    project_mat = Matrix.zeros(fld, right.dim, big.dim)
-    project_mat.a[:, left.dim:] = res.cover_matrix().a
-    project = ModuleMap(middle, right, project_mat.take_cols(keep),
-                        validate=False)
-    return ShortExactSequence(inject, project)
+        return split
+    m, s = left.dim, res.section()
+    acts = [a.copy() for a in split.middle.var_actions]
+    for act, x in zip(acts, res.ambient_free(0).var_actions):
+        act.a[:m, m:] = (psi @ x.take_rows(free) @ s).a
+    middle = Module(left.algebra, split.middle.dim, acts, validate=False,
+                    label=f"E({left.label or '?'},{right.label or '?'})")
+    return ShortExactSequence(
+        ModuleMap(left, middle, split.inject.matrix, validate=False),
+        ModuleMap(middle, right, split.project.matrix, validate=False))
 
 
 def extension_from_class(data: Ext1Data, coords: Matrix) -> ShortExactSequence:
     """Realize an extension class; the zero class gives the literal split."""
-    if coords.is_zero():
-        return split_ses(data.left, data.right)
     return extension_from_psi(data.left, data.right,
                               data.psi_from_class(coords))
 
@@ -435,7 +418,7 @@ def class_of_ses(data: Ext1Data, ses: ShortExactSequence) -> Matrix:
     psi, ok = ses.inject.matrix.solve_columns(through_syz)
     if not all(ok):
         raise HomAlgError("syzygy image does not land in the left term")
-    return data.class_of_flat(data.flat_from_psi(psi))
+    return data.class_of_psi(psi)
 
 
 # -- pushforward -------------------------------------------------------------------
@@ -455,10 +438,8 @@ def pushforward(mod: Module) -> Pushforward:
     if mod.dim == 0:
         # the zero module embeds into the zero free module
         target = free_module(alg, 0)
-        zero = Matrix.zeros(alg.field, 0, 0)
-        forward, proj = quotient_module(target, zero, label="push(0)")
         return Pushforward(ShortExactSequence(
-            ModuleMap(mod, target, zero, validate=False), proj), forward)
+            ModuleMap.zero(mod, target), ModuleMap.identity(target)), target)
     dual = r_dual(mod)
     gens = dual.module.min_generators()
     if gens.cols == 0:

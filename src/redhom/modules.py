@@ -316,7 +316,6 @@ def from_presentation(alg: Algebra, n_gens: int, rel_rows: list[list[str]],
     for row in rel_rows:
         if len(row) != s:
             raise ModuleError("ragged relation matrix")
-    fld = alg.field
     if n_gens == 0:
         return zero_module(alg)
     if s == 0:
@@ -464,27 +463,20 @@ def kernel_actions(mod: Module, kb: Matrix, fp: list[int]) -> list[Matrix]:
     return [mod.apply_var(v, kb).take_rows(fp) for v in range(mod.algebra.nvars)]
 
 
-def _quotient(mod: Module, span: Matrix,
-              label: str) -> tuple[Module, ModuleMap, list[int]]:
-    """`quotient_module` and the kept coordinates, at which the unit
-    columns are a section of the projection."""
+def quotient_module(mod: Module, span: Matrix,
+                    label: str = "") -> tuple[Module, ModuleMap]:
+    """Quotient by the submodule generated by the given columns, on the
+    coordinates left free by span^T: the projection is the transpose of
+    the kernel basis of span^T, with the unit columns there as a section.
+    A zero span gives the module itself."""
     if span.cols == 0 or span.is_zero():
-        # trivial quotient: literally the same module
-        return mod, ModuleMap.identity(mod), list(range(mod.dim))
+        return mod, ModuleMap.identity(mod)
     kb, keep = span.transpose().kernel_data()
     proj = kb.transpose()
     lift = Matrix.identity(mod.algebra.field, mod.dim).take_cols(keep)
     va = [proj @ mod.apply_var(v, lift) for v in range(mod.algebra.nvars)]
     quot = Module(mod.algebra, len(keep), va, label=label, validate=False)
-    return quot, ModuleMap(mod, quot, proj, validate=False), keep
-
-
-def quotient_module(mod: Module, span: Matrix,
-                    label: str = "") -> tuple[Module, ModuleMap]:
-    """Quotient by the submodule generated by the given columns, on the
-    coordinates left free by span^T: the projection is the transpose of
-    the kernel basis of span^T."""
-    return _quotient(mod, span, label)[:2]
+    return quot, ModuleMap(mod, quot, proj, validate=False)
 
 
 def kernel_module(f: ModuleMap, label: str = "") -> tuple[Module, ModuleMap]:

@@ -38,6 +38,7 @@ from .modules import (
     split_free_summands,
     split_ses,
 )
+from . import resolution
 from .resolution import resolve, syzygy
 from .homalg import (
     class_of_ses,
@@ -212,29 +213,37 @@ def sequence_from_dict(data, algebra: Algebra = None) -> ReducingSequence:
         ptr = f"/steps/{i}"
         if not isinstance(raw, dict):
             raise CertificateFormatError(ptr, "expected an object")
-        params = {}
-        for key in ("a", "b", "n"):
-            val = raw.get(key)
+        a, b, n = params = [raw.get(key) for key in "abn"]
+        for key, val in zip("abn", params):
             if type(val) is not int or val < 1:
                 raise CertificateFormatError(f"{ptr}/{key}",
                                              "expected a positive integer")
-            params[key] = val
+            size = alg.nvars * (val * prev.dim) ** 2 * alg.field.wide.itemsize
+            if key != "n" and size > resolution.MAX_STEP_BYTES:
+                raise CertificateFormatError(f"{ptr}/{key}", (
+                    f"the power {key} = {val} would allocate {size} bytes "
+                    f"of dense actions, over MAX_STEP_BYTES = "
+                    f"{resolution.MAX_STEP_BYTES}"))
         middle = module_from_dict(alg, raw.get("middle"), ptr + "/middle")
         right = module_from_dict(alg, raw.get("right"), ptr + "/right")
-        left = power_module(prev, params["a"])
+        left = power_module(prev, a)
         inj = _matrix_from_rows(alg, raw.get("inject"), middle.dim, left.dim,
                                 ptr + "/inject")
         proj = _matrix_from_rows(alg, raw.get("project"), right.dim,
                                  middle.dim, ptr + "/project")
-        rebuilt = _syzygy_of_power(prev, params["b"], params["n"])
+        try:
+            rebuilt = _syzygy_of_power(prev, b, n)
+        except resolution.ResolutionError as exc:
+            raise CertificateFormatError(f"{ptr}/n", f"n = {n}: the syzygy of "
+                                         f"b = {b} copies cannot be rebuilt: "
+                                         f"{exc.reason}")
         wit = _matrix_from_rows(alg, raw.get("witness"), rebuilt.dim,
                                 right.dim, ptr + "/witness")
         ses = ShortExactSequence(
             ModuleMap(left, middle, inj, validate=False),
             ModuleMap(middle, right, proj, validate=False))
         steps.append(ReducingStep(
-            params["a"], params["b"], params["n"], ses,
-            ModuleMap(right, rebuilt, wit, validate=False)))
+            a, b, n, ses, ModuleMap(right, rebuilt, wit, validate=False)))
         prev = middle
     return ReducingSequence(base, steps, target)
 
@@ -732,8 +741,7 @@ def transform_cosyzygy(seq: ReducingSequence, module: Module,
         omega_aw = resolve(pw_a_w).syzygy_module(1)
         psi_new = (kappa_full @ psi_eta).take_rows(range(omega_aw.dim))
         smap = ext_syzygy_map(right_w, pw_a_w)
-        eta_shift = smap.target_data.class_of_flat(
-            smap.target_data.flat_from_psi(psi_new))
+        eta_shift = smap.target_data.class_of_psi(psi_new)
         coords = smap.matrix.solve(eta_shift)
         if coords is None:
             raise CertificateError(

@@ -9,7 +9,8 @@ on them from the algebra's sparse structure constants
 (`modules.free_map_columns`) and eliminates it sparsely; no dense matrix
 of a step is built, also not for the actions of a syzygy module, which
 are read off the same layout (`_kernel_images`).  The dense accessors
-serve maps between modules: each densifies once, on demand, read-only.
+serve maps between modules: each densifies once, on demand, read-only,
+as does the cover's section, which extensions need.
 
 Three classes implement it.  `ChainResolution` computes the steps of
 one module; a free module's chain starts from its identity cover, whose
@@ -46,8 +47,12 @@ ENTRY_BYTES = 212
 
 
 class ResolutionError(RuntimeError):
-    """Raised when a resolution invariant fails internally, or when a
-    step would allocate more than `MAX_STEP_BYTES`."""
+    """Raised when a resolution invariant fails internally, or when a step
+    would allocate more than `MAX_STEP_BYTES`; `reason` omits the hint."""
+
+    def __init__(self, reason: str, hint: str = ""):
+        super().__init__(reason + hint)
+        self.reason = reason
 
 
 class Resolution:
@@ -69,13 +74,18 @@ class Resolution:
         """Rows of d_i: the dimension of the module, or of F_{i-1}."""
         return self.module.dim if i == 0 else self.betti(i - 1) * self.module.algebra.dim
 
-    def _dense(self, key, rows: int, columns) -> Matrix:
-        """`Matrix.from_sparse` of columns(), once per key, read-only."""
+    def _cached(self, key, build) -> Matrix:
+        """build(), once per key, read-only."""
         cache = vars(self).setdefault("_dense_cache", {})
         if key not in cache:
-            cache[key] = Matrix.from_sparse(self.module.algebra.field, rows, columns())
+            cache[key] = build()
             cache[key].a.flags.writeable = False
         return cache[key]
+
+    def _dense(self, key, rows: int, columns) -> Matrix:
+        """`Matrix.from_sparse` of columns(), once per key, read-only."""
+        return self._cached(key, lambda: Matrix.from_sparse(
+            self.module.algebra.field, rows, columns()))
 
     def differential(self, i: int) -> Matrix:
         if i < 1:
@@ -84,6 +94,12 @@ class Resolution:
 
     def cover_matrix(self) -> Matrix:
         return self._dense(("d", 0), self._rows(0), lambda: self.columns(0))
+
+    def section(self) -> Matrix:
+        """The k-linear section s of the cover: cover @ s = I with the free
+        variables zero, so its rows at `free_positions(1)` are zero."""
+        return self._cached("s", lambda: self.cover_matrix().solve(
+            Matrix.identity(self.module.algebra.field, self.module.dim)))
 
     def generator_images(self, i: int) -> Matrix:
         """d_i on the generators of F_i (columns j*d); the cover for i = 0."""
@@ -316,8 +332,8 @@ def _check_step_size(i: int, shape: tuple[int, int], entries: int,
         raise ResolutionError(
             f"{what} {i} would allocate {size} bytes (a {shape[0]}x"
             f"{shape[1]} sparse matrix and its elimination, {entries} "
-            f"entries), over MAX_STEP_BYTES = {MAX_STEP_BYTES}; use a "
-            f"window below {i} (--window on the command line)")
+            f"entries), over MAX_STEP_BYTES = {MAX_STEP_BYTES}",
+            f"; use a window below {i} (--window on the command line)")
 
 
 def _check_dense_size(i: int, shape: tuple[int, int], field) -> None:

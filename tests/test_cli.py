@@ -482,10 +482,17 @@ def _cert_relation(cert, value):
     return "/algebra"
 
 
+def _cert_variables(cert, value):
+    cert["algebra"]["variables"] = value
+    return "/algebra"
+
+
 NON_STRING_FIELDS = [(_cert_inject_entry, 1), (_cert_base_action, None),
                      (_cert_relation, 1), (_cert_inject_entry, True),
                      (_cert_inject_entry, 1.5), (_cert_base_action, False),
-                     (_cert_relation, 2.5)]
+                     (_cert_relation, 2.5), (_cert_variables, None),
+                     (_cert_variables, 3), (_cert_variables, "xy")]
+LISTS_OF_STRINGS = "variables and relations must be lists of strings"
 
 
 class TestNonStringCertificateFields:
@@ -503,6 +510,8 @@ class TestNonStringCertificateFields:
         assert code == 2
         assert report["error"]["pointer"] == "/certificates/cert_k" + pointer
         assert err.startswith("input error at /certificates/cert_k")
+        if pointer == "/algebra":
+            assert report["error"]["message"] == LISTS_OF_STRINGS
 
     @pytest.mark.parametrize("edit, value", NON_STRING_FIELDS)
     def test_certificate_file(self, tmp_path, capsys, edit, value):
@@ -516,6 +525,8 @@ class TestNonStringCertificateFields:
                               "reduce", "verify", str(path))
         assert code == 2
         assert report["error"]["pointer"] == pointer
+        if pointer == "/algebra":
+            assert report["error"]["message"] == LISTS_OF_STRINGS
 
 
 OVERSIZED = {"nilpotency": {"nilpotency": 100000},

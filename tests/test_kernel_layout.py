@@ -8,7 +8,8 @@ import random
 import pytest
 
 from redhom.algebra import _monomials_below, build_algebra, parse_polynomial
-from redhom.homalg import canonical_module, ext1_data, extension_from_psi
+from redhom.homalg import (canonical_module, class_of_ses, ext1_data,
+                           extension_from_psi)
 from redhom.linalg import Field, Matrix, column_space_basis, nf_columns
 from redhom.modules import (
     Module,
@@ -210,10 +211,17 @@ def extension_pairs(p):
 @pytest.mark.parametrize("p", PRIMES)
 class TestExtensionMaps:
     def test_inject_and_project(self, p):
+        """The block-triangular middle against the pushout, through the
+        isomorphism T = ref_proj [[I, 0], [0, s]], (a, r) -> (a, s r)."""
         fld = Field(p)
         rng = random.Random(7)
         for left, right in extension_pairs(p):
             data = ext1_data(right, left)
+            res = resolve(right)
+            s = res.section()
+            assert same(res.cover_matrix() @ s,
+                        Matrix.identity(fld, right.dim))
+            assert not s.take_rows(res.free_positions(1)).a.any()
             classes = [Matrix.identity(fld, data.dim).take_cols([i])
                        for i in range(data.dim)]
             classes.append(Matrix.column(fld, [rng.randrange(1, 4)
@@ -224,8 +232,17 @@ class TestExtensionMaps:
                     continue
                 ses = extension_from_psi(left, right, psi)
                 inject, project = reference_extension(left, right, psi)
-                assert same(ses.inject.matrix, inject)
-                assert same(ses.project.matrix, project)
+                big = direct_sum([left, res.ambient_free(0)])
+                ref_proj, ref_acts = reference_quotient(
+                    big, Matrix.vstack([psi, -res.syzygy_subspace(1)]))
+                t = ref_proj @ Matrix.block_diag(
+                    fld, [Matrix.identity(fld, left.dim), s])
+                assert t.inverse() is not None
+                assert same(t @ ses.inject.matrix, inject)
+                assert same(project @ t, ses.project.matrix)
+                for e, q in zip(ses.middle.var_actions, ref_acts):
+                    assert same(t @ e, q @ t)
+                assert class_of_ses(data, ses) == coords
                 ses.validate()
 
 

@@ -83,6 +83,27 @@ def test_fp_entry_outside_q_syntax_is_exit_2(tmp_path, where, p, entry):
                        "bad entry")
 
 
+# -- certificate steps too large to rebuild -----------------------------
+
+
+@pytest.mark.parametrize("key,value,fragment", [
+    ("a", 10**5, "the power a = 100000 would allocate"),
+    ("b", 10**5, "the power b = 100000 would allocate"),
+    ("n", 100, "n = 100: the syzygy of b = 1 copies cannot be rebuilt"),
+])
+def test_oversized_certificate_step_is_exit_2(tmp_path, monkeypatch, key,
+                                              value, fragment):
+    """Refused before the power or the syzygy is built (the step cap is
+    lowered to 1 MB, so n = 100 stops at an early resolution step)."""
+    monkeypatch.setattr(resolution, "MAX_STEP_BYTES", 10**6)
+    doc = json.loads(TEXTS["plane.json"])
+    doc["certificates"]["cert_k"]["steps"][0][key] = value
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    assert_input_error(["--workspace", str(path), "algebra", "info"],
+                       f"/certificates/cert_k/steps/0/{key}", fragment)
+
+
 # -- one value replaced at a drawn JSON pointer -------------------------
 
 NEST = "\x00nest{}\x00"   # a placeholder for nested brackets of that depth
@@ -125,7 +146,8 @@ def replacement(draw, key, old, nvars):
         return NEST.format(draw(st.sampled_from([1, 10, 100, 900, 2000,
                                                  10**4])))
     if kind == "integer":
-        large = [10**3, 10**4, 10**5] if key == "nilpotency" else []
+        large = [10**3, 10**4, 10**5] if key in ("nilpotency", "a", "b", "n") \
+            else []
         return draw(st.sampled_from([-1, 0, 1, 2, 3, 100, *large]))
     n = draw(st.integers(0, 3))
     return {"kind": "actions", "dim": n,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from redhom import resolution
 from redhom.algebra import build_algebra
 from redhom.linalg import GF2, QQ, Matrix
 from redhom.modules import (
@@ -153,6 +154,10 @@ class TestSerialization:
         (lambda d: d["base"].update(dim=-1), "/base/dim"),
         (lambda d: d["base"]["actions"].pop(), "/base/actions"),
         (lambda d: d["steps"][0].update(a=0), "/steps/0/a"),
+        pytest.param(lambda d: d["steps"][0].update(a=10**5), "/steps/0/a",
+                     id="a-power-too-large"),
+        pytest.param(lambda d: d["steps"][0].update(b=10**5), "/steps/0/b",
+                     id="b-power-too-large"),
         (lambda d: d["steps"][0]["witness"].pop(), "/steps/0/witness"),
         (lambda d: d["steps"][0]["inject"][0].pop(), "/steps/0/inject/0"),
     ])
@@ -162,6 +167,19 @@ class TestSerialization:
         with pytest.raises(CertificateFormatError) as err:
             sequence_from_dict(data)
         assert err.value.pointer == pointer
+
+    def test_unbuildable_syzygy_names_n(self, plane, monkeypatch):
+        """A step whose n-th syzygy passes the step cap is malformed input
+        at its n, and the message names n, not a command-line window."""
+        monkeypatch.setattr(resolution, "MAX_STEP_BYTES", 10**6)
+        data = sequence_to_dict(pd_cert_for_k(plane))
+        data["steps"][0]["n"] = 100
+        with pytest.raises(CertificateFormatError) as err:
+            sequence_from_dict(data)
+        assert err.value.pointer == "/steps/0/n"
+        assert err.value.message.startswith("n = 100: ")
+        assert "MAX_STEP_BYTES" in err.value.message
+        assert "--window" not in err.value.message
 
     @pytest.mark.parametrize("mutate,pointer", [
         (lambda d: d["base"].update(dim=True), "/base/dim"),
