@@ -3,23 +3,34 @@ and print one JSON document mapping each to its exit code, stdout and
 stderr.
 
     python3 scripts/cli_snapshot.py > snapshot.json
+    python3 scripts/cli_snapshot.py --pinned > tests/data/cli_snapshot.json
+    python3 scripts/cli_snapshot.py --check tests/data/cli_snapshot.json
 
 The list: `--help` at every level of `cli.COMMANDS`; usage and bound
 errors; every certify-cli command of `perfbench/reference.json` (with
 `--seed 1` where the reference is seeded); the README "Command line"
-examples in order, as `scripts/check_readme_cli.py` reads them; a
-too-deeply-nested workspace and certificate file and a malformed F_2
-scalar; and `corpus run`.  Everything runs in a fresh temporary directory
-holding a copy of `docs/examples`, so paths in the keys and the output
-are relative and two runs, or two checkouts, can be compared byte for
-byte.  A command that raises instead of returning is recorded with the
-exception's type under "raised".
+examples in order, as `scripts/check_readme_cli.py` reads them; the
+searches on `plane.json` that exhaust their budget; a too-deeply-nested
+workspace and certificate file and a malformed F_2 scalar; and `corpus
+run`.  Everything runs in a fresh temporary directory holding a copy of
+`docs/examples`, so paths in the keys and the output are relative and two
+runs, or two checkouts, can be compared byte for byte.  A command that
+raises instead of returning is recorded with the exception's type under
+"raised".
+
+`--pinned` prints only the entries whose text the program writes: it
+leaves out `--help` and the usage errors, which argparse words, and its
+wording differs between Python versions.  `--check PATH` runs those
+entries and compares them with PATH; on a difference it prints the first
+differing command line, stream and line to stderr and exits 1.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import shlex
@@ -36,7 +47,7 @@ from redhom import cli
 
 PLANE = ["--workspace", "docs/examples/plane.json"]
 NESTED = 100_000   # past the JSON reader's recursion limit
-ERRORS = [  # usage errors, then bounds out of range
+USAGE = [  # usage errors, worded by argparse
     [], ["reduce"], ["reduce", "transform"], ["theorem"], ["frobnicate"],
     ["reduce", "frobnicate"], [*PLANE, "resolve"], [*PLANE, "ext", "k"],
     [*PLANE, "resolve", "k", "--window", "abc"],
@@ -44,6 +55,8 @@ ERRORS = [  # usage errors, then bounds out of range
     [*PLANE, "resolve", "k", "--bogus"], [*PLANE, "resolve", "k", "extra"],
     [*PLANE, "reduce", "search", "k"],
     [*PLANE, "reduce", "search", "k", "--target", "both"],
+]
+ERRORS = [  # input errors, then bounds out of range
     ["algebra", "info"], [*PLANE, "resolve", "ghost"],
     [*PLANE, "reduce", "verify", "ghost"],
     [*PLANE, "reduce", "verify", "absent.json"],
@@ -57,6 +70,8 @@ ERRORS = [  # usage errors, then bounds out of range
     [*PLANE, "theorem", "prop27", "k", "--max-n", "-2"],
     [*PLANE, "reduce", "search", "k", "--target", "gdim", "--samples", "-3"],
 ]
+EXHAUSTED = [[*PLANE, "reduce", "search", m, "--target", t]
+             for m in ("two_gen", "Rx") for t in ("pd", "gdim")]
 MALFORMED = [  # written by `write_malformed`
     ["--workspace", "nested.json", "algebra", "info"],
     [*PLANE, "reduce", "verify", "nested_certificate.json"],
@@ -68,7 +83,7 @@ def command_lines() -> list[list[str]]:
     paths = ["", *dict.fromkeys(" ".join(leaf.split()[:i])
                                 for leaf in cli.COMMANDS
                                 for i in range(1, len(leaf.split()) + 1))]
-    lines = [[*path.split(), "--help"] for path in paths] + ERRORS
+    lines = [[*path.split(), "--help"] for path in paths] + USAGE + ERRORS
     reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
     for spec in reference["certify-cli"]["commands"]:
         lines.append(["--workspace", f"docs/examples/{spec['workspace']}",
@@ -76,7 +91,11 @@ def command_lines() -> list[list[str]]:
     for argv, _ in examples():
         lines.append([os.path.relpath(a, ROOT) if a.startswith(str(ROOT)) else a
                       for a in argv])
-    return lines + MALFORMED + [["corpus", "run"]]
+    return lines + EXHAUSTED + MALFORMED + [["corpus", "run"]]
+
+
+def is_pinned(argv: list[str]) -> bool:
+    return "--help" not in argv and argv not in USAGE
 
 
 def write_malformed() -> None:
@@ -103,7 +122,35 @@ def run(argv: list[str]) -> dict:
     return {**result, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-def main() -> int:
+def first_difference(pinned: dict, snapshot: dict) -> str | None:
+    """The first command line, stream and line where two snapshots differ."""
+    for key in dict.fromkeys([*pinned, *snapshot]):
+        if key not in snapshot or key not in pinned:
+            return f"{key}: {'not run' if key in pinned else 'not pinned'}"
+        for stream in ("exit", "raised", "stdout", "stderr"):
+            want, got = pinned[key].get(stream), snapshot[key].get(stream)
+            if want == got:
+                continue
+            if not (isinstance(want, str) and isinstance(got, str)):
+                return f"{key}: {stream} pinned {want!r}, got {got!r}"
+            pairs = itertools.zip_longest(want.splitlines(keepends=True),
+                                          got.splitlines(keepends=True))
+            line, (w, g) = next((i, wg) for i, wg in enumerate(pairs, 1)
+                                if wg[0] != wg[1])
+            return f"{key}: {stream} line {line} pinned {w!r}, got {g!r}"
+    return None
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--pinned", action="store_true",
+                      help="print only the entries a pinned snapshot holds")
+    mode.add_argument("--check", metavar="PATH",
+                      help="compare those entries with the snapshot at PATH")
+    args = parser.parse_args(argv)
+    lines = [a for a in command_lines()
+             if is_pinned(a) or not (args.pinned or args.check)]
     start = Path.cwd()
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copytree(ROOT / "docs" / "examples",
@@ -111,9 +158,15 @@ def main() -> int:
         os.chdir(tmp)
         try:
             write_malformed()
-            snapshot = {shlex.join(argv): run(argv) for argv in command_lines()}
+            snapshot = {shlex.join(argv): run(argv) for argv in lines}
         finally:
             os.chdir(start)
+    if args.check:
+        diff = first_difference(json.loads(Path(args.check).read_text()),
+                                snapshot)
+        if diff:
+            print(f"{args.check}: {diff}", file=sys.stderr)
+        return 1 if diff else 0
     sys.stdout.write(json.dumps(snapshot, indent=1) + "\n")
     return 0
 

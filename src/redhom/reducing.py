@@ -440,36 +440,41 @@ def _dfs(mod: Module, depth: int, st: _SearchState):
     peels = functools.cache(lambda a: split_free_summands(power(a)))
     small_cache = {}
     cells = []
-    # first pass: free-middle closures; cost nothing, close the chain
+    # first pass: free-middle closures; cost nothing, close the chain.
+    # peel(mod^a) leaves X^a and syz^{n+1}(mod^b) is S^b; sizes add over
+    # sums, so is_isomorphic refuses a cell where they differ: skip it.
+    def sizes(m):
+        return m.dim, m.radical_span().cols, m.socle_span().cols
+    vx = sizes(peels(1).remainder)
     for n in range(1, cfg.max_n + 1):
+        if syzygy(mod, n).dim == 0:
+            continue
+        vs = sizes(syzygy(mod, n + 1))
         for b in range(1, cfg.max_b + 1):
-            res_pow = resolve(power(b))
-            right = res_pow.syzygy_module(n)
-            if right.dim == 0:
-                continue
-            nxt = res_pow.syzygy_module(n + 1)
             for a in range(1, cfg.max_a + 1):
-                peel = peels(a)
-                # stable identification: mod^a = free + syz^{n+1}(mod^b)
-                ver = is_isomorphic(peel.remainder, nxt, seed=cfg.seed)
-                if ver.kind == "yes":
-                    step = _free_middle_step(mod, a, b, n, res_pow, peel,
-                                             ver.witness)
-                    return [step]  # free middle, terminal for both targets
-                cells.append((n, b, a, right))
-    # second pass: extension candidates, charged against the budget.  At
+                if all(a * x == b * s for x, s in zip(vx, vs)):
+                    # stable identification: mod^a = free + syz^{n+1}(mod^b)
+                    ver = is_isomorphic(peels(a).remainder,
+                                        syzygy(power(b), n + 1), seed=cfg.seed)
+                    if ver.kind == "yes":  # a free middle, terminal for both
+                        return [_free_middle_step(mod, a, b, n, resolve(power(b)),
+                                                  peels(a), ver.witness)]
+                cells.append((n, b, a))
+    # second pass: extension candidates, charged against the budget, each
+    # cell building its right term syz^n(mod^b) when it is reached.  At
     # the last depth a middle is only tested for terminality; one that has
     # `mod` as a summand cannot pass, so it is charged but never built.
     # That covers the split middle and every class whose a x (b d)
     # coefficient matrix has rank < a: a change of basis of mod^a then
     # zeroes a row, and that copy of mod splits off.
     last = depth + 1 >= cfg.max_r
-    for n, b, a, right in cells:
+    for n, b, a in cells:
         if st.exhausted:
             return None
         # split middle: the zero extension class
         if not st.charge():
             return None
+        right = syzygy(power(b), n)
         fits = a * mod.dim + right.dim <= MAX_MIDDLE_DIM
         if fits and not last:
             ses = split_ses(power(a), right)
@@ -516,15 +521,18 @@ def search(module: Module, target: str,
 
     Depth-first over step parameters (n, b, a) within the configured
     bounds.  The free-middle construction is scanned across every cell
-    first: it closes the chain immediately and costs no budget.  Each
-    cell then tries the split extension and extensions glued from
-    degree-one cocycle classes, all basis classes before seeded random
-    combinations.  Every extension class considered counts against the
-    budget, whether or not its middle is built: at the last depth
-    (`max_r`) the split middle and every class whose coefficient matrix
-    has rank below a contain the node's module as a summand, so they
-    cannot be terminal and are charged without being built.  The search
-    is deterministic for a fixed seed.
+    first: it closes the chain immediately and costs no budget.  With
+    the node's module peeled once as M = R^c + X, a cell is tested for
+    X^a = syz^{n+1}(M^b) only when a times the dimension, radical and
+    socle dimension of X equals b times those of syz^{n+1}(M); a cell
+    these sizes refuse builds nothing.  Each cell then builds syz^n(M^b)
+    and tries the split extension and extensions glued from degree-one
+    cocycle classes, all basis classes before seeded random combinations.
+    Every extension class considered counts against the budget, whether
+    or not its middle is built: at the last depth (`max_r`) the split
+    middle and every class whose coefficient matrix has rank below a
+    contain the node's module as a summand, so they cannot be terminal
+    and are charged without being built.  Deterministic for a fixed seed.
     """
     if target not in TARGETS:
         raise ValueError(f"target must be one of {TARGETS}")

@@ -201,12 +201,14 @@ class ChainResolution(Resolution):
 
 
 class SumResolution(Resolution):
-    """Blockwise resolution of a remembered direct sum."""
+    """Blockwise resolution of a remembered direct sum; each syzygy layout
+    is concatenated once and shared read-only."""
 
     def __init__(self, module: Module, children: list[Resolution]):
         self.module = module
         self.children = children
         self._syz: dict[int, Module] = {}
+        self._layout: dict[int, tuple[list[int], dict[int, dict]]] = {}
 
     def extend(self, upto: int) -> None:
         for c in self.children:
@@ -224,16 +226,18 @@ class SumResolution(Resolution):
         return out
 
     def syzygy_layout(self, i: int) -> tuple[list[int], dict[int, dict]]:
-        free: list[int] = []
-        block: dict[int, dict] = {}
-        off = 0
-        for c in self.children:
-            f, b = c.syzygy_layout(i)
-            free += [p + off for p in f]
-            block.update((p + off, {r + off: x for r, x in col.items()})
-                         for p, col in b.items())
-            off += c._rows(i)
-        return free, block
+        if i not in self._layout:
+            free: list[int] = []
+            block: dict[int, dict] = {}
+            off = 0
+            for c in self.children:
+                f, b = c.syzygy_layout(i)
+                free += [p + off for p in f]
+                block.update((p + off, {r + off: x for r, x in col.items()})
+                             for p, col in b.items())
+                off += c._rows(i)
+            self._layout[i] = free, block
+        return self._layout[i]
 
     def syzygy_module(self, i: int) -> Module:
         if i == 0:
