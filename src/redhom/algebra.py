@@ -181,6 +181,10 @@ class Algebra:
         return self.socle_basis.cols == 1
 
     @property
+    def radical_square_zero(self) -> bool:  # m^2 = 0: dim m/m^2 = dim m
+        return self.embedding_dim == self.dim - 1
+
+    @property
     def socle_dim(self) -> int:
         return self.socle_basis.cols
 

@@ -451,7 +451,7 @@ def check_prop27(alg, mod: Module,
     radical kills the remainder; S decides both search outcomes, for
     both targets.
     """
-    if contract(alg.field, "uab,vbc->uvac", alg.var_stack, alg.var_stack).any():
+    if not alg.radical_square_zero:
         raise ValueError("the radical of the algebra must square to zero")
     if alg.is_gorenstein:
         raise ValueError("the algebra must not be Gorenstein")

@@ -371,21 +371,31 @@ class _SearchState:
         self.spent = 0
         self.exhausted = False
 
-    def charge(self) -> bool:
-        """Consume one candidate; False once the budget is gone."""
-        if self.spent >= self.cfg.budget:
-            self.exhausted = True
+    def charge(self, k: int = 1) -> bool:
+        """Consume k candidates; False, using up the budget, if fewer remain."""
+        if self.spent + k > self.cfg.budget:
+            self.spent, self.exhausted = self.cfg.budget, True
             return False
-        self.spent += 1
+        self.spent += k
         return True
+
+
+# Whether the terminal class of `target` is the free modules.  For "gdim"
+# over a non-Gorenstein ring with m^2 = 0 and window >= 1, a module passing
+# `is_totally_reflexive` is reflexive, so inside a free F: M = R^t + M'
+# with M' in mF, so mM' = 0 and M' = k^u; u > 0 would put Ext^1(k, R)^u
+# != 0 (R not Gorenstein) in Ext^1(M, R), failing `ext_module` at index 1.
+def _terminal_is_free(alg: Algebra, target: str, window: int) -> bool:
+    return target == "pd" or (window >= 1 and alg.radical_square_zero
+                              and not alg.is_gorenstein)
 
 
 # Free modules, totally reflexive modules and the windowed test below are
 # all closed under direct summands.  `_dfs` relies on that to skip, at the
 # last depth, every candidate middle that has its node's module (already
-# found not terminal) as a summand.
+# found not terminal) as a summand, and, for free modules, every one.
 def _is_terminal(mod: Module, target: str, window: int) -> bool:
-    if target == "pd":
+    if _terminal_is_free(mod.algebra, target, window):
         return mod.is_free()
     from .invariants import is_totally_reflexive
     return is_totally_reflexive(mod, window).passed
@@ -438,7 +448,8 @@ def _dfs(mod: Module, depth: int, st: _SearchState):
     fld = alg.field
     power = functools.cache(functools.partial(power_module, mod))
     peels = functools.cache(lambda a: split_free_summands(power(a)))
-    small_cache = {}
+    smalls = functools.cache(lambda n: ext1_data(syzygy(mod, n), mod))
+    psis = functools.cache(lambda n: smalls(n).psis(smalls(n).reps))
     cells = []
     # first pass: free-middle closures; cost nothing, close the chain.
     # peel(mod^a) leaves X^a and syz^{n+1}(mod^b) is S^b; sizes add over
@@ -462,20 +473,23 @@ def _dfs(mod: Module, depth: int, st: _SearchState):
                 cells.append((n, b, a))
     # second pass: extension candidates, charged against the budget, each
     # cell building its right term syz^n(mod^b) when it is reached.  At
-    # the last depth a middle is only tested for terminality; one that has
-    # `mod` as a summand cannot pass, so it is charged but never built.
-    # That covers the split middle and every class whose a x (b d)
-    # coefficient matrix has rank < a: a change of basis of mod^a then
-    # zeroes a row, and that copy of mod splits off.
+    # the last depth a middle is only tested for terminality, so none that
+    # cannot pass is built: one with `mod` as a summand (the split middle,
+    # or a class whose a x (b d) coefficient matrix has rank < a, as a
+    # change of basis of mod^a zeroes a row), and when terminal means free
+    # any E in 0 -> mod^a -> E -> syz^n(mod^b) -> 0.  By Schanuel, mod^a +
+    # F = syz^{n+1}(mod^b) + E; syzygies lie in mF, so a free E would give
+    # peel(mod^a) = syz^{n+1}(mod^b) by Krull-Schmidt, refused above.
     last = depth + 1 >= cfg.max_r
+    build = not (last and _terminal_is_free(alg, st.target, cfg.window))
     for n, b, a in cells:
         if st.exhausted:
             return None
         # split middle: the zero extension class
         if not st.charge():
             return None
-        right = syzygy(power(b), n)
-        fits = a * mod.dim + right.dim <= MAX_MIDDLE_DIM
+        right = syzygy(power(b), n) if build else None
+        fits = build and a * mod.dim + right.dim <= MAX_MIDDLE_DIM
         if fits and not last:
             ses = split_ses(power(a), right)
             step = ReducingStep(a, b, n, ses, ModuleMap.identity(right))
@@ -483,28 +497,27 @@ def _dfs(mod: Module, depth: int, st: _SearchState):
             if rest is not None:
                 return [step] + rest
         # glued middles from nonzero degree-one cocycle classes
-        if n not in small_cache:
-            small = ext1_data(resolve(mod).syzygy_module(n), mod)
-            small_cache[n] = small, small.psis(small.reps)
-        small, psis = small_cache[n]
+        small = smalls(n)
         if small.dim == 0:
+            continue
+        draws = [random_matrix(fld, a * b, small.dim, st.rng)
+                 for _ in range(cfg.samples)]
+        draws = [rnd for rnd in draws if not rnd.is_zero()]
+        if not fits:  # charge every class, its draws made, and build none
+            if not st.charge(a * b * small.dim + len(draws)):
+                return None
             continue
         # the unit coefficient matrices, position (i * b + j, l) ascending
         units = Matrix.identity(fld, a * b * small.dim).a
-        coeff_list = [Matrix(fld, u.reshape(a * b, small.dim)) for u in units]
-        for _ in range(cfg.samples):
-            rnd = random_matrix(fld, a * b, small.dim, st.rng)
-            if not rnd.is_zero():
-                coeff_list.append(rnd)
+        coeff_list = [Matrix(fld, u.reshape(a * b, small.dim))
+                      for u in units] + draws
         for coeffs in coeff_list:
             if not st.charge():
                 return None
-            if not fits:
-                continue
             if last and Matrix(fld, coeffs.a.reshape(
                     a, b * small.dim)).rank() < a:
                 continue
-            psi = _combination_psi(fld, psis, coeffs, a, b)
+            psi = _combination_psi(fld, psis(n), coeffs, a, b)
             if psi.is_zero():
                 continue
             ses = extension_from_psi(power(a), right, psi)
@@ -532,7 +545,10 @@ def search(module: Module, target: str,
     or not its middle is built: at the last depth (`max_r`) the split
     middle and every class whose coefficient matrix has rank below a
     contain the node's module as a summand, so they cannot be terminal
-    and are charged without being built.  Deterministic for a fixed seed.
+    and are charged without being built.  When terminal means free
+    (`_terminal_is_free`), none is built: by Schanuel's lemma a free
+    middle makes its cell a free-middle closure, refused by the first
+    pass.  Deterministic for a fixed seed.
     """
     if target not in TARGETS:
         raise ValueError(f"target must be one of {TARGETS}")

@@ -1,5 +1,6 @@
 """Exact linear algebra: hand oracles plus property-based checks."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -14,6 +15,7 @@ from redhom.linalg import (
     QQ,
     Field,
     Matrix,
+    _is_prime,
     column_space_basis,
     kron,
     nf_columns,
@@ -62,6 +64,47 @@ class TestFieldOps:
     def test_inverse_of_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
             GF2.inv(0)
+
+
+def trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**r, n) == n - 1 for r in range(1, s))
+
+
+class TestIsPrime:
+    def test_matches_trial_division_below_200000(self):
+        # a sieve gives trial division's verdicts for every n at once
+        bound = 200_000
+        sieve = bytearray([1]) * bound
+        sieve[:2] = b"\0\0"
+        for d in range(2, math.isqrt(bound) + 1):
+            if sieve[d]:
+                sieve[d * d::d] = bytes(len(range(d * d, bound, d)))
+        assert [n for n in range(bound) if _is_prime(n)] == \
+            [n for n in range(bound) if sieve[n]]
+        assert all(trial_division(n) == bool(sieve[n])
+                   for n in range(0, bound, 97))
+
+    @pytest.mark.parametrize("n", [2047, 3277, 4033, 4681, 8321, 15841,
+                                   29341, 1373653, 25326001])
+    def test_strong_base_2_pseudoprimes_are_composite(self, n):
+        assert strong_probable_prime(n, 2) and not trial_division(n)
+        assert not _is_prime(n)
+
+    @pytest.mark.parametrize("n", [2**31 - 1, 2**31 - 19, 2**31 - 3,
+                                   2**31 - 2, 7, 61, 61 * 61, 7 * 61])
+    def test_near_the_field_bound_and_at_the_bases(self, n):
+        assert _is_prime(n) == trial_division(n)
+
+    def test_largest_accepted_characteristic_is_prime(self):
+        assert _is_prime(P31) and Field(P31).p == P31
 
 
 class TestRref:

@@ -5,7 +5,10 @@ At the last depth `_dfs` charges, but never builds, the candidates whose
 middle has the node's module as a summand.  `_reference_dfs` below is the
 search as it was before that skip: it builds every charged candidate.
 Both must agree on everything a search returns, and every skipped middle
-must fail the terminal test.
+must fail the terminal test.  When the terminal class is the free modules
+("pd", and "gdim" over a non-Gorenstein ring with m^2 = 0 and window >= 1)
+the last depth builds no middle at all; over F_2[x,y]/m^3, or with window
+0, it still builds them.
 """
 
 import numpy as np
@@ -237,6 +240,8 @@ def test_exact_summand_closed_predicate_matches_reference(
         monkeypatch, label, max_r):
     module = dict(MODULES)[label]
     monkeypatch.setattr(reducing, "_is_terminal", _no_residue_summand)
+    # the patched class is not the free modules: build last-depth middles
+    monkeypatch.setattr(reducing, "_terminal_is_free", lambda *args: False)
     cfg = SearchConfig(max_r=max_r, max_a=3, max_b=3, max_n=2, budget=60)
     st = _SearchState(cfg, "gdim")
     steps = reducing._dfs(module, 0, st)
@@ -250,3 +255,86 @@ def test_exact_summand_closed_predicate_matches_reference(
     # field, as a summand)
     assert steps is not None and len(steps) == max_r
     assert not steps[-1].sequence.middle.is_free()
+
+
+def _last_depth_builds(monkeypatch, module, target, cfg):
+    """Search, counting the `split_ses` and `extension_from_psi` calls that
+    `_dfs` makes at its last depth (`depth + 1 >= max_r`)."""
+    depths, builds = [], []
+    real_dfs = reducing._dfs
+
+    def dfs(mod, depth, st):
+        depths.append(depth)
+        try:
+            return real_dfs(mod, depth, st)
+        finally:
+            depths.pop()
+
+    def counting(fn):
+        def wrapped(*args):
+            if depths and depths[-1] + 1 >= cfg.max_r:
+                builds.append(fn.__name__)
+            return fn(*args)
+        return wrapped
+
+    with monkeypatch.context() as mp:
+        mp.setattr(reducing, "_dfs", dfs)
+        mp.setattr(reducing, "split_ses", counting(split_ses))
+        mp.setattr(reducing, "extension_from_psi",
+                   counting(extension_from_psi))
+        res = search(module, target, cfg)
+    return len(builds), res
+
+
+@pytest.mark.parametrize("max_r", [1, 2])
+@pytest.mark.parametrize("target", ["pd", "gdim"])
+@pytest.mark.parametrize("label,module", MODULES, ids=[m[0] for m in MODULES])
+def test_free_terminal_class_builds_nothing_at_last_depth(
+        monkeypatch, label, module, target, max_r):
+    """"pd" on any ring, and "gdim" over these m^2 = 0 rings, where the
+    terminal class is the free modules: Schanuel's lemma rules out every
+    last-depth middle, so none is built."""
+    cfg = SearchConfig(max_r=max_r, max_a=3, max_b=3, max_n=2, budget=60)
+    builds, _ = _last_depth_builds(monkeypatch, module, target, cfg)
+    assert builds == 0
+
+
+CUBE = build_algebra(GF2, ["x", "y"], [], 3)
+TRIPLE = build_algebra(GF3, ["x", "y", "z"], [], 2)
+OTHER_MODULES = [("F2 m3 k", residue_field(CUBE)),
+                 ("F2 m3 rand5", random_module(CUBE, 2, 2, 5)),
+                 ("F3xyz k", residue_field(TRIPLE)),
+                 ("F3xyz rand3", random_module(TRIPLE, 2, 2, 3))]
+
+
+@pytest.mark.parametrize("label", ["F2 m3 k", "F2 m3 rand5"])
+def test_gdim_over_cube_zero_builds_at_last_depth(monkeypatch, label):
+    """Over F_2[x,y]/m^3 the totally reflexive class is not known to be
+    the free modules, so last-depth middles are still built and tested."""
+    module = dict(OTHER_MODULES)[label]
+    cfg = SearchConfig(max_r=1, max_a=2, max_b=2, max_n=2, budget=40)
+    builds, res = _last_depth_builds(monkeypatch, module, "gdim", cfg)
+    assert builds > 0
+    assert not res.found
+
+
+@pytest.mark.parametrize("target", ["pd", "gdim"])
+@pytest.mark.parametrize("label,module", OTHER_MODULES,
+                         ids=[m[0] for m in OTHER_MODULES])
+def test_other_rings_match_reference(label, module, target):
+    cfg = SearchConfig(max_r=2, max_a=2, max_b=2, max_n=2, budget=30,
+                       seed=3, window=3)
+    new, _ = _new_search(module, target, cfg)
+    assert new == _reference_search(module, target, cfg)
+
+
+def test_window_zero_builds_and_matches_reference(monkeypatch):
+    """With window 0 the "gdim" test is reflexivity alone, and the search
+    builds its last-depth middles even over m^2 = 0."""
+    module = dict(OTHER_MODULES)["F3xyz rand3"]
+    cfg = SearchConfig(max_r=1, max_a=2, max_b=2, max_n=2, budget=30,
+                       seed=3, window=0)
+    builds, _ = _last_depth_builds(monkeypatch, module, "gdim", cfg)
+    assert builds > 0
+    new, _ = _new_search(module, "gdim", cfg)
+    assert new == _reference_search(module, "gdim", cfg)
