@@ -5,8 +5,8 @@
 For each case, resolves k one step short of the given step, then traces
 that one step and divides tracemalloc's peak by the step's entries as
 `resolution._check_step_size` counts them: the differential's columns,
-its nonzeros, and the nonzeros of the rows under elimination.  The
-largest figure printed is what `resolution.ENTRY_BYTES` is set to.
+its nonzeros, and the nonzeros of the rows under elimination.
+`resolution.ENTRY_BYTES` must be at least the largest figure printed.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def measure(p, names, nil, step) -> tuple[int, int]:
     finally:
         tracemalloc.stop()
         resolution._check_step_size = check
-    diff, _ = res._steps[step]
+    diff = res.columns(step)  # built from the stored generators, untraced
     # no fill-in reported: the rows hold as many nonzeros as the columns
     return peak, max(counted[1:], default=len(diff) + 2 * sum(map(len, diff)))
 

@@ -189,7 +189,7 @@ class ExtTable:
         `MAX_STEP_BYTES`: column (s, b) holds sum_t c acts[t][a, b] at row
         (j, a), c the coefficient at (s, t) of generator j's image."""
         fld, d = self.source.algebra.field, self.source.algebra.dim
-        dn, images = self.target.dim, self.res.columns(i + 1)[::d]
+        dn, images = self.target.dim, self.res.generators(i + 1)
         cols: list[dict] = [{} for _ in range(self.res.betti(i) * dn)]
         self._charge(i, len(cols) + sum(len(self._acts.get(r % d, ()))
                                         for img in images for r in img))

@@ -44,12 +44,14 @@ columns at the free positions are a section of it.
 
 Sparse steps keep that layout without the dense basis.  `sparse_rref`
 eliminates rows held as dicts {column: entry}, keyed by leading column,
-on every field; `sparse_kernel` returns the free positions and the
-block -R[piv, free] as {free position: {pivot position: entry}}, with
-the identity rows at the free positions implicit.  The rref is unique,
-so both give what `kernel_data` gives.  A dense matrix is built from
-sparse columns only by `Matrix.from_sparse`, once, where a module-sized
-caller asks for one (`sparse_columns` goes the other way).
+on every field; `row_kernel` returns their kernel's free positions and
+the block -R[piv, free] as {free position: {pivot position: entry}},
+with the identity rows at the free positions implicit (`sparse_kernel`
+takes columns instead).  The rref is unique, so both give what
+`kernel_data` gives; the order of the rows fixes only the fill-in.  A
+dense matrix is built from sparse columns only by `Matrix.from_sparse`,
+once, where a module-sized caller asks for one (`sparse_columns` goes
+the other way).
 
 Row reduction never chooses pivots inside carried (augmented) columns,
 which keeps batched solves exact even when some targets lie outside the
@@ -380,33 +382,38 @@ def sparse_rref(field: Field, rows, back: bool = True, grow=None) -> dict[int, d
             grow(size)
     for c in sorted(kept, reverse=True) if back else ():
         x = kept[c]
-        before = len(x)
-        for j in [j for j in x if j != c and j in kept]:
-            _axpy(norm, x, x[j], kept[j])
-        size += len(x) - before
-        if grow and size > peak:
-            peak = size
-            grow(size)
+        if len(x) > 1 and (hits := [j for j in x if j != c and j in kept]):
+            before = len(x)
+            for j in hits:
+                _axpy(norm, x, x[j], kept[j])
+            size += len(x) - before
+            if grow and size > peak:
+                peak = size
+                grow(size)
     return kept
 
 
 def sparse_kernel(field: Field, columns: list[dict],
                   grow=None) -> tuple[list[int], dict[int, dict]]:
-    """Kernel of the matrix with these sparse columns: its free positions
-    and the block -R[piv, free] as {free position: {pivot position:
-    entry}}, omitting empty columns (see the module docstring).  `grow`
-    is passed on to `sparse_rref`."""
+    """`row_kernel` of these columns' rows, in the order a scan meets them."""
     rows: dict[int, dict] = defaultdict(dict)
     for j, col in enumerate(columns):
         for i, v in col.items():
             rows[i][j] = v
-    kept = sparse_rref(field, rows.values(), grow=grow)
+    return row_kernel(field, len(columns), rows.values(), grow)
+
+
+def row_kernel(field: Field, cols: int, rows, grow=None) -> tuple[list[int], dict[int, dict]]:
+    """Kernel, laid out as the module docstring says (empty block columns
+    omitted), of the matrix with `cols` columns and these sparse rows,
+    which `sparse_rref` reduces in place in the order given, with `grow`."""
+    kept = sparse_rref(field, rows, grow=grow)
     block: dict[int, dict] = defaultdict(dict)
     for c in sorted(kept):
         for j, v in kept[c].items():
             if j != c:
                 block[j][c] = field.coerce(-v)
-    return [j for j in range(len(columns)) if j not in kept], dict(block)
+    return [j for j in range(cols) if j not in kept], dict(block)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,21 @@
 """Minimal free resolutions kept as subspace chains.
 
-A step is stored in its nonzeros, O(betti * dim R) of them: the
-differential d_i as sparse columns, dicts {row: entry} (d_0 is the
-cover), and its kernel, the next syzygy, in the layout of
-`linalg.sparse_kernel`.  A step takes minimal generators of the last
-kernel off that layout (`_radical_complement`), builds the differential
-on them from the algebra's sparse structure constants
-(`modules.free_map_columns`) and eliminates it sparsely; no dense matrix
-of a step is built, also not for the actions of a syzygy module, which
-are read off the same layout (`_kernel_images`).  The dense accessors
-serve maps between modules: each densifies once, on demand, read-only,
-as does the cover's section, which extensions need.
+A step is stored in its nonzeros, O(betti * dim R) of them: the images
+under d_i of the generators of F_i, dicts {row: entry}, and the kernel
+of d_i, the next syzygy, in the layout of `linalg.sparse_kernel`.  A
+step takes minimal generators of the last kernel off that layout
+(`_radical_complement`), multiplies them by the algebra's sparse
+structure constants (`modules.free_products`) straight into the rows of
+d_i and eliminates those (`linalg.row_kernel`); no dense matrix of a
+step is built, also not for the actions of a syzygy module, which are
+read off the same layout (`_kernel_images`).  The columns of d_i and
+the dense accessors, which serve maps between modules, are built on
+demand, once, as is the cover's section.  No step follows a kernel with
+no free positions: every later index reads as zero.
 
 Three classes implement it.  `ChainResolution` computes the steps of
 one module; a free module's chain starts from its identity cover, whose
-empty kernel ends every later step.  `SumResolution` concatenates the
+empty kernel ends it at index 1.  `SumResolution` concatenates the
 column lists of the parts of a direct sum, which makes equalities like
 "syzygy of a sum is the sum of syzygies" literal object-level identities
 rather than isomorphisms.  `ShiftedResolution` is the view of a parent
@@ -26,15 +27,9 @@ same differentials instead of recomputing them.
 from __future__ import annotations
 
 from .algebra import structure
-from .linalg import Matrix, sparse_kernel, sparse_rref
-from .modules import (
-    Module,
-    assemble_action_columns,
-    direct_sum,
-    free_map_columns,
-    free_module,
-    zero_module,
-)
+from .linalg import Matrix, row_kernel, sparse_kernel, sparse_rref
+from .modules import (Module, assemble_action_columns, direct_sum, free_map_columns,
+                      free_module, free_products, zero_module)
 
 
 # Largest allocation, in bytes, that one resolution step may make, at
@@ -59,16 +54,22 @@ class Resolution:
     """Common interface over the chain, sum and shifted variants.
 
     Subclasses implement `extend`, `betti`, `syzygy_module`, `columns(i)`
-    (the sparse columns of d_i, the cover for i = 0) and
-    `syzygy_layout(i)` (the i-th syzygy as the kernel of d_{i-1}, as
-    `linalg.sparse_kernel` lays it out); the dense accessors are built
-    here from those."""
+    (the sparse columns of d_i, the cover for i = 0) and `generators(i)`
+    (its columns j*d), or `_sparse` for both, and `syzygy_layout(i)`
+    (the i-th syzygy as the kernel of d_{i-1}, as `linalg.sparse_kernel`
+    lays it out); the dense accessors are built here from those."""
 
     module: Module
 
     def betti_list(self, window: int) -> list[int]:
         self.extend(window)
         return [self.betti(i) for i in range(window + 1)]
+
+    def columns(self, i: int) -> list[dict]:
+        return self._sparse("columns", i)
+
+    def generators(self, i: int) -> list[dict]:
+        return self._sparse("generators", i)
 
     def _rows(self, i: int) -> int:
         """Rows of d_i: the dimension of the module, or of F_{i-1}."""
@@ -103,8 +104,7 @@ class Resolution:
 
     def generator_images(self, i: int) -> Matrix:
         """d_i on the generators of F_i (columns j*d); the cover for i = 0."""
-        d = self.module.algebra.dim
-        return self._dense(("g", i), self._rows(i), lambda: self.columns(i)[::d])
+        return self._dense(("g", i), self._rows(i), lambda: self.generators(i))
 
     def syzygy_subspace(self, i: int) -> Matrix:
         if i < 1:
@@ -121,63 +121,69 @@ class Resolution:
     def terminated_at(self, upto: int) -> int | None:
         """Smallest index within the window where the resolution dies."""
         self.extend(upto)
-        for i in range(upto + 1):
-            if self.betti(i) == 0:
-                return i
-        return None
+        return next((i for i in range(upto + 1) if self.betti(i) == 0), None)
 
 
 class ChainResolution(Resolution):
     """The steps of a module that is not a remembered direct sum:
-    `_steps[i]` holds the columns of d_i and the layout of its kernel.  A
-    free module is covered by the unit columns of its own coordinates."""
+    `_steps[i]` holds `generators(i)` and the layout of the kernel of d_i.
+    A free module is covered by the unit columns of its own coordinates."""
 
     def __init__(self, module: Module):
         self.module = module
-        fld = module.algebra.field
+        fld, d = module.algebra.field, module.algebra.dim
         if module.free_rank is None:
-            gens = module.min_generators()
-            cover = assemble_action_columns(module, gens).sparse_columns()
-            self._betti = [gens.cols]
+            cover = assemble_action_columns(module, module.min_generators()).sparse_columns()
         else:
             cover = [{j: fld.one()} for j in range(module.dim)]
-            self._betti = [module.free_rank]
-        self._steps = [(cover, sparse_kernel(fld, cover))]
+        self._betti = [len(cover) // d]
+        self._steps = [(cover[::d], sparse_kernel(fld, cover))]
+        self._columns = {0: cover}
         self._syz: dict[int, Module] = {}
 
     def extend(self, upto: int) -> None:
-        alg = self.module.algebra
-        d = alg.dim
-        by_b = structure(alg, "columns")
-        while len(self._betti) <= upto:
-            i = len(self._betti)
+        while len(self._betti) <= upto and self._steps[-1][1][0]:
+            alg, d, i = self.module.algebra, self.module.algebra.dim, len(self._betti)
             gens = _radical_complement(alg, *self._steps[-1][1])
-            _assert_minimal(alg, gens)
             shape = (self._betti[-1] * d, len(gens) * d)
             # the columns, and the nonzeros (at most one per structure
-            # constant met) in the columns and again in the rows
-            _check_step_size(i, shape, shape[1] + 2 * sum(
-                len(by_b.get(r % d, ())) for g in gens for r in g))
-            diff = free_map_columns(alg, gens)
-            n = shape[1] + sum(map(len, diff))
-            kernel = sparse_kernel(alg.field, diff,
-                                   lambda m: _check_step_size(i, shape, n + m))
+            # constant met) twice, as products and in the rows
+            met, entries = structure(alg, "columns"), shape[1]
+            for r in (r for g in gens for r in g):
+                if not r % d:
+                    raise ResolutionError("resolution step lost minimality")
+                entries += 2 * len(met.get(r % d, ()))
+            _check_step_size(i, shape, entries)
+            # the rows in the order a scan of the columns first meets them,
+            # as `sparse_kernel` takes them: the same elimination and fill-in
+            rows: dict[int, dict] = {}
+            for j, img in enumerate(free_products(alg, gens)):
+                for (t, k), x in img.items():
+                    rows.setdefault(k, {})[j * d + t] = x
+            n = shape[1] + sum(map(len, rows.values()))
+            kernel = row_kernel(alg.field, shape[1], rows.values(),
+                                lambda m: _check_step_size(i, shape, n + m))
             self._betti.append(len(gens))
-            self._steps.append((diff, kernel))
+            self._steps.append((gens, kernel))
 
     def betti(self, i: int) -> int:
         self.extend(i)
-        return self._betti[i]
+        return self._betti[i] if i < len(self._betti) else 0
+
+    def generators(self, i: int) -> list[dict]:
+        self.extend(i)
+        return self._steps[i][0] if i < len(self._steps) else []
 
     def columns(self, i: int) -> list[dict]:
-        self.extend(i)
-        return self._steps[i][0]
+        if i not in self._columns:  # built from the generators, once
+            self._columns[i] = free_map_columns(self.module.algebra, self.generators(i))
+        return self._columns[i]
 
     def syzygy_layout(self, i: int) -> tuple[list[int], dict[int, dict]]:
         if i < 1:
             raise ResolutionError("syzygy subspaces start at index 1")
         self.extend(i - 1)
-        return self._steps[i - 1][1]
+        return self._steps[i - 1][1] if i <= len(self._steps) else ([], {})
 
     def syzygy_module(self, i: int) -> Module:
         if i == 0:
@@ -189,12 +195,10 @@ class ChainResolution(Resolution):
         if not free:
             mod = zero_module(alg)
         else:
-            n = len(free)
+            n, lbl = len(free), self.module.label or "?"
             acts = [Matrix.from_sparse(alg.field, n, [im.get(j, {}) for j in range(n)])
-                    for im in map(dict, _kernel_images(alg, free, block)[1])]
-            lbl = self.module.label or "?"
-            mod = Module(alg, len(free), acts, label=f"syz^{i}({lbl})",
-                         validate=False)
+                    for im in map(dict, _kernel_images(alg, free, block))]
+            mod = Module(alg, n, acts, label=f"syz^{i}({lbl})", validate=False)
         mod._resolution = ShiftedResolution(self, i, mod)
         self._syz[i] = mod
         return mod
@@ -217,19 +221,16 @@ class SumResolution(Resolution):
     def betti(self, i: int) -> int:
         return sum(c.betti(i) for c in self.children)
 
-    def columns(self, i: int) -> list[dict]:
-        out: list[dict] = []
-        off = 0
+    def _sparse(self, kind: str, i: int) -> list[dict]:
+        out, off = [], 0
         for c in self.children:
-            out += [{r + off: x for r, x in col.items()} for col in c.columns(i)]
+            out += [{r + off: x for r, x in col.items()} for col in getattr(c, kind)(i)]
             off += c._rows(i)
         return out
 
     def syzygy_layout(self, i: int) -> tuple[list[int], dict[int, dict]]:
         if i not in self._layout:
-            free: list[int] = []
-            block: dict[int, dict] = {}
-            off = 0
+            free, block, off = [], {}, 0
             for c in self.children:
                 f, b = c.syzygy_layout(i)
                 free += [p + off for p in f]
@@ -264,10 +265,10 @@ class ShiftedResolution(Resolution):
     def betti(self, i: int) -> int:
         return self.parent.betti(self.offset + i)
 
-    def columns(self, i: int) -> list[dict]:
-        """d_i of the parent at offset + i; the cover (i = 0) is the rows
-        of the parent's differential at its syzygy's free positions."""
-        cols = self.parent.columns(self.offset + i)
+    def _sparse(self, kind: str, i: int) -> list[dict]:
+        """The parent's at offset + i; the cover (i = 0) is the rows of the
+        parent's differential at its syzygy's free positions."""
+        cols = getattr(self.parent, kind)(self.offset + i)
         if i:
             return cols
         at = {p: k for k, p in enumerate(self.parent.free_positions(self.offset))}
@@ -281,34 +282,38 @@ class ShiftedResolution(Resolution):
 
 
 def _basis_columns(alg, free: list[int], block: dict[int, dict]) -> list[dict]:
-    """The basis columns of a kernel laid out by `linalg.sparse_kernel`."""
+    """The basis columns at `free` of a kernel laid out by `sparse_kernel`."""
     one = alg.field.one()
-    return [{f: one, **block.get(f, {})} for f in free]
+    return [{f: one, **col} if (col := block.get(f)) else {f: one} for f in free]
 
 
-def _kernel_images(alg, free: list[int], block: dict[int, dict]):
-    """The basis columns of a kernel laid out by `linalg.sparse_kernel`,
-    and for each variable v a generator of (j, x_v times basis column j
-    at the free rows), skipping the columns whose image there is zero.
-    The basis has identity rows at the free positions, so those rows are
-    the image's coordinates in the basis."""
-    d, norm = alg.dim, alg.field.coerce
-    basis = _basis_columns(alg, free, block)
+def _kernel_images(alg, free: list[int], block: dict[int, dict]) -> list[list]:
+    """For each variable v, in one pass, the pairs (j, x_v times basis
+    column j of a kernel laid out by `linalg.sparse_kernel`, at the free
+    rows) whose image there is not zero.  The basis has identity rows
+    at the free positions, so those rows are the image's coordinates."""
+    d, norm, one = alg.dim, alg.field.coerce, alg.field.one()
     at = {p: k for k, p in enumerate(free)}
-
-    def images(v: int):
-        left = structure(alg, "left", v)
-        img: dict = {}  # reused while empty, as most images are
-        for j, col in enumerate(basis):
-            for r, x in col.items():
-                for (a,), c in left.get(r % d, ()):
-                    if (k := at.get(r - r % d + a)) is not None:
+    acting: list[list] = [[] for _ in range(d)]  # b -> [(v, x_v b_b as [((a,), c)])]
+    for v in range(alg.nvars):
+        for b, prods in structure(alg, "left", v).items():
+            acting[b].append((v, prods))
+    out: list[list] = [[] for _ in range(alg.nvars)]
+    for j, f in enumerate(free):
+        if not ((col := block.get(f)) or acting[f % d]):
+            continue
+        imgs: dict[int, dict] = {}
+        for r, x in [(f, one), *col.items()] if col else [(f, one)]:
+            base = r - r % d
+            for v, prods in acting[r % d]:
+                img = imgs.setdefault(v, {})
+                for (a,), c in prods:
+                    if (k := at.get(base + a)) is not None:
                         img[k] = norm(img.get(k, 0) + c * x)
+        for v, img in imgs.items():
             if img:
-                yield j, {k: x for k, x in img.items() if x}
-                img.clear()
-
-    return basis, [images(v) for v in range(alg.nvars)]
+                out[v].append((j, {k: x for k, x in img.items() if x}))
+    return out
 
 
 def _radical_complement(alg, free: list[int], block: dict[int, dict]) -> list[dict]:
@@ -316,21 +321,20 @@ def _radical_complement(alg, free: list[int], block: dict[int, dict]) -> list[di
     `linalg.sparse_kernel`: the pivots of the coordinates of x_v times
     the basis (`_kernel_images`) index the part of the span inside the
     radical, and their complement generates it."""
-    basis, per_var = _kernel_images(alg, free, block)
-    pivots = sparse_rref(alg.field, (img for images in per_var
+    pivots = sparse_rref(alg.field, (img for images in _kernel_images(alg, free, block)
                                      for _, img in images), back=False)
-    return [col for t, col in enumerate(basis) if t not in pivots]
+    return _basis_columns(alg, [f for t, f in enumerate(free) if t not in pivots], block)
 
 
 def _check_step_size(i: int, shape: tuple[int, int], entries: int,
                      what: str = "resolution step") -> None:
     """Refuse step i (a rows x cols differential, `shape`) when its
-    `entries` would take more than `MAX_STEP_BYTES`.  A step holds one
-    dict per column and, while eliminating, each nonzero twice, in the
-    columns and the rows (an Ext transition, `what`, once).  ENTRY_BYTES
-    is the largest tracemalloc peak per entry over ten steps of k
-    (scripts/step_bytes.py): 209 B for step 13 over F_2[x,y]/m^2, 158-212
-    B over F_2, F_3, F_{2^31-1} and Q, 2-4 variables, m^2 and m^3."""
+    `entries` would take more than `MAX_STEP_BYTES`.  A step counts its
+    columns and each nonzero twice, as a product and in the rows (an Ext
+    transition, `what`, once).  ENTRY_BYTES, the largest tracemalloc peak
+    per entry when steps stored their columns, bounds it over ten steps
+    of k (scripts/step_bytes.py): 134 B for step 13 over F_2[x,y]/m^2,
+    87-134 B over F_2, F_3, F_{2^31-1} and Q, 2-4 variables, m^2, m^3."""
     size = ENTRY_BYTES * entries
     if size > MAX_STEP_BYTES:
         raise ResolutionError(
@@ -348,12 +352,6 @@ def _check_dense_size(i: int, shape: tuple[int, int], field) -> None:
         raise ResolutionError(
             f"Ext transition {i} would allocate {size} bytes as a dense "
             f"{shape[0]}x{shape[1]} matrix, over MAX_STEP_BYTES = {MAX_STEP_BYTES}")
-
-
-def _assert_minimal(alg, gens: list[dict]) -> None:
-    """Chosen generators must lie inside the radical of the ambient free."""
-    if any(r % alg.dim == 0 for g in gens for r in g):
-        raise ResolutionError("resolution step lost minimality")
 
 
 def resolve(module: Module) -> Resolution:

@@ -167,6 +167,23 @@ class TestFreeAndZero:
         assert res.terminated_at(2) == (0 if rank == 0 else 1)
         assert ext_dims(mod, k, 2) == [rank, 0, 0]
 
+    def test_a_finished_resolution_stops_stepping(self, plane):
+        """Past an empty kernel every index reads as zero, with no step
+        stored for it, also far out."""
+        far = 10**6
+        for mod, end in ((free_module(plane, 2), 1), (zero_module(plane), 0)):
+            res = resolve(mod)
+            assert res.terminated_at(far) == end
+            assert res.betti(far) == 0 and res.betti_list(99)[end:] == [0] * (100 - end)
+            assert res.generators(far) == res.columns(far) == []
+            assert res.syzygy_layout(far) == ([], {})
+            assert res.syzygy_module(far).dim == 0
+            assert len(res._steps) == 1
+        s = direct_sum([residue_field(plane), free_module(plane, 1)])
+        res = resolve(s)
+        assert res.betti_list(3) == [2, 2, 4, 8]
+        assert len(resolve(s.summands[1][0])._steps) == 1
+
     def test_infinite_resolutions_do_not_terminate(self, plane):
         k = residue_field(plane)
         assert resolve(k).terminated_at(6) is None
@@ -252,15 +269,22 @@ class TestStepCap:
         res = resolve(residue_field(plane))
         res.extend(3)
         products = []
+        product = resolution.free_products
+
+        def counted(*args):
+            products.append(args)
+            return product(*args)
         monkeypatch.setattr(resolution, "MAX_STEP_BYTES", self.STEP4 - 1)
-        monkeypatch.setattr(resolution, "free_map_columns",
-                            lambda *args: products.append(args))
+        monkeypatch.setattr(resolution, "free_products", counted)
         with pytest.raises(ResolutionError) as exc:
             res.extend(6)
         assert f"step 4 would allocate {self.STEP4} bytes" in str(exc.value)
         assert "--window" in str(exc.value)
         assert products == []
         assert (len(res._betti), len(res._steps)) == (4, 4)
+        # the patched name is the product the step makes
+        monkeypatch.setattr(resolution, "MAX_STEP_BYTES", self.STEP4)
+        assert res.betti(4) == 16 and len(products) == 1
 
     def test_resumes_under_a_larger_cap(self, plane, monkeypatch):
         res = resolve(residue_field(plane))

@@ -7,14 +7,15 @@ below."""
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from redhom import resolution
 from redhom.algebra import Algebra, build_algebra
 from redhom.corpus import random_module
 from redhom.linalg import GF2, GF3, QQ, Field, Matrix, sparse_kernel, sparse_rref
-from redhom.modules import (Module, direct_sum, free_map_from_columns,
-                            free_module, kernel_actions, residue_field)
+from redhom.modules import (Module, direct_sum, free_map_columns,
+                            free_map_from_columns, free_module, kernel_actions,
+                            residue_field)
 from redhom.resolution import assemble_action_columns, resolve, syzygy
 
 P31 = 2**31 - 1
@@ -160,6 +161,65 @@ class TestStepsMatchDense:
                         Matrix.block_diag(f, [k.syzygy_subspace(i) for k in kids]))
 
 
+def column_steps(mod: Module, window: int):
+    """(generators, columns, kernel layout, fill-in seen) of steps
+    1..window, built as the resolution built them when it stored its
+    columns: the columns of each step by `free_map_columns`, then
+    `sparse_kernel` of those columns."""
+    alg = mod.algebra
+    cover = assemble_action_columns(mod, mod.min_generators()).sparse_columns()
+    layout = sparse_kernel(alg.field, cover)
+    for _ in range(window):
+        gens = resolution._radical_complement(alg, *layout)
+        cols, grown = free_map_columns(alg, gens), []
+        layout = sparse_kernel(alg.field, cols, grown.append)
+        yield gens, cols, layout, grown
+
+
+class TestRowsMatchColumns:
+    @given(st.sampled_from(FIELDS), st.sampled_from(RINGS + [(["x", "y", "z"], 3)]),
+           st.integers(0, 10**6))
+    @example(Field(P31), (["x", "y", "z"], 3), 8)  # fills in as it eliminates
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_random_modules_in_a_random_basis(self, f, ring, seed):
+        """Each step, built row by row from its generators, equals the
+        step built from its columns: the same kernel, the same rows met
+        in the same order (the same fill-in at each `grow`), and the same
+        columns, differentials and syzygy modules when asked for."""
+        names, nil = ring
+        alg = build_algebra(f, names, [], nil)
+        mod = in_random_basis(random_module(alg, 3, 3, seed), random.Random(seed))
+        window = 3 if nil == 2 and len(names) == 2 else 2
+        grown: list[list] = []
+        kernel = resolution.row_kernel
+
+        def recorded(field, cols, rows, grow):
+            grown.append([])
+            return kernel(field, cols, rows,
+                          lambda m: (grown[-1].append(m), grow(m)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(resolution, "row_kernel", recorded)
+            res = resolve(mod)
+            res.extend(window)
+        steps = list(column_steps(mod, window))
+        # no step follows an empty kernel, that is no generators
+        made = next((i for i, step in enumerate(steps) if not step[0]), window)
+        assert grown == [step[3] for step in steps[:made]]
+        for i, (gens, cols, (free, block), _) in enumerate(steps, start=1):
+            assert res.betti(i) == len(gens) and res.generators(i) == gens
+            assert res.syzygy_layout(i + 1) == (free, block)
+            assert [list(c.items()) for c in res.columns(i)] == \
+                [list(c.items()) for c in cols]
+            assert same(res.differential(i),
+                        Matrix.from_sparse(f, res._rows(i), cols))
+            assert same(res.generator_images(i),
+                        Matrix.from_sparse(f, res._rows(i), gens))
+            kb = dense_kernel(f, len(cols), free, block)
+            want = kernel_actions(free_module(alg, len(gens)), kb, free)
+            got = res.syzygy_module(i + 1).var_actions
+            assert len(got) == len(want) and all(map(same, got, want))
+
+
 def test_fill_in_is_refused_as_it_grows(monkeypatch):
     """A step that passes the check before its differential is built is
     still refused when its elimination fills in past the cap: step 1 of
@@ -178,14 +238,17 @@ def test_fill_in_is_refused_as_it_grows(monkeypatch):
 
 def test_deep_resolution_stays_sparse():
     """k over F_2[x,y]/m^2 to window 13: Betti 2^i, and each stored step
-    (its differential's columns and its kernel's pivot block) holds at
-    most 2 * betti_i * dim R nonzeros."""
+    (its generators and its kernel's pivot block) holds at most
+    2 * betti_i * dim R nonzeros, as does each differential, which is
+    built only when asked for."""
     alg = build_algebra(GF2, ["x", "y"], [], 2)
     res = resolve(residue_field(alg))
     assert res.betti_list(13) == [2**i for i in range(14)]
-    for i, (diff, (_, block)) in enumerate(res._steps):
-        nonzeros = sum(map(len, diff)) + sum(map(len, block.values()))
-        assert nonzeros <= 2 * res.betti(i) * alg.dim
+    assert list(res._columns) == [0]
+    for i, (gens, (_, block)) in enumerate(res._steps):
+        pivots = sum(map(len, block.values()))
+        assert sum(map(len, gens)) + pivots <= 2 * res.betti(i) * alg.dim
+        assert sum(map(len, res.columns(i))) + pivots <= 2 * res.betti(i) * alg.dim
 
 
 def test_deep_syzygy_module_takes_no_free_actions(monkeypatch):
