@@ -135,7 +135,7 @@ def parse_polynomial(src: str, var_names: list[str], fld: Field,
 # (gather axis, scatter axes) of each sparse product: "columns" reads
 # c[t, a, b], "left" a variable's matrix.
 _LAYOUTS = {
-    "columns": (2, (0, 1)),   # b -> (t, a): images of generators times b_t
+    "columns": (2, (1, 0)),   # b -> (a, t): images of generators times b_t
     "left": (1, (0,)),        # b -> a: x_v times free coordinates
 }
 

@@ -44,14 +44,12 @@ columns at the free positions are a section of it.
 
 Sparse steps keep that layout without the dense basis.  `sparse_rref`
 eliminates rows held as dicts {column: entry}, keyed by leading column,
-on every field; `row_kernel` returns their kernel's free positions and
-the block -R[piv, free] as {free position: {pivot position: entry}},
-with the identity rows at the free positions implicit (`sparse_kernel`
-takes columns instead).  The rref is unique, so both give what
-`kernel_data` gives; the order of the rows fixes only the fill-in.  A
-dense matrix is built from sparse columns only by `Matrix.from_sparse`,
-once, where a module-sized caller asks for one (`sparse_columns` goes
-the other way).
+on every field; `row_kernel` (of rows) and `sparse_kernel` (of columns)
+return the free positions and the block -R[piv, free] as {free position:
+{pivot position: entry}}, identity rows at the free positions implicit.
+The rref is unique, so both give what `kernel_data` gives.  A dense
+matrix is built from sparse columns only by `Matrix.from_sparse`, once,
+where a module-sized caller asks for one (`sparse_columns` goes back).
 
 Row reduction never chooses pivots inside carried (augmented) columns,
 which keeps batched solves exact even when some targets lie outside the
@@ -404,9 +402,8 @@ def sparse_kernel(field: Field, columns: list[dict],
 
 
 def row_kernel(field: Field, cols: int, rows, grow=None) -> tuple[list[int], dict[int, dict]]:
-    """Kernel, laid out as the module docstring says (empty block columns
-    omitted), of the matrix with `cols` columns and these sparse rows,
-    which `sparse_rref` reduces in place in the order given, with `grow`."""
+    """Kernel of the `cols`-column matrix with these sparse rows, laid out
+    as above; `sparse_rref` reduces them in order (fixing the fill-in)."""
     kept = sparse_rref(field, rows, grow=grow)
     block: dict[int, dict] = defaultdict(dict)
     for c in sorted(kept):

@@ -165,33 +165,30 @@ class Module:
         return f"Module({tag}, dim={self.dim} over {self.algebra.field})"
 
 
-def free_products(alg: Algebra, gens: list[dict]):
+def free_products(alg: Algebra, gens: list[dict]) -> list[dict]:
     """For each element g of a free module ({row: entry}), the nonzeros of
-    every b_t g as one dict {(t, row): entry}, read off the "columns"
-    structure (c at gather b and slot (t, a): b_t b_b has c at b_a), keys
-    t by t and within one t in the order the terms of g first meet them."""
-    d, norm, by_b = alg.dim, alg.field.coerce, structure(alg, "columns")
+    its products b_t g as one dict {(t, row): entry}, read off the
+    "columns" structure (coefficient c at gather b and slot (a, t): b_t
+    b_b has c at b_a); one t's keys in the order the terms of g meet them."""
+    d, norm = alg.dim, alg.field.coerce
+    by_b = structure(alg, "columns")
+    out = []
     for g in gens:
-        if len(g) == 1:  # its products are distinct and none cancels
-            (r, x), = g.items()
-            yield {(t, r - r % d + a): c if x == 1 else norm(c * x)
-                   for (t, a), c in by_b.get(r % d, ())}
-            continue
         img: dict = {}
         for r, x in g.items():
-            for (t, a), c in by_b.get(r % d, ()):
+            for (a, t), c in by_b.get(r % d, ()):
                 key = t, r - r % d + a
                 if w := norm(img.get(key, 0) + c * x):
                     img[key] = w
                 else:
                     del img[key]
-        yield dict(sorted(img.items(), key=lambda item: item[0][0]))  # stable
+        out.append(img)
+    return out
 
 
 def free_map_columns(alg: Algebra, gens: list[dict]) -> list[dict]:
     """Sparse columns of the map free(len(gens)) -> free sending generator
-    j to the element with sparse coordinates gens[j]: column j*d + t is
-    b_t times it (`free_products`)."""
+    j to gens[j]: column j*d + t is b_t times it (`free_products`)."""
     out: list[dict] = [{} for _ in range(len(gens) * alg.dim)]
     for j, img in enumerate(free_products(alg, gens)):
         for (t, k), x in img.items():

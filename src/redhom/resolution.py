@@ -4,14 +4,13 @@ A step is stored in its nonzeros, O(betti * dim R) of them: the images
 under d_i of the generators of F_i, dicts {row: entry}, and the kernel
 of d_i, the next syzygy, in the layout of `linalg.sparse_kernel`.  A
 step takes minimal generators of the last kernel off that layout
-(`_radical_complement`), multiplies them by the algebra's sparse
-structure constants (`modules.free_products`) straight into the rows of
-d_i and eliminates those (`linalg.row_kernel`); no dense matrix of a
-step is built, also not for the actions of a syzygy module, which are
-read off the same layout (`_kernel_images`).  The columns of d_i and
-the dense accessors, which serve maps between modules, are built on
-demand, once, as is the cover's section.  No step follows a kernel with
-no free positions: every later index reads as zero.
+(`_radical_complement`), multiplies them by the structure constants
+(`modules.free_products`) straight into the rows of d_i and eliminates
+those (`linalg.row_kernel`); no dense matrix of a step is built, also
+not for the actions of a syzygy module (`_kernel_images`).  The columns
+of d_i and the dense accessors, which serve maps between modules, are
+built on demand, once, as is the cover's section.  No step follows a
+kernel with no free positions: every later index reads as zero.
 
 Three classes implement it.  `ChainResolution` computes the steps of
 one module; a free module's chain starts from its identity cover, whose
@@ -28,8 +27,15 @@ from __future__ import annotations
 
 from .algebra import structure
 from .linalg import Matrix, row_kernel, sparse_kernel, sparse_rref
-from .modules import (Module, assemble_action_columns, direct_sum, free_map_columns,
-                      free_module, free_products, zero_module)
+from .modules import (
+    Module,
+    assemble_action_columns,
+    direct_sum,
+    free_map_columns,
+    free_module,
+    free_products,
+    zero_module,
+)
 
 
 # Largest allocation, in bytes, that one resolution step may make, at
@@ -121,7 +127,10 @@ class Resolution:
     def terminated_at(self, upto: int) -> int | None:
         """Smallest index within the window where the resolution dies."""
         self.extend(upto)
-        return next((i for i in range(upto + 1) if self.betti(i) == 0), None)
+        for i in range(upto + 1):
+            if self.betti(i) == 0:
+                return i
+        return None
 
 
 class ChainResolution(Resolution):
@@ -142,24 +151,25 @@ class ChainResolution(Resolution):
         self._syz: dict[int, Module] = {}
 
     def extend(self, upto: int) -> None:
+        alg = self.module.algebra
+        d = alg.dim
+        by_b = structure(alg, "columns")
+        met = [len(by_b.get(b, ())) for b in range(d)]  # constants per residue
         while len(self._betti) <= upto and self._steps[-1][1][0]:
-            alg, d, i = self.module.algebra, self.module.algebra.dim, len(self._betti)
+            i = len(self._betti)
             gens = _radical_complement(alg, *self._steps[-1][1])
             shape = (self._betti[-1] * d, len(gens) * d)
             # the columns, and the nonzeros (at most one per structure
             # constant met) twice, as products and in the rows
-            met, entries = structure(alg, "columns"), shape[1]
-            for r in (r for g in gens for r in g):
-                if not r % d:
-                    raise ResolutionError("resolution step lost minimality")
-                entries += 2 * len(met.get(r % d, ()))
-            _check_step_size(i, shape, entries)
-            # the rows in the order a scan of the columns first meets them,
-            # as `sparse_kernel` takes them: the same elimination and fill-in
+            terms = [r % d for g in gens for r in g]
+            if 0 in terms:
+                raise ResolutionError("resolution step lost minimality")
+            _check_step_size(i, shape, shape[1] + 2 * sum(map(met.__getitem__, terms)))
+            # the rows in the order `sparse_kernel` meets them in the columns
             rows: dict[int, dict] = {}
             for j, img in enumerate(free_products(alg, gens)):
-                for (t, k), x in img.items():
-                    rows.setdefault(k, {})[j * d + t] = x
+                for t, k in sorted(img, key=lambda tk: tk[0]):  # stable: t by t
+                    rows.setdefault(k, {})[j * d + t] = img[t, k]
             n = shape[1] + sum(map(len, rows.values()))
             kernel = row_kernel(alg.field, shape[1], rows.values(),
                                 lambda m: _check_step_size(i, shape, n + m))
@@ -195,10 +205,12 @@ class ChainResolution(Resolution):
         if not free:
             mod = zero_module(alg)
         else:
-            n, lbl = len(free), self.module.label or "?"
+            n = len(free)
             acts = [Matrix.from_sparse(alg.field, n, [im.get(j, {}) for j in range(n)])
                     for im in map(dict, _kernel_images(alg, free, block))]
-            mod = Module(alg, n, acts, label=f"syz^{i}({lbl})", validate=False)
+            lbl = self.module.label or "?"
+            mod = Module(alg, len(free), acts, label=f"syz^{i}({lbl})",
+                         validate=False)
         mod._resolution = ShiftedResolution(self, i, mod)
         self._syz[i] = mod
         return mod
@@ -222,7 +234,8 @@ class SumResolution(Resolution):
         return sum(c.betti(i) for c in self.children)
 
     def _sparse(self, kind: str, i: int) -> list[dict]:
-        out, off = [], 0
+        out: list[dict] = []
+        off = 0
         for c in self.children:
             out += [{r + off: x for r, x in col.items()} for col in getattr(c, kind)(i)]
             off += c._rows(i)
@@ -230,7 +243,9 @@ class SumResolution(Resolution):
 
     def syzygy_layout(self, i: int) -> tuple[list[int], dict[int, dict]]:
         if i not in self._layout:
-            free, block, off = [], {}, 0
+            free: list[int] = []
+            block: dict[int, dict] = {}
+            off = 0
             for c in self.children:
                 f, b = c.syzygy_layout(i)
                 free += [p + off for p in f]
@@ -333,8 +348,8 @@ def _check_step_size(i: int, shape: tuple[int, int], entries: int,
     columns and each nonzero twice, as a product and in the rows (an Ext
     transition, `what`, once).  ENTRY_BYTES, the largest tracemalloc peak
     per entry when steps stored their columns, bounds it over ten steps
-    of k (scripts/step_bytes.py): 134 B for step 13 over F_2[x,y]/m^2,
-    87-134 B over F_2, F_3, F_{2^31-1} and Q, 2-4 variables, m^2, m^3."""
+    of k (scripts/step_bytes.py): 167 B for step 13 over F_2[x,y]/m^2,
+    91-167 B over F_2, F_3, F_{2^31-1} and Q, 2-4 variables, m^2, m^3."""
     size = ENTRY_BYTES * entries
     if size > MAX_STEP_BYTES:
         raise ResolutionError(

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from redhom import resolution
-from redhom.algebra import Algebra, build_algebra
+from redhom.algebra import Algebra, build_algebra, structure
 from redhom.corpus import random_module
 from redhom.linalg import GF2, GF3, QQ, Field, Matrix, sparse_kernel, sparse_rref
 from redhom.modules import (Module, direct_sum, free_map_columns,
@@ -161,17 +161,37 @@ class TestStepsMatchDense:
                         Matrix.block_diag(f, [k.syzygy_subspace(i) for k in kids]))
 
 
+def product_columns(alg: Algebra, gens: list[dict]) -> list[dict]:
+    """The columns of the map sending generator j to gens[j], one column
+    per b_t, accumulated term by term as the columns were before steps
+    were built as rows: column j*d + t is b_t times gens[j]."""
+    d, norm = alg.dim, alg.field.coerce
+    out = []
+    for g in gens:
+        cols: list[dict] = [{} for _ in range(d)]
+        for r, x in g.items():
+            for (a, t), c in structure(alg, "columns").get(r % d, ()):
+                col, k = cols[t], r - r % d + a
+                if w := norm(col.get(k, 0) + c * x):
+                    col[k] = w
+                else:
+                    del col[k]
+        out += cols
+    return out
+
+
 def column_steps(mod: Module, window: int):
     """(generators, columns, kernel layout, fill-in seen) of steps
     1..window, built as the resolution built them when it stored its
-    columns: the columns of each step by `free_map_columns`, then
+    columns: the columns of each step (`product_columns`), then
     `sparse_kernel` of those columns."""
     alg = mod.algebra
     cover = assemble_action_columns(mod, mod.min_generators()).sparse_columns()
     layout = sparse_kernel(alg.field, cover)
     for _ in range(window):
         gens = resolution._radical_complement(alg, *layout)
-        cols, grown = free_map_columns(alg, gens), []
+        cols, grown = product_columns(alg, gens), []
+        assert free_map_columns(alg, gens) == cols
         layout = sparse_kernel(alg.field, cols, grown.append)
         yield gens, cols, layout, grown
 
