@@ -4,15 +4,16 @@ Ext groups come from the minimal free resolution of the source: maps
 out of F_i are tuples of generator images.  The transition to F_{i+1}
 precomposes them with d_{i+1}; it is built as sparse columns from the
 sparse images and the target's actions, charged to the resolution step
-cap, and only its rank is kept (`linalg.sparse_rref`).  A separate
-small-scale path keeps dense cocycle bases for realizing extension
-classes as short exact sequences and reading classes back off sequences.
+cap, and only its rank is kept (`linalg.sparse_rref`).  First Ext
+(`Ext1Data`) eliminates the same sparse columns; only its class basis,
+which extension classes are realized from and read back in, is dense.
 
 Ring duals keep their basis maps once, as the columns of the Hom matrix
 (`DualData.flat`, row-major dim R x dim M maps); `DualData.stack()` is the
 same data as one (h, dim R, dim M) array with the map index first, so
 precomposing every basis map with a module map is one contraction and
-the evaluation into the double dual is a reshape.
+the evaluation into the double dual is a reshape.  The basis is unit at
+free, so coordinates in it are read at its free positions (`_coords`).
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra
-from .linalg import (Matrix, by_gather, column_space_basis, contract,
-                     solve_blocks, sparse_kernel, sparse_rref)
+from .linalg import Matrix, by_gather, contract, sparse_kernel, sparse_rref
 from .modules import (
     Module,
     ModuleMap,
@@ -39,7 +39,7 @@ from .modules import (
     split_ses,
     zero_module,
 )
-from .resolution import (_check_dense_size, _check_step_size,
+from .resolution import (_basis_columns, _check_dense_size, _check_step_size,
                          _radical_complement, resolve)
 
 
@@ -105,15 +105,24 @@ def r_dual(mod: Module, label: str = "") -> DualData:
     # x_v acts on the R-coordinate (row) of each map: apply it to the
     # (dim R) x (dim M * h) stack of all maps' rows
     stack = Matrix(fld, flat.a.reshape(alg.dim, mod.dim * h))
-    va = solve_blocks(flat, [
-        Matrix(fld, reg.apply_var(v, stack).a.reshape(mod.dim * alg.dim, h))
-        for v in range(alg.nvars)])
-    if va is None:
-        raise HomAlgError("dual space is not action-closed")
+    va = [_coords(flat, Matrix(fld, reg.apply_var(v, stack).a.reshape(
+        mod.dim * alg.dim, h)), "dual space is not action-closed")
+        for v in range(alg.nvars)]
     dm = Module(alg, h, va,
                 label=label or (f"({mod.label})^" if mod.label else ""),
                 validate=False)
     return DualData(mod, dm, flat)
+
+
+def _coords(basis: Matrix, vectors: Matrix, fault: str) -> Matrix:
+    """Coordinates of `vectors` in a unit-at-free kernel basis: each basis
+    column's last nonzero is its free position, where the others are 0,
+    so the coordinates are the vectors' rows there; `fault` when they do
+    not give the vectors back (a vector outside the span)."""
+    coords = vectors.take_rows([np.flatnonzero(col)[-1] for col in basis.a.T])
+    if basis @ coords != vectors:
+        raise HomAlgError(fault)
+    return coords
 
 
 def dual_map(f: ModuleMap, dual_target: DualData,
@@ -121,12 +130,10 @@ def dual_map(f: ModuleMap, dual_target: DualData,
     """Precomposition with f, from the target's dual to the source's."""
     fld = f.source.algebra.field
     composed = contract(fld, "iab,bc->aci", dual_target.stack(), f.matrix.a)
-    coords, ok = dual_source.flat.solve_columns(Matrix(fld, composed.reshape(
-        f.source.algebra.dim * f.source.dim, dual_target.flat.cols)))
-    if not all(ok):
-        raise HomAlgError("dualized map leaves the dual space"
-                          if dual_source.flat.cols
-                          else "map dualizes into an empty dual")
+    coords = _coords(dual_source.flat, Matrix(fld, composed.reshape(
+        f.source.algebra.dim * f.source.dim, dual_target.flat.cols)),
+        "dualized map leaves the dual space" if dual_source.flat.cols
+        else "map dualizes into an empty dual")
     return ModuleMap(dual_target.module, dual_source.module, coords,
                      validate=False)
 
@@ -161,10 +168,8 @@ def biduality(mod: Module) -> BidualityData:
     # map sending dual basis map i to its column j
     h1 = d1.flat.cols
     ev = d1.flat.a.reshape(alg.dim, mod.dim, h1).transpose(0, 2, 1)
-    coords, ok = d2.flat.solve_columns(
-        Matrix(fld, ev.reshape(alg.dim * h1, mod.dim)))
-    if not all(ok):
-        raise HomAlgError("evaluation map leaves the double dual")
+    coords = _coords(d2.flat, Matrix(fld, ev.reshape(alg.dim * h1, mod.dim)),
+                     "evaluation map leaves the double dual")
     return BidualityData(ModuleMap(mod, d2.module, coords, validate=False),
                          d1, d2)
 
@@ -201,14 +206,6 @@ class ExtTable:
         return [{k: w for k, v in col.items() if (w := fld.coerce(v))}
                 if col else col for col in cols]
 
-    def transition(self, i: int) -> Matrix:
-        """`transition_columns` as one dense matrix, refused past
-        `MAX_STEP_BYTES`."""
-        fld, dn = self.source.algebra.field, self.target.dim
-        rows = self.res.betti(i + 1) * dn
-        _check_dense_size(i, (rows, self.res.betti(i) * dn), fld)
-        return Matrix.from_sparse(fld, rows, self.transition_columns(i))
-
     def _charge(self, i: int, entries: int) -> None:
         dn = self.target.dim
         _check_step_size(i, (self.res.betti(i + 1) * dn, self.res.betti(i) * dn),
@@ -225,7 +222,8 @@ class ExtTable:
         return self._ranks[i]
 
     def dim(self, i: int) -> int:
-        if self.source.dim == 0 or self.target.dim == 0:
+        """dim Ext^i; 0 past the end of the resolution, with no transition."""
+        if self.source.dim == 0 or self.target.dim == 0 or self.res.betti(i) == 0:
             return 0
         return (self.res.betti(i) * self.target.dim
                 - self._rank(i) - self._rank(i - 1))
@@ -295,9 +293,10 @@ class Ext1Data:
     """Full first-Ext workspace for one (right term, left term) pair.
 
     Cocycles live on the first free module of the right term's resolution
-    in flat coordinates; representatives are kernel columns independent of
-    the coboundaries.  The psi conversions move between such cochains and
-    maps defined on the first syzygy subspace.
+    in flat coordinates, as the unit-at-free kernel of Ext transition 1.
+    The pivot columns of [transition 0 | cocycles] are the coboundaries
+    and then the class representatives.  The psi conversions move between
+    such cochains and maps defined on the first syzygy subspace.
     """
 
     def __init__(self, right: Module, left: Module):
@@ -307,14 +306,18 @@ class Ext1Data:
         self.res = resolve(right)
         self.beta1 = self.res.betti(1)
         self.flat_dim = self.beta1 * left.dim
-        table = ExtTable(right, left)
-        cocycles = table.transition(1).kernel_basis()
-        self.boundaries = column_space_basis(table.transition(0))
-        # the boundaries are independent, so they lead the pivot columns
-        self._class_basis = column_space_basis(
-            Matrix.hstack([self.boundaries, cocycles]))
-        self.reps = self._class_basis.take_cols(
-            range(self.boundaries.cols, self._class_basis.cols))
+        table, fld = ExtTable(right, left), self.alg.field
+        t1 = table.transition_columns(1)
+        cocycles = _basis_columns(self.alg, *sparse_kernel(
+            fld, t1, lambda m: table._charge(1, len(t1) + m)))
+        cols = table.transition_columns(0) + cocycles
+        free = set(sparse_kernel(fld, cols, lambda m: table._charge(0, len(cols) + m))[0])
+        pivots = [j for j in range(len(cols)) if j not in free]
+        _check_dense_size("Ext^1 class basis", (self.flat_dim, len(pivots)), fld)
+        self._class_basis = Matrix.from_sparse(fld, self.flat_dim, [cols[j] for j in pivots])
+        nb = sum(j < len(cols) - len(cocycles) for j in pivots)
+        self.boundaries = self._class_basis.take_cols(range(nb))
+        self.reps = self._class_basis.take_cols(range(nb, len(pivots)))
         self.dim = self.reps.cols
         self._syz = self.res.syzygy_subspace(1)
         self._lift_cache: Matrix | None = None

@@ -37,10 +37,12 @@ Layout contract relied on by the rest of the package: `kernel_basis`
 returns its columns in unit-at-free-column form (each basis vector has a
 1 at its own free column of the rref and 0 at the other free columns),
 so coordinates of any kernel vector with respect to that basis can be
-read off the free positions directly.  Quotient maps and sections come
-from the same layout: for a span S, the transpose of the kernel basis of
-S^T is the projection onto the free coordinates modulo S, and the unit
-columns at the free positions are a section of it.
+read off the free positions directly, each basis vector's last nonzero;
+the ring duals' actions, dual maps and biduality read them so
+(`homalg._coords`).  Quotient maps and sections come from the same
+layout: for a span S, the transpose of the kernel basis of S^T is the
+projection onto the free coordinates modulo S, and the unit columns at
+the free positions are a section of it.
 
 Sparse steps keep that layout without the dense basis.  `sparse_rref`
 eliminates rows held as dicts {column: entry}, keyed by leading column,
@@ -700,18 +702,6 @@ class Matrix:
         if not all(ok):
             return None
         return x
-
-
-def solve_blocks(a: Matrix, blocks: list[Matrix]) -> list[Matrix] | None:
-    """Solutions of a @ X = B for each of some blocks B of equal width,
-    from one carried elimination; None when some column has none."""
-    if not blocks:
-        return []
-    x, ok = a.solve_columns(Matrix.hstack(blocks))
-    if not all(ok):
-        return None
-    w = blocks[0].cols
-    return [x.take_cols(range(i * w, (i + 1) * w)) for i in range(len(blocks))]
 
 
 def nf_columns(rref: Matrix, pivots, vectors: Matrix) -> Matrix:

@@ -41,8 +41,9 @@ from .modules import (
 # Largest allocation, in bytes, that one resolution step may make, at
 # ENTRY_BYTES per entry of its storage (`_check_step_size`): the step is
 # refused before its differential is built, or as fill-in grows.  For k
-# over F_2[x,y]/m^2 the step to window 15 predicts 35 MB.  A dense Ext
-# transition is held to the same cap (`_check_dense_size`).
+# over F_2[x,y]/m^2 the step to window 15 predicts 35 MB.  Ext transitions
+# and their eliminations are held to the same cap, and so is the one dense
+# matrix that Ext keeps, the Ext^1 class basis (`_check_dense_size`).
 MAX_STEP_BYTES = 2**30
 ENTRY_BYTES = 212
 
@@ -151,6 +152,8 @@ class ChainResolution(Resolution):
         self._syz: dict[int, Module] = {}
 
     def extend(self, upto: int) -> None:
+        if len(self._betti) > upto or not self._steps[-1][1][0]:
+            return  # long enough, or finished
         alg = self.module.algebra
         d = alg.dim
         by_b = structure(alg, "columns")
@@ -359,13 +362,13 @@ def _check_step_size(i: int, shape: tuple[int, int], entries: int,
             f"; use a window below {i} (--window on the command line)")
 
 
-def _check_dense_size(i: int, shape: tuple[int, int], field) -> None:
-    """Refuse to densify Ext transition i, a rows x cols matrix, past
+def _check_dense_size(what: str, shape: tuple[int, int], field) -> None:
+    """Refuse to build `what`, a dense rows x cols matrix, past
     `MAX_STEP_BYTES` in `field.wide`, the dtype elimination copies into."""
     size = shape[0] * shape[1] * field.wide.itemsize
     if size > MAX_STEP_BYTES:
         raise ResolutionError(
-            f"Ext transition {i} would allocate {size} bytes as a dense "
+            f"{what} would allocate {size} bytes as a dense "
             f"{shape[0]}x{shape[1]} matrix, over MAX_STEP_BYTES = {MAX_STEP_BYTES}")
 
 

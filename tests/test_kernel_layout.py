@@ -1,18 +1,25 @@
 """Quotient maps, sections and submodule coordinates read off the
 unit-at-free-column kernel layout, pinned against the constructions they
 replace: normal forms of the identity, solved sections and solved
-coordinates, each written out below."""
+coordinates, each written out below.  So are first Ext's class bases,
+eliminated from the sparse transitions, and the coordinates of the ring
+duals, read at the free positions."""
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from redhom.algebra import _monomials_below, build_algebra, parse_polynomial
-from redhom.homalg import (canonical_module, class_of_ses, ext1_data,
-                           extension_from_psi)
+from redhom import homalg
+from redhom.corpus import random_module
+from redhom.homalg import (ExtTable, HomAlgError, biduality, canonical_module,
+                           class_of_ses, dual_map, ext1_data,
+                           extension_from_psi, r_dual)
 from redhom.linalg import Field, Matrix, column_space_basis, nf_columns
 from redhom.modules import (
     Module,
+    ModuleMap,
     direct_sum,
     from_presentation,
     kernel_module,
@@ -264,3 +271,75 @@ def test_nf_table(p, names, relations, nilpotency):
     mons, want = reference_nf_table(fld, names, relations, nilpotency)
     assert alg.basis_mons == mons
     assert same(alg._nf_table, want)
+
+
+# -- first Ext and the ring duals on random modules ----------------------------
+
+
+def reference_ext1(table: ExtTable):
+    """Boundaries, representatives and class basis from the dense
+    transitions: the pivot columns of transition 0, then those of
+    [boundaries | kernel basis of transition 1]."""
+    fld, res, dn = table.source.algebra.field, table.res, table.target.dim
+    t0, t1 = (Matrix.from_sparse(fld, res.betti(i + 1) * dn, table.transition_columns(i))
+              for i in (0, 1))
+    boundaries = column_space_basis(t0)
+    basis = column_space_basis(Matrix.hstack([boundaries, t1.kernel_basis()]))
+    return boundaries, basis.take_cols(range(boundaries.cols, basis.cols)), basis
+
+
+def reference_coords(basis: Matrix, vectors: Matrix) -> Matrix:
+    coords, ok = basis.solve_columns(vectors)
+    assert all(ok)
+    return coords
+
+
+RINGS = [(["x", "y"], 2), (["x", "y"], 3), (["x", "y", "z"], 2)]
+
+
+@given(st.sampled_from(PRIMES), st.sampled_from(range(len(RINGS))),
+       st.integers(0, 10**6), st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_ext1_and_dual_coordinates(p, ring, seed_right, seed_left):
+    names, nilpotency = RINGS[ring]
+    alg = build_algebra(Field(p), names, [], nilpotency)
+    rng = random.Random(seed_right)
+    right = in_random_basis(direct_sum([random_module(alg, 2, 2, seed_right),
+                                        residue_field(alg)]), rng)
+    left = random.Random(seed_left).choice(
+        [random_module(alg, 2, 2, seed_left), residue_field(alg),
+         regular_module(alg), canonical_module(alg)])
+    data = ext1_data(right, left)
+    boundaries, reps, basis = reference_ext1(ExtTable(right, left))
+    assert same(data.boundaries, boundaries)
+    assert same(data.reps, reps)
+    assert same(data._class_basis, basis)
+
+    fld, reg = alg.field, regular_module(alg)
+    dual = r_dual(right)
+    h = dual.flat.cols
+    stack = Matrix(fld, dual.flat.a.reshape(alg.dim, right.dim * h))
+    for v, act in enumerate(dual.module.var_actions):
+        want = reference_coords(dual.flat, Matrix(fld, reg.apply_var(
+            v, stack).a.reshape(right.dim * alg.dim, h)))
+        assert same(act, want)
+    bid = biduality(right)
+    ev = dual.flat.a.reshape(alg.dim, right.dim, h).transpose(0, 2, 1)
+    assert same(bid.map.matrix, reference_coords(
+        bid.double_dual.flat, Matrix(fld, ev.reshape(alg.dim * h, right.dim))))
+    res = resolve(right)
+    cover = ModuleMap(res.ambient_free(0), right, res.cover_matrix(), validate=False)
+    dual_free = r_dual(cover.source)
+    composed = dual.map_from_coords(Matrix.identity(fld, h)) @ cover.matrix
+    assert same(dual_map(cover, dual, dual_free).matrix, reference_coords(
+        dual_free.flat, Matrix(fld, composed.a.reshape(h, -1).T.copy())))
+    # coordinates are read back exactly, and a vector outside the span is refused
+    coords = Matrix.column(fld, [fld.random(rng) for _ in range(h)])
+    assert same(homalg._coords(dual.flat, dual.flat @ coords, "outside"), coords)
+    vec = Matrix.column(fld, [fld.random(rng) for _ in range(dual.flat.rows)])
+    coords, ok = dual.flat.solve_columns(vec)
+    if ok[0]:
+        assert same(homalg._coords(dual.flat, vec, "outside"), coords)
+    else:
+        with pytest.raises(HomAlgError, match="outside"):
+            homalg._coords(dual.flat, vec, "outside")

@@ -1,8 +1,9 @@
 """Ext transitions built as sparse columns (`ExtTable.transition_columns`)
 pinned against the dense product they replace, written out below as
 `dense_transition`; the rank `ExtTable._rank` reads off `sparse_rref`
-against `Matrix.rank`; and the step cap on oversized transitions, sparse
-or dense."""
+against `Matrix.rank`; the step cap on oversized transitions and on
+the one dense matrix first Ext builds; and no transition past the end of
+a finished resolution."""
 
 import json
 import random
@@ -67,7 +68,6 @@ def test_sparse_transition_equals_dense(f, ring, target):
             assert len(cols) == want.cols
             assert all(x and f.coerce(x) == x for col in cols for x in col.values())
             assert same(Matrix.from_sparse(f, want.rows, cols), want)
-            assert same(table.transition(i), want)
             assert table._rank(i) == want.rank()
 
 
@@ -81,9 +81,26 @@ def test_free_source_has_empty_transitions(f):
         for i in range(3):
             want = dense_transition(table, i)
             assert want.rows == 0 and want.cols == (2 * tgt.dim if i == 0 else 0)
-            assert same(table.transition(i), want)
+            assert same(Matrix.from_sparse(f, want.rows, table.transition_columns(i)), want)
             assert table._rank(i) == 0
         assert table.dims(3) == [2 * tgt.dim, 0, 0, 0], name
+
+
+def test_no_transition_past_the_end(monkeypatch):
+    """The resolution of a free source ends at index 1, so Ext^i is read
+    as 0 from there on, with no transition built or charged."""
+    alg = build_algebra(GF2, ["x", "y"], [], 2)
+
+    def unbuilt(self, i, *args):
+        raise AssertionError(f"transition {i} was built")
+    for name, tgt in targets(alg).items():
+        table = ExtTable(free_module(alg, 2), tgt)
+        assert table.res.terminated_at(3) == 1
+        with monkeypatch.context() as m:
+            m.setattr(ExtTable, "transition_columns", unbuilt)
+            m.setattr(ExtTable, "_charge", unbuilt)
+            assert [table.dim(i) for i in range(1, 1000)] == [0] * 999, name
+        assert table.dims(2) == [2 * tgt.dim, 0, 0], name
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=str)
@@ -95,7 +112,8 @@ def test_zero_module(f):
         for i in range(3):
             cols = table.transition_columns(i)
             assert not any(cols)
-            assert same(table.transition(i), dense_transition(table, i))
+            want = dense_transition(table, i)
+            assert same(Matrix.from_sparse(f, want.rows, cols), want)
             assert table._rank(i) == 0
         assert ext_dims(src, tgt, 3) == [0, 0, 0, 0]
 
@@ -140,27 +158,30 @@ def test_fill_in_is_refused_as_it_grows(monkeypatch):
 
 
 def test_dense_transition_is_refused_before_it_is_built(monkeypatch):
-    """Transition 1 of k over F_2[x,y]/m^2 into R^6 is a 72 x 36 dense
-    matrix, 20736 bytes in int64 (`field.wide`), and 60 sparse entries
-    (12720 bytes): a cap one byte lower refuses it before its columns
-    are built, in `transition` and in `Ext1Data`, which densifies it."""
+    """The one dense matrix of `Ext1Data(k, R^6)` over F_2[x,y]/m^2 is its
+    class basis: beta_1 * dim R^6 = 36 rows and one column per pivot, the
+    rank of transition 0 (6) plus dim Ext^1 (18), at 8 bytes in int64
+    (`field.wide`).  With the sparse entries charged nothing, a cap of
+    that size builds it, and a cap one byte lower refuses it before
+    `Matrix.from_sparse` runs."""
     alg = build_algebra(GF2, ["x", "y"], [], 2)
     k, target = residue_field(alg), free_module(alg, 6)
-    resolve(k).extend(3)
     table = ExtTable(k, target)
-    monkeypatch.setattr(resolution, "MAX_STEP_BYTES", 72 * 36 * 8)
-    assert table.transition(1).a.shape == (72, 36)
-    monkeypatch.setattr(resolution, "MAX_STEP_BYTES", 72 * 36 * 8 - 1)
+    rows, cols = resolve(k).betti(1) * target.dim, table._rank(0) + table.dim(1)
+    size = rows * cols * GF2.wide.itemsize
+    monkeypatch.setattr(resolution, "ENTRY_BYTES", 0)
+    monkeypatch.setattr(resolution, "MAX_STEP_BYTES", size)
+    assert Ext1Data(k, target)._class_basis.a.shape == (rows, cols) == (36, 24)
+    monkeypatch.setattr(resolution, "MAX_STEP_BYTES", size - 1)
 
-    def unbuilt(self, i):
-        raise AssertionError(f"transition {i} was built")
-    monkeypatch.setattr(ExtTable, "transition_columns", unbuilt)
+    def unbuilt(field, rows, columns):
+        raise AssertionError("a dense matrix was built")
+    monkeypatch.setattr(Matrix, "from_sparse", staticmethod(unbuilt))
     with pytest.raises(resolution.ResolutionError) as exc:
-        table.transition(1)
-    assert str(exc.value).startswith(
-        "Ext transition 1 would allocate 20736 bytes as a dense 72x36 matrix")
-    with pytest.raises(resolution.ResolutionError, match="Ext transition 1"):
         Ext1Data(k, target)
+    assert str(exc.value) == (
+        f"Ext^1 class basis would allocate {size} bytes as a dense {rows}x{cols} "
+        f"matrix, over MAX_STEP_BYTES = {size - 1}")
 
 
 def test_cli_refuses_an_oversized_table(tmp_path, capsys, monkeypatch):
