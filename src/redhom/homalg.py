@@ -7,6 +7,7 @@ sparse images and the target's actions, charged to the resolution step
 cap, and only its rank is kept (`linalg.sparse_rref`).  First Ext
 (`Ext1Data`) eliminates the same sparse columns; only its class basis,
 which extension classes are realized from and read back in, is dense.
+Every lift through a minimal cover is a product with its section.
 
 Ring duals keep their basis maps once, as the columns of the Hom matrix
 (`DualData.flat`, row-major dim R x dim M maps); `DualData.stack()` is the
@@ -296,7 +297,8 @@ class Ext1Data:
     in flat coordinates, as the unit-at-free kernel of Ext transition 1.
     The pivot columns of [transition 0 | cocycles] are the coboundaries
     and then the class representatives.  The psi conversions move between
-    such cochains and maps defined on the first syzygy subspace.
+    such cochains and maps on the first syzygy; `psis` lifts through d_1 by
+    the section of the syzygy's cover, d_1's rows at its free positions.
     """
 
     def __init__(self, right: Module, left: Module):
@@ -319,27 +321,19 @@ class Ext1Data:
         self.boundaries = self._class_basis.take_cols(range(nb))
         self.reps = self._class_basis.take_cols(range(nb, len(pivots)))
         self.dim = self.reps.cols
-        self._syz = self.res.syzygy_subspace(1)
-        self._lift_cache: Matrix | None = None
 
     def psis(self, flats: Matrix) -> np.ndarray:
         """The cocycles in the columns of `flats` restricted to the first
         syzygy (columns indexed by the syzygy's own coordinates), as one
         (columns, left dim, syzygy dim) array."""
         fld, m, k = self.alg.field, self.left.dim, flats.cols
-        if self._lift_cache is None:
-            diff = self.res.differential(1)
-            lifts, ok = diff.solve_columns(self._syz)
-            if not all(ok):
-                raise HomAlgError("syzygy does not lift through the "
-                                  "first differential")
-            self._lift_cache = lifts
         # cochain l as a map off the first free module: column j*d + t is
         # basis element t acting on the image of generator j
         cochains = contract(fld, "tab,jbl->lajt", self.left.action_stack(),
                             flats.a.reshape(self.beta1, m, k))
         return contract(fld, "lak,ks->las", cochains.reshape(
-            k, m, self.beta1 * self.alg.dim), self._lift_cache.a)
+            k, m, self.beta1 * self.alg.dim),
+            resolve(self.res.syzygy_module(1)).section().a)
 
     def psi_from_class(self, coords: Matrix) -> Matrix:
         fld = self.alg.field
@@ -349,10 +343,9 @@ class Ext1Data:
 
     def class_of_psi(self, psi: Matrix) -> Matrix:
         """Class of the cocycle extending a map off the first syzygy."""
-        full = psi @ resolve(self.res.syzygy_module(1)).cover_matrix()
-        # generator j's image is column j*d; flat cochains are generator-major
-        flat = full.a[:, ::self.alg.dim].T.reshape(self.flat_dim, 1)
-        sol, ok = self._class_basis.solve_columns(Matrix(self.alg.field, flat))
+        gens = psi @ resolve(self.res.syzygy_module(1)).generator_images(0)
+        flat = Matrix(self.alg.field, gens.a.T.reshape(self.flat_dim, 1))  # generator-major
+        sol, ok = self._class_basis.solve_columns(flat)
         if not all(ok):
             raise HomAlgError("vector is not a cocycle for this pair")
         return Matrix(self.alg.field, sol.a[self.boundaries.cols:, :].copy())
@@ -401,12 +394,12 @@ def extension_from_class(data: Ext1Data, coords: Matrix) -> ShortExactSequence:
 
 
 def _lift_cover(res, surj: ModuleMap) -> Matrix:
-    """k-matrix of a lift of the cover of `res`'s module through the
-    surjection `surj` onto it, solved one generator at a time."""
+    """Lifts through the surjection `surj` of the generators of the cover
+    of `res`'s module, one column each."""
     sols, ok = surj.matrix.solve_columns(res.generator_images(0))
     if not all(ok):
         raise HomAlgError("cover does not lift through the surjection")
-    return assemble_action_columns(surj.source, sols)
+    return sols
 
 
 def class_of_ses(data: Ext1Data, ses: ShortExactSequence) -> Matrix:
@@ -417,8 +410,8 @@ def class_of_ses(data: Ext1Data, ses: ShortExactSequence) -> Matrix:
     """
     if ses.right.dim != data.right.dim or ses.left.dim != data.left.dim:
         raise HomAlgError("sequence outer terms do not match the pair")
-    through_syz = _lift_cover(data.res, ses.project) @ data._syz
-    psi, ok = ses.inject.matrix.solve_columns(through_syz)
+    lift = assemble_action_columns(ses.project.source, _lift_cover(data.res, ses.project))
+    psi, ok = ses.inject.matrix.solve_columns(lift @ data.res.syzygy_subspace(1))
     if not all(ok):
         raise HomAlgError("syzygy image does not land in the left term")
     return data.class_of_psi(psi)
@@ -476,28 +469,21 @@ class Horseshoe:
 def horseshoe(ses: ShortExactSequence) -> Horseshoe:
     alg = ses.left.algebra
     fld = alg.field
-    l_mod = ses.middle
-    res_n, res_l, res_m = resolve(ses.left), resolve(l_mod), resolve(ses.right)
+    res_n, res_l, res_m = resolve(ses.left), resolve(ses.middle), resolve(ses.right)
     g_n, g_l, g_m = res_n.betti(0), res_l.betti(0), res_m.betti(0)
     d = alg.dim
     g_big = g_n + g_m
 
-    # the left cover and the right cover lifted through the surjection
-    big = Matrix.hstack([ses.inject.matrix @ res_n.cover_matrix(),
-                         _lift_cover(res_m, ses.project)])
+    # the generators of the combined cover: the left cover's, and the
+    # right cover's lifted through the surjection
+    big_gens = Matrix.hstack([ses.inject.matrix @ res_n.generator_images(0),
+                              _lift_cover(res_m, ses.project)])
 
     # factor the combined cover through the minimal one and split it
-    cover_l = res_l.cover_matrix()
-    big_gens = Matrix(fld, big.a[:, [j * d for j in range(g_big)]].copy())
-    u_imgs, ok = cover_l.solve_columns(big_gens)
-    if not all(ok):
-        raise HomAlgError("combined cover does not factor minimally")
-    u = free_map_from_columns(alg, g_l, u_imgs)
-    if u.rank() != g_l * d:
+    u = free_map_from_columns(alg, g_l, res_l.section() @ big_gens)
+    sec_imgs = u.solve(free_module(alg, g_l).min_generators())
+    if sec_imgs is None:  # u is onto exactly when the generators of F_l lift
         raise HomAlgError("factored cover lost surjectivity")
-    sec_imgs, ok = u.solve_columns(free_module(alg, g_l).min_generators())
-    if not all(ok):
-        raise HomAlgError("section of the factored cover does not exist")
     section = free_map_from_columns(alg, g_big, sec_imgs)
 
     # the kernel of u is free; pick minimal generators for it

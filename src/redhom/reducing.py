@@ -573,23 +573,18 @@ def search(module: Module, target: str,
 def omega_of_map(g: ModuleMap, steps: int = 1) -> ModuleMap:
     """Transport a map through minimal covers onto the syzygy modules.
 
-    Lifts g generator-wise to a map of covers and restricts to the kernels.
+    Lifts g generator-wise to a map of covers through the target cover's
+    section (`Resolution.section`) and restricts to the kernels.
     When g is an isomorphism the transported map must be one as well; a
     rank drop means the lift went wrong and raises CertificateError.
     """
     out = g
     for _ in range(steps):
         was_iso = out.is_isomorphism()
-        res_x = resolve(out.source)
-        res_y = resolve(out.target)
-        alg = out.source.algebra
-        sols, ok = res_y.cover_matrix().solve_columns(
-            out.matrix @ res_x.generator_images(0))
-        if not all(ok):
-            raise CertificateError("cover lift failed to exist")
-        u = free_map_from_columns(alg, res_y.betti(0), sols)
-        full = u @ res_x.syzygy_subspace(1)
-        new_mat = full.take_rows(res_y.free_positions(1))
+        res_x, res_y = resolve(out.source), resolve(out.target)
+        u = free_map_from_columns(out.source.algebra, res_y.betti(0), res_y.section()
+                                  @ (out.matrix @ res_x.generator_images(0)))
+        new_mat = (u @ res_x.syzygy_subspace(1)).take_rows(res_y.free_positions(1))
         out = ModuleMap(res_x.syzygy_module(1), res_y.syzygy_module(1),
                         new_mat, validate=False)
         if was_iso and not out.is_isomorphism():

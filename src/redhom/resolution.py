@@ -9,8 +9,9 @@ step takes minimal generators of the last kernel off that layout
 those (`linalg.row_kernel`); no dense matrix of a step is built, also
 not for the actions of a syzygy module (`_kernel_images`).  The columns
 of d_i and the dense accessors, which serve maps between modules, are
-built on demand, once, as is the cover's section.  No step follows a
-kernel with no free positions: every later index reads as zero.
+built on demand, once, as is the cover's section, which every lift
+through a cover reads.  No step follows a kernel with no free positions:
+every later index reads as zero.
 
 Three classes implement it.  `ChainResolution` computes the steps of
 one module; a free module's chain starts from its identity cover, whose
@@ -105,9 +106,15 @@ class Resolution:
 
     def section(self) -> Matrix:
         """The k-linear section s of the cover: cover @ s = I with the free
-        variables zero, so its rows at `free_positions(1)` are zero."""
-        return self._cached("s", lambda: self.cover_matrix().solve(
-            Matrix.identity(self.module.algebra.field, self.module.dim)))
+        variables zero, so its rows at `free_positions(1)` are zero.  That
+        solution is linear in the target: s @ y solves cover @ x = y, and
+        every lift through a cover reads it (`homalg`, `omega_of_map`)."""
+        def build() -> Matrix:
+            if (s := self.cover_matrix().solve(Matrix.identity(
+                    self.module.algebra.field, self.module.dim))) is None:
+                raise ResolutionError("cover is not surjective: no section")
+            return s
+        return self._cached("s", build)
 
     def generator_images(self, i: int) -> Matrix:
         """d_i on the generators of F_i (columns j*d); the cover for i = 0."""

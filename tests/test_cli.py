@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from redhom import algebra, cli
-from redhom.linalg import GF2
+from redhom.linalg import GF2, Matrix
 from redhom.algebra import build_algebra
 from redhom.homalg import HomAlgError
 from redhom.modules import ModuleMap, free_module, zero_module
@@ -360,6 +360,20 @@ class TestErrorPaths:
         assert report["error"]["pointer"] == ""
         assert report["error"]["message"] == (str(exc) or type(exc).__name__)
         assert err.startswith("internal error: ")
+        assert err.count("\n") == 1
+
+    def test_missing_section_is_json(self, capsys, monkeypatch):
+        """A cover with no section ends a syzygy transform with exit 3 and
+        one JSON document."""
+        monkeypatch.setattr(Matrix, "solve", lambda self, target: None)
+        code = cli.main(["--workspace", str(EXAMPLES / "line3.json"), "reduce",
+                         "transform", "syzygy", "cert_rx_gdim"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        report = json.loads(out)
+        assert report["error"] == {"message": "cover is not surjective: no section",
+                                   "pointer": ""}
+        assert err.startswith("internal error: ResolutionError")
         assert err.count("\n") == 1
 
     def test_other_exceptions_still_raise(self, plane_ws, monkeypatch):

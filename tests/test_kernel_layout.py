@@ -2,8 +2,9 @@
 unit-at-free-column kernel layout, pinned against the constructions they
 replace: normal forms of the identity, solved sections and solved
 coordinates, each written out below.  So are first Ext's class bases,
-eliminated from the sparse transitions, and the coordinates of the ring
-duals, read at the free positions."""
+eliminated from the sparse transitions, the coordinates of the ring
+duals, read at the free positions, and the lifts through covers, read
+off the cached section."""
 
 import random
 
@@ -21,6 +22,7 @@ from redhom.modules import (
     Module,
     ModuleMap,
     direct_sum,
+    free_map_from_columns,
     from_presentation,
     kernel_module,
     quotient_module,
@@ -29,6 +31,7 @@ from redhom.modules import (
     split_free_summands,
     zero_module,
 )
+from redhom.reducing import omega_of_map
 from redhom.resolution import resolve
 
 PRIMES = [2, 3, 2**31 - 1, None]  # None is Q
@@ -343,3 +346,61 @@ def test_ext1_and_dual_coordinates(p, ring, seed_right, seed_left):
     else:
         with pytest.raises(HomAlgError, match="outside"):
             homalg._coords(dual.flat, vec, "outside")
+
+
+# -- lifts through covers -------------------------------------------------------
+
+
+def reference_omega_of_map(g, steps):
+    """The syzygy transport with one carried solve against each target cover."""
+    for _ in range(steps):
+        res_x, res_y = resolve(g.source), resolve(g.target)
+        sols, ok = res_y.cover_matrix().solve_columns(
+            g.matrix @ res_x.generator_images(0))
+        assert all(ok)
+        u = free_map_from_columns(g.source.algebra, res_y.betti(0), sols)
+        full = u @ res_x.syzygy_subspace(1)
+        g = ModuleMap(res_x.syzygy_module(1), res_y.syzygy_module(1),
+                      full.take_rows(res_y.free_positions(1)), validate=False)
+    return g.matrix
+
+
+def random_ring_element(mod, rng):
+    """A random c + sum c_v x_v + c' x_0 x_1 acting on the module: an
+    endomorphism, since the ring is commutative."""
+    fld, acts = mod.algebra.field, mod.var_actions
+    out = Matrix.identity(fld, mod.dim).scale(fld.random(rng))
+    for act in acts:
+        out = out + act.scale(fld.random(rng))
+    return out + (acts[0] @ acts[1]).scale(fld.random(rng))
+
+
+@given(st.sampled_from(PRIMES), st.sampled_from(range(len(RINGS))),
+       st.integers(0, 10**6), st.booleans())
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_lifts_read_the_section(p, ring, seed, plus_k):
+    names, nilpotency = RINGS[ring]
+    alg = build_algebra(Field(p), names, [], nilpotency)
+    fld, rng = alg.field, random.Random(seed)
+    mod = in_random_basis(random_module(alg, 2, 2, seed), rng)
+    if plus_k:  # a remembered sum: its resolution is a SumResolution
+        mod = direct_sum([mod, residue_field(alg)])
+    res = resolve(mod)
+    # Ext^1's psis: the section of the first syzygy's own cover
+    lifts, ok = res.differential(1).solve_columns(res.syzygy_subspace(1))
+    assert all(ok)
+    assert same(resolve(res.syzygy_module(1)).section(), lifts)
+    # any lift through the cover is the section times its target
+    y = Matrix.from_rows(fld, [[fld.random(rng) for _ in range(4)]
+                               for _ in range(mod.dim)])
+    want, ok = res.cover_matrix().solve_columns(y)
+    assert all(ok)
+    assert same(res.section() @ y, want)
+    # the syzygy transport of maps: a ring element acting on the module,
+    # and the same into the sum with R
+    a = random_ring_element(mod, rng)
+    plus_r = direct_sum([mod, regular_module(alg)])
+    for g in (ModuleMap(mod, mod, a, validate=False),
+              ModuleMap(mod, plus_r, Matrix.vstack(
+                  [a, Matrix.zeros(fld, alg.dim, mod.dim)]), validate=False)):
+        assert same(omega_of_map(g, 2).matrix, reference_omega_of_map(g, 2))

@@ -293,3 +293,13 @@ class TestStepCap:
             res.extend(4)
         monkeypatch.setattr(resolution, "MAX_STEP_BYTES", self.STEP4)
         assert res.betti_list(4) == [1, 2, 4, 8, 16]
+
+
+def test_missing_section_is_a_resolution_error(plane, monkeypatch):
+    """A cover with no section raises with a reason and caches nothing."""
+    res = resolve(residue_field(plane))
+    monkeypatch.setattr(Matrix, "solve", lambda self, target: None)
+    with pytest.raises(ResolutionError, match="no section"):
+        res.section()
+    monkeypatch.undo()
+    assert res.cover_matrix() @ res.section() == Matrix.identity(plane.field, 1)
