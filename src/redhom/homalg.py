@@ -459,7 +459,8 @@ class Horseshoe:
     """Syzygy sequence of a short exact sequence.
 
     The middle is the literal direct sum of the middle term's first
-    syzygy and a free module of the recorded rank.
+    syzygy, which `reducing._padded` pads with carried free blocks, and
+    a free module of the recorded rank.
     """
 
     sequence: ShortExactSequence

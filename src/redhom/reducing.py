@@ -48,6 +48,7 @@ from .homalg import (
     ext_vanishes_through,
     extension_from_class,
     extension_from_psi,
+    Horseshoe,
     horseshoe,
 )
 
@@ -592,23 +593,46 @@ def omega_of_map(g: ModuleMap, steps: int = 1) -> ModuleMap:
     return out
 
 
+def _padded(shoe: Horseshoe, a: int, c_prev: int):
+    """The horseshoe's sequence padded with a·c_prev carried free blocks.
+
+    Its source is a copies of syz ⊕ R^c_prev; `gather` puts the a syzygy
+    blocks (the horseshoe's left term) first and the a free blocks after
+    them.  Returns syz¹(middle) ⊕ R^(free_rank + a·c_prev),
+    block_diag(inject, I) @ gather and [project | 0].
+    """
+    ses = shoe.sequence
+    alg = ses.left.algebra
+    fld = alg.field
+    s_prev = ses.left.dim // a  # the left term is syz(prev)^a
+    c = c_prev * alg.dim
+    middle = direct_sum([ses.middle.summands[0][0],
+                         free_module(alg, shoe.free_rank + a * c_prev)])
+    at = np.arange(a * (s_prev + c)).reshape(a, s_prev + c)
+    gather = Matrix.identity(fld, at.size).take_rows(
+        np.concatenate((at[:, :s_prev], at[:, s_prev:]), axis=None))
+    inj = Matrix.block_diag(fld, [ses.inject.matrix,
+                                  Matrix.identity(fld, a * c)]) @ gather
+    proj = Matrix.hstack([ses.project.matrix,
+                          Matrix.zeros(fld, ses.right.dim, a * c)])
+    return middle, inj, proj
+
+
 def transform_syzygy(seq: ReducingSequence,
                      window: int = 10) -> ReducingSequence:
     """Turn a chain for M into a chain for syz(M), step by step.
 
-    Each step is pushed through the horseshoe construction; the free
-    modules that the horseshoe inserts are carried along as padding on
-    every later chain module, so the new chain modules are literal sums
-    syz(old module) + free.  Parameters (a, b, n) are preserved.
-    Rejects input that does not verify.
+    Each step is pushed through the horseshoe construction.  The free
+    modules each horseshoe inserts are carried as padding on every later
+    chain module, syz(old module) ⊕ free; `_padded` maps each copy's
+    free block identically onto the padding.  Parameters (a, b, n) are
+    preserved.  Rejects input that does not verify.
     """
     report = verify(seq, window=window)
     if not report.ok:
         raise CertificateError(
             f"input chain failed verification: {report.reason}")
-    alg = seq.base.algebra
-    d = alg.dim
-    fld = alg.field
+    fld = seq.base.algebra.field
     new_base = syzygy(seq.base, 1)
     prev_old = seq.base
     prev_new = new_base
@@ -629,39 +653,22 @@ def transform_syzygy(seq: ReducingSequence,
             ModuleMap(left_lit, ses.middle, ses.inject.matrix,
                       validate=False),
             proj_norm))
-        s_prev = syzygy(prev_old, 1).dim
-        s_mid = resolve(ses.middle).syzygy_module(1).dim
-        f = shoe.free_rank
-        pad = a * c_prev
-        middle_new = direct_sum(
-            [resolve(ses.middle).syzygy_module(1),
-             free_module(alg, f + pad)])
-        src = power_module(prev_new, a)
-        inj = Matrix.zeros(fld, middle_new.dim, src.dim)
-        blk = s_prev + c_prev * d
-        for t in range(a):
-            inj.a[:s_mid + f * d, t * blk:t * blk + s_prev] = \
-                shoe.sequence.inject.matrix.a[:, t * s_prev:(t + 1) * s_prev]
-            row0 = s_mid + f * d + t * c_prev * d
-            inj.a[row0:row0 + c_prev * d,
-                  t * blk + s_prev:(t + 1) * blk] = \
-                Matrix.identity(fld, c_prev * d).a
+        middle_new, inj, proj = _padded(shoe, a, c_prev)
         right_new = shoe.sequence.right
-        proj = Matrix.zeros(fld, right_new.dim, middle_new.dim)
-        proj.a[:, :s_mid + f * d] = shoe.sequence.project.matrix.a
         rebuilt = _syzygy_of_power(prev_new, b, n)
         if rebuilt.dim != right_new.dim:
             raise CertificateError("transported right term has wrong size")
         new_steps.append(ReducingStep(
             a, b, n,
             ShortExactSequence(
-                ModuleMap(src, middle_new, inj, validate=False),
+                ModuleMap(power_module(prev_new, a), middle_new, inj,
+                          validate=False),
                 ModuleMap(middle_new, right_new, proj, validate=False)),
             ModuleMap(right_new, rebuilt,
                       Matrix.identity(fld, rebuilt.dim), validate=False)))
         prev_old = ses.middle
         prev_new = middle_new
-        c_prev = f + pad
+        c_prev = shoe.free_rank + a * c_prev
     return ReducingSequence(new_base, new_steps, seq.target)
 
 
@@ -742,24 +749,11 @@ def transform_cosyzygy(seq: ReducingSequence, module: Module,
                       theta_mat @ ses.project.matrix, validate=False))
         eta = class_of_ses(data_k, ses_old)
         psi_eta = data_k.psi_from_class(eta)
-        # repackage the left term: kappa gathers the a syzygy blocks in
-        # front and the a free blocks behind
+        # psi_eta read in syz(w_prev^a): the syzygy rows of rho, per copy
         s_prev = rho.target.summands[0][0].dim
-        blk = s_prev + c_prev * d
-        kappa = Matrix.zeros(fld, a * blk, a * blk)
-        for t in range(a):
-            kappa.a[t * s_prev:(t + 1) * s_prev,
-                    t * blk:t * blk + s_prev] = \
-                Matrix.identity(fld, s_prev).a
-            row0 = a * s_prev + t * c_prev * d
-            kappa.a[row0:row0 + c_prev * d,
-                    t * blk + s_prev:(t + 1) * blk] = \
-                Matrix.identity(fld, c_prev * d).a
-        kappa_full = kappa @ Matrix.block_diag(fld, [rho.matrix] * a)
-        pw_a_w = power_module(w_prev, a)
-        omega_aw = resolve(pw_a_w).syzygy_module(1)
-        psi_new = (kappa_full @ psi_eta).take_rows(range(omega_aw.dim))
-        smap = ext_syzygy_map(right_w, pw_a_w)
+        psi_new = Matrix.block_diag(
+            fld, [rho.matrix.take_rows(range(s_prev))] * a) @ psi_eta
+        smap = ext_syzygy_map(right_w, power_module(w_prev, a))
         eta_shift = smap.target_data.class_of_psi(psi_new)
         coords = smap.matrix.solve(eta_shift)
         if coords is None:
@@ -768,18 +762,8 @@ def transform_cosyzygy(seq: ReducingSequence, module: Module,
                 "the syzygy shift")
         ses_w = extension_from_class(smap.source_data, coords)
         shoe = horseshoe(ses_w)
-        f = shoe.free_rank
-        omega_mid = resolve(ses_w.middle).syzygy_module(1)
-        z2 = direct_sum([omega_mid,
-                         free_module(alg, f + a * c_prev)])
-        i2 = Matrix.zeros(fld, z2.dim, a * blk)
-        i2.a[:omega_mid.dim + f * d, :a * s_prev] = \
-            shoe.sequence.inject.matrix.a
-        i2.a[omega_mid.dim + f * d:, a * s_prev:] = \
-            Matrix.identity(fld, a * c_prev * d).a
-        i2 = i2 @ kappa_full
-        p2 = Matrix.zeros(fld, x_up.dim, z2.dim)
-        p2.a[:, :omega_mid.dim + f * d] = shoe.sequence.project.matrix.a
+        z2, i2, p2 = _padded(shoe, a, c_prev)
+        i2 = i2 @ Matrix.block_diag(fld, [rho.matrix] * a)
         ses_check = ShortExactSequence(
             ModuleMap(left_lit, z2, i2, validate=False),
             ModuleMap(z2, x_up, p2, validate=False))
@@ -812,7 +796,7 @@ def transform_cosyzygy(seq: ReducingSequence, module: Module,
         rho = tau
         w_prev = ses_w.middle
         prev_old = mid_old
-        c_prev = f + a * c_prev
+        c_prev = shoe.free_rank + a * c_prev
     lifted = ReducingSequence(module, new_steps, seq.target)
     report = verify(lifted, window=window)
     if not report.ok:
