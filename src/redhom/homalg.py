@@ -93,26 +93,30 @@ class DualData:
             d, m, g).transpose(2, 0, 1).reshape(g * d, m))
 
 
-def r_dual(mod: Module, label: str = "") -> DualData:
+def r_dual(mod: Module) -> DualData:
     """Maps from the module into the regular module, with the ring action
-    given by postcomposition."""
+    given by postcomposition; built once per module, read-only."""
+    if mod._dual is not None:
+        return mod._dual
     alg = mod.algebra
     fld = alg.field
     reg = regular_module(alg)
     flat = hom_space_matrix(mod, reg)
     h = flat.cols
-    if h == 0:
-        return DualData(mod, zero_module(alg), flat)
-    # x_v acts on the R-coordinate (row) of each map: apply it to the
-    # (dim R) x (dim M * h) stack of all maps' rows
-    stack = Matrix(fld, flat.a.reshape(alg.dim, mod.dim * h))
-    va = [_coords(flat, Matrix(fld, reg.apply_var(v, stack).a.reshape(
-        mod.dim * alg.dim, h)), "dual space is not action-closed")
-        for v in range(alg.nvars)]
-    dm = Module(alg, h, va,
-                label=label or (f"({mod.label})^" if mod.label else ""),
-                validate=False)
-    return DualData(mod, dm, flat)
+    dm = zero_module(alg)
+    if h:
+        # x_v acts on the R-coordinate (row) of each map: apply it to the
+        # (dim R) x (dim M * h) stack of all maps' rows
+        stack = Matrix(fld, flat.a.reshape(alg.dim, mod.dim * h))
+        va = [_coords(flat, Matrix(fld, reg.apply_var(v, stack).a.reshape(
+            mod.dim * alg.dim, h)), "dual space is not action-closed")
+            for v in range(alg.nvars)]
+        for x in (flat, *va):
+            x.a.flags.writeable = False
+        dm = Module(alg, h, va, label=f"({mod.label})^" if mod.label else "",
+                    validate=False)
+    mod._dual = DualData(mod, dm, flat)
+    return mod._dual
 
 
 def _coords(basis: Matrix, vectors: Matrix, fault: str) -> Matrix:
@@ -430,12 +434,16 @@ class Pushforward:
 
 
 def pushforward(mod: Module) -> Pushforward:
+    """The embedding into a free module, built once per module."""
+    if mod._push is not None:
+        return mod._push
     alg = mod.algebra
     if mod.dim == 0:
         # the zero module embeds into the zero free module
         target = free_module(alg, 0)
-        return Pushforward(ShortExactSequence(
+        mod._push = Pushforward(ShortExactSequence(
             ModuleMap.zero(mod, target), ModuleMap.identity(target)), target)
+        return mod._push
     dual = r_dual(mod)
     gens = dual.module.min_generators()
     if gens.cols == 0:
@@ -448,7 +456,8 @@ def pushforward(mod: Module) -> Pushforward:
     forward, proj = quotient_module(target, q,
                                     label=f"push({mod.label or '?'})")
     inject = ModuleMap(mod, target, q, validate=False)
-    return Pushforward(ShortExactSequence(inject, proj), forward)
+    mod._push = Pushforward(ShortExactSequence(inject, proj), forward)
+    return mod._push
 
 
 # -- horseshoe construction -----------------------------------------------------------

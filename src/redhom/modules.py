@@ -39,11 +39,13 @@ class ModuleError(ValueError):
 
 
 class Module:
-    """One module: a commuting variable representation over an algebra."""
+    """One module: a commuting variable representation over an algebra.
+    Kept on it once computed: action stack, radical and socle spans,
+    resolution, ring dual (`r_dual`) and pushforward (`pushforward`)."""
 
     __slots__ = ("algebra", "dim", "label", "free_rank", "summands",
                  "_var_actions", "_stack", "_radical", "_socle",
-                 "_resolution")
+                 "_resolution", "_dual", "_push")
 
     def __init__(self, algebra: Algebra, dim: int,
                  var_actions: list[Matrix] | None, label: str = "",
@@ -58,6 +60,7 @@ class Module:
         self._radical = None
         self._socle = None
         self._resolution = None
+        self._dual = self._push = None
         if var_actions is not None:
             for va in var_actions:
                 if va.rows != dim or va.cols != dim:
@@ -244,13 +247,16 @@ def residue_field(alg: Algebra) -> Module:
 
 
 def free_module(alg: Algebra, rank: int, label: str = "") -> Module:
+    """The rank-g free module, one object per (algebra, rank, label)."""
     if rank < 0:
         raise ModuleError("negative rank")
     if rank == 0:
         return zero_module(alg)
-    return Module(alg, rank * alg.dim, None,
-                  label=label or (f"R^{rank}" if rank > 1 else "R"),
-                  free_rank=rank, validate=False)
+    key = ("m", rank, label)
+    if key not in alg._free_cache:
+        alg._free_cache[key] = Module(alg, rank * alg.dim, None, label=label or (
+            f"R^{rank}" if rank > 1 else "R"), free_rank=rank, validate=False)
+    return alg._free_cache[key]
 
 
 def regular_module(alg: Algebra) -> Module:
