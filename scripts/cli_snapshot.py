@@ -10,9 +10,9 @@ The list: `--help` at every level of `cli.COMMANDS`; usage and bound
 errors; every certify-cli command of `perfbench/reference.json` (with
 `--seed 1` where the reference is seeded); the README "Command line"
 examples in order, as `scripts/check_readme_cli.py` reads them; the
-searches on `plane.json` that exhaust their budget; a too-deeply-nested
-workspace and certificate file and a malformed F_2 scalar; and `corpus
-run`.  Everything runs in a fresh temporary directory holding a copy of
+searches on `plane.json` that exhaust their budget; the main theorem on
+`line3.json` at window 60; a too-deeply-nested workspace and certificate
+file and a malformed F_2 scalar; and `corpus run`.  Everything runs in a fresh temporary directory holding a copy of
 `docs/examples`, so paths in the keys and the output are relative and two
 runs, or two checkouts, can be compared byte for byte.  A command that
 raises instead of returning is recorded with the exception's type under
@@ -72,6 +72,9 @@ ERRORS = [  # input errors, then bounds out of range
 ]
 EXHAUSTED = [[*PLANE, "reduce", "search", m, "--target", t]
              for m in ("two_gen", "Rx") for t in ("pd", "gdim")]
+LONG_CHAIN = [  # the main theorem down a 60-stage embedding chain
+    "--workspace", "docs/examples/line3.json", "theorem", "main", "Rx",
+    "cert_rx_gdim", "--window", "60"]
 MALFORMED = [  # written by `write_malformed`
     ["--workspace", "nested.json", "algebra", "info"],
     [*PLANE, "reduce", "verify", "nested_certificate.json"],
@@ -91,7 +94,7 @@ def command_lines() -> list[list[str]]:
     for argv, _ in examples():
         lines.append([os.path.relpath(a, ROOT) if a.startswith(str(ROOT)) else a
                       for a in argv])
-    return lines + EXHAUSTED + MALFORMED + [["corpus", "run"]]
+    return lines + EXHAUSTED + [LONG_CHAIN] + MALFORMED + [["corpus", "run"]]
 
 
 def is_pinned(argv: list[str]) -> bool:

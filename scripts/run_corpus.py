@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Run the worked-example fixtures and print a per-assertion table."""
+"""Run the worked-example fixtures and print a per-assertion table.
+
+`redhom corpus run` prints the same report as JSON."""
 
 import argparse
-import json
 import sys
 
 from redhom.corpus import run_corpus
@@ -12,15 +13,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--filter", default="",
                         help="only run fixtures whose name contains this")
-    parser.add_argument("--json", action="store_true",
-                        help="emit the raw JSON report instead of a table")
     args = parser.parse_args(argv)
 
     outcome = run_corpus(name_filter=args.filter)
-    if args.json:
-        print(json.dumps(outcome, sort_keys=True, indent=2))
-        return 0 if outcome["all_ok"] else 1
-
     for fixture in outcome["fixtures"]:
         mark = "ok " if fixture["ok"] else "FAIL"
         print(f"[{mark}] {fixture['name']}")

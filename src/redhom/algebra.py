@@ -12,16 +12,16 @@ basis index 0 is always the identity element, and indices 1 and up span
 the maximal ideal.
 
 The structure constants c[t, a, b] = (b_t b_b)_a are stored once, as
-one read-only (dim, dim, dim) array with the basis index first
-(`action_stack()`; `regmat[t]` is its slice t), and the variable actions
-likewise as one (nvars, dim, dim) array (`var_stack`; `varmat[v]` is
-its slice v).  Both are gathered from the normal-form table in one
-indexing step.  Free modules act through block-diagonal copies of
-these, kept per rank (`free_varmat`, `free_action_stack`).  For the
-products of sparse columns by the algebra the constants are also kept
-in sparse form (`structure`): their nonzero entries listed by the index
-they read (`linalg.by_gather`), one map per layout, built once per
-algebra on first use.
+one read-only (dim, dim, dim) array with the basis index first (`mult`,
+also `action_stack()`), and the variable actions likewise as one
+(nvars, dim, dim) array (`var_stack`; `varmat[v]` is its slice v).
+Both are gathered from the normal-form table in one indexing step.
+Free modules act through block-diagonal copies of these, kept per rank
+(`free_varmat`, `free_action_stack`).  For the products of sparse
+columns by the algebra the constants are also kept in sparse form
+(`structure`): their nonzero entries listed by the index they read
+(`linalg.by_gather`), one map per layout, built once per algebra on
+first use.
 """
 
 from __future__ import annotations
@@ -165,9 +165,7 @@ class Algebra:
     dim: int
     mult: np.ndarray       # (dim, dim, dim): mult[t] multiplies by b_t
     var_stack: np.ndarray  # (nvars, dim, dim): var_stack[v] multiplies by x_v
-    regmat: list[Matrix]     # views of mult
-    varmat: list[Matrix]     # views of var_stack
-    var_class: list[Matrix]  # each variable as a basis-coordinate column
+    varmat: list[Matrix]   # views of var_stack
     socle_basis: Matrix
     embedding_dim: int
     _free_cache: dict = dc_field(default_factory=dict, repr=False)
@@ -368,9 +366,8 @@ def build_algebra(fld: Field, var_names: list[str], relations: list[str],
     alg = Algebra(
         field=fld, var_names=list(var_names), nilpotency=nilpotency,
         relation_srcs=list(relations), basis_mons=basis_mons, dim=d,
-        mult=mult, var_stack=var_stack, regmat=[Matrix(fld, m) for m in mult],
+        mult=mult, var_stack=var_stack,
         varmat=[Matrix(fld, m) for m in var_stack],
-        var_class=[Matrix(fld, m[:, :1]) for m in var_stack],  # x_v * b_0
         socle_basis=socle, embedding_dim=emb,
     )
     alg._mon_index = mon_index  # type: ignore[attr-defined]

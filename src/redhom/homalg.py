@@ -80,11 +80,6 @@ class DualData:
         return self.flat.a.T.reshape(self.flat.cols, self.source.algebra.dim,
                                      self.source.dim)
 
-    @property
-    def maps(self) -> list[Matrix]:
-        """k-matrices source -> R, one per basis vector of the dual."""
-        return [Matrix(self.flat.field, m) for m in self.stack()]
-
     def map_from_coords(self, coords: Matrix) -> Matrix:
         """The maps with coordinates the columns of `coords`, stacked: row
         j*dim R + r is row r of map j."""

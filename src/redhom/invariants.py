@@ -191,6 +191,7 @@ class CompleteResolutionReport:
     right_ranks: list  # generator counts along the coresolution half
     exact: bool
     dual_exact: bool
+    chain: list        # the embedding chain's Pushforwards, as far as it exists
 
 
 def _complex_exact(maps) -> bool:
@@ -208,12 +209,13 @@ def complete_resolution(mod: Module,
     """Splice the minimal resolution with an iterated embedding-into-free
     chain and certify exactness of the result and of its ring-dual.
 
-    The right half exists only while each forward module still embeds
-    into a free module; a failure there is reported, not raised.
+    The chain is walked once and kept on the report.  Its stage j exists
+    only while stage j embeds into its free hull (stage j is torsionless);
+    a break there is reported, not raised, and the chain stops at it.
     """
     if mod.dim == 0:
         return CompleteResolutionReport(True, "zero module", window,
-                                        [], [], True, True)
+                                        [], [], True, True, [])
     res = resolve(mod)
     res.extend(window)
     maps = []
@@ -228,7 +230,7 @@ def complete_resolution(mod: Module,
         except HomAlgError as exc:
             return CompleteResolutionReport(
                 False, f"embedding chain broke at stage {j}: {exc}",
-                window, res.betti_list(window), [], False, False)
+                window, res.betti_list(window), [], False, False, chain)
         cur = chain[-1].forward
     maps.append(ModuleMap(
         res.ambient_free(0), chain[0].sequence.middle,
@@ -255,7 +257,7 @@ def complete_resolution(mod: Module,
     right_ranks = [p.sequence.middle.dim // mod.algebra.dim for p in chain]
     return CompleteResolutionReport(
         exact and dual_exact, "", window, res.betti_list(window),
-        right_ranks, exact, dual_exact)
+        right_ranks, exact, dual_exact, chain)
 
 
 def check_main_theorem(mod: Module, seq: ReducingSequence,
@@ -268,6 +270,11 @@ def check_main_theorem(mod: Module, seq: ReducingSequence,
     with torsionless stages and Ext vanishing on shrinking windows; the
     duals of the embedding sequences are exact; the spliced complex and
     its dual are exact across the window.
+
+    The embedding chain is walked once, by `complete_resolution`, and
+    every stage is read from its report: a stage is torsionless exactly
+    when it embeds into its free hull, that is, when the chain goes on
+    past it.  Stage 0's Ext vanishing is the second hypothesis.
     """
     report = TheoremReport("main", False, window, [], [])
     rep = verify(seq, window=window) if seq is not None else None
@@ -286,35 +293,28 @@ def check_main_theorem(mod: Module, seq: ReducingSequence,
     report.conclusions.append(_entry(
         "torsionless", biduality(mod).is_injective,
         "evaluation into the double dual is injective"))
+    cr = complete_resolution(mod, window)
     cur = mod
     chain = []
-    chain_ok = True
     detail = ""
     for i in range(window):
         if cur.dim == 0:
             break  # the chain stabilized; nothing left to embed
-        if not biduality(cur).is_injective:
-            chain_ok, detail = False, f"stage {i} is not torsionless"
+        if i == len(cr.chain):
+            detail = f"stage {i} is not torsionless"
             break
-        shrunk = window - i
-        okv, bad = ext_vanishes_through(cur, reg, shrunk)
-        if not okv:
-            chain_ok = False
-            detail = f"stage {i}: Ext^{bad} nonzero on window {shrunk}"
-            break
-        try:
-            step = pushforward(cur)
-        except HomAlgError as exc:
-            chain_ok, detail = False, f"stage {i}: {exc}"
-            break
-        chain.append(step)
-        cur = step.forward
-    report.conclusions.append(_entry("embedding_chain", chain_ok, detail))
-    if chain_ok:
+        if i > 0:
+            okv, bad = ext_vanishes_through(cur, reg, window - i)
+            if not okv:
+                detail = f"stage {i}: Ext^{bad} nonzero on window {window - i}"
+                break
+        chain.append(cr.chain[i])
+        cur = cr.chain[i].forward
+    report.conclusions.append(_entry("embedding_chain", not detail, detail))
+    if not detail:
         duals_ok = all(_dual_sequence_exact(p.sequence) for p in chain)
         report.conclusions.append(_entry(
             "dual_sequences_exact", duals_ok, ""))
-        cr = complete_resolution(mod, window)
         report.conclusions.append(_entry(
             "complete_resolution", cr.ok,
             cr.reason or f"exact={cr.exact} dual_exact={cr.dual_exact}"))

@@ -5,12 +5,12 @@ A module of k-dimension m stores one m x m matrix per algebra variable;
 the action of an arbitrary basis element is the corresponding monomial
 product of those matrices.  All of those actions are built once per
 module, degree by degree, into one read-only (dim R, m, m) array with
-the basis index first (`action_stack()`; `actions[t]` is its slice t).
-Free modules of rank g use the block layout in which coordinate j*d + t
-is the t-th algebra basis coordinate of the j-th generator.  They act
-like every other module, through dense matrices, but share them: their
-variable actions and stack are the algebra's block-diagonal copies,
-kept once per rank (`Algebra.free_varmat`, `free_action_stack`).
+the basis index first (`action_stack()`).  Free modules of rank g use
+the block layout in which coordinate j*d + t is the t-th algebra basis
+coordinate of the j-th generator.  They act like every other module,
+through dense matrices, but share them: their variable actions and
+stack are the algebra's block-diagonal copies, kept once per rank
+(`Algebra.free_varmat`, `free_action_stack`).
 
 Direct sums remember their parts and offsets, so downstream constructions
 (resolutions, syzygies, searches) can work blockwise and return literal
@@ -75,12 +75,6 @@ class Module:
         if self._var_actions is None:
             self._var_actions = self.algebra.free_varmat(self.free_rank)
         return self._var_actions
-
-    @property
-    def actions(self) -> list[Matrix]:
-        """Action of every algebra basis element (index 0 is the identity),
-        as views of `action_stack()`."""
-        return [Matrix(self.algebra.field, m) for m in self.action_stack()]
 
     def action_stack(self) -> np.ndarray:
         """All basis-element actions as one read-only (dim R, m, m) array,

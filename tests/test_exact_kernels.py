@@ -47,12 +47,12 @@ class RandomActions:
     def __init__(self, fld: Field, count: int, dim: int, rng: random.Random):
         self.field = fld
         self.dim = dim
-        self.actions = [random_matrix(fld, dim, dim, rng) for _ in range(count)]
-        self.regmat = self.actions
+        self.stack = np.stack([random_matrix(fld, dim, dim, rng).a
+                               for _ in range(count)])
         self.algebra = SimpleNamespace(field=fld, dim=count)
 
     def action_stack(self) -> np.ndarray:
-        return np.stack([m.a for m in self.actions])
+        return self.stack
 
 
 def blocks(m: Matrix, size: int, axis: int) -> list[Matrix]:
@@ -78,8 +78,8 @@ class TestKernelsMatchMatmul:
         cols = []
         for j in range(s):
             col = Matrix(fld, stacked.a[:, j:j + 1])
-            for t in range(d):
-                cols.append(Matrix.vstack([alg.regmat[t] @ blk
+            for act in alg.action_stack():
+                cols.append(Matrix.vstack([Matrix(fld, act) @ blk
                                            for blk in blocks(col, d, 0)]))
         assert free_map_from_columns(alg, g, stacked) == Matrix.hstack(cols)
 
@@ -88,7 +88,8 @@ class TestKernelsMatchMatmul:
         d, n, g = 6, 7, 3
         mod = RandomActions(fld, d, n, rng)
         gens = random_matrix(fld, n, g, rng)
-        want = Matrix.hstack([mod.actions[t] @ Matrix(fld, gens.a[:, j:j + 1])
+        want = Matrix.hstack([Matrix(fld, mod.action_stack()[t])
+                              @ Matrix(fld, gens.a[:, j:j + 1])
                               for j in range(g) for t in range(d)])
         assert assemble_action_columns(mod, gens) == want
 

@@ -91,7 +91,7 @@ class TestDuals:
         k = residue_field(plane)
         dk = r_dual(k)
         reg = regular_module(plane)
-        for m in dk.maps:
+        for m in (Matrix(plane.field, s) for s in dk.stack()):
             for v in range(plane.nvars):
                 lhs = reg.apply_var(v, m)
                 rhs = m @ k.apply_var(v, Matrix.identity(plane.field, k.dim))

@@ -81,7 +81,8 @@ def modules_of(alg, rng):
 
 
 def reference_tables(alg):
-    """regmat, varmat and var_class built one normal-form column per pair
+    """The regular representation (`mult`), `varmat` and each variable's
+    class (`var_stack[v][:, :1]`) built one normal-form column per pair
     of monomials, with a zero column for products of degree >= N."""
     fld, d, n = alg.field, alg.dim, alg.nvars
 
@@ -105,8 +106,10 @@ def reference_tables(alg):
 def test_algebra_tables(p, names, relations, nilpotency):
     alg = build_algebra(Field(p), names, relations, nilpotency)
     regmat, varmat, var_class = reference_tables(alg)
-    for got, want in ((alg.regmat, regmat), (alg.varmat, varmat),
-                      (alg.var_class, var_class)):
+    got_regmat = [Matrix(alg.field, m) for m in alg.mult]
+    got_class = [Matrix(alg.field, m[:, :1]) for m in alg.var_stack]
+    for got, want in ((got_regmat, regmat), (alg.varmat, varmat),
+                      (got_class, var_class)):
         assert len(got) == len(want)
         assert all(same(g, w) for g, w in zip(got, want))
     stack = alg.action_stack()
@@ -139,7 +142,8 @@ def test_module_action_stack(p, names, relations, nilpotency):
         stack = mod.action_stack()
         assert stack.shape == (alg.dim, mod.dim, mod.dim)
         assert all(same(Matrix(alg.field, s), w) for s, w in zip(stack, want))
-        assert all(same(g, w) for g, w in zip(mod.actions, want))
+        assert all(same(Matrix(alg.field, mod.action_stack()[t]), w)
+                   for t, w in enumerate(want))
 
 
 # -- ring duals -------------------------------------------------------------------
@@ -181,8 +185,10 @@ def reference_evaluation(mod, d1, d2):
     for j in range(mod.dim):
         x = Matrix.zeros(fld, mod.dim, 1)
         x.a[j, 0] = fld.one()
-        cols.append(flatten(Matrix.hstack([m @ x for m in d1.maps])))
-    coords, ok = Matrix.hstack([flatten(m) for m in d2.maps]).solve_columns(
+        cols.append(flatten(Matrix.hstack([Matrix(fld, m) @ x
+                                           for m in d1.stack()])))
+    coords, ok = Matrix.hstack([flatten(Matrix(fld, m))
+                                for m in d2.stack()]).solve_columns(
         Matrix.hstack(cols))
     assert all(ok)
     return coords
@@ -218,8 +224,9 @@ def test_dual_maps_and_biduality(p, names, relations, nilpotency):
     for mod in mods:
         dual = r_dual(mod)
         want = reference_maps(mod)
-        assert len(dual.maps) == len(want) == dual.module.dim
-        assert all(same(g, w) for g, w in zip(dual.maps, want))
+        got = [Matrix(alg.field, m) for m in dual.stack()]
+        assert len(got) == len(want) == dual.module.dim
+        assert all(same(g, w) for g, w in zip(got, want))
         bid = biduality(mod)
         assert same(bid.map.matrix,
                     reference_evaluation(mod, bid.dual, bid.double_dual))
@@ -241,8 +248,8 @@ def test_pushforward_embedding(p):
         chosen = []
         for j in range(gens.cols):
             m = Matrix.zeros(alg.field, alg.dim, mod.dim)
-            for i, basis_map in enumerate(dual.maps):
-                m = m + basis_map.scale(gens.a[i, j])
+            for i, basis_map in enumerate(dual.stack()):
+                m = m + Matrix(alg.field, basis_map).scale(gens.a[i, j])
             chosen.append(m)
         assert same(got, Matrix.vstack(chosen))
 

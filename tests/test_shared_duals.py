@@ -155,7 +155,7 @@ def test_main_theorem_hom_solves(hom_solves, capsys):
     assert main(["--workspace", LINE3, "theorem", "main", "Rx",
                  "cert_rx_gdim"]) == 0
     assert '"ok": true' in capsys.readouterr().out
-    assert len(hom_solves) <= 22  # 93 with a dual per call
+    assert len(hom_solves) <= 13  # 93 with a dual per call, 22 with two walks
 
 
 def test_gorenstein_fixture_hom_solves(hom_solves):
