@@ -69,6 +69,8 @@ ERRORS = [  # input errors, then bounds out of range
     [*PLANE, "theorem", "cor33", "--max-r", "-1"],
     [*PLANE, "theorem", "prop27", "k", "--max-n", "-2"],
     [*PLANE, "reduce", "search", "k", "--target", "gdim", "--samples", "-3"],
+    ["--workspace", "docs/examples/line3.json", "theorem", "main", "Rx",
+     "cert_rx_gdim", "--window", "0"],
 ]
 EXHAUSTED = [[*PLANE, "reduce", "search", m, "--target", t]
              for m in ("two_gen", "Rx") for t in ("pd", "gdim")]

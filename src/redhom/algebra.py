@@ -41,6 +41,10 @@ class AlgebraError(ValueError):
     """Raised for ill-formed algebra presentations."""
 
 
+class _ResidueZero(Exception):
+    """A polynomial's residues mod p hit 0: evaluate it exactly instead."""
+
+
 def _monomials_below(nvars: int, bound: int) -> list[tuple[int, ...]]:
     """All exponent tuples of total degree < bound, sorted by degree then
     by decreasing leading exponents (so 1, x, y, x^2, x*y, y^2, ...)."""
@@ -68,8 +72,30 @@ def parse_polynomial(src: str, var_names: list[str], fld: Field,
                      nilpotency: int | None = None):
     """Polynomial text (grammar: docs/workspace.md) as {exponent_tuple:
     coefficient}, evaluated exactly over Q, then reduced into `fld`; terms
-    of degree >= `nilpotency` vanish in the algebra and are dropped early."""
+    of degree >= `nilpotency` vanish in the algebra and are dropped early.
+
+    Over F_p it first runs on residues mod p, so a constant's power is
+    squared and multiplied mod p.  That gives the same answer as long as no
+    coefficient or divisor is 0 mod p: then each is a nonzero residue
+    exactly when it is a nonzero rational with no denominator divisible by
+    p.  At the first residue 0 it runs again exactly.  An exact coefficient
+    is refused past MAX_STEP_BYTES / ENTRY_BYTES bits, the entries one
+    resolution step may hold.  Exponents are always evaluated exactly."""
+    from .resolution import ENTRY_BYTES, MAX_STEP_BYTES  # it imports this module
     one, cap = (0,) * len(var_names), nilpotency or float("inf")
+    limit = MAX_STEP_BYTES // ENTRY_BYTES
+    p = fld.p  # the residues' modulus; None for exact values
+
+    def norm(c):
+        """c exactly, refused past the cap, or its nonzero residue mod p."""
+        if p is None:
+            if (bits := max(abs(c.numerator), c.denominator).bit_length()) > limit:
+                raise AlgebraError(f"a coefficient of {bits} bits is over "
+                                   f"MAX_STEP_BYTES / ENTRY_BYTES = {limit}")
+            return c
+        if c.denominator % p and (r := c.numerator * pow(c.denominator, -1, p) % p):
+            return r
+        raise _ResidueZero
 
     def mul(f, g):
         out = {}
@@ -78,7 +104,7 @@ def parse_polynomial(src: str, var_names: list[str], fld: Field,
                 mm = tuple(a + b for a, b in zip(m, m2))
                 if sum(mm) < cap:
                     out[mm] = out.get(mm, 0) + c * c2
-        return {m: c for m, c in out.items() if c}
+        return {m: v for m, c in out.items() if (v := norm(c))}
 
     def const(node, inverse=False):
         f = ev(node)
@@ -88,20 +114,23 @@ def parse_polynomial(src: str, var_names: list[str], fld: Field,
         return 1 / Fraction(f[one]) if inverse else Fraction(f.get(one, 0))
 
     def ev(node):
+        nonlocal p
         op = type(getattr(node, "op", None))
         s = -1 if op in (ast.Sub, ast.USub) else 1
         if op in (ast.Add, ast.Sub):
             f, g = ev(node.left), ev(node.right)
-            return {m: c for m in f.keys() | g.keys()
-                    if (c := f.get(m, 0) + s * g.get(m, 0))}
+            return {m: v for m in f.keys() | g.keys()
+                    if (v := norm(f.get(m, 0) + s * g.get(m, 0)))}
         if op in (ast.UAdd, ast.USub):
-            return {m: s * c for m, c in ev(node.operand).items()}
+            return {m: norm(s * c) for m, c in ev(node.operand).items()}
         if op is ast.Mult:
             return mul(ev(node.left), ev(node.right))
         if op is ast.Div:
             return mul(ev(node.left), {one: const(node.right, True)})
         if op is ast.Pow:
+            p, modulus = None, p
             e = const(node.right)
+            p = modulus
             if e.denominator != 1:
                 raise AlgebraError(f"exponent {e} is not an integer")
             base = {one: const(node.left, True)} if e < 0 else ev(node.left)
@@ -121,7 +150,12 @@ def parse_polynomial(src: str, var_names: list[str], fld: Field,
 
     text = src.strip().replace("^", "**")
     try:
-        poly = ev(ast.parse(text, mode="eval").body)
+        tree = ast.parse(text, mode="eval").body
+        try:
+            poly = ev(tree)
+        except _ResidueZero:
+            p = None
+            poly = ev(tree)
         return {m: v for m, c in poly.items() if (v := fld.div(
             fld.coerce(c.numerator), fld.coerce(c.denominator)))}
     except ZeroDivisionError:

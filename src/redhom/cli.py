@@ -9,10 +9,11 @@ input located by a JSON pointer (including a certificate step whose power
 a bound out of range (a negative `--window`, `--max-r` or `--samples`, or
 `--budget`, `--max-a`, `--max-b` or `--max-n` below 1), a command line
 that does not parse, a workspace or certificate file nested too deeply to
-read, or a `--save` path that cannot be written (pointer ""), 3 an
-internal error (a `HomAlgError`, `ResolutionError` or failed assertion
-inside a command, including a resolution step or an Ext transition
-refused for exceeding `resolution.MAX_STEP_BYTES`; pointer "").
+read, a `--save` path that cannot be written, or `theorem main` at
+`--window 0` (pointer ""), 3 an internal error (any other exception
+inside a command: a `HomAlgError`, a `ResolutionError`, including a
+resolution step or an Ext transition refused for exceeding
+`resolution.MAX_STEP_BYTES`, a failed assertion or a fault; pointer "").
 """
 
 import argparse
@@ -47,7 +48,7 @@ from .reducing import (
     transform_syzygy,
     verify,
 )
-from .resolution import ResolutionError, resolve
+from .resolution import resolve
 from .workspace import WorkspaceError, load_workspace
 
 
@@ -328,6 +329,9 @@ def _theorem(args, rep) -> int:
 
 
 def _cmd_theorem_main(args) -> int:
+    if args.window < 1:  # the splice needs the first free hull
+        raise ValueError(f"--window must be at least 1 for theorem main, "
+                         f"got {args.window}")
     ws = _need_workspace(args)
     return _theorem(args, check_main_theorem(
         ws.module(args.module), _certificate(ws, args), window=args.window))
@@ -402,7 +406,7 @@ def main(argv=None) -> int:
         return _emit(report, f"failed: {exc}", 1)
     except ValueError as exc:
         return _error(args.command, "", str(exc), f"input error: {exc}", 2)
-    except (HomAlgError, ResolutionError, AssertionError) as exc:
+    except Exception as exc:  # HomAlgError, ResolutionError or any other fault
         message = str(exc) or type(exc).__name__
         return _error(args.command, "", message,
                       f"internal error: {type(exc).__name__}: {message}", 3)

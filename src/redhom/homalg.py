@@ -4,7 +4,10 @@ Ext groups come from the minimal free resolution of the source: maps
 out of F_i are tuples of generator images.  The transition to F_{i+1}
 precomposes them with d_{i+1}; it is built as sparse columns from the
 sparse images and the target's actions, charged to the resolution step
-cap, and only its rank is kept (`linalg.sparse_rref`).  First Ext
+cap, and only its rank is kept (`linalg.sparse_rref`).  On a tail the
+resolution reads (`resolution.Resolution.period`, `.semisimple`) a rank
+is read too: off the transition it repeats, or as beta_j times the rank
+of k's transition i - j, charged as building it would be.  First Ext
 (`Ext1Data`) eliminates the same sparse columns; only its class basis,
 which extension classes are realized from and read back in, is dense.
 Every lift through a minimal cover is a product with its section.
@@ -41,7 +44,7 @@ from .modules import (
     zero_module,
 )
 from .resolution import (_basis_columns, _check_dense_size, _check_step_size,
-                         _radical_complement, resolve)
+                         _radical_complement, _residue_chain, resolve)
 
 
 class HomAlgError(RuntimeError):
@@ -196,8 +199,7 @@ class ExtTable:
         fld, d = self.source.algebra.field, self.source.algebra.dim
         dn, images = self.target.dim, self.res.generators(i + 1)
         cols: list[dict] = [{} for _ in range(self.res.betti(i) * dn)]
-        self._charge(i, len(cols) + sum(len(self._acts.get(r % d, ()))
-                                        for img in images for r in img))
+        self._charge(i, self._entries(i))
         for j, img in enumerate(images):
             for r, c in img.items():
                 for (a, b), x in self._acts.get(r % d, ()):
@@ -206,19 +208,54 @@ class ExtTable:
         return [{k: w for k, v in col.items() if (w := fld.coerce(v))}
                 if col else col for col in cols]
 
+    def _read_entries(self, i: int) -> int:
+        """`_entries(i)`, on a semisimple tail read as b times k's
+        transition i - j."""
+        if (simple := self.res.semisimple()) and i >= simple[0]:
+            return simple[1] * self._k_side()._read_entries(i - simple[0])
+        return self._entries(i)
+
+    def _entries(self, i: int) -> int:
+        """What transition i is charged: its columns, and per nonzero of a
+        generator image the target's action entries it meets."""
+        d = self.source.algebra.dim
+        return self.res.betti(i) * self.target.dim + sum(
+            len(self._acts.get(r % d, ())) for img in self.res.generators(i + 1)
+            for r in img)
+
     def _charge(self, i: int, entries: int) -> None:
         dn = self.target.dim
         _check_step_size(i, (self.res.betti(i + 1) * dn, self.res.betti(i) * dn),
                          entries, "Ext transition")
 
+    def _k_side(self) -> "ExtTable":
+        """The table of (k, target), k the one `_residue_chain` resolves."""
+        k = _residue_chain(self.source.algebra).module
+        if self.source is k:
+            return self
+        if "_k" not in vars(self):
+            self._k = ExtTable(k, self.target)
+        return self._k
+
     def _rank(self, i: int) -> int:
+        """Rank of transition i; read off an earlier transition in a
+        periodic tail, or b times k's transition i - j in a semisimple
+        one, charged as building it would be."""
         if i < 0:
             return 0
         if i not in self._ranks:
-            cols = [col for col in self.transition_columns(i) if col]
-            self._ranks[i] = len(sparse_rref(
-                self.source.algebra.field, cols, back=False,
-                grow=lambda m: self._charge(i, len(cols) + m)))
+            self.res.extend(i + 1)
+            simple = self.res.semisimple()
+            if (same := self.res.same_step(i + 1) - 1) < i:
+                self._ranks[i] = self._rank(same)
+            elif simple and i >= simple[0]:
+                self._charge(i, self._read_entries(i))
+                self._ranks[i] = simple[1] * self._k_side()._rank(i - simple[0])
+            else:
+                cols = [col for col in self.transition_columns(i) if col]
+                self._ranks[i] = len(sparse_rref(
+                    self.source.algebra.field, cols, back=False,
+                    grow=lambda m: self._charge(i, len(cols) + m)))
         return self._ranks[i]
 
     def dim(self, i: int) -> int:

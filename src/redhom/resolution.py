@@ -13,6 +13,19 @@ built on demand, once, as is the cover's section, which every lift
 through a cover reads.  No step follows a kernel with no free positions:
 every later index reads as zero.
 
+Two more tails are read rather than stepped.  Step i is a function of
+the kernel layout of step i - 1 alone, so once step j's layout equals
+step i's, every step j + t equals step i + t: a periodic tail, answered
+modulo j - i (over a hypersurface, Eisenbud, Trans. AMS 260, 1980).  Once
+m kills syz^j, which `_radical_complement` sees as no radical images,
+syz^j = k^beta_j, the kernel of the next step is m F_j and every later
+step is beta_j block copies of k's: a semisimple tail, answered as beta_j
+times k's Betti numbers, off one resolution of k kept per algebra
+(`_residue_chain`).  Read steps are charged what stepping would be
+charged before elimination, so a tail that outgrows `MAX_STEP_BYTES` is
+refused at the same index with the same message; `generators` and
+`syzygy_layout` past a semisimple tail step for real.
+
 Three classes implement it.  `ChainResolution` computes the steps of
 one module; a free module's chain starts from its identity cover, whose
 empty kernel ends it at index 1.  `SumResolution` concatenates the
@@ -35,6 +48,7 @@ from .modules import (
     free_map_columns,
     free_module,
     free_products,
+    residue_field,
     zero_module,
 )
 
@@ -132,6 +146,23 @@ class Resolution:
     def ambient_free(self, i: int) -> Module:
         return free_module(self.module.algebra, self.betti(i))
 
+    def period(self) -> tuple[int, int] | None:
+        """(s, p) when every step i >= s equals step s + (i - s) % p as
+        data: generators, kernel layout and Betti number."""
+        return None
+
+    def semisimple(self) -> tuple[int, int] | None:
+        """(j, b) when the steps from j on are those of k^b, read off k's:
+        beta_i = b * beta_{i-j}(k) and Ext ranks likewise for i >= j."""
+        return None
+
+    def same_step(self, i: int) -> int:
+        """The least index whose step equals step i (i itself outside a
+        periodic tail)."""
+        if (per := self.period()) and i >= per[0]:
+            return per[0] + (i - per[0]) % per[1]
+        return i
+
     def terminated_at(self, upto: int) -> int | None:
         """Smallest index within the window where the resolution dies."""
         self.extend(upto)
@@ -144,7 +175,11 @@ class Resolution:
 class ChainResolution(Resolution):
     """The steps of a module that is not a remembered direct sum:
     `_steps[i]` holds `generators(i)` and the layout of the kernel of d_i.
-    A free module is covered by the unit columns of its own coordinates."""
+    A free module is covered by the unit columns of its own coordinates.
+
+    Stepping stops at the first tail whose shape is known (see the module
+    docstring): `_period` (s, p) once a kernel layout repeats, or
+    `_simple` (j, beta_j) once m kills syz^j."""
 
     def __init__(self, module: Module):
         self.module = module
@@ -155,18 +190,40 @@ class ChainResolution(Resolution):
             cover = [{j: fld.one()} for j in range(module.dim)]
         self._betti = [len(cover) // d]
         self._steps = [(cover[::d], sparse_kernel(fld, cover))]
+        self._entries = [0]  # what each step was charged; the cover is not
         self._columns = {0: cover}
         self._syz: dict[int, Module] = {}
+        self._seen = {_layout_key(self._betti[0], self._steps[0][1]): [0]}
+        self._period: tuple[int, int] | None = None
+        self._simple: tuple[int, int] | None = None
+        self._charged = 0  # read steps are charged through this index
+        self._reads: dict[int, tuple[int, int]] = {}  # read (betti, entries)
+        self._plan: tuple | None = None  # the next step's generators, shape, entries
 
     def extend(self, upto: int) -> None:
-        if len(self._betti) > upto or not self._steps[-1][1][0]:
-            return  # long enough, or finished
-        alg = self.module.algebra
-        d = alg.dim
-        by_b = structure(alg, "columns")
-        met = [len(by_b.get(b, ())) for b in range(d)]  # constants per residue
-        while len(self._betti) <= upto and self._steps[-1][1][0]:
-            i = len(self._betti)
+        """Step until index `upto`, a tail or the end; then charge each
+        read step of a semisimple tail as stepping would have.  A step of
+        a periodic tail repeats one that passed its charge."""
+        while (len(self._betti) <= upto and self._steps[-1][1][0]
+               and self._period is self._simple is None):
+            self._step()
+        if self._simple is None:
+            return
+        d = self.module.algebra.dim
+        for i in range(self._charged + 1, upto + 1):
+            if i >= len(self._betti):
+                (rows, _), (cols, entries) = self._read(i - 1), self._read(i)
+                _check_step_size(i, (rows * d, cols * d), entries)
+            self._charged = i
+
+    def _next(self) -> tuple:
+        """The generators of the next step, the shape of its differential
+        and the entries it is charged: planned once, built by `_step`."""
+        if self._plan is None:
+            alg = self.module.algebra
+            d = alg.dim
+            by_b = structure(alg, "columns")
+            met = [len(by_b.get(b, ())) for b in range(d)]  # constants per residue
             gens = _radical_complement(alg, *self._steps[-1][1])
             shape = (self._betti[-1] * d, len(gens) * d)
             # the columns, and the nonzeros (at most one per structure
@@ -174,36 +231,95 @@ class ChainResolution(Resolution):
             terms = [r % d for g in gens for r in g]
             if 0 in terms:
                 raise ResolutionError("resolution step lost minimality")
-            _check_step_size(i, shape, shape[1] + 2 * sum(map(met.__getitem__, terms)))
-            # the rows in the order `sparse_kernel` meets them in the columns
-            rows: dict[int, dict] = {}
-            for j, img in enumerate(free_products(alg, gens)):
-                for t, k in sorted(img, key=lambda tk: tk[0]):  # stable: t by t
-                    rows.setdefault(k, {})[j * d + t] = img[t, k]
-            n = shape[1] + sum(map(len, rows.values()))
-            kernel = row_kernel(alg.field, shape[1], rows.values(),
-                                lambda m: _check_step_size(i, shape, n + m))
-            self._betti.append(len(gens))
-            self._steps.append((gens, kernel))
+            self._plan = gens, shape, shape[1] + 2 * sum(map(met.__getitem__, terms))
+        return self._plan
+
+    def _step(self) -> None:
+        alg = self.module.algebra
+        d = alg.dim
+        i = len(self._betti)
+        gens, shape, entries = self._next()
+        _check_step_size(i, shape, entries)
+        # the rows in the order `sparse_kernel` meets them in the columns
+        rows: dict[int, dict] = {}
+        for j, img in enumerate(free_products(alg, gens)):
+            for t, k in sorted(img, key=lambda tk: tk[0]):  # stable: t by t
+                rows.setdefault(k, {})[j * d + t] = img[t, k]
+        n = shape[1] + sum(map(len, rows.values()))
+        kernel = row_kernel(alg.field, shape[1], rows.values(),
+                            lambda m: _check_step_size(i, shape, n + m))
+        # every basis column of syz^i generates it exactly when m kills it
+        simple = len(gens) == len(self._steps[-1][1][0])
+        self._plan = None
+        self._betti.append(len(gens))
+        self._steps.append((gens, kernel))
+        self._entries.append(entries)
+        if self._period is self._simple is None:
+            key = _layout_key(len(gens), kernel)
+            same = [k for k in self._seen.get(key, ())
+                    if (self._betti[k], self._steps[k][1]) == (len(gens), kernel)]
+            if same:  # step k + 1 on repeats, with period i - k
+                self._period = (same[0] + 1, i - same[0])
+            elif simple:  # syz^i = k^beta_i: step i + t is beta_i copies of k's step t
+                self._simple, self._charged = (i, len(gens)), i
+            else:
+                self._seen.setdefault(key, []).append(i)
+
+    def _read(self, i: int) -> tuple[int, int]:
+        """beta_i and the entries step i is charged, off the steps taken
+        or a tail; with neither, the steps before i are taken and step i
+        is planned, not built."""
+        while True:
+            i = self.same_step(i)
+            if i < len(self._betti):
+                return self._betti[i], self._entries[i]
+            if not self._steps[-1][1][0]:
+                return 0, 0
+            if self._simple is not None:
+                if i not in self._reads:
+                    j, b = self._simple
+                    kb, ke = _residue_chain(self.module.algebra)._read(i - j)
+                    self._reads[i] = b * kb, b * ke
+                return self._reads[i]
+            if i == len(self._betti):
+                gens, _, entries = self._next()
+                return len(gens), entries
+            self._step()
+
+    def _take(self, i: int) -> int:
+        """Index of step i among the steps taken: stepped for real up to a
+        periodic tail or the end, also past a semisimple tail, each step
+        charged and refused as it is built."""
+        while len(self._steps) <= self.same_step(i) and self._steps[-1][1][0]:
+            self._step()
+        return self.same_step(i)
+
+    def period(self) -> tuple[int, int] | None:
+        return self._period
+
+    def semisimple(self) -> tuple[int, int] | None:
+        return self._simple
 
     def betti(self, i: int) -> int:
         self.extend(i)
-        return self._betti[i] if i < len(self._betti) else 0
+        return self._read(i)[0]
 
     def generators(self, i: int) -> list[dict]:
-        self.extend(i)
+        i = self._take(i)
         return self._steps[i][0] if i < len(self._steps) else []
 
     def columns(self, i: int) -> list[dict]:
+        gens = self.generators(i)
+        i = self.same_step(i)
         if i not in self._columns:  # built from the generators, once
-            self._columns[i] = free_map_columns(self.module.algebra, self.generators(i))
+            self._columns[i] = free_map_columns(self.module.algebra, gens)
         return self._columns[i]
 
     def syzygy_layout(self, i: int) -> tuple[list[int], dict[int, dict]]:
         if i < 1:
             raise ResolutionError("syzygy subspaces start at index 1")
-        self.extend(i - 1)
-        return self._steps[i - 1][1] if i <= len(self._steps) else ([], {})
+        i = self._take(i - 1)
+        return self._steps[i][1] if i < len(self._steps) else ([], {})
 
     def syzygy_module(self, i: int) -> Module:
         if i == 0:
@@ -302,8 +418,34 @@ class ShiftedResolution(Resolution):
     def syzygy_layout(self, i: int) -> tuple[list[int], dict[int, dict]]:
         return self.parent.syzygy_layout(self.offset + i)
 
+    def period(self) -> tuple[int, int] | None:
+        """The parent's, from index 1 at the earliest: the cover differs."""
+        if (per := self.parent.period()) is None:
+            return None
+        return max(per[0] - self.offset, 1), per[1]
+
+    def semisimple(self) -> tuple[int, int] | None:
+        if (simple := self.parent.semisimple()) is None:
+            return None
+        return simple[0] - self.offset, simple[1]
+
     def syzygy_module(self, i: int) -> Module:
         return self.parent.syzygy_module(self.offset + i)
+
+
+def _layout_key(betti: int, layout: tuple[list[int], dict[int, dict]]) -> int:
+    """Hash of a step's Betti number and kernel free positions; equal
+    keys are compared in full."""
+    return hash((betti, tuple(layout[0])))
+
+
+def _residue_chain(alg) -> ChainResolution:
+    """The resolution of k, one per algebra, kept in its `_free_cache`;
+    semisimple tails read their steps off it."""
+    cache = vars(alg).setdefault("_free_cache", {})
+    if "k" not in cache:
+        cache["k"] = residue_field(alg)
+    return resolve(cache["k"])
 
 
 def _basis_columns(alg, free: list[int], block: dict[int, dict]) -> list[dict]:

@@ -376,12 +376,29 @@ class TestErrorPaths:
         assert err.startswith("internal error: ResolutionError")
         assert err.count("\n") == 1
 
-    def test_other_exceptions_still_raise(self, plane_ws, monkeypatch):
+    def test_other_exceptions_are_json(self, plane_ws, capsys, monkeypatch):
+        """Any other exception inside a command is an internal error too:
+        exit 3 and one JSON document, not a traceback."""
         def boom(args):
             raise KeyError("bug")
         monkeypatch.setattr(cli, "_cmd_resolve", boom)
-        with pytest.raises(KeyError):
-            cli.main(["--workspace", plane_ws, "resolve", "k"])
+        code = cli.main(["--workspace", plane_ws, "resolve", "k"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert json.loads(out)["error"] == {"message": "'bug'", "pointer": ""}
+        assert err == "internal error: KeyError: 'bug'\n"
+
+    def test_main_theorem_refuses_window_zero(self, capsys):
+        """`theorem main` splices the resolution with the first free hull
+        of the embedding chain, which window 0 does not build: exit 2."""
+        code = cli.main(["--workspace", str(EXAMPLES / "line3.json"), "theorem",
+                         "main", "Rx", "cert_rx_gdim", "--window", "0"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "message": "--window must be at least 1 for theorem main, got 0",
+            "pointer": ""}
+        assert err.startswith("input error: ")
 
     def test_step_over_the_cap_is_json(self, plane_ws, capsys, monkeypatch):
         monkeypatch.setattr("redhom.resolution.MAX_STEP_BYTES", 1000)

@@ -223,3 +223,22 @@ def test_mutated_workspace_keeps_the_contract(case, tmp_path, monkeypatch):
         if code in (2, 3):
             assert isinstance(report["error"]["pointer"], str)
         assert "Traceback" not in err
+
+
+# -- constant powers too large to take exactly ---------------------------
+
+
+def test_huge_constant_power_over_q_is_exit_2(tmp_path):
+    """Over Q a constant's power is exact, refused past MAX_STEP_BYTES /
+    ENTRY_BYTES bits; over F_2 it is taken mod 2.  The relation is a
+    multiple of x^2, 0 in the ring."""
+    doc = json.loads(TEXTS["plane.json"])
+    del doc["certificates"]  # written for the ring with no relations
+    doc["algebra"].update(field="Q", relations=["3^20000000*x^2"])
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    assert_input_error(["--workspace", str(path), "algebra", "info"],
+                       "/algebra", "bits is over MAX_STEP_BYTES")
+    doc["algebra"].update(field="Fp")
+    path.write_text(json.dumps(doc))
+    assert run(["--workspace", str(path), "algebra", "info"])[0] == 0

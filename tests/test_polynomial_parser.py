@@ -2,6 +2,7 @@
 route, on pinned edge cases and seeded random expression trees."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -184,3 +185,46 @@ class TestNilpotency:
 
     def test_nilpotency_one_keeps_constants(self):
         assert parse_polynomial("x + 2", NAMES, QQ, 1) == {(0, 0, 0): 2}
+
+
+class TestConstantPowers:
+    """A constant's power is taken in one step: modulo p over F_p when p
+    divides neither its numerator nor its denominator, exactly otherwise."""
+
+    @pytest.mark.parametrize("fld,a", [(GF2, 3), (GF3, 2), (Field(2**31 - 1), 3)],
+                             ids=FIELD_IDS[:3])
+    def test_huge_power_over_fp_is_reduced_as_taken(self, fld, a):
+        start = time.perf_counter()
+        got = parse_polynomial(f"{a}^20000000*x", NAMES, fld)
+        assert time.perf_counter() - start < 1.0  # milliseconds; 2-3 s exactly
+        assert got == {(1, 0, 0): pow(a, 20000000, fld.p)}
+
+    def test_power_of_a_multiple_of_p_is_exact(self):
+        """3 is 0 mod 3, so 3^e*x is evaluated exactly: 0 for a small e,
+        refused past the cap for a large one."""
+        assert parse_polynomial("3^20*x + y", NAMES, GF3) == {(0, 1, 0): 1}
+        with pytest.raises(AlgebraError, match="bits is over MAX_STEP_BYTES"):
+            parse_polynomial("3^20000000*x", NAMES, GF3)
+
+    @pytest.mark.parametrize("fld", FIELDS, ids=FIELD_IDS)
+    def test_matches_the_exact_value(self, fld):
+        rng = random.Random(4200 + (fld.p or 0) % 1000)
+        for _ in range(200):
+            a, b, e = rng.randint(-9, 9), rng.randint(1, 9), rng.randint(-6, 6)
+            src = f"({a}/{b})^{e}*x + 2"
+            if a == 0 and e < 0:
+                want = AlgebraError
+            else:
+                value = Fraction(a, b) ** e
+                try:
+                    c = fld.div(fld.coerce(value.numerator),
+                                fld.coerce(value.denominator))
+                    want = {m: v for m, v in [((1, 0, 0), c), ((0, 0, 0), fld.coerce(2))] if v}
+                except ZeroDivisionError:
+                    want = AlgebraError
+            assert outcome(parse_polynomial, src, fld) == want, src
+
+    def test_q_refuses_past_the_bit_cap(self):
+        with pytest.raises(AlgebraError, match="bits is over MAX_STEP_BYTES"):
+            parse_polynomial("3^20000000*x", NAMES, QQ)
+        assert parse_polynomial("1^20000000*x", NAMES, QQ) == {(1, 0, 0): 1}

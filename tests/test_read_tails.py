@@ -1,0 +1,100 @@
+"""Resolution tails read instead of stepped (`resolution.ChainResolution`):
+a periodic tail, once a step's kernel layout repeats, and a semisimple
+one, once m kills a syzygy.  Every read is checked against a chain of
+the same module forced to step every index, and so are the Ext tables
+that read the same tails."""
+
+import random
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from redhom.algebra import build_algebra
+from redhom.corpus import random_module
+from redhom.homalg import ExtTable
+from redhom.linalg import GF2, GF3, QQ, Field
+from redhom.modules import Module, free_module, residue_field
+from redhom.resolution import ChainResolution, resolve
+from redhom.workspace import load_workspace
+
+from test_sparse_ext import in_random_basis
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
+FIELDS = [GF2, GF3, Field(2**31 - 1), QQ]
+# (variables, relations, nilpotency, window, whether to write the module
+# in a random basis): hypersurfaces k[x]/x^n, whose tails are periodic,
+# the complete intersection k[x,y]/(x^2, y^2), and square-zero rings,
+# where m kills the first syzygy
+RINGS = [(["x"], [], 3, 12, False), (["x"], [], 4, 12, False),
+         (["x"], [], 5, 12, True), (["x", "y"], ["x^2", "y^2"], 3, 6, False),
+         (["x", "y"], [], 2, 5, True), (["x", "y", "z"], [], 2, 3, True)]
+
+
+def stepped(mod: Module, upto: int) -> Module:
+    """A copy of mod whose resolution took every step through `upto` and
+    reads no tail."""
+    copy = Module(mod.algebra, mod.dim, list(mod.var_actions), validate=False)
+    res = ChainResolution(copy)
+    while len(res._steps) <= upto and res._steps[-1][1][0]:
+        res._step()
+    res._period = res._simple = None
+    copy._resolution = res
+    return copy
+
+
+def assert_reads_match_steps(mod: Module, window: int) -> None:
+    alg = mod.algebra
+    ref = stepped(mod, window + 1)
+    res, want = resolve(mod), resolve(ref)
+    assert res.betti_list(window) == want.betti_list(window)
+    assert res.terminated_at(window) == want.terminated_at(window)
+    for target in (mod, residue_field(alg), free_module(alg, 1)):
+        assert ExtTable(mod, target).dims(window) == \
+            ExtTable(ref, target).dims(window)
+    # the first syzygy reads its parent's tail, shifted by one
+    syz, want_syz = res.syzygy_module(1), want.syzygy_module(1)
+    assert ExtTable(syz, mod).dims(window - 1) == \
+        ExtTable(want_syz, mod).dims(window - 1)
+    if (per := res.period()) is not None:  # the steps read, not stepped
+        for i in range(per[0], window + 1):
+            assert res.same_step(i) <= per[0] + per[1] - 1 < len(res._steps)
+            assert res.generators(i) == want.generators(i)
+            assert res.syzygy_layout(i) == want.syzygy_layout(i)
+
+
+@given(st.sampled_from(FIELDS), st.sampled_from(RINGS), st.integers(0, 10**6))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_random_modules(fld, ring, seed):
+    names, rels, nil, window, basis = ring
+    alg = build_algebra(fld, names, rels, nil)
+    mod = random_module(alg, 2, 3, seed)
+    if basis and mod.free_rank is None:
+        mod = in_random_basis(mod, random.Random(seed))
+    assert_reads_match_steps(mod, window)
+
+
+def test_line3_modules():
+    """Over F_2[x]/x^3, Rx and k repeat with period 2 from step 1, and
+    Rx2 = R/(x^2) reads k's steps from index 1: syz^1 = (x^2) = k."""
+    ws = load_workspace(EXAMPLES / "line3.json")
+    for name, period, simple, taken in [("Rx", (1, 2), None, 3),
+                                        ("k", (1, 2), None, 3),
+                                        ("Rx2", None, (1, 1), 2)]:
+        mod = ws.module(name)
+        assert_reads_match_steps(mod, 12)
+        res = resolve(mod)
+        assert (res.period(), res.semisimple()) == (period, simple)
+        assert len(res._steps) == taken
+
+
+def test_square_zero_reads_off_k():
+    """Over a ring with m^2 = 0, m kills syz^1: only steps 0 and 1 are
+    taken, and beta_{1+t} = beta_1 * beta_t(k) = beta_1 * e^t."""
+    alg = build_algebra(GF3, ["x", "y", "z"], [], 2)
+    mod = in_random_basis(random_module(alg, 3, 3, 7), random.Random(7))
+    res = resolve(mod)
+    b1 = res.betti(1)
+    assert res.betti_list(8)[1:] == [b1 * 3**t for t in range(8)]
+    assert res.semisimple() == (1, b1) and len(res._steps) == 2
+    assert res.syzygy_module(3).label.startswith("syz^3(")
+    assert len(res._steps) == 3  # the syzygy module stepped for real
