@@ -12,8 +12,9 @@ that does not parse, a workspace or certificate file nested too deeply to
 read, a `--save` path that cannot be written, or `theorem main` at
 `--window 0` (pointer ""), 3 an internal error (any other exception
 inside a command: a `HomAlgError`, a `ResolutionError`, including a
-resolution step or an Ext transition refused for exceeding
-`resolution.MAX_STEP_BYTES`, a failed assertion or a fault; pointer "").
+resolution step, an Ext transition or the Hom system of a `dual` or
+`pushforward` refused for exceeding `resolution.MAX_STEP_BYTES`, a failed
+assertion or a fault; pointer "").
 """
 
 import argparse

@@ -4,10 +4,12 @@ Ext groups come from the minimal free resolution of the source: maps
 out of F_i are tuples of generator images.  The transition to F_{i+1}
 precomposes them with d_{i+1}; it is built as sparse columns from the
 sparse images and the target's actions, charged to the resolution step
-cap, and only its rank is kept (`linalg.sparse_rref`).  On a tail the
-resolution reads (`resolution.Resolution.period`, `.semisimple`) a rank
-is read too: off the transition it repeats, or as beta_j times the rank
-of k's transition i - j, charged as building it would be.  First Ext
+cap, and only its rank is kept (`linalg.sparse_rref`).  Where step i + 1
+is a direct sum of copies of other steps (`resolution.Resolution.parts`:
+a tail, a remembered sum, a syzygy's parent), transition i is block
+diagonal, so its rank and its charge are summed over the parts' tables,
+which share the root table's gather of the target, and charged before
+any of them is read, as building it would be.  First Ext
 (`Ext1Data`) eliminates the same sparse columns; only its class basis,
 which extension classes are realized from and read back in, is dense.
 Every lift through a minimal cover is a product with its section.
@@ -22,6 +24,7 @@ free, so coordinates in it are read at its free positions (`_coords`).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +47,7 @@ from .modules import (
     zero_module,
 )
 from .resolution import (_basis_columns, _check_dense_size, _check_step_size,
-                         _radical_complement, _residue_chain, resolve)
+                         _radical_complement, resolve)
 
 
 class HomAlgError(RuntimeError):
@@ -188,8 +191,10 @@ class ExtTable:
         self.target = target
         self.res = resolve(source)
         self._ranks: dict[int, int] = {}
+        self._sizes: dict[int, int] = {}  # transition -> entries charged
         # basis element t -> [((a, b), nonzero entry of its action)]
         self._acts = by_gather(target.action_stack(), 0, (1, 2))
+        self._tables = {self.res: self}  # resolution -> its table (`_part`)
 
     def transition_columns(self, i: int) -> list[dict]:
         """Map from maps-out-of-F_i to maps-out-of-F_{i+1} as sparse
@@ -199,7 +204,7 @@ class ExtTable:
         fld, d = self.source.algebra.field, self.source.algebra.dim
         dn, images = self.target.dim, self.res.generators(i + 1)
         cols: list[dict] = [{} for _ in range(self.res.betti(i) * dn)]
-        self._charge(i, self._entries(i))
+        self._charge(i, self._own_entries(i))
         for j, img in enumerate(images):
             for r, c in img.items():
                 for (a, b), x in self._acts.get(r % d, ()):
@@ -208,49 +213,45 @@ class ExtTable:
         return [{k: w for k, v in col.items() if (w := fld.coerce(v))}
                 if col else col for col in cols]
 
-    def _read_entries(self, i: int) -> int:
-        """`_entries(i)`, on a semisimple tail read as b times k's
-        transition i - j."""
-        if (simple := self.res.semisimple()) and i >= simple[0]:
-            return simple[1] * self._k_side()._read_entries(i - simple[0])
-        return self._entries(i)
-
     def _entries(self, i: int) -> int:
-        """What transition i is charged: its columns, and per nonzero of a
-        generator image the target's action entries it meets."""
+        """What transition i is charged, once per index: summed over the
+        parts of step i + 1 when it has them."""
+        if i not in self._sizes:
+            parts = self.res.parts(i + 1)
+            self._sizes[i] = sum(m * self._part(p)._entries(j - 1) for p, j, m in parts) \
+                if parts else self._own_entries(i)
+        return self._sizes[i]
+
+    def _own_entries(self, i: int) -> int:
+        """What building transition i is charged: its columns, and per
+        nonzero of a generator image the target's action entries it meets."""
         d = self.source.algebra.dim
         return self.res.betti(i) * self.target.dim + sum(
-            len(self._acts.get(r % d, ())) for img in self.res.generators(i + 1)
-            for r in img)
+            len(self._acts.get(r % d, ())) for img in self.res.generators(i + 1) for r in img)
 
     def _charge(self, i: int, entries: int) -> None:
-        dn = self.target.dim
-        _check_step_size(i, (self.res.betti(i + 1) * dn, self.res.betti(i) * dn),
+        dn, res = self.target.dim, self.res
+        _check_step_size(i, lambda: (res.betti(i + 1) * dn, res.betti(i) * dn),
                          entries, "Ext transition")
 
-    def _k_side(self) -> "ExtTable":
-        """The table of (k, target), k the one `_residue_chain` resolves."""
-        k = _residue_chain(self.source.algebra).module
-        if self.source is k:
-            return self
-        if "_k" not in vars(self):
-            self._k = ExtTable(k, self.target)
-        return self._k
+    def _part(self, res) -> "ExtTable":
+        """The table of `res`'s module into the same target, one per root
+        table, sharing its gather of the target and its part tables."""
+        if res not in self._tables:
+            part = self._tables[res] = copy.copy(self)
+            part.source, part.res, part._ranks, part._sizes = res.module, res, {}, {}
+        return self._tables[res]
 
     def _rank(self, i: int) -> int:
-        """Rank of transition i; read off an earlier transition in a
-        periodic tail, or b times k's transition i - j in a semisimple
-        one, charged as building it would be."""
+        """Rank of transition i: built and eliminated, or summed over the
+        parts of step i + 1, charged first as building it would be."""
         if i < 0:
             return 0
         if i not in self._ranks:
             self.res.extend(i + 1)
-            simple = self.res.semisimple()
-            if (same := self.res.same_step(i + 1) - 1) < i:
-                self._ranks[i] = self._rank(same)
-            elif simple and i >= simple[0]:
-                self._charge(i, self._read_entries(i))
-                self._ranks[i] = simple[1] * self._k_side()._rank(i - simple[0])
+            if parts := self.res.parts(i + 1):
+                self._charge(i, self._entries(i))
+                self._ranks[i] = sum(m * self._part(p)._rank(j - 1) for p, j, m in parts)
             else:
                 cols = [col for col in self.transition_columns(i) if col]
                 self._ranks[i] = len(sparse_rref(

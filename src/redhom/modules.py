@@ -498,7 +498,8 @@ def kernel_module(f: ModuleMap, label: str = "") -> tuple[Module, ModuleMap]:
 
 
 def hom_space_matrix(src: Module, tgt: Module) -> Matrix:
-    """Columns are row-major vectorized k-matrices of the linear maps."""
+    """Columns are row-major vectorized k-matrices of the linear maps; the
+    system is refused before it is built past `resolution.MAX_STEP_BYTES`."""
     alg = src.algebra
     fld = alg.field
     nm = src.dim * tgt.dim
@@ -506,14 +507,11 @@ def hom_space_matrix(src: Module, tgt: Module) -> Matrix:
         return Matrix.zeros(fld, 0, 0)
     if alg.nvars == 0:
         return Matrix.identity(fld, nm)
-    blocks = []
-    eye_t = Matrix.identity(fld, tgt.dim)
-    eye_s = Matrix.identity(fld, src.dim)
-    for v in range(alg.nvars):
-        a = src.var_actions[v]
-        b = tgt.var_actions[v]
-        blocks.append(kron(eye_t, a.transpose()) - kron(b, eye_s))
-    return Matrix.vstack(blocks).kernel_basis()
+    from .resolution import _check_dense_size  # resolution imports this module
+    _check_dense_size("Hom system", (alg.nvars * nm, nm), fld)
+    eye_t, eye_s = Matrix.identity(fld, tgt.dim), Matrix.identity(fld, src.dim)
+    return Matrix.vstack([kron(eye_t, a.transpose()) - kron(b, eye_s) for a, b
+                          in zip(src.var_actions, tgt.var_actions)]).kernel_basis()
 
 
 def hom_dim(src: Module, tgt: Module) -> int:

@@ -13,18 +13,20 @@ built on demand, once, as is the cover's section, which every lift
 through a cover reads.  No step follows a kernel with no free positions:
 every later index reads as zero.
 
-Two more tails are read rather than stepped.  Step i is a function of
-the kernel layout of step i - 1 alone, so once step j's layout equals
-step i's, every step j + t equals step i + t: a periodic tail, answered
-modulo j - i (over a hypersurface, Eisenbud, Trans. AMS 260, 1980).  Once
-m kills syz^j, which `_radical_complement` sees as no radical images,
-syz^j = k^beta_j, the kernel of the next step is m F_j and every later
-step is beta_j block copies of k's: a semisimple tail, answered as beta_j
-times k's Betti numbers, off one resolution of k kept per algebra
-(`_residue_chain`).  Read steps are charged what stepping would be
-charged before elimination, so a tail that outgrows `MAX_STEP_BYTES` is
-refused at the same index with the same message; `generators` and
-`syzygy_layout` past a semisimple tail step for real.
+A step is read, not stepped, when it is, as data, the in-order direct
+sum of copies of other steps, which `Resolution.parts(i)` names; Betti
+numbers, charges and Ext ranks (`homalg.ExtTable`) are summed over them.
+A remembered direct sum's steps are its parts', a syzygy's its parent's.
+Step i is a function of the kernel layout of step i - 1 alone, so once
+step j's layout equals step i's, step j + t is step i + t: a periodic
+tail (over a hypersurface, Eisenbud, Trans. AMS 260, 1980).  Once m kills
+syz^j, which `_radical_complement` sees as no radical images, syz^j =
+k^beta_j, the next kernel is m F_j and step j + t is beta_j copies of
+step t of k, resolved once per algebra (`_residue_chain`): a semisimple
+tail.  Read steps are charged what stepping would be charged before
+elimination, so a tail that outgrows `MAX_STEP_BYTES` is refused at the
+same index with the same message; `generators` and `syzygy_layout` past
+a semisimple tail step for real.
 
 Three classes implement it.  `ChainResolution` computes the steps of
 one module; a free module's chain starts from its identity cover, whose
@@ -146,22 +148,12 @@ class Resolution:
     def ambient_free(self, i: int) -> Module:
         return free_module(self.module.algebra, self.betti(i))
 
-    def period(self) -> tuple[int, int] | None:
-        """(s, p) when every step i >= s equals step s + (i - s) % p as
-        data: generators, kernel layout and Betti number."""
-        return None
-
-    def semisimple(self) -> tuple[int, int] | None:
-        """(j, b) when the steps from j on are those of k^b, read off k's:
-        beta_i = b * beta_{i-j}(k) and Ext ranks likewise for i >= j."""
-        return None
-
-    def same_step(self, i: int) -> int:
-        """The least index whose step equals step i (i itself outside a
-        periodic tail)."""
-        if (per := self.period()) and i >= per[0]:
-            return per[0] + (i - per[0]) % per[1]
-        return i
+    def parts(self, i: int) -> list[tuple["Resolution", int, int]]:
+        """[(part, j, m)] when step i (generators, kernel layout and Betti
+        number) is the in-order direct sum of m copies of each part's step
+        j, as data; [] when step i is computed here.  Read after
+        `extend(i)`."""
+        return []
 
     def terminated_at(self, upto: int) -> int | None:
         """Smallest index within the window where the resolution dies."""
@@ -270,16 +262,15 @@ class ChainResolution(Resolution):
         or a tail; with neither, the steps before i are taken and step i
         is planned, not built."""
         while True:
-            i = self.same_step(i)
+            i = self._same(i)
             if i < len(self._betti):
                 return self._betti[i], self._entries[i]
             if not self._steps[-1][1][0]:
                 return 0, 0
-            if self._simple is not None:
-                if i not in self._reads:
-                    j, b = self._simple
-                    kb, ke = _residue_chain(self.module.algebra)._read(i - j)
-                    self._reads[i] = b * kb, b * ke
+            if i not in self._reads and (parts := self.parts(i)):
+                [(k, t, b)] = parts  # b copies of k's step t, read once
+                self._reads[i] = tuple(b * x for x in k._read(t))
+            if i in self._reads:
                 return self._reads[i]
             if i == len(self._betti):
                 gens, _, entries = self._next()
@@ -290,15 +281,26 @@ class ChainResolution(Resolution):
         """Index of step i among the steps taken: stepped for real up to a
         periodic tail or the end, also past a semisimple tail, each step
         charged and refused as it is built."""
-        while len(self._steps) <= self.same_step(i) and self._steps[-1][1][0]:
+        while len(self._steps) <= self._same(i) and self._steps[-1][1][0]:
             self._step()
-        return self.same_step(i)
+        return self._same(i)
 
-    def period(self) -> tuple[int, int] | None:
-        return self._period
+    def _same(self, i: int) -> int:
+        """The index of the step taken that step i repeats: i itself
+        outside a periodic tail."""
+        if (per := self._period) and i >= per[0]:
+            return per[0] + (i - per[0]) % per[1]
+        return i
 
-    def semisimple(self) -> tuple[int, int] | None:
-        return self._simple
+    def parts(self, i: int) -> list[tuple[Resolution, int, int]]:
+        """Inside a periodic tail, the step taken that step i repeats;
+        past a semisimple tail (j, beta_j), beta_j copies of k's step i - j."""
+        if (same := self._same(i)) < i:
+            return [(self, same, 1)]
+        if self._simple and i > self._simple[0]:
+            j, b = self._simple
+            return [(_residue_chain(self.module.algebra), i - j, b)]
+        return []
 
     def betti(self, i: int) -> int:
         self.extend(i)
@@ -310,7 +312,7 @@ class ChainResolution(Resolution):
 
     def columns(self, i: int) -> list[dict]:
         gens = self.generators(i)
-        i = self.same_step(i)
+        i = self._same(i)
         if i not in self._columns:  # built from the generators, once
             self._columns[i] = free_map_columns(self.module.algebra, gens)
         return self._columns[i]
@@ -358,6 +360,9 @@ class SumResolution(Resolution):
 
     def betti(self, i: int) -> int:
         return sum(c.betti(i) for c in self.children)
+
+    def parts(self, i: int) -> list[tuple[Resolution, int, int]]:
+        return [(c, i, 1) for c in self.children]
 
     def _sparse(self, kind: str, i: int) -> list[dict]:
         out: list[dict] = []
@@ -418,16 +423,9 @@ class ShiftedResolution(Resolution):
     def syzygy_layout(self, i: int) -> tuple[list[int], dict[int, dict]]:
         return self.parent.syzygy_layout(self.offset + i)
 
-    def period(self) -> tuple[int, int] | None:
-        """The parent's, from index 1 at the earliest: the cover differs."""
-        if (per := self.parent.period()) is None:
-            return None
-        return max(per[0] - self.offset, 1), per[1]
-
-    def semisimple(self) -> tuple[int, int] | None:
-        if (simple := self.parent.semisimple()) is None:
-            return None
-        return simple[0] - self.offset, simple[1]
+    def parts(self, i: int) -> list[tuple[Resolution, int, int]]:
+        """The parent's step offset + i, from index 1: the cover differs."""
+        return [(self.parent, self.offset + i, 1)] if i else []
 
     def syzygy_module(self, i: int) -> Module:
         return self.parent.syzygy_module(self.offset + i)
@@ -495,15 +493,16 @@ def _radical_complement(alg, free: list[int], block: dict[int, dict]) -> list[di
 
 def _check_step_size(i: int, shape: tuple[int, int], entries: int,
                      what: str = "resolution step") -> None:
-    """Refuse step i (a rows x cols differential, `shape`) when its
-    `entries` would take more than `MAX_STEP_BYTES`.  A step counts its
-    columns and each nonzero twice, as a product and in the rows (an Ext
-    transition, `what`, once).  ENTRY_BYTES, the largest tracemalloc peak
+    """Refuse step i (a rows x cols differential, `shape`, or a function
+    giving it) when its `entries` would take more than `MAX_STEP_BYTES`.
+    A step counts its columns and each nonzero twice, as a product and in
+    the rows (an Ext transition, `what`, once).  ENTRY_BYTES, the largest tracemalloc peak
     per entry when steps stored their columns, bounds it over ten steps
     of k (scripts/step_bytes.py): 167 B for step 13 over F_2[x,y]/m^2,
     91-167 B over F_2, F_3, F_{2^31-1} and Q, 2-4 variables, m^2, m^3."""
     size = ENTRY_BYTES * entries
     if size > MAX_STEP_BYTES:
+        shape = shape() if callable(shape) else shape
         raise ResolutionError(
             f"{what} {i} would allocate {size} bytes (a {shape[0]}x"
             f"{shape[1]} sparse matrix and its elimination, {entries} "

@@ -6,6 +6,8 @@ exit code, stdout and stderr of every snapshot command line except
 alters an output on purpose regenerates the file in the same commit.
 """
 
+import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -14,6 +16,7 @@ PINNED = ROOT / "tests" / "data" / "cli_snapshot.json"
 sys.path.insert(0, str(ROOT / "scripts"))
 
 import cli_snapshot  # noqa: E402
+from redhom import cli  # noqa: E402
 
 
 def test_outputs_match_the_pinned_snapshot(capsys):
@@ -30,3 +33,32 @@ def test_first_difference_names_key_stream_and_line():
     assert cli_snapshot.first_difference(pinned, {**pinned, "b": {}}) == \
         "b: not pinned"
     assert cli_snapshot.first_difference(pinned, {}) == "a: not run"
+
+
+def at_window(argv: list[str], window: int) -> list[str] | None:
+    """argv with its --window replaced, or appended when absent; None
+    when its command takes no --window."""
+    words = argv[2:] if argv[:1] == ["--workspace"] else argv
+    path = next((p for p in cli.COMMANDS if words[:len(p.split())] == p.split()), None)
+    if path is None or cli._WINDOW not in cli.COMMANDS[path]:
+        return None
+    if "--window" not in argv:
+        return [*argv, "--window", str(window)]
+    k = argv.index("--window")
+    return [*argv[:k + 1], str(window), *argv[k + 2:]]
+
+
+def test_windowed_command_lines_at_windows_0_and_1(tmp_path, monkeypatch):
+    """Every pinned command line whose command takes --window, run at
+    --window 0 and at --window 1, prints one JSON document and exits with
+    a documented code (0, 1, 2 or 3)."""
+    shutil.copytree(ROOT / "docs" / "examples", tmp_path / "docs" / "examples")
+    monkeypatch.chdir(tmp_path)
+    cli_snapshot.write_malformed()
+    runs = [line for argv in cli_snapshot.command_lines() if cli_snapshot.is_pinned(argv)
+            for window in (0, 1) if (line := at_window(argv, window))]
+    assert len(runs) >= 90  # the 45 windowed lines pinned when this was written
+    for line in runs:
+        result = cli_snapshot.run(line)
+        assert result.get("exit") in (0, 1, 2, 3), (line, result)
+        json.loads(result["stdout"])

@@ -55,9 +55,10 @@ def assert_reads_match_steps(mod: Module, window: int) -> None:
     syz, want_syz = res.syzygy_module(1), want.syzygy_module(1)
     assert ExtTable(syz, mod).dims(window - 1) == \
         ExtTable(want_syz, mod).dims(window - 1)
-    if (per := res.period()) is not None:  # the steps read, not stepped
+    if (per := res._period) is not None:  # the steps read, not stepped
         for i in range(per[0], window + 1):
-            assert res.same_step(i) <= per[0] + per[1] - 1 < len(res._steps)
+            [(part, j, m)] = res.parts(i) or [(res, i, 1)]
+            assert (part, m) == (res, 1) and j <= per[0] + per[1] - 1 < len(res._steps)
             assert res.generators(i) == want.generators(i)
             assert res.syzygy_layout(i) == want.syzygy_layout(i)
 
@@ -83,7 +84,7 @@ def test_line3_modules():
         mod = ws.module(name)
         assert_reads_match_steps(mod, 12)
         res = resolve(mod)
-        assert (res.period(), res.semisimple()) == (period, simple)
+        assert (res._period, res._simple) == (period, simple)
         assert len(res._steps) == taken
 
 
@@ -95,6 +96,6 @@ def test_square_zero_reads_off_k():
     res = resolve(mod)
     b1 = res.betti(1)
     assert res.betti_list(8)[1:] == [b1 * 3**t for t in range(8)]
-    assert res.semisimple() == (1, b1) and len(res._steps) == 2
+    assert res._simple == (1, b1) and len(res._steps) == 2
     assert res.syzygy_module(3).label.startswith("syz^3(")
     assert len(res._steps) == 3  # the syzygy module stepped for real

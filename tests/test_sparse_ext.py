@@ -149,7 +149,7 @@ def test_fill_in_is_refused_as_it_grows(monkeypatch):
     alg = build_algebra(GF3, ["x", "y"], [], 3)
     mod = in_random_basis(random_module(alg, 3, 3, 41), random.Random(41))
     resolve(mod).extend(3)
-    assert resolve(mod).semisimple() is resolve(mod).period() is None
+    assert resolve(mod)._simple is resolve(mod)._period is None
     monkeypatch.setattr(resolution, "MAX_STEP_BYTES", 479 * resolution.ENTRY_BYTES)
     table = ExtTable(mod, mod)
     table.transition_columns(2)  # passes the check before it is built
