@@ -242,21 +242,27 @@ class ExtTable:
             part.source, part.res, part._ranks, part._sizes = res.module, res, {}, {}
         return self._tables[res]
 
-    def _rank(self, i: int) -> int:
+    def _rank(self, i: int, charge=None) -> int:
         """Rank of transition i: built and eliminated, or summed over the
-        parts of step i + 1, charged first as building it would be."""
+        parts of step i + 1, charged first as building it would be; a
+        part charges its fill-in through its caller's `charge`."""
         if i < 0:
             return 0
         if i not in self._ranks:
+            charge = charge or (lambda n: self._charge(i, n))
             self.res.extend(i + 1)
             if parts := self.res.parts(i + 1):
-                self._charge(i, self._entries(i))
-                self._ranks[i] = sum(m * self._part(p)._rank(j - 1) for p, j, m in parts)
+                charge(total := self._entries(i))
+                rank = 0
+                for p, j, m in parts:  # the other blocks charged as predicted
+                    part = self._part(p)
+                    rank += m * part._rank(j - 1, lambda n: charge(total - part._entries(j - 1) + n))
+                self._ranks[i] = rank
             else:
                 cols = [col for col in self.transition_columns(i) if col]
                 self._ranks[i] = len(sparse_rref(
                     self.source.algebra.field, cols, back=False,
-                    grow=lambda m: self._charge(i, len(cols) + m)))
+                    grow=lambda m: charge(len(cols) + m)))
         return self._ranks[i]
 
     def dim(self, i: int) -> int:

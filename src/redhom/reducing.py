@@ -101,7 +101,9 @@ class ReducingSequence:
 def _syzygy_of_power(mod: Module, b: int, n: int) -> Module:
     if n == 0:
         return power_module(mod, b)
-    return resolve(power_module(mod, b)).syzygy_module(n)
+    res = resolve(power_module(mod, b))
+    res.extend(n)  # a read tail past the step cap is refused before any step
+    return res.syzygy_module(n)
 
 
 def _modules_equal(m1: Module, m2: Module) -> bool:

@@ -19,14 +19,18 @@ numbers, charges and Ext ranks (`homalg.ExtTable`) are summed over them.
 A remembered direct sum's steps are its parts', a syzygy's its parent's.
 Step i is a function of the kernel layout of step i - 1 alone, so once
 step j's layout equals step i's, step j + t is step i + t: a periodic
-tail (over a hypersurface, Eisenbud, Trans. AMS 260, 1980).  Once m kills
-syz^j, which `_radical_complement` sees as no radical images, syz^j =
-k^beta_j, the next kernel is m F_j and step j + t is beta_j copies of
-step t of k, resolved once per algebra (`_residue_chain`): a semisimple
-tail.  Read steps are charged what stepping would be charged before
-elimination, so a tail that outgrows `MAX_STEP_BYTES` is refused at the
-same index with the same message; `generators` and `syzygy_layout` past
-a semisimple tail step for real.
+tail (over a hypersurface, Eisenbud, Trans. AMS 260, 1980).  Once m
+kills c_j > 0 minimal generators g of syz^j, each k g is a direct
+summand: its column of d_j is independent of the others, so every later
+kernel layout is the disjoint union of k's, in g's blocks, and the
+rest's.  Step j + t is then the rest's step t (`_rest`, a chain seeded
+with step j restricted to the other blocks) and c_j copies of k's,
+resolved once per algebra (`_residue_chain`): a split tail, semisimple
+when m kills all of syz^j.  Read steps are charged what stepping would
+be charged before elimination, so a tail that outgrows `MAX_STEP_BYTES`
+is refused at the same index with the same message, also by a part
+stepped to read it; `generators` and `syzygy_layout` past a split tail
+step for real.
 
 Three classes implement it.  `ChainResolution` computes the steps of
 one module; a free module's chain starts from its identity cover, whose
@@ -150,9 +154,9 @@ class Resolution:
 
     def parts(self, i: int) -> list[tuple["Resolution", int, int]]:
         """[(part, j, m)] when step i (generators, kernel layout and Betti
-        number) is the in-order direct sum of m copies of each part's step
-        j, as data; [] when step i is computed here.  Read after
-        `extend(i)`."""
+        number) is the direct sum of m copies of each part's step j, as
+        data, in order (past a split tail, up to the order of blocks); []
+        when step i is computed here.  Read after `extend(i)`."""
         return []
 
     def terminated_at(self, upto: int) -> int | None:
@@ -171,30 +175,37 @@ class ChainResolution(Resolution):
 
     Stepping stops at the first tail whose shape is known (see the module
     docstring): `_period` (s, p) once a kernel layout repeats, or
-    `_simple` (j, beta_j) once m kills syz^j."""
+    `_simple` (j, c_j) once m kills c_j generators of syz^j, and `_rest`
+    the chain of the others, if any, started at that step by `seed`
+    (generators, kernel layout); it keeps the root's module, for the
+    algebra."""
 
-    def __init__(self, module: Module):
+    def __init__(self, module: Module, seed: tuple | None = None):
         self.module = module
         fld, d = module.algebra.field, module.algebra.dim
-        if module.free_rank is None:
-            cover = assemble_action_columns(module, module.min_generators()).sparse_columns()
-        else:
-            cover = [{j: fld.one()} for j in range(module.dim)]
-        self._betti = [len(cover) // d]
-        self._steps = [(cover[::d], sparse_kernel(fld, cover))]
+        self._columns: dict[int, list[dict]] = {}
+        if seed is None:
+            if module.free_rank is None:
+                cover = assemble_action_columns(module, module.min_generators()).sparse_columns()
+            else:
+                cover = [{j: fld.one()} for j in range(module.dim)]
+            self._columns[0] = cover
+            seed = cover[::d], sparse_kernel(fld, cover)
+        self._betti = [len(seed[0])]
+        self._steps = [seed]
         self._entries = [0]  # what each step was charged; the cover is not
-        self._columns = {0: cover}
         self._syz: dict[int, Module] = {}
         self._seen = {_layout_key(self._betti[0], self._steps[0][1]): [0]}
         self._period: tuple[int, int] | None = None
         self._simple: tuple[int, int] | None = None
+        self._rest: ChainResolution | None = None
         self._charged = 0  # read steps are charged through this index
         self._reads: dict[int, tuple[int, int]] = {}  # read (betti, entries)
         self._plan: tuple | None = None  # the next step's generators, shape, entries
 
     def extend(self, upto: int) -> None:
         """Step until index `upto`, a tail or the end; then charge each
-        read step of a semisimple tail as stepping would have.  A step of
+        read step of a split tail as stepping would have.  A step of
         a periodic tail repeats one that passed its charge."""
         while (len(self._betti) <= upto and self._steps[-1][1][0]
                and self._period is self._simple is None):
@@ -226,22 +237,24 @@ class ChainResolution(Resolution):
             self._plan = gens, shape, shape[1] + 2 * sum(map(met.__getitem__, terms))
         return self._plan
 
-    def _step(self) -> None:
+    def _step(self, shift: int = 0) -> None:
+        """Take the next step; a refusal names its index plus `shift`."""
         alg = self.module.algebra
         d = alg.dim
         i = len(self._betti)
         gens, shape, entries = self._next()
-        _check_step_size(i, shape, entries)
+        _check_step_size(i + shift, shape, entries)
         # the rows in the order `sparse_kernel` meets them in the columns
         rows: dict[int, dict] = {}
+        killed = set()  # generators whose one nonzero product is b_0 g = g
         for j, img in enumerate(free_products(alg, gens)):
+            if len(img) == len(gens[j]):
+                killed.add(j)
             for t, k in sorted(img, key=lambda tk: tk[0]):  # stable: t by t
                 rows.setdefault(k, {})[j * d + t] = img[t, k]
         n = shape[1] + sum(map(len, rows.values()))
         kernel = row_kernel(alg.field, shape[1], rows.values(),
-                            lambda m: _check_step_size(i, shape, n + m))
-        # every basis column of syz^i generates it exactly when m kills it
-        simple = len(gens) == len(self._steps[-1][1][0])
+                            lambda m: _check_step_size(i + shift, shape, n + m))
         self._plan = None
         self._betti.append(len(gens))
         self._steps.append((gens, kernel))
@@ -252,15 +265,18 @@ class ChainResolution(Resolution):
                     if (self._betti[k], self._steps[k][1]) == (len(gens), kernel)]
             if same:  # step k + 1 on repeats, with period i - k
                 self._period = (same[0] + 1, i - same[0])
-            elif simple:  # syz^i = k^beta_i: step i + t is beta_i copies of k's step t
-                self._simple, self._charged = (i, len(gens)), i
+            elif killed:  # step i + t is the rest's step t and copies of k's
+                self._simple, self._charged = (i, len(killed)), i
+                if len(killed) < len(gens):
+                    self._rest = ChainResolution(self.module, _without(d, gens, kernel, killed))
             else:
                 self._seen.setdefault(key, []).append(i)
 
-    def _read(self, i: int) -> tuple[int, int]:
+    def _read(self, i: int, shift: int = 0) -> tuple[int, int]:
         """beta_i and the entries step i is charged, off the steps taken
-        or a tail; with neither, the steps before i are taken and step i
-        is planned, not built."""
+        or summed over a tail's parts; with neither, the steps before i
+        are taken and step i is planned, not built.  A refusal names the
+        index plus `shift`: a part names the step it is read for."""
         while True:
             i = self._same(i)
             if i < len(self._betti):
@@ -268,18 +284,18 @@ class ChainResolution(Resolution):
             if not self._steps[-1][1][0]:
                 return 0, 0
             if i not in self._reads and (parts := self.parts(i)):
-                [(k, t, b)] = parts  # b copies of k's step t, read once
-                self._reads[i] = tuple(b * x for x in k._read(t))
+                reads = [[m * x for x in p._read(t, shift + i - t)] for p, t, m in parts]
+                self._reads[i] = tuple(map(sum, zip(*reads)))
             if i in self._reads:
                 return self._reads[i]
             if i == len(self._betti):
                 gens, _, entries = self._next()
                 return len(gens), entries
-            self._step()
+            self._step(shift)
 
     def _take(self, i: int) -> int:
         """Index of step i among the steps taken: stepped for real up to a
-        periodic tail or the end, also past a semisimple tail, each step
+        periodic tail or the end, also past a split tail, each step
         charged and refused as it is built."""
         while len(self._steps) <= self._same(i) and self._steps[-1][1][0]:
             self._step()
@@ -293,13 +309,15 @@ class ChainResolution(Resolution):
         return i
 
     def parts(self, i: int) -> list[tuple[Resolution, int, int]]:
-        """Inside a periodic tail, the step taken that step i repeats;
-        past a semisimple tail (j, beta_j), beta_j copies of k's step i - j."""
+        """Inside a periodic tail, the step taken that step i repeats; past
+        a split tail (j, c_j), the rest's step i - j, if there is a rest,
+        and c_j copies of k's, up to the order of the blocks of F_j."""
         if (same := self._same(i)) < i:
             return [(self, same, 1)]
         if self._simple and i > self._simple[0]:
-            j, b = self._simple
-            return [(_residue_chain(self.module.algebra), i - j, b)]
+            (j, c), rest = self._simple, self._rest
+            copies = [(_residue_chain(self.module.algebra), i - j, c)]
+            return [(rest, i - j, 1)] + copies if rest else copies
         return []
 
     def betti(self, i: int) -> int:
@@ -439,11 +457,24 @@ def _layout_key(betti: int, layout: tuple[list[int], dict[int, dict]]) -> int:
 
 def _residue_chain(alg) -> ChainResolution:
     """The resolution of k, one per algebra, kept in its `_free_cache`;
-    semisimple tails read their steps off it."""
+    split tails read their steps off it."""
     cache = vars(alg).setdefault("_free_cache", {})
     if "k" not in cache:
         cache["k"] = residue_field(alg)
     return resolve(cache["k"])
+
+
+def _without(d: int, gens: list[dict], layout: tuple[list[int], dict[int, dict]],
+             killed: set[int]) -> tuple:
+    """A step's generators and kernel layout without the blocks of the
+    generators in `killed`, the others renumbered in order: no pivot of
+    another block's basis column lies in those blocks."""
+    at = {s: n * d for n, s in enumerate(s for s in range(len(gens)) if s not in killed)}
+    free, block = layout
+    return [gens[s] for s in at], (
+        [at[p // d] + p % d for p in free if p // d in at],
+        {at[p // d] + p % d: {at[r // d] + r % d: x for r, x in col.items()}
+         for p, col in block.items() if p // d in at})
 
 
 def _basis_columns(alg, free: list[int], block: dict[int, dict]) -> list[dict]:

@@ -19,7 +19,7 @@ from redhom.reducing import (
     save_certificate,
 )
 from redhom.modules import ShortExactSequence
-from redhom.resolution import ResolutionError
+from redhom.resolution import ChainResolution, ResolutionError
 
 PLANE = {
     "version": "redhom-workspace/1",
@@ -519,6 +519,31 @@ def test_boolean_step_parameter_exit2(tmp_path, capsys):
                           "reduce", "verify", "cert_k")
     assert code == 2
     assert report["error"]["pointer"] == "/certificates/cert_k/steps/0/n"
+
+
+def test_certificate_n_past_the_cap_is_refused_before_stepping(tmp_path, capsys, monkeypatch):
+    """n = 100 for a step over F_2[x,y]/m^2: m kills syz^1 of the power
+    of k, so its steps from index 2 on are read, and the read charges
+    refuse step 20 of the power's resolution with no real step past 1."""
+    data = json.loads((EXAMPLES / "plane.json").read_text())
+    data["certificates"]["cert_k"]["steps"][0]["n"] = 100
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(data))
+    taken, step = [], ChainResolution._step
+
+    def counted(self, *args):
+        taken.append(len(self._betti))
+        return step(self, *args)
+    monkeypatch.setattr(ChainResolution, "_step", counted)
+    code, report, _ = run(capsys, "--workspace", str(path), "algebra", "info")
+    assert code == 2
+    assert report["error"] == {
+        "pointer": "/certificates/cert_k/steps/0/n",
+        "message": "n = 100: the syzygy of b = 1 copies cannot be rebuilt: "
+                   "resolution step 20 would allocate 1111490560 bytes (a "
+                   "1572864x3145728 sparse matrix and its elimination, 5242880 "
+                   "entries), over MAX_STEP_BYTES = 1073741824"}
+    assert taken and max(taken) == 1
 
 
 def _cert_inject_entry(cert, value):

@@ -1,12 +1,14 @@
 """Resolution tails read instead of stepped (`resolution.ChainResolution`):
-a periodic tail, once a step's kernel layout repeats, and a semisimple
-one, once m kills a syzygy.  Every read is checked against a chain of
+a periodic tail, once a step's kernel layout repeats, and a split one,
+once m kills some minimal generators of a syzygy (a semisimple tail when
+it kills them all).  Every read is checked against a chain of
 the same module forced to step every index, and so are the Ext tables
 that read the same tails."""
 
 import random
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from redhom.algebra import build_algebra
@@ -14,7 +16,7 @@ from redhom.corpus import random_module
 from redhom.homalg import ExtTable
 from redhom.linalg import GF2, GF3, QQ, Field
 from redhom.modules import Module, free_module, residue_field
-from redhom.resolution import ChainResolution, resolve
+from redhom.resolution import ChainResolution, _residue_chain, resolve
 from redhom.workspace import load_workspace
 
 from test_sparse_ext import in_random_basis
@@ -23,11 +25,13 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 FIELDS = [GF2, GF3, Field(2**31 - 1), QQ]
 # (variables, relations, nilpotency, window, whether to write the module
 # in a random basis): hypersurfaces k[x]/x^n, whose tails are periodic,
-# the complete intersection k[x,y]/(x^2, y^2), and square-zero rings,
-# where m kills the first syzygy
+# the complete intersection k[x,y]/(x^2, y^2), square-zero rings, where
+# m kills the first syzygy, and rings with m^3 = 0, where m kills some
+# minimal generators of a syzygy and the others go on
 RINGS = [(["x"], [], 3, 12, False), (["x"], [], 4, 12, False),
          (["x"], [], 5, 12, True), (["x", "y"], ["x^2", "y^2"], 3, 6, False),
-         (["x", "y"], [], 2, 5, True), (["x", "y", "z"], [], 2, 3, True)]
+         (["x", "y"], [], 2, 5, True), (["x", "y", "z"], [], 2, 3, True),
+         (["x", "y"], [], 3, 5, True), (["x", "y", "z"], [], 3, 3, True)]
 
 
 def stepped(mod: Module, upto: int) -> Module:
@@ -48,6 +52,9 @@ def assert_reads_match_steps(mod: Module, window: int) -> None:
     res, want = resolve(mod), resolve(ref)
     assert res.betti_list(window) == want.betti_list(window)
     assert res.terminated_at(window) == want.terminated_at(window)
+    # each read step is charged what its step was charged when taken
+    taken = list(zip(want._betti, want._entries))[:window + 1]
+    assert [res._read(i) for i in range(len(taken))] == taken
     for target in (mod, residue_field(alg), free_module(alg, 1)):
         assert ExtTable(mod, target).dims(window) == \
             ExtTable(ref, target).dims(window)
@@ -99,3 +106,58 @@ def test_square_zero_reads_off_k():
     assert res._simple == (1, b1) and len(res._steps) == 2
     assert res.syzygy_module(3).label.startswith("syz^3(")
     assert len(res._steps) == 3  # the syzygy module stepped for real
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=str)
+def test_split_tails_match_steps(fld):
+    """Over rings with m^3 = 0, m kills some minimal generators of a
+    syzygy and not the others: the step is split, and every read past it
+    matches a chain forced to step."""
+    splits = 0
+    for names, rels, nil, window, _ in RINGS[-2:]:
+        alg = build_algebra(fld, names, rels, nil)
+        mods = [residue_field(alg)] + [random_module(alg, 2, 3, seed) for seed in range(5)]
+        for seed, mod in enumerate(mods):
+            if mod.free_rank is None:
+                mod = in_random_basis(mod, random.Random(seed))
+            assert_reads_match_steps(mod, window)
+            splits += resolve(mod)._rest is not None
+    assert splits >= 4
+
+
+def golod(window: int) -> list[int]:
+    """Betti numbers of k over k[x,y]/m^3, a Golod ring: P(t) =
+    (1 + t)^2 / (1 - 4t^2 - 3t^3)."""
+    betti = [1, 2, 5]
+    while len(betti) <= window:
+        betti.append(4 * betti[-2] + 3 * betti[-3])
+    return betti[:window + 1]
+
+
+def test_residue_field_over_m3_splits_at_step_2(monkeypatch):
+    """k over F_2[x,y]/m^3: syz^2 has 5 minimal generators and m kills 4,
+    so step 2 + t is the rest's step t and 4 copies of k's.  The real
+    steps are steps 1 and 2 of k's chain and step 1 of its rest, and the
+    same again for the algebra's own k, at any window."""
+    taken, step = [], ChainResolution._step
+
+    def counted(self, *args):
+        taken.append(self)
+        return step(self, *args)
+    monkeypatch.setattr(ChainResolution, "_step", counted)
+    counts = []
+    for window in (7, 14):
+        alg = build_algebra(GF2, ["x", "y"], [], 3)
+        res, taken[:] = resolve(residue_field(alg)), []
+        assert res.betti_list(window) == golod(window)
+        counts.append(len(taken))
+        assert res._simple == (2, 4) and len(res._steps) == 3
+        k = _residue_chain(alg)
+        for t in range(1, window - 1):
+            assert res.parts(2 + t) == [(res._rest, t, 1), (k, t, 4)]
+    assert counts[0] == counts[1] <= 6
+    monkeypatch.undo()
+    want = resolve(stepped(residue_field(alg), 7))
+    for i in range(8):  # past the split, the data accessors step for real
+        assert res.generators(i) == want.generators(i)
+        assert i == 0 or res.syzygy_layout(i) == want.syzygy_layout(i)

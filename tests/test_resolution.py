@@ -265,14 +265,14 @@ class TestStepCap:
     # columns, plus those nonzeros in the columns and again in the rows
     STEP4 = resolution.ENTRY_BYTES * (48 + 2 * 16)
 
-    # step 4 of k over F_2[x,y]/m^3, whose syzygies m does not kill, so
-    # each is stepped: a 66 x 156 differential whose 26 generators have
-    # 30 nonzeros, meeting 58 structure constants: 156 columns, plus
-    # those products in the columns and again in the rows
-    CUBE_STEP4 = resolution.ENTRY_BYTES * (156 + 2 * 58)
+    # step 4 of k over F_2[x,y]/(x^2, y^2), where m kills no minimal
+    # generator of a syzygy, so each is stepped: a 16 x 20 differential
+    # whose 5 generators have 8 nonzeros, meeting 16 structure constants:
+    # 20 columns, plus those products in the columns and again in the rows
+    CI_STEP4 = resolution.ENTRY_BYTES * (20 + 2 * 16)
 
     def test_refused_before_the_product(self, monkeypatch):
-        res = resolve(residue_field(build_algebra(GF2, ["x", "y"], [], 3)))
+        res = resolve(residue_field(build_algebra(GF2, ["x", "y"], ["x^2", "y^2"], 3)))
         res.extend(3)
         products = []
         product = resolution.free_products
@@ -280,17 +280,17 @@ class TestStepCap:
         def counted(*args):
             products.append(args)
             return product(*args)
-        monkeypatch.setattr(resolution, "MAX_STEP_BYTES", self.CUBE_STEP4 - 1)
+        monkeypatch.setattr(resolution, "MAX_STEP_BYTES", self.CI_STEP4 - 1)
         monkeypatch.setattr(resolution, "free_products", counted)
         with pytest.raises(ResolutionError) as exc:
             res.extend(6)
-        assert f"step 4 would allocate {self.CUBE_STEP4} bytes" in str(exc.value)
+        assert f"step 4 would allocate {self.CI_STEP4} bytes" in str(exc.value)
         assert "--window" in str(exc.value)
         assert products == []
         assert (len(res._betti), len(res._steps)) == (4, 4)
         # the patched name is the product the step makes
-        monkeypatch.setattr(resolution, "MAX_STEP_BYTES", self.CUBE_STEP4)
-        assert res.betti(4) == 26 and len(products) == 1
+        monkeypatch.setattr(resolution, "MAX_STEP_BYTES", self.CI_STEP4)
+        assert res.betti(4) == 5 and len(products) == 1
 
     def test_resumes_under_a_larger_cap(self, plane, monkeypatch):
         res = resolve(residue_field(plane))

@@ -142,21 +142,43 @@ def test_oversized_transition_is_refused(monkeypatch):
     assert "window below 2 (--window" in str(exc.value)
 
 
-def test_fill_in_is_refused_as_it_grows(monkeypatch):
-    """Transition 2 of this module into itself predicts 479 entries and
-    its elimination fills in to 483; its resolution has no tail through
-    step 3, so the transition is built, not read."""
-    alg = build_algebra(GF3, ["x", "y"], [], 3)
-    mod = in_random_basis(random_module(alg, 3, 3, 41), random.Random(41))
+def fill_in_module():
+    """A module over F_3[x,y,z]/(x^2, y^2, z^2) whose resolution has no
+    tail through step 3 (m kills no minimal generator of its first three
+    syzygies) and whose Ext transition 2 into itself predicts 502 entries
+    and fills in to 504 as it is eliminated."""
+    alg = build_algebra(GF3, ["x", "y", "z"], ["x^2", "y^2", "z^2"], 4)
+    mod = in_random_basis(random_module(alg, 3, 2, 12), random.Random(12))
     resolve(mod).extend(3)
     assert resolve(mod)._simple is resolve(mod)._period is None
-    monkeypatch.setattr(resolution, "MAX_STEP_BYTES", 479 * resolution.ENTRY_BYTES)
+    return mod
+
+
+def test_fill_in_is_refused_as_it_grows(monkeypatch):
+    """Transition 2 of `fill_in_module` into itself is built, not read."""
+    mod = fill_in_module()
+    monkeypatch.setattr(resolution, "MAX_STEP_BYTES", 502 * resolution.ENTRY_BYTES)
     table = ExtTable(mod, mod)
     table.transition_columns(2)  # passes the check before it is built
     with pytest.raises(resolution.ResolutionError, match="Ext transition 2"):
         table._rank(2)
-    monkeypatch.setattr(resolution, "MAX_STEP_BYTES", 483 * resolution.ENTRY_BYTES)
+    monkeypatch.setattr(resolution, "MAX_STEP_BYTES", 504 * resolution.ENTRY_BYTES)
     assert table._rank(2) == dense_transition(table, 2).rank()
+
+
+def test_fill_in_of_a_part_names_the_callers_transition(monkeypatch):
+    """Ext from syz^1 reads its transition 1 off the parent's transition
+    2, whose elimination fills in past the cap: the refusal names
+    transition 1 and a window below 1, with the whole table's size."""
+    mod = fill_in_module()
+    monkeypatch.setattr(resolution, "MAX_STEP_BYTES", 502 * resolution.ENTRY_BYTES)
+    syz = resolve(mod).syzygy_module(1)
+    with pytest.raises(resolution.ResolutionError) as exc:
+        ExtTable(syz, mod)._rank(1)
+    assert str(exc.value).startswith(
+        f"Ext transition 1 would allocate {504 * resolution.ENTRY_BYTES} bytes "
+        "(a 42x28 sparse matrix and its elimination, 504 entries)")
+    assert "use a window below 1 (--window" in str(exc.value)
 
 
 def test_dense_transition_is_refused_before_it_is_built(monkeypatch):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from redhom import homalg
+from redhom import homalg, resolution
 from redhom.algebra import build_algebra
 from redhom.corpus import random_module
 from redhom.homalg import ExtTable, ext_dims
@@ -58,7 +58,7 @@ def test_semisimple_tails_are_copies_of_k(fld):
             mod, window = ring_module(fld, ring, seed)
             res = resolve(mod)
             res.extend(window)
-            if res._simple is None:
+            if res._simple is None or res._rest is not None:
                 continue
             tails += 1
             (j, b), k = res._simple, _residue_chain(mod.algebra)
@@ -134,3 +134,18 @@ def test_k_side_gathers_the_target_once(monkeypatch):
     assert ext_dims(residue_field(alg), free_module(alg, 1), 8) == \
         [2] + [3 * 2**(i - 1) for i in range(1, 9)]
     assert len(gathers) == 1
+
+
+def test_a_part_stepped_for_a_read_names_the_callers_step(monkeypatch):
+    """Reading step 4 of k over F_2[x,y]/m^3 (split at 2) steps its rest
+    through the rest's step 1, the caller's step 3: a refusal there names
+    step 3 and a window below 3."""
+    alg = build_algebra(GF2, ["x", "y"], [], 3)
+    res = resolve(residue_field(alg))
+    res.extend(2)
+    monkeypatch.setattr(resolution, "MAX_STEP_BYTES", 0)
+    with pytest.raises(resolution.ResolutionError) as exc:
+        res._read(4)
+    assert str(exc.value).startswith("resolution step 3 would allocate")
+    assert str(exc.value).endswith("; use a window below 3 (--window on the command line)")
+    assert len(res._rest._steps) == 1
