@@ -177,9 +177,9 @@ _LAYOUTS = {
 def structure(alg, kind: str, v: int | None = None) -> dict[int, list]:
     """The sparse product `kind` of `alg` (see `_LAYOUTS`) as
     `linalg.by_gather` lists it, built from its dense tables on first
-    use and kept in its `_free_cache`, so each is built once per algebra;
+    use and kept in its `_table`, so each is built once per algebra;
     `v` names the variable of "left"."""
-    cache = vars(alg).setdefault("_free_cache", {})
+    cache = vars(alg).setdefault("_table", {})
     key = (kind, v)
     if key not in cache:
         dense = alg.action_stack() if v is None else alg.varmat[v].a
@@ -202,7 +202,9 @@ class Algebra:
     varmat: list[Matrix]   # views of var_stack
     socle_basis: Matrix
     embedding_dim: int
-    _free_cache: dict = dc_field(default_factory=dict, repr=False)
+    # what is built once per algebra, and an entry per module actions
+    # (`modules.shared`)
+    _table: dict = dc_field(default_factory=dict, repr=False)
 
     @property
     def nvars(self) -> int:
@@ -279,23 +281,23 @@ class Algebra:
     def free_varmat(self, rank: int) -> list[Matrix]:
         """Variable actions on the rank-g free module (block diagonal)."""
         key = ("v", rank)
-        if key not in self._free_cache:
-            self._free_cache[key] = [
+        if key not in self._table:
+            self._table[key] = [
                 Matrix.block_diag(self.field, [m] * rank) for m in self.varmat]
-        return self._free_cache[key]
+        return self._table[key]
 
     def free_action_stack(self, rank: int) -> np.ndarray:
         """`action_stack` on the rank-g free module (block diagonal),
         read-only and kept per rank."""
         key = ("a", rank)
-        if key not in self._free_cache:
+        if key not in self._table:
             d = self.dim
             out = self.field.zeros((d, rank * d, rank * d))
             for j in range(rank):
                 out[:, j * d:(j + 1) * d, j * d:(j + 1) * d] = self.mult
             out.flags.writeable = False
-            self._free_cache[key] = out
-        return self._free_cache[key]
+            self._table[key] = out
+        return self._table[key]
 
     def presentation(self) -> dict:
         return {

@@ -8,8 +8,10 @@ cap, and only its rank is kept (`linalg.sparse_rref`).  Where step i + 1
 is a direct sum of copies of other steps (`resolution.Resolution.parts`:
 a tail, a remembered sum, a syzygy's parent), transition i is block
 diagonal, so its rank and its charge are summed over the parts' tables,
-which share the root table's gather of the target, and charged before
-any of them is read, as building it would be.  First Ext
+and charged before any of them is read, as building it would be.  A
+module's table reads its chain's, so ranks and the gather of the target
+are computed once per chain and target actions (`modules.shared`), and
+each table charges what it reads through its own index.  First Ext
 (`Ext1Data`) eliminates the same sparse columns; only its class basis,
 which extension classes are realized from and read back in, is dense.
 Every lift through a minimal cover is a product with its section.
@@ -20,6 +22,8 @@ same data as one (h, dim R, dim M) array with the map index first, so
 precomposing every basis map with a module map is one contraction and
 the evaluation into the double dual is a reshape.  The basis is unit at
 free, so coordinates in it are read at its free positions (`_coords`).
+Dual and pushforward matrices are built once per module actions, and
+each call labels its modules after the module it was asked for.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .modules import (
     hom_space_matrix,
     quotient_module,
     regular_module,
+    shared,
     split_ses,
     zero_module,
 )
@@ -96,16 +101,14 @@ class DualData:
 
 def r_dual(mod: Module) -> DualData:
     """Maps from the module into the regular module, with the ring action
-    given by postcomposition; built once per module, read-only."""
-    if mod._dual is not None:
-        return mod._dual
+    given by postcomposition and the module's label; its matrices are
+    built once per actions (`modules.shared`), read-only."""
     alg = mod.algebra
     fld = alg.field
-    reg = regular_module(alg)
-    flat = hom_space_matrix(mod, reg)
-    h = flat.cols
-    dm = zero_module(alg)
-    if h:
+    if "dual" not in (entry := shared(mod)):
+        reg = regular_module(alg)
+        flat = hom_space_matrix(mod, reg)
+        h = flat.cols
         # x_v acts on the R-coordinate (row) of each map: apply it to the
         # (dim R) x (dim M * h) stack of all maps' rows
         stack = Matrix(fld, flat.a.reshape(alg.dim, mod.dim * h))
@@ -114,10 +117,11 @@ def r_dual(mod: Module) -> DualData:
             for v in range(alg.nvars)]
         for x in (flat, *va):
             x.a.flags.writeable = False
-        dm = Module(alg, h, va, label=f"({mod.label})^" if mod.label else "",
-                    validate=False)
-    mod._dual = DualData(mod, dm, flat)
-    return mod._dual
+        entry["dual"] = flat, va
+    flat, va = entry["dual"]
+    dm = Module(alg, flat.cols, va, label=f"({mod.label})^" if mod.label else "",
+                validate=False) if flat.cols else zero_module(alg)
+    return DualData(mod, dm, flat)
 
 
 def _coords(basis: Matrix, vectors: Matrix, fault: str) -> Matrix:
@@ -184,7 +188,9 @@ def biduality(mod: Module) -> BidualityData:
 
 
 class ExtTable:
-    """Ranks of the cochain transitions for one (source, target) pair."""
+    """Ranks of the cochain transitions for one (source, target) pair,
+    each read and charged once per table, and computed once per chain of
+    steps and target actions, in the target's entry of `modules.shared`."""
 
     def __init__(self, source: Module, target: Module):
         self.source = source
@@ -192,9 +198,11 @@ class ExtTable:
         self.res = resolve(source)
         self._ranks: dict[int, int] = {}
         self._sizes: dict[int, int] = {}  # transition -> entries charged
-        # basis element t -> [((a, b), nonzero entry of its action)]
-        self._acts = by_gather(target.action_stack(), 0, (1, 2))
-        self._tables = {self.res: self}  # resolution -> its table (`_part`)
+        if "gather" not in (entry := shared(target)):
+            # basis element t -> [((a, b), nonzero entry of its action)]
+            entry["gather"] = by_gather(target.action_stack(), 0, (1, 2))
+        self._acts = entry["gather"]
+        self._tables = entry.setdefault("ext", {})  # resolution -> its table (`_part`)
 
     def transition_columns(self, i: int) -> list[dict]:
         """Map from maps-out-of-F_i to maps-out-of-F_{i+1} as sparse
@@ -213,11 +221,17 @@ class ExtTable:
         return [{k: w for k, v in col.items() if (w := fld.coerce(v))}
                 if col else col for col in cols]
 
+    def _parts(self, i: int) -> list[tuple]:
+        """The parts of step i + 1; else, for a module's resolution, the
+        chain's own step i + 1, whose table every module shares."""
+        res = self.res
+        return res.parts(i + 1) or ([(res, i + 1, 1)] if res.chain not in (None, res) else [])
+
     def _entries(self, i: int) -> int:
         """What transition i is charged, once per index: summed over the
         parts of step i + 1 when it has them."""
         if i not in self._sizes:
-            parts = self.res.parts(i + 1)
+            parts = self._parts(i)
             self._sizes[i] = sum(m * self._part(p)._entries(j - 1) for p, j, m in parts) \
                 if parts else self._own_entries(i)
         return self._sizes[i]
@@ -235,12 +249,11 @@ class ExtTable:
                          entries, "Ext transition")
 
     def _part(self, res) -> "ExtTable":
-        """The table of `res`'s module into the same target, one per root
-        table, sharing its gather of the target and its part tables."""
-        if res not in self._tables:
-            part = self._tables[res] = copy.copy(self)
-            part.source, part.res, part._ranks, part._sizes = res.module, res, {}, {}
-        return self._tables[res]
+        """The table of `res`'s steps (its chain's) into the same target."""
+        if (key := res.chain or res) not in self._tables:
+            part = self._tables[key] = copy.copy(self)
+            part.source, part.res, part._ranks, part._sizes = key.module, key, {}, {}
+        return self._tables[key]
 
     def _rank(self, i: int, charge=None) -> int:
         """Rank of transition i: built and eliminated, or summed over the
@@ -251,7 +264,7 @@ class ExtTable:
         if i not in self._ranks:
             charge = charge or (lambda n: self._charge(i, n))
             self.res.extend(i + 1)
-            if parts := self.res.parts(i + 1):
+            if parts := self._parts(i):
                 charge(total := self._entries(i))
                 rank = 0
                 for p, j, m in parts:  # the other blocks charged as predicted
@@ -473,30 +486,34 @@ class Pushforward:
 
 
 def pushforward(mod: Module) -> Pushforward:
-    """The embedding into a free module, built once per module."""
-    if mod._push is not None:
-        return mod._push
+    """The embedding into a free module, its cokernel labelled after the
+    module; its maps are built once per actions (`modules.shared`),
+    read-only."""
     alg = mod.algebra
     if mod.dim == 0:
         # the zero module embeds into the zero free module
         target = free_module(alg, 0)
-        mod._push = Pushforward(ShortExactSequence(
+        return Pushforward(ShortExactSequence(
             ModuleMap.zero(mod, target), ModuleMap.identity(target)), target)
-        return mod._push
-    dual = r_dual(mod)
-    gens = dual.module.min_generators()
-    if gens.cols == 0:
-        raise HomAlgError("module has no maps into the ring")
-    q = dual.map_from_coords(gens)
-    if q.rank() != mod.dim:
-        raise HomAlgError("module does not embed into a free module "
-                          "(evaluation has a kernel)")
-    target = free_module(alg, gens.cols)
-    forward, proj = quotient_module(target, q,
-                                    label=f"push({mod.label or '?'})")
-    inject = ModuleMap(mod, target, q, validate=False)
-    mod._push = Pushforward(ShortExactSequence(inject, proj), forward)
-    return mod._push
+    if "push" not in (entry := shared(mod)):
+        dual = r_dual(mod)
+        gens = dual.module.min_generators()
+        if gens.cols == 0:
+            raise HomAlgError("module has no maps into the ring")
+        q = dual.map_from_coords(gens)
+        if q.rank() != mod.dim:
+            raise HomAlgError("module does not embed into a free module "
+                              "(evaluation has a kernel)")
+        forward, proj = quotient_module(free_module(alg, gens.cols), q)
+        for x in (q, proj.matrix, *forward.var_actions):
+            x.a.flags.writeable = False
+        entry["push"] = q, proj.matrix, forward.var_actions
+    q, proj, va = entry["push"]
+    target = free_module(alg, q.rows // alg.dim)
+    forward = Module(alg, proj.rows, va, label=f"push({mod.label or '?'})", validate=False)
+    return Pushforward(ShortExactSequence(
+        ModuleMap(mod, target, q, validate=False),
+        ModuleMap(target, forward, proj, validate=False)), forward)
 
 
 # -- horseshoe construction -----------------------------------------------------------

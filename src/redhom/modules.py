@@ -10,7 +10,10 @@ the block layout in which coordinate j*d + t is the t-th algebra basis
 coordinate of the j-th generator.  They act like every other module,
 through dense matrices, but share them: their variable actions and
 stack are the algebra's block-diagonal copies, kept once per rank
-(`Algebra.free_varmat`, `free_action_stack`).
+(`Algebra.free_varmat`, `free_action_stack`).  What other layers compute
+from a module's actions alone (resolution steps, Ext ranks, the ring
+dual, the pushforward) is kept once per algebra and actions, in an
+entry of the algebra's table (`shared`).
 
 Direct sums remember their parts and offsets, so downstream constructions
 (resolutions, syzygies, searches) can work blockwise and return literal
@@ -40,12 +43,14 @@ class ModuleError(ValueError):
 
 class Module:
     """One module: a commuting variable representation over an algebra.
-    Kept on it once computed: action stack, radical and socle spans,
-    resolution, ring dual (`r_dual`) and pushforward (`pushforward`)."""
+    Kept on it once computed: action stack, radical and socle spans, its
+    entry in the algebra's table of actions (`shared`), and its resolution
+    (`resolution.resolve`), whose charges and labelled syzygy modules are
+    its own."""
 
     __slots__ = ("algebra", "dim", "label", "free_rank", "summands",
                  "_var_actions", "_stack", "_radical", "_socle",
-                 "_resolution", "_dual", "_push")
+                 "_resolution", "_shared")
 
     def __init__(self, algebra: Algebra, dim: int,
                  var_actions: list[Matrix] | None, label: str = "",
@@ -59,8 +64,7 @@ class Module:
         self._stack = None
         self._radical = None
         self._socle = None
-        self._resolution = None
-        self._dual = self._push = None
+        self._resolution = self._shared = None
         if var_actions is not None:
             for va in var_actions:
                 if va.rows != dim or va.cols != dim:
@@ -162,6 +166,20 @@ class Module:
         return f"Module({tag}, dim={self.dim} over {self.algebra.field})"
 
 
+def shared(mod: Module) -> dict:
+    """The entry of the module's actions in its algebra's table, shared by
+    every module with those actions and looked up once per module.  The
+    key is the dimension and the actions' values: their bytes over F_p,
+    their entries over Q (an object array's bytes are pointers); a free
+    module's is its rank, so no free action is built to key it."""
+    if mod._shared is None:
+        key = ("free", mod.free_rank) if mod.free_rank is not None else (mod.dim, *(
+            tuple(a.a.flat) if a.a.dtype == object else a.a.tobytes()
+            for a in mod.var_actions))
+        mod._shared = mod.algebra._table.setdefault(key, {})
+    return mod._shared
+
+
 def free_products(alg: Algebra, gens: list[dict]) -> list[dict]:
     """For each element g of a free module ({row: entry}), the nonzeros of
     its products b_t g as one dict {(t, row): entry}, read off the
@@ -241,16 +259,17 @@ def residue_field(alg: Algebra) -> Module:
 
 
 def free_module(alg: Algebra, rank: int, label: str = "") -> Module:
-    """The rank-g free module, one object per (algebra, rank, label)."""
+    """The rank-g free module, one object per (algebra, rank, label), kept
+    in the rank's entry of the algebra's table (`shared`)."""
     if rank < 0:
         raise ModuleError("negative rank")
     if rank == 0:
         return zero_module(alg)
-    key = ("m", rank, label)
-    if key not in alg._free_cache:
-        alg._free_cache[key] = Module(alg, rank * alg.dim, None, label=label or (
+    mods = alg._table.setdefault(("free", rank), {}).setdefault("modules", {})
+    if label not in mods:
+        mods[label] = Module(alg, rank * alg.dim, None, label=label or (
             f"R^{rank}" if rank > 1 else "R"), free_rank=rank, validate=False)
-    return alg._free_cache[key]
+    return mods[label]
 
 
 def regular_module(alg: Algebra) -> Module:

@@ -24,23 +24,26 @@ kills c_j > 0 minimal generators g of syz^j, each k g is a direct
 summand: its column of d_j is independent of the others, so every later
 kernel layout is the disjoint union of k's, in g's blocks, and the
 rest's.  Step j + t is then the rest's step t (`_rest`, a chain seeded
-with step j restricted to the other blocks) and c_j copies of k's,
-resolved once per algebra (`_residue_chain`): a split tail, semisimple
-when m kills all of syz^j.  Read steps are charged what stepping would
-be charged before elimination, so a tail that outgrows `MAX_STEP_BYTES`
-is refused at the same index with the same message, also by a part
-stepped to read it; `generators` and `syzygy_layout` past a split tail
-step for real.
+with step j restricted to the other blocks) and c_j copies of k's
+(`_residue_chain`): a split tail, semisimple when m kills all of syz^j.
+`generators` and `syzygy_layout` past a split tail step for real.  The
+steps are a function of the actions, so every module with the same
+actions reads one chain of steps, kept in the algebra's table
+(`modules.shared`), as do the split tails that read k's.  Each module
+charges every step it reads, through its own index, what stepping it
+would be charged before elimination, so a refusal and its message do
+not depend on what else was resolved, also in a part stepped to read it.
 
-Three classes implement it.  `ChainResolution` computes the steps of
-one module; a free module's chain starts from its identity cover, whose
-empty kernel ends it at index 1.  `SumResolution` concatenates the
-column lists of the parts of a direct sum, which makes equalities like
-"syzygy of a sum is the sum of syzygies" literal object-level identities
-rather than isomorphisms.  `ShiftedResolution` is the view of a parent
-from one of its syzygies on: every syzygy module the parent materializes
-carries it as its resolution, so taking a syzygy of a syzygy reuses the
-same differentials instead of recomputing them.
+Three classes implement it.  `ChainResolution` is a module's
+resolution over the chain of its actions, itself a `ChainResolution`
+that takes the steps; a free module's chain starts from its identity
+cover, whose empty kernel ends it at index 1.  `SumResolution`
+concatenates the column lists of the parts of a direct sum, which makes
+equalities like "syzygy of a sum is the sum of syzygies" literal
+object-level identities rather than isomorphisms.  `ShiftedResolution`
+is the view of a parent from one of its syzygies on: every syzygy module
+the parent materializes carries it as its resolution, so taking a syzygy
+of a syzygy reuses the same differentials instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from .modules import (
     free_module,
     free_products,
     residue_field,
+    shared,
     zero_module,
 )
 
@@ -88,6 +92,7 @@ class Resolution:
     lays it out); the dense accessors are built here from those."""
 
     module: Module
+    chain: "ChainResolution | None" = None  # the chain whose steps these are
 
     def betti_list(self, window: int) -> list[int]:
         self.extend(window)
@@ -104,8 +109,8 @@ class Resolution:
         return self.module.dim if i == 0 else self.betti(i - 1) * self.module.algebra.dim
 
     def _cached(self, key, build) -> Matrix:
-        """build(), once per key, read-only."""
-        cache = vars(self).setdefault("_dense_cache", {})
+        """build(), once per key and chain, read-only."""
+        cache = vars(self.chain or self).setdefault("_dense_cache", {})
         if key not in cache:
             cache[key] = build()
             cache[key].a.flags.writeable = False
@@ -169,9 +174,12 @@ class Resolution:
 
 
 class ChainResolution(Resolution):
-    """The steps of a module that is not a remembered direct sum:
-    `_steps[i]` holds `generators(i)` and the layout of the kernel of d_i.
-    A free module is covered by the unit columns of its own coordinates.
+    """A module's resolution over `chain`, the chain of its actions, which
+    holds the steps (`resolve`): `_steps[i]` holds `generators(i)` and the
+    layout of the kernel of d_i.  The charges and the labelled syzygy
+    modules are the module's own; a chain is its own `chain`, and its
+    `module` is any module with its actions, whose label is not read.  A
+    free module is covered by the unit columns of its own coordinates.
 
     Stepping stops at the first tail whose shape is known (see the module
     docstring): `_period` (s, p) once a kernel layout repeats, or
@@ -180,8 +188,13 @@ class ChainResolution(Resolution):
     (generators, kernel layout); it keeps the root's module, for the
     algebra."""
 
-    def __init__(self, module: Module, seed: tuple | None = None):
-        self.module = module
+    def __init__(self, module: Module, seed: tuple | None = None,
+                 chain: "ChainResolution | None" = None):
+        self.module, self.chain = module, chain or self
+        self._done = 0  # charged (a chain: stepped) through this index
+        self._syz: dict[int, Module] = {}
+        if chain is not None:
+            return
         fld, d = module.algebra.field, module.algebra.dim
         self._columns: dict[int, list[dict]] = {}
         if seed is None:
@@ -194,34 +207,47 @@ class ChainResolution(Resolution):
         self._betti = [len(seed[0])]
         self._steps = [seed]
         self._entries = [0]  # what each step was charged; the cover is not
-        self._syz: dict[int, Module] = {}
         self._seen = {_layout_key(self._betti[0], self._steps[0][1]): [0]}
         self._period: tuple[int, int] | None = None
         self._simple: tuple[int, int] | None = None
         self._rest: ChainResolution | None = None
-        self._charged = 0  # read steps are charged through this index
+        self._k: ChainResolution | None = None  # k's chain, once read past a split tail
         self._reads: dict[int, tuple[int, int]] = {}  # read (betti, entries)
         self._plan: tuple | None = None  # the next step's generators, shape, entries
 
+    def __getattr__(self, name: str):
+        """The chain's steps and tails, read from a module's resolution."""
+        if (chain := vars(self).get("chain", self)) is self:
+            raise AttributeError(name)
+        return getattr(chain, name)
+
     def extend(self, upto: int) -> None:
-        """Step until index `upto`, a tail or the end; then charge each
-        read step of a split tail as stepping would have.  A step of
-        a periodic tail repeats one that passed its charge."""
-        while (len(self._betti) <= upto and self._steps[-1][1][0]
-               and self._period is self._simple is None):
-            self._step()
-        if self._simple is None:
+        """A module's resolution charges each step through `upto`, in
+        order, what stepping it would be charged before elimination, also
+        when another module with these actions stepped it (a step of a
+        periodic tail repeats one charged here, a step past the end is
+        zero); then the chain steps until index `upto`, a tail or the end,
+        charging the steps it takes."""
+        if upto <= self._done:
             return
-        d = self.module.algebra.dim
-        for i in range(self._charged + 1, upto + 1):
-            if i >= len(self._betti):
-                (rows, _), (cols, entries) = self._read(i - 1), self._read(i)
+        c, d = self.chain, self.module.algebra.dim
+        if c is not self:
+            rows = c._read(self._done)[0]
+            for i in range(self._done + 1, upto + 1):
+                cols, entries = c._read(i)
+                if not cols or c._same(i) < i:  # so is every later step
+                    break
                 _check_step_size(i, (rows * d, cols * d), entries)
-            self._charged = i
+                rows = cols
+        while (len(c._betti) <= upto and c._steps[-1][1][0]
+               and c._period is c._simple is None):
+            c._step()
+        self._done = upto
 
     def _next(self) -> tuple:
-        """The generators of the next step, the shape of its differential
-        and the entries it is charged: planned once, built by `_step`."""
+        """The generators of the chain's next step, the shape of its
+        differential and the entries it is charged: planned once, built by
+        `_step`."""
         if self._plan is None:
             alg = self.module.algebra
             d = alg.dim
@@ -238,7 +264,8 @@ class ChainResolution(Resolution):
         return self._plan
 
     def _step(self, shift: int = 0) -> None:
-        """Take the next step; a refusal names its index plus `shift`."""
+        """Take the chain's next step; a refusal names its index plus
+        `shift`."""
         alg = self.module.algebra
         d = alg.dim
         i = len(self._betti)
@@ -266,7 +293,7 @@ class ChainResolution(Resolution):
             if same:  # step k + 1 on repeats, with period i - k
                 self._period = (same[0] + 1, i - same[0])
             elif killed:  # step i + t is the rest's step t and copies of k's
-                self._simple, self._charged = (i, len(killed)), i
+                self._simple = (i, len(killed))
                 if len(killed) < len(gens):
                     self._rest = ChainResolution(self.module, _without(d, gens, kernel, killed))
             else:
@@ -277,34 +304,36 @@ class ChainResolution(Resolution):
         or summed over a tail's parts; with neither, the steps before i
         are taken and step i is planned, not built.  A refusal names the
         index plus `shift`: a part names the step it is read for."""
+        c = self.chain
         while True:
-            i = self._same(i)
-            if i < len(self._betti):
-                return self._betti[i], self._entries[i]
-            if not self._steps[-1][1][0]:
+            i = c._same(i)
+            if i < len(c._betti):
+                return c._betti[i], c._entries[i]
+            if not c._steps[-1][1][0]:
                 return 0, 0
-            if i not in self._reads and (parts := self.parts(i)):
+            if i not in c._reads and (parts := c.parts(i)):
                 reads = [[m * x for x in p._read(t, shift + i - t)] for p, t, m in parts]
-                self._reads[i] = tuple(map(sum, zip(*reads)))
-            if i in self._reads:
-                return self._reads[i]
-            if i == len(self._betti):
-                gens, _, entries = self._next()
+                c._reads[i] = tuple(map(sum, zip(*reads)))
+            if i in c._reads:
+                return c._reads[i]
+            if i == len(c._betti):
+                gens, _, entries = c._next()
                 return len(gens), entries
-            self._step(shift)
+            c._step(shift)
 
     def _take(self, i: int) -> int:
-        """Index of step i among the steps taken: stepped for real up to a
-        periodic tail or the end, also past a split tail, each step
-        charged and refused as it is built."""
-        while len(self._steps) <= self._same(i) and self._steps[-1][1][0]:
-            self._step()
-        return self._same(i)
+        """Index of step i among the chain's steps taken: stepped for real
+        up to a periodic tail or the end, also past a split tail, each
+        step charged and refused as it is built."""
+        c = self.chain
+        while len(c._steps) <= c._same(i) and c._steps[-1][1][0]:
+            c._step()
+        return c._same(i)
 
     def _same(self, i: int) -> int:
         """The index of the step taken that step i repeats: i itself
         outside a periodic tail."""
-        if (per := self._period) and i >= per[0]:
+        if (per := self.chain._period) and i >= per[0]:
             return per[0] + (i - per[0]) % per[1]
         return i
 
@@ -314,9 +343,10 @@ class ChainResolution(Resolution):
         and c_j copies of k's, up to the order of the blocks of F_j."""
         if (same := self._same(i)) < i:
             return [(self, same, 1)]
-        if self._simple and i > self._simple[0]:
-            (j, c), rest = self._simple, self._rest
-            copies = [(_residue_chain(self.module.algebra), i - j, c)]
+        if (c := self.chain)._simple and i > c._simple[0]:
+            (j, n), rest = c._simple, c._rest
+            c._k = c._k or _residue_chain(self.module.algebra)
+            copies = [(c._k, i - j, n)]
             return [(rest, i - j, 1)] + copies if rest else copies
         return []
 
@@ -325,21 +355,21 @@ class ChainResolution(Resolution):
         return self._read(i)[0]
 
     def generators(self, i: int) -> list[dict]:
-        i = self._take(i)
-        return self._steps[i][0] if i < len(self._steps) else []
+        c, i = self.chain, self._take(i)
+        return c._steps[i][0] if i < len(c._steps) else []
 
     def columns(self, i: int) -> list[dict]:
-        gens = self.generators(i)
+        c, gens = self.chain, self.generators(i)
         i = self._same(i)
-        if i not in self._columns:  # built from the generators, once
-            self._columns[i] = free_map_columns(self.module.algebra, gens)
-        return self._columns[i]
+        if i not in c._columns:  # built from the generators, once
+            c._columns[i] = free_map_columns(self.module.algebra, gens)
+        return c._columns[i]
 
     def syzygy_layout(self, i: int) -> tuple[list[int], dict[int, dict]]:
         if i < 1:
             raise ResolutionError("syzygy subspaces start at index 1")
-        i = self._take(i - 1)
-        return self._steps[i][1] if i < len(self._steps) else ([], {})
+        c, i = self.chain, self._take(i - 1)
+        return c._steps[i][1] if i < len(c._steps) else ([], {})
 
     def syzygy_module(self, i: int) -> Module:
         if i == 0:
@@ -456,12 +486,8 @@ def _layout_key(betti: int, layout: tuple[list[int], dict[int, dict]]) -> int:
 
 
 def _residue_chain(alg) -> ChainResolution:
-    """The resolution of k, one per algebra, kept in its `_free_cache`;
-    split tails read their steps off it."""
-    cache = vars(alg).setdefault("_free_cache", {})
-    if "k" not in cache:
-        cache["k"] = residue_field(alg)
-    return resolve(cache["k"])
+    """The chain of k's actions; split tails read their steps off it."""
+    return resolve(residue_field(alg)).chain
 
 
 def _without(d: int, gens: list[dict], layout: tuple[list[int], dict[int, dict]],
@@ -552,10 +578,16 @@ def _check_dense_size(what: str, shape: tuple[int, int], field) -> None:
 
 
 def resolve(module: Module) -> Resolution:
-    """The cached minimal free resolution of a module."""
+    """The minimal free resolution of a module, one per object: blockwise
+    for a remembered direct sum, else over the chain of its actions, one
+    per algebra and actions (`modules.shared`)."""
     if module._resolution is None:
-        module._resolution = ChainResolution(module) if module.summands is None \
-            else SumResolution(module, [resolve(p) for p, _ in module.summands])
+        if module.summands:
+            module._resolution = SumResolution(module, [resolve(p) for p, _ in module.summands])
+        else:
+            if "chain" not in (entry := shared(module)):
+                entry["chain"] = ChainResolution(module)
+            module._resolution = ChainResolution(module, chain=entry["chain"])
     return module._resolution
 
 

@@ -137,8 +137,9 @@ def golod(window: int) -> list[int]:
 def test_residue_field_over_m3_splits_at_step_2(monkeypatch):
     """k over F_2[x,y]/m^3: syz^2 has 5 minimal generators and m kills 4,
     so step 2 + t is the rest's step t and 4 copies of k's.  The real
-    steps are steps 1 and 2 of k's chain and step 1 of its rest, and the
-    same again for the algebra's own k, at any window."""
+    steps are steps 1 and 2 of k's chain and step 1 of its rest, at any
+    window: the algebra's own k, whose steps the copies read, has the same
+    actions, so it reads the same chain."""
     taken, step = [], ChainResolution._step
 
     def counted(self, *args):
@@ -155,7 +156,7 @@ def test_residue_field_over_m3_splits_at_step_2(monkeypatch):
         k = _residue_chain(alg)
         for t in range(1, window - 1):
             assert res.parts(2 + t) == [(res._rest, t, 1), (k, t, 4)]
-    assert counts[0] == counts[1] <= 6
+    assert counts[0] == counts[1] <= 3  # 6 with a chain per module object
     monkeypatch.undo()
     want = resolve(stepped(residue_field(alg), 7))
     for i in range(8):  # past the split, the data accessors step for real

@@ -1,5 +1,6 @@
-"""Ring duals and pushforwards are built once per module object, and free
-modules are one object per (algebra, rank, label).
+"""Ring duals and pushforwards are built once per module actions, in the
+algebra's table (`modules.shared`), and free modules are one object per
+(algebra, rank, label).
 
 Every shared result is pinned against the same construction on a fresh
 copy of the module (same actions, no free rank, nothing cached), on F_2,
@@ -113,8 +114,13 @@ def test_one_object_per_module(p):
     alg = build_algebra(Field(p), ["x", "y"], [], 2)
     other = build_algebra(Field(p), ["x", "y"], [], 2)
     mod = random_module(alg, 2, 2, seed=3)
-    assert r_dual(mod) is r_dual(mod)
-    assert pushforward(mod) is pushforward(mod)
+    # the matrices are shared by every module with these actions
+    assert r_dual(mod).flat is r_dual(mod).flat is r_dual(fresh_copy(mod)).flat
+    assert all(a is b for a, b in zip(r_dual(mod).module.var_actions,
+                                      r_dual(fresh_copy(mod)).module.var_actions))
+    push, again = pushforward(mod), pushforward(fresh_copy(mod))
+    assert push.sequence.inject.matrix is again.sequence.inject.matrix
+    assert push.sequence.project.matrix is again.sequence.project.matrix
     assert free_module(alg, 2) is free_module(alg, 2)
     assert regular_module(alg) is free_module(alg, 1)
     assert resolve(mod).ambient_free(0) is free_module(alg, resolve(mod).betti(0))
@@ -155,9 +161,10 @@ def test_main_theorem_hom_solves(hom_solves, capsys):
     assert main(["--workspace", LINE3, "theorem", "main", "Rx",
                  "cert_rx_gdim"]) == 0
     assert '"ok": true' in capsys.readouterr().out
-    assert len(hom_solves) <= 13  # 93 with a dual per call, 22 with two walks
+    # 93 with a dual per call, 22 with two walks, 13 with a dual per object
+    assert len(hom_solves) <= 3
 
 
 def test_gorenstein_fixture_hom_solves(hom_solves):
     assert run_corpus("line3-gorenstein")["all_ok"]
-    assert len(hom_solves) <= 20  # 57 with a dual per call
+    assert len(hom_solves) <= 5  # 57 with a dual per call, 20 per object
