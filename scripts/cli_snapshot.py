@@ -12,7 +12,9 @@ errors; every certify-cli command of `perfbench/reference.json` (with
 examples in order, as `scripts/check_readme_cli.py` reads them; the
 searches on `plane.json` that exhaust their budget; the main theorem on
 `line3.json` at window 60; a too-deeply-nested workspace and certificate
-file and a malformed F_2 scalar; and `corpus run`.  Everything runs in a fresh temporary directory holding a copy of
+file; a workspace with a malformed F_2 scalar in module `bad`, under
+`algebra info`, which does not read it, and `resolve bad`; and `corpus
+run`.  Everything runs in a fresh temporary directory holding a copy of
 `docs/examples`, so paths in the keys and the output are relative and two
 runs, or two checkouts, can be compared byte for byte.  A command that
 raises instead of returning is recorded with the exception's type under
@@ -80,7 +82,8 @@ LONG_CHAIN = [  # the main theorem down a 60-stage embedding chain
 MALFORMED = [  # written by `write_malformed`
     ["--workspace", "nested.json", "algebra", "info"],
     [*PLANE, "reduce", "verify", "nested_certificate.json"],
-    ["--workspace", "bad_scalar.json", "algebra", "info"],
+    ["--workspace", "bad_scalar.json", "algebra", "info"],  # never reads bad
+    ["--workspace", "bad_scalar.json", "resolve", "bad"],
 ]
 
 

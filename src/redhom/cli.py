@@ -3,18 +3,18 @@
 Human-readable one-liners go to stderr; stdout carries a single
 deterministic JSON document (sorted keys, no timestamps) embedding the
 tool version and every window and seed that shaped the result.
-Exit codes: 0 success or accept, 1 reject, fail, or absent, 2 malformed
-input located by a JSON pointer (including a certificate step whose power
-`a` or `b`, or whose `n`-th syzygy, would exceed `resolution.MAX_STEP_BYTES`),
-a bound out of range (a negative `--window`, `--max-r` or `--samples`, or
-`--budget`, `--max-a`, `--max-b` or `--max-n` below 1), a command line
-that does not parse, a workspace or certificate file nested too deeply to
-read, a `--save` path that cannot be written, or `theorem main` at
-`--window 0` (pointer ""), 3 an internal error (any other exception
-inside a command: a `HomAlgError`, a `ResolutionError`, including a
+Exit codes: 0 success or accept, 1 reject, fail, or absent, 2 malformed input
+located by a JSON pointer (in the workspace's version or algebra, or in a
+module or certificate the command names, checked when first read, such as a
+certificate step whose power `a` or `b`, or `n`-th syzygy, would pass
+`resolution.MAX_STEP_BYTES`), a bound out of range (a negative `--window`,
+`--max-r` or `--samples`, or `--budget`, `--max-a`, `--max-b` or `--max-n`
+below 1), a command line that does not parse, a workspace or certificate file
+nested too deeply to read, a `--save` path that cannot be written, or
+`theorem main` at `--window 0` (pointer ""), 3 an internal error (any other
+exception inside a command: a `HomAlgError`, a `ResolutionError`, including a
 resolution step, an Ext transition or the Hom system of a `dual` or
-`pushforward` refused for exceeding `resolution.MAX_STEP_BYTES`, a failed
-assertion or a fault; pointer "").
+`pushforward` refused past the cap, a failed assertion or a fault; pointer "").
 """
 
 import argparse

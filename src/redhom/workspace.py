@@ -1,8 +1,9 @@
 """Workspace files: one ring, named modules, named chain certificates.
 
-A workspace is the JSON input every CLI command starts from.  Loading is
-strict: every violation carries a JSON pointer to the offending field so
-the caller can report exactly where a file went wrong.
+A workspace is the JSON input every CLI command starts from.  Loading
+checks the file, its version and its ring; each module and certificate is
+checked when a command first reads it.  Every violation carries a JSON
+pointer to the offending field, so the caller can say where a file went wrong.
 """
 
 import json
@@ -33,19 +34,23 @@ class Workspace:
         self.algebra = algebra
         self.modules = modules
         self.certificates = certificates
+        self._built = {}
 
     def module(self, name: str) -> Module:
-        if name not in self.modules:
-            raise WorkspaceError(f"/modules/{name}",
-                                 f"no module named {name!r} in the workspace")
-        return self.modules[name]
+        return self._read("modules", name, _module_from_spec)
 
     def certificate(self, name: str) -> ReducingSequence:
-        if name not in self.certificates:
-            raise WorkspaceError(
-                f"/certificates/{name}",
-                f"no certificate named {name!r} in the workspace")
-        return self.certificates[name]
+        return self._read("certificates", name, _certificate_from_spec)
+
+    def _read(self, section: str, name: str, build):
+        pointer = f"/{section}/{name}"
+        if pointer not in self._built:
+            if name not in getattr(self, section):
+                raise WorkspaceError(pointer, f"no {section[:-1]} named "
+                                     f"{name!r} in the workspace")
+            self._built[pointer] = build(
+                self.algebra, name, getattr(self, section)[name], pointer)
+        return self._built[pointer]
 
 
 def _field_from_dict(data, pointer: str) -> Field:
@@ -166,30 +171,24 @@ def _module_from_spec(alg: Algebra, name: str, data, pointer: str) -> Module:
                          f"expected one of {list(MODULE_KINDS)}")
 
 
+def _certificate_from_spec(alg: Algebra, name: str, data, pointer: str):
+    try:
+        return sequence_from_dict(data, algebra=alg)
+    except CertificateFormatError as exc:
+        raise WorkspaceError(pointer + exc.pointer, exc.message)
+
+
 def workspace_from_dict(data) -> Workspace:
     if not isinstance(data, dict):
         raise WorkspaceError("", "expected an object")
     if data.get("version") != WORKSPACE_TAG:
         raise WorkspaceError("/version", f"expected {WORKSPACE_TAG!r}")
     alg = _algebra_from_dict(data.get("algebra"), "/algebra")
-    modules = {}
-    raw_mods = data.get("modules", {})
-    if not isinstance(raw_mods, dict):
-        raise WorkspaceError("/modules", "expected an object")
-    for name in sorted(raw_mods):
-        modules[name] = _module_from_spec(alg, name, raw_mods[name],
-                                          f"/modules/{name}")
-    certs = {}
-    raw_certs = data.get("certificates", {})
-    if not isinstance(raw_certs, dict):
-        raise WorkspaceError("/certificates", "expected an object")
-    for name in sorted(raw_certs):
-        try:
-            certs[name] = sequence_from_dict(raw_certs[name], algebra=alg)
-        except CertificateFormatError as exc:
-            raise WorkspaceError(f"/certificates/{name}{exc.pointer}",
-                                 exc.message)
-    return Workspace(alg, modules, certs)
+    for key in ("modules", "certificates"):
+        if not isinstance(data.get(key, {}), dict):
+            raise WorkspaceError(f"/{key}", "expected an object")
+    return Workspace(alg, data.get("modules", {}),
+                     data.get("certificates", {}))
 
 
 def load_workspace(path) -> Workspace:

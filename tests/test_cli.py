@@ -271,7 +271,7 @@ class TestErrorPaths:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         code, report, _ = run(capsys, "--workspace", str(path),
-                              "algebra", "info")
+                              "resolve", "weird")
         assert code == 2
         assert report["error"]["pointer"] == "/modules/weird/kind"
 
@@ -292,7 +292,7 @@ class TestErrorPaths:
         data["modules"]["bad"] = {"kind": "cyclic", "relations": [relation]}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
-        code = cli.main(["--workspace", str(path), "algebra", "info"])
+        code = cli.main(["--workspace", str(path), "resolve", "bad"])
         out = capsys.readouterr().out
         assert code == 2
         report = json.loads(out)   # raises unless exactly one document
@@ -489,7 +489,7 @@ class TestZeroDenominators:
     def test_workspace_actions(self, tmp_path, capsys, field, char, entry):
         ws = self.workspace(tmp_path, field, {"M": {
             "kind": "actions", "dim": 1, "actions": [[[entry]], [["0"]]]}})
-        code, report, _ = run(capsys, "--workspace", ws, "algebra", "info")
+        code, report, _ = run(capsys, "--workspace", ws, "resolve", "M")
         assert code == 2
         assert report["error"]["pointer"] == "/modules/M/actions/0"
 
@@ -535,7 +535,8 @@ def test_certificate_n_past_the_cap_is_refused_before_stepping(tmp_path, capsys,
         taken.append(len(self._betti))
         return step(self, *args)
     monkeypatch.setattr(ChainResolution, "_step", counted)
-    code, report, _ = run(capsys, "--workspace", str(path), "algebra", "info")
+    code, report, _ = run(capsys, "--workspace", str(path),
+                          "reduce", "verify", "cert_k")
     assert code == 2
     assert report["error"] == {
         "pointer": "/certificates/cert_k/steps/0/n",
@@ -585,7 +586,7 @@ class TestNonStringCertificateFields:
         path = tmp_path / "ws.json"
         path.write_text(json.dumps(data))
         code, report, err = run(capsys, "--workspace", str(path),
-                                "algebra", "info")
+                                "reduce", "verify", "cert_k")
         assert code == 2
         assert report["error"]["pointer"] == "/certificates/cert_k" + pointer
         assert err.startswith("input error at /certificates/cert_k")

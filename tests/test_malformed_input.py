@@ -73,14 +73,14 @@ def test_fp_entry_outside_q_syntax_is_exit_2(tmp_path, where, p, entry):
     if where == "module":
         doc["modules"]["bad"] = {"kind": "actions", "dim": 1,
                                  "actions": [[[entry]], [["0"]]]}
-        pointer = "/modules/bad/actions/0"
+        argv, pointer = ["resolve", "bad"], "/modules/bad/actions/0"
     else:
         cert["base"]["actions"][0][0][0] = entry
+        argv = ["reduce", "verify", "cert_k"]
         pointer = "/certificates/cert_k/base/actions/0"
     path = tmp_path / "ws.json"
     path.write_text(json.dumps(doc))
-    assert_input_error(["--workspace", str(path), "algebra", "info"], pointer,
-                       "bad entry")
+    assert_input_error(["--workspace", str(path), *argv], pointer, "bad entry")
 
 
 # -- certificate steps too large to rebuild -----------------------------
@@ -100,8 +100,9 @@ def test_oversized_certificate_step_is_exit_2(tmp_path, monkeypatch, key,
     doc["certificates"]["cert_k"]["steps"][0][key] = value
     path = tmp_path / "ws.json"
     path.write_text(json.dumps(doc))
-    assert_input_error(["--workspace", str(path), "algebra", "info"],
-                       f"/certificates/cert_k/steps/0/{key}", fragment)
+    assert_input_error(["--workspace", str(path), "reduce", "verify",
+                        "cert_k"], f"/certificates/cert_k/steps/0/{key}",
+                       fragment)
 
 
 # -- one value replaced at a drawn JSON pointer -------------------------
@@ -211,7 +212,10 @@ def command_for(path):
 def test_mutated_workspace_keeps_the_contract(case, tmp_path, monkeypatch):
     """Exactly one JSON document, a documented exit code, a pointer on
     exits 2 and 3, and no traceback.  The step cap is lowered to 1 MB so
-    that large rings and resolutions are refused rather than built."""
+    that large rings and resolutions are refused rather than built.  A
+    value replaced inside a module or certificate leaves `algebra info`,
+    which reads no entry, printing the unmutated file's stdout, unless the
+    file can no longer be parsed."""
     monkeypatch.setattr(resolution, "MAX_STEP_BYTES", 10**6)
     name, path, text = case
     ws = tmp_path / name
@@ -223,6 +227,15 @@ def test_mutated_workspace_keeps_the_contract(case, tmp_path, monkeypatch):
         if code in (2, 3):
             assert isinstance(report["error"]["pointer"], str)
         assert "Traceback" not in err
+        if argv == ["algebra", "info"] and len(path) >= 2 \
+                and path[0] in ("modules", "certificates"):
+            try:
+                json.loads(text)
+            except RecursionError:
+                assert report["error"]["pointer"] == ""
+            else:
+                clean = run(["--workspace", str(EXAMPLES / name), *argv])
+                assert (code, out) == clean[:2]
 
 
 # -- constant powers too large to take exactly ---------------------------

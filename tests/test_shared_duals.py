@@ -65,8 +65,9 @@ def modules_over(p):
 
 
 def example_modules():
-    return [mod for path in sorted(EXAMPLES.glob("*.json"))
-            for mod in load_workspace(path).modules.values()]
+    return [ws.module(name)
+            for ws in map(load_workspace, sorted(EXAMPLES.glob("*.json")))
+            for name in sorted(ws.modules)]
 
 
 def push_or_fault(mod: Module):

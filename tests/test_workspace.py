@@ -108,8 +108,9 @@ class TestCertificates:
         result = search(ws_line.module("k"), "gdim", SearchConfig(max_r=1))
         assert result.found
         raw = sequence_to_dict(result.sequence)
+        ws = workspace_from_dict(plane_dict(None, {"c": raw}))
         with pytest.raises(WorkspaceError) as err:
-            workspace_from_dict(plane_dict(None, {"c": raw}))
+            ws.certificate("c")
         assert err.value.pointer == "/certificates/c/algebra"
 
     def test_missing_certificate_name(self):
@@ -144,10 +145,15 @@ BAD_CASES = [
 ]
 
 
+def load_and_read(data):
+    """Load `data`, then read its module "M", checked on that first read."""
+    workspace_from_dict(data).module("M")
+
+
 @pytest.mark.parametrize("data, pointer", BAD_CASES)
 def test_pointer_reported(data, pointer):
     with pytest.raises(WorkspaceError) as err:
-        workspace_from_dict(data)
+        load_and_read(data)
     assert err.value.pointer == pointer
 
 
@@ -184,5 +190,5 @@ BOOLEAN_CASES = [
                          ids=["p", "nilpotency", "rank", "generators", "dim"])
 def test_boolean_is_not_an_integer(data, pointer):
     with pytest.raises(WorkspaceError) as err:
-        workspace_from_dict(data)
+        load_and_read(data)
     assert err.value.pointer == pointer
