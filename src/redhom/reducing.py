@@ -16,6 +16,7 @@ that turn a chain for M into one for syz(M) and back.
 
 from dataclasses import dataclass
 import functools
+import itertools
 import json
 import random
 
@@ -352,7 +353,7 @@ class SearchConfig:
     max_n: int = 2
     budget: int = 200  # extension classes considered per search call
     seed: int = 0
-    samples: int = 4  # random cocycle combinations tried per cell
+    samples: int = 4  # random cocycle classes per cell, charged even if zero
     window: int = 10  # Ext window for the totally-reflexive terminal test
 
 
@@ -370,7 +371,6 @@ class _SearchState:
     def __init__(self, cfg: SearchConfig, target: str):
         self.cfg = cfg
         self.target = target
-        self.rng = random.Random(cfg.seed)
         self.spent = 0
         self.exhausted = False
 
@@ -486,8 +486,6 @@ def _dfs(mod: Module, depth: int, st: _SearchState):
     last = depth + 1 >= cfg.max_r
     build = not (last and _terminal_is_free(alg, st.target, cfg.window))
     for n, b, a in cells:
-        if st.exhausted:
-            return None
         # split middle: the zero extension class
         if not st.charge():
             return None
@@ -499,22 +497,23 @@ def _dfs(mod: Module, depth: int, st: _SearchState):
             rest = _dfs(ses.middle, depth + 1, st)
             if rest is not None:
                 return [step] + rest
-        # glued middles from nonzero degree-one cocycle classes
+            if st.exhausted:
+                return None
+        # glued middles from degree-one cocycle classes: the unit coefficient
+        # matrices, position (i * b + j, l) ascending, then the cell's draws
         small = smalls(n)
         if small.dim == 0:
             continue
-        draws = [random_matrix(fld, a * b, small.dim, st.rng)
-                 for _ in range(cfg.samples)]
-        draws = [rnd for rnd in draws if not rnd.is_zero()]
-        if not fits:  # charge every class, its draws made, and build none
-            if not st.charge(a * b * small.dim + len(draws)):
+        if not fits:  # charge every class, the draws too, and build none
+            if not st.charge(a * b * small.dim + cfg.samples):
                 return None
             continue
-        # the unit coefficient matrices, position (i * b + j, l) ascending
+        rng = random.Random(f"{cfg.seed}/{st.spent}")  # seeded by the cell
         units = Matrix.identity(fld, a * b * small.dim).a
-        coeff_list = [Matrix(fld, u.reshape(a * b, small.dim))
-                      for u in units] + draws
-        for coeffs in coeff_list:
+        for coeffs in itertools.chain(
+                (Matrix(fld, u.reshape(a * b, small.dim)) for u in units),
+                (random_matrix(fld, a * b, small.dim, rng)
+                 for _ in range(cfg.samples))):
             if not st.charge():
                 return None
             if last and Matrix(fld, coeffs.a.reshape(
@@ -542,16 +541,17 @@ def search(module: Module, target: str,
     X^a = syz^{n+1}(M^b) only when a times the dimension, radical and
     socle dimension of X equals b times those of syz^{n+1}(M); a cell
     these sizes refuse builds nothing.  Each cell then builds syz^n(M^b)
-    and tries the split extension and extensions glued from degree-one
-    cocycle classes, all basis classes before seeded random combinations.
-    Every extension class considered counts against the budget, whether
-    or not its middle is built: at the last depth (`max_r`) the split
-    middle and every class whose coefficient matrix has rank below a
-    contain the node's module as a summand, so they cannot be terminal
-    and are charged without being built.  When terminal means free
-    (`_terminal_is_free`), none is built: by Schanuel's lemma a free
-    middle makes its cell a free-middle closure, refused by the first
-    pass.  Deterministic for a fixed seed.
+    and tries the split extension, then extensions glued from the basis
+    degree-one cocycle classes and from `samples` random ones.  Every
+    class considered counts against the budget, zero or not, built or
+    not: at the last depth (`max_r`) the split middle and every class
+    whose coefficient matrix has rank below a contain the node's module
+    as a summand, so they cannot be terminal and are charged unbuilt.
+    When terminal means free (`_terminal_is_free`), none is built: by
+    Schanuel's lemma a free middle makes its cell a free-middle closure,
+    refused by the first pass.  A cell that builds nothing draws nothing;
+    draws are seeded by the seed and the charge count at their cell, so a
+    search is deterministic for a fixed seed.
     """
     if target not in TARGETS:
         raise ValueError(f"target must be one of {TARGETS}")

@@ -8,8 +8,12 @@ Both must agree on everything a search returns, and every skipped middle
 must fail the terminal test.  When the terminal class is the free modules
 ("pd", and "gdim" over a non-Gorenstein ring with m^2 = 0 and window >= 1)
 the last depth builds no middle at all; over F_2[x,y]/m^3, or with window
-0, it still builds them.
+0, it still builds them.  The last tests count draws: a cell that builds
+nothing draws nothing, a built cell draws `samples` classes from its own
+generator, and no Ext^1 data is built once the budget is spent.
 """
+
+import random
 
 import numpy as np
 import pytest
@@ -44,9 +48,10 @@ from redhom.reducing import (
 
 
 def _reference_dfs(mod, depth, st, on_build=None):
-    """The search before the last-depth skip.  `on_build(spent, kind,
-    middle)` sees every middle it builds ("split" or "glued"), keyed by
-    the candidate's charge count."""
+    """The search before the last-depth skip, drawing in every cell from
+    a generator seeded by the search seed and the cell's charge count.
+    `on_build(spent, kind, middle)` sees every middle it builds ("split"
+    or "glued"), keyed by the candidate's charge count."""
     cfg = st.cfg
     if reducing._is_terminal(mod, st.target, cfg.window):
         return []
@@ -103,10 +108,9 @@ def _reference_dfs(mod, depth, st, on_build=None):
                     unit = Matrix.zeros(fld, a * b, small.dim)
                     unit.a[i * b + j, l] = fld.one()
                     coeff_list.append(unit)
-        for _ in range(cfg.samples):
-            rnd = random_matrix(fld, a * b, small.dim, st.rng)
-            if not rnd.is_zero():
-                coeff_list.append(rnd)
+        rng = random.Random(f"{cfg.seed}/{st.spent}")
+        for _ in range(cfg.samples):  # each draw is charged, zero or not
+            coeff_list.append(random_matrix(fld, a * b, small.dim, rng))
         for coeffs in coeff_list:
             if not st.charge():
                 return None
@@ -338,3 +342,63 @@ def test_window_zero_builds_and_matches_reference(monkeypatch):
     assert builds > 0
     new, _ = _new_search(module, "gdim", cfg)
     assert new == _reference_search(module, "gdim", cfg)
+
+
+def _counted_dfs(monkeypatch, module, target, cfg):
+    """Run `_dfs` with counters on `reducing.random_matrix` and
+    `reducing.ext1_data`.  Returns the state, the generator of each draw
+    (kept alive, so that draws group by cell) and, per `ext1_data` call,
+    whether the budget was already spent."""
+    st = _SearchState(cfg, target)
+    rngs, ext1_after_budget = [], []
+
+    def drawing(fld, rows, cols, rng):
+        rngs.append(rng)
+        return random_matrix(fld, rows, cols, rng)
+
+    def ext1(*args):
+        ext1_after_budget.append(st.exhausted)
+        return ext1_data(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(reducing, "random_matrix", drawing)
+        mp.setattr(reducing, "ext1_data", ext1)
+        reducing._dfs(module, 0, st)
+    return st, rngs, ext1_after_budget
+
+
+C3 = dict(max_r=2, max_a=8, max_b=8, max_n=2, budget=200, seed=7)
+
+
+@pytest.mark.parametrize("label", ["F2 rand20", "F2 rand26", "F2 rand33"])
+def test_charge_only_cells_draw_nothing(monkeypatch, label):
+    """A pd search over F_2[x,y]/m^2 at max_r = 1 builds no middle, so
+    every cell only charges its classes: it draws nothing."""
+    cfg = SearchConfig(**{**C3, "max_r": 1})
+    st, rngs, _ = _counted_dfs(monkeypatch, dict(MODULES)[label], "pd", cfg)
+    assert st.spent > 0
+    assert rngs == []
+
+
+@pytest.mark.parametrize("target", ["pd", "gdim"])
+def test_spent_budget_stops_the_search(monkeypatch, target):
+    """The criterion-03 search of rand20 spends its budget under the first
+    cell's split middle; depth 0 then computes no Ext^1 and draws nothing."""
+    cfg = SearchConfig(**C3)
+    st, rngs, ext1_after_budget = _counted_dfs(
+        monkeypatch, dict(MODULES)["F2 rand20"], target, cfg)
+    assert st.exhausted
+    assert rngs == []
+    assert ext1_after_budget and not any(ext1_after_budget)
+
+
+def test_built_cells_draw_every_sample(monkeypatch):
+    """Over F_2[x,y]/m^3 the last depth builds glued middles: each of the
+    2 * 2 * 2 cells draws exactly `samples` classes from its own
+    generator."""
+    cfg = SearchConfig(max_r=1, max_a=2, max_b=2, max_n=2, budget=200)
+    st, rngs, _ = _counted_dfs(monkeypatch, dict(OTHER_MODULES)["F2 m3 k"],
+                               "gdim", cfg)
+    assert not st.exhausted
+    cells = {id(rng): rngs.count(rng) for rng in rngs}
+    assert list(cells.values()) == [cfg.samples] * 8
