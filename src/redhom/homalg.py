@@ -221,17 +221,11 @@ class ExtTable:
         return [{k: w for k, v in col.items() if (w := fld.coerce(v))}
                 if col else col for col in cols]
 
-    def _parts(self, i: int) -> list[tuple]:
-        """The parts of step i + 1; else, for a module's resolution, the
-        chain's own step i + 1, whose table every module shares."""
-        res = self.res
-        return res.parts(i + 1) or ([(res, i + 1, 1)] if res.chain not in (None, res) else [])
-
     def _entries(self, i: int) -> int:
         """What transition i is charged, once per index: summed over the
         parts of step i + 1 when it has them."""
         if i not in self._sizes:
-            parts = self._parts(i)
+            parts = self.res.parts(i + 1)
             self._sizes[i] = sum(m * self._part(p)._entries(j - 1) for p, j, m in parts) \
                 if parts else self._own_entries(i)
         return self._sizes[i]
@@ -264,7 +258,7 @@ class ExtTable:
         if i not in self._ranks:
             charge = charge or (lambda n: self._charge(i, n))
             self.res.extend(i + 1)
-            if parts := self._parts(i):
+            if parts := self.res.parts(i + 1):
                 charge(total := self._entries(i))
                 rank = 0
                 for p, j, m in parts:  # the other blocks charged as predicted

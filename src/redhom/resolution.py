@@ -34,16 +34,17 @@ charges every step it reads, through its own index, what stepping it
 would be charged before elimination, so a refusal and its message do
 not depend on what else was resolved, also in a part stepped to read it.
 
-Three classes implement it.  `ChainResolution` is a module's
-resolution over the chain of its actions, itself a `ChainResolution`
-that takes the steps; a free module's chain starts from its identity
-cover, whose empty kernel ends it at index 1.  `SumResolution`
-concatenates the column lists of the parts of a direct sum, which makes
-equalities like "syzygy of a sum is the sum of syzygies" literal
-object-level identities rather than isomorphisms.  `ShiftedResolution`
-is the view of a parent from one of its syzygies on: every syzygy module
-the parent materializes carries it as its resolution, so taking a syzygy
-of a syzygy reuses the same differentials instead of recomputing them.
+Four classes implement it.  `ChainResolution` is the chain of steps of
+some actions; a free module's chain starts from its identity cover, whose
+empty kernel ends it at index 1.  `ShiftedResolution` is the view of a
+parent from one of its syzygies on: every syzygy module the parent
+materializes carries it as its resolution, so taking a syzygy of a
+syzygy reuses the same differentials instead of recomputing them.  A
+module's resolution, `ModuleResolution`, is the view of its chain at
+offset 0 that keeps the module's own charges and labelled syzygies.
+`SumResolution` concatenates the column lists of the parts of a direct
+sum, which makes equalities like "syzygy of a sum is the sum of
+syzygies" literal object-level identities rather than isomorphisms.
 """
 
 from __future__ import annotations
@@ -83,13 +84,14 @@ class ResolutionError(RuntimeError):
 
 
 class Resolution:
-    """Common interface over the chain, sum and shifted variants.
+    """Common interface over the chain, module, sum and shifted variants.
 
-    Subclasses implement `extend`, `betti`, `syzygy_module`, `columns(i)`
-    (the sparse columns of d_i, the cover for i = 0) and `generators(i)`
-    (its columns j*d), or `_sparse` for both, and `syzygy_layout(i)`
-    (the i-th syzygy as the kernel of d_{i-1}, as `linalg.sparse_kernel`
-    lays it out); the dense accessors are built here from those."""
+    Subclasses implement `extend`, `betti`, `syzygy_module` (not a chain),
+    `columns(i)` (the sparse columns of d_i, the cover for i = 0) and
+    `generators(i)` (its columns j*d), or `_sparse` for both, and
+    `syzygy_layout(i)` (the i-th syzygy as the kernel of d_{i-1}, as
+    `linalg.sparse_kernel` lays it out); the dense accessors are built
+    here from those."""
 
     module: Module
     chain: "ChainResolution | None" = None  # the chain whose steps these are
@@ -174,12 +176,12 @@ class Resolution:
 
 
 class ChainResolution(Resolution):
-    """A module's resolution over `chain`, the chain of its actions, which
-    holds the steps (`resolve`): `_steps[i]` holds `generators(i)` and the
-    layout of the kernel of d_i.  The charges and the labelled syzygy
-    modules are the module's own; a chain is its own `chain`, and its
-    `module` is any module with its actions, whose label is not read.  A
-    free module is covered by the unit columns of its own coordinates.
+    """The chain of steps of a module's actions, shared by every module with
+    those actions (`resolve`): `_steps[i]` holds `generators(i)` and the
+    layout of the kernel of d_i.  Its `module` is any module with its
+    actions, whose label is not read; each module reads it through its own
+    `ModuleResolution`.  A free module is covered by the unit columns of
+    its own coordinates.
 
     Stepping stops at the first tail whose shape is known (see the module
     docstring): `_period` (s, p) once a kernel layout repeats, or
@@ -188,13 +190,8 @@ class ChainResolution(Resolution):
     (generators, kernel layout); it keeps the root's module, for the
     algebra."""
 
-    def __init__(self, module: Module, seed: tuple | None = None,
-                 chain: "ChainResolution | None" = None):
-        self.module, self.chain = module, chain or self
-        self._done = 0  # charged (a chain: stepped) through this index
-        self._syz: dict[int, Module] = {}
-        if chain is not None:
-            return
+    def __init__(self, module: Module, seed: tuple | None = None):
+        self.module = module
         fld, d = module.algebra.field, module.algebra.dim
         self._columns: dict[int, list[dict]] = {}
         if seed is None:
@@ -215,34 +212,11 @@ class ChainResolution(Resolution):
         self._reads: dict[int, tuple[int, int]] = {}  # read (betti, entries)
         self._plan: tuple | None = None  # the next step's generators, shape, entries
 
-    def __getattr__(self, name: str):
-        """The chain's steps and tails, read from a module's resolution."""
-        if (chain := vars(self).get("chain", self)) is self:
-            raise AttributeError(name)
-        return getattr(chain, name)
-
     def extend(self, upto: int) -> None:
-        """A module's resolution charges each step through `upto`, in
-        order, what stepping it would be charged before elimination, also
-        when another module with these actions stepped it (a step of a
-        periodic tail repeats one charged here, a step past the end is
-        zero); then the chain steps until index `upto`, a tail or the end,
-        charging the steps it takes."""
-        if upto <= self._done:
-            return
-        c, d = self.chain, self.module.algebra.dim
-        if c is not self:
-            rows = c._read(self._done)[0]
-            for i in range(self._done + 1, upto + 1):
-                cols, entries = c._read(i)
-                if not cols or c._same(i) < i:  # so is every later step
-                    break
-                _check_step_size(i, (rows * d, cols * d), entries)
-                rows = cols
-        while (len(c._betti) <= upto and c._steps[-1][1][0]
-               and c._period is c._simple is None):
-            c._step()
-        self._done = upto
+        """Step until index `upto`, a tail or the end."""
+        while (len(self._betti) <= upto and self._steps[-1][1][0]
+               and self._period is self._simple is None):
+            self._step()
 
     def _next(self) -> tuple:
         """The generators of the chain's next step, the shape of its
@@ -304,36 +278,34 @@ class ChainResolution(Resolution):
         or summed over a tail's parts; with neither, the steps before i
         are taken and step i is planned, not built.  A refusal names the
         index plus `shift`: a part names the step it is read for."""
-        c = self.chain
         while True:
-            i = c._same(i)
-            if i < len(c._betti):
-                return c._betti[i], c._entries[i]
-            if not c._steps[-1][1][0]:
+            i = self._same(i)
+            if i < len(self._betti):
+                return self._betti[i], self._entries[i]
+            if not self._steps[-1][1][0]:
                 return 0, 0
-            if i not in c._reads and (parts := c.parts(i)):
+            if i not in self._reads and (parts := self.parts(i)):
                 reads = [[m * x for x in p._read(t, shift + i - t)] for p, t, m in parts]
-                c._reads[i] = tuple(map(sum, zip(*reads)))
-            if i in c._reads:
-                return c._reads[i]
-            if i == len(c._betti):
-                gens, _, entries = c._next()
+                self._reads[i] = tuple(map(sum, zip(*reads)))
+            if i in self._reads:
+                return self._reads[i]
+            if i == len(self._betti):
+                gens, _, entries = self._next()
                 return len(gens), entries
-            c._step(shift)
+            self._step(shift)
 
     def _take(self, i: int) -> int:
-        """Index of step i among the chain's steps taken: stepped for real
-        up to a periodic tail or the end, also past a split tail, each
-        step charged and refused as it is built."""
-        c = self.chain
-        while len(c._steps) <= c._same(i) and c._steps[-1][1][0]:
-            c._step()
-        return c._same(i)
+        """Index of step i among the steps taken: stepped for real up to a
+        periodic tail or the end, also past a split tail, each step
+        charged and refused as it is built."""
+        while len(self._steps) <= self._same(i) and self._steps[-1][1][0]:
+            self._step()
+        return self._same(i)
 
     def _same(self, i: int) -> int:
         """The index of the step taken that step i repeats: i itself
         outside a periodic tail."""
-        if (per := self.chain._period) and i >= per[0]:
+        if (per := self._period) and i >= per[0]:
             return per[0] + (i - per[0]) % per[1]
         return i
 
@@ -343,10 +315,10 @@ class ChainResolution(Resolution):
         and c_j copies of k's, up to the order of the blocks of F_j."""
         if (same := self._same(i)) < i:
             return [(self, same, 1)]
-        if (c := self.chain)._simple and i > c._simple[0]:
-            (j, n), rest = c._simple, c._rest
-            c._k = c._k or _residue_chain(self.module.algebra)
-            copies = [(c._k, i - j, n)]
+        if self._simple and i > self._simple[0]:
+            (j, n), rest = self._simple, self._rest
+            self._k = self._k or _residue_chain(self.module.algebra)
+            copies = [(self._k, i - j, n)]
             return [(rest, i - j, 1)] + copies if rest else copies
         return []
 
@@ -355,41 +327,20 @@ class ChainResolution(Resolution):
         return self._read(i)[0]
 
     def generators(self, i: int) -> list[dict]:
-        c, i = self.chain, self._take(i)
-        return c._steps[i][0] if i < len(c._steps) else []
+        i = self._take(i)
+        return self._steps[i][0] if i < len(self._steps) else []
 
     def columns(self, i: int) -> list[dict]:
-        c, gens = self.chain, self.generators(i)
-        i = self._same(i)
-        if i not in c._columns:  # built from the generators, once
-            c._columns[i] = free_map_columns(self.module.algebra, gens)
-        return c._columns[i]
+        gens, i = self.generators(i), self._same(i)
+        if i not in self._columns:  # built from the generators, once
+            self._columns[i] = free_map_columns(self.module.algebra, gens)
+        return self._columns[i]
 
     def syzygy_layout(self, i: int) -> tuple[list[int], dict[int, dict]]:
         if i < 1:
             raise ResolutionError("syzygy subspaces start at index 1")
-        c, i = self.chain, self._take(i - 1)
-        return c._steps[i][1] if i < len(c._steps) else ([], {})
-
-    def syzygy_module(self, i: int) -> Module:
-        if i == 0:
-            return self.module
-        if i in self._syz:
-            return self._syz[i]
-        alg = self.module.algebra
-        free, block = self.syzygy_layout(i)
-        if not free:
-            mod = zero_module(alg)
-        else:
-            n = len(free)
-            acts = [Matrix.from_sparse(alg.field, n, [im.get(j, {}) for j in range(n)])
-                    for im in map(dict, _kernel_images(alg, free, block))]
-            lbl = self.module.label or "?"
-            mod = Module(alg, len(free), acts, label=f"syz^{i}({lbl})",
-                         validate=False)
-        mod._resolution = ShiftedResolution(self, i, mod)
-        self._syz[i] = mod
-        return mod
+        i = self._take(i - 1)
+        return self._steps[i][1] if i < len(self._steps) else ([], {})
 
 
 class SumResolution(Resolution):
@@ -445,7 +396,7 @@ class SumResolution(Resolution):
 
 
 class ShiftedResolution(Resolution):
-    """View of a parent (chain or sum) starting at one of its syzygies;
+    """View of a parent (a module's or a sum's) from one of its syzygies;
     the resolution of that syzygy module, set when it is materialized."""
 
     def __init__(self, parent: Resolution, offset: int, module: Module):
@@ -460,10 +411,10 @@ class ShiftedResolution(Resolution):
         return self.parent.betti(self.offset + i)
 
     def _sparse(self, kind: str, i: int) -> list[dict]:
-        """The parent's at offset + i; the cover (i = 0) is the rows of the
-        parent's differential at its syzygy's free positions."""
+        """The parent's at offset + i; a syzygy's cover (i = 0 < offset) is
+        the rows of the parent's differential at its free positions."""
         cols = getattr(self.parent, kind)(self.offset + i)
-        if i:
+        if i or not self.offset:
             return cols
         at = {p: k for k, p in enumerate(self.parent.free_positions(self.offset))}
         return [{at[r]: x for r, x in col.items() if r in at} for col in cols]
@@ -472,11 +423,65 @@ class ShiftedResolution(Resolution):
         return self.parent.syzygy_layout(self.offset + i)
 
     def parts(self, i: int) -> list[tuple[Resolution, int, int]]:
-        """The parent's step offset + i, from index 1: the cover differs."""
-        return [(self.parent, self.offset + i, 1)] if i else []
+        """The parent's step offset + i, except a syzygy's cover (i = 0 <
+        offset), which differs."""
+        return [(self.parent, self.offset + i, 1)] if i or not self.offset else []
 
     def syzygy_module(self, i: int) -> Module:
         return self.parent.syzygy_module(self.offset + i)
+
+
+class ModuleResolution(ShiftedResolution):
+    """A module's resolution: `chain`, the chain of its actions, at offset
+    0, and what is the module's own, its charges and labelled syzygies."""
+
+    offset = 0
+    parent = property(lambda self: self.chain)
+
+    def __init__(self, module: Module, chain: ChainResolution):
+        self.module, self.chain = module, chain
+        self._done = 0  # charged through this index
+        self._syz: dict[int, Module] = {}
+
+    def extend(self, upto: int) -> None:
+        """Charge each step through `upto`, in order, what stepping it
+        would be charged before elimination, also when another module
+        with these actions stepped it; then the chain steps."""
+        if upto <= self._done:
+            return
+        c, d = self.chain, self.module.algebra.dim
+        rows = c._read(self._done)[0]
+        for i in range(self._done + 1, upto + 1):
+            cols, entries = c._read(i)
+            if not cols or c._same(i) < i:  # so is every later step
+                break
+            _check_step_size(i, (rows * d, cols * d), entries)
+            rows = cols
+        c.extend(upto)
+        self._done = upto
+
+    def betti(self, i: int) -> int:
+        self.extend(i)
+        return self.chain._read(i)[0]
+
+    def syzygy_module(self, i: int) -> Module:
+        if i == 0:
+            return self.module
+        if i in self._syz:
+            return self._syz[i]
+        alg = self.module.algebra
+        free, block = self.syzygy_layout(i)
+        if not free:
+            mod = zero_module(alg)
+        else:
+            n = len(free)
+            acts = [Matrix.from_sparse(alg.field, n, [im.get(j, {}) for j in range(n)])
+                    for im in map(dict, _kernel_images(alg, free, block))]
+            mod = Module(alg, n, acts, label=f"syz^{i}({self.module.label or '?'})",
+                         validate=False)
+        mod._resolution = ShiftedResolution(self, i, mod)
+        self._syz[i] = mod
+        return mod
 
 
 def _layout_key(betti: int, layout: tuple[list[int], dict[int, dict]]) -> int:
@@ -587,7 +592,7 @@ def resolve(module: Module) -> Resolution:
         else:
             if "chain" not in (entry := shared(module)):
                 entry["chain"] = ChainResolution(module)
-            module._resolution = ChainResolution(module, chain=entry["chain"])
+            module._resolution = ModuleResolution(module, entry["chain"])
     return module._resolution
 
 

@@ -16,7 +16,7 @@ from redhom.corpus import random_module
 from redhom.homalg import ExtTable
 from redhom.linalg import GF2, GF3, QQ, Field
 from redhom.modules import Module, free_module, residue_field
-from redhom.resolution import ChainResolution, _residue_chain, resolve
+from redhom.resolution import ChainResolution, ModuleResolution, _residue_chain, resolve
 from redhom.workspace import load_workspace
 
 from test_sparse_ext import in_random_basis
@@ -42,7 +42,7 @@ def stepped(mod: Module, upto: int) -> Module:
     while len(res._steps) <= upto and res._steps[-1][1][0]:
         res._step()
     res._period = res._simple = None
-    copy._resolution = res
+    copy._resolution = ModuleResolution(copy, res)
     return copy
 
 
@@ -53,8 +53,8 @@ def assert_reads_match_steps(mod: Module, window: int) -> None:
     assert res.betti_list(window) == want.betti_list(window)
     assert res.terminated_at(window) == want.terminated_at(window)
     # each read step is charged what its step was charged when taken
-    taken = list(zip(want._betti, want._entries))[:window + 1]
-    assert [res._read(i) for i in range(len(taken))] == taken
+    taken = list(zip(want.chain._betti, want.chain._entries))[:window + 1]
+    assert [res.chain._read(i) for i in range(len(taken))] == taken
     for target in (mod, residue_field(alg), free_module(alg, 1)):
         assert ExtTable(mod, target).dims(window) == \
             ExtTable(ref, target).dims(window)
@@ -62,10 +62,10 @@ def assert_reads_match_steps(mod: Module, window: int) -> None:
     syz, want_syz = res.syzygy_module(1), want.syzygy_module(1)
     assert ExtTable(syz, mod).dims(window - 1) == \
         ExtTable(want_syz, mod).dims(window - 1)
-    if (per := res._period) is not None:  # the steps read, not stepped
+    if (per := res.chain._period) is not None:  # the steps read, not stepped
         for i in range(per[0], window + 1):
-            [(part, j, m)] = res.parts(i) or [(res, i, 1)]
-            assert (part, m) == (res, 1) and j <= per[0] + per[1] - 1 < len(res._steps)
+            [(part, j, m)] = res.chain.parts(i) or [(res.chain, i, 1)]
+            assert (part, m) == (res.chain, 1) and j <= per[0] + per[1] - 1 < len(res.chain._steps)
             assert res.generators(i) == want.generators(i)
             assert res.syzygy_layout(i) == want.syzygy_layout(i)
 
@@ -91,8 +91,8 @@ def test_line3_modules():
         mod = ws.module(name)
         assert_reads_match_steps(mod, 12)
         res = resolve(mod)
-        assert (res._period, res._simple) == (period, simple)
-        assert len(res._steps) == taken
+        assert (res.chain._period, res.chain._simple) == (period, simple)
+        assert len(res.chain._steps) == taken
 
 
 def test_square_zero_reads_off_k():
@@ -103,9 +103,9 @@ def test_square_zero_reads_off_k():
     res = resolve(mod)
     b1 = res.betti(1)
     assert res.betti_list(8)[1:] == [b1 * 3**t for t in range(8)]
-    assert res._simple == (1, b1) and len(res._steps) == 2
+    assert res.chain._simple == (1, b1) and len(res.chain._steps) == 2
     assert res.syzygy_module(3).label.startswith("syz^3(")
-    assert len(res._steps) == 3  # the syzygy module stepped for real
+    assert len(res.chain._steps) == 3  # the syzygy module stepped for real
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=str)
@@ -121,7 +121,7 @@ def test_split_tails_match_steps(fld):
             if mod.free_rank is None:
                 mod = in_random_basis(mod, random.Random(seed))
             assert_reads_match_steps(mod, window)
-            splits += resolve(mod)._rest is not None
+            splits += resolve(mod).chain._rest is not None
     assert splits >= 4
 
 
@@ -152,10 +152,10 @@ def test_residue_field_over_m3_splits_at_step_2(monkeypatch):
         res, taken[:] = resolve(residue_field(alg)), []
         assert res.betti_list(window) == golod(window)
         counts.append(len(taken))
-        assert res._simple == (2, 4) and len(res._steps) == 3
+        assert res.chain._simple == (2, 4) and len(res.chain._steps) == 3
         k = _residue_chain(alg)
         for t in range(1, window - 1):
-            assert res.parts(2 + t) == [(res._rest, t, 1), (k, t, 4)]
+            assert res.chain.parts(2 + t) == [(res.chain._rest, t, 1), (k, t, 4)]
     assert counts[0] == counts[1] <= 3  # 6 with a chain per module object
     monkeypatch.undo()
     want = resolve(stepped(residue_field(alg), 7))

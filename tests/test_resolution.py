@@ -178,11 +178,11 @@ class TestFreeAndZero:
             assert res.generators(far) == res.columns(far) == []
             assert res.syzygy_layout(far) == ([], {})
             assert res.syzygy_module(far).dim == 0
-            assert len(res._steps) == 1
+            assert len(res.chain._steps) == 1
         s = direct_sum([residue_field(plane), free_module(plane, 1)])
         res = resolve(s)
         assert res.betti_list(3) == [2, 2, 4, 8]
-        assert len(resolve(s.summands[1][0])._steps) == 1
+        assert len(resolve(s.summands[1][0]).chain._steps) == 1
 
     def test_infinite_resolutions_do_not_terminate(self, plane):
         k = residue_field(plane)
@@ -287,7 +287,7 @@ class TestStepCap:
         assert f"step 4 would allocate {self.CI_STEP4} bytes" in str(exc.value)
         assert "--window" in str(exc.value)
         assert products == []
-        assert (len(res._betti), len(res._steps)) == (4, 4)
+        assert (len(res.chain._betti), len(res.chain._steps)) == (4, 4)
         # the patched name is the product the step makes
         monkeypatch.setattr(resolution, "MAX_STEP_BYTES", self.CI_STEP4)
         assert res.betti(4) == 5 and len(products) == 1

@@ -201,3 +201,21 @@ def test_residue_field_and_the_algebras_k_step_once(steps):
     assert resolve(residue_field(alg)).betti_list(14) == golod(14)
     assert _residue_chain(alg).betti_list(14) == golod(14)
     assert len(steps) <= 3
+
+
+def test_a_modules_resolution_is_a_view_of_one_chain():
+    """Two k's over F_2[x,y]/m^3 get distinct resolutions that hold no
+    steps of their own and read one chain; Ext from both into R leaves
+    one table per chain in R's entry, k's and its rest's, and none keyed
+    by a module's resolution, which would keep every module alive."""
+    alg = build_algebra(GF2, ["x", "y"], [], 3)
+    one, two = resolve(residue_field(alg)), resolve(residue_field(alg))
+    assert one is not two and one.chain is two.chain
+    assert isinstance(one.chain, ChainResolution) and not isinstance(one, ChainResolution)
+    for name in ("_steps", "_betti", "_period"):
+        with pytest.raises(AttributeError):
+            getattr(one, name)
+    target = free_module(alg, 1)
+    assert homalg.ext_dims(one.module, target, 6) == homalg.ext_dims(two.module, target, 6)
+    tables = shared(target)["ext"]
+    assert set(tables) == {one.chain, one.chain._rest}

@@ -150,7 +150,7 @@ def fill_in_module():
     alg = build_algebra(GF3, ["x", "y", "z"], ["x^2", "y^2", "z^2"], 4)
     mod = in_random_basis(random_module(alg, 3, 2, 12), random.Random(12))
     resolve(mod).extend(3)
-    assert resolve(mod)._simple is resolve(mod)._period is None
+    assert resolve(mod).chain._simple is resolve(mod).chain._period is None
     return mod
 
 

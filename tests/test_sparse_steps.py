@@ -250,10 +250,10 @@ def test_fill_in_is_refused_as_it_grows(monkeypatch):
     monkeypatch.setattr(resolution, "MAX_STEP_BYTES", 76 * resolution.ENTRY_BYTES)
     with pytest.raises(resolution.ResolutionError, match="step 1 would allocate"):
         res.extend(1)
-    assert len(res._steps) == 1
+    assert len(res.chain._steps) == 1
     monkeypatch.setattr(resolution, "MAX_STEP_BYTES", 79 * resolution.ENTRY_BYTES)
     res.extend(1)
-    assert len(res._steps) == 2
+    assert len(res.chain._steps) == 2
 
 
 def test_deep_resolution_stays_sparse():
@@ -265,8 +265,8 @@ def test_deep_resolution_stays_sparse():
     res = resolve(residue_field(alg))
     assert res.betti_list(13) == [2**i for i in range(14)]
     res.generators(13)  # m kills syz^1: the betti numbers were read, step them
-    assert list(res._columns) == [0] and len(res._steps) == 14
-    for i, (gens, (_, block)) in enumerate(res._steps):
+    assert list(res.chain._columns) == [0] and len(res.chain._steps) == 14
+    for i, (gens, (_, block)) in enumerate(res.chain._steps):
         pivots = sum(map(len, block.values()))
         assert sum(map(len, gens)) + pivots <= 2 * res.betti(i) * alg.dim
         assert sum(map(len, res.columns(i))) + pivots <= 2 * res.betti(i) * alg.dim

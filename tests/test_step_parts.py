@@ -58,13 +58,13 @@ def test_semisimple_tails_are_copies_of_k(fld):
             mod, window = ring_module(fld, ring, seed)
             res = resolve(mod)
             res.extend(window)
-            if res._simple is None or res._rest is not None:
+            if res.chain._simple is None or res.chain._rest is not None:
                 continue
             tails += 1
-            (j, b), k = res._simple, _residue_chain(mod.algebra)
+            (j, b), k = res.chain._simple, _residue_chain(mod.algebra)
             ref, kb = resolve(stepped(mod, window + 1)), resolve(power_module(k.module, b))
             for t in range(1, window - j + 1):
-                assert res.parts(j + t) == [(k, t, b)]
+                assert res.chain.parts(j + t) == [(k, t, b)]
                 for r in (res, ref):
                     assert r.betti(j + t) == kb.betti(t)
                     assert r.generators(j + t) == kb.generators(t)
@@ -145,7 +145,7 @@ def test_a_part_stepped_for_a_read_names_the_callers_step(monkeypatch):
     res.extend(2)
     monkeypatch.setattr(resolution, "MAX_STEP_BYTES", 0)
     with pytest.raises(resolution.ResolutionError) as exc:
-        res._read(4)
+        res.chain._read(4)
     assert str(exc.value).startswith("resolution step 3 would allocate")
     assert str(exc.value).endswith("; use a window below 3 (--window on the command line)")
-    assert len(res._rest._steps) == 1
+    assert len(res.chain._rest._steps) == 1
