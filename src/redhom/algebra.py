@@ -426,21 +426,30 @@ def _check_table_size(what: str, entries: int, fld: Field) -> None:
 def _validate_algebra(alg: Algebra) -> None:
     """Internal consistency: commutativity, associativity, nilpotency."""
     d, fld, n = alg.dim, alg.field, alg.nvars
+    eye = Matrix.identity(fld, d)
     assert alg.basis_mons[0] == (0,) * n
-    assert (alg.mult[0] == Matrix.identity(fld, d).a).all()
+    assert (alg.mult[0] == eye.a).all()
     # prod[u, v] = x_u x_v
     prod = contract(fld, "uab,vbc->uvac", alg.var_stack, alg.var_stack)
     if not (prod == prod.transpose(1, 0, 2, 3)).all():
         raise AlgebraError("variable actions do not commute")
-    if d <= 64:
-        # b_i b_j = sum_t (b_i b_j)_t b_t, where (b_i b_j)_t = mult[i, t, j]
-        stack = alg.mult
-        prod = contract(fld, "iab,jbc->ijac", stack, stack)
-        want = contract(fld, "itj,tac->ijac", stack, stack)
-        if not (prod == want).all():
+    if n * d ** 4 <= 64 ** 5:
+        # Associativity, L_{b_a b_b} = L_a L_b for L_t = mult[t], from the
+        # regular representation: x_v L_t = sum_u X_v[u, t] L_u, and each
+        # b_t of degree >= 1 is x_v b_s for a basis monomial b_s
+        # (`monomial_steps`), read in column s of X_v.  With mult[0] = I
+        # and commuting X_v, induction on degree gives L_t = X^{m_t}, so
+        # L_{b_a b_b} = L_{X^{m_a} b_b} = X^{m_a} L_b = L_a L_b.  This
+        # costs n d^4 products against d^5 for comparing L_a L_b directly;
+        # the cap is the cost d^5 has at d = 64.
+        mult, va = alg.mult, alg.var_stack
+        if not (all((va[v][:, s] == eye.a[:, t]).all()
+                    for v, t, s in alg.monomial_steps)
+                and (contract(fld, "vab,tbc->vtac", va, mult) == contract(
+                    fld, "vut,uab->vtab", va, mult)).all()):
             raise AlgebraError("multiplication table is not associative")
     # m^N = 0: iterate spans of m, m^2, ...; each step is m times the span
-    span = Matrix.identity(fld, d).take_cols(range(1, d))
+    span = eye.take_cols(range(1, d))
     for _ in range(alg.nilpotency):
         if span.cols == 0:
             return

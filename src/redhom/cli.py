@@ -39,7 +39,7 @@ from .invariants import (
 )
 from .reducing import (
     CertificateError,
-    CertificateFormatError,
+    InputError,
     SearchConfig,
     load_certificate,
     save_certificate,
@@ -50,7 +50,7 @@ from .reducing import (
     verify,
 )
 from .resolution import resolve
-from .workspace import WorkspaceError, load_workspace
+from .workspace import load_workspace
 
 
 class _UsageError(Exception):
@@ -152,7 +152,7 @@ def _emit(report: dict, summary: str, code: int) -> int:
 
 def _need_workspace(args):
     if not args.workspace:
-        raise WorkspaceError("", "this command needs --workspace")
+        raise InputError("", "this command needs --workspace")
     return load_workspace(args.workspace)
 
 
@@ -164,8 +164,8 @@ def _certificate(ws, args):
         try:
             return load_certificate(name, algebra=ws.algebra)
         except OSError as exc:
-            raise WorkspaceError(f"/certificates/{name}",
-                                 f"cannot read certificate file: {exc}")
+            raise InputError(f"/certificates/{name}",
+                             f"cannot read certificate file: {exc}")
     return ws.certificate(name)  # raises with the /certificates pointer
 
 
@@ -175,8 +175,8 @@ def _save(seq, path) -> None:
         try:
             save_certificate(seq, path)
         except OSError as exc:
-            raise WorkspaceError("", f"cannot write certificate file "
-                                     f"{path}: {exc.strerror or exc}")
+            raise InputError("", f"cannot write certificate file "
+                                 f"{path}: {exc.strerror or exc}")
 
 
 def _cmd_algebra_info(args) -> int:
@@ -399,7 +399,7 @@ def main(argv=None) -> int:
     try:
         _check_bounds(args)
         return globals()["_cmd_" + leaf](args)
-    except (WorkspaceError, CertificateFormatError) as exc:
+    except InputError as exc:
         return _error(args.command, exc.pointer, exc.message,
                       f"input error at {exc.pointer or '/'}: {exc.message}", 2)
     except CertificateError as exc:

@@ -1,5 +1,7 @@
-"""Verdict layer: freeness, windowed total reflexivity and G-dimension,
-semidualizing tests, and mechanical checks of the structural theorems.
+"""Verdict layer: G-dimension, semidualizing tests, and mechanical checks
+of the structural theorems.  The windowed total reflexivity verdict
+(`is_totally_reflexive`, `TRVerdict`) lives in `homalg`, where the
+certificate verifier reads it too, and is imported here.
 
 Every "for all i >= 1" hypothesis is replaced by an explicit window
 [1, w] and each report carries its window.  Verdicts distinguish
@@ -22,11 +24,13 @@ from .modules import (
 from .resolution import resolve
 from .homalg import (
     HomAlgError,
+    TRVerdict,
     biduality,
     canonical_module,
     dual_map,
     ext_dims,
     ext_vanishes_through,
+    is_totally_reflexive,
     p_invariant,
     pushforward,
     r_dual,
@@ -40,51 +44,7 @@ from .reducing import (
 )
 
 
-# -- total reflexivity and dimension verdicts ----------------------------
-
-
-@dataclass
-class TRVerdict:
-    kind: str    # "certified" | "window_pass" | "fail"
-    window: int
-    stage: str   # "" | "ext_module" | "ext_dual" | "reflexivity"
-    index: int   # first failing Ext index, 0 otherwise
-    reason: str
-
-    @property
-    def passed(self) -> bool:
-        return self.kind != "fail"
-
-
-def is_totally_reflexive(mod: Module, window: int = 10) -> TRVerdict:
-    """Reflexivity plus two-sided ring-dual Ext vanishing on the window.
-
-    Free modules and modules over a Gorenstein ring are certified
-    outright; otherwise all checks passing only earns a window verdict,
-    since Ext vanishing on a window proves nothing beyond it.
-    """
-    if mod.dim == 0 or mod.is_free():
-        return TRVerdict("certified", window, "", 0, "free module")
-    if mod.algebra.is_gorenstein:
-        return TRVerdict("certified", window, "", 0,
-                         "Gorenstein ring: every module is totally "
-                         "reflexive")
-    reg = regular_module(mod.algebra)
-    ok, bad = ext_vanishes_through(mod, reg, window)
-    if not ok:
-        return TRVerdict("fail", window, "ext_module", bad,
-                         f"Ext^{bad}(module, ring) is nonzero")
-    dual = r_dual(mod)
-    ok, bad = ext_vanishes_through(dual.module, reg, window)
-    if not ok:
-        return TRVerdict("fail", window, "ext_dual", bad,
-                         f"Ext^{bad}(dual module, ring) is nonzero")
-    if not biduality(mod).is_bijective:
-        return TRVerdict("fail", window, "reflexivity", 0,
-                         "evaluation into the double dual is not bijective")
-    return TRVerdict("window_pass", window, "", 0,
-                     f"all checks pass through window {window} over a "
-                     "non-Gorenstein ring")
+# -- G-dimension verdict ------------------------------------------------
 
 
 @dataclass

@@ -522,12 +522,6 @@ class Matrix:
     def copy(self) -> "Matrix":
         return Matrix(self.field, self.a.copy())
 
-    def __getitem__(self, key):
-        v = self.a[key]
-        if isinstance(v, np.ndarray):
-            return Matrix(self.field, v.copy() if v.base is not None else v)
-        return self.a.item(key)
-
     def entry(self, i: int, j: int):
         return self.a.item(i, j)
 

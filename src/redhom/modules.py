@@ -399,13 +399,6 @@ class ModuleMap:
                          Matrix.zeros(source.algebra.field, target.dim, source.dim),
                          validate=False)
 
-    def __add__(self, other: "ModuleMap") -> "ModuleMap":
-        return ModuleMap(self.source, self.target, self.matrix + other.matrix,
-                         validate=False)
-
-    def __neg__(self) -> "ModuleMap":
-        return ModuleMap(self.source, self.target, -self.matrix, validate=False)
-
     def rank(self) -> int:
         return self.matrix.rank()
 

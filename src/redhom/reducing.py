@@ -51,6 +51,7 @@ from .homalg import (
     extension_from_psi,
     Horseshoe,
     horseshoe,
+    is_totally_reflexive,
 )
 
 TARGETS = ("pd", "gdim")
@@ -62,8 +63,9 @@ class CertificateError(RuntimeError):
     """A chain construction or transport produced inconsistent data."""
 
 
-class CertificateFormatError(ValueError):
-    """A serialized certificate is malformed; `pointer` locates the field."""
+class InputError(ValueError):
+    """Malformed JSON input, a workspace or a certificate; `pointer`
+    locates the offending field."""
 
     def __init__(self, pointer: str, message: str):
         super().__init__(f"{pointer or '/'}: {message}")
@@ -100,8 +102,6 @@ class ReducingSequence:
 
 
 def _syzygy_of_power(mod: Module, b: int, n: int) -> Module:
-    if n == 0:
-        return power_module(mod, b)
     res = resolve(power_module(mod, b))
     res.extend(n)  # a read tail past the step cap is refused before any step
     return res.syzygy_module(n)
@@ -124,45 +124,43 @@ def module_to_dict(mod: Module) -> dict:
             "actions": [m.to_str_rows() for m in mod.var_actions]}
 
 
-def module_from_dict(alg: Algebra, data, pointer: str) -> Module:
+def module_from_dict(alg: Algebra, data, pointer: str,
+                     label: str = "") -> Module:
+    """The module `{dim, actions}` at `pointer`, the form of a workspace
+    module of kind "actions" and of every module a certificate stores."""
     if not isinstance(data, dict):
-        raise CertificateFormatError(pointer, "expected an object")
+        raise InputError(pointer, "expected an object")
     dim = data.get("dim")
     if type(dim) is not int or dim < 0:
-        raise CertificateFormatError(pointer + "/dim",
-                                     "expected a nonnegative integer")
+        raise InputError(pointer + "/dim", "expected a nonnegative integer")
     acts = data.get("actions")
     if not isinstance(acts, list) or len(acts) != alg.nvars:
-        raise CertificateFormatError(
-            pointer + "/actions",
-            f"expected a list of {alg.nvars} matrices")
-    mats = []
-    for v, rows in enumerate(acts):
-        mats.append(_matrix_from_rows(alg, rows, dim, dim,
-                                      f"{pointer}/actions/{v}"))
+        raise InputError(pointer + "/actions", f"expected {alg.nvars} "
+                         "matrices, one per variable")
+    mats = [_matrix_from_rows(alg, rows, dim, dim, f"{pointer}/actions/{v}")
+            for v, rows in enumerate(acts)]
     try:
-        return Module(alg, dim, mats)
+        return Module(alg, dim, mats, label=label)
     except ModuleError as exc:
-        raise CertificateFormatError(pointer, str(exc))
+        raise InputError(pointer + "/actions", str(exc))
 
 
 def _matrix_from_rows(alg: Algebra, rows, nrows: int, ncols: int,
                       pointer: str) -> Matrix:
     if not isinstance(rows, list) or len(rows) != nrows:
-        raise CertificateFormatError(pointer, f"expected {nrows} rows")
+        raise InputError(pointer, f"expected {nrows} rows")
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != ncols:
-            raise CertificateFormatError(f"{pointer}/{i}",
-                                         f"expected {ncols} entries")
+            raise InputError(f"{pointer}/{i}", f"expected {ncols} entries")
     if not all(isinstance(e, str) for row in rows for e in row):
-        raise CertificateFormatError(pointer, "expected a matrix of strings")
+        raise InputError(pointer, "expected a matrix of strings")
     if nrows == 0:
         # no rows to carry the width, so rebuild the shape directly
         return Matrix.zeros(alg.field, 0, ncols)
     try:
         return Matrix.from_str_rows(alg.field, rows)
     except (ValueError, TypeError) as exc:
-        raise CertificateFormatError(pointer, f"bad entry: {exc}")
+        raise InputError(pointer, f"bad entry: {exc}")
 
 
 def sequence_to_dict(seq: ReducingSequence) -> dict:
@@ -187,44 +185,41 @@ def sequence_to_dict(seq: ReducingSequence) -> dict:
 
 def sequence_from_dict(data, algebra: Algebra = None) -> ReducingSequence:
     if not isinstance(data, dict):
-        raise CertificateFormatError("", "expected an object")
+        raise InputError("", "expected an object")
     if data.get("format") != FORMAT_TAG:
-        raise CertificateFormatError("/format",
-                                     f"expected {FORMAT_TAG!r}")
+        raise InputError("/format", f"expected {FORMAT_TAG!r}")
     target = data.get("target")
     if target not in TARGETS:
-        raise CertificateFormatError("/target",
-                                     f"expected one of {list(TARGETS)}")
+        raise InputError("/target", f"expected one of {list(TARGETS)}")
     pres = data.get("algebra")
     if not isinstance(pres, dict):
-        raise CertificateFormatError("/algebra", "expected an object")
+        raise InputError("/algebra", "expected an object")
     try:
         alg = algebra_from_presentation(pres)
     except (ValueError, KeyError, TypeError) as exc:
-        raise CertificateFormatError("/algebra", str(exc))
+        raise InputError("/algebra", str(exc))
     if algebra is not None:
         if algebra.presentation() != alg.presentation():
-            raise CertificateFormatError(
+            raise InputError(
                 "/algebra", "presentation does not match the workspace ring")
         alg = algebra
     base = module_from_dict(alg, data.get("base"), "/base")
     raw_steps = data.get("steps")
     if not isinstance(raw_steps, list):
-        raise CertificateFormatError("/steps", "expected a list")
+        raise InputError("/steps", "expected a list")
     steps = []
     prev = base
     for i, raw in enumerate(raw_steps):
         ptr = f"/steps/{i}"
         if not isinstance(raw, dict):
-            raise CertificateFormatError(ptr, "expected an object")
+            raise InputError(ptr, "expected an object")
         a, b, n = params = [raw.get(key) for key in "abn"]
         for key, val in zip("abn", params):
             if type(val) is not int or val < 1:
-                raise CertificateFormatError(f"{ptr}/{key}",
-                                             "expected a positive integer")
+                raise InputError(f"{ptr}/{key}", "expected a positive integer")
             size = alg.nvars * (val * prev.dim) ** 2 * alg.field.wide.itemsize
             if key != "n" and size > resolution.MAX_STEP_BYTES:
-                raise CertificateFormatError(f"{ptr}/{key}", (
+                raise InputError(f"{ptr}/{key}", (
                     f"the power {key} = {val} would allocate {size} bytes "
                     f"of dense actions, over MAX_STEP_BYTES = "
                     f"{resolution.MAX_STEP_BYTES}"))
@@ -238,9 +233,8 @@ def sequence_from_dict(data, algebra: Algebra = None) -> ReducingSequence:
         try:
             rebuilt = _syzygy_of_power(prev, b, n)
         except resolution.ResolutionError as exc:
-            raise CertificateFormatError(f"{ptr}/n", f"n = {n}: the syzygy of "
-                                         f"b = {b} copies cannot be rebuilt: "
-                                         f"{exc.reason}")
+            raise InputError(f"{ptr}/n", f"n = {n}: the syzygy of b = {b} "
+                             f"copies cannot be rebuilt: {exc.reason}")
         wit = _matrix_from_rows(alg, raw.get("witness"), rebuilt.dim,
                                 right.dim, ptr + "/witness")
         ses = ShortExactSequence(
@@ -263,7 +257,7 @@ def load_certificate(path, algebra: Algebra = None) -> ReducingSequence:
         try:
             data = json.load(fh)
         except RecursionError:
-            raise CertificateFormatError("", "not valid JSON: nested too deeply")
+            raise InputError("", "not valid JSON: nested too deeply")
     return sequence_from_dict(data, algebra)
 
 
@@ -331,7 +325,6 @@ def verify(seq: ReducingSequence, window: int = 10) -> VerifyReport:
             return _fail("final module is not free", 0, target, r)
         terminal = {"kind": "free", "dim": prev.dim}
     else:
-        from .invariants import is_totally_reflexive
         verdict = is_totally_reflexive(prev, window)
         if not verdict.passed:
             return _fail("final module is not totally reflexive "
@@ -400,7 +393,6 @@ def _terminal_is_free(alg: Algebra, target: str, window: int) -> bool:
 def _is_terminal(mod: Module, target: str, window: int) -> bool:
     if _terminal_is_free(mod.algebra, target, window):
         return mod.is_free()
-    from .invariants import is_totally_reflexive
     return is_totally_reflexive(mod, window).passed
 
 

@@ -1,5 +1,6 @@
 """Local algebra construction: hand-checked structure oracles."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from redhom.algebra import (
     Algebra,
     AlgebraError,
+    _validate_algebra,
     algebra_from_presentation,
     build_algebra,
     parse_polynomial,
@@ -132,6 +134,48 @@ class TestMixedRelations:
     def test_duplicate_names_rejected(self):
         with pytest.raises(AlgebraError):
             build_algebra(GF2, ["x", "x"], [], 2)
+
+
+def corrupted(alg, t, a, b):
+    """`alg` with coordinate a of the product b_t b_b moved by one."""
+    mult = alg.mult.copy()
+    mult[t, a, b] = alg.field.add(mult[t, a, b], alg.field.one())
+    return dataclasses.replace(alg, mult=mult)
+
+
+class TestAssociativityCheck:
+    """A table with one product changed is refused: the check at the
+    monomial step b_t = x_v b_s compares L_t with x_v L_s."""
+
+    @pytest.mark.parametrize("fld, names, rels, nilp", [
+        (GF2, ["x", "y", "z"], [], 4),
+        (GF3, ["x", "y"], ["x^2 - y^2", "x*y"], 3),
+        (QQ, ["x", "y"], ["x^2 - y^3"], 5),
+    ], ids=["gf2-cube", "gf3-binomial", "qq"])
+    def test_each_corrupted_product_refused(self, fld, names, rels, nilp):
+        alg = build_algebra(fld, names, rels, nilp)
+        d = alg.dim
+        for t in range(1, d):
+            with pytest.raises(AlgebraError, match="not associative"):
+                _validate_algebra(corrupted(alg, t, (3 * t + 1) % d,
+                                            (5 * t) % d))
+
+    def test_actions_off_the_table_refused(self):
+        """Zero variable actions commute and satisfy x_v L_t = sum_u
+        X_v[u, t] L_u; only the monomial steps b_t = x_v b_s see that x_v
+        does not act as its own column of the table."""
+        alg = build_algebra(GF2, ["x", "y"], [], 3)
+        with pytest.raises(AlgebraError, match="not associative"):
+            _validate_algebra(dataclasses.replace(
+                alg, var_stack=alg.var_stack * 0))
+
+    def test_checked_past_dimension_64(self):
+        """F_2[x,y,z]/m^7 has dimension 84; 3 * 84^4 products are within
+        the check's cap of 64^5."""
+        alg = build_algebra(GF2, ["x", "y", "z"], [], 7)
+        assert alg.dim == 84
+        with pytest.raises(AlgebraError, match="not associative"):
+            _validate_algebra(corrupted(alg, 1, 83, 82))
 
 
 class TestElements:

@@ -12,7 +12,8 @@ from redhom import algebra, cli
 from redhom.linalg import GF2, Matrix
 from redhom.algebra import build_algebra
 from redhom.homalg import HomAlgError
-from redhom.modules import ModuleMap, free_module, zero_module
+from redhom.modules import (ModuleMap, free_module, residue_field,
+                            zero_module)
 from redhom.reducing import (
     ReducingSequence,
     ReducingStep,
@@ -166,6 +167,23 @@ class TestReduce:
         assert code == 0
         assert report["ok"] is True
         assert report["base_dim"] == 1
+
+    def test_transform_syzygy_of_unverified_chain_exit1(self, plane_ws,
+                                                        tmp_path, capsys):
+        """A chain that parses but does not verify is refused with exit 1:
+        k over the plane is not totally reflexive, so its r = 0 gdim chain
+        fails at the terminal test."""
+        cert = str(tmp_path / "cert.json")
+        plane = build_algebra(GF2, ["x", "y"], [], 2)
+        save_certificate(ReducingSequence(residue_field(plane), [], "gdim"),
+                         cert)
+        code, report, _ = run(capsys, "--workspace", plane_ws,
+                              "reduce", "transform", "syzygy", cert)
+        assert code == 1
+        assert report["ok"] is False
+        assert report["reason"].startswith(
+            "input chain failed verification: final module is not totally "
+            "reflexive")
 
     def test_cosyzygy_precondition_exit1(self, plane_ws, tmp_path, capsys):
         cert = str(tmp_path / "cert.json")

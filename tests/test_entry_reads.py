@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from redhom import cli, workspace
-from redhom.workspace import WorkspaceError, workspace_from_dict
+from redhom.workspace import InputError, workspace_from_dict
 
 ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES = ROOT / "docs" / "examples"
@@ -153,7 +153,7 @@ def test_load_checks_no_entry_and_a_read_checks_each_time():
     for read, name, pointer in ((ws.module, "bad_mod", BAD_MOD),
                                 (ws.certificate, "bad_cert", BAD_CERT)):
         for _ in range(2):   # a failed build is not kept
-            with pytest.raises(WorkspaceError) as err:
+            with pytest.raises(InputError) as err:
                 read(name)
             assert err.value.pointer == pointer
 
@@ -162,6 +162,6 @@ def test_load_checks_no_entry_and_a_read_checks_each_time():
 def test_a_section_that_is_not_an_object_fails_the_load(section):
     doc = broken("plane.json")
     doc[section] = ["k"]
-    with pytest.raises(WorkspaceError) as err:
+    with pytest.raises(InputError) as err:
         workspace_from_dict(doc)
     assert err.value.pointer == f"/{section}"

@@ -14,8 +14,9 @@ from redhom.modules import (
     regular_module,
     zero_module,
 )
-from redhom.homalg import canonical_module
-from redhom.reducing import ReducingSequence, ReducingStep, SearchConfig, search
+from redhom.homalg import canonical_module, ext_dims
+from redhom.reducing import (ReducingSequence, ReducingStep, SearchConfig,
+                             search, verify)
 from redhom.modules import ShortExactSequence
 from redhom.invariants import (
     check_P_transfer,
@@ -111,6 +112,58 @@ class TestDimensionReports:
         # assert the above-window report instead
         rep = gdim(mod_rx(plane), window=3)
         assert rep.above_window
+
+
+@pytest.fixture(scope="module")
+def sparse_socle():
+    """F_2[x,y,z]/(x^2, y^2, yz, z^2) at nilpotency 3: dimension 6, socle
+    dimension 2, so not Gorenstein."""
+    return build_algebra(GF2, ["x", "y", "z"], ["x^2", "y^2", "y*z", "z^2"],
+                         3)
+
+
+class TestWindowPass:
+    """R/(x) over `sparse_socle`: ann(x) = xR, so the complex
+    R --x--> R --x--> R is exact and R/(x) is totally reflexive, not free."""
+
+    def test_ring(self, sparse_socle):
+        assert sparse_socle.dim == 6
+        assert sparse_socle.socle_dim == 2
+        assert not sparse_socle.is_gorenstein
+
+    def test_window_pass_verdict(self, sparse_socle):
+        mod = mod_rx(sparse_socle)
+        assert not mod.is_free()
+        assert ext_dims(mod, regular_module(sparse_socle), 6) == [3] + [0] * 6
+        verdict = is_totally_reflexive(mod, 6)
+        assert verdict.kind == "window_pass"
+        assert verdict.passed
+
+    def test_chain_hypothesis(self, sparse_socle):
+        mod = mod_rx(sparse_socle)
+        chain = ReducingSequence(mod, [], "gdim")
+        report = verify(chain, window=6)
+        assert report.ok
+        assert report.terminal == {"kind": "totally_reflexive",
+                                   "certified": False, "window": 6}
+        rep = gdim(mod, 6, sequence=chain)
+        assert (rep.hypothesis, rep.value) == ("chain", 0)
+        assert not rep.above_window
+
+    def test_bare_claim_refused(self, sparse_socle):
+        with pytest.raises(ValueError, match="needs a Gorenstein ring"):
+            gdim(mod_rx(sparse_socle), 6)
+
+    def test_chain_that_does_not_verify_refused(self, sparse_socle):
+        mod = mod_rx(sparse_socle)
+        with pytest.raises(ValueError, match="chain does not verify: "
+                           "final module is not free"):
+            gdim(mod, 6, sequence=ReducingSequence(mod, [], "pd"))
+
+    def test_chain_for_another_module_refused(self, sparse_socle):
+        chain = ReducingSequence(free_module(sparse_socle, 1), [], "gdim")
+        with pytest.raises(ValueError, match="does not certify this module"):
+            gdim(mod_rx(sparse_socle), 6, sequence=chain)
 
 
 class TestCompleteResolution:

@@ -17,7 +17,7 @@ from redhom.modules import (
 from redhom.resolution import resolve, syzygy
 from redhom.reducing import (
     CertificateError,
-    CertificateFormatError,
+    InputError,
     ReducingSequence,
     SearchConfig,
     load_certificate,
@@ -110,6 +110,13 @@ class TestVerify:
         assert not report.ok
         assert "power" in report.reason
 
+    def test_gdim_chain_on_k_rejected(self, plane):
+        seq = ReducingSequence(residue_field(plane), [], "gdim")
+        report = verify(seq)
+        assert not report.ok
+        assert report.reason.startswith(
+            "final module is not totally reflexive")
+
     def test_gdim_terminal_over_gorenstein(self, line3):
         seq = ReducingSequence(mod_rx(line3), [], "gdim")
         report = verify(seq)
@@ -164,7 +171,7 @@ class TestSerialization:
     def test_format_errors_carry_pointers(self, plane, mutate, pointer):
         data = sequence_to_dict(pd_cert_for_k(plane))
         mutate(data)
-        with pytest.raises(CertificateFormatError) as err:
+        with pytest.raises(InputError) as err:
             sequence_from_dict(data)
         assert err.value.pointer == pointer
 
@@ -174,7 +181,7 @@ class TestSerialization:
         monkeypatch.setattr(resolution, "MAX_STEP_BYTES", 10**6)
         data = sequence_to_dict(pd_cert_for_k(plane))
         data["steps"][0]["n"] = 100
-        with pytest.raises(CertificateFormatError) as err:
+        with pytest.raises(InputError) as err:
             sequence_from_dict(data)
         assert err.value.pointer == "/steps/0/n"
         assert err.value.message.startswith("n = 100: ")
@@ -196,13 +203,13 @@ class TestSerialization:
     def test_boolean_is_not_an_integer(self, plane, mutate, pointer):
         data = sequence_to_dict(pd_cert_for_k(plane))
         mutate(data)
-        with pytest.raises(CertificateFormatError) as err:
+        with pytest.raises(InputError) as err:
             sequence_from_dict(data)
         assert err.value.pointer == pointer
 
     def test_algebra_mismatch_rejected(self, plane, line3):
         data = sequence_to_dict(pd_cert_for_k(plane))
-        with pytest.raises(CertificateFormatError) as err:
+        with pytest.raises(InputError) as err:
             sequence_from_dict(data, algebra=line3)
         assert err.value.pointer == "/algebra"
 

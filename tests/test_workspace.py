@@ -1,5 +1,8 @@
 """Workspace files: parsing, module construction, pointer reporting."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from redhom.linalg import GF2, GF3, QQ
@@ -7,7 +10,7 @@ from redhom.modules import is_isomorphic, residue_field
 from redhom.reducing import SearchConfig, search, sequence_to_dict, verify
 from redhom.workspace import (
     WORKSPACE_TAG,
-    WorkspaceError,
+    InputError,
     load_workspace,
     workspace_from_dict,
 )
@@ -81,7 +84,7 @@ class TestModuleKinds:
 
     def test_missing_module_name(self):
         ws = workspace_from_dict(plane_dict())
-        with pytest.raises(WorkspaceError) as err:
+        with pytest.raises(InputError) as err:
             ws.module("ghost")
         assert err.value.pointer == "/modules/ghost"
 
@@ -109,13 +112,13 @@ class TestCertificates:
         assert result.found
         raw = sequence_to_dict(result.sequence)
         ws = workspace_from_dict(plane_dict(None, {"c": raw}))
-        with pytest.raises(WorkspaceError) as err:
+        with pytest.raises(InputError) as err:
             ws.certificate("c")
         assert err.value.pointer == "/certificates/c/algebra"
 
     def test_missing_certificate_name(self):
         ws = workspace_from_dict(plane_dict())
-        with pytest.raises(WorkspaceError) as err:
+        with pytest.raises(InputError) as err:
             ws.certificate("ghost")
         assert err.value.pointer == "/certificates/ghost"
 
@@ -141,7 +144,7 @@ BAD_CASES = [
      "/modules/M/actions"),
     (plane_dict({"M": {"kind": "actions", "dim": 1,
                        "actions": [[["0", "0"]], [["0"]]]}}),
-     "/modules/M/actions/0"),
+     "/modules/M/actions/0/0"),
 ]
 
 
@@ -152,13 +155,13 @@ def load_and_read(data):
 
 @pytest.mark.parametrize("data, pointer", BAD_CASES)
 def test_pointer_reported(data, pointer):
-    with pytest.raises(WorkspaceError) as err:
+    with pytest.raises(InputError) as err:
         load_and_read(data)
     assert err.value.pointer == pointer
 
 
 def test_load_missing_file(tmp_path):
-    with pytest.raises(WorkspaceError) as err:
+    with pytest.raises(InputError) as err:
         load_workspace(tmp_path / "nope.json")
     assert "cannot read" in err.value.message
 
@@ -166,7 +169,7 @@ def test_load_missing_file(tmp_path):
 def test_load_bad_json(tmp_path):
     path = tmp_path / "ws.json"
     path.write_text("{not json")
-    with pytest.raises(WorkspaceError) as err:
+    with pytest.raises(InputError) as err:
         load_workspace(path)
     assert "JSON" in err.value.message
 
@@ -189,6 +192,40 @@ BOOLEAN_CASES = [
 @pytest.mark.parametrize("data, pointer", BOOLEAN_CASES,
                          ids=["p", "nilpotency", "rank", "generators", "dim"])
 def test_boolean_is_not_an_integer(data, pointer):
-    with pytest.raises(WorkspaceError) as err:
+    with pytest.raises(InputError) as err:
         load_and_read(data)
     assert err.value.pointer == pointer
+
+
+PLANE_CERT = json.loads((Path(__file__).resolve().parent.parent / "docs"
+                         / "examples" / "plane.json").read_text())[
+    "certificates"]["cert_k"]
+ZERO = [["0", "0"], ["0", "0"]]
+MALFORMED_ACTIONS = {   # actions of a 2-dimensional module over the plane
+    "row-too-long": ([[["0", "0", "0"], ["0", "0"]], ZERO], "/actions/0/0"),
+    "matrix-count": ([ZERO], "/actions"),
+    "non-string": ([[["0", 0], ["0", "0"]], ZERO], "/actions/0"),
+    "bad-scalar": ([[["0", "3/"], ["0", "0"]], ZERO], "/actions/0"),
+    "non-commuting": ([[["0", "1"], ["0", "0"]], [["0", "0"], ["1", "0"]]],
+                      "/actions"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_ACTIONS)
+def test_actions_read_alike_in_modules_and_certificates(case):
+    """A workspace module of kind "actions" and a certificate's base are
+    read by one reader: the same message, at the same pointer below the
+    entry."""
+    actions, below = MALFORMED_ACTIONS[case]
+    cert = {**PLANE_CERT, "base": {"dim": 2, "actions": actions}}
+    ws = workspace_from_dict(plane_dict(
+        {"M": {"kind": "actions", "dim": 2, "actions": actions}},
+        {"c": cert}))
+    errors = []
+    for read, name, entry in ((ws.module, "M", "/modules/M"),
+                              (ws.certificate, "c", "/certificates/c/base")):
+        with pytest.raises(InputError) as err:
+            read(name)
+        assert err.value.pointer == entry + below
+        errors.append(err.value.message)
+    assert errors[0] == errors[1]
