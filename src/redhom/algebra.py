@@ -448,9 +448,9 @@ def _validate_algebra(alg: Algebra) -> None:
                 and (contract(fld, "vab,tbc->vtac", va, mult) == contract(
                     fld, "vut,uab->vtab", va, mult)).all()):
             raise AlgebraError("multiplication table is not associative")
-    # m^N = 0: iterate spans of m, m^2, ...; each step is m times the span
+    # m^N = 0: span m, then m^2, ..., m^N, each m times the last
     span = eye.take_cols(range(1, d))
-    for _ in range(alg.nilpotency):
+    for _ in range(alg.nilpotency - 1):
         if span.cols == 0:
             return
         nxt = Matrix(fld, contract(fld, "vab,bc->avc", alg.var_stack, span.a)

@@ -643,7 +643,10 @@ def split_free_summands(mod: Module) -> FreeSplit:
 
     Row 0 of a map to R is its top (the coefficient of 1); maps phi whose
     rows 0 are independent give the free rank c, phi: M -> R^c splits
-    by one solved section, and the kernel of phi is the remainder.
+    by one solved section, and the kernel of phi is the remainder.  A
+    summand R would add d, d - 1 and dim soc R to dim M, dim mM and dim
+    soc M; a module with less of any has rank 0 and is returned before the
+    Hom system is built (exactly: a nonzero top makes M onto R, so split).
     """
     alg = mod.algebra
     fld = alg.field
@@ -651,6 +654,9 @@ def split_free_summands(mod: Module) -> FreeSplit:
     if mod.free_rank is not None:
         return FreeSplit(mod.free_rank, zero_module(alg),
                          ModuleMap.identity(mod))
+    if (mod.dim < d or mod.radical_span().cols < d - 1
+            or mod.socle_span().cols < alg.socle_dim):
+        return FreeSplit(0, mod, ModuleMap.identity(mod))
     hom = hom_space_matrix(mod, regular_module(alg))
     _, piv = hom.take_rows(range(mod.dim)).rref()
     rank = len(piv)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import functools
 import itertools
 import json
+import math
 import random
 
 import numpy as np
@@ -433,6 +434,18 @@ def _combination_psi(fld, psis, coeffs, a, b):
     return Matrix(fld, big.reshape(a * rows, b * cols))
 
 
+def _size_multiples(vx, vs, max_a: int, max_b: int) -> list[tuple[int, int]]:
+    """The cells (b, a), b ascending, where a vx = b vs for size vectors:
+    every cell when both are zero, else the multiples of the least one."""
+    x, s = max(zip(vx, vs))  # nonzero unless both vectors are zero
+    if not (x or s):
+        return [(b, a) for b in range(1, max_b + 1) for a in range(1, max_a + 1)]
+    a0, b0 = s // math.gcd(x, s), x // math.gcd(x, s)
+    if not (a0 and b0) or any(a0 * u != b0 * v for u, v in zip(vx, vs)):
+        return []
+    return [(t * b0, t * a0) for t in range(1, min(max_a // a0, max_b // b0) + 1)]
+
+
 def _dfs(mod: Module, depth: int, st: _SearchState):
     cfg = st.cfg
     if _is_terminal(mod, st.target, cfg.window):
@@ -448,7 +461,8 @@ def _dfs(mod: Module, depth: int, st: _SearchState):
     cells = []
     # first pass: free-middle closures; cost nothing, close the chain.
     # peel(mod^a) leaves X^a and syz^{n+1}(mod^b) is S^b; sizes add over
-    # sums, so is_isomorphic refuses a cell where they differ: skip it.
+    # sums, so is_isomorphic refuses a cell where they differ: only the
+    # cells `_size_multiples` lists are tested.
     def sizes(m):
         return m.dim, m.radical_span().cols, m.socle_span().cols
     vx = sizes(peels(1).remainder)
@@ -456,16 +470,15 @@ def _dfs(mod: Module, depth: int, st: _SearchState):
         if syzygy(mod, n).dim == 0:
             continue
         vs = sizes(syzygy(mod, n + 1))
-        for b in range(1, cfg.max_b + 1):
-            for a in range(1, cfg.max_a + 1):
-                if all(a * x == b * s for x, s in zip(vx, vs)):
-                    # stable identification: mod^a = free + syz^{n+1}(mod^b)
-                    ver = is_isomorphic(peels(a).remainder,
-                                        syzygy(power(b), n + 1), seed=cfg.seed)
-                    if ver.kind == "yes":  # a free middle, terminal for both
-                        return [_free_middle_step(mod, a, b, n, resolve(power(b)),
-                                                  peels(a), ver.witness)]
-                cells.append((n, b, a))
+        for b, a in _size_multiples(vx, vs, cfg.max_a, cfg.max_b):
+            # stable identification: mod^a = free + syz^{n+1}(mod^b)
+            ver = is_isomorphic(peels(a).remainder,
+                                syzygy(power(b), n + 1), seed=cfg.seed)
+            if ver.kind == "yes":  # a free middle, terminal for both
+                return [_free_middle_step(mod, a, b, n, resolve(power(b)),
+                                          peels(a), ver.witness)]
+        cells += [(n, b, a) for b in range(1, cfg.max_b + 1)
+                  for a in range(1, cfg.max_a + 1)]
     # second pass: extension candidates, charged against the budget, each
     # cell building its right term syz^n(mod^b) when it is reached.  At
     # the last depth a middle is only tested for terminality, so none that
@@ -531,10 +544,11 @@ def search(module: Module, target: str,
     first: it closes the chain immediately and costs no budget.  With
     the node's module peeled once as M = R^c + X, a cell is tested for
     X^a = syz^{n+1}(M^b) only when a times the dimension, radical and
-    socle dimension of X equals b times those of syz^{n+1}(M); a cell
-    these sizes refuse builds nothing.  Each cell then builds syz^n(M^b)
-    and tries the split extension, then extensions glued from the basis
-    degree-one cocycle classes and from `samples` random ones.  Every
+    socle dimension of X equals b times those of syz^{n+1}(M): the
+    multiples of the least such (a, b), listed in closed form.  Each
+    cell then builds syz^n(M^b) and tries the split extension, then
+    extensions glued from the basis degree-one cocycle classes and from
+    `samples` random ones.  Every
     class considered counts against the budget, zero or not, built or
     not: at the last depth (`max_r`) the split middle and every class
     whose coefficient matrix has rank below a contain the node's module

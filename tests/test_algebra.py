@@ -3,6 +3,7 @@
 import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from redhom.algebra import (
@@ -176,6 +177,27 @@ class TestAssociativityCheck:
         assert alg.dim == 84
         with pytest.raises(AlgebraError, match="not associative"):
             _validate_algebra(corrupted(alg, 1, 83, 82))
+
+
+class TestCommutativityAndNilpotencyChecks:
+    """Hand-built tables that break the other two checks are refused."""
+
+    def test_noncommuting_actions_refused(self):
+        alg = build_algebra(GF2, ["x", "y"], [], 2)
+        x = alg.var_stack[0]  # x b_0 = b_1; its transpose sends b_1 to b_0
+        with pytest.raises(AlgebraError, match="do not commute"):
+            _validate_algebra(dataclasses.replace(
+                alg, var_stack=np.stack([x, x.T])))
+
+    @pytest.mark.parametrize("names, nilp, declared", [
+        (["x"], 3, 1), (["x"], 3, 2), (["x", "y"], 2, 1), (["x", "y"], 3, 2),
+    ], ids=["x3-as-1", "x3-as-2", "m2-as-1", "m3-as-2"])
+    def test_bound_below_the_true_one_refused(self, names, nilp, declared):
+        """m^declared != 0, down to one below the true bound."""
+        alg = build_algebra(GF2, names, [], nilp)
+        _validate_algebra(alg)
+        with pytest.raises(AlgebraError, match="nilpotency bound is violated"):
+            _validate_algebra(dataclasses.replace(alg, nilpotency=declared))
 
 
 class TestElements:

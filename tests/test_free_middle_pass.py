@@ -4,11 +4,16 @@ For M = R^c + X, the peeled power M^a has remainder X^a, and the sum
 resolution makes syz^{n+1}(M^b) the literal sum S^b with S = syz^{n+1}(M).
 Dimension, radical dimension and socle dimension add over direct sums, so
 `_dfs` passes to `is_isomorphic` only the cells (n, b, a) where
-a * sizes(X) == b * sizes(S).  The first test checks that every refused
-cell is one `is_isomorphic` answers no; the second that a search builds
-nothing for the refused cells.
+a * sizes(X) == b * sizes(S).  For each n these are the multiples
+t (a0, b0) of the least solution, or every cell when both size vectors
+are zero, and `_size_multiples` lists them in closed form, b ascending.
+The first test checks that every refused cell is one `is_isomorphic`
+answers no; the next that a search builds nothing for the refused cells;
+the last that the closed form lists the cells the double loop over (b, a)
+passes, in its order.
 """
 
+import itertools
 from pathlib import Path
 
 import pytest
@@ -111,3 +116,12 @@ def test_k_needs_one_isomorphism_test(counted):
     result = search(k, "pd")
     assert result.found
     assert counted["iso"] == 1
+
+
+@pytest.mark.parametrize("max_a, max_b", [(8, 8), (5, 3), (2, 7)])
+def test_size_multiples_match_the_double_loop(max_a, max_b):
+    small = list(itertools.product(range(4), repeat=3))
+    for vx, vs in itertools.product(small, small):
+        assert reducing._size_multiples(vx, vs, max_a, max_b) == [
+            (b, a) for b in range(1, max_b + 1) for a in range(1, max_a + 1)
+            if all(a * x == b * s for x, s in zip(vx, vs))], (vx, vs)

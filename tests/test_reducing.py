@@ -2,7 +2,7 @@
 
 import pytest
 
-from redhom import resolution
+from redhom import reducing, resolution
 from redhom.algebra import build_algebra
 from redhom.linalg import GF2, QQ, Matrix
 from redhom.modules import (
@@ -56,6 +56,11 @@ def pd_cert_for_k(plane):
 def mod_rx(alg):
     # quotient by the first variable: one generator, relation x*gen
     return from_presentation(alg, 1, [["x"]], label="R/x")
+
+
+def pd_cert_for_rx(alg):
+    return search(mod_rx(alg), "pd", SearchConfig(max_r=1, max_a=2, max_b=2,
+                                                  max_n=2)).sequence
 
 
 class TestVerify:
@@ -116,6 +121,49 @@ class TestVerify:
         assert not report.ok
         assert report.reason.startswith(
             "final module is not totally reflexive")
+
+    def test_unknown_target_rejected(self, plane):
+        report = verify(ReducingSequence(free_module(plane, 1), [], "both"))
+        assert not report.ok
+        assert (report.reason, report.step) == ("unknown target 'both'", 0)
+
+    @pytest.mark.parametrize("param", ["a", "b", "n"])
+    def test_nonpositive_step_parameter_rejected(self, plane, param):
+        seq = pd_cert_for_k(plane)
+        setattr(seq.steps[0], param, 0)
+        report = verify(seq)
+        assert (report.ok, report.step) == (False, 1)
+        assert report.reason == "step parameters must be positive"
+
+    @pytest.mark.parametrize("end", ["source", "target"])
+    def test_witness_on_the_wrong_module_rejected(self, plane, end):
+        seq = pd_cert_for_k(plane)
+        step = seq.steps[0]
+        wit, k = step.witness, residue_field(plane)
+        if end == "source":
+            step.witness = ModuleMap.zero(k, wit.target)
+            reason = "witness source is not the right-hand term"
+        else:
+            step.witness = ModuleMap.zero(wit.source, k)
+            reason = "witness target is not the rebuilt syzygy module"
+        report = verify(seq)
+        assert (report.ok, report.step, report.reason) == (False, 1, reason)
+
+    def test_bijective_witness_off_the_actions_rejected(self, line3):
+        """Over F_2[x]/x^3 the chain for R/x has a right term on which x
+        acts by a nonzero nilpotent; swapping its two basis vectors keeps
+        the witness bijective but breaks x-linearity."""
+        seq = pd_cert_for_rx(line3)
+        step = seq.steps[0]
+        wit = step.witness
+        assert wit.source.dim == 2 and not wit.source.var_actions[0].is_zero()
+        swap = Matrix.identity(GF2, 2).take_cols([1, 0])
+        step.witness = ModuleMap(wit.source, wit.target, wit.matrix @ swap,
+                                 validate=False)
+        assert step.witness.is_isomorphism()
+        report = verify(seq)
+        assert (report.ok, report.step) == (False, 1)
+        assert report.reason == "witness is not module-linear"
 
     def test_gdim_terminal_over_gorenstein(self, line3):
         seq = ReducingSequence(mod_rx(line3), [], "gdim")
@@ -361,6 +409,27 @@ class TestTransformCosyzygy:
         assert back.r == seq.r
         step = back.steps[0]
         assert (step.a, step.b, step.n) == (1, 1, 1)
+
+    def test_unverified_input_chain_rejected(self, line3):
+        shifted = transform_syzygy(pd_cert_for_rx(line3))
+        shifted.steps[0].a += 1  # the stored left term stays the old power
+        outcome = transform_cosyzygy(shifted, mod_rx(line3), window=5)
+        assert not outcome.ok
+        assert outcome.reason == (
+            "input chain failed verification: left term is not the "
+            "declared power of the previous chain module")
+
+    def test_unverified_transported_chain_rejected(self, line3, monkeypatch):
+        """The lifted chain is verified again before it is returned; a
+        verifier that refuses every chain but the input shows the refusal."""
+        shifted = transform_syzygy(pd_cert_for_rx(line3))
+        real = reducing.verify
+        monkeypatch.setattr(reducing, "verify", lambda seq, window: (
+            real(seq, window) if seq is shifted
+            else reducing._fail("made up", 1, seq.target, seq.r)))
+        outcome = transform_cosyzygy(shifted, mod_rx(line3), window=5)
+        assert not outcome.ok
+        assert outcome.reason == "transported chain failed verification: made up"
 
     def test_roundtrip_trivial(self, line2):
         k = residue_field(line2)
