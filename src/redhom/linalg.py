@@ -18,20 +18,24 @@ field they are over; only the dense product keeps a rational path,
 because it scales Q operands to integers.
 
 Products come in two kinds.  Dense ones (`contract`, `Matrix @`) go
-through `_exact_product`: int64 while no sum can reach 2**63, Python
-ints beyond that, one reduction mod p at the end.  Free modules take
-this path too, through their block-diagonal actions.  Sparse columns,
-such as resolution steps, meet a fixed coefficient array, such as the
-structure constants, entry by entry: `by_gather` lists its nonzeros by
-the index they read.
+through `_exact_product`: in the storage dtype while no sum can pass its
+maximum (int8: 127 terms over F_2, 31 over F_3), then int64 while none
+can reach 2**63, then Python ints; one reduction mod p at the end.  Free
+modules take this path too, through their block-diagonal actions.
+Sparse columns, such as resolution steps, meet a fixed coefficient
+array, such as the structure constants, entry by entry: `by_gather`
+lists its nonzeros by the index they read.
 
 GF(2) `rref` and `rank` run on rows held as Python ints (bit c-1-j is
 column j; one XOR is one row operation) with an echelon basis keyed by
 leading bit, so the work follows the nonzeros; `rank` skips the
-back-substitution.  The rref is unique, so the results equal the general
-loop's.  Carried solves (`solve_columns`, `solve`, `inverse`) run the
+back-substitution.  Rows of at most 64 columns become ints by one
+product with the column bits and come back by one shift-and-mask; wider
+rows go through packed bytes.  The rref is unique, so the results equal
+the general loop's.  Carried solves (`solve_columns`, `solve`) run the
 general loop `_rref_in_place` on every field, because the carried values
-of an unsolvable column depend on the order of row operations.
+of an unsolvable column depend on the order of row operations; `inverse`
+reads A^-1 off the rref of [A | I].
 
 Layout contract relied on by the rest of the package: `kernel_basis`
 returns its columns in unit-at-free-column form (each basis vector has a
@@ -93,7 +97,8 @@ class Field:
     canonical entries, `zeros(shape)`, an array of canonical zeros in
     the storage dtype, and `sum_dtype(terms, a, b)`, the dtype in which
     every sum of `terms` products of an entry of `a` and an entry of `b`
-    is exact.
+    is exact: over F_p the storage dtype while terms*(p-1)^2 fits it,
+    else int64 while no such sum reaches 2**63, else object.
     """
 
     __slots__ = ("p", "dtype", "wide", "reduce", "zeros", "sum_dtype")
@@ -113,8 +118,10 @@ class Field:
             self.wide = np.dtype(np.int64)
             self.reduce = lambda x, out=None: np.remainder(x, p, out=out)
             self.zeros = partial(np.zeros, dtype=self.dtype)
+            top = np.iinfo(self.dtype).max  # storage sums up to this are exact
             self.sum_dtype = lambda terms, a, b: (
-                self.wide if _int64_exact(p, terms, a, b) else np.dtype(object))
+                self.dtype if terms * (p - 1) ** 2 <= top
+                else self.wide if _int64_exact(p, terms, a, b) else np.dtype(object))
         self.p = p
 
     def zero(self):
@@ -195,8 +202,8 @@ GF3 = Field(3)
 
 # ---------------------------------------------------------------------------
 # Exact bilinear kernels: dense products accumulate in the field's
-# `sum_dtype` (int64 while no sum can reach 2**63, Python ints beyond
-# that) and are reduced mod p once at the end.
+# `sum_dtype` (the storage dtype, then int64, then Python ints, each while
+# no sum can pass its maximum) and are reduced mod p once at the end.
 
 
 def _int64_exact(p: int, terms: int, a: np.ndarray, b: np.ndarray) -> bool:
@@ -292,9 +299,15 @@ def by_gather(dense: np.ndarray, gather: int,
 # one row operation.
 
 
+_SHIFTS = np.arange(63, -1, -1, dtype=np.uint64)  # [64 - c:]: bits of c columns
+_BITS = np.uint64(1) << _SHIFTS
+
+
 def _gf2_rows(a: np.ndarray) -> list[int]:
     """The rows of a 0/1 array as Python ints, column 0 in the top bit."""
     r, c = a.shape
+    if c <= 64:
+        return (a.view(np.uint8) @ _BITS[64 - c:]).tolist()
     width, pad = -(-c // 8), -c % 8
     data = np.packbits(a, axis=1).tobytes()
     return [int.from_bytes(data[i * width:(i + 1) * width], "big") >> pad
@@ -333,11 +346,15 @@ def _gf2_rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
         kept[t] = x
         below |= 1 << (t - 1)
     tops.reverse()  # leftmost pivot first
-    width, pad = -(-c // 8), -c % 8
-    data = b"".join((kept[t] << pad).to_bytes(width, "big") for t in tops)
     out = np.zeros((r, c), dtype=np.int8)
-    out[:len(tops)] = np.unpackbits(
-        np.frombuffer(data, dtype=np.uint8).reshape(len(tops), width), axis=1, count=c)
+    if c <= 64:
+        words = np.array([kept[t] for t in tops], dtype=np.uint64)
+        out[:len(tops)] = (words[:, None] >> _SHIFTS[64 - c:]) & 1
+    else:
+        width, pad = -(-c // 8), -c % 8
+        data = b"".join((kept[t] << pad).to_bytes(width, "big") for t in tops)
+        out[:len(tops)] = np.unpackbits(np.frombuffer(data, dtype=np.uint8).reshape(
+            len(tops), width), axis=1, count=c)
     return out, [c - t for t in tops]
 
 
@@ -484,7 +501,7 @@ class Matrix:
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
         m = Matrix.zeros(field, n, n)
-        np.fill_diagonal(m.a, field.one())
+        m.a.flat[::n + 1] = field.one()  # the diagonal
         return m
 
     @staticmethod
@@ -526,10 +543,10 @@ class Matrix:
         return self.a.item(i, j)
 
     def take_cols(self, idx) -> "Matrix":
-        return Matrix(self.field, self.a[:, list(idx)].copy())
+        return Matrix(self.field, self.a[:, list(idx)])  # fancy indexing copies
 
     def take_rows(self, idx) -> "Matrix":
-        return Matrix(self.field, self.a[list(idx), :].copy())
+        return Matrix(self.field, self.a[list(idx), :])
 
     def to_lists(self):
         return self.a.tolist()
@@ -690,12 +707,12 @@ class Matrix:
         return x if all(ok) else None
 
     def inverse(self) -> "Matrix | None":
-        if self.rows != self.cols:
+        """[A | I] row-reduces to [I | A^-1] exactly when A is invertible."""
+        n = self.rows
+        if n != self.cols:
             return None
-        x, ok = self.solve_columns(Matrix.identity(self.field, self.rows))
-        if not all(ok):
-            return None
-        return x
+        r, piv = Matrix.hstack([self, Matrix.identity(self.field, n)]).rref()
+        return r.take_cols(range(n, 2 * n)) if piv == tuple(range(n)) else None
 
 
 def nf_columns(rref: Matrix, pivots, vectors: Matrix) -> Matrix:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -104,16 +105,14 @@ class Module:
     # -- structure -------------------------------------------------------
 
     def radical_span(self) -> Matrix:
-        """Independent columns spanning (maximal ideal) * module."""
+        """Independent columns spanning (maximal ideal) * module, taken
+        from the variable actions side by side (x_v's columns span x_v M)."""
         if self._radical is None:
             alg = self.algebra
             if self.dim == 0 or alg.nvars == 0:
                 self._radical = Matrix.zeros(alg.field, self.dim, 0)
             else:
-                eye = Matrix.identity(alg.field, self.dim)
-                big = Matrix.hstack([self.apply_var(v, eye)
-                                     for v in range(alg.nvars)])
-                self._radical = column_space_basis(big)
+                self._radical = column_space_basis(Matrix.hstack(self.var_actions))
         return self._radical
 
     def socle_span(self) -> Matrix:
@@ -123,6 +122,9 @@ class Module:
                 self._socle = Matrix.zeros(alg.field, 0, 0)
             elif alg.nvars == 0:
                 self._socle = Matrix.identity(alg.field, self.dim)
+            elif self.summands:  # the kernel splits over the parts, in order
+                self._socle = Matrix.block_diag(
+                    alg.field, [p.socle_span() for p, _ in self.summands])
             else:
                 self._socle = Matrix.vstack(self.var_actions).kernel_basis()
         return self._socle
@@ -287,21 +289,18 @@ def direct_sum(parts: list[Module], label: str = "") -> Module:
     if len(parts) == 1:
         return parts[0]
     dim = sum(p.dim for p in parts)
-    all_free = all(p.free_rank is not None for p in parts)
-    fr = sum(p.free_rank for p in parts) if all_free else None
-    if all_free:
-        va = None
-    else:
-        va = [Matrix.block_diag(alg.field, [p.var_actions[v] for p in parts])
-              for v in range(alg.nvars)]
+    offsets = list(zip(parts, accumulate((p.dim for p in parts), initial=0)))
+    if all(p.free_rank is not None for p in parts):
+        va, fr = None, sum(p.free_rank for p in parts)
+    else:  # every action a slice of one stacked array, block diagonal
+        stack = alg.field.zeros((alg.nvars, dim, dim))
+        for p, off in offsets:
+            for v, act in enumerate(p.var_actions):
+                stack[v, off:off + p.dim, off:off + p.dim] = act.a
+        va, fr = [Matrix(alg.field, s) for s in stack], None
     out = Module(alg, dim, va,
                  label=label or "+".join(p.label or "?" for p in parts),
                  free_rank=fr, validate=False)
-    offsets = []
-    off = 0
-    for p in parts:
-        offsets.append((p, off))
-        off += p.dim
     out.summands = offsets
     return out
 
@@ -495,8 +494,7 @@ def quotient_module(mod: Module, span: Matrix,
         return mod, ModuleMap.identity(mod)
     kb, keep = span.transpose().kernel_data()
     proj = kb.transpose()
-    lift = Matrix.identity(mod.algebra.field, mod.dim).take_cols(keep)
-    va = [proj @ mod.apply_var(v, lift) for v in range(mod.algebra.nvars)]
+    va = [proj @ act.take_cols(keep) for act in mod.var_actions]
     quot = Module(mod.algebra, len(keep), va, label=label, validate=False)
     return quot, ModuleMap(mod, quot, proj, validate=False)
 
@@ -552,7 +550,7 @@ def _hom_tops(src: Module, tgt: Module) -> tuple[Matrix, np.ndarray]:
     hom = hom_space_matrix(src, tgt)
     maps = hom.a.T.reshape(hom.cols, tgt.dim, src.dim)
     on_gens = contract(fld, "jab,bc->jac", maps, src.min_generators().a)
-    proj = quotient_module(tgt, tgt.radical_span())[1].matrix
+    proj = tgt.radical_span().transpose().kernel_basis().transpose()  # onto M/mM
     return hom, contract(fld, "ia,jab->jib", proj.a, on_gens)
 
 

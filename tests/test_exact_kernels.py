@@ -132,6 +132,19 @@ class TestContract:
         assert Matrix(fld, got) == Matrix.from_rows(fld, want)
         assert got.dtype == a.a.dtype
 
+    @pytest.mark.parametrize("p,bound", [(2, 127), (3, 31), (5, 7), (7, 3), (11, 1)])
+    @pytest.mark.parametrize("past", [0, 1])
+    def test_storage_accumulator_edge(self, p, bound, past):
+        # every entry p - 1, so each sum is terms * (p - 1)^2: at most 127,
+        # the int8 maximum, at the bound, and past it one term later
+        fld, terms = Field(p), bound + past
+        a = Matrix(fld, fld.zeros((3, terms)) + (p - 1))
+        b = Matrix(fld, fld.zeros((terms, 2)) + (p - 1))
+        want = Matrix.from_rows(fld, [[terms * (p - 1) ** 2 % p] * 2] * 3)
+        for got in (Matrix(fld, contract(fld, "ij,jk->ik", a.a, b.a)), a @ b):
+            assert got.a.dtype == fld.dtype
+            assert got == want
+
     def test_small_entries_at_large_prime(self):
         fld = Field(P31)
         a = Matrix.from_rows(fld, [[1, 2, 3], [0, 3, 1]])

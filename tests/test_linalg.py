@@ -15,7 +15,10 @@ from redhom.linalg import (
     QQ,
     Field,
     Matrix,
+    _gf2_rows,
+    _gf2_rref,
     _is_prime,
+    _rref_in_place,
     column_space_basis,
     kron,
     nf_columns,
@@ -398,9 +401,50 @@ def resolution_like_map(blocks_out, blocks_in, rng, prob=0.03):
     return Matrix(GF2, a)
 
 
+def bytes_rows(a: np.ndarray) -> list[int]:
+    """Each row of a 0/1 array as its packed bytes read as one big-endian
+    int, column 0 in the top bit."""
+    return [int.from_bytes(np.packbits(row).tobytes(), "big") >> (-len(row) % 8)
+            for row in a]
+
+
+@st.composite
+def gf2_views(draw):
+    """A 0/1 array of up to 12 rows and 0-130 columns, often at a byte or
+    word boundary, that is a view of a larger one: a transpose, a strided
+    slice or a reversed strided slice."""
+    r = draw(st.integers(min_value=0, max_value=12))
+    c = draw(st.one_of(st.sampled_from(GF2_WIDTHS + [127, 128, 129, 130]),
+                       st.integers(min_value=0, max_value=130)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    density = draw(st.sampled_from([0.05, 0.5, 1.0]))
+    kind = draw(st.sampled_from(["transpose", "strided", "reversed"]))
+    if kind == "transpose":
+        return (rng.random((c, r)) < density).astype(np.int8).T
+    if kind == "strided":
+        return (rng.random((2 * r, 3 * c)) < density).astype(np.int8)[::2, ::3]
+    return (rng.random((r, 2 * c)) < density).astype(np.int8)[::-1, ::-2]
+
+
 class TestGF2Bitset:
     """The GF(2) rref, kernel and rank on Python-int rows agree with the
     plain Gauss-Jordan reference at every shape and density."""
+
+    @given(gf2_views())
+    @settings(deadline=None, derandomize=True, database=None)
+    def test_views_match_bytes_reference(self, a):
+        # rows of one machine word are read as words, wider ones as bytes;
+        # the leading 63, 64 and 65 columns are views across that boundary
+        for c in {a.shape[1], 63, 64, 65}:
+            if c <= a.shape[1]:
+                view = a[:, :c]
+                assert _gf2_rows(view) == bytes_rows(view)
+                out, piv = _gf2_rref(view)
+                want, want_piv = _rref_in_place(view.astype(np.int64), GF2, c)
+                assert piv == want_piv
+                assert out.dtype == np.int8
+                assert out.tolist() == want.tolist()
+                assert _gf2_rows(out) == bytes_rows(out)
 
     @given(gf2_matrices())
     @settings(max_examples=150, deadline=None)
@@ -437,6 +481,9 @@ class TestGF2Bitset:
 
 STORAGE = [(GF2, np.int8), (GF3, np.int8), (Field(127), np.int8),
            (Field(131), np.int64), (Field(P31), np.int64), (QQ, object)]
+# The most terms whose sums of products of entries p - 1 fit in int8:
+# terms * (p - 1)^2 <= 127.
+STORAGE_BOUNDS = [(2, 127), (3, 31), (5, 7), (7, 3), (11, 1)]
 
 
 class TestStorage:
@@ -469,6 +516,22 @@ class TestStorage:
         assert results["identity"].to_lists() == [
             [f.one() if i == j else f.zero() for j in range(3)] for i in range(3)]
 
+    @pytest.mark.parametrize("p,bound", STORAGE_BOUNDS)
+    def test_sums_in_storage_dtype_up_to_the_bound(self, p, bound):
+        f = Field(p)
+        for terms in range(bound + 3):
+            top = f.zeros((2, terms)) + (p - 1)
+            want = f.dtype if terms <= bound else np.dtype(np.int64)
+            assert f.sum_dtype(terms, top, top.T) == want, terms
+
+    def test_taken_rows_and_columns_are_copies(self):
+        m = random_matrix(GF3, 4, 5, random.Random(3))
+        before = m.copy()
+        for taken in (m.take_cols([0, 2]), m.take_rows([1, 3]),
+                      m.take_cols(range(5)), m.take_rows([])):
+            taken.a[...] = 2 - taken.a
+            assert m == before
+
 
 class TestSolve:
     def test_solve_hits_and_misses(self):
@@ -494,6 +557,23 @@ class TestSolve:
         inv = m.inverse()
         assert (m @ inv) == Matrix.identity(GF3, 2)
         assert Matrix.from_rows(GF3, [[1, 1], [1, 1]]).inverse() is None
+
+    @pytest.mark.parametrize("f", FIELDS + [Field(P31)], ids=str)
+    def test_inverse_matches_carried_solve(self, f):
+        # the rref of [A | I] gives what solving A X = I gives, or None
+        rng = random.Random(61)
+        # 33 columns: [A | I] is wider than a machine word over GF(2)
+        for n in (0, 1, 3, 6, 33 if f.p == 2 else 7):
+            lower, upper = random_matrix(f, n, n, rng), random_matrix(f, n, n, rng)
+            lower.a[np.triu_indices(n)] = upper.a[np.tril_indices(n)] = f.zero()
+            eye = Matrix.identity(f, n)
+            singular = low_rank_matrix(f, n, n, max(n - 1, 0), rng)
+            for m in ((lower + eye) @ (upper + eye), singular):
+                x, ok = m.solve_columns(Matrix.identity(f, n))
+                want = x if all(ok) else None
+                got = m.inverse()
+                assert (got is None) == (want is None)
+                assert got is None or (got.a.dtype == f.dtype and got == want)
 
     def test_rational_solve_exact(self):
         m = Matrix.from_rows(QQ, [[Fraction(1, 2), 1], [0, Fraction(2, 3)]])

@@ -119,6 +119,31 @@ class TestSumsAndPowers:
         assert s.free_rank == 3
         assert s.is_free()
 
+    def test_sum_actions_are_block_diagonal(self, plane):
+        # a module over F_3 too, so that the blocks hold entries 2
+        plane3 = build_algebra(GF3, ["x", "y"], [], 2)
+        for alg in (plane, plane3):
+            k = residue_field(alg)
+            m = from_presentation(alg, 2, [["x", "y"], ["-y", "x"]])
+            parts = [m, free_module(alg, 1), k, m]
+            s = direct_sum(parts)
+            assert len(s.var_actions) == alg.nvars
+            for v, act in enumerate(s.var_actions):
+                assert act.a.dtype == alg.field.dtype
+                assert act == Matrix.block_diag(
+                    alg.field, [p.var_actions[v] for p in parts])
+            validate_module(s)
+            # read off the parts' socles, as the kernel of the stacked actions
+            frees = direct_sum([free_module(alg, 2), free_module(alg, 1)])
+            for t in (s, frees):
+                assert t.socle_span() == Matrix.vstack(t.var_actions).kernel_basis()
+
+    def test_sum_refusals(self, plane, line3):
+        with pytest.raises(ModuleError, match="direct sum of nothing"):
+            direct_sum([])
+        with pytest.raises(ModuleError, match="across different algebras"):
+            direct_sum([residue_field(plane), residue_field(line3)])
+
     def test_power(self, plane):
         k = residue_field(plane)
         p = power_module(k, 3)
