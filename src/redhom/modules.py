@@ -12,8 +12,9 @@ through dense matrices, but share them: their variable actions and
 stack are the algebra's block-diagonal copies, kept once per rank
 (`Algebra.free_varmat`, `free_action_stack`).  What other layers compute
 from a module's actions alone (resolution steps, Ext ranks, the ring
-dual, the pushforward) is kept once per algebra and actions, in an
-entry of the algebra's table (`shared`).
+dual, the pushforward, the free split) is kept once per algebra and
+actions, in an entry of the algebra's table (`shared`).  `power_module`
+returns one object per (module, a), kept on the module.
 
 Direct sums remember their parts and offsets, so downstream constructions
 (resolutions, syzygies, searches) can work blockwise and return literal
@@ -45,13 +46,13 @@ class ModuleError(ValueError):
 class Module:
     """One module: a commuting variable representation over an algebra.
     Kept on it once computed: action stack, radical and socle spans, its
-    entry in the algebra's table of actions (`shared`), and its resolution
-    (`resolution.resolve`), whose charges and labelled syzygy modules are
-    its own."""
+    entry in the algebra's table of actions (`shared`), its powers
+    (`power_module`) and its resolution (`resolution.resolve`), whose
+    charges and labelled syzygy modules are its own."""
 
     __slots__ = ("algebra", "dim", "label", "free_rank", "summands",
                  "_var_actions", "_stack", "_radical", "_socle",
-                 "_resolution", "_shared")
+                 "_resolution", "_shared", "_powers")
 
     def __init__(self, algebra: Algebra, dim: int,
                  var_actions: list[Matrix] | None, label: str = "",
@@ -65,7 +66,7 @@ class Module:
         self._stack = None
         self._radical = None
         self._socle = None
-        self._resolution = self._shared = None
+        self._resolution = self._shared = self._powers = None
         if var_actions is not None:
             for va in var_actions:
                 if va.rows != dim or va.cols != dim:
@@ -292,11 +293,12 @@ def direct_sum(parts: list[Module], label: str = "") -> Module:
     offsets = list(zip(parts, accumulate((p.dim for p in parts), initial=0)))
     if all(p.free_rank is not None for p in parts):
         va, fr = None, sum(p.free_rank for p in parts)
-    else:  # every action a slice of one stacked array, block diagonal
+    else:  # every action a read-only slice of one stacked array
         stack = alg.field.zeros((alg.nvars, dim, dim))
         for p, off in offsets:
             for v, act in enumerate(p.var_actions):
                 stack[v, off:off + p.dim, off:off + p.dim] = act.a
+        stack.flags.writeable = False
         va, fr = [Matrix(alg.field, s) for s in stack], None
     out = Module(alg, dim, va,
                  label=label or "+".join(p.label or "?" for p in parts),
@@ -312,8 +314,10 @@ def power_module(mod: Module, a: int) -> Module:
         return zero_module(mod.algebra)
     if a == 1:
         return mod
-    lbl = f"({mod.label})^{a}" if mod.label else ""
-    return direct_sum([mod] * a, label=lbl)
+    powers = mod._powers = mod._powers or {}
+    if a not in powers:
+        powers[a] = direct_sum([mod] * a, label=mod.label and f"({mod.label})^{a}")
+    return powers[a]
 
 
 def injection_map(summed: Module, idx: int) -> "ModuleMap":
@@ -450,13 +454,13 @@ class ShortExactSequence:
                 raise ModuleError("sequence maps do not share a middle module")
         self.inject.check_linear()
         self.project.check_linear()
-        if not self.inject.is_injective():
+        if (r_in := self.inject.rank()) != self.left.dim:
             raise ModuleError("left map is not injective")
-        if not self.project.is_surjective():
+        if (r_out := self.project.rank()) != self.right.dim:
             raise ModuleError("right map is not surjective")
         if not (self.project.matrix @ self.inject.matrix).is_zero():
             raise ModuleError("composite through the middle is nonzero")
-        if self.inject.rank() != self.middle.dim - self.project.rank():
+        if r_in != self.middle.dim - r_out:
             raise ModuleError("sequence is not exact in the middle")
 
 def split_ses(left: Module, right: Module) -> ShortExactSequence:
@@ -645,21 +649,32 @@ def split_free_summands(mod: Module) -> FreeSplit:
     summand R would add d, d - 1 and dim soc R to dim M, dim mM and dim
     soc M; a module with less of any has rank 0 and is returned before the
     Hom system is built (exactly: a nonzero top makes M onto R, so split).
+    Past it the split is kept once per actions (`shared`): modules with
+    those actions share remainder and sum, each with a witness onto itself.
     """
     alg = mod.algebra
-    fld = alg.field
-    d = alg.dim
     if mod.free_rank is not None:
         return FreeSplit(mod.free_rank, zero_module(alg),
                          ModuleMap.identity(mod))
-    if (mod.dim < d or mod.radical_span().cols < d - 1
+    if (mod.dim < alg.dim or mod.radical_span().cols < alg.dim - 1
             or mod.socle_span().cols < alg.socle_dim):
         return FreeSplit(0, mod, ModuleMap.identity(mod))
+    if "peel" not in shared(mod):  # nothing is kept if the system is refused
+        shared(mod)["peel"] = _peel(mod)
+    rank, rem, total, cols = shared(mod)["peel"]
+    if rank == 0:
+        return FreeSplit(0, mod, ModuleMap.identity(mod))
+    return FreeSplit(rank, rem, ModuleMap(total, mod, cols, validate=False))
+
+
+def _peel(mod: Module) -> tuple:
+    """The split's rank, remainder, sum and read-only witness matrix."""
+    alg, fld, d = mod.algebra, mod.algebra.field, mod.algebra.dim
     hom = hom_space_matrix(mod, regular_module(alg))
     _, piv = hom.take_rows(range(mod.dim)).rref()
     rank = len(piv)
     if rank == 0:
-        return FreeSplit(0, mod, ModuleMap.identity(mod))
+        return 0, None, None, None
     phi = Matrix(fld, hom.a[:, list(piv)].T.reshape(rank * d, mod.dim))
     units = Matrix.zeros(fld, rank * d, rank)
     units.a[np.arange(rank) * d, np.arange(rank)] = fld.one()
@@ -670,4 +685,5 @@ def split_free_summands(mod: Module) -> FreeSplit:
     cols = Matrix.hstack([sec, incl.matrix])
     if cols.rank() != mod.dim:
         raise ModuleError("free splitting produced a non-bijective witness")
-    return FreeSplit(rank, rem, ModuleMap(total, mod, cols, validate=False))
+    cols.a.flags.writeable = False
+    return rank, rem, total, cols

@@ -306,8 +306,7 @@ def verify(seq: ReducingSequence, window: int = 10) -> VerifyReport:
         except ModuleError as exc:
             return _fail(f"sequence is not exact: {exc}", idx, target, r)
         wit = step.witness
-        if wit.source is not ses.right and not _modules_equal(
-                wit.source, ses.right):
+        if not _modules_equal(wit.source, ses.right):
             return _fail("witness source is not the right-hand term",
                          idx, target, r)
         rebuilt = _syzygy_of_power(prev, step.b, step.n)
@@ -454,8 +453,6 @@ def _dfs(mod: Module, depth: int, st: _SearchState):
         return None
     alg = mod.algebra
     fld = alg.field
-    power = functools.cache(functools.partial(power_module, mod))
-    peels = functools.cache(lambda a: split_free_summands(power(a)))
     smalls = functools.cache(lambda n: ext1_data(syzygy(mod, n), mod))
     psis = functools.cache(lambda n: smalls(n).psis(smalls(n).reps))
     cells = []
@@ -465,18 +462,19 @@ def _dfs(mod: Module, depth: int, st: _SearchState):
     # cells `_size_multiples` lists are tested.
     def sizes(m):
         return m.dim, m.radical_span().cols, m.socle_span().cols
-    vx = sizes(peels(1).remainder)
+    vx = sizes(split_free_summands(mod).remainder)
     for n in range(1, cfg.max_n + 1):
         if syzygy(mod, n).dim == 0:
             continue
         vs = sizes(syzygy(mod, n + 1))
         for b, a in _size_multiples(vx, vs, cfg.max_a, cfg.max_b):
             # stable identification: mod^a = free + syz^{n+1}(mod^b)
-            ver = is_isomorphic(peels(a).remainder,
-                                syzygy(power(b), n + 1), seed=cfg.seed)
+            peel = split_free_summands(power_module(mod, a))
+            pw_b = power_module(mod, b)
+            ver = is_isomorphic(peel.remainder, syzygy(pw_b, n + 1), seed=cfg.seed)
             if ver.kind == "yes":  # a free middle, terminal for both
-                return [_free_middle_step(mod, a, b, n, resolve(power(b)),
-                                          peels(a), ver.witness)]
+                return [_free_middle_step(mod, a, b, n, resolve(pw_b), peel,
+                                          ver.witness)]
         cells += [(n, b, a) for b in range(1, cfg.max_b + 1)
                   for a in range(1, cfg.max_a + 1)]
     # second pass: extension candidates, charged against the budget, each
@@ -494,10 +492,10 @@ def _dfs(mod: Module, depth: int, st: _SearchState):
         # split middle: the zero extension class
         if not st.charge():
             return None
-        right = syzygy(power(b), n) if build else None
+        right = syzygy(power_module(mod, b), n) if build else None
         fits = build and a * mod.dim + right.dim <= MAX_MIDDLE_DIM
         if fits and not last:
-            ses = split_ses(power(a), right)
+            ses = split_ses(power_module(mod, a), right)
             step = ReducingStep(a, b, n, ses, ModuleMap.identity(right))
             rest = _dfs(ses.middle, depth + 1, st)
             if rest is not None:
@@ -527,7 +525,7 @@ def _dfs(mod: Module, depth: int, st: _SearchState):
             psi = _combination_psi(fld, psis(n), coeffs, a, b)
             if psi.is_zero():
                 continue
-            ses = extension_from_psi(power(a), right, psi)
+            ses = extension_from_psi(power_module(mod, a), right, psi)
             step = ReducingStep(a, b, n, ses, ModuleMap.identity(right))
             rest = _dfs(ses.middle, depth + 1, st)
             if rest is not None:
@@ -542,13 +540,14 @@ def search(module: Module, target: str,
     Depth-first over step parameters (n, b, a) within the configured
     bounds.  The free-middle construction is scanned across every cell
     first: it closes the chain immediately and costs no budget.  With
-    the node's module peeled once as M = R^c + X, a cell is tested for
+    the node's module peeled as M = R^c + X, a cell is tested for
     X^a = syz^{n+1}(M^b) only when a times the dimension, radical and
     socle dimension of X equals b times those of syz^{n+1}(M): the
     multiples of the least such (a, b), listed in closed form.  Each
     cell then builds syz^n(M^b) and tries the split extension, then
     extensions glued from the basis degree-one cocycle classes and from
-    `samples` random ones.  Every
+    `samples` random ones.  Powers M^a are one object each, split once
+    per actions, so both searches and `verify` share them.  Every
     class considered counts against the budget, zero or not, built or
     not: at the last depth (`max_r`) the split middle and every class
     whose coefficient matrix has rank below a contain the node's module
