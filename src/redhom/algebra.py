@@ -14,14 +14,13 @@ the maximal ideal.
 The structure constants c[t, a, b] = (b_t b_b)_a are stored once, as
 one read-only (dim, dim, dim) array with the basis index first (`mult`,
 also `action_stack()`), and the variable actions likewise as one
-(nvars, dim, dim) array (`var_stack`; `varmat[v]` is its slice v).
-Both are gathered from the normal-form table in one indexing step.
-Free modules act through block-diagonal copies of these, kept per rank
-(`free_varmat`, `free_action_stack`).  For the products of sparse
-columns by the algebra the constants are also kept in sparse form
-(`structure`): their nonzero entries listed by the index they read
-(`linalg.by_gather`), one map per layout, built once per algebra on
-first use.
+(nvars, dim, dim) array (`var_stack`).  Both are gathered from the
+normal-form table in one indexing step.  Free modules act through
+block-diagonal copies of these, kept per rank (`free_varmat`,
+`free_action_stack`).  For the products of sparse columns by the
+algebra the constants are also kept in sparse form (`structure`): their
+nonzero entries listed by the index they read (`linalg.by_gather`), one
+map per layout, built once per algebra on first use.
 """
 
 from __future__ import annotations
@@ -182,7 +181,7 @@ def structure(alg, kind: str, v: int | None = None) -> dict[int, list]:
     cache = vars(alg).setdefault("_table", {})
     key = (kind, v)
     if key not in cache:
-        dense = alg.action_stack() if v is None else alg.varmat[v].a
+        dense = alg.action_stack() if v is None else alg.var_stack[v]
         cache[key] = by_gather(dense, *_LAYOUTS[kind])
     return cache[key]
 
@@ -199,7 +198,6 @@ class Algebra:
     dim: int
     mult: np.ndarray       # (dim, dim, dim): mult[t] multiplies by b_t
     var_stack: np.ndarray  # (nvars, dim, dim): var_stack[v] multiplies by x_v
-    varmat: list[Matrix]   # views of var_stack
     socle_basis: Matrix
     embedding_dim: int
     # what is built once per algebra, and an entry per module actions
@@ -278,26 +276,25 @@ class Algebra:
             raise AlgebraError(f"monomial {mon} has wrong arity") from None
         return Matrix(self.field, self._nf_table.a[:, idx:idx + 1].copy())
 
-    def free_varmat(self, rank: int) -> list[Matrix]:
-        """Variable actions on the rank-g free module (block diagonal)."""
-        key = ("v", rank)
-        if key not in self._table:
-            self._table[key] = [
-                Matrix.block_diag(self.field, [m] * rank) for m in self.varmat]
-        return self._table[key]
+    def free_varmat(self, rank: int) -> np.ndarray:
+        """`var_stack` on the rank-g free module (block diagonal)."""
+        return self._free_blocks("v", self.var_stack, rank)
 
     def free_action_stack(self, rank: int) -> np.ndarray:
-        """`action_stack` on the rank-g free module (block diagonal),
-        read-only and kept per rank."""
-        key = ("a", rank)
-        if key not in self._table:
+        """`action_stack` on the rank-g free module (block diagonal)."""
+        return self._free_blocks("a", self.mult, rank)
+
+    def _free_blocks(self, kind: str, stack: np.ndarray, rank: int) -> np.ndarray:
+        """`stack` on each generator's d x d block of the rank-g free
+        module, read-only and kept per rank."""
+        if (kind, rank) not in self._table:
             d = self.dim
-            out = self.field.zeros((d, rank * d, rank * d))
-            for j in range(rank):
-                out[:, j * d:(j + 1) * d, j * d:(j + 1) * d] = self.mult
+            out = self.field.zeros((len(stack), rank * d, rank * d))
+            for j in range(0, rank * d, d):
+                out[:, j:j + d, j:j + d] = stack
             out.flags.writeable = False
-            self._table[key] = out
-        return self._table[key]
+            self._table[kind, rank] = out
+        return self._table[kind, rank]
 
     def presentation(self) -> dict:
         return {
@@ -403,7 +400,6 @@ def build_algebra(fld: Field, var_names: list[str], relations: list[str],
         field=fld, var_names=list(var_names), nilpotency=nilpotency,
         relation_srcs=list(relations), basis_mons=basis_mons, dim=d,
         mult=mult, var_stack=var_stack,
-        varmat=[Matrix(fld, m) for m in var_stack],
         socle_basis=socle, embedding_dim=emb,
     )
     alg._mon_index = mon_index  # type: ignore[attr-defined]

@@ -14,6 +14,8 @@ import random
 import traceback
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .algebra import Algebra, build_algebra
 from .invariants import (
     check_prop27,
@@ -30,6 +32,7 @@ from .modules import (
     from_presentation,
     is_isomorphic,
     power_module,
+    presented_module,
     residue_field,
     split_free_summands,
 )
@@ -56,24 +59,21 @@ def square_zero_algebra(nvars: int, fld=GF2) -> Algebra:
 # -- random modules ----------------------------------------------------------
 
 
-def _random_element(alg: Algebra, rng: random.Random) -> str:
-    """Random radical element as a polynomial string.
+def _random_element(alg: Algebra, rng: random.Random) -> np.ndarray:
+    """Random radical element as its basis-coordinate column.
 
     Biased toward single monomials so the sampled presentations hit
     the shapes that defeat the free-plus-socle structure test.
     """
-    labels = alg.basis_labels()[1:]  # skip the identity
+    fld, col = alg.field, alg.field.zeros(alg.dim)
     roll = rng.random()
-    if roll < 0.35:
-        return "0"
-    if roll < 0.75 or not labels:
-        return rng.choice(labels) if labels else "0"
-    terms = []
-    for lbl in labels:
-        c = alg.field.random(rng)
-        if c != alg.field.zero():
-            terms.append(f"{alg.field.format(c)}*{lbl}")
-    return " + ".join(terms) if terms else "0"
+    if roll < 0.35 or alg.dim == 1:
+        return col
+    if roll < 0.75:
+        col[rng.choice(range(1, alg.dim))] = fld.one()
+    else:
+        col[1:] = [fld.random(rng) for _ in range(1, alg.dim)]
+    return col
 
 
 def random_module(alg: Algebra, max_gens: int, max_rels: int,
@@ -93,11 +93,10 @@ def random_module(alg: Algebra, max_gens: int, max_rels: int,
     rels = rng.randrange(max_rels + 1) if max_rels else 0
     label = f"rand{seed}"
     if rels == 0:
-        return from_presentation(alg, gens, [[] for _ in range(gens)],
-                                 label=label)
-    rows = [[_random_element(alg, rng) for _ in range(rels)]
-            for _ in range(gens)]
-    return from_presentation(alg, gens, rows, label=label)
+        return free_module(alg, gens, label=label)
+    rows = np.array([[_random_element(alg, rng) for _ in range(rels)]
+                     for _ in range(gens)], dtype=alg.field.dtype)
+    return presented_module(alg, rows.transpose(1, 0, 2), label)
 
 
 # -- Question 2.2 exploration ------------------------------------------------

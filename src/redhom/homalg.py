@@ -64,8 +64,7 @@ class HomAlgError(RuntimeError):
 
 def k_dual(mod: Module, label: str = "") -> Module:
     """Dual vector space with the transposed actions."""
-    return Module(mod.algebra, mod.dim,
-                  [va.transpose() for va in mod.var_actions],
+    return Module(mod.algebra, mod.dim, mod.var_stack.transpose(0, 2, 1),
                   label=label or (f"({mod.label})*" if mod.label else ""),
                   validate=False)
 
@@ -106,17 +105,16 @@ def r_dual(mod: Module) -> DualData:
     alg = mod.algebra
     fld = alg.field
     if "dual" not in (entry := shared(mod)):
-        reg = regular_module(alg)
-        flat = hom_space_matrix(mod, reg)
-        h = flat.cols
-        # x_v acts on the R-coordinate (row) of each map: apply it to the
-        # (dim R) x (dim M * h) stack of all maps' rows
-        stack = Matrix(fld, flat.a.reshape(alg.dim, mod.dim * h))
-        va = [_coords(flat, Matrix(fld, reg.apply_var(v, stack).a.reshape(
-            mod.dim * alg.dim, h)), "dual space is not action-closed")
-            for v in range(alg.nvars)]
-        for x in (flat, *va):
-            x.a.flags.writeable = False
+        flat = hom_space_matrix(mod, regular_module(alg))
+        n, h = alg.nvars, flat.cols
+        # x_v acts on the R-coordinate (row) of each map: one contraction
+        # gives every x_v's images, side by side as the columns (v, map)
+        images = contract(fld, "vab,bic->aivc", alg.var_stack,
+                          flat.a.reshape(alg.dim, mod.dim, h))
+        coords = _coords(flat, Matrix(fld, images.reshape(alg.dim * mod.dim, n * h)),
+                         "dual space is not action-closed")
+        va = coords.a.reshape(h, n, h).transpose(1, 0, 2)
+        flat.a.flags.writeable = va.flags.writeable = False
         entry["dual"] = flat, va
     flat, va = entry["dual"]
     dm = Module(alg, flat.cols, va, label=f"({mod.label})^" if mod.label else "",
@@ -473,10 +471,11 @@ def extension_from_psi(left: Module, right: Module,
     split = split_ses(left, right)
     if psi.is_zero():
         return split
-    m, s = left.dim, res.section()
-    acts = [a.copy() for a in split.middle.var_actions]
-    for act, x in zip(acts, res.ambient_free(0).var_actions):
-        act.a[:m, m:] = (psi @ x.take_rows(free) @ s).a
+    fld, m = left.algebra.field, left.dim
+    acts = split.middle.var_stack.copy()
+    deltas = contract(fld, "vab,bc->vac", res.ambient_free(0).var_stack[:, free],
+                      res.section().a)
+    acts[:, :m, m:] = contract(fld, "ab,vbc->vac", psi.a, deltas)
     middle = Module(left.algebra, split.middle.dim, acts, validate=False,
                     label=f"E({left.label or '?'},{right.label or '?'})")
     return ShortExactSequence(
@@ -546,9 +545,8 @@ def pushforward(mod: Module) -> Pushforward:
             raise HomAlgError("module does not embed into a free module "
                               "(evaluation has a kernel)")
         forward, proj = quotient_module(free_module(alg, gens.cols), q)
-        for x in (q, proj.matrix, *forward.var_actions):
-            x.a.flags.writeable = False
-        entry["push"] = q, proj.matrix, forward.var_actions
+        q.a.flags.writeable = proj.matrix.a.flags.writeable = False
+        entry["push"] = q, proj.matrix, forward.var_stack
     q, proj, va = entry["push"]
     target = free_module(alg, q.rows // alg.dim)
     forward = Module(alg, proj.rows, va, label=f"push({mod.label or '?'})", validate=False)

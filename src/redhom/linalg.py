@@ -769,9 +769,3 @@ def algebra_radical(basis: Matrix, n: int) -> Matrix:
 def random_matrix(field: Field, r: int, c: int, rng) -> Matrix:
     return Matrix.from_rows(field, [[field.random(rng) for _ in range(c)]
                                     for _ in range(r)]) if r else Matrix.zeros(field, 0, c)
-
-
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product, exact."""
-    prod = contract(a.field, "ij,kl->ikjl", a.a, b.a)
-    return Matrix(a.field, prod.reshape(a.rows * b.rows, a.cols * b.cols))

@@ -1,16 +1,15 @@
 """Finitely generated modules over a local algebra, as explicit
 matrix representations.
 
-A module of k-dimension m stores one m x m matrix per algebra variable;
-the action of an arbitrary basis element is the corresponding monomial
-product of those matrices.  All of those actions are built once per
-module, degree by degree, into one read-only (dim R, m, m) array with
-the basis index first (`action_stack()`).  Free modules of rank g use
-the block layout in which coordinate j*d + t is the t-th algebra basis
+A module of k-dimension m stores its variable actions once, as one
+read-only (nvars, m, m) array (`var_stack`) that every consumer reads
+with one contraction or reshape; basis element b_t acts as the monomial
+product of those matrices, all built once per module into one read-only
+(dim R, m, m) array (`action_stack()`).  Free modules of rank g use the
+block layout in which coordinate j*d + t is the t-th algebra basis
 coordinate of the j-th generator.  They act like every other module,
-through dense matrices, but share them: their variable actions and
-stack are the algebra's block-diagonal copies, kept once per rank
-(`Algebra.free_varmat`, `free_action_stack`).  What other layers compute
+through dense arrays, but share them: the algebra's block-diagonal
+copies, kept once per rank (`Algebra.free_varmat`, `free_action_stack`).  What other layers compute
 from a module's actions alone (resolution steps, Ext ranks, the ring
 dual, the pushforward, the free split) is kept once per algebra and
 actions, in an entry of the algebra's table (`shared`).  `power_module`
@@ -36,7 +35,7 @@ import numpy as np
 
 from .algebra import Algebra, structure
 from .linalg import (Field, Matrix, algebra_radical,
-                     column_space_basis, contract, kron, nf_columns)
+                     column_space_basis, contract, nf_columns)
 
 
 class ModuleError(ValueError):
@@ -44,43 +43,55 @@ class ModuleError(ValueError):
 
 
 class Module:
-    """One module: a commuting variable representation over an algebra.
+    """One module: a commuting variable representation over an algebra,
+    taken as one (nvars, dim, dim) array-like (a list of `Matrix` too).
     Kept on it once computed: action stack, radical and socle spans, its
     entry in the algebra's table of actions (`shared`), its powers
     (`power_module`) and its resolution (`resolution.resolve`), whose
     charges and labelled syzygy modules are its own."""
 
     __slots__ = ("algebra", "dim", "label", "free_rank", "summands",
-                 "_var_actions", "_stack", "_radical", "_socle",
+                 "_actions", "_stack", "_radical", "_socle",
                  "_resolution", "_shared", "_powers")
 
-    def __init__(self, algebra: Algebra, dim: int,
-                 var_actions: list[Matrix] | None, label: str = "",
+    def __init__(self, algebra: Algebra, dim: int, actions, label: str = "",
                  free_rank: int | None = None, validate: bool = True):
         self.algebra = algebra
         self.dim = dim
         self.label = label
         self.free_rank = free_rank
         self.summands: list[tuple["Module", int]] | None = None
-        self._var_actions = var_actions
+        self._actions = None
         self._stack = None
         self._radical = None
         self._socle = None
         self._resolution = self._shared = self._powers = None
-        if var_actions is not None:
-            for va in var_actions:
-                if va.rows != dim or va.cols != dim:
-                    raise ModuleError("variable action has wrong shape")
-        if validate and var_actions is not None:
-            validate_module(self)
+        if actions is not None:
+            try:
+                acts = np.asarray(actions, dtype=algebra.field.dtype)
+                acts = acts.reshape(0, dim, dim) if acts.shape == (0,) else acts
+            except ValueError:  # ragged: matrices of different shapes
+                acts = None
+            if acts is None or acts.shape != (algebra.nvars, dim, dim):
+                raise ModuleError("variable action has wrong shape")
+            acts.flags.writeable = False
+            self._actions = acts
+            if validate:
+                validate_module(self)
 
     # -- actions ---------------------------------------------------------
 
     @property
+    def var_stack(self) -> np.ndarray:
+        """The variable actions, one read-only (nvars, dim, dim) array."""
+        if self._actions is None:
+            return self.algebra.free_varmat(self.free_rank)
+        return self._actions
+
+    @property
     def var_actions(self) -> list[Matrix]:
-        if self._var_actions is None:
-            self._var_actions = self.algebra.free_varmat(self.free_rank)
-        return self._var_actions
+        """Read-only `Matrix` views of `var_stack`, one per variable."""
+        return [Matrix(self.algebra.field, a) for a in self.var_stack]
 
     def action_stack(self) -> np.ndarray:
         """All basis-element actions as one read-only (dim R, m, m) array,
@@ -94,14 +105,10 @@ class Module:
             stack[0] = Matrix.identity(alg.field, self.dim).a
             for v, t, s in alg.monomial_steps:
                 stack[t] = contract(alg.field, "ab,sbc->sac",
-                                    self.var_actions[v].a, stack[s])
+                                    self.var_stack[v], stack[s])
             stack.flags.writeable = False
             self._stack = stack
         return self._stack
-
-    def apply_var(self, v: int, vectors: Matrix) -> Matrix:
-        """Variable action applied to a batch of coordinate columns."""
-        return self.var_actions[v] @ vectors
 
     # -- structure -------------------------------------------------------
 
@@ -113,7 +120,8 @@ class Module:
             if self.dim == 0 or alg.nvars == 0:
                 self._radical = Matrix.zeros(alg.field, self.dim, 0)
             else:
-                self._radical = column_space_basis(Matrix.hstack(self.var_actions))
+                self._radical = column_space_basis(Matrix(alg.field, self.var_stack
+                    .transpose(1, 0, 2).reshape(self.dim, alg.nvars * self.dim)))
         return self._radical
 
     def socle_span(self) -> Matrix:
@@ -127,7 +135,8 @@ class Module:
                 self._socle = Matrix.block_diag(
                     alg.field, [p.socle_span() for p, _ in self.summands])
             else:
-                self._socle = Matrix.vstack(self.var_actions).kernel_basis()
+                self._socle = Matrix(alg.field, self.var_stack.reshape(
+                    alg.nvars * self.dim, self.dim)).kernel_basis()
         return self._socle
 
     def gens_count(self) -> int:
@@ -138,18 +147,13 @@ class Module:
     def min_generators(self) -> Matrix:
         """Unit-vector generators: a basis of the module modulo its radical."""
         fld = self.algebra.field
-        if self.free_rank is not None:
-            g, d = self.free_rank, self.algebra.dim
-            out = Matrix.zeros(fld, self.dim, g)
-            out.a[np.arange(g) * d, np.arange(g)] = fld.one()
-            return out
-        rad = self.radical_span()
-        _, piv = rad.transpose().rref()
-        pivset = set(piv)
-        free_pos = [i for i in range(self.dim) if i not in pivset]
+        if self.free_rank is not None:  # each generator's unit coordinate
+            free_pos = list(range(0, self.dim, self.algebra.dim))
+        else:
+            free_pos = sorted(set(range(self.dim)) - set(
+                self.radical_span().transpose().rref()[1]))
         out = Matrix.zeros(fld, self.dim, len(free_pos))
-        for j, pos in enumerate(free_pos):
-            out.a[pos, j] = fld.one()
+        out.a[free_pos, range(len(free_pos))] = fld.one()
         return out
 
     def is_free(self) -> bool:
@@ -172,13 +176,13 @@ class Module:
 def shared(mod: Module) -> dict:
     """The entry of the module's actions in its algebra's table, shared by
     every module with those actions and looked up once per module.  The
-    key is the dimension and the actions' values: their bytes over F_p,
-    their entries over Q (an object array's bytes are pointers); a free
+    key is the dimension and the action array's values: its bytes over
+    F_p, its entries over Q (an object array's bytes are pointers); a free
     module's is its rank, so no free action is built to key it."""
     if mod._shared is None:
-        key = ("free", mod.free_rank) if mod.free_rank is not None else (mod.dim, *(
-            tuple(a.a.flat) if a.a.dtype == object else a.a.tobytes()
-            for a in mod.var_actions))
+        acts = mod.var_stack
+        key = ("free", mod.free_rank) if mod.free_rank is not None else (
+            mod.dim, tuple(acts.flat) if acts.dtype == object else acts.tobytes())
         mod._shared = mod.algebra._table.setdefault(key, {})
     return mod._shared
 
@@ -234,13 +238,11 @@ def free_map_from_columns(alg: Algebra, target_rank: int, stacked: Matrix) -> Ma
 
 def validate_module(mod: Module) -> None:
     """Check commuting actions compatible with the multiplication table."""
-    alg, fld, m = mod.algebra, mod.algebra.field, mod.dim
-    va = np.array([x.a for x in mod.var_actions],
-                  dtype=fld.dtype).reshape(alg.nvars, m, m)
+    alg, fld, va = mod.algebra, mod.algebra.field, mod.var_stack
     prod = contract(fld, "uab,vbc->uvac", va, va)
     if not (prod == prod.transpose(1, 0, 2, 3)).all():
         raise ModuleError("variable actions do not commute")
-    # x_v b_t = sum_u varmat[v][u, t] b_u, for every variable v and basis
+    # x_v b_t = sum_u var_stack[v, u, t] b_u, for every variable v and basis
     # element t
     stack = mod.action_stack()
     if not (contract(fld, "vab,tbc->vtac", va, stack) == contract(
@@ -252,12 +254,12 @@ def validate_module(mod: Module) -> None:
 
 
 def zero_module(alg: Algebra) -> Module:
-    return Module(alg, 0, [Matrix.zeros(alg.field, 0, 0)] * alg.nvars,
+    return Module(alg, 0, alg.field.zeros((alg.nvars, 0, 0)),
                   label="0", free_rank=0, validate=False)
 
 
 def residue_field(alg: Algebra) -> Module:
-    return Module(alg, 1, [Matrix.zeros(alg.field, 1, 1)] * alg.nvars,
+    return Module(alg, 1, alg.field.zeros((alg.nvars, 1, 1)),
                   label="k", validate=False)
 
 
@@ -293,13 +295,10 @@ def direct_sum(parts: list[Module], label: str = "") -> Module:
     offsets = list(zip(parts, accumulate((p.dim for p in parts), initial=0)))
     if all(p.free_rank is not None for p in parts):
         va, fr = None, sum(p.free_rank for p in parts)
-    else:  # every action a read-only slice of one stacked array
-        stack = alg.field.zeros((alg.nvars, dim, dim))
+    else:  # the parts' arrays as diagonal blocks of one array
+        va, fr = alg.field.zeros((alg.nvars, dim, dim)), None
         for p, off in offsets:
-            for v, act in enumerate(p.var_actions):
-                stack[v, off:off + p.dim, off:off + p.dim] = act.a
-        stack.flags.writeable = False
-        va, fr = [Matrix(alg.field, s) for s in stack], None
+            va[:, off:off + p.dim, off:off + p.dim] = p.var_stack
     out = Module(alg, dim, va,
                  label=label or "+".join(p.label or "?" for p in parts),
                  free_rank=fr, validate=False)
@@ -352,16 +351,19 @@ def from_presentation(alg: Algebra, n_gens: int, rel_rows: list[list[str]],
         return zero_module(alg)
     if s == 0:
         return free_module(alg, n_gens, label=label)
-    cols = []
-    for j in range(s):
-        stacked = Matrix.vstack([alg.element_from_string(rel_rows[i][j])
-                                 for i in range(n_gens)])
-        cols.append(stacked)
-    stacked = Matrix.hstack(cols)
-    relmap = free_map_from_columns(alg, n_gens, stacked)
-    ambient = free_module(alg, n_gens)
-    mod, _ = quotient_module(ambient, relmap, label=label)
-    return mod
+    return presented_module(alg, np.array(
+        [[alg.element_from_string(rel_rows[i][j]).a[:, 0] for i in range(n_gens)]
+         for j in range(s)], dtype=alg.field.dtype), label)
+
+
+def presented_module(alg: Algebra, relations: np.ndarray, label: str = "") -> Module:
+    """Cokernel of the map free(s) -> free(g) sending generator j to the
+    element with basis coordinates relations[j, i] on generator i, for an
+    (s, g, dim R) array."""
+    s, g, d = relations.shape
+    stacked = Matrix(alg.field, relations.transpose(1, 2, 0).reshape(g * d, s))
+    return quotient_module(free_module(alg, g), free_map_from_columns(alg, g, stacked),
+                           label=label)[0]
 
 
 # -- maps ------------------------------------------------------------------
@@ -385,11 +387,11 @@ class ModuleMap:
             self.check_linear()
 
     def check_linear(self) -> None:
-        for v in range(self.source.algebra.nvars):
-            lhs = self.target.apply_var(v, self.matrix)
-            rhs = self.matrix @ self.source.var_actions[v]
-            if not lhs == rhs:
-                raise ModuleError("map does not commute with the actions")
+        """x_v f = f x_v for every variable v, one contraction per side."""
+        fld, f = self.matrix.field, self.matrix.a
+        if not (contract(fld, "vab,bc->vac", self.target.var_stack, f) == contract(
+                fld, "ab,vbc->vac", f, self.source.var_stack)).all():
+            raise ModuleError("map does not commute with the actions")
 
     @staticmethod
     def identity(mod: Module) -> "ModuleMap":
@@ -472,7 +474,7 @@ def split_ses(left: Module, right: Module) -> ShortExactSequence:
 # -- sub/quotient ----------------------------------------------------------
 
 
-def _on_basis(mod: Module, basis: Matrix, va: list[Matrix],
+def _on_basis(mod: Module, basis: Matrix, va: np.ndarray,
               label: str) -> tuple[Module, ModuleMap]:
     """The submodule with actions `va` on the columns of `basis`, and its
     inclusion."""
@@ -481,11 +483,12 @@ def _on_basis(mod: Module, basis: Matrix, va: list[Matrix],
     return sub, ModuleMap(sub, mod, basis, validate=False)
 
 
-def kernel_actions(mod: Module, kb: Matrix, fp: list[int]) -> list[Matrix]:
+def kernel_actions(mod: Module, kb: Matrix, fp: list[int]) -> np.ndarray:
     """The actions of `mod` on the submodule spanned by a kernel basis
-    with free positions `fp`: the basis has identity rows at `fp`, so the
-    coordinates of x_v applied to it are those rows of the image."""
-    return [mod.apply_var(v, kb).take_rows(fp) for v in range(mod.algebra.nvars)]
+    with free positions `fp`, as one (nvars, len(fp), len(fp)) array:
+    the basis has identity rows at `fp`, so the coordinates of x_v
+    applied to it are those rows of the image."""
+    return contract(kb.field, "vab,bc->vac", mod.var_stack[:, fp], kb.a)
 
 
 def quotient_module(mod: Module, span: Matrix,
@@ -498,7 +501,7 @@ def quotient_module(mod: Module, span: Matrix,
         return mod, ModuleMap.identity(mod)
     kb, keep = span.transpose().kernel_data()
     proj = kb.transpose()
-    va = [proj @ act.take_cols(keep) for act in mod.var_actions]
+    va = contract(mod.algebra.field, "ab,vbc->vac", proj.a, mod.var_stack[:, :, keep])
     quot = Module(mod.algebra, len(keep), va, label=label, validate=False)
     return quot, ModuleMap(mod, quot, proj, validate=False)
 
@@ -513,7 +516,8 @@ def kernel_module(f: ModuleMap, label: str = "") -> tuple[Module, ModuleMap]:
 
 def hom_space_matrix(src: Module, tgt: Module) -> Matrix:
     """Columns are row-major vectorized k-matrices of the linear maps; the
-    system is refused before it is built past `resolution.MAX_STEP_BYTES`."""
+    system is refused before it is built past `resolution.MAX_STEP_BYTES`.
+    Its row (v, i, k), column (j, l), is A_v[l, k] [i = j] - B_v[i, j] [k = l]."""
     alg = src.algebra
     fld = alg.field
     nm = src.dim * tgt.dim
@@ -523,9 +527,11 @@ def hom_space_matrix(src: Module, tgt: Module) -> Matrix:
         return Matrix.identity(fld, nm)
     from .resolution import _check_dense_size  # resolution imports this module
     _check_dense_size("Hom system", (alg.nvars * nm, nm), fld)
-    eye_t, eye_s = Matrix.identity(fld, tgt.dim), Matrix.identity(fld, src.dim)
-    return Matrix.vstack([kron(eye_t, a.transpose()) - kron(b, eye_s) for a, b
-                          in zip(src.var_actions, tgt.var_actions)]).kernel_basis()
+    shape = (alg.nvars * nm, nm)
+    right = contract(fld, "ij,vlk->vikjl", Matrix.identity(fld, tgt.dim).a, src.var_stack)
+    left = contract(fld, "vij,kl->vikjl", tgt.var_stack, Matrix.identity(fld, src.dim).a)
+    return (Matrix(fld, right.reshape(shape))
+            - Matrix(fld, left.reshape(shape))).kernel_basis()
 
 
 def hom_dim(src: Module, tgt: Module) -> int:
@@ -676,9 +682,7 @@ def _peel(mod: Module) -> tuple:
     if rank == 0:
         return 0, None, None, None
     phi = Matrix(fld, hom.a[:, list(piv)].T.reshape(rank * d, mod.dim))
-    units = Matrix.zeros(fld, rank * d, rank)
-    units.a[np.arange(rank) * d, np.arange(rank)] = fld.one()
-    sec = assemble_action_columns(mod, phi.solve(units))
+    sec = assemble_action_columns(mod, phi.solve(free_module(alg, rank).min_generators()))
     rem, incl = kernel_module(ModuleMap(mod, free_module(alg, rank), phi,
                                         validate=False))
     total = direct_sum([free_module(alg, rank), rem])

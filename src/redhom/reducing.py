@@ -111,10 +111,7 @@ def _syzygy_of_power(mod: Module, b: int, n: int) -> Module:
 def _modules_equal(m1: Module, m2: Module) -> bool:
     if m1 is m2:
         return True
-    if m1.dim != m2.dim:
-        return False
-    return all(m1.var_actions[v] == m2.var_actions[v]
-               for v in range(m1.algebra.nvars))
+    return m1.dim == m2.dim and bool((m1.var_stack == m2.var_stack).all())
 
 
 # -- serialization ------------------------------------------------------
@@ -122,7 +119,8 @@ def _modules_equal(m1: Module, m2: Module) -> bool:
 
 def module_to_dict(mod: Module) -> dict:
     return {"dim": mod.dim,
-            "actions": [m.to_str_rows() for m in mod.var_actions]}
+            "actions": np.frompyfunc(mod.algebra.field.format, 1, 1)(
+                mod.var_stack.astype(object)).tolist()}
 
 
 def module_from_dict(alg: Algebra, data, pointer: str,

@@ -475,8 +475,12 @@ class ModuleResolution(ShiftedResolution):
             mod = zero_module(alg)
         else:
             n = len(free)
-            acts = [Matrix.from_sparse(alg.field, n, [im.get(j, {}) for j in range(n)])
-                    for im in map(dict, _kernel_images(alg, free, block))]
+            acts = alg.field.zeros((alg.nvars, n, n))
+            at = [(v, k, j, x) for v, images in enumerate(_kernel_images(alg, free, block))
+                  for j, img in images for k, x in img.items()]
+            if at:
+                *idx, vals = zip(*at)
+                acts[tuple(idx)] = vals
             mod = Module(alg, n, acts, label=f"syz^{i}({self.module.label or '?'})",
                          validate=False)
         mod._resolution = ShiftedResolution(self, i, mod)

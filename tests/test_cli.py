@@ -433,15 +433,16 @@ class TestErrorPaths:
     def test_hom_system_over_the_cap_is_json(self, plane_ws, capsys, monkeypatch):
         """`dual R` over F_2[x,y]/m^2 solves Hom(R, R) and Hom(R*, R), each
         two stacked 9 x 9 blocks, copied as 18 x 9 int64: a cap of that
-        size answers, and one byte less refuses before `kron` runs."""
+        size answers, and one byte less refuses before `contract`, which
+        builds the system's blocks, runs."""
         size = 18 * 9 * GF2.wide.itemsize
         monkeypatch.setattr("redhom.resolution.MAX_STEP_BYTES", size)
         code, report, _ = run(capsys, "--workspace", plane_ws, "dual", "R")
         assert (code, report["dual_dim"]) == (0, 3)
 
-        def kron(*args):
+        def contract(*args):
             raise AssertionError("the Hom system was built")
-        monkeypatch.setattr("redhom.modules.kron", kron)
+        monkeypatch.setattr("redhom.modules.contract", contract)
         monkeypatch.setattr("redhom.resolution.MAX_STEP_BYTES", size - 1)
         code = cli.main(["--workspace", plane_ws, "dual", "R"])
         out, err = capsys.readouterr()

@@ -1,7 +1,11 @@
 """Random generators, the exploration harness, and the fixture runner."""
 
+import random
+
+import numpy as np
 import pytest
 
+from redhom.algebra import build_algebra
 from redhom.corpus import (
     ExploreConfig,
     explore_q22,
@@ -11,14 +15,57 @@ from redhom.corpus import (
     run_corpus,
     structure_test,
 )
-from redhom.linalg import GF2
-from redhom.modules import split_free_summands
+from redhom.linalg import GF2, GF3, QQ, Field
+from redhom.modules import from_presentation, split_free_summands
 from redhom.reducing import module_to_dict
 
 
 @pytest.fixture(scope="module")
 def plane():
     return plane_algebra()
+
+
+def string_element(alg, rng: random.Random) -> str:
+    """A random radical element as a polynomial string, drawing from
+    `rng` as `random_module` draws its relation entries."""
+    labels = alg.basis_labels()[1:]  # skip the identity
+    roll = rng.random()
+    if roll < 0.35:
+        return "0"
+    if roll < 0.75 or not labels:
+        return rng.choice(labels) if labels else "0"
+    terms = []
+    for lbl in labels:
+        c = alg.field.random(rng)
+        if c != alg.field.zero():
+            terms.append(f"{alg.field.format(c)}*{lbl}")
+    return " + ".join(terms) if terms else "0"
+
+
+def string_random_module(alg, max_gens: int, max_rels: int, seed: int):
+    """`random_module` through a presentation of polynomial strings."""
+    rng = random.Random(seed)
+    gens = 1 + rng.randrange(max_gens)
+    rels = rng.randrange(max_rels + 1) if max_rels else 0
+    rows = [[string_element(alg, rng) for _ in range(rels)] for _ in range(gens)]
+    return from_presentation(alg, gens, rows, label=f"rand{seed}")
+
+
+STRING_RINGS = [(GF2, ["x", "y"], [], 2), (GF2, ["x"], [], 3), (QQ, ["x", "y"], [], 3),
+                (GF3, ["x", "y"], ["x*y"], 3), (Field(2**31 - 1), ["x", "y", "z"], [], 2)]
+
+
+@pytest.mark.parametrize("fld, names, relations, nilpotency", STRING_RINGS,
+                         ids=["F2-plane", "F2-line3", "Q-m3", "F3-xy", "P31-xyz"])
+def test_random_module_matches_its_string_presentation(fld, names, relations, nilpotency):
+    """The relation columns built as coordinates give the module that the
+    polynomial strings of the same draws present, action for action."""
+    alg = build_algebra(fld, names, relations, nilpotency)
+    for seed in range(60):
+        got, want = random_module(alg, 3, 3, seed), string_random_module(alg, 3, 3, seed)
+        assert (got.dim, got.label, got.free_rank) == (want.dim, want.label, want.free_rank)
+        assert got.var_stack.dtype == want.var_stack.dtype
+        assert np.array_equal(got.var_stack, want.var_stack)
 
 
 class TestRandomModule:

@@ -93,8 +93,8 @@ class TestDuals:
         reg = regular_module(plane)
         for m in (Matrix(plane.field, s) for s in dk.stack()):
             for v in range(plane.nvars):
-                lhs = reg.apply_var(v, m)
-                rhs = m @ k.apply_var(v, Matrix.identity(plane.field, k.dim))
+                lhs = reg.var_actions[v] @ m
+                rhs = m @ (k.var_actions[v] @ Matrix.identity(plane.field, k.dim))
                 assert lhs == rhs
 
     def test_dualizing_a_surjection_is_injective(self, plane):

@@ -78,7 +78,7 @@ def reference_quotient(mod, span):
     lift = Matrix.zeros(fld, mod.dim, len(keep))
     for j, pos in enumerate(keep):
         lift.a[pos, j] = fld.one()
-    return proj, [proj @ mod.apply_var(v, lift)
+    return proj, [proj @ (mod.var_actions[v] @ lift)
                   for v in range(mod.algebra.nvars)]
 
 
@@ -87,7 +87,7 @@ def reference_submodule_actions(mod, span):
     basis = column_space_basis(span)
     out = []
     for v in range(mod.algebra.nvars):
-        coords, ok = basis.solve_columns(mod.apply_var(v, basis))
+        coords, ok = basis.solve_columns(mod.var_actions[v] @ basis)
         assert all(ok)
         out.append(coords)
     return basis, out
@@ -323,8 +323,8 @@ def test_ext1_and_dual_coordinates(p, ring, seed_right, seed_left):
     h = dual.flat.cols
     stack = Matrix(fld, dual.flat.a.reshape(alg.dim, right.dim * h))
     for v, act in enumerate(dual.module.var_actions):
-        want = reference_coords(dual.flat, Matrix(fld, reg.apply_var(
-            v, stack).a.reshape(right.dim * alg.dim, h)))
+        want = reference_coords(dual.flat, Matrix(fld, (reg.var_actions[v] @ stack)
+                                                  .a.reshape(right.dim * alg.dim, h)))
         assert same(act, want)
     bid = biduality(right)
     ev = dual.flat.a.reshape(alg.dim, right.dim, h).transpose(0, 2, 1)

@@ -81,7 +81,7 @@ def modules_of(alg, rng):
 
 
 def reference_tables(alg):
-    """The regular representation (`mult`), `varmat` and each variable's
+    """The regular representation (`mult`), `var_stack` and each variable's
     class (`var_stack[v][:, :1]`) built one normal-form column per pair
     of monomials, with a zero column for products of degree >= N."""
     fld, d, n = alg.field, alg.dim, alg.nvars
@@ -107,8 +107,9 @@ def test_algebra_tables(p, names, relations, nilpotency):
     alg = build_algebra(Field(p), names, relations, nilpotency)
     regmat, varmat, var_class = reference_tables(alg)
     got_regmat = [Matrix(alg.field, m) for m in alg.mult]
+    got_varmat = [Matrix(alg.field, m) for m in alg.var_stack]
     got_class = [Matrix(alg.field, m[:, :1]) for m in alg.var_stack]
-    for got, want in ((got_regmat, regmat), (alg.varmat, varmat),
+    for got, want in ((got_regmat, regmat), (got_varmat, varmat),
                       (got_class, var_class)):
         assert len(got) == len(want)
         assert all(same(g, w) for g, w in zip(got, want))

@@ -102,7 +102,7 @@ class TestPresentation:
         # map R -> R given by multiplication with x
         stacked = line3.element_from_string("x")
         mat = free_map_from_columns(line3, 1, stacked)
-        assert mat == line3.varmat[0]
+        assert mat == Matrix(line3.field, line3.var_stack[0])
 
 
 class TestSumsAndPowers:
@@ -191,7 +191,7 @@ class TestMaps:
 
     def test_image_and_cokernel(self, plane):
         r = regular_module(plane)
-        x_mult = ModuleMap(r, r, plane.varmat[0], validate=True)
+        x_mult = ModuleMap(r, r, Matrix(plane.field, plane.var_stack[0]), validate=True)
         assert x_mult.rank() == 1
         cok, proj = quotient_module(r, x_mult.matrix)
         assert cok.dim == 2
@@ -343,7 +343,7 @@ class TestValidation:
         # x^2 = y^2 and xy = 0 in the algebra; the regular representation
         # satisfies both, a shift by x with y acting as zero breaks x^2 = y^2
         alg = build_algebra(GF3, ["x", "y"], ["x^2 - y^2", "x*y"], 3)
-        Module(alg, alg.dim, list(alg.varmat))
+        Module(alg, alg.dim, alg.var_stack)
         shift = Matrix.from_rows(GF3, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
         with pytest.raises(ModuleError, match="relation"):
             Module(alg, 3, [shift, Matrix.zeros(GF3, 3, 3)])

@@ -212,7 +212,7 @@ class TestTruncatedLine:
 class TestDualizingModule:
     def test_canonical_shape_over_plane(self, plane):
         # linear dual of the regular module: actions are the transposes
-        w = Module(plane, 3, [vm.transpose() for vm in plane.varmat],
+        w = Module(plane, 3, plane.var_stack.transpose(0, 2, 1),
                    label="w")
         assert w.gens_count() == 2
         assert w.socle_span().cols == 1

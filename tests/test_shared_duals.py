@@ -117,8 +117,7 @@ def test_one_object_per_module(p):
     mod = random_module(alg, 2, 2, seed=3)
     # the matrices are shared by every module with these actions
     assert r_dual(mod).flat is r_dual(mod).flat is r_dual(fresh_copy(mod)).flat
-    assert all(a is b for a, b in zip(r_dual(mod).module.var_actions,
-                                      r_dual(fresh_copy(mod)).module.var_actions))
+    assert r_dual(mod).module.var_stack is r_dual(fresh_copy(mod)).module.var_stack
     push, again = pushforward(mod), pushforward(fresh_copy(mod))
     assert push.sequence.inject.matrix is again.sequence.inject.matrix
     assert push.sequence.project.matrix is again.sequence.project.matrix

@@ -113,13 +113,15 @@ def dense_steps(mod: Module, window: int):
     for _ in range(window):
         radical = set()
         if kb.cols:
-            acts = kernel_actions(free_module(alg, betti), kb, fp)
+            acts = [Matrix(alg.field, a)
+                    for a in kernel_actions(free_module(alg, betti), kb, fp)]
             radical = set(Matrix.hstack(acts).transpose().rref()[1])
         gens = kb.take_cols([j for j in range(kb.cols) if j not in radical])
         diff = free_map_from_columns(alg, betti, gens)
         kb, fp = diff.kernel_data()
         betti = gens.cols
-        yield diff, kb, fp, kernel_actions(free_module(alg, betti), kb, fp)
+        yield diff, kb, fp, [Matrix(alg.field, a)
+                             for a in kernel_actions(free_module(alg, betti), kb, fp)]
 
 
 RINGS = [(["x", "y"], 2), (["x", "y"], 3), (["x", "y", "z"], 2)]
@@ -235,7 +237,7 @@ class TestRowsMatchColumns:
             assert same(res.generator_images(i),
                         Matrix.from_sparse(f, res._rows(i), gens))
             kb = dense_kernel(f, len(cols), free, block)
-            want = kernel_actions(free_module(alg, len(gens)), kb, free)
+            want = [Matrix(f, a) for a in kernel_actions(free_module(alg, len(gens)), kb, free)]
             got = res.syzygy_module(i + 1).var_actions
             assert len(got) == len(want) and all(map(same, got, want))
 

@@ -109,9 +109,9 @@ class TestCallSites:
         for rank, s in ((3, 4), (1, 1), (0, 3), (2, 0)):
             vectors = random_matrix(fld, rank * d, s, rng)
             for v in range(alg.nvars):
-                want = dense(fld, "ab,gbs->gas", alg.varmat[v].a,
+                want = dense(fld, "ab,gbs->gas", alg.var_stack[v],
                              vectors.a.reshape(rank, d, s)).reshape(rank * d, s)
-                assert same(free_module(alg, rank).apply_var(v, vectors).a, want)
+                assert same((free_module(alg, rank).var_actions[v] @ vectors).a, want)
 
     def test_check_linear_out_of_a_free_module(self, alg):
         """A map out of a free module passes `check_linear` when it is
@@ -135,7 +135,7 @@ class TestCallSites:
         h = flat.cols
         stack = flat.a.reshape(alg.dim, mod.dim, h)
         want = solve_blocks(flat, [
-            Matrix(alg.field, dense(alg.field, "ab,bci->aci", alg.varmat[v].a,
+            Matrix(alg.field, dense(alg.field, "ab,bci->aci", alg.var_stack[v],
                                     stack).reshape(-1, h))
             for v in range(alg.nvars)])
         got = r_dual(mod).module.var_actions
