@@ -29,42 +29,24 @@ import ast
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import combinations_with_replacement
 import math
 
 import numpy as np
 
-from .linalg import Field, Matrix, by_gather, column_space_basis, contract
+from .linalg import QQ, Field, Matrix, by_gather, column_space_basis, contract
 
 
 class AlgebraError(ValueError):
     """Raised for ill-formed algebra presentations."""
 
 
-class _ResidueZero(Exception):
-    """A polynomial's residues mod p hit 0: evaluate it exactly instead."""
-
-
 def _monomials_below(nvars: int, bound: int) -> list[tuple[int, ...]]:
     """All exponent tuples of total degree < bound, sorted by degree then
-    by decreasing leading exponents (so 1, x, y, x^2, x*y, y^2, ...)."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix, remaining, budget):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for e in range(budget + 1):
-            rec(prefix + [e], remaining - 1, budget - e)
-
-    for deg in range(bound):
-        chunk: list[tuple[int, ...]] = []
-        out_len = len(out)
-        rec([], nvars, deg)
-        chunk = [m for m in out[out_len:] if sum(m) == deg]
-        del out[out_len:]
-        chunk.sort(key=lambda m: tuple(-e for e in m))
-        out.extend(chunk)
-    return out
+    by decreasing leading exponents (so 1, x, y, x^2, x*y, y^2, ...): the
+    order in which `combinations_with_replacement` lists variables."""
+    return [tuple(map(c.count, range(nvars))) for deg in range(bound)
+            for c in combinations_with_replacement(range(nvars), deg)]
 
 
 def parse_polynomial(src: str, var_names: list[str], fld: Field,
@@ -73,28 +55,33 @@ def parse_polynomial(src: str, var_names: list[str], fld: Field,
     coefficient}, evaluated exactly over Q, then reduced into `fld`; terms
     of degree >= `nilpotency` vanish in the algebra and are dropped early.
 
-    Over F_p it first runs on residues mod p, so a constant's power is
-    squared and multiplied mod p.  That gives the same answer as long as no
-    coefficient or divisor is 0 mod p: then each is a nonzero residue
-    exactly when it is a nonzero rational with no denominator divisible by
-    p.  At the first residue 0 it runs again exactly.  An exact coefficient
-    is refused past MAX_STEP_BYTES / ENTRY_BYTES bits, the entries one
-    resolution step may hold.  Exponents are always evaluated exactly."""
+    Coefficients go through the field's normaliser `residue`: over F_p
+    they are residues, so a constant's power is taken mod p.  That gives
+    the same answer as long as no coefficient or divisor is 0 mod p: then
+    each is a nonzero residue exactly when it is a nonzero rational with no
+    denominator divisible by p.  At the first residue 0 it runs again
+    through QQ's, exactly.  An exact coefficient is refused past
+    MAX_STEP_BYTES / ENTRY_BYTES bits, the entries one resolution step may
+    hold, and a power of a base with constant term c before it is taken,
+    when c^e has more (at least |e|*(bits(c) - 1) + 1; a residue has at
+    most `entry_bits`).  Exponents are always evaluated exactly."""
     from .resolution import ENTRY_BYTES, MAX_STEP_BYTES  # it imports this module
     one, cap = (0,) * len(var_names), nilpotency or float("inf")
     limit = MAX_STEP_BYTES // ENTRY_BYTES
-    p = fld.p  # the residues' modulus; None for exact values
+    dom = fld  # whose normaliser the coefficients go through
+
+    def refuse_past(bits):
+        if bits > limit:
+            raise AlgebraError(f"a coefficient of {bits} bits is over "
+                               f"MAX_STEP_BYTES / ENTRY_BYTES = {limit}")
+
+    def size(c):
+        return max(abs(c.numerator), c.denominator).bit_length()
 
     def norm(c):
-        """c exactly, refused past the cap, or its nonzero residue mod p."""
-        if p is None:
-            if (bits := max(abs(c.numerator), c.denominator).bit_length()) > limit:
-                raise AlgebraError(f"a coefficient of {bits} bits is over "
-                                   f"MAX_STEP_BYTES / ENTRY_BYTES = {limit}")
-            return c
-        if c.denominator % p and (r := c.numerator * pow(c.denominator, -1, p) % p):
-            return r
-        raise _ResidueZero
+        c = dom.residue(c)
+        refuse_past(size(c))
+        return c
 
     def mul(f, g):
         out = {}
@@ -113,7 +100,7 @@ def parse_polynomial(src: str, var_names: list[str], fld: Field,
         return 1 / Fraction(f[one]) if inverse else Fraction(f.get(one, 0))
 
     def ev(node):
-        nonlocal p
+        nonlocal dom
         op = type(getattr(node, "op", None))
         s = -1 if op in (ast.Sub, ast.USub) else 1
         if op in (ast.Add, ast.Sub):
@@ -127,12 +114,15 @@ def parse_polynomial(src: str, var_names: list[str], fld: Field,
         if op is ast.Div:
             return mul(ev(node.left), {one: const(node.right, True)})
         if op is ast.Pow:
-            p, modulus = None, p
+            dom, outer = QQ, dom
             e = const(node.right)
-            p = modulus
+            dom = outer
             if e.denominator != 1:
                 raise AlgebraError(f"exponent {e} is not an integer")
             base = {one: const(node.left, True)} if e < 0 else ev(node.left)
+            # refused now if its constant term c^e, c the base's, is too long
+            refuse_past(min(dom.entry_bits,
+                            abs(int(e)) * (size(base.get(one, 0)) - 1) + 1))
             out = {one: 1}
             for bit in bin(abs(int(e)))[2:]:
                 out = mul(mul(out, out), base if bit == "1" else {one: 1})
@@ -152,8 +142,8 @@ def parse_polynomial(src: str, var_names: list[str], fld: Field,
         tree = ast.parse(text, mode="eval").body
         try:
             poly = ev(tree)
-        except _ResidueZero:
-            p = None
+        except ArithmeticError:  # a residue was 0
+            dom = QQ
             poly = ev(tree)
         return {m: v for m, c in poly.items() if (v := fld.div(
             fld.coerce(c.numerator), fld.coerce(c.denominator)))}
@@ -221,11 +211,8 @@ class Algebra:
         return self.socle_basis.cols
 
     def hilbert_function(self) -> list[int]:
-        top = max(sum(m) for m in self.basis_mons)
-        counts = [0] * (top + 1)
-        for m in self.basis_mons:
-            counts[sum(m)] += 1
-        return counts
+        degrees = [sum(m) for m in self.basis_mons]
+        return [degrees.count(k) for k in range(max(degrees) + 1)]
 
     def action_stack(self) -> np.ndarray:
         """All regular-representation matrices as one (dim, dim, dim) array."""
@@ -245,13 +232,8 @@ class Algebra:
                 for (_, v), ts in sorted(steps.items())]
 
     def mon_label(self, mon: tuple[int, ...]) -> str:
-        parts = []
-        for name, e in zip(self.var_names, mon):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts) if parts else "1"
+        return "*".join(name if e == 1 else f"{name}^{e}"
+                        for name, e in zip(self.var_names, mon) if e) or "1"
 
     def basis_labels(self) -> list[str]:
         return [self.mon_label(m) for m in self.basis_mons]
@@ -262,8 +244,7 @@ class Algebra:
                                 self.nilpotency)
         vec = Matrix.zeros(self.field, self.dim, 1)
         for mon, coef in poly.items():
-            col = self._mon_nf(mon)
-            vec = vec + col.scale(coef)
+            vec = vec + self._mon_nf(mon).scale(coef)
         return vec
 
     def _mon_nf(self, mon: tuple[int, ...]) -> Matrix:
@@ -298,7 +279,7 @@ class Algebra:
 
     def presentation(self) -> dict:
         return {
-            "characteristic": self.field.p or 0,
+            "characteristic": self.field.characteristic,
             "variables": list(self.var_names),
             "relations": list(self.relation_srcs),
             "nilpotency": self.nilpotency,
@@ -354,15 +335,12 @@ def build_algebra(fld: Field, var_names: list[str], relations: list[str],
         for u in mons:
             if sum(u) + fdeg >= nilpotency:
                 continue
-            row = [fld.zero()] * nm
-            nonzero = False
+            row = [fld.zero()] * nm  # never 0: u times a term of degree fdeg
             for m, c in poly.items():
                 tot = tuple(a + b for a, b in zip(u, m))
                 if sum(tot) < nilpotency:
                     row[mon_index[tot]] = fld.add(row[mon_index[tot]], c)
-                    nonzero = True
-            if nonzero:
-                rows.append(row)
+            rows.append(row)
     ideal = Matrix.from_rows(fld, rows) if rows else Matrix.zeros(fld, 0, nm)
     # the kernel of the ideal's rows, in unit-at-free-column layout, is
     # the transpose of the normal-form map onto the free (basis) monomials

@@ -124,17 +124,22 @@ def explore_q22(family, cfg: ExploreConfig = None) -> list[dict]:
     cfg = cfg or ExploreConfig()
     rows = []
     for name, alg in family:
-        hits = 0
-        for i in range(cfg.samples):
-            mod = random_module(alg, cfg.max_gens, cfg.max_rels,
-                                cfg.seed + i)
-            result = search(mod, "pd", cfg.search)
-            if result.found:
-                hits += 1
+        hits = _hits(_sample(alg, cfg), cfg)
         rows.append({"ring": name, "samples": cfg.samples, "found": hits,
                      "fraction": hits / cfg.samples if cfg.samples else 0.0})
     rows.sort(key=lambda r: r["ring"])
     return rows
+
+
+def _sample(alg: Algebra, cfg: ExploreConfig) -> list[Module]:
+    """The seeded modules `explore_q22` samples over one ring."""
+    return [random_module(alg, cfg.max_gens, cfg.max_rels, cfg.seed + i)
+            for i in range(cfg.samples)]
+
+
+def _hits(mods: list[Module], cfg: ExploreConfig) -> int:
+    """How many of the modules the bounded search chains to a free one."""
+    return sum(1 for mod in mods if search(mod, "pd", cfg.search).found)
 
 
 # -- fixtures ----------------------------------------------------------------
@@ -288,12 +293,9 @@ def _fixture_q22_line2() -> list[dict]:
 def _fixture_q22_plane() -> list[dict]:
     alg = plane_algebra()
     cfg = ExploreConfig(samples=8)
-    rows = explore_q22([("plane", alg)], cfg)
-    structured = sum(
-        1 for i in range(cfg.samples)
-        if structure_test(random_module(alg, cfg.max_gens, cfg.max_rels,
-                                        cfg.seed + i))[0])
-    found = rows[0]["found"]
+    mods = _sample(alg, cfg)  # each built once, for the search and the test
+    found = _hits(mods, cfg)
+    structured = sum(1 for mod in mods if structure_test(mod)[0])
     return [_check("fraction_matches_structure", found == structured,
                    f"found {found}, structured {structured}")]
 

@@ -5,37 +5,35 @@ All arithmetic is exact: prime-field entries are canonical integers in
 [0, p), rational entries are `fractions.Fraction` values.  No floating
 point anywhere.
 
-Storage contract: `Field` is the only code that knows how entries are
-stored.  It fixes four things once, in its constructor: the storage
-dtype of every `Matrix` over it (int8 for p <= 127, int64 for larger p,
-object arrays of Fractions over Q), the wide dtype that a sum or product
-of two entries fits in (int64, or object over Q), `reduce`, which maps
-a wide array back to canonical entries (x % p, or x itself over Q), and
-`zeros`, the zero array in the storage dtype.  It also says in which
-dtype a sum of products of entries is exact (`sum_dtype`).  `Matrix` and
-the elimination loop are written once against these and never ask which
-field they are over; only the dense product keeps a rational path,
-because it scales Q operands to integers.
+Storage contract: `Field` is the only code that knows which field it is
+over.  Its constructor chooses every per-field operation once (listed in
+its docstring): how entries are stored (int8 for p <= 127, int64 for
+larger p, object arrays of Fractions over Q), the scalar operations, the
+parser's coefficient normaliser, the dense product, the uncarried `rref`
+and `rank`, and the rounds of `algebra_radical`.  `Matrix`, the
+elimination loops, the radical and the polynomial parser are written
+once against these and never ask which field they are over.
 
 Products come in two kinds.  Dense ones (`contract`, `Matrix @`) go
-through `_exact_product`: in the storage dtype while no sum can pass its
-maximum (int8: 127 terms over F_2, 31 over F_3), then int64 while none
-can reach 2**63, then Python ints; one reduction mod p at the end.  Free
+through the field's `product`: over F_p in the storage dtype while no
+sum can pass its maximum (int8: 127 terms over F_2, 31 over F_3), then
+int64 while none can reach 2**63, then Python ints, with one reduction
+mod p at the end; over Q on integer multiples of the operands.  Free
 modules take this path too, through their block-diagonal actions.
 Sparse columns, such as resolution steps, meet a fixed coefficient
 array, such as the structure constants, entry by entry: `by_gather`
 lists its nonzeros by the index they read.
 
-GF(2) `rref` and `rank` run on rows held as Python ints (bit c-1-j is
+Over F_2 `rref` and `rank` run on rows held as Python ints (bit c-1-j is
 column j; one XOR is one row operation) with an echelon basis keyed by
 leading bit, so the work follows the nonzeros; `rank` skips the
 back-substitution.  Rows of at most 64 columns become ints by one
 product with the column bits and come back by one shift-and-mask; wider
 rows go through packed bytes.  The rref is unique, so the results equal
-the general loop's.  Carried solves (`solve_columns`, `solve`) run the
-general loop `_rref_in_place` on every field, because the carried values
-of an unsolvable column depend on the order of row operations; `inverse`
-reads A^-1 off the rref of [A | I].
+those of the general loop `_rref_in_place`, which the other fields run.
+Carried solves (`solve_columns`, `solve`) run the general loop on every
+field, because the carried values of an unsolvable column depend on the
+order of row operations; `inverse` reads A^-1 off the rref of [A | I].
 
 Layout contract relied on by the rest of the package: `kernel_basis`
 returns its columns in unit-at-free-column form (each basis vector has a
@@ -68,6 +66,7 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 from functools import cache, partial
+from itertools import count
 
 import numpy as np
 
@@ -88,56 +87,119 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _fraction(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"cannot coerce {x!r} into QQ")
+
+
+def _inverse_mod(p: int, a: int) -> int:
+    if a % p == 0:
+        raise ZeroDivisionError("inverse of zero")
+    return pow(a, p - 2, p)
+
+
+def _nonzero_residue(p: int, c) -> int:
+    """The residue mod p of a rational c; ArithmeticError if 0 or undefined."""
+    if c.denominator % p and (r := c.numerator * pow(c.denominator, -1, p) % p):
+        return r
+    raise ArithmeticError(f"{c} has no nonzero residue mod {p}")
+
+
+def _parse(field: "Field", value, s: str):
+    """The element that decimal text like "3" or "-1/2" names: `value(q,
+    num, den)` of its value q in Q's syntax, which every field reads, and
+    of the text's numerator and denominator."""
+    s = s.strip()
+    try:
+        return value(Fraction(s), *s.partition("/")[::2])
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r} over {field!r}") from None
+
+
 class Field:
     """A prime field F_p (p < 2**31) or the rationals (p is None).
 
-    Besides p it holds the representation of its entries: `dtype` (the
-    storage dtype), `wide` (the dtype sums and products of two entries
-    fit in), `reduce(x, out=None)`, which brings a wide array back to
-    canonical entries, `zeros(shape)`, an array of canonical zeros in
-    the storage dtype, and `sum_dtype(terms, a, b)`, the dtype in which
-    every sum of `terms` products of an entry of `a` and an entry of `b`
-    is exact: over F_p the storage dtype while terms*(p-1)^2 fits it,
-    else int64 while no such sum reaches 2**63, else object.
+    The constructor chooses every operation that depends on the field:
+    - storage: `dtype`; `wide`, the dtype a sum or product of two entries
+      fits in; `reduce(x, out=None)`, a wide array back to canonical
+      entries (x % p, or x over Q); `zeros(shape)`; over F_p only,
+      `sum_dtype(terms, a, b)`, the dtype in which every sum of `terms`
+      products of entries of `a` and `b` is exact (the storage dtype
+      while terms*(p-1)^2 fits it, else int64 while no such sum reaches
+      2**63, else object); `key(a)`, an array's entries as a hashable
+      value (its bytes, or over Q its entries, as an object array's bytes
+      are pointers);
+    - scalars: `coerce(x)`, `inv(a)`, `parse(s)`, `random(rng)`,
+      `characteristic` (0 over Q) and `name`, the repr;
+    - the parser's coefficient normaliser `residue(c)`: a rational c
+      itself over Q, its residue over F_p, with ArithmeticError when that
+      is 0 or undefined, as a zero residue may hide a nonzero rational;
+      its values have at most `entry_bits` bits (unbounded over Q);
+    - kernels: `product(kernel, a, b, terms)`, a numpy kernel summing
+      `terms` products per entry, exactly, in the storage dtype;
+      `rref(a)` (an array and its pivots) and `rank(a)`, uncarried; and
+      `radical_rounds(n)`, the rounds of `algebra_radical`.
     """
 
-    __slots__ = ("p", "dtype", "wide", "reduce", "zeros", "sum_dtype")
+    __slots__ = ("p", "characteristic", "name", "dtype", "wide", "reduce",
+                 "zeros", "sum_dtype", "key", "coerce", "inv", "parse",
+                 "random", "residue", "entry_bits", "product", "rref",
+                 "rank", "radical_rounds")
 
     def __init__(self, p: int | None = None):
+        self.p = p
+        self.rref = lambda a: _rref_in_place(a.astype(self.wide), self, a.shape[1])
+        # through `_rref_carry`, which perfbench's tracer times as elimination
+        self.rank = lambda a: len(Matrix(self, a)._rref_carry(None)[1])
         if p is None:
+            self.characteristic, self.name = 0, "QQ"
             self.dtype = self.wide = np.dtype(object)
             self.reduce = lambda x, out=None: x
             self.zeros = partial(np.full, fill_value=_ZERO, dtype=self.dtype)
-            self.sum_dtype = lambda terms, a, b: self.wide
-        else:
-            if not (2 <= p < 2**31):
-                raise ValueError(f"field characteristic out of range: {p}")
-            if not _is_prime(p):
-                raise ValueError(f"field characteristic must be prime: {p}")
-            self.dtype = np.dtype(np.int8 if p <= 127 else np.int64)
-            self.wide = np.dtype(np.int64)
-            self.reduce = lambda x, out=None: np.remainder(x, p, out=out)
-            self.zeros = partial(np.zeros, dtype=self.dtype)
-            top = np.iinfo(self.dtype).max  # storage sums up to this are exact
-            self.sum_dtype = lambda terms, a, b: (
-                self.dtype if terms * (p - 1) ** 2 <= top
-                else self.wide if _int64_exact(p, terms, a, b) else np.dtype(object))
-        self.p = p
+            self.key = lambda a: tuple(a.flat)
+            self.coerce, self.inv = _fraction, lambda a: 1 / a
+            self.parse = partial(_parse, self, lambda q, num, den: q)
+            self.random = lambda rng: Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+            self.residue, self.entry_bits = (lambda c: c), math.inf
+            self.product = _rational_product
+            self.radical_rounds = lambda n: 1
+            return
+        if not (2 <= p < 2**31):
+            raise ValueError(f"field characteristic out of range: {p}")
+        if not _is_prime(p):
+            raise ValueError(f"field characteristic must be prime: {p}")
+        self.characteristic, self.name = p, f"GF({p})"
+        self.dtype = np.dtype(np.int8 if p <= 127 else np.int64)
+        self.wide = np.dtype(np.int64)
+        self.reduce = lambda x, out=None: np.remainder(x, p, out=out)
+        self.zeros = partial(np.zeros, dtype=self.dtype)
+        top = np.iinfo(self.dtype).max  # storage sums up to this are exact
+        self.sum_dtype = lambda terms, a, b: (  # small p need no scan for int64
+            self.dtype if terms * (p - 1) ** 2 <= top else self.wide
+            if terms * (p - 1) ** 2 < 2**63
+            or terms * int(a.max(initial=0)) * int(b.max(initial=0)) < 2**63
+            else np.dtype(object))
+        self.key = np.ndarray.tobytes
+        self.coerce = lambda x: int(x) % p
+        self.inv = partial(_inverse_mod, p)
+        self.parse = partial(_parse, self, lambda q, num, den: self.div(
+            int(num), int(den or 1)))  # not q: "3/3" is 1/0 over F_3; decimals fail
+        self.random = lambda rng: rng.randrange(p)
+        self.residue, self.entry_bits = partial(_nonzero_residue, p), (p - 1).bit_length()
+        self.product = partial(_modular_product, self)
+        self.radical_rounds = lambda n: next(i for i in count(1) if p ** i > n)
+        if p == 2:
+            self.rref = _gf2_rref
+            self.rank = lambda a: len(_gf2_echelon(_gf2_rows(a)))
 
     def zero(self):
         return self.coerce(0)
 
     def one(self):
         return self.coerce(1)
-
-    def coerce(self, x):
-        if self.p is not None:
-            return int(x) % self.p
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
-        raise TypeError(f"cannot coerce {x!r} into {self!r}")
 
     def add(self, a, b):
         return self.coerce(a + b)
@@ -148,38 +210,11 @@ class Field:
     def neg(self, a):
         return self.coerce(-a)
 
-    def inv(self, a):
-        if self.p is not None:
-            a %= self.p
-            if a == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return pow(a, self.p - 2, self.p)
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / a
-
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def parse(self, s: str):
-        """Parse a field element from decimal text like "3" or "-1/2"."""
-        s = s.strip()
-        try:
-            q = Fraction(s)  # Q's syntax on every field
-            if self.p is None:
-                return q
-            num, _, den = s.partition("/")  # decimals fail here
-            return self.div(int(num), int(den or 1))
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {s!r} over {self!r}") from None
-
     def format(self, x) -> str:
         return str(x)
-
-    def random(self, rng):
-        if self.p is not None:
-            return rng.randrange(self.p)
-        return Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
 
     def __eq__(self, other):
         return isinstance(other, Field) and other.p == self.p
@@ -192,36 +227,19 @@ class Field:
         return Field, (self.p,)
 
     def __repr__(self):
-        return "QQ" if self.p is None else f"GF({self.p})"
-
-
-QQ = Field(None)
-GF2 = Field(2)
-GF3 = Field(3)
+        return self.name
 
 
 # ---------------------------------------------------------------------------
-# Exact bilinear kernels: dense products accumulate in the field's
-# `sum_dtype` (the storage dtype, then int64, then Python ints, each while
-# no sum can pass its maximum) and are reduced mod p once at the end.
+# Exact bilinear kernels, one per field kind (`Field.product`): mod p in
+# the field's `sum_dtype`, reduced once at the end; over Q on integers.
 
 
-def _int64_exact(p: int, terms: int, a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether every sum of `terms` products of an entry of `a` and an
-    entry of `b` (canonical residues mod p) fits in int64.  The bound
-    terms*(p-1)^2 settles small p without scanning the arrays."""
-    if terms * (p - 1) ** 2 < 2**63:
-        return True
-    return terms * int(a.max(initial=0)) * int(b.max(initial=0)) < 2**63
-
-
-def _exact_product(field: Field, kernel, a: np.ndarray, b: np.ndarray,
-                   terms: int) -> np.ndarray:
-    """kernel(a, b) computed exactly over the field, for a numpy kernel
-    that sums `terms` products per output entry; the result is in the
-    field's storage dtype."""
-    if field.p is None:
-        return _rational_product(kernel, a, b, terms)
+def _modular_product(field: Field, kernel, a: np.ndarray, b: np.ndarray,
+                     terms: int) -> np.ndarray:
+    """kernel(a, b) over F_p, for a numpy kernel that sums `terms`
+    products per output entry: in the field's `sum_dtype`, reduced once
+    at the end, returned in its storage dtype."""
     dt = field.sum_dtype(terms, a, b)
     out = kernel(a.astype(dt, copy=False), b.astype(dt, copy=False))
     return field.reduce(out, out=out).astype(field.dtype, copy=False)
@@ -277,7 +295,7 @@ def contract(field: Field, spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarra
     terms = 1
     for k, ax in _summed_axes(spec):
         terms *= shapes[k][ax]
-    return _exact_product(field, lambda x, y: np.einsum(spec, x, y), a, b, terms)
+    return field.product(lambda x, y: np.einsum(spec, x, y), a, b, terms)
 
 
 def by_gather(dense: np.ndarray, gather: int,
@@ -594,8 +612,7 @@ class Matrix:
         self._check(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.a.shape} @ {other.a.shape}")
-        return Matrix(self.field,
-                      _exact_product(self.field, np.dot, self.a, other.a, self.cols))
+        return Matrix(self.field, self.field.product(np.dot, self.a, other.a, self.cols))
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, self.a.T.copy())
@@ -648,25 +665,22 @@ class Matrix:
 
         Pivots are chosen only among self's columns; row operations are
         applied to the carried block as well.  Returns (R, pivots, C).
+        Without carried columns the field's `rref` kernel runs.
         """
         f = self.field
-        if carry is None and f.p == 2:
-            r, piv = _gf2_rref(self.a)
-            return Matrix(f, r), piv, None
-        joint = self.a if carry is None else np.hstack([self.a, carry.a])
-        joint, piv = _rref_in_place(joint.astype(f.wide), f, self.cols)
-        r = Matrix(f, joint[:, :self.cols].astype(f.dtype))
-        c = Matrix(f, joint[:, self.cols:].astype(f.dtype)) if carry is not None else None
-        return r, piv, c
+        if carry is None:
+            r, piv = f.rref(self.a)
+            return Matrix(f, r.astype(f.dtype, copy=False)), piv, None
+        joint, piv = _rref_in_place(np.hstack([self.a, carry.a]).astype(f.wide), f, self.cols)
+        return (Matrix(f, joint[:, :self.cols].astype(f.dtype)), piv,
+                Matrix(f, joint[:, self.cols:].astype(f.dtype)))
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         r, piv, _ = self._rref_carry(None)
         return r, tuple(piv)
 
     def rank(self) -> int:
-        if self.field.p == 2:
-            return len(_gf2_echelon(_gf2_rows(self.a)))
-        return len(self._rref_carry(None)[1])
+        return self.field.rank(self.a)
 
     def kernel_data(self) -> tuple["Matrix", list[int]]:
         """Kernel basis plus the free column positions defining it.
@@ -741,12 +755,15 @@ def algebra_radical(basis: Matrix, n: int) -> Matrix:
 
     Ronyai's chain: I_{-1} = A, I_i = {x in I_{i-1} : Tr(z^(p^i))/p^i = 0
     mod p for z the [0, p) lift of xy, all y in A}, i = 0..floor(log_p n),
-    ends at J(A); over Q and for p > n only Dickson's Tr(xy) runs.
+    ends at J(A); over Q and for p > n only Dickson's Tr(xy) runs.  The
+    field's `radical_rounds(n)` counts the rounds.
     """
     f = basis.field
     ys = basis.a.T.reshape(-1, n, n)
-    ideal, i = basis, 0
-    while ideal.cols:
+    ideal = basis
+    for i in range(f.radical_rounds(n)):
+        if not ideal.cols:
+            break
         xs = ideal.a.T.reshape(-1, n, n)
         if i == 0:
             gram = contract(f, "sab,tba->st", xs, ys)
@@ -760,12 +777,14 @@ def algebra_radical(basis: Matrix, n: int) -> Matrix:
                 parts.append(np.trace(w, axis1=2, axis2=3) % q // (q // f.p))
             gram = np.vstack(parts).astype(f.dtype)
         ideal = ideal @ Matrix(f, gram).transpose().kernel_basis()
-        i += 1
-        if f.p is None or f.p ** i > n:
-            break
     return ideal
 
 
 def random_matrix(field: Field, r: int, c: int, rng) -> Matrix:
     return Matrix.from_rows(field, [[field.random(rng) for _ in range(c)]
                                     for _ in range(r)]) if r else Matrix.zeros(field, 0, c)
+
+
+QQ = Field(None)
+GF2 = Field(2)
+GF3 = Field(3)

@@ -176,13 +176,12 @@ class Module:
 def shared(mod: Module) -> dict:
     """The entry of the module's actions in its algebra's table, shared by
     every module with those actions and looked up once per module.  The
-    key is the dimension and the action array's values: its bytes over
-    F_p, its entries over Q (an object array's bytes are pointers); a free
-    module's is its rank, so no free action is built to key it."""
+    key is the dimension and the action array's values (the field's
+    `key`); a free module's is its rank, so no free action is built to
+    key it."""
     if mod._shared is None:
-        acts = mod.var_stack
         key = ("free", mod.free_rank) if mod.free_rank is not None else (
-            mod.dim, tuple(acts.flat) if acts.dtype == object else acts.tobytes())
+            mod.dim, mod.algebra.field.key(mod.var_stack))
         mod._shared = mod.algebra._table.setdefault(key, {})
     return mod._shared
 

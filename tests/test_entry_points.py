@@ -14,6 +14,8 @@ import re
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "redhom"
 CALLERS = [*sorted((ROOT / "scripts").glob("*.py")),
@@ -85,3 +87,88 @@ def test_a_test_only_function_is_found(tmp_path, monkeypatch):
                  "    return biduality(mod).is_bijective\n")
     monkeypatch.setitem(globals(), "PACKAGE", pkg)
     assert unreferenced() == ["homalg.is_reflexive"]
+
+
+# -- per-field decisions -----------------------------------------------------
+#
+# `Field`'s constructor chooses every operation that depends on the field,
+# so no other line of the package tests which field it is over: no
+# comparison of a characteristic (`.p`, `.characteristic`, or a name
+# assigned from one) with a constant or a field constant (`p is None`,
+# `f.p == 2`, `field == QQ`), no truth test of one (`f.p or 0`), and no
+# test of the object dtype that only Q stores (`a.dtype == object`).
+
+CHARACTERISTICS = {"p", "characteristic"}
+FIELD_CONSTANTS = {"QQ", "GF2", "GF3"}
+
+
+def constructor_lines(tree: ast.Module) -> set[int]:
+    """The lines of `Field.__init__`."""
+    return {line for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == "Field"
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+            for line in range(item.lineno, item.end_lineno + 1)}
+
+
+def field_tests() -> list[str]:
+    """module:line of each test of the field outside its constructor."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {t.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Assign)
+                 and isinstance(node.value, ast.Attribute)
+                 and node.value.attr in CHARACTERISTICS
+                 for t in node.targets if isinstance(t, ast.Name)}
+
+        def characteristic(node):
+            return (isinstance(node, ast.Attribute) and node.attr in CHARACTERISTICS
+                    or isinstance(node, ast.Name) and node.id in names)
+
+        def compares(sides):
+            def has(test):
+                return any(map(test, sides))
+            return (has(lambda s: isinstance(s, ast.Name) and s.id in FIELD_CONSTANTS)
+                    or has(characteristic) and has(lambda s: isinstance(s, ast.Constant))
+                    or has(lambda s: isinstance(s, ast.Attribute) and s.attr == "dtype")
+                    and has(lambda s: isinstance(s, ast.Name) and s.id == "object"))
+
+        skip = constructor_lines(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                hit = compares([node.left, *node.comparators])
+            elif isinstance(node, (ast.If, ast.IfExp, ast.While, ast.Assert)):
+                hit = characteristic(node.test)
+            elif isinstance(node, ast.BoolOp):
+                hit = any(map(characteristic, node.values))
+            elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+                hit = characteristic(node.operand)
+            else:
+                continue
+            if hit and node.lineno not in skip:
+                out.append(f"{path.stem}:{node.lineno}")
+    return out
+
+
+def test_only_the_field_constructor_tests_the_field():
+    assert field_tests() == []
+
+
+@pytest.mark.parametrize("body,line", [
+    ("    return 1 if fld.p is None else 2", 2),
+    ("    return fld.characteristic or 0", 2),
+    ("    modulus = fld.p\n    if modulus == 2:\n        return 0", 3),
+    ("    return fld == QQ", 2),
+    ("    return fld.zeros(1).dtype == object", 2),
+])
+def test_a_field_test_is_found(tmp_path, monkeypatch, body, line):
+    pkg = tmp_path / "redhom"
+    pkg.mkdir()
+    for path in PACKAGE.glob("*.py"):
+        (pkg / path.name).write_text(path.read_text())
+    start = len((pkg / "homalg.py").read_text().splitlines())
+    with open(pkg / "homalg.py", "a") as fh:
+        fh.write(f"\n\ndef which(fld):\n{body}\n")
+    monkeypatch.setitem(globals(), "PACKAGE", pkg)
+    assert field_tests() == [f"homalg:{start + 2 + line}"]

@@ -228,3 +228,19 @@ class TestConstantPowers:
         with pytest.raises(AlgebraError, match="bits is over MAX_STEP_BYTES"):
             parse_polynomial("3^20000000*x", NAMES, QQ)
         assert parse_polynomial("1^20000000*x", NAMES, QQ) == {(1, 0, 0): 1}
+
+    @pytest.mark.parametrize("src,fld,bits", [
+        ("3^20000000*x", QQ, 20000001),
+        ("7^20000000*x", Field(7), 40000001),  # 7 is 0 mod 7: exact
+        ("3^200000000*x", QQ, 200000001),
+        ("(1/3)^-20000000*x", QQ, 20000001),
+        ("(x + 3)^20000000", QQ, 20000001),  # its constant term is 3^e
+    ])
+    def test_huge_exact_power_is_refused_before_it_is_taken(self, src, fld, bits):
+        """|e|*(bits(c) - 1) + 1 bits, a lower bound on c^e's, are over
+        the cap, so no squaring runs; taking the power took about 1 s."""
+        parse_polynomial("x", NAMES, fld)  # imports the cap's module
+        start = time.perf_counter()
+        with pytest.raises(AlgebraError, match=f"of {bits} bits is over"):
+            parse_polynomial(src, NAMES, fld, 3)
+        assert time.perf_counter() - start < 0.1
