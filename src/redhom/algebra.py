@@ -313,10 +313,11 @@ def build_algebra(fld: Field, var_names: list[str], relations: list[str],
         raise AlgebraError("nilpotency bound must be at least 1")
     if len(set(var_names)) != len(var_names):
         raise AlgebraError("duplicate variable names")
+    from .resolution import _check_dense_size  # resolution imports this module
     n = len(var_names)
     nm = math.comb(n + nilpotency - 1, n)
-    _check_table_size(f"the {nm}x{nm} normal-form kernel of the monomials "
-                      f"below degree {nilpotency}", nm * nm, fld)
+    _check_dense_size(f"the {nm}x{nm} normal-form kernel of the monomials below "
+                      f"degree {nilpotency}", nm * nm, fld, error=AlgebraError)
     mons = _monomials_below(n, nilpotency)
     mon_index = {m: i for i, m in enumerate(mons)}
 
@@ -349,8 +350,8 @@ def build_algebra(fld: Field, var_names: list[str], relations: list[str],
         raise AlgebraError("relations collapse the identity; algebra is zero")
     basis_mons = [mons[i] for i in basis_pos]
     d = len(basis_mons)
-    _check_table_size(f"the {d + n}x{d}x{d} product table",
-                      (d + n) * d * d, fld)
+    _check_dense_size(f"the {d + n}x{d}x{d} product table", (d + n) * d * d, fld,
+                      error=AlgebraError)
 
     # normal form of every truncated monomial, as a (d x nm) table
     nf_table = kb.transpose()
@@ -384,17 +385,6 @@ def build_algebra(fld: Field, var_names: list[str], relations: list[str],
     alg._nf_table = nf_table    # type: ignore[attr-defined]
     _validate_algebra(alg)
     return alg
-
-
-def _check_table_size(what: str, entries: int, fld: Field) -> None:
-    """Refuse a table of `entries` entries in `fld.wide` past
-    `resolution.MAX_STEP_BYTES`, read at call time (resolution imports
-    this module)."""
-    from .resolution import MAX_STEP_BYTES
-    size = entries * fld.wide.itemsize
-    if size > MAX_STEP_BYTES:
-        raise AlgebraError(f"{what} would allocate {size} bytes, over "
-                           f"MAX_STEP_BYTES = {MAX_STEP_BYTES}")
 
 
 def _validate_algebra(alg: Algebra) -> None:

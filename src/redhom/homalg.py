@@ -142,8 +142,7 @@ def dual_map(f: ModuleMap, dual_target: DualData,
         f.source.algebra.dim * f.source.dim, dual_target.flat.cols)),
         "dualized map leaves the dual space" if dual_source.flat.cols
         else "map dualizes into an empty dual")
-    return ModuleMap(dual_target.module, dual_source.module, coords,
-                     validate=False)
+    return ModuleMap(dual_target.module, dual_source.module, coords)
 
 
 @dataclass
@@ -168,9 +167,7 @@ def biduality(mod: Module) -> BidualityData:
     d1 = r_dual(mod)
     d2 = r_dual(d1.module)
     if mod.dim == 0 or d2.module.dim == 0:
-        lam = ModuleMap(mod, d2.module,
-                        Matrix.zeros(fld, d2.module.dim, mod.dim),
-                        validate=False)
+        lam = ModuleMap(mod, d2.module, Matrix.zeros(fld, d2.module.dim, mod.dim))
         return BidualityData(lam, d1, d2)
     # column j: evaluation at basis vector j, the row-major (dim R x h1)
     # map sending dual basis map i to its column j
@@ -178,8 +175,7 @@ def biduality(mod: Module) -> BidualityData:
     ev = d1.flat.a.reshape(alg.dim, mod.dim, h1).transpose(0, 2, 1)
     coords = _coords(d2.flat, Matrix(fld, ev.reshape(alg.dim * h1, mod.dim)),
                      "evaluation map leaves the double dual")
-    return BidualityData(ModuleMap(mod, d2.module, coords, validate=False),
-                         d1, d2)
+    return BidualityData(ModuleMap(mod, d2.module, coords), d1, d2)
 
 
 # -- Ext dimension tables ------------------------------------------------------
@@ -410,7 +406,8 @@ class Ext1Data:
         cols = table.transition_columns(0) + cocycles
         free = set(sparse_kernel(fld, cols, lambda m: table._charge(0, len(cols) + m))[0])
         pivots = [j for j in range(len(cols)) if j not in free]
-        _check_dense_size("Ext^1 class basis", (self.flat_dim, len(pivots)), fld)
+        _check_dense_size("Ext^1 class basis", self.flat_dim * len(pivots), fld,
+                          f" as a dense {self.flat_dim}x{len(pivots)} matrix")
         self._class_basis = Matrix.from_sparse(fld, self.flat_dim, [cols[j] for j in pivots])
         nb = sum(j < len(cols) - len(cocycles) for j in pivots)
         self.boundaries = self._class_basis.take_cols(range(nb))
@@ -479,8 +476,8 @@ def extension_from_psi(left: Module, right: Module,
     middle = Module(left.algebra, split.middle.dim, acts, validate=False,
                     label=f"E({left.label or '?'},{right.label or '?'})")
     return ShortExactSequence(
-        ModuleMap(left, middle, split.inject.matrix, validate=False),
-        ModuleMap(middle, right, split.project.matrix, validate=False))
+        ModuleMap(left, middle, split.inject.matrix),
+        ModuleMap(middle, right, split.project.matrix))
 
 
 def extension_from_class(data: Ext1Data, coords: Matrix) -> ShortExactSequence:
@@ -550,9 +547,8 @@ def pushforward(mod: Module) -> Pushforward:
     q, proj, va = entry["push"]
     target = free_module(alg, q.rows // alg.dim)
     forward = Module(alg, proj.rows, va, label=f"push({mod.label or '?'})", validate=False)
-    return Pushforward(ShortExactSequence(
-        ModuleMap(mod, target, q, validate=False),
-        ModuleMap(target, forward, proj, validate=False)), forward)
+    return Pushforward(ShortExactSequence(ModuleMap(mod, target, q),
+                                          ModuleMap(target, forward, proj)), forward)
 
 
 # -- horseshoe construction -----------------------------------------------------------
@@ -613,14 +609,12 @@ def horseshoe(ses: ShortExactSequence) -> Horseshoe:
     left_coords, ok = embed.solve_columns(incl_n)
     if not all(ok):
         raise HomAlgError("left syzygy does not land in the middle")
-    inject = ModuleMap(res_n.syzygy_module(1), middle, left_coords,
-                       validate=False)
+    inject = ModuleMap(res_n.syzygy_module(1), middle, left_coords)
 
     # right leg: project onto the last generator blocks, read syzygy coords
     proj_rows = [g_n * d + p for p in res_m.free_positions(1)]
     project = ModuleMap(middle, res_m.syzygy_module(1),
-                        Matrix(fld, embed.a[proj_rows, :].copy()),
-                        validate=False)
+                        Matrix(fld, embed.a[proj_rows, :].copy()))
     return Horseshoe(ShortExactSequence(inject, project), f_rank)
 
 
@@ -635,9 +629,6 @@ class ExtSyzygyMap:
     source_data: Ext1Data      # pair (right, left)
     target_data: Ext1Data      # pair (right syzygy, left syzygy)
     matrix: Matrix
-
-    def is_surjective(self) -> bool:
-        return self.matrix.rank() == self.target_data.dim
 
 
 def ext_syzygy_map(right: Module, left: Module) -> ExtSyzygyMap:

@@ -181,7 +181,7 @@ def complete_resolution(mod: Module,
     maps = []
     for i in range(window, 0, -1):
         maps.append(ModuleMap(res.ambient_free(i), res.ambient_free(i - 1),
-                              res.differential(i), validate=False))
+                              res.differential(i)))
     chain = []
     cur = mod
     for j in range(window):
@@ -194,14 +194,12 @@ def complete_resolution(mod: Module,
         cur = chain[-1].forward
     maps.append(ModuleMap(
         res.ambient_free(0), chain[0].sequence.middle,
-        chain[0].sequence.inject.matrix @ res.cover_matrix(),
-        validate=False))
+        chain[0].sequence.inject.matrix @ res.cover_matrix()))
     for j in range(window - 1):
         maps.append(ModuleMap(
             chain[j].sequence.middle, chain[j + 1].sequence.middle,
             chain[j + 1].sequence.inject.matrix
-            @ chain[j].sequence.project.matrix,
-            validate=False))
+            @ chain[j].sequence.project.matrix))
     exact = _complex_exact(maps)
     modules = [maps[0].source] + [m.target for m in maps]
     duals = [r_dual(m) for m in modules]

@@ -160,7 +160,7 @@ class Field:
             self.reduce = lambda x, out=None: x
             self.zeros = partial(np.full, fill_value=_ZERO, dtype=self.dtype)
             self.key = lambda a: tuple(a.flat)
-            self.coerce, self.inv = _fraction, lambda a: 1 / a
+            self.coerce, self.inv = _fraction, lambda a: 1 / _fraction(a)
             self.parse = partial(_parse, self, lambda q, num, den: q)
             self.random = lambda rng: Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
             self.residue, self.entry_bits = (lambda c: c), math.inf
@@ -565,9 +565,6 @@ class Matrix:
 
     def take_rows(self, idx) -> "Matrix":
         return Matrix(self.field, self.a[list(idx), :])
-
-    def to_lists(self):
-        return self.a.tolist()
 
     def to_str_rows(self):
         return [[self.field.format(self.entry(i, j)) for j in range(self.cols)]

@@ -117,21 +117,14 @@ class Module:
         from the variable actions side by side (x_v's columns span x_v M)."""
         if self._radical is None:
             alg = self.algebra
-            if self.dim == 0 or alg.nvars == 0:
-                self._radical = Matrix.zeros(alg.field, self.dim, 0)
-            else:
-                self._radical = column_space_basis(Matrix(alg.field, self.var_stack
-                    .transpose(1, 0, 2).reshape(self.dim, alg.nvars * self.dim)))
+            self._radical = column_space_basis(Matrix(alg.field, self.var_stack
+                .transpose(1, 0, 2).reshape(self.dim, alg.nvars * self.dim)))
         return self._radical
 
     def socle_span(self) -> Matrix:
         if self._socle is None:
             alg = self.algebra
-            if self.dim == 0:
-                self._socle = Matrix.zeros(alg.field, 0, 0)
-            elif alg.nvars == 0:
-                self._socle = Matrix.identity(alg.field, self.dim)
-            elif self.summands:  # the kernel splits over the parts, in order
+            if self.summands:  # the kernel splits over the parts, in order
                 self._socle = Matrix.block_diag(
                     alg.field, [p.socle_span() for p, _ in self.summands])
             else:
@@ -324,7 +317,7 @@ def injection_map(summed: Module, idx: int) -> "ModuleMap":
     part, off = summed.summands[idx]
     m = Matrix.zeros(summed.algebra.field, summed.dim, part.dim)
     m.a[off:off + part.dim, :] = Matrix.identity(summed.algebra.field, part.dim).a
-    return ModuleMap(part, summed, m, validate=False)
+    return ModuleMap(part, summed, m)
 
 
 def projection_map(summed: Module, idx: int) -> "ModuleMap":
@@ -333,7 +326,7 @@ def projection_map(summed: Module, idx: int) -> "ModuleMap":
     part, off = summed.summands[idx]
     m = Matrix.zeros(summed.algebra.field, part.dim, summed.dim)
     m.a[:, off:off + part.dim] = Matrix.identity(summed.algebra.field, part.dim).a
-    return ModuleMap(summed, part, m, validate=False)
+    return ModuleMap(summed, part, m)
 
 
 def from_presentation(alg: Algebra, n_gens: int, rel_rows: list[list[str]],
@@ -369,12 +362,15 @@ def presented_module(alg: Algebra, relations: np.ndarray, label: str = "") -> Mo
 
 
 class ModuleMap:
-    """An algebra-linear map between modules, as a k-matrix on coordinates."""
+    """An algebra-linear map between modules, as a k-matrix on coordinates.
+
+    Building a map checks only its shape; `check_linear` checks that it
+    commutes with the actions, and is called where maps come from outside
+    input (`ShortExactSequence.validate`, `reducing.verify`)."""
 
     __slots__ = ("source", "target", "matrix")
 
-    def __init__(self, source: Module, target: Module, matrix: Matrix,
-                 validate: bool = True):
+    def __init__(self, source: Module, target: Module, matrix: Matrix):
         if matrix.rows != target.dim or matrix.cols != source.dim:
             raise ModuleError(
                 f"map shape {matrix.rows}x{matrix.cols} does not match "
@@ -382,8 +378,6 @@ class ModuleMap:
         self.source = source
         self.target = target
         self.matrix = matrix
-        if validate:
-            self.check_linear()
 
     def check_linear(self) -> None:
         """x_v f = f x_v for every variable v, one contraction per side."""
@@ -394,14 +388,12 @@ class ModuleMap:
 
     @staticmethod
     def identity(mod: Module) -> "ModuleMap":
-        return ModuleMap(mod, mod, Matrix.identity(mod.algebra.field, mod.dim),
-                         validate=False)
+        return ModuleMap(mod, mod, Matrix.identity(mod.algebra.field, mod.dim))
 
     @staticmethod
     def zero(source: Module, target: Module) -> "ModuleMap":
         return ModuleMap(source, target,
-                         Matrix.zeros(source.algebra.field, target.dim, source.dim),
-                         validate=False)
+                         Matrix.zeros(source.algebra.field, target.dim, source.dim))
 
     def rank(self) -> int:
         return self.matrix.rank()
@@ -420,10 +412,7 @@ class ModuleMap:
         inv = self.matrix.inverse()
         if inv is None:
             raise ModuleError("map is not invertible")
-        return ModuleMap(self.target, self.source, inv, validate=False)
-
-    def is_zero(self) -> bool:
-        return self.matrix.is_zero()
+        return ModuleMap(self.target, self.source, inv)
 
     def __repr__(self):
         return (f"ModuleMap({self.source.label or '?'} -> "
@@ -479,7 +468,7 @@ def _on_basis(mod: Module, basis: Matrix, va: np.ndarray,
     inclusion."""
     sub = Module(mod.algebra, basis.cols, va, label=label,
                  validate=False) if basis.cols else zero_module(mod.algebra)
-    return sub, ModuleMap(sub, mod, basis, validate=False)
+    return sub, ModuleMap(sub, mod, basis)
 
 
 def kernel_actions(mod: Module, kb: Matrix, fp: list[int]) -> np.ndarray:
@@ -502,7 +491,7 @@ def quotient_module(mod: Module, span: Matrix,
     proj = kb.transpose()
     va = contract(mod.algebra.field, "ab,vbc->vac", proj.a, mod.var_stack[:, :, keep])
     quot = Module(mod.algebra, len(keep), va, label=label, validate=False)
-    return quot, ModuleMap(mod, quot, proj, validate=False)
+    return quot, ModuleMap(mod, quot, proj)
 
 
 def kernel_module(f: ModuleMap, label: str = "") -> tuple[Module, ModuleMap]:
@@ -520,12 +509,9 @@ def hom_space_matrix(src: Module, tgt: Module) -> Matrix:
     alg = src.algebra
     fld = alg.field
     nm = src.dim * tgt.dim
-    if nm == 0:
-        return Matrix.zeros(fld, 0, 0)
-    if alg.nvars == 0:
-        return Matrix.identity(fld, nm)
     from .resolution import _check_dense_size  # resolution imports this module
-    _check_dense_size("Hom system", (alg.nvars * nm, nm), fld)
+    _check_dense_size("Hom system", alg.nvars * nm * nm, fld,
+                      f" as a dense {alg.nvars * nm}x{nm} matrix")
     shape = (alg.nvars * nm, nm)
     right = contract(fld, "ij,vlk->vikjl", Matrix.identity(fld, tgt.dim).a, src.var_stack)
     left = contract(fld, "vij,kl->vikjl", tgt.var_stack, Matrix.identity(fld, src.dim).a)
@@ -601,8 +587,7 @@ def is_isomorphic(m1: Module, m2: Module, seed: int = 0) -> IsoVerdict:
     if m1.dim != m2.dim:
         return IsoVerdict("no", reason=f"dimensions {m1.dim} != {m2.dim}")
     if m1.dim == 0:
-        return IsoVerdict("yes", ModuleMap(m1, m2, Matrix.zeros(fld, 0, 0),
-                                           validate=False))
+        return IsoVerdict("yes", ModuleMap(m1, m2, Matrix.zeros(fld, 0, 0)))
     r1, r2 = m1.radical_span().cols, m2.radical_span().cols
     if r1 != r2:
         return IsoVerdict("no", reason=f"radical dimensions {r1} != {r2}")
@@ -611,9 +596,7 @@ def is_isomorphic(m1: Module, m2: Module, seed: int = 0) -> IsoVerdict:
         return IsoVerdict("no", reason=f"socle dimensions {s1} != {s2}")
     if r1 == 0:
         # the ideal kills both; any linear bijection is a module map
-        return IsoVerdict("yes", ModuleMap(m1, m2,
-                                           Matrix.identity(fld, m1.dim),
-                                           validate=False))
+        return IsoVerdict("yes", ModuleMap(m1, m2, Matrix.identity(fld, m1.dim)))
     hom, tops = _hom_tops(m1, m2)
     if hom.cols == 0:
         return IsoVerdict("no", reason="no nonzero maps at all")
@@ -624,7 +607,7 @@ def is_isomorphic(m1: Module, m2: Module, seed: int = 0) -> IsoVerdict:
         top = Matrix(fld, contract(fld, "jab,j->ab", tops, coeffs.a[:, 0]))
         if top.rank() == m1.dim - r1:
             wit = Matrix(fld, (hom @ coeffs).a.reshape(m1.dim, m1.dim))
-            return IsoVerdict("yes", ModuleMap(m1, m2, wit, validate=False))
+            return IsoVerdict("yes", ModuleMap(m1, m2, wit))
         if forms is None:
             forms = radical_forms(m1, m2)
             if forms[0] + forms[1] != 2 * forms[2]:
@@ -669,7 +652,7 @@ def split_free_summands(mod: Module) -> FreeSplit:
     rank, rem, total, cols = shared(mod)["peel"]
     if rank == 0:
         return FreeSplit(0, mod, ModuleMap.identity(mod))
-    return FreeSplit(rank, rem, ModuleMap(total, mod, cols, validate=False))
+    return FreeSplit(rank, rem, ModuleMap(total, mod, cols))
 
 
 def _peel(mod: Module) -> tuple:
@@ -682,8 +665,7 @@ def _peel(mod: Module) -> tuple:
         return 0, None, None, None
     phi = Matrix(fld, hom.a[:, list(piv)].T.reshape(rank * d, mod.dim))
     sec = assemble_action_columns(mod, phi.solve(free_module(alg, rank).min_generators()))
-    rem, incl = kernel_module(ModuleMap(mod, free_module(alg, rank), phi,
-                                        validate=False))
+    rem, incl = kernel_module(ModuleMap(mod, free_module(alg, rank), phi))
     total = direct_sum([free_module(alg, rank), rem])
     cols = Matrix.hstack([sec, incl.matrix])
     if cols.rank() != mod.dim:

@@ -216,12 +216,11 @@ def sequence_from_dict(data, algebra: Algebra = None) -> ReducingSequence:
         for key, val in zip("abn", params):
             if type(val) is not int or val < 1:
                 raise InputError(f"{ptr}/{key}", "expected a positive integer")
-            size = alg.nvars * (val * prev.dim) ** 2 * alg.field.wide.itemsize
-            if key != "n" and size > resolution.MAX_STEP_BYTES:
-                raise InputError(f"{ptr}/{key}", (
-                    f"the power {key} = {val} would allocate {size} bytes "
-                    f"of dense actions, over MAX_STEP_BYTES = "
-                    f"{resolution.MAX_STEP_BYTES}"))
+            if key != "n":
+                resolution._check_dense_size(
+                    f"the power {key} = {val}", alg.nvars * (val * prev.dim) ** 2,
+                    alg.field, " of dense actions",
+                    functools.partial(InputError, f"{ptr}/{key}"))
         middle = module_from_dict(alg, raw.get("middle"), ptr + "/middle")
         right = module_from_dict(alg, raw.get("right"), ptr + "/right")
         left = power_module(prev, a)
@@ -237,10 +236,9 @@ def sequence_from_dict(data, algebra: Algebra = None) -> ReducingSequence:
         wit = _matrix_from_rows(alg, raw.get("witness"), rebuilt.dim,
                                 right.dim, ptr + "/witness")
         ses = ShortExactSequence(
-            ModuleMap(left, middle, inj, validate=False),
-            ModuleMap(middle, right, proj, validate=False))
-        steps.append(ReducingStep(
-            a, b, n, ses, ModuleMap(right, rebuilt, wit, validate=False)))
+            ModuleMap(left, middle, inj),
+            ModuleMap(middle, right, proj))
+        steps.append(ReducingStep(a, b, n, ses, ModuleMap(right, rebuilt, wit)))
         prev = middle
     return ReducingSequence(base, steps, target)
 
@@ -416,9 +414,7 @@ def _free_middle_step(mod, a, b, n, res_pow, peel, wit) -> ReducingStep:
     inj = mat @ peel.iso.inverse().matrix
     proj = Matrix.zeros(fld, right.dim, (c + g) * d)
     proj.a[:, c * d:] = resolve(right).cover_matrix().a
-    ses = ShortExactSequence(
-        ModuleMap(pw_a, middle, inj, validate=False),
-        ModuleMap(middle, right, proj, validate=False))
+    ses = ShortExactSequence(ModuleMap(pw_a, middle, inj), ModuleMap(middle, right, proj))
     return ReducingStep(a, b, n, ses, ModuleMap.identity(right))
 
 
@@ -591,8 +587,7 @@ def omega_of_map(g: ModuleMap, steps: int = 1) -> ModuleMap:
         u = free_map_from_columns(out.source.algebra, res_y.betti(0), res_y.section()
                                   @ (out.matrix @ res_x.generator_images(0)))
         new_mat = (u @ res_x.syzygy_subspace(1)).take_rows(res_y.free_positions(1))
-        out = ModuleMap(res_x.syzygy_module(1), res_y.syzygy_module(1),
-                        new_mat, validate=False)
+        out = ModuleMap(res_x.syzygy_module(1), res_y.syzygy_module(1), new_mat)
         if was_iso and not out.is_isomorphism():
             raise CertificateError("syzygy transport lost invertibility")
     return out
@@ -652,12 +647,9 @@ def transform_syzygy(seq: ReducingSequence,
                 "chain step left term does not match the previous module")
         # normalize the right term to the literal rebuilt syzygy
         proj_norm = ModuleMap(ses.middle, step.witness.target,
-                              step.witness.matrix @ ses.project.matrix,
-                              validate=False)
+                              step.witness.matrix @ ses.project.matrix)
         shoe = horseshoe(ShortExactSequence(
-            ModuleMap(left_lit, ses.middle, ses.inject.matrix,
-                      validate=False),
-            proj_norm))
+            ModuleMap(left_lit, ses.middle, ses.inject.matrix), proj_norm))
         middle_new, inj, proj = _padded(shoe, a, c_prev)
         right_new = shoe.sequence.right
         rebuilt = _syzygy_of_power(prev_new, b, n)
@@ -666,11 +658,9 @@ def transform_syzygy(seq: ReducingSequence,
         new_steps.append(ReducingStep(
             a, b, n,
             ShortExactSequence(
-                ModuleMap(power_module(prev_new, a), middle_new, inj,
-                          validate=False),
-                ModuleMap(middle_new, right_new, proj, validate=False)),
-            ModuleMap(right_new, rebuilt,
-                      Matrix.identity(fld, rebuilt.dim), validate=False)))
+                ModuleMap(power_module(prev_new, a), middle_new, inj),
+                ModuleMap(middle_new, right_new, proj)),
+            ModuleMap(right_new, rebuilt, Matrix.identity(fld, rebuilt.dim))))
         prev_old = ses.middle
         prev_new = middle_new
         c_prev = shoe.free_rank + a * c_prev
@@ -740,8 +730,7 @@ def transform_cosyzygy(seq: ReducingSequence, module: Module,
         # theta: old right term == syz^n of the repackaged previous module
         pw_b_old = power_module(prev_old, b)
         rho_b = ModuleMap(pw_b_old, power_module(rho.target, b),
-                          Matrix.block_diag(fld, [rho.matrix] * b),
-                          validate=False)
+                          Matrix.block_diag(fld, [rho.matrix] * b))
         omega_rho = omega_of_map(rho_b, steps=n)
         theta_mat = omega_rho.matrix @ step.witness.matrix
         if x_up.dim != omega_rho.target.dim:
@@ -749,9 +738,8 @@ def transform_cosyzygy(seq: ReducingSequence, module: Module,
         left_lit = power_module(prev_old, a)
         data_k = ext1_data(x_up, left_lit)
         ses_old = ShortExactSequence(
-            ModuleMap(left_lit, mid_old, ses.inject.matrix, validate=False),
-            ModuleMap(mid_old, x_up,
-                      theta_mat @ ses.project.matrix, validate=False))
+            ModuleMap(left_lit, mid_old, ses.inject.matrix),
+            ModuleMap(mid_old, x_up, theta_mat @ ses.project.matrix))
         eta = class_of_ses(data_k, ses_old)
         psi_eta = data_k.psi_from_class(eta)
         # psi_eta read in syz(w_prev^a): the syzygy rows of rho, per copy
@@ -770,8 +758,8 @@ def transform_cosyzygy(seq: ReducingSequence, module: Module,
         z2, i2, p2 = _padded(shoe, a, c_prev)
         i2 = i2 @ Matrix.block_diag(fld, [rho.matrix] * a)
         ses_check = ShortExactSequence(
-            ModuleMap(left_lit, z2, i2, validate=False),
-            ModuleMap(z2, x_up, p2, validate=False))
+            ModuleMap(left_lit, z2, i2),
+            ModuleMap(z2, x_up, p2))
         if not (class_of_ses(data_k, ses_check) == eta):
             raise CertificateError(
                 f"step {idx}: transported extension class mismatch")
@@ -792,7 +780,7 @@ def transform_cosyzygy(seq: ReducingSequence, module: Module,
             raise CertificateError(
                 f"step {idx}: equivalent extensions admit no connecting map")
         tau_mat = Matrix(fld, (hom @ coeffs).a.reshape(z2.dim, mid_old.dim))
-        tau = ModuleMap(mid_old, z2, tau_mat, validate=False)
+        tau = ModuleMap(mid_old, z2, tau_mat)
         if not tau.is_isomorphism():
             raise CertificateError(
                 f"step {idx}: connecting map is not invertible")

@@ -68,8 +68,9 @@ from .modules import (
 # ENTRY_BYTES per entry of its storage (`_check_step_size`): the step is
 # refused before its differential is built, or as fill-in grows.  For k
 # over F_2[x,y]/m^2 the step to window 15 predicts 35 MB.  Ext transitions
-# and their eliminations are held to the same cap, and so is the one dense
-# matrix that Ext keeps, the Ext^1 class basis (`_check_dense_size`).
+# and their eliminations are held to the same cap, and so is every dense
+# array sized up front: an algebra's tables, a Hom system, the Ext^1 class
+# basis and a certificate's powers (`_check_dense_size`).
 MAX_STEP_BYTES = 2**30
 ENTRY_BYTES = 212
 
@@ -576,14 +577,15 @@ def _check_step_size(i: int, shape: tuple[int, int], entries: int,
             f"; use a window below {i} (--window on the command line)")
 
 
-def _check_dense_size(what: str, shape: tuple[int, int], field) -> None:
-    """Refuse to build `what`, a dense rows x cols matrix, past
-    `MAX_STEP_BYTES` in `field.wide`, the dtype elimination copies into."""
-    size = shape[0] * shape[1] * field.wide.itemsize
+def _check_dense_size(what: str, entries: int, field, how: str = "",
+                      error=ResolutionError) -> None:
+    """Refuse to build `what`, `entries` dense entries, past `MAX_STEP_BYTES`
+    in `field.wide`, the dtype elimination copies into: raise `error` with
+    the reason, `how` saying in what form they would be allocated."""
+    size = entries * field.wide.itemsize
     if size > MAX_STEP_BYTES:
-        raise ResolutionError(
-            f"{what} would allocate {size} bytes as a dense "
-            f"{shape[0]}x{shape[1]} matrix, over MAX_STEP_BYTES = {MAX_STEP_BYTES}")
+        raise error(f"{what} would allocate {size} bytes{how}, over "
+                    f"MAX_STEP_BYTES = {MAX_STEP_BYTES}")
 
 
 def resolve(module: Module) -> Resolution:

@@ -76,6 +76,7 @@ def socle_step_certificate(alg) -> ReducingSequence:
         inj.a[row, col] = fld.one()
     rest, proj = quotient_module(middle, inj)
     ses = ShortExactSequence(ModuleMap(k4, middle, inj), proj)
+    ses.inject.check_linear()
     rebuilt = resolve(k).syzygy_module(1)
     wit = is_isomorphic(rest, rebuilt)
     assert wit.kind == "yes"
@@ -92,8 +93,7 @@ def identity_step_certificate(mod) -> ReducingSequence:
                              ModuleMap.zero(mod, zero))
     syz = resolve(mod).syzygy_module(1)
     assert syz.dim == 0
-    wit = ModuleMap(zero, syz, Matrix.zeros(alg.field, 0, 0),
-                    validate=False)
+    wit = ModuleMap(zero, syz, Matrix.zeros(alg.field, 0, 0))
     return ReducingSequence(mod, [ReducingStep(1, 1, 1, ses, wit)], "pd")
 
 

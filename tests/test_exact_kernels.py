@@ -153,7 +153,7 @@ class TestContract:
         b = Matrix.from_rows(fld, [[5], [P31 - 2], [P31 - 1]])
         got = Matrix(fld, contract(fld, "ij,jk->ik", a.a, b.a))
         assert got == a @ b
-        assert got.to_lists() == [[(5 + 2 * (P31 - 2) + 3 * (P31 - 1)) % P31],
+        assert got.a.tolist() == [[(5 + 2 * (P31 - 2) + 3 * (P31 - 1)) % P31],
                                   [(3 * (P31 - 2) + (P31 - 1)) % P31]]
 
 

@@ -35,7 +35,7 @@ def inv_ref(p, a):
         return pow(a % p, p - 2, p)
     if a == 0:
         raise ZeroDivisionError
-    return 1 / a
+    return 1 / Fraction(a)
 
 
 def parse_ref(p, s):
@@ -65,6 +65,11 @@ def outcome(fn, *args):
         return ZeroDivisionError
 
 
+def typed(fn, *args):
+    got = outcome(fn, *args)
+    return type(got), got
+
+
 @pytest.mark.parametrize("fld", FIELDS, ids=IDS)
 @pytest.mark.parametrize("clone", [lambda f: pickle.loads(pickle.dumps(f)),
                                    copy.deepcopy], ids=["pickle", "deepcopy"])
@@ -88,12 +93,25 @@ def test_scalars_match_the_branching_definitions(fld):
     assert [fld.coerce(x) for x in values] == [coerce_ref(p, x) for x in values]
     assert [outcome(fld.inv, fld.coerce(x)) for x in values] == [
         outcome(inv_ref, p, coerce_ref(p, x)) for x in values]
+    # an int argument is coerced first, so over Q its inverse is exact
+    assert [typed(fld.inv, x) for x in values] == [
+        typed(inv_ref, p, coerce_ref(p, x)) for x in values]
+    assert [typed(fld.div, a, x) for a in (1, -7) for x in values] == [
+        typed(lambda b: coerce_ref(p, a * inv_ref(p, coerce_ref(p, b))), x)
+        for a in (1, -7) for x in values]
     assert [outcome(fld.parse, s) for s in TEXTS] == [
         outcome(parse_ref, p, s) for s in TEXTS]
     rng, ref = random.Random(43), random.Random(43)
     assert [fld.random(rng) for _ in range(50)] == [random_ref(p, ref) for _ in range(50)]
     assert repr(fld) == ("QQ" if p is None else f"GF({p})")
     assert fld.characteristic == (p or 0)
+
+
+def test_q_inverse_of_an_int_is_exact_and_a_float_is_refused():
+    assert QQ.inv(3) == QQ.div(1, 3) == Fraction(1, 3)
+    for fn in (QQ.coerce, QQ.inv):
+        with pytest.raises(TypeError, match="cannot coerce 0.5 into QQ"):
+            fn(0.5)
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=IDS)

@@ -69,11 +69,9 @@ def full_split(mod: Module) -> FreeSplit:
     units = Matrix.zeros(fld, rank * d, rank)
     units.a[np.arange(rank) * d, np.arange(rank)] = fld.one()
     sec = assemble_action_columns(mod, phi.solve(units))
-    rem, incl = kernel_module(ModuleMap(mod, free_module(alg, rank), phi,
-                                        validate=False))
+    rem, incl = kernel_module(ModuleMap(mod, free_module(alg, rank), phi))
     total = direct_sum([free_module(alg, rank), rem])
-    return FreeSplit(rank, rem, ModuleMap(
-        total, mod, Matrix.hstack([sec, incl.matrix]), validate=False))
+    return FreeSplit(rank, rem, ModuleMap(total, mod, Matrix.hstack([sec, incl.matrix])))
 
 
 @given(st.sampled_from(range(len(RINGS))), st.integers(0, 2),

@@ -331,7 +331,7 @@ def test_ext1_and_dual_coordinates(p, ring, seed_right, seed_left):
     assert same(bid.map.matrix, reference_coords(
         bid.double_dual.flat, Matrix(fld, ev.reshape(alg.dim * h, right.dim))))
     res = resolve(right)
-    cover = ModuleMap(res.ambient_free(0), right, res.cover_matrix(), validate=False)
+    cover = ModuleMap(res.ambient_free(0), right, res.cover_matrix())
     dual_free = r_dual(cover.source)
     composed = dual.map_from_coords(Matrix.identity(fld, h)) @ cover.matrix
     assert same(dual_map(cover, dual, dual_free).matrix, reference_coords(
@@ -361,7 +361,7 @@ def reference_omega_of_map(g, steps):
         u = free_map_from_columns(g.source.algebra, res_y.betti(0), sols)
         full = u @ res_x.syzygy_subspace(1)
         g = ModuleMap(res_x.syzygy_module(1), res_y.syzygy_module(1),
-                      full.take_rows(res_y.free_positions(1)), validate=False)
+                      full.take_rows(res_y.free_positions(1)))
     return g.matrix
 
 
@@ -400,7 +400,7 @@ def test_lifts_read_the_section(p, ring, seed, plus_k):
     # and the same into the sum with R
     a = random_ring_element(mod, rng)
     plus_r = direct_sum([mod, regular_module(alg)])
-    for g in (ModuleMap(mod, mod, a, validate=False),
+    for g in (ModuleMap(mod, mod, a),
               ModuleMap(mod, plus_r, Matrix.vstack(
-                  [a, Matrix.zeros(fld, alg.dim, mod.dim)]), validate=False)):
+                  [a, Matrix.zeros(fld, alg.dim, mod.dim)]))):
         assert same(omega_of_map(g, 2).matrix, reference_omega_of_map(g, 2))

@@ -115,7 +115,7 @@ class TestRref:
         # [[1,1],[1,1]] over F_2 reduces to [[1,1],[0,0]] with pivot col 0
         m = Matrix.from_rows(GF2, [[1, 1], [1, 1]])
         r, piv = m.rref()
-        assert r.to_lists() == [[1, 1], [0, 0]]
+        assert r.a.tolist() == [[1, 1], [0, 0]]
         assert piv == (0,)
         assert m.rank() == 1
 
@@ -123,7 +123,7 @@ class TestRref:
         m = Matrix.from_rows(GF3, [[2, 1], [1, 1]])
         r, piv = m.rref()
         assert piv == (0, 1)
-        assert r.to_lists() == [[1, 0], [0, 1]]
+        assert r.a.tolist() == [[1, 0], [0, 1]]
 
     def test_singular_mod_three(self):
         # rows are proportional over F_3 even though not over Z
@@ -134,7 +134,7 @@ class TestRref:
         m = Matrix.from_rows(QQ, [[2, 4], [1, 3]])
         r, piv = m.rref()
         assert piv == (0, 1)
-        assert r.to_lists() == [[1, 0], [0, 1]]
+        assert r.a.tolist() == [[1, 0], [0, 1]]
 
     def test_zero_and_empty_shapes(self):
         for f in FIELDS:
@@ -272,7 +272,7 @@ class TestNegation:
         neg = -m
         assert neg.a.dtype == m.a.dtype
         assert m == before
-        assert neg.to_lists() == [[f.neg(x) for x in row] for row in m.to_lists()]
+        assert neg.a.tolist() == [[f.neg(x) for x in row] for row in m.a.tolist()]
         assert (neg + m).is_zero()
 
 
@@ -305,11 +305,11 @@ def assert_rref_and_kernel(m):
     """m.rref() and m.kernel_data() equal what `reference_rref` gives, and
     m.rank() counts its pivots; returns the reference pivots."""
     f = m.field
-    ref, ref_piv = reference_rref(f, m.to_lists(), m.cols)
+    ref, ref_piv = reference_rref(f, m.a.tolist(), m.cols)
     r, piv = m.rref()
     assert piv == tuple(ref_piv)
     assert r.a.dtype == f.dtype
-    assert r.to_lists() == ref
+    assert r.a.tolist() == ref
 
     free = [j for j in range(m.cols) if j not in ref_piv]
     want = [[f.zero()] * len(free) for _ in range(m.cols)]
@@ -319,7 +319,7 @@ def assert_rref_and_kernel(m):
             want[pc][k] = f.neg(ref[i][fc])
     basis, got_free = m.kernel_data()
     assert got_free == free
-    assert basis.to_lists() == want
+    assert basis.a.tolist() == want
     assert m.rank() == len(ref_piv)
     return ref_piv
 
@@ -333,7 +333,7 @@ class TestEliminationMatchesReference:
         f = m.field
         ref_piv = assert_rref_and_kernel(m)
 
-        joint, _ = reference_rref(f, [a + b for a, b in zip(m.to_lists(), t.to_lists())],
+        joint, _ = reference_rref(f, [a + b for a, b in zip(m.a.tolist(), t.a.tolist())],
                                   m.cols)
         carried = [row[m.cols:] for row in joint]
         want_x = [[f.zero()] * t.cols for _ in range(m.cols)]
@@ -343,7 +343,7 @@ class TestEliminationMatchesReference:
                    for j in range(t.cols)]
         x, ok = m.solve_columns(t)
         assert ok == want_ok
-        assert x.to_lists() == want_x
+        assert x.a.tolist() == want_x
 
     def cases(self, f, rows, cols, rng):
         for rank in (None, min(rows, cols) // 2):
@@ -513,7 +513,7 @@ class TestStorage:
             else:
                 assert ((x.a >= 0) & (x.a < f.p)).all(), name
         assert results["sub"] + n == m
-        assert results["identity"].to_lists() == [
+        assert results["identity"].a.tolist() == [
             [f.one() if i == j else f.zero() for j in range(3)] for i in range(3)]
 
     @pytest.mark.parametrize("p,bound", STORAGE_BOUNDS)
@@ -550,7 +550,7 @@ class TestSolve:
         t = Matrix.from_rows(GF3, [[2, 0], [0, 1], [0, 2]])
         x, ok = m.solve_columns(t)
         assert ok == [True, False]
-        assert (m @ x.take_cols([0])).to_lists() == [[2], [0], [0]]
+        assert (m @ x.take_cols([0])).a.tolist() == [[2], [0], [0]]
 
     def test_inverse(self):
         m = Matrix.from_rows(GF3, [[1, 1], [0, 1]])
@@ -594,7 +594,7 @@ class TestGF2PackedPath:
 
         a64, piv_gen = _rref_in_place(m.a.astype(np.int64).copy(), GF2, cols)
         assert list(piv_bits) == piv_gen
-        assert r_bits.to_lists() == [[int(x) for x in row] for row in a64]
+        assert r_bits.a.tolist() == [[int(x) for x in row] for row in a64]
 
     def test_packed_solve_roundtrip(self):
         rng = random.Random(23)
@@ -626,13 +626,13 @@ class TestHelpers:
         b = Matrix.from_rows(GF3, [[0, 1], [1, 0]])
         k = Matrix(GF3, contract(GF3, "ij,kl->ikjl", a.a, b.a).reshape(2, 4))
         assert k.rows == 2 and k.cols == 4
-        assert k.to_lists() == [[0, 1, 0, 2], [1, 0, 2, 0]]
+        assert k.a.tolist() == [[0, 1, 0, 2], [1, 0, 2, 0]]
 
     def test_block_diag(self):
         a = Matrix.identity(GF2, 2)
         b = Matrix.from_rows(GF2, [[1]])
         d = Matrix.block_diag(GF2, [a, b])
-        assert d.to_lists() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert d.a.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
     def test_str_rows_roundtrip(self):
         for f in FIELDS:

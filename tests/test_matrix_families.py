@@ -205,10 +205,9 @@ def maps_of(mods):
                 ModuleMap.zero(mod, zero)]
         if mod.dim:
             res = resolve(mod)
-            out.append(ModuleMap(res.ambient_free(0), mod, res.cover_matrix(),
-                                 validate=False))
+            out.append(ModuleMap(res.ambient_free(0), mod, res.cover_matrix()))
             out.append(ModuleMap(res.syzygy_module(1), res.ambient_free(0),
-                                 res.syzygy_subspace(1), validate=False))
+                                 res.syzygy_subspace(1)))
     pair = direct_sum([mods[-1], residue_field(mods[-1].algebra)])
     return out + [injection_map(pair, 0), projection_map(pair, 1)]
 
@@ -299,7 +298,7 @@ def free_chain(alg, rng):
             if iso.rank() == left.dim:
                 break
         zero = zero_module(alg)
-        ses = ShortExactSequence(ModuleMap(left, middle, iso, validate=False),
+        ses = ShortExactSequence(ModuleMap(left, middle, iso),
                                  ModuleMap.zero(middle, zero))
         steps.append(ReducingStep(a, 1, 1, ses, ModuleMap.identity(zero)))
         prev = middle

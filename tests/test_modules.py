@@ -160,10 +160,12 @@ class TestSumsAndPowers:
             inj = injection_map(s, i)
             proj = projection_map(s, i)
             comp = ModuleMap(inj.source, proj.target, proj.matrix @ inj.matrix)
+            comp.check_linear()
             assert comp.matrix == Matrix.identity(GF2, part.dim)
         inj, proj = injection_map(s, 1), projection_map(s, 0)
-        assert ModuleMap(inj.source, proj.target,
-                         proj.matrix @ inj.matrix).is_zero()
+        comp = ModuleMap(inj.source, proj.target, proj.matrix @ inj.matrix)
+        comp.check_linear()
+        assert comp.matrix.is_zero()
 
     def test_split_ses_is_valid(self, plane):
         ses = split_ses(residue_field(plane), regular_module(plane))
@@ -177,12 +179,13 @@ class TestMaps:
         bad = Matrix.zeros(GF2, 3, 1)
         bad.a[0, 0] = 1
         with pytest.raises(ModuleError):
-            ModuleMap(k, r, bad)
+            ModuleMap(k, r, bad).check_linear()
 
     def test_cover_map_and_kernel(self, plane):
         r = regular_module(plane)
         k = residue_field(plane)
         cover = ModuleMap(r, k, Matrix.from_rows(GF2, [[1, 0, 0]]))
+        cover.check_linear()
         assert cover.is_surjective()
         ker, incl = kernel_module(cover)
         assert ker.dim == 2
@@ -191,7 +194,8 @@ class TestMaps:
 
     def test_image_and_cokernel(self, plane):
         r = regular_module(plane)
-        x_mult = ModuleMap(r, r, Matrix(plane.field, plane.var_stack[0]), validate=True)
+        x_mult = ModuleMap(r, r, Matrix(plane.field, plane.var_stack[0]))
+        x_mult.check_linear()
         assert x_mult.rank() == 1
         cok, proj = quotient_module(r, x_mult.matrix)
         assert cok.dim == 2
@@ -201,12 +205,12 @@ class TestMaps:
         r = regular_module(plane)
         k = residue_field(plane)
         cover = ModuleMap(r, k, Matrix.from_rows(GF2, [[1, 0, 0]]))
+        cover.check_linear()
         _, incl = kernel_module(cover)
         good = ShortExactSequence(incl, cover)
         good.validate()
         bad = ShortExactSequence(
-            ModuleMap(zero_module(plane), r, Matrix.zeros(GF2, 3, 0),
-                      validate=False),
+            ModuleMap(zero_module(plane), r, Matrix.zeros(GF2, 3, 0)),
             cover)
         with pytest.raises(ModuleError):
             bad.validate()
@@ -250,8 +254,8 @@ class TestHom:
 class TestIsomorphism:
     def test_radical_killed_fast_path(self, plane):
         k = residue_field(plane)
-        cover = ModuleMap(regular_module(plane), k,
-                          Matrix.from_rows(GF2, [[1, 0, 0]]))
+        cover = ModuleMap(regular_module(plane), k, Matrix.from_rows(GF2, [[1, 0, 0]]))
+        cover.check_linear()
         sub, _ = kernel_module(cover)
         verdict = is_isomorphic(sub, power_module(k, 2))
         assert verdict.kind == "yes"
@@ -314,8 +318,8 @@ class TestFreeSplit:
     def test_syzygy_style_module_has_no_free_part(self, plane):
         # everything inside the radical of a free module is killed too fast
         r = regular_module(plane)
-        cover = ModuleMap(r, residue_field(plane),
-                          Matrix.from_rows(GF2, [[1, 0, 0]]))
+        cover = ModuleMap(r, residue_field(plane), Matrix.from_rows(GF2, [[1, 0, 0]]))
+        cover.check_linear()
         sub, _ = kernel_module(cover)
         assert split_free_summands(sub).rank == 0
 

@@ -89,8 +89,7 @@ class TestVerify:
         step = seq.steps[0]
         bad = step.witness.matrix + Matrix.identity(GF2,
                                                     step.witness.matrix.rows)
-        step.witness = ModuleMap(step.witness.source, step.witness.target,
-                                 bad, validate=False)
+        step.witness = ModuleMap(step.witness.source, step.witness.target, bad)
         report = verify(seq)
         assert not report.ok
         assert report.step == 1
@@ -101,8 +100,7 @@ class TestVerify:
         step = seq.steps[0]
         bad = Matrix.zeros(GF2, step.sequence.project.matrix.rows,
                            step.sequence.project.matrix.cols)
-        step.sequence.project = ModuleMap(
-            step.sequence.middle, step.sequence.right, bad, validate=False)
+        step.sequence.project = ModuleMap(step.sequence.middle, step.sequence.right, bad)
         report = verify(seq)
         assert not report.ok
         assert report.step == 1
@@ -158,8 +156,7 @@ class TestVerify:
         wit = step.witness
         assert wit.source.dim == 2 and not wit.source.var_actions[0].is_zero()
         swap = Matrix.identity(GF2, 2).take_cols([1, 0])
-        step.witness = ModuleMap(wit.source, wit.target, wit.matrix @ swap,
-                                 validate=False)
+        step.witness = ModuleMap(wit.source, wit.target, wit.matrix @ swap)
         assert step.witness.is_isomorphism()
         report = verify(seq)
         assert (report.ok, report.step) == (False, 1)

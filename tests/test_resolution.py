@@ -245,8 +245,7 @@ class TestStructuralChecks:
     def test_syzygy_embedding_is_linear(self, plane):
         k = residue_field(plane)
         res = resolve(k)
-        emb = ModuleMap(res.syzygy_module(2), res.ambient_free(1),
-                        res.syzygy_subspace(2), validate=False)
+        emb = ModuleMap(res.syzygy_module(2), res.ambient_free(1), res.syzygy_subspace(2))
         emb.check_linear()
         assert emb.is_injective()
 

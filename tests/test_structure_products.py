@@ -122,11 +122,11 @@ class TestCallSites:
         for rank in (1, 3):
             gens = random_matrix(fld, target.dim, rank, rng)
             mat = assemble_action_columns(target, gens)
-            ModuleMap(free_module(alg, rank), target, mat)
+            ModuleMap(free_module(alg, rank), target, mat).check_linear()
             bad = mat.copy()
             bad.a[0, 1] = fld.add(bad.a[0, 1], fld.one())
             with pytest.raises(ModuleError, match="commute"):
-                ModuleMap(free_module(alg, rank), target, bad)
+                ModuleMap(free_module(alg, rank), target, bad).check_linear()
 
     def test_r_dual_actions(self, alg):
         """The dual's actions: x_v on the R-coordinate of every map."""
