@@ -15,9 +15,12 @@ nested too deeply to read, a `--save` path that cannot be written, or
 exception inside a command: a `HomAlgError`, a `ResolutionError`, including a
 resolution step, an Ext transition or the Hom system of a `dual` or
 `pushforward` refused past the cap, a failed assertion or a fault; pointer "").
+`main(argv)` may be called many times in one process with the same output:
+one parser tree per process, each subcommand's parser built on first use.
 """
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, fields
@@ -66,13 +69,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Lazy(argparse._SubParsersAction):
-    """Subcommands whose parsers are built only when chosen; until then
-    the names alone, as keys, give the choices, usage and error messages."""
+    """Subcommands whose parsers are built when first chosen and kept; until
+    then the names, as keys, give the choices, usage and error messages."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        child = self._parser_class(prog=f"{self._prog_prefix} {values[0]}")
-        self._name_parser_map[values[0]] = child  # keeps the key order
-        _fill(child)
+        if self._name_parser_map[values[0]] is None:
+            child = self._parser_class(prog=f"{self._prog_prefix} {values[0]}")
+            self._name_parser_map[values[0]] = child  # keeps the key order
+            _fill(child)
         super().__call__(parser, namespace, values, option_string)
 
 
@@ -140,6 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--workspace", help="workspace JSON file")
     _fill(top)
     return top
+
+
+_parser = functools.cache(build_parser)
 
 
 def _emit(report: dict, summary: str, code: int) -> int:
@@ -391,7 +398,7 @@ def _error(command: str, pointer: str, message: str, summary: str, code: int) ->
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         command, message = exc.args
         return _error(command, "", message, f"usage error: {message}", 2)

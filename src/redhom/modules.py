@@ -520,8 +520,6 @@ def hom_space_matrix(src: Module, tgt: Module) -> Matrix:
 
 
 def hom_dim(src: Module, tgt: Module) -> int:
-    if src.dim == 0 or tgt.dim == 0:
-        return 0
     return hom_space_matrix(src, tgt).cols
 
 

@@ -4,9 +4,10 @@ or one reshape per consumer.
 These property tests compare each array path with a per-variable
 reference written here (one `Matrix` product per variable), on seeded
 random modules in a random basis over F_2, F_3, F_7, F_{2^31-1} and Q:
-the Hom system against the stacked Kronecker definition, `check_linear`,
-the actions of kernels, quotients, both duals and extension middles,
-and the refusal of wrongly shaped actions.
+the Hom system and `hom_dim` against the stacked Kronecker definition
+(the zero module among their inputs), `check_linear`, the actions of
+kernels, quotients, both duals and extension middles, and the refusal of
+wrongly shaped actions.
 """
 
 import random
@@ -19,8 +20,9 @@ from redhom.algebra import build_algebra
 from redhom.corpus import random_module
 from redhom.homalg import extension_from_psi, k_dual, r_dual
 from redhom.linalg import Field, Matrix, random_matrix
-from redhom.modules import (Module, ModuleError, ModuleMap, hom_space_matrix,
-                            kernel_module, quotient_module, regular_module)
+from redhom.modules import (Module, ModuleError, ModuleMap, hom_dim,
+                            hom_space_matrix, kernel_module, quotient_module,
+                            regular_module, zero_module)
 from redhom.resolution import resolve
 
 FIELDS = [Field(p) for p in (2, 3, 7, 2**31 - 1, None)]
@@ -78,14 +80,14 @@ def commutes(src: Module, tgt: Module, f: Matrix) -> bool:
 @settings(deadline=None, derandomize=True)
 def test_hom_system_is_the_stacked_kronecker_definition(case):
     m, n, _ = pair(case)
-    fld = m.algebra.field
-    for src, tgt in ((m, n), (n, m)):
-        if src.dim and tgt.dim:
-            system = Matrix.vstack([Matrix.zeros(fld, 0, src.dim * tgt.dim)] + [
-                kron(Matrix.identity(fld, tgt.dim), a.transpose())
-                - kron(b, Matrix.identity(fld, src.dim))
-                for a, b in zip(src.var_actions, tgt.var_actions)])
-            assert hom_space_matrix(src, tgt) == system.kernel_basis()
+    fld, zero = m.algebra.field, zero_module(m.algebra)
+    for src, tgt in ((m, n), (n, m), (zero, m), (m, zero)):
+        system = Matrix.vstack([Matrix.zeros(fld, 0, src.dim * tgt.dim)] + [
+            kron(Matrix.identity(fld, tgt.dim), a.transpose())
+            - kron(b, Matrix.identity(fld, src.dim))
+            for a, b in zip(src.var_actions, tgt.var_actions)])
+        assert hom_space_matrix(src, tgt) == system.kernel_basis()
+        assert hom_dim(src, tgt) == system.kernel_basis().cols
 
 
 @given(CASES)

@@ -1,17 +1,23 @@
-"""The command table: help at every level, lazy parsers, unwritable
---save paths, and the argv contract over command lines drawn from it."""
+"""The command table: help at every level, lazy parsers kept once built,
+unwritable --save paths, and the argv contract over command lines drawn
+from it."""
 
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from redhom import cli
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "scripts"))
 
-EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
+from cli_snapshot import USAGE  # noqa: E402
+from redhom import cli  # noqa: E402
+
+EXAMPLES = ROOT / "docs" / "examples"
 PLANE = str(EXAMPLES / "plane.json")
 LINE3 = str(EXAMPLES / "line3.json")
 
@@ -72,6 +78,29 @@ def test_only_the_chosen_parsers_are_built(monkeypatch, argv, built):
     monkeypatch.setattr(cli, "_Parser", Counting)
     cli.build_parser().parse_args(argv)
     assert progs == [" ".join(["redhom", *argv[:i]]) for i in range(built)]
+
+
+def test_each_chosen_parser_is_built_once_per_process(monkeypatch, request):
+    progs = []
+
+    class Counting(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            progs.append(kwargs["prog"])
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(cli, "_Parser", Counting)
+    cli._parser.cache_clear()
+    request.addfinalizer(cli._parser.cache_clear)
+    for _ in range(2):
+        assert run(["reduce", "transform", "syzygy", "c"])[0] == 2
+    assert progs == ["redhom", "redhom reduce", "redhom reduce transform",
+                     "redhom reduce transform syzygy"]
+    code, out = run(["--workspace", PLANE, "resolve", "k", "--window", "abc"])
+    assert code == 2 and "invalid int value" in out
+    assert vars(cli._parser().parse_args(["resolve", "k"])) == {
+        "workspace": None, "command": "resolve", "module": "k", "window": 10}
+    assert progs[4:] == ["redhom resolve"]
+    subcommands = cli._parser()._subparsers._group_actions[0]
+    assert subcommands._name_parser_map["dual"] is None
 
 
 SAVING = {
@@ -175,3 +204,30 @@ def test_one_document_and_a_documented_exit(path, d, tmp_path):
     report = json.loads(out)   # raises unless exactly one document
     if code in (2, 3):
         assert isinstance(report["error"]["pointer"], str)
+
+
+# -- one parser tree per process ------------------------------------------
+
+HELP = [[*path.split(), "--help"] for path in ["", *GROUPS, *LEAVES]]
+LINES = st.one_of(st.sampled_from(HELP + USAGE),
+                  st.builds(command_line, st.sampled_from(LEAVES), draws()))
+
+
+def parsed(parser, argv):
+    """The namespace a parse gives, its usage error, or its help text and
+    exit code."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return vars(parser.parse_args(argv))
+    except cli._UsageError as exc:
+        return exc.args
+    except SystemExit as exc:
+        return out.getvalue(), exc.code
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(lines=st.lists(LINES, min_size=1, max_size=8))
+def test_the_kept_tree_parses_like_a_fresh_one(lines):
+    for argv in lines:
+        assert parsed(cli._parser(), argv) == parsed(cli.build_parser(), argv)
