@@ -65,8 +65,7 @@ class HomAlgError(RuntimeError):
 def k_dual(mod: Module, label: str = "") -> Module:
     """Dual vector space with the transposed actions."""
     return Module(mod.algebra, mod.dim, mod.var_stack.transpose(0, 2, 1),
-                  label=label or (f"({mod.label})*" if mod.label else ""),
-                  validate=False)
+                  label=label or (f"({mod.label})*" if mod.label else ""))
 
 
 def canonical_module(alg: Algebra) -> Module:
@@ -117,8 +116,8 @@ def r_dual(mod: Module) -> DualData:
         flat.a.flags.writeable = va.flags.writeable = False
         entry["dual"] = flat, va
     flat, va = entry["dual"]
-    dm = Module(alg, flat.cols, va, label=f"({mod.label})^" if mod.label else "",
-                validate=False) if flat.cols else zero_module(alg)
+    dm = Module(alg, flat.cols, va, label=f"({mod.label})^" if mod.label else "") \
+        if flat.cols else zero_module(alg)
     return DualData(mod, dm, flat)
 
 
@@ -473,7 +472,7 @@ def extension_from_psi(left: Module, right: Module,
     deltas = contract(fld, "vab,bc->vac", res.ambient_free(0).var_stack[:, free],
                       res.section().a)
     acts[:, :m, m:] = contract(fld, "ab,vbc->vac", psi.a, deltas)
-    middle = Module(left.algebra, split.middle.dim, acts, validate=False,
+    middle = Module(left.algebra, split.middle.dim, acts,
                     label=f"E({left.label or '?'},{right.label or '?'})")
     return ShortExactSequence(
         ModuleMap(left, middle, split.inject.matrix),
@@ -546,7 +545,7 @@ def pushforward(mod: Module) -> Pushforward:
         entry["push"] = q, proj.matrix, forward.var_stack
     q, proj, va = entry["push"]
     target = free_module(alg, q.rows // alg.dim)
-    forward = Module(alg, proj.rows, va, label=f"push({mod.label or '?'})", validate=False)
+    forward = Module(alg, proj.rows, va, label=f"push({mod.label or '?'})")
     return Pushforward(ShortExactSequence(ModuleMap(mod, target, q),
                                           ModuleMap(target, forward, proj)), forward)
 

@@ -45,6 +45,9 @@ class ModuleError(ValueError):
 class Module:
     """One module: a commuting variable representation over an algebra,
     taken as one (nvars, dim, dim) array-like (a list of `Matrix` too).
+    Building a module checks only its shape; `validate_module` checks that
+    the actions commute and satisfy the algebra's relations, and is called
+    where actions come from outside input (`reducing.module_from_dict`).
     Kept on it once computed: action stack, radical and socle spans, its
     entry in the algebra's table of actions (`shared`), its powers
     (`power_module`) and its resolution (`resolution.resolve`), whose
@@ -55,7 +58,7 @@ class Module:
                  "_resolution", "_shared", "_powers")
 
     def __init__(self, algebra: Algebra, dim: int, actions, label: str = "",
-                 free_rank: int | None = None, validate: bool = True):
+                 free_rank: int | None = None):
         self.algebra = algebra
         self.dim = dim
         self.label = label
@@ -76,8 +79,6 @@ class Module:
                 raise ModuleError("variable action has wrong shape")
             acts.flags.writeable = False
             self._actions = acts
-            if validate:
-                validate_module(self)
 
     # -- actions ---------------------------------------------------------
 
@@ -229,7 +230,8 @@ def free_map_from_columns(alg: Algebra, target_rank: int, stacked: Matrix) -> Ma
 
 
 def validate_module(mod: Module) -> None:
-    """Check commuting actions compatible with the multiplication table."""
+    """Check commuting actions compatible with the multiplication table,
+    as building a `Module` does not; see `reducing.module_from_dict`."""
     alg, fld, va = mod.algebra, mod.algebra.field, mod.var_stack
     prod = contract(fld, "uab,vbc->uvac", va, va)
     if not (prod == prod.transpose(1, 0, 2, 3)).all():
@@ -246,13 +248,11 @@ def validate_module(mod: Module) -> None:
 
 
 def zero_module(alg: Algebra) -> Module:
-    return Module(alg, 0, alg.field.zeros((alg.nvars, 0, 0)),
-                  label="0", free_rank=0, validate=False)
+    return Module(alg, 0, alg.field.zeros((alg.nvars, 0, 0)), label="0", free_rank=0)
 
 
 def residue_field(alg: Algebra) -> Module:
-    return Module(alg, 1, alg.field.zeros((alg.nvars, 1, 1)),
-                  label="k", validate=False)
+    return Module(alg, 1, alg.field.zeros((alg.nvars, 1, 1)), label="k")
 
 
 def free_module(alg: Algebra, rank: int, label: str = "") -> Module:
@@ -265,7 +265,7 @@ def free_module(alg: Algebra, rank: int, label: str = "") -> Module:
     mods = alg._table.setdefault(("free", rank), {}).setdefault("modules", {})
     if label not in mods:
         mods[label] = Module(alg, rank * alg.dim, None, label=label or (
-            f"R^{rank}" if rank > 1 else "R"), free_rank=rank, validate=False)
+            f"R^{rank}" if rank > 1 else "R"), free_rank=rank)
     return mods[label]
 
 
@@ -291,9 +291,8 @@ def direct_sum(parts: list[Module], label: str = "") -> Module:
         va, fr = alg.field.zeros((alg.nvars, dim, dim)), None
         for p, off in offsets:
             va[:, off:off + p.dim, off:off + p.dim] = p.var_stack
-    out = Module(alg, dim, va,
-                 label=label or "+".join(p.label or "?" for p in parts),
-                 free_rank=fr, validate=False)
+    out = Module(alg, dim, va, label=label or "+".join(p.label or "?" for p in parts),
+                 free_rank=fr)
     out.summands = offsets
     return out
 
@@ -466,8 +465,8 @@ def _on_basis(mod: Module, basis: Matrix, va: np.ndarray,
               label: str) -> tuple[Module, ModuleMap]:
     """The submodule with actions `va` on the columns of `basis`, and its
     inclusion."""
-    sub = Module(mod.algebra, basis.cols, va, label=label,
-                 validate=False) if basis.cols else zero_module(mod.algebra)
+    sub = Module(mod.algebra, basis.cols, va, label=label) if basis.cols \
+        else zero_module(mod.algebra)
     return sub, ModuleMap(sub, mod, basis)
 
 
@@ -490,7 +489,7 @@ def quotient_module(mod: Module, span: Matrix,
     kb, keep = span.transpose().kernel_data()
     proj = kb.transpose()
     va = contract(mod.algebra.field, "ab,vbc->vac", proj.a, mod.var_stack[:, :, keep])
-    quot = Module(mod.algebra, len(keep), va, label=label, validate=False)
+    quot = Module(mod.algebra, len(keep), va, label=label)
     return quot, ModuleMap(mod, quot, proj)
 
 

@@ -39,6 +39,7 @@ from .modules import (
     regular_module,
     split_free_summands,
     split_ses,
+    validate_module,
 )
 from . import resolution
 from .resolution import resolve, syzygy
@@ -139,7 +140,9 @@ def module_from_dict(alg: Algebra, data, pointer: str,
     mats = [_matrix_from_rows(alg, rows, dim, dim, f"{pointer}/actions/{v}")
             for v, rows in enumerate(acts)]
     try:
-        return Module(alg, dim, mats, label=label)
+        mod = Module(alg, dim, mats, label=label)
+        validate_module(mod)
+        return mod
     except ModuleError as exc:
         raise InputError(pointer + "/actions", str(exc))
 

@@ -482,8 +482,7 @@ class ModuleResolution(ShiftedResolution):
             if at:
                 *idx, vals = zip(*at)
                 acts[tuple(idx)] = vals
-            mod = Module(alg, n, acts, label=f"syz^{i}({self.module.label or '?'})",
-                         validate=False)
+            mod = Module(alg, n, acts, label=f"syz^{i}({self.module.label or '?'})")
         mod._resolution = ShiftedResolution(self, i, mod)
         self._syz[i] = mod
         return mod

@@ -1,20 +1,28 @@
 """Local algebra construction: hand-checked structure oracles."""
 
+import ast
 import dataclasses
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from redhom import corpus
 from redhom.algebra import (
     Algebra,
     AlgebraError,
-    _validate_algebra,
     algebra_from_presentation,
     build_algebra,
     parse_polynomial,
 )
-from redhom.linalg import GF2, GF3, QQ, Matrix
+from redhom.linalg import (GF2, GF3, QQ, Field, Matrix, column_space_basis,
+                           contract)
+from redhom.workspace import load_workspace
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def square_zero_two_vars():
@@ -137,6 +145,42 @@ class TestMixedRelations:
             build_algebra(GF2, ["x", "x"], [], 2)
 
 
+def check_ring_axioms(alg):
+    """The axioms `build_algebra` guarantees by construction: basis index 0
+    is the identity, the variable actions commute, the table is
+    associative, and m^N = 0 for the declared bound N."""
+    d, fld, n = alg.dim, alg.field, alg.nvars
+    eye = Matrix.identity(fld, d)
+    assert alg.basis_mons[0] == (0,) * n, "the identity is not basis index 0"
+    assert (alg.mult[0] == eye.a).all(), "b_0 does not act as the identity"
+    # prod[u, v] = x_u x_v
+    prod = contract(fld, "uab,vbc->uvac", alg.var_stack, alg.var_stack)
+    assert (prod == prod.transpose(1, 0, 2, 3)).all(), \
+        "variable actions do not commute"
+    # Associativity, L_{b_a b_b} = L_a L_b for L_t = mult[t], from the
+    # regular representation: x_v L_t = sum_u X_v[u, t] L_u, and each b_t
+    # of degree >= 1 is x_v b_s for a basis monomial b_s (`monomial_steps`),
+    # read in column s of X_v.  With mult[0] = I and commuting X_v,
+    # induction on degree gives L_t = X^{m_t}, so L_{b_a b_b} =
+    # L_{X^{m_a} b_b} = X^{m_a} L_b = L_a L_b.  This costs n d^4 products
+    # against d^5 for comparing L_a L_b directly.
+    mult, va = alg.mult, alg.var_stack
+    assert all((va[v][:, s] == eye.a[:, t]).all()
+               for v, t, s in alg.monomial_steps) and (
+        contract(fld, "vab,tbc->vtac", va, mult)
+        == contract(fld, "vut,uab->vtab", va, mult)).all(), \
+        "multiplication table is not associative"
+    # m^N = 0: span m, then m^2, ..., m^N, each m times the last
+    span = eye.take_cols(range(1, d))
+    for _ in range(alg.nilpotency - 1):
+        if span.cols == 0:
+            break
+        nxt = Matrix(fld, contract(fld, "vab,bc->avc", va, span.a)
+                     .reshape(d, n * span.cols))
+        span = column_space_basis(nxt)
+    assert span.cols == 0, "declared nilpotency bound is violated"
+
+
 def corrupted(alg, t, a, b):
     """`alg` with coordinate a of the product b_t b_b moved by one."""
     mult = alg.mult.copy()
@@ -145,8 +189,8 @@ def corrupted(alg, t, a, b):
 
 
 class TestAssociativityCheck:
-    """A table with one product changed is refused: the check at the
-    monomial step b_t = x_v b_s compares L_t with x_v L_s."""
+    """A table with one product changed is refused by the oracle: the
+    check at the monomial step b_t = x_v b_s compares L_t with x_v L_s."""
 
     @pytest.mark.parametrize("fld, names, rels, nilp", [
         (GF2, ["x", "y", "z"], [], 4),
@@ -157,8 +201,8 @@ class TestAssociativityCheck:
         alg = build_algebra(fld, names, rels, nilp)
         d = alg.dim
         for t in range(1, d):
-            with pytest.raises(AlgebraError, match="not associative"):
-                _validate_algebra(corrupted(alg, t, (3 * t + 1) % d,
+            with pytest.raises(AssertionError, match="not associative"):
+                check_ring_axioms(corrupted(alg, t, (3 * t + 1) % d,
                                             (5 * t) % d))
 
     def test_actions_off_the_table_refused(self):
@@ -166,27 +210,28 @@ class TestAssociativityCheck:
         X_v[u, t] L_u; only the monomial steps b_t = x_v b_s see that x_v
         does not act as its own column of the table."""
         alg = build_algebra(GF2, ["x", "y"], [], 3)
-        with pytest.raises(AlgebraError, match="not associative"):
-            _validate_algebra(dataclasses.replace(
+        with pytest.raises(AssertionError, match="not associative"):
+            check_ring_axioms(dataclasses.replace(
                 alg, var_stack=alg.var_stack * 0))
 
     def test_checked_past_dimension_64(self):
-        """F_2[x,y,z]/m^7 has dimension 84; 3 * 84^4 products are within
-        the check's cap of 64^5."""
+        """F_2[x,y,z]/m^7 has dimension 84, and the oracle still sees one
+        wrong product among its 3 * 84^4."""
         alg = build_algebra(GF2, ["x", "y", "z"], [], 7)
         assert alg.dim == 84
-        with pytest.raises(AlgebraError, match="not associative"):
-            _validate_algebra(corrupted(alg, 1, 83, 82))
+        with pytest.raises(AssertionError, match="not associative"):
+            check_ring_axioms(corrupted(alg, 1, 83, 82))
 
 
 class TestCommutativityAndNilpotencyChecks:
-    """Hand-built tables that break the other two checks are refused."""
+    """Hand-built tables that break the oracle's other two checks are
+    refused."""
 
     def test_noncommuting_actions_refused(self):
         alg = build_algebra(GF2, ["x", "y"], [], 2)
         x = alg.var_stack[0]  # x b_0 = b_1; its transpose sends b_1 to b_0
-        with pytest.raises(AlgebraError, match="do not commute"):
-            _validate_algebra(dataclasses.replace(
+        with pytest.raises(AssertionError, match="do not commute"):
+            check_ring_axioms(dataclasses.replace(
                 alg, var_stack=np.stack([x, x.T])))
 
     @pytest.mark.parametrize("names, nilp, declared", [
@@ -195,9 +240,76 @@ class TestCommutativityAndNilpotencyChecks:
     def test_bound_below_the_true_one_refused(self, names, nilp, declared):
         """m^declared != 0, down to one below the true bound."""
         alg = build_algebra(GF2, names, [], nilp)
-        _validate_algebra(alg)
-        with pytest.raises(AlgebraError, match="nilpotency bound is violated"):
-            _validate_algebra(dataclasses.replace(alg, nilpotency=declared))
+        check_ring_axioms(alg)
+        with pytest.raises(AssertionError, match="nilpotency bound is violated"):
+            check_ring_axioms(dataclasses.replace(alg, nilpotency=declared))
+
+
+def perfbench_rings():
+    """(p, variables, N) of each ring in `perfbench/workloads.py`'s RINGS,
+    read from its source: nothing there is imported or run."""
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    names = {t.id: node.value for node in tree.body if isinstance(node, ast.Assign)
+             for t in node.targets if isinstance(t, ast.Name)}
+    consts = {"P31": eval(compile(ast.Expression(names["P31"]), "P31", "eval"))}
+    return eval(compile(ast.Expression(names["RINGS"]), "RINGS", "eval"), consts)
+
+
+# every ring the corpus fixtures build
+CORPUS_RINGS = {
+    "plane": corpus.plane_algebra,
+    "line2-f2": lambda: corpus.line_algebra(2, GF2),
+    "line2-f3": lambda: corpus.line_algebra(2, GF3),
+    "line3-f2": lambda: corpus.line_algebra(3, GF2),
+    "square-zero-e3-f3": lambda: corpus.square_zero_algebra(3, GF3),
+}
+NAMED_RINGS = {
+    **{f"docs-{path.stem}": lambda path=path: load_workspace(path).algebra
+       for path in sorted((ROOT / "docs" / "examples").glob("*.json"))},
+    **{f"corpus-{name}": build for name, build in CORPUS_RINGS.items()},
+    **{f"perfbench-{key}": lambda p=p, names=names, nil=nil: build_algebra(
+        Field(p), names, [], nil) for key, (p, names, nil) in perfbench_rings().items()},
+}
+FIELDS = [Field(p) for p in (2, 3, 7, 2**31 - 1, None)]
+
+
+def random_presentation(fld, nvars, nilp, rng):
+    """Up to three random relations in `nvars` variables, each a sum of up
+    to three terms of degree 1 to nilp, the larger of two uniform draws,
+    with random nonzero coefficients (fractions over Q)."""
+    names = ["x", "y", "z"][:nvars]
+
+    def term():
+        mon = [0] * nvars
+        for _ in range(max(rng.randint(1, nilp), rng.randint(1, nilp))):
+            mon[rng.randrange(nvars)] += 1
+        coef = (f"{rng.randint(1, 9)}/{rng.randint(1, 9)}" if fld.p is None
+                else str(rng.randint(1, min(fld.p - 1, 10**6))))
+        return "*".join([coef] + [f"{v}^{e}" for v, e in zip(names, mon) if e])
+
+    rels = [" + ".join(term() for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(0, 3))]
+    return names, rels
+
+
+class TestRingAxioms:
+    """Every ring `build_algebra` makes passes `check_ring_axioms`: the
+    named rings of the examples, the corpus and the benchmark, and random
+    presentations over F_2, F_3, F_7, F_{2^31-1} and Q."""
+
+    @pytest.mark.parametrize("name", NAMED_RINGS)
+    def test_named_rings(self, name):
+        check_ring_axioms(NAMED_RINGS[name]())
+
+    # Q keeps N <= 3: its products, over fractions, are slow past that
+    @given(st.sampled_from(range(len(FIELDS))), st.integers(1, 3),
+           st.integers(1, 5), st.integers(0, 10**6))
+    @settings(deadline=None, derandomize=True, database=None)
+    def test_random_presentations(self, field, nvars, nilp, seed):
+        fld = FIELDS[field]
+        nilp = nilp if fld.p else min(nilp, 3)
+        names, rels = random_presentation(fld, nvars, nilp, random.Random(seed))
+        check_ring_axioms(build_algebra(fld, names, rels, nilp))
 
 
 class TestElements:

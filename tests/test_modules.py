@@ -334,20 +334,20 @@ class TestValidation:
         a = Matrix.from_rows(GF3, [[0, 0], [1, 0]])
         b = Matrix.from_rows(GF3, [[0, 1], [0, 0]])
         with pytest.raises(ModuleError):
-            Module(alg, 2, [a, b])
+            validate_module(Module(alg, 2, [a, b]))
 
     def test_validate_rejects_broken_relation(self, line3):
         # x acts with cube nonzero on a 4-dimensional space
         shift = Matrix.from_rows(GF2, [[0, 0, 0, 0], [1, 0, 0, 0],
                                        [0, 1, 0, 0], [0, 0, 1, 0]])
         with pytest.raises(ModuleError):
-            Module(line3, 4, [shift])
+            validate_module(Module(line3, 4, [shift]))
 
     def test_validate_checks_mixed_relations(self):
         # x^2 = y^2 and xy = 0 in the algebra; the regular representation
         # satisfies both, a shift by x with y acting as zero breaks x^2 = y^2
         alg = build_algebra(GF3, ["x", "y"], ["x^2 - y^2", "x*y"], 3)
-        Module(alg, alg.dim, alg.var_stack)
+        validate_module(Module(alg, alg.dim, alg.var_stack))
         shift = Matrix.from_rows(GF3, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
         with pytest.raises(ModuleError, match="relation"):
-            Module(alg, 3, [shift, Matrix.zeros(GF3, 3, 3)])
+            validate_module(Module(alg, 3, [shift, Matrix.zeros(GF3, 3, 3)]))

@@ -37,7 +37,7 @@ RINGS = [(["x"], [], 3, 12, False), (["x"], [], 4, 12, False),
 def stepped(mod: Module, upto: int) -> Module:
     """A copy of mod whose resolution took every step through `upto` and
     reads no tail."""
-    copy = Module(mod.algebra, mod.dim, list(mod.var_actions), validate=False)
+    copy = Module(mod.algebra, mod.dim, list(mod.var_actions))
     res = ChainResolution(copy)
     while len(res._steps) <= upto and res._steps[-1][1][0]:
         res._step()

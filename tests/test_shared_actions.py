@@ -171,7 +171,7 @@ def test_equal_actions_share_one_entry(p):
         acts = [np.array([Fraction(x) if p is None else x for x in a.a.flat],
                          dtype=fld.dtype).reshape(a.a.shape) for a in mod.var_actions]
         acts[0][0, 0] = fld.coerce(acts[0][0, 0] + change)
-        return Module(alg, mod.dim, [Matrix(fld, a) for a in acts], validate=False)
+        return Module(alg, mod.dim, [Matrix(fld, a) for a in acts])
 
     same, other = rebuilt(0), rebuilt(1)
     if p is None:

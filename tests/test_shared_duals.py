@@ -36,7 +36,7 @@ def fresh_copy(mod: Module) -> Module:
     """A new module with copies of the actions and no free rank."""
     return Module(mod.algebra, mod.dim, [Matrix(a.field, a.a.copy())
                                          for a in mod.var_actions],
-                  label=mod.label, validate=False)
+                  label=mod.label)
 
 
 def in_random_basis(mod: Module, rng: random.Random) -> Module:

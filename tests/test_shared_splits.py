@@ -42,7 +42,7 @@ def ring(p, nil):
 def copy_onto(alg, mod: Module) -> Module:
     """A new module over `alg` with copies of the actions of `mod`."""
     return Module(alg, mod.dim, [Matrix(alg.field, a.a.copy())
-                                 for a in mod.var_actions], validate=False)
+                                 for a in mod.var_actions])
 
 
 def assert_shared_split(mod: Module, fresh_alg) -> None:

@@ -123,6 +123,11 @@ class TestCertificates:
         assert err.value.pointer == "/certificates/ghost"
 
 
+DUPLICATE_VARS = {**plane_dict(), "algebra": {
+    "field": "Fp", "p": 2, "vars": ["x", "x"], "nilpotency": 2, "relations": []}}
+CONSTANT_TERM = {**plane_dict(), "algebra": {
+    "field": "Fp", "p": 2, "vars": ["x", "y"], "nilpotency": 2,
+    "relations": ["1 + x"]}}
 BAD_CASES = [
     ({"version": "nope"}, "/version"),
     ({**plane_dict(), "algebra": {"field": "F8"}}, "/algebra/field"),
@@ -145,6 +150,8 @@ BAD_CASES = [
     (plane_dict({"M": {"kind": "actions", "dim": 1,
                        "actions": [[["0", "0"]], [["0"]]]}}),
      "/modules/M/actions/0/0"),
+    (DUPLICATE_VARS, "/algebra"),
+    (CONSTANT_TERM, "/algebra"),
 ]
 
 
@@ -158,6 +165,16 @@ def test_pointer_reported(data, pointer):
     with pytest.raises(InputError) as err:
         load_and_read(data)
     assert err.value.pointer == pointer
+
+
+@pytest.mark.parametrize("data, message", [
+    (DUPLICATE_VARS, "duplicate variable names"),
+    (CONSTANT_TERM, "relation '1 + x' has a nonzero constant term"),
+], ids=["duplicate-vars", "constant-term"])
+def test_ring_build_errors_keep_their_message(data, message):
+    with pytest.raises(InputError) as err:
+        load_and_read(data)
+    assert (err.value.pointer, err.value.message) == ("/algebra", message)
 
 
 def test_load_missing_file(tmp_path):
@@ -201,13 +218,18 @@ PLANE_CERT = json.loads((Path(__file__).resolve().parent.parent / "docs"
                          / "examples" / "plane.json").read_text())[
     "certificates"]["cert_k"]
 ZERO = [["0", "0"], ["0", "0"]]
-MALFORMED_ACTIONS = {   # actions of a 2-dimensional module over the plane
+SHIFT = [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"]]
+ZERO3 = [["0"] * 3] * 3
+# actions of a module over the plane, of the size of the last matrix
+MALFORMED_ACTIONS = {
     "row-too-long": ([[["0", "0", "0"], ["0", "0"]], ZERO], "/actions/0/0"),
     "matrix-count": ([ZERO], "/actions"),
     "non-string": ([[["0", 0], ["0", "0"]], ZERO], "/actions/0"),
     "bad-scalar": ([[["0", "3/"], ["0", "0"]], ZERO], "/actions/0"),
     "non-commuting": ([[["0", "1"], ["0", "0"]], [["0", "0"], ["1", "0"]]],
                       "/actions"),
+    # commuting, but x^2 != 0 although x^2 = 0 in the plane
+    "broken-relation": ([SHIFT, ZERO3], "/actions"),
 }
 
 
@@ -217,9 +239,10 @@ def test_actions_read_alike_in_modules_and_certificates(case):
     read by one reader: the same message, at the same pointer below the
     entry."""
     actions, below = MALFORMED_ACTIONS[case]
-    cert = {**PLANE_CERT, "base": {"dim": 2, "actions": actions}}
+    dim = len(actions[-1])
+    cert = {**PLANE_CERT, "base": {"dim": dim, "actions": actions}}
     ws = workspace_from_dict(plane_dict(
-        {"M": {"kind": "actions", "dim": 2, "actions": actions}},
+        {"M": {"kind": "actions", "dim": dim, "actions": actions}},
         {"c": cert}))
     errors = []
     for read, name, entry in ((ws.module, "M", "/modules/M"),
@@ -229,3 +252,5 @@ def test_actions_read_alike_in_modules_and_certificates(case):
         assert err.value.pointer == entry + below
         errors.append(err.value.message)
     assert errors[0] == errors[1]
+    if case == "broken-relation":  # refused only by the reader's validate_module
+        assert errors[0] == "actions violate an algebra relation"
