@@ -196,7 +196,6 @@ def _cmd_resolve(args) -> int:
     ws = _need_workspace(args)
     mod = ws.module(args.module)
     res = resolve(mod)
-    res.extend(args.window)
     betti = res.betti_list(args.window)
     report = {"command": "resolve", "module": args.module,
               "window": args.window, "betti": betti,

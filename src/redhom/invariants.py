@@ -131,11 +131,8 @@ def _dual_sequence_exact(ses) -> bool:
     dl = r_dual(ses.left)
     dm = r_dual(ses.middle)
     dr = r_dual(ses.right)
-    try:
-        di = dual_map(ses.inject, dm, dl)    # middle* -> left*
-        dp = dual_map(ses.project, dr, dm)   # right* -> middle*
-    except HomAlgError:
-        return False
+    di = dual_map(ses.inject, dm, dl)    # middle* -> left*
+    dp = dual_map(ses.project, dr, dm)   # right* -> middle*
     if not (di.matrix @ dp.matrix).is_zero():
         return False
     return (dp.is_injective() and di.is_surjective()
@@ -203,15 +200,8 @@ def complete_resolution(mod: Module,
     exact = _complex_exact(maps)
     modules = [maps[0].source] + [m.target for m in maps]
     duals = [r_dual(m) for m in modules]
-    dmaps = []
-    ok_dual = True
-    for i in range(len(maps) - 1, -1, -1):
-        try:
-            dmaps.append(dual_map(maps[i], duals[i + 1], duals[i]))
-        except HomAlgError:
-            ok_dual = False
-            break
-    dual_exact = ok_dual and _complex_exact(dmaps)
+    dual_exact = _complex_exact([dual_map(maps[i], duals[i + 1], duals[i])
+                                 for i in range(len(maps) - 1, -1, -1)])
     right_ranks = [p.sequence.middle.dim // mod.algebra.dim for p in chain]
     return CompleteResolutionReport(
         exact and dual_exact, "", window, res.betti_list(window),

@@ -635,7 +635,8 @@ def split_free_summands(mod: Module) -> FreeSplit:
     soc M; a module with less of any has rank 0 and is returned before the
     Hom system is built (exactly: a nonzero top makes M onto R, so split).
     Past it the split is kept once per actions (`shared`): modules with
-    those actions share remainder and sum, each with a witness onto itself.
+    those actions share remainder and sum, each with a witness onto itself,
+    [section | kernel inclusion], bijective as M = im(section) (+) ker phi.
     """
     alg = mod.algebra
     if mod.free_rank is not None:
@@ -665,7 +666,5 @@ def _peel(mod: Module) -> tuple:
     rem, incl = kernel_module(ModuleMap(mod, free_module(alg, rank), phi))
     total = direct_sum([free_module(alg, rank), rem])
     cols = Matrix.hstack([sec, incl.matrix])
-    if cols.rank() != mod.dim:
-        raise ModuleError("free splitting produced a non-bijective witness")
     cols.a.flags.writeable = False
     return rank, rem, total, cols

@@ -579,21 +579,16 @@ def omega_of_map(g: ModuleMap, steps: int = 1) -> ModuleMap:
     """Transport a map through minimal covers onto the syzygy modules.
 
     Lifts g generator-wise to a map of covers through the target cover's
-    section (`Resolution.section`) and restricts to the kernels.
-    When g is an isomorphism the transported map must be one as well; a
-    rank drop means the lift went wrong and raises CertificateError.
+    section (`Resolution.section`) and restricts to the kernels.  It is
+    an isomorphism when g is one (Nakayama on the minimal covers).
     """
-    out = g
     for _ in range(steps):
-        was_iso = out.is_isomorphism()
-        res_x, res_y = resolve(out.source), resolve(out.target)
-        u = free_map_from_columns(out.source.algebra, res_y.betti(0), res_y.section()
-                                  @ (out.matrix @ res_x.generator_images(0)))
+        res_x, res_y = resolve(g.source), resolve(g.target)
+        u = free_map_from_columns(g.source.algebra, res_y.betti(0), res_y.section()
+                                  @ (g.matrix @ res_x.generator_images(0)))
         new_mat = (u @ res_x.syzygy_subspace(1)).take_rows(res_y.free_positions(1))
-        out = ModuleMap(res_x.syzygy_module(1), res_y.syzygy_module(1), new_mat)
-        if was_iso and not out.is_isomorphism():
-            raise CertificateError("syzygy transport lost invertibility")
-    return out
+        g = ModuleMap(res_x.syzygy_module(1), res_y.syzygy_module(1), new_mat)
+    return g
 
 
 def _padded(shoe: Horseshoe, a: int, c_prev: int):
@@ -645,9 +640,6 @@ def transform_syzygy(seq: ReducingSequence,
         a, b, n = step.a, step.b, step.n
         ses = step.sequence
         left_lit = power_module(prev_old, a)
-        if not _modules_equal(ses.left, left_lit):
-            raise CertificateError(
-                "chain step left term does not match the previous module")
         # normalize the right term to the literal rebuilt syzygy
         proj_norm = ModuleMap(ses.middle, step.witness.target,
                               step.witness.matrix @ ses.project.matrix)
@@ -692,7 +684,8 @@ def transform_cosyzygy(seq: ReducingSequence, module: Module,
     chain's base module; the construction solves extension classes
     backwards through the syzygy shift, and that vanishing is what makes
     the shift on degree-one classes surjective.  When the hypotheses fail
-    the outcome reports a structured rejection rather than raising.
+    the outcome reports a structured rejection rather than raising.  The
+    lifted chain's `verify` is the construction's one runtime check.
     """
     alg = module.algebra
     fld = alg.field
@@ -760,14 +753,8 @@ def transform_cosyzygy(seq: ReducingSequence, module: Module,
         shoe = horseshoe(ses_w)
         z2, i2, p2 = _padded(shoe, a, c_prev)
         i2 = i2 @ Matrix.block_diag(fld, [rho.matrix] * a)
-        ses_check = ShortExactSequence(
-            ModuleMap(left_lit, z2, i2),
-            ModuleMap(z2, x_up, p2))
-        if not (class_of_ses(data_k, ses_check) == eta):
-            raise CertificateError(
-                f"step {idx}: transported extension class mismatch")
-        # the two extensions share end maps, so a connecting map solved
-        # in the space of module maps is an isomorphism (five lemma)
+        # the two extensions share end maps, so a connecting map solved in
+        # Hom exists iff their classes agree, and is an isomorphism (five lemma)
         # column j: basis map j of Hom(mid_old, z2) after i1, then p2
         # after it, flattened; the connecting map matches i2 and p1
         hom = hom_space_matrix(mid_old, z2)
@@ -784,9 +771,6 @@ def transform_cosyzygy(seq: ReducingSequence, module: Module,
                 f"step {idx}: equivalent extensions admit no connecting map")
         tau_mat = Matrix(fld, (hom @ coeffs).a.reshape(z2.dim, mid_old.dim))
         tau = ModuleMap(mid_old, z2, tau_mat)
-        if not tau.is_isomorphism():
-            raise CertificateError(
-                f"step {idx}: connecting map is not invertible")
         new_steps.append(ReducingStep(
             a, b, n, ses_w, ModuleMap.identity(right_w)))
         rho = tau

@@ -196,6 +196,44 @@ class TestReduce:
         assert "Ext" in report["reason"]
 
 
+class TestTransportRoundTrips:
+    """Transports of the `line3.json` certificates through saved files:
+    each command exits 0, and `reduce verify` accepts each saved chain.
+    The transports verify only their input and the lifted chain, so these
+    are what check a saved `transform syzygy` chain end to end."""
+
+    @staticmethod
+    def transform(capsys, saved, way, *args):
+        code, report, _ = run(capsys, "--workspace", str(EXAMPLES / "line3.json"),
+                              "reduce", "transform", way, *args, "--save", str(saved))
+        assert code == 0, report
+
+    @staticmethod
+    def accepted(capsys, saved):
+        code, report, _ = run(capsys, "--workspace", str(EXAMPLES / "line3.json"),
+                              "reduce", "verify", str(saved))
+        assert code == 0
+        return report["accepted"]
+
+    def test_cosyzygy_round_trip(self, capsys, tmp_path):
+        # the lifted chain's middle is block-triangular
+        self.transform(capsys, tmp_path / "lifted.json", "cosyzygy", "cert_rx", "Rx2")
+        assert self.accepted(capsys, tmp_path / "lifted.json") is True
+
+    def test_syzygy_round_trip(self, capsys, tmp_path):
+        # the shifted chain is built through the horseshoe
+        self.transform(capsys, tmp_path / "shifted.json", "syzygy", "cert_rx_gdim")
+        assert self.accepted(capsys, tmp_path / "shifted.json") is True
+
+    def test_syzygy_then_cosyzygy_round_trip_through_saved_files(self, capsys,
+                                                                  tmp_path):
+        shifted, back = tmp_path / "shifted_rx.json", tmp_path / "back.json"
+        self.transform(capsys, shifted, "syzygy", "cert_rx")
+        self.transform(capsys, back, "cosyzygy", str(shifted), "Rx")
+        assert self.accepted(capsys, shifted) is True
+        assert self.accepted(capsys, back) is True
+
+
 class TestTheorems:
     def test_prop27_holds(self, plane_ws, capsys):
         code, report, _ = run(capsys, "--workspace", plane_ws,

@@ -6,7 +6,8 @@ has free rank 0, and `split_free_summands` returns it unsplit without
 building the Hom system.  The property test checks, on R^c + X in a
 random basis, that the top rows of Hom(M, R) have rank 0 whenever the
 counts refuse, and that the split equals the full path's written below.
-The counting tests pin which calls still build the system.
+It also checks that the witness is a module isomorphism.  The counting
+tests pin which calls still build the system.
 """
 
 import random
@@ -92,6 +93,10 @@ def test_refused_splits_match_the_full_path(ring, free_rank, seed):
     assert all(g == w for g, w in zip(got.remainder.var_actions,
                                       want.remainder.var_actions))
     assert got.iso.matrix == want.iso.matrix
+    # the witness is a module isomorphism (M = im(section) + ker phi),
+    # which split_free_summands does not re-check
+    got.iso.check_linear()
+    assert got.iso.is_isomorphism()
 
 
 @pytest.mark.parametrize("alg", RINGS,

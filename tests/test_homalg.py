@@ -1,8 +1,12 @@
 """Duals, Ext tables, extension classes, horseshoes, pushforwards."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from redhom.algebra import build_algebra
+from redhom.corpus import random_module
 from redhom.homalg import (
     HomAlgError,
     biduality,
@@ -22,7 +26,7 @@ from redhom.homalg import (
     pushforward,
     r_dual,
 )
-from redhom.linalg import GF2, GF3, Matrix
+from redhom.linalg import GF2, GF3, Field, Matrix
 from redhom.modules import (
     ModuleMap,
     ShortExactSequence,
@@ -365,6 +369,39 @@ class TestHorseshoe:
         shoe.sequence.validate()
         assert shoe.sequence.left is syzygy(k, 1)
         assert shoe.sequence.right is syzygy(k, 1)
+
+
+HORSESHOE_RINGS = [(p, names, nil) for p in (2, 3, 2**31 - 1, None)
+                   for names, nil in ((["x", "y"], 2), (["x", "y"], 3), (["x"], 3))
+                   if p or nil == 2 or len(names) == 1]  # Q at small dimensions
+
+
+@given(st.sampled_from(HORSESHOE_RINGS), st.sampled_from(["split", "cover", "class"]),
+       st.integers(0, 10**6), st.integers(0, 10**6))
+@settings(deadline=None, derandomize=True, database=None)
+def test_horseshoe_is_exact_with_the_betti_free_rank(ring, kind, seed_right, seed_left):
+    """The horseshoe lemma, which `horseshoe` does not re-check: its
+    sequence is an exact sequence of module maps, and its free summand has
+    rank beta_0(left) + beta_0(right) - beta_0(middle)."""
+    p, names, nil = ring
+    alg = build_algebra(Field(p), names, [], nil)
+    right = random_module(alg, 2, 2, seed_right)
+    left = random.Random(seed_left).choice(
+        [random_module(alg, 2, 2, seed_left), residue_field(alg),
+         regular_module(alg)])
+    if kind == "split":
+        ses = split_ses(left, right)
+    elif kind == "cover":
+        ses = cover_sequence(direct_sum([right, residue_field(alg)]))
+    else:
+        data = ext1_data(right, left)
+        rng = random.Random(seed_right + seed_left)
+        ses = extension_from_class(data, Matrix.column(
+            alg.field, [alg.field.random(rng) for _ in range(data.dim)]))
+    shoe = horseshoe(ses)
+    shoe.sequence.validate()
+    assert shoe.free_rank == (resolve(ses.left).betti(0) + resolve(ses.right).betti(0)
+                              - resolve(ses.middle).betti(0))
 
 
 # -- syzygy map on first Ext -----------------------------------------------------------

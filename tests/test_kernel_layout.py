@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from redhom.algebra import _monomials_below, build_algebra, parse_polynomial
 from redhom import homalg
 from redhom.corpus import random_module
-from redhom.homalg import (ExtTable, HomAlgError, biduality, canonical_module,
+from redhom.homalg import (ExtTable, biduality, canonical_module,
                            class_of_ses, dual_map, ext1_data,
                            extension_from_psi, r_dual)
 from redhom.linalg import Field, Matrix, column_space_basis, nf_columns
@@ -24,6 +24,7 @@ from redhom.modules import (
     direct_sum,
     free_map_from_columns,
     from_presentation,
+    hom_space_matrix,
     kernel_module,
     quotient_module,
     regular_module,
@@ -41,13 +42,20 @@ def same(got: Matrix, want: Matrix) -> bool:
     return got.a.dtype == want.a.dtype and got == want
 
 
-def in_random_basis(mod, rng):
-    """The module conjugated by a unimodular change of basis."""
+def basis_change(mod, rng):
+    """The module conjugated by a unimodular change of basis p, as the
+    isomorphism p from the conjugate onto the module."""
     fld, n = mod.algebra.field, mod.dim
     lower, upper = ([[int(i == j) if i <= j else rng.randrange(-1, 2)
                       for j in range(n)] for i in range(n)] for _ in range(2))
     p = Matrix.from_rows(fld, lower) @ Matrix.from_rows(fld, upper).transpose()
-    return Module(mod.algebra, n, [p.inverse() @ a @ p for a in mod.var_actions])
+    conj = Module(mod.algebra, n, [p.inverse() @ a @ p for a in mod.var_actions])
+    return ModuleMap(conj, mod, p)
+
+
+def in_random_basis(mod, rng):
+    """The module conjugated by a unimodular change of basis."""
+    return basis_change(mod, rng).source
 
 
 def modules_over(p):
@@ -336,16 +344,24 @@ def test_ext1_and_dual_coordinates(p, ring, seed_right, seed_left):
     composed = dual.map_from_coords(Matrix.identity(fld, h)) @ cover.matrix
     assert same(dual_map(cover, dual, dual_free).matrix, reference_coords(
         dual_free.flat, Matrix(fld, composed.a.reshape(h, -1).T.copy())))
-    # coordinates are read back exactly, and a vector outside the span is refused
+    # dual_map reads coordinates without solving: for module maps f (the
+    # cover, combinations of a Hom basis) they give back each composite φ∘f
+    hom = hom_space_matrix(left, right)
+    for f in [cover] + [ModuleMap(left, right, Matrix(fld, (hom @ Matrix.column(
+            fld, [fld.random(rng) for _ in range(hom.cols)])).a.reshape(
+                right.dim, left.dim))) for _ in range(2)]:
+        f.check_linear()
+        dual_source = r_dual(f.source)
+        composed = dual.map_from_coords(Matrix.identity(fld, h)) @ f.matrix
+        assert dual_source.flat @ dual_map(f, dual, dual_source).matrix == Matrix(
+            fld, composed.a.reshape(h, -1).T.copy())
+    # coordinates are read back exactly
     coords = Matrix.column(fld, [fld.random(rng) for _ in range(h)])
-    assert same(homalg._coords(dual.flat, dual.flat @ coords, "outside"), coords)
+    assert same(homalg._coords(dual.flat, dual.flat @ coords), coords)
     vec = Matrix.column(fld, [fld.random(rng) for _ in range(dual.flat.rows)])
     coords, ok = dual.flat.solve_columns(vec)
     if ok[0]:
-        assert same(homalg._coords(dual.flat, vec, "outside"), coords)
-    else:
-        with pytest.raises(HomAlgError, match="outside"):
-            homalg._coords(dual.flat, vec, "outside")
+        assert same(homalg._coords(dual.flat, vec), coords)
 
 
 # -- lifts through covers -------------------------------------------------------
@@ -404,3 +420,13 @@ def test_lifts_read_the_section(p, ring, seed, plus_k):
               ModuleMap(mod, plus_r, Matrix.vstack(
                   [a, Matrix.zeros(fld, alg.dim, mod.dim)]))):
         assert same(omega_of_map(g, 2).matrix, reference_omega_of_map(g, 2))
+    # an isomorphism from the module in a random basis, after the unit
+    # 1 + x_0 a: its transports are module isomorphisms
+    unit = Matrix.identity(fld, mod.dim) + mod.var_actions[0] @ a
+    p = basis_change(mod, rng)
+    g = ModuleMap(p.source, mod, unit @ p.matrix)
+    g.check_linear()
+    for n in (1, 2):
+        out = omega_of_map(g, n)
+        out.check_linear()
+        assert out.is_isomorphism()

@@ -1,10 +1,11 @@
 """Chain certificates: verification, serialization, search, transports."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from redhom import reducing, resolution
 from redhom.algebra import build_algebra
-from redhom.linalg import GF2, QQ, Matrix
+from redhom.linalg import GF2, QQ, Field, Matrix
 from redhom.modules import (
     ModuleMap,
     free_module,
@@ -13,12 +14,14 @@ from redhom.modules import (
     split_free_summands,
     from_presentation,
     is_isomorphic,
+    split_ses,
 )
 from redhom.resolution import resolve, syzygy
 from redhom.reducing import (
     CertificateError,
     InputError,
     ReducingSequence,
+    ReducingStep,
     SearchConfig,
     load_certificate,
     omega_of_map,
@@ -435,3 +438,46 @@ class TestTransformCosyzygy:
         outcome = transform_cosyzygy(shifted, k, window=4)
         assert outcome.ok, outcome.reason
         assert outcome.sequence.r == 0
+
+
+# Gorenstein rings, so that every chain found lifts back; Q on the smaller
+# two.  Each with cyclic modules R/(relations) that `search` finds a pd
+# chain for ([] is k).
+GORENSTEIN = [((p, names, rels, nil), mod) for p in (2, 3, 2**31 - 1, None)
+              for names, rels, nil, mods in (
+                  (["x"], [], 3, ([], ["x"], ["x^2"])),
+                  (["x"], [], 4, ([], ["x"], ["x^2"])),
+                  (["x", "y"], ["x^2", "y^2"], 3, (["x"], ["x+y"])))
+              if p or len(names) == 1 for mod in mods]
+
+
+@given(st.sampled_from(GORENSTEIN), st.sampled_from(["pd", "gdim"]),
+       st.integers(0, 2))
+@settings(deadline=None, derandomize=True, database=None)
+def test_transports_verify_over_four_fields(case, target, split_a):
+    """Chains that `search` finds, with a split step 0 -> K^a -> K^a +
+    syz(K) -> syz(K) -> 0 on the last middle K appended when split_a > 0
+    (so r reaches 2): the syzygy transport verifies, and the cosyzygy
+    transport lifts it back to a chain for the module that verifies.
+    Neither transport re-checks the horseshoes, transported classes or
+    connecting maps it builds, so these assertions pin them."""
+    (p, names, rels, nil), relations = case
+    alg = build_algebra(Field(p), names, rels, nil)
+    mod = (from_presentation(alg, 1, [relations]) if relations
+           else residue_field(alg))
+    found = search(mod, target, SearchConfig(max_a=2, max_b=2))
+    assert found.found
+    seq = found.sequence
+    if split_a:
+        last = seq.module_at(seq.r)
+        right = syzygy(last, 1)
+        seq = ReducingSequence(mod, seq.steps + [ReducingStep(
+            split_a, 1, 1, split_ses(power_module(last, split_a), right),
+            ModuleMap.identity(right))], target)
+    assert verify(seq).ok
+    shifted = transform_syzygy(seq)
+    assert verify(shifted).ok
+    outcome = transform_cosyzygy(shifted, mod)
+    assert outcome.ok, outcome.reason
+    assert outcome.sequence.base is mod and outcome.sequence.r == seq.r
+    assert verify(outcome.sequence).ok
