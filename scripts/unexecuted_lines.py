@@ -8,7 +8,10 @@ stdlib `sys.settrace` tracer that records only frames whose code is in
 src/redhom.  Then it prints every executable line that never ran, as
 `src/redhom/FILE.py:LINE: SOURCE`, and a count per file.  The executable
 lines are those the compiled code maps an instruction to, so blank
-lines, comments and docstrings inside functions are never listed.
+lines, comments and docstrings inside functions are never listed.  Each
+file's text and executable lines are read before pytest starts, and
+listed from that reading; a file that changed during the run is named
+on stderr.
 Extra arguments go to pytest, so `scripts/unexecuted_lines.py
 tests/test_algebra.py` traces one file.  Lines that run only in a child
 process (a test that starts `python -m redhom.cli`) count as unexecuted.
@@ -29,9 +32,9 @@ SRC = ROOT / "src" / "redhom"
 TIER1 = ["-q", "--continue-on-collection-errors"]
 
 
-def executable_lines(path: Path) -> set[int]:
+def executable_lines(path: Path, source: str) -> set[int]:
     """Line numbers that some instruction of the file's code maps to."""
-    lines, todo = set(), [compile(path.read_text(), str(path), "exec")]
+    lines, todo = set(), [compile(source, str(path), "exec")]
     while todo:
         code = todo.pop()
         lines.update(line for _, _, line in code.co_lines() if line)
@@ -68,11 +71,16 @@ def traced(argv: list[str]) -> tuple[int, dict[str, set[int]]]:
 
 def main() -> int:
     os.chdir(ROOT)
+    texts = {path: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    lines = {path: executable_lines(path, text) for path, text in texts.items()}
     code, hits = traced(sys.argv[1:] or TIER1)
     total = 0
-    for path in sorted(SRC.glob("*.py")):
-        source = path.read_text().splitlines()
-        missed = sorted(executable_lines(path) - hits.get(str(path), set()))
+    for path, text in texts.items():
+        if not path.exists() or path.read_text() != text:
+            print(f"{path.relative_to(ROOT)} changed during the run; its lines "
+                  "are listed as they were before it", file=sys.stderr)
+        source = text.splitlines()
+        missed = sorted(lines[path] - hits.get(str(path), set()))
         for line in missed:
             print(f"{path.relative_to(ROOT)}:{line}: "
                   f"{source[line - 1].strip()}")

@@ -31,7 +31,6 @@ from .homalg import (
     biduality,
     ext_dims,
     pushforward,
-    r_dual,
 )
 from .invariants import (
     check_P_transfer,
@@ -216,17 +215,14 @@ def _cmd_ext(args) -> int:
 def _cmd_dual(args) -> int:
     ws = _need_workspace(args)
     mod = ws.module(args.module)
-    dual = r_dual(mod)
     bid = biduality(mod)
+    dual, torsionless, reflexive = bid.dual.module, bid.is_injective, bid.is_bijective
     report = {"command": "dual", "module": args.module, "dim": mod.dim,
-              "dual_dim": dual.module.dim,
-              "dual_min_gens": dual.module.gens_count(),
-              "torsionless": bid.is_injective,
-              "reflexive": bid.is_bijective}
+              "dual_dim": dual.dim, "dual_min_gens": dual.gens_count(),
+              "torsionless": torsionless, "reflexive": reflexive}
     return _emit(report,
-                 f"dual of {args.module}: dim {dual.module.dim}, "
-                 f"torsionless={bid.is_injective} "
-                 f"reflexive={bid.is_bijective}", 0)
+                 f"dual of {args.module}: dim {dual.dim}, "
+                 f"torsionless={torsionless} reflexive={reflexive}", 0)
 
 
 def _cmd_pushforward(args) -> int:

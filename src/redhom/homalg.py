@@ -41,8 +41,6 @@ from .modules import (
     ShortExactSequence,
     assemble_action_columns,
     direct_sum,
-    free_map_columns,
-    free_map_from_columns,
     free_module,
     hom_space_matrix,
     quotient_module,
@@ -527,8 +525,6 @@ def pushforward(mod: Module) -> Pushforward:
     if "push" not in (entry := shared(mod)):
         dual = r_dual(mod)
         gens = dual.module.min_generators()
-        if gens.cols == 0:
-            raise HomAlgError("module has no maps into the ring")
         q = dual.map_from_coords(gens)
         if q.rank() != mod.dim:
             raise HomAlgError("module does not embed into a free module "
@@ -575,18 +571,19 @@ def horseshoe(ses: ShortExactSequence) -> Horseshoe:
                               _lift_cover(res_m, ses.project)])
 
     # factor the combined cover through the minimal one and split it
-    u = free_map_from_columns(alg, g_l, res_l.section() @ big_gens)
-    sec_imgs = u.solve(free_module(alg, g_l).min_generators())
+    free_l, free_big = free_module(alg, g_l), free_module(alg, g_big)
+    u = assemble_action_columns(free_l, res_l.section() @ big_gens)
+    sec_imgs = u.solve(free_l.min_generators())
     if sec_imgs is None:  # u is onto exactly when the generators of F_l lift
         raise HomAlgError("factored cover lost surjectivity")
-    section = free_map_from_columns(alg, g_big, sec_imgs)
+    section = assemble_action_columns(free_big, sec_imgs)
 
     # the kernel of u is free; pick minimal generators for it
     gens = _radical_complement(alg, *sparse_kernel(fld, u.sparse_columns()))
     f_rank = len(gens)
     if f_rank != g_big - g_l:
         raise HomAlgError("free complement has unexpected rank")
-    ker_map = Matrix.from_sparse(fld, g_big * d, free_map_columns(alg, gens))
+    ker_map = assemble_action_columns(free_big, Matrix.from_sparse(fld, g_big * d, gens))
 
     omega_l = res_l.syzygy_module(1)
     middle = direct_sum([omega_l, free_module(alg, f_rank)])

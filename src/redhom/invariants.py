@@ -20,12 +20,12 @@ from .modules import (
     hom_space_matrix,
     regular_module,
     split_free_summands,
+    zero_module,
 )
 from .resolution import resolve
 from .homalg import (
     HomAlgError,
     TRVerdict,
-    biduality,
     canonical_module,
     dual_map,
     ext_dims,
@@ -128,15 +128,12 @@ def _finish(report: TheoremReport) -> TheoremReport:
 
 def _dual_sequence_exact(ses) -> bool:
     """Exactness of 0 -> right* -> middle* -> left* -> 0."""
-    dl = r_dual(ses.left)
-    dm = r_dual(ses.middle)
-    dr = r_dual(ses.right)
-    di = dual_map(ses.inject, dm, dl)    # middle* -> left*
-    dp = dual_map(ses.project, dr, dm)   # right* -> middle*
-    if not (di.matrix @ dp.matrix).is_zero():
-        return False
-    return (dp.is_injective() and di.is_surjective()
-            and dp.rank() + di.rank() == dm.module.dim)
+    dl, dm, dr = r_dual(ses.left), r_dual(ses.middle), r_dual(ses.right)
+    zero = zero_module(ses.left.algebra)
+    return _complex_exact([ModuleMap.zero(zero, dr.module),
+                           dual_map(ses.project, dr, dm),  # right* -> middle*
+                           dual_map(ses.inject, dm, dl),   # middle* -> left*
+                           ModuleMap.zero(dl.module, zero)])
 
 
 @dataclass
@@ -152,13 +149,11 @@ class CompleteResolutionReport:
 
 
 def _complex_exact(maps) -> bool:
-    """Composite-zero plus rank exactness at every interior spot."""
-    for u, v in zip(maps, maps[1:]):
-        if not (v.matrix @ u.matrix).is_zero():
-            return False
-        if u.rank() + v.rank() != u.target.dim:
-            return False
-    return True
+    """Composite-zero plus rank exactness at every interior spot, each
+    map ranked once."""
+    ranks = [m.rank() for m in maps]
+    return all((v.matrix @ u.matrix).is_zero() and r_u + r_v == u.target.dim
+               for u, v, r_u, r_v in zip(maps, maps[1:], ranks, ranks[1:]))
 
 
 def complete_resolution(mod: Module,
@@ -220,9 +215,9 @@ def check_main_theorem(mod: Module, seq: ReducingSequence,
     its dual are exact across the window.
 
     The embedding chain is walked once, by `complete_resolution`, and
-    every stage is read from its report: a stage is torsionless exactly
-    when it embeds into its free hull, that is, when the chain goes on
-    past it.  Stage 0's Ext vanishing is the second hypothesis.
+    each stage, the module too, is read from its report: a stage is
+    torsionless exactly when it embeds into its free hull, when the
+    chain goes on past it.  Stage 0's Ext vanishing is the second hypothesis.
     """
     report = TheoremReport("main", False, window, [], [])
     rep = verify(seq, window=window) if seq is not None else None
@@ -238,10 +233,10 @@ def check_main_theorem(mod: Module, seq: ReducingSequence,
         "" if okv else f"Ext^{bad}(module, ring) is nonzero"))
     if _hypotheses_fail(report):
         return _finish(report)
-    report.conclusions.append(_entry(
-        "torsionless", biduality(mod).is_injective,
-        "evaluation into the double dual is injective"))
     cr = complete_resolution(mod, window)
+    report.conclusions.append(_entry(
+        "torsionless", mod.dim == 0 or bool(cr.chain),
+        "evaluation into the double dual is injective"))
     cur = mod
     chain = []
     detail = ""
@@ -297,9 +292,7 @@ def check_t2(mod: Module, seq: ReducingSequence,
     offset = 0
     for i, step in enumerate(seq.steps, start=1):
         ses = step.sequence
-        block = Matrix.zeros(fld, ses.left.dim, prev.dim)
-        block.a[:prev.dim, :] = Matrix.identity(fld, prev.dim).a
-        emb = ses.inject.matrix @ block @ emb
+        emb = ses.inject.matrix.take_cols(range(prev.dim)) @ emb
         split_ok = False
         if emb.rank() == mod.dim:
             # column j: basis map j of Hom(middle, mod) composed with emb

@@ -219,16 +219,6 @@ def assemble_action_columns(mod: Module, gens: Matrix) -> Matrix:
     return Matrix(fld, out.reshape(mod.dim, gens.cols * mod.algebra.dim))
 
 
-def free_map_from_columns(alg: Algebra, target_rank: int, stacked: Matrix) -> Matrix:
-    """k-matrix of the map free(s) -> free(target_rank) sending the j-th
-    generator to the element whose stacked coordinates are column j, in
-    the free-module coordinate layout (`free_map_columns`)."""
-    if stacked.cols and stacked.rows != target_rank * alg.dim:
-        raise ModuleError("stacked column height does not match target rank")
-    return Matrix.from_sparse(alg.field, target_rank * alg.dim,
-                              free_map_columns(alg, stacked.sparse_columns()))
-
-
 def validate_module(mod: Module) -> None:
     """Check commuting actions compatible with the multiplication table,
     as building a `Module` does not; see `reducing.module_from_dict`."""
@@ -353,8 +343,8 @@ def presented_module(alg: Algebra, relations: np.ndarray, label: str = "") -> Mo
     (s, g, dim R) array."""
     s, g, d = relations.shape
     stacked = Matrix(alg.field, relations.transpose(1, 2, 0).reshape(g * d, s))
-    return quotient_module(free_module(alg, g), free_map_from_columns(alg, g, stacked),
-                           label=label)[0]
+    free = free_module(alg, g)
+    return quotient_module(free, assemble_action_columns(free, stacked), label=label)[0]
 
 
 # -- maps ------------------------------------------------------------------
@@ -399,9 +389,6 @@ class ModuleMap:
 
     def is_injective(self) -> bool:
         return self.rank() == self.source.dim
-
-    def is_surjective(self) -> bool:
-        return self.rank() == self.target.dim
 
     def is_isomorphism(self) -> bool:
         return (self.source.dim == self.target.dim

@@ -30,8 +30,8 @@ from .modules import (
     ModuleError,
     ModuleMap,
     ShortExactSequence,
+    assemble_action_columns,
     direct_sum,
-    free_map_from_columns,
     free_module,
     hom_space_matrix,
     is_isomorphic,
@@ -411,12 +411,8 @@ def _free_middle_step(mod, a, b, n, res_pow, peel, wit) -> ReducingStep:
     right = res_pow.syzygy_module(n)
     middle = free_module(alg, c + g)
     emb = res_pow.syzygy_subspace(n + 1) @ wit.matrix
-    mat = Matrix.zeros(fld, (c + g) * d, pw_a.dim)
-    mat.a[:c * d, :c * d] = Matrix.identity(fld, c * d).a
-    mat.a[c * d:, c * d:] = emb.a
-    inj = mat @ peel.iso.inverse().matrix
-    proj = Matrix.zeros(fld, right.dim, (c + g) * d)
-    proj.a[:, c * d:] = resolve(right).cover_matrix().a
+    inj = Matrix.block_diag(fld, [Matrix.identity(fld, c * d), emb]) @ peel.iso.inverse().matrix
+    proj = Matrix.hstack([Matrix.zeros(fld, right.dim, c * d), resolve(right).cover_matrix()])
     ses = ShortExactSequence(ModuleMap(pw_a, middle, inj), ModuleMap(middle, right, proj))
     return ReducingStep(a, b, n, ses, ModuleMap.identity(right))
 
@@ -584,8 +580,8 @@ def omega_of_map(g: ModuleMap, steps: int = 1) -> ModuleMap:
     """
     for _ in range(steps):
         res_x, res_y = resolve(g.source), resolve(g.target)
-        u = free_map_from_columns(g.source.algebra, res_y.betti(0), res_y.section()
-                                  @ (g.matrix @ res_x.generator_images(0)))
+        u = assemble_action_columns(res_y.ambient_free(0), res_y.section()
+                                    @ (g.matrix @ res_x.generator_images(0)))
         new_mat = (u @ res_x.syzygy_subspace(1)).take_rows(res_y.free_positions(1))
         g = ModuleMap(res_x.syzygy_module(1), res_y.syzygy_module(1), new_mat)
     return g
@@ -594,10 +590,11 @@ def omega_of_map(g: ModuleMap, steps: int = 1) -> ModuleMap:
 def _padded(shoe: Horseshoe, a: int, c_prev: int):
     """The horseshoe's sequence padded with a·c_prev carried free blocks.
 
-    Its source is a copies of syz ⊕ R^c_prev; `gather` puts the a syzygy
-    blocks (the horseshoe's left term) first and the a free blocks after
-    them.  Returns syz¹(middle) ⊕ R^(free_rank + a·c_prev),
-    block_diag(inject, I) @ gather and [project | 0].
+    Its source is a copies of syz ⊕ R^c_prev, whose coordinates `order`
+    lists with the a syzygy blocks (the horseshoe's left term) first and
+    the a free blocks after them.  Returns syz¹(middle) ⊕
+    R^(free_rank + a·c_prev), the columns of block_diag(inject, I) taken
+    back into the source's order (at argsort(order)), and [project | 0].
     """
     ses = shoe.sequence
     alg = ses.left.algebra
@@ -607,10 +604,9 @@ def _padded(shoe: Horseshoe, a: int, c_prev: int):
     middle = direct_sum([ses.middle.summands[0][0],
                          free_module(alg, shoe.free_rank + a * c_prev)])
     at = np.arange(a * (s_prev + c)).reshape(a, s_prev + c)
-    gather = Matrix.identity(fld, at.size).take_rows(
-        np.concatenate((at[:, :s_prev], at[:, s_prev:]), axis=None))
-    inj = Matrix.block_diag(fld, [ses.inject.matrix,
-                                  Matrix.identity(fld, a * c)]) @ gather
+    order = np.concatenate((at[:, :s_prev], at[:, s_prev:]), axis=None)
+    inj = Matrix.block_diag(fld, [ses.inject.matrix, Matrix.identity(fld, a * c)]
+                            ).take_cols(np.argsort(order))
     proj = Matrix.hstack([ses.project.matrix,
                           Matrix.zeros(fld, ses.right.dim, a * c)])
     return middle, inj, proj

@@ -234,6 +234,75 @@ class TestTransportRoundTrips:
         assert self.accepted(capsys, back) is True
 
 
+class TestDeepWindows:
+    """Windows far past what the examples need, over F_2[x,y]/m^2: deep
+    sparse steps and transitions stay under `MAX_STEP_BYTES`, and a
+    finished resolution reads zeros past its end.  No timing is asserted."""
+
+    def test_deep_resolution_under_the_step_cap(self, capsys):
+        code, report, _ = run(capsys, "--workspace", str(EXAMPLES / "plane.json"),
+                              "resolve", "k", "--window", "14")
+        assert code == 0
+        assert report["betti"] == [2**i for i in range(15)]
+
+    def test_deep_ext_table_under_the_step_cap(self, capsys):
+        code, report, _ = run(capsys, "--workspace", str(EXAMPLES / "plane.json"),
+                              "ext", "k", "R", "--window", "14")
+        assert code == 0
+        assert report["dims"] == [2] + [3 * 2**(i - 1) for i in range(1, 15)]
+
+    def test_a_finished_resolution_stops_stepping(self, capsys):
+        code, report, _ = run(capsys, "--workspace", str(EXAMPLES / "plane.json"),
+                              "resolve", "R", "--window", "100000")
+        assert code == 0
+        assert report["betti"] == [1] + [0] * 100000
+        assert report["terminated_at"] == 1
+
+    def test_a_finished_resolution_builds_no_ext_transition_past_its_end(self, capsys):
+        code, report, _ = run(capsys, "--workspace", str(EXAMPLES / "plane.json"),
+                              "ext", "R", "R", "--window", "100000")
+        assert code == 0
+        assert report["dims"] == [3] + [0] * 100000
+
+
+def cli_process(hash_seed: int, *argv: str) -> tuple[int, str]:
+    """`python -m redhom.cli argv` as its own process under this
+    PYTHONHASHSEED: (exit code, stdout)."""
+    src = str(EXAMPLES.parent.parent / "src")
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "redhom.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    return proc.returncode, proc.stdout
+
+
+class TestSameInEveryProcess:
+    """Long windows over F_2[x]/x^3, each command line run as two
+    processes, PYTHONHASHSEED 0 and 1: both exit 0 with the same stdout.
+    No timing is asserted."""
+
+    @staticmethod
+    def twice(*argv: str) -> dict:
+        runs = [cli_process(seed, "--workspace", str(EXAMPLES / "line3.json"), *argv)
+                for seed in (0, 1)]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
+        return json.loads(runs[0][1])
+
+    def test_periodic_tails_are_read_not_stepped(self):
+        # Betti numbers and Ext dims repeat with period 2 from index 1
+        betti = self.twice("resolve", "Rx", "--window", "100000")["betti"]
+        dims = self.twice("ext", "Rx", "Rx", "--window", "10000")["dims"]
+        assert len(betti) == 100001 and len(dims) == 10001
+        assert all(s[i] == s[i - 2] for s in (betti, dims) for i in range(3, len(s)))
+        assert betti[:3] == [1, 1, 1] and dims[:3] == [1, 1, 1]
+
+    def test_main_theorem_on_a_long_embedding_chain(self):
+        # sixty stages whose actions alternate between two modules
+        report = self.twice("theorem", "main", "Rx", "cert_rx_gdim", "--window", "60")
+        assert report["ok"] is True
+
+
 class TestTheorems:
     def test_prop27_holds(self, plane_ws, capsys):
         code, report, _ = run(capsys, "--workspace", plane_ws,

@@ -4,9 +4,12 @@
 A stage is torsionless exactly when it embeds into its free hull, so the
 chain breaks at a stage exactly when `pushforward` refuses it; that
 equivalence is checked against `biduality` on random modules over F_2,
-F_3, F_{2^31-1} and Q.  The failure details of the chain conclusion are
-pinned with the Ext test and the pushforward replaced.  All randomness
-is seeded.
+F_3, F_{2^31-1} and Q, and so is what `pushforward` relies on without a
+check: a nonzero module's dual has a minimal generator, since the
+module maps onto k, which lies in the socle of the ring.  The failure
+details of the chain conclusion are pinned with the Ext test and the
+pushforward replaced, and the dual-sequence test on sequences whose
+duals are known.  All randomness is seeded.
 """
 
 import random
@@ -18,9 +21,10 @@ from hypothesis import given, settings, strategies as st
 from redhom import invariants
 from redhom.algebra import build_algebra
 from redhom.corpus import random_module
-from redhom.homalg import HomAlgError, biduality, pushforward
+from redhom.homalg import HomAlgError, biduality, pushforward, r_dual
 from redhom.linalg import Field, Matrix
-from redhom.modules import Module, direct_sum, regular_module, residue_field
+from redhom.modules import (Module, ModuleMap, ShortExactSequence, direct_sum,
+                            kernel_module, regular_module, residue_field, split_ses)
 from redhom.workspace import load_workspace
 
 LINE3 = Path(__file__).resolve().parent.parent / "docs" / "examples" / "line3.json"
@@ -41,6 +45,9 @@ def in_random_basis(mod: Module, rng: random.Random) -> Module:
 
 
 def embeds(mod: Module) -> bool:
+    """Whether `pushforward` accepts the module, whose dual, when the
+    module is nonzero, has a minimal generator to embed it with."""
+    assert mod.dim == 0 or r_dual(mod).module.min_generators().cols > 0
     try:
         pushforward(mod)
     except HomAlgError:
@@ -66,6 +73,22 @@ def test_pushforward_exactly_when_torsionless(ring, summand, seed):
 def test_both_outcomes_occur(alg):
     outcomes = {embeds(random_module(alg, 2, 2, seed)) for seed in range(20)}
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("alg", RINGS,
+                         ids=lambda a: f"{a.field}-m{a.nilpotency}")
+def test_dual_sequence_exactness(alg):
+    """Hom(-, R) is only left exact: the dual of the cover 0 -> m -> R ->
+    k -> 0 fails on the right over these non-Gorenstein rings, while the
+    duals of split sequences and of k's pushforward are exact."""
+    k, r = residue_field(alg), regular_module(alg)
+    cover = ModuleMap(r, k, Matrix.identity(alg.field, r.dim).take_rows([0]))
+    _, incl = kernel_module(cover)
+    assert not invariants._dual_sequence_exact(ShortExactSequence(incl, cover))
+    mod = random_module(alg, 2, 2, 0)
+    for ses in (split_ses(k, r), split_ses(mod, k), split_ses(r, mod),
+                pushforward(k).sequence):
+        assert invariants._dual_sequence_exact(ses)
 
 
 def main_report(monkeypatch, ext_fails_at=None, push_fails_at=None):

@@ -16,7 +16,7 @@ from redhom.algebra import build_algebra
 from redhom.homalg import canonical_module, ext_dims
 from redhom.linalg import (GF2, GF3, QQ, Field, Matrix, contract,
                            nf_columns, random_matrix)
-from redhom.modules import Module, free_map_from_columns
+from redhom.modules import Module, free_map_columns
 from redhom.resolution import assemble_action_columns
 
 P31 = 2**31 - 1
@@ -81,7 +81,8 @@ class TestKernelsMatchMatmul:
             for act in alg.action_stack():
                 cols.append(Matrix.vstack([Matrix(fld, act) @ blk
                                            for blk in blocks(col, d, 0)]))
-        assert free_map_from_columns(alg, g, stacked) == Matrix.hstack(cols)
+        assert Matrix.from_sparse(fld, g * d, free_map_columns(
+            alg, stacked.sparse_columns())) == Matrix.hstack(cols)
 
     def test_assemble_action_columns(self, case):
         fld, rng = case

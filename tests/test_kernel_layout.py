@@ -21,8 +21,9 @@ from redhom.linalg import Field, Matrix, column_space_basis, nf_columns
 from redhom.modules import (
     Module,
     ModuleMap,
+    assemble_action_columns,
     direct_sum,
-    free_map_from_columns,
+    free_module,
     from_presentation,
     hom_space_matrix,
     kernel_module,
@@ -374,7 +375,7 @@ def reference_omega_of_map(g, steps):
         sols, ok = res_y.cover_matrix().solve_columns(
             g.matrix @ res_x.generator_images(0))
         assert all(ok)
-        u = free_map_from_columns(g.source.algebra, res_y.betti(0), sols)
+        u = assemble_action_columns(free_module(g.source.algebra, res_y.betti(0)), sols)
         full = u @ res_x.syzygy_subspace(1)
         g = ModuleMap(res_x.syzygy_module(1), res_y.syzygy_module(1),
                       full.take_rows(res_y.free_positions(1)))

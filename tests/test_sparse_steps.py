@@ -1,7 +1,7 @@
 """Sparse resolution steps pinned against the dense construction they
 replace: `sparse_kernel` against `Matrix.kernel_data`, and every stored
 step and syzygy module against the dense step (kernel actions, rref of
-their coordinates, `free_map_from_columns`, `kernel_data`) written out
+their coordinates, `assemble_action_columns`, `kernel_data`) written out
 below."""
 
 import random
@@ -13,9 +13,8 @@ from redhom import resolution
 from redhom.algebra import Algebra, build_algebra, structure
 from redhom.corpus import random_module
 from redhom.linalg import GF2, GF3, QQ, Field, Matrix, sparse_kernel, sparse_rref
-from redhom.modules import (Module, direct_sum, free_map_columns,
-                            free_map_from_columns, free_module, kernel_actions,
-                            residue_field)
+from redhom.modules import (Module, direct_sum, free_map_columns, free_module,
+                            kernel_actions, residue_field)
 from redhom.resolution import assemble_action_columns, resolve, syzygy
 
 P31 = 2**31 - 1
@@ -117,7 +116,7 @@ def dense_steps(mod: Module, window: int):
                     for a in kernel_actions(free_module(alg, betti), kb, fp)]
             radical = set(Matrix.hstack(acts).transpose().rref()[1])
         gens = kb.take_cols([j for j in range(kb.cols) if j not in radical])
-        diff = free_map_from_columns(alg, betti, gens)
+        diff = assemble_action_columns(free_module(alg, betti), gens)
         kb, fp = diff.kernel_data()
         betti = gens.cols
         yield diff, kb, fp, [Matrix(alg.field, a)

@@ -21,8 +21,7 @@ from redhom.algebra import build_algebra, structure
 from redhom.homalg import ExtTable, r_dual
 from redhom.linalg import Field, Matrix, random_matrix
 from redhom.modules import (ModuleError, ModuleMap, assemble_action_columns,
-                            free_map_from_columns, free_module,
-                            from_presentation, hom_space_matrix,
+                            free_module, from_presentation, hom_space_matrix,
                             regular_module, residue_field)
 from redhom.resolution import resolve
 
@@ -96,12 +95,12 @@ class TestCallSites:
             stacked = random_matrix(fld, g * d, s, rng)
             want = dense(fld, "tab,gbj->gajt", alg.action_stack(),
                          stacked.a.reshape(g, d, s)).reshape(g * d, s * d)
-            assert same(free_map_from_columns(alg, g, stacked).a, want)
+            assert same(assemble_action_columns(free_module(alg, g), stacked).a, want)
 
     def test_free_map_zero_columns(self, alg):
         fld, d = alg.field, alg.dim
         stacked = Matrix.zeros(fld, 2 * d, 3)
-        assert same(free_map_from_columns(alg, 2, stacked).a,
+        assert same(assemble_action_columns(free_module(alg, 2), stacked).a,
                     fld.zeros((2 * d, 3 * d)))
 
     def test_blockwise_apply(self, alg):
