@@ -31,6 +31,7 @@ from .homalg import (
     biduality,
     ext_dims,
     pushforward,
+    r_dual,
 )
 from .invariants import (
     check_P_transfer,
@@ -215,8 +216,8 @@ def _cmd_ext(args) -> int:
 def _cmd_dual(args) -> int:
     ws = _need_workspace(args)
     mod = ws.module(args.module)
-    bid = biduality(mod)
-    dual, torsionless, reflexive = bid.dual.module, bid.is_injective, bid.is_bijective
+    ev = biduality(mod)
+    dual, torsionless, reflexive = r_dual(mod).module, ev.is_injective(), ev.is_isomorphism()
     report = {"command": "dual", "module": args.module, "dim": mod.dim,
               "dual_dim": dual.dim, "dual_min_gens": dual.gens_count(),
               "torsionless": torsionless, "reflexive": reflexive}
@@ -229,19 +230,15 @@ def _cmd_pushforward(args) -> int:
     ws = _need_workspace(args)
     mod = ws.module(args.module)
     try:
-        push = pushforward(mod)
+        ses = pushforward(mod)
     except HomAlgError as exc:
         report = {"command": "pushforward", "module": args.module,
                   "embeds": False, "reason": str(exc)}
         return _emit(report, f"pushforward of {args.module}: {exc}", 1)
-    mid = push.sequence.middle
+    rank = ses.middle.dim // mod.algebra.dim
     report = {"command": "pushforward", "module": args.module,
-              "embeds": True,
-              "free_rank": mid.dim // mod.algebra.dim,
-              "forward_dim": push.forward.dim}
-    return _emit(report,
-                 f"{args.module} embeds into a rank "
-                 f"{mid.dim // mod.algebra.dim} free module", 0)
+              "embeds": True, "free_rank": rank, "forward_dim": ses.right.dim}
+    return _emit(report, f"{args.module} embeds into a rank {rank} free module", 0)
 
 
 def _step_summaries(seq) -> list:
@@ -312,14 +309,15 @@ def _cmd_reduce_transform_cosyzygy(args) -> int:
     ws = _need_workspace(args)
     seq = _certificate(ws, args)
     mod = ws.module(args.module)
-    outcome = transform_cosyzygy(seq, mod, window=args.window)
     report = {"command": "reduce transform cosyzygy",
               "certificate": args.certificate, "module": args.module,
-              "window": args.window, "ok": outcome.ok,
-              "reason": outcome.reason}
-    if not outcome.ok:
-        return _emit(report, f"transport rejected: {outcome.reason}", 1)
-    return _transported(args, report, outcome.sequence,
+              "window": args.window, "reason": ""}
+    try:
+        out = transform_cosyzygy(seq, mod, window=args.window)
+    except CertificateError as exc:
+        report.update(ok=False, reason=str(exc))
+        return _emit(report, f"transport rejected: {exc}", 1)
+    return _transported(args, report, out,
                         f"chain transported back to {args.module}")
 
 

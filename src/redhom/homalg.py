@@ -136,36 +136,20 @@ def dual_map(f: ModuleMap, dual_target: DualData,
     return ModuleMap(dual_target.module, dual_source.module, coords)
 
 
-@dataclass
-class BidualityData:
-    map: ModuleMap
-    dual: DualData
-    double_dual: DualData
-
-    @property
-    def is_injective(self) -> bool:
-        return self.map.is_injective()
-
-    @property
-    def is_bijective(self) -> bool:
-        return self.map.is_isomorphism()
-
-
-def biduality(mod: Module) -> BidualityData:
+def biduality(mod: Module) -> ModuleMap:
     """Evaluation map from the module into its double dual."""
     alg = mod.algebra
     fld = alg.field
     d1 = r_dual(mod)
     d2 = r_dual(d1.module)
     if mod.dim == 0 or d2.module.dim == 0:
-        lam = ModuleMap(mod, d2.module, Matrix.zeros(fld, d2.module.dim, mod.dim))
-        return BidualityData(lam, d1, d2)
+        return ModuleMap(mod, d2.module, Matrix.zeros(fld, d2.module.dim, mod.dim))
     # column j: evaluation at basis vector j, the row-major (dim R x h1)
     # map sending dual basis map i to its column j
     h1 = d1.flat.cols
     ev = d1.flat.a.reshape(alg.dim, mod.dim, h1).transpose(0, 2, 1)
     coords = _coords(d2.flat, Matrix(fld, ev.reshape(alg.dim * h1, mod.dim)))
-    return BidualityData(ModuleMap(mod, d2.module, coords), d1, d2)
+    return ModuleMap(mod, d2.module, coords)
 
 
 # -- Ext dimension tables ------------------------------------------------------
@@ -360,7 +344,7 @@ def is_totally_reflexive(mod: Module, window: int = 10) -> TRVerdict:
     if not ok:
         return TRVerdict("fail", window, "ext_dual", bad,
                          f"Ext^{bad}(dual module, ring) is nonzero")
-    if not biduality(mod).is_bijective:
+    if not biduality(mod).is_isomorphism():
         return TRVerdict("fail", window, "reflexivity", 0,
                          "evaluation into the double dual is not bijective")
     return TRVerdict("window_pass", window, "", 0,
@@ -433,10 +417,6 @@ class Ext1Data:
         return Matrix(self.alg.field, sol.a[self.boundaries.cols:, :].copy())
 
 
-def ext1_data(right: Module, left: Module) -> Ext1Data:
-    return Ext1Data(right, left)
-
-
 # -- extensions ------------------------------------------------------------------
 
 
@@ -503,25 +483,16 @@ def class_of_ses(data: Ext1Data, ses: ShortExactSequence) -> Matrix:
 # -- pushforward -------------------------------------------------------------------
 
 
-@dataclass
-class Pushforward:
-    """Embedding of a module into a minimal free hull of its dual maps,
-    with the cokernel: 0 -> module -> free -> forward -> 0."""
-
-    sequence: ShortExactSequence
-    forward: Module
-
-
-def pushforward(mod: Module) -> Pushforward:
-    """The embedding into a free module, its cokernel labelled after the
-    module; its maps are built once per actions (`modules.shared`),
-    read-only."""
+def pushforward(mod: Module) -> ShortExactSequence:
+    """The embedding into a minimal free hull of the module's dual maps,
+    with the cokernel labelled after the module: 0 -> module -> free ->
+    push(module) -> 0; its maps are built once per actions
+    (`modules.shared`), read-only."""
     alg = mod.algebra
     if mod.dim == 0:
         # the zero module embeds into the zero free module
         target = free_module(alg, 0)
-        return Pushforward(ShortExactSequence(
-            ModuleMap.zero(mod, target), ModuleMap.identity(target)), target)
+        return ShortExactSequence(ModuleMap.zero(mod, target), ModuleMap.identity(target))
     if "push" not in (entry := shared(mod)):
         dual = r_dual(mod)
         gens = dual.module.min_generators()
@@ -535,8 +506,7 @@ def pushforward(mod: Module) -> Pushforward:
     q, proj, va = entry["push"]
     target = free_module(alg, q.rows // alg.dim)
     forward = Module(alg, proj.rows, va, label=f"push({mod.label or '?'})")
-    return Pushforward(ShortExactSequence(ModuleMap(mod, target, q),
-                                          ModuleMap(target, forward, proj)), forward)
+    return ShortExactSequence(ModuleMap(mod, target, q), ModuleMap(target, forward, proj))
 
 
 # -- horseshoe construction -----------------------------------------------------------
@@ -621,9 +591,9 @@ class ExtSyzygyMap:
 
 
 def ext_syzygy_map(right: Module, left: Module) -> ExtSyzygyMap:
-    src = ext1_data(right, left)
-    tgt = ext1_data(resolve(right).syzygy_module(1),
-                    resolve(left).syzygy_module(1))
+    src = Ext1Data(right, left)
+    tgt = Ext1Data(resolve(right).syzygy_module(1),
+                   resolve(left).syzygy_module(1))
     fld = right.algebra.field
     units = Matrix.identity(fld, src.dim)
     cols = [class_of_ses(tgt, horseshoe(extension_from_class(

@@ -20,7 +20,6 @@ from .modules import (
     hom_space_matrix,
     regular_module,
     split_free_summands,
-    zero_module,
 )
 from .resolution import resolve
 from .homalg import (
@@ -127,13 +126,10 @@ def _finish(report: TheoremReport) -> TheoremReport:
 
 
 def _dual_sequence_exact(ses) -> bool:
-    """Exactness of 0 -> right* -> middle* -> left* -> 0."""
-    dl, dm, dr = r_dual(ses.left), r_dual(ses.middle), r_dual(ses.right)
-    zero = zero_module(ses.left.algebra)
-    return _complex_exact([ModuleMap.zero(zero, dr.module),
-                           dual_map(ses.project, dr, dm),  # right* -> middle*
-                           dual_map(ses.inject, dm, dl),   # middle* -> left*
-                           ModuleMap.zero(dl.module, zero)])
+    """Exactness of 0 -> right* -> middle* -> left* -> 0.  Hom(-, R) is
+    left exact, so only "middle* onto left*" can fail."""
+    dl = r_dual(ses.left)
+    return dual_map(ses.inject, r_dual(ses.middle), dl).rank() == dl.module.dim
 
 
 @dataclass
@@ -145,7 +141,7 @@ class CompleteResolutionReport:
     right_ranks: list  # generator counts along the coresolution half
     exact: bool
     dual_exact: bool
-    chain: list        # the embedding chain's Pushforwards, as far as it exists
+    chain: list        # the embedding chain's sequences, as far as it exists
 
 
 def _complex_exact(maps) -> bool:
@@ -164,10 +160,14 @@ def complete_resolution(mod: Module,
     The chain is walked once and kept on the report.  Its stage j exists
     only while stage j embeds into its free hull (stage j is torsionless);
     a break there is reported, not raised, and the chain stops at it.
+    A nonzero module needs window >= 1: the splice reads the first hull.
     """
     if mod.dim == 0:
         return CompleteResolutionReport(True, "zero module", window,
                                         [], [], True, True, [])
+    if window < 1:
+        raise ValueError(f"window must be at least 1 for a complete "
+                         f"resolution, got {window}")
     res = resolve(mod)
     res.extend(window)
     maps = []
@@ -183,21 +183,18 @@ def complete_resolution(mod: Module,
             return CompleteResolutionReport(
                 False, f"embedding chain broke at stage {j}: {exc}",
                 window, res.betti_list(window), [], False, False, chain)
-        cur = chain[-1].forward
-    maps.append(ModuleMap(
-        res.ambient_free(0), chain[0].sequence.middle,
-        chain[0].sequence.inject.matrix @ res.cover_matrix()))
+        cur = chain[-1].right
+    maps.append(ModuleMap(res.ambient_free(0), chain[0].middle,
+                          chain[0].inject.matrix @ res.differential(0)))
     for j in range(window - 1):
-        maps.append(ModuleMap(
-            chain[j].sequence.middle, chain[j + 1].sequence.middle,
-            chain[j + 1].sequence.inject.matrix
-            @ chain[j].sequence.project.matrix))
+        maps.append(ModuleMap(chain[j].middle, chain[j + 1].middle,
+                              chain[j + 1].inject.matrix @ chain[j].project.matrix))
     exact = _complex_exact(maps)
     modules = [maps[0].source] + [m.target for m in maps]
     duals = [r_dual(m) for m in modules]
     dual_exact = _complex_exact([dual_map(maps[i], duals[i + 1], duals[i])
                                  for i in range(len(maps) - 1, -1, -1)])
-    right_ranks = [p.sequence.middle.dim // mod.algebra.dim for p in chain]
+    right_ranks = [p.middle.dim // mod.algebra.dim for p in chain]
     return CompleteResolutionReport(
         exact and dual_exact, "", window, res.betti_list(window),
         right_ranks, exact, dual_exact, chain)
@@ -252,10 +249,10 @@ def check_main_theorem(mod: Module, seq: ReducingSequence,
                 detail = f"stage {i}: Ext^{bad} nonzero on window {window - i}"
                 break
         chain.append(cr.chain[i])
-        cur = cr.chain[i].forward
+        cur = cr.chain[i].right
     report.conclusions.append(_entry("embedding_chain", not detail, detail))
     if not detail:
-        duals_ok = all(_dual_sequence_exact(p.sequence) for p in chain)
+        duals_ok = all(_dual_sequence_exact(ses) for ses in chain)
         report.conclusions.append(_entry(
             "dual_sequences_exact", duals_ok, ""))
         report.conclusions.append(_entry(

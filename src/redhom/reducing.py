@@ -44,8 +44,8 @@ from .modules import (
 from . import resolution
 from .resolution import resolve, syzygy
 from .homalg import (
+    Ext1Data,
     class_of_ses,
-    ext1_data,
     ext_dim,
     ext_syzygy_map,
     ext_vanishes_through,
@@ -412,7 +412,7 @@ def _free_middle_step(mod, a, b, n, res_pow, peel, wit) -> ReducingStep:
     middle = free_module(alg, c + g)
     emb = res_pow.syzygy_subspace(n + 1) @ wit.matrix
     inj = Matrix.block_diag(fld, [Matrix.identity(fld, c * d), emb]) @ peel.iso.inverse().matrix
-    proj = Matrix.hstack([Matrix.zeros(fld, right.dim, c * d), resolve(right).cover_matrix()])
+    proj = Matrix.hstack([Matrix.zeros(fld, right.dim, c * d), resolve(right).differential(0)])
     ses = ShortExactSequence(ModuleMap(pw_a, middle, inj), ModuleMap(middle, right, proj))
     return ReducingStep(a, b, n, ses, ModuleMap.identity(right))
 
@@ -446,7 +446,7 @@ def _dfs(mod: Module, depth: int, st: _SearchState):
         return None
     alg = mod.algebra
     fld = alg.field
-    smalls = functools.cache(lambda n: ext1_data(syzygy(mod, n), mod))
+    smalls = functools.cache(lambda n: Ext1Data(syzygy(mod, n), mod))
     psis = functools.cache(lambda n: smalls(n).psis(smalls(n).reps))
     cells = []
     # first pass: free-middle closures; cost nothing, close the chain.
@@ -661,27 +661,17 @@ def transform_syzygy(seq: ReducingSequence,
 # -- cosyzygy transport -------------------------------------------------
 
 
-@dataclass
-class CosyzygyOutcome:
-    ok: bool
-    sequence: object
-    reason: str
-
-
-def _rejected(reason: str) -> CosyzygyOutcome:
-    return CosyzygyOutcome(False, None, reason)
-
-
 def transform_cosyzygy(seq: ReducingSequence, module: Module,
-                       window: int = 10) -> CosyzygyOutcome:
+                       window: int = 10) -> ReducingSequence:
     """Lift a chain for syz(module) back to a chain for `module`.
 
     Requires Ext^i(base, R) = 0 for i = 1..window, where base is the
     chain's base module; the construction solves extension classes
     backwards through the syzygy shift, and that vanishing is what makes
-    the shift on degree-one classes surjective.  When the hypotheses fail
-    the outcome reports a structured rejection rather than raising.  The
-    lifted chain's `verify` is the construction's one runtime check.
+    the shift on degree-one classes surjective.  Rejects input whose
+    hypotheses fail, as `transform_syzygy` does, with a `CertificateError`
+    naming the reason.  The lifted chain's `verify` is the construction's
+    one runtime check.
     """
     alg = module.algebra
     fld = alg.field
@@ -689,14 +679,14 @@ def transform_cosyzygy(seq: ReducingSequence, module: Module,
     reg = regular_module(alg)
     okv, bad = ext_vanishes_through(seq.base, reg, window)
     if not okv:
-        return _rejected(
+        raise CertificateError(
             f"Ext^{bad}(chain base, ring) is nonzero; cosyzygy transport "
             "needs ring-dual vanishing through the window")
     if seq.steps and max(s.n for s in seq.steps) + 2 > window:
-        return _rejected("window too small for the step syzygy depths")
+        raise CertificateError("window too small for the step syzygy depths")
     report = verify(seq, window=window)
     if not report.ok:
-        return _rejected(f"input chain failed verification: {report.reason}")
+        raise CertificateError(f"input chain failed verification: {report.reason}")
     # rho: old chain module -> syz(new chain module) + free, maintained
     # as the induction moves down the chain
     omega_n = syzygy(module, 1)
@@ -704,8 +694,8 @@ def transform_cosyzygy(seq: ReducingSequence, module: Module,
     pack = direct_sum([omega_n, free_module(alg, c_prev)])
     rho = is_isomorphic(seq.base, pack).witness
     if rho is None:
-        return _rejected("chain base is not a syzygy of the module "
-                         "up to free summands")
+        raise CertificateError("chain base is not a syzygy of the module "
+                               "up to free summands")
     w_prev = module
     prev_old = seq.base
     new_steps = []
@@ -716,7 +706,7 @@ def transform_cosyzygy(seq: ReducingSequence, module: Module,
         right_w = _syzygy_of_power(w_prev, b, n)
         x_up = _syzygy_of_power(w_prev, b, n + 1)
         if ext_dim(x_up, reg, 1) != 0:
-            return _rejected(
+            raise CertificateError(
                 f"step {idx}: Ext^1 of the shifted right term against "
                 "the ring is nonzero")
         # theta: old right term == syz^n of the repackaged previous module
@@ -728,7 +718,7 @@ def transform_cosyzygy(seq: ReducingSequence, module: Module,
         if x_up.dim != omega_rho.target.dim:
             raise CertificateError("shifted right term has wrong size")
         left_lit = power_module(prev_old, a)
-        data_k = ext1_data(x_up, left_lit)
+        data_k = Ext1Data(x_up, left_lit)
         ses_old = ShortExactSequence(
             ModuleMap(left_lit, mid_old, ses.inject.matrix),
             ModuleMap(mid_old, x_up, theta_mat @ ses.project.matrix))
@@ -776,6 +766,6 @@ def transform_cosyzygy(seq: ReducingSequence, module: Module,
     lifted = ReducingSequence(module, new_steps, seq.target)
     report = verify(lifted, window=window)
     if not report.ok:
-        return _rejected(
+        raise CertificateError(
             f"transported chain failed verification: {report.reason}")
-    return CosyzygyOutcome(True, lifted, "")
+    return lifted

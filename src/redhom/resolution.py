@@ -125,12 +125,10 @@ class Resolution:
             self.module.algebra.field, rows, columns()))
 
     def differential(self, i: int) -> Matrix:
-        if i < 1:
-            raise ResolutionError("differentials start at index 1")
+        """d_i: F_i -> F_{i-1}; the cover F_0 -> module for i = 0."""
+        if i < 0:
+            raise ResolutionError("differentials start at index 0")
         return self._dense(("d", i), self._rows(i), lambda: self.columns(i))
-
-    def cover_matrix(self) -> Matrix:
-        return self._dense(("d", 0), self._rows(0), lambda: self.columns(0))
 
     def section(self) -> Matrix:
         """The k-linear section s of the cover: cover @ s = I with the free
@@ -138,7 +136,7 @@ class Resolution:
         solution is linear in the target: s @ y solves cover @ x = y, and
         every lift through a cover reads it (`homalg`, `omega_of_map`)."""
         def build() -> Matrix:
-            if (s := self.cover_matrix().solve(Matrix.identity(
+            if (s := self.differential(0).solve(Matrix.identity(
                     self.module.algebra.field, self.module.dim))) is None:
                 raise ResolutionError("cover is not surjective: no section")
             return s

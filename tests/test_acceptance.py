@@ -9,6 +9,8 @@ prints one summary line, visible under `pytest -s`.
 import random as stdrandom
 import time
 
+import pytest
+
 from redhom.corpus import (
     line_algebra,
     plane_algebra,
@@ -17,8 +19,8 @@ from redhom.corpus import (
     structure_test,
 )
 from redhom.homalg import (
+    Ext1Data,
     canonical_module,
-    ext1_data,
     ext_dims,
     ext_vanishes_through,
     extension_from_class,
@@ -46,6 +48,7 @@ from redhom.modules import (
     zero_module,
 )
 from redhom.reducing import (
+    CertificateError,
     ReducingSequence,
     ReducingStep,
     SearchConfig,
@@ -185,12 +188,11 @@ def test_criterion_04_nonvanishing_controls():
 
     rx = from_presentation(alg, 1, [["x"]], label="R/x")
     cert = socle_step_certificate(alg)  # k is the first syzygy of R/x
-    out = transform_cosyzygy(cert, rx, window=10)
-    assert not out.ok
-    assert "Ext" in out.reason
+    with pytest.raises(CertificateError, match="Ext") as exc:
+        transform_cosyzygy(cert, rx, window=10)
 
     print(f"C4 PASS: Ext^i(k, R) dims {dims} all positive; cosyzygy "
-          f"transport rejected ({out.reason})")
+          f"transport rejected ({exc.value})")
 
 
 def test_criterion_05_gorenstein_suite():
@@ -219,7 +221,7 @@ def test_criterion_06_extension_horseshoe_suite():
         for trial in range(25):
             left = random_module(alg, 2, 3, seed=1000 + trial)
             right = random_module(alg, 2, 3, seed=2000 + trial)
-            data = ext1_data(right, left)
+            data = Ext1Data(right, left)
             if data.dim:
                 entries = [alg.field.random(rng) for _ in range(data.dim)]
                 # a nonzero class, so most samples are honest extensions
@@ -308,8 +310,7 @@ def test_criterion_08_syzygy_transport_roundtrip():
                                            10)
         assert vanishes, seed  # self-injective ring: always satisfied
         out = transform_cosyzygy(syz_seq, seq.base, window=10)
-        assert out.ok, (seed, out.reason)
-        assert verify(out.sequence, window=10).ok, seed
+        assert verify(out, window=10).ok, seed
     print(f"C8 PASS: 20 modules round-tripped through the syzygy "
           f"({searched} searched chains, {20 - searched} trivial chains)")
 

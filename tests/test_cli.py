@@ -196,6 +196,41 @@ class TestReduce:
         assert "Ext" in report["reason"]
 
 
+class TestCosyzygyRejectionReports:
+    """A refused cosyzygy transport's whole report, every key but the
+    tool version, and its stderr line."""
+
+    @staticmethod
+    def refused(capsys, ws, cert, module):
+        code, report, err = run(capsys, "--workspace", ws, "reduce",
+                                "transform", "cosyzygy", cert, module)
+        assert report.pop("tool_version")
+        return code, report, err
+
+    def test_ext_precheck_rejection(self, plane_ws, tmp_path, capsys):
+        cert = str(tmp_path / "cert.json")
+        run(capsys, "--workspace", plane_ws, "reduce", "search", "k",
+            "--target", "pd", "--max-a", "4", "--save", cert)
+        reason = ("Ext^1(chain base, ring) is nonzero; cosyzygy transport "
+                  "needs ring-dual vanishing through the window")
+        assert self.refused(capsys, plane_ws, cert, "k") == (1, {
+            "certificate": cert, "command": "reduce transform cosyzygy",
+            "module": "k", "ok": False, "reason": reason, "window": 10,
+        }, f"transport rejected: {reason}\n")
+
+    def test_unverified_input_chain(self, line3_ws, tmp_path, capsys):
+        """k over F_2[x]/x^3, a Gorenstein ring, passes the Ext pre-check,
+        and its r = 0 pd chain fails verification: k is not free."""
+        cert = str(tmp_path / "cert.json")
+        line3 = build_algebra(GF2, ["x"], [], 3)
+        save_certificate(ReducingSequence(residue_field(line3), [], "pd"), cert)
+        reason = "input chain failed verification: final module is not free"
+        assert self.refused(capsys, line3_ws, cert, "k") == (1, {
+            "certificate": cert, "command": "reduce transform cosyzygy",
+            "module": "k", "ok": False, "reason": reason, "window": 10,
+        }, f"transport rejected: {reason}\n")
+
+
 class TestTransportRoundTrips:
     """Transports of the `line3.json` certificates through saved files:
     each command exits 0, and `reduce verify` accepts each saved chain.

@@ -65,7 +65,7 @@ def test_pushforward_exactly_when_torsionless(ring, summand, seed):
         extra = residue_field(alg) if summand == "k" else regular_module(alg)
         mod = direct_sum([mod, extra])
     mod = in_random_basis(mod, random.Random(seed))
-    assert embeds(mod) == biduality(mod).is_injective
+    assert embeds(mod) == biduality(mod).is_injective()
 
 
 @pytest.mark.parametrize("alg", RINGS,
@@ -87,7 +87,7 @@ def test_dual_sequence_exactness(alg):
     assert not invariants._dual_sequence_exact(ShortExactSequence(incl, cover))
     mod = random_module(alg, 2, 2, 0)
     for ses in (split_ses(k, r), split_ses(mod, k), split_ses(r, mod),
-                pushforward(k).sequence):
+                pushforward(k)):
         assert invariants._dual_sequence_exact(ses)
 
 
@@ -147,3 +147,24 @@ def test_not_torsionless_detail(monkeypatch, stage):
     assert rep.conclusions[1:] == [{
         "name": "embedding_chain", "ok": False,
         "detail": f"stage {stage} is not torsionless"}]
+
+
+@pytest.mark.parametrize("window", [0, -1])
+def test_window_below_1_is_refused_before_resolving(monkeypatch, window):
+    """The splice reads the first free hull, so a nonzero module's complete
+    resolution refuses a window below 1 with a ValueError naming it, and
+    `check_main_theorem`, whose hypotheses hold for Rx on `line3.json`
+    there, raises it too; nothing is resolved or embedded first."""
+    ws = load_workspace(LINE3)
+    rx = ws.module("Rx")
+    message = f"window must be at least 1 for a complete resolution, got {window}"
+    with pytest.raises(ValueError, match=message):
+        invariants.check_main_theorem(rx, ws.certificate("cert_rx_gdim"), window)
+
+    def refuse(*args):
+        raise AssertionError("resolved or embedded before the window check")
+
+    monkeypatch.setattr(invariants, "resolve", refuse)
+    monkeypatch.setattr(invariants, "pushforward", refuse)
+    with pytest.raises(ValueError, match=message):
+        invariants.complete_resolution(rx, window)

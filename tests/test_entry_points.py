@@ -11,6 +11,7 @@ not count: its name lists wrap functions rather than call them.
 
 import ast
 import re
+import runpy
 from collections import Counter
 from pathlib import Path
 
@@ -83,7 +84,7 @@ def test_a_test_only_function_is_found(tmp_path, monkeypatch):
         (pkg / path.name).write_text(path.read_text())
     with open(pkg / "homalg.py", "a") as fh:
         fh.write("\n\ndef is_reflexive(mod):\n"
-                 "    return biduality(mod).is_bijective\n")
+                 "    return biduality(mod).is_isomorphism()\n")
     monkeypatch.setitem(globals(), "PACKAGE", pkg)
     assert unreferenced() == ["homalg.is_reflexive"]
 
@@ -174,6 +175,16 @@ def field_tests() -> list[str]:
 
 def test_only_the_field_constructor_tests_the_field():
     assert field_tests() == []
+
+
+def test_at_most_two_field_branches(monkeypatch):
+    """The `p is None` / `p is not None` matches in the package, the
+    constructor's test and its docstring, as the benchmark's run record
+    counts them: `_source_counts` of perfbench/run.py, read in-process from
+    the repository root (no bytecode is written under perfbench/)."""
+    monkeypatch.chdir(ROOT)
+    counts = runpy.run_path(str(ROOT / "perfbench" / "run.py"))["_source_counts"]()
+    assert counts["field_branches"] <= 2, counts
 
 
 @pytest.mark.parametrize("body,line", [

@@ -14,9 +14,8 @@ from hypothesis import given, settings, strategies as st
 from redhom.algebra import _monomials_below, build_algebra, parse_polynomial
 from redhom import homalg
 from redhom.corpus import random_module
-from redhom.homalg import (ExtTable, biduality, canonical_module,
-                           class_of_ses, dual_map, ext1_data,
-                           extension_from_psi, r_dual)
+from redhom.homalg import (Ext1Data, ExtTable, biduality, canonical_module,
+                           class_of_ses, dual_map, extension_from_psi, r_dual)
 from redhom.linalg import Field, Matrix, column_space_basis, nf_columns
 from redhom.modules import (
     Module,
@@ -115,7 +114,7 @@ def reference_extension(left, right, psi):
     inj_cols = Matrix.zeros(fld, big.dim, left.dim)
     inj_cols.a[:left.dim, :] = Matrix.identity(fld, left.dim).a
     project = Matrix.zeros(fld, right.dim, big.dim)
-    project.a[:, left.dim:] = res.cover_matrix().a
+    project.a[:, left.dim:] = res.differential(0).a
     return proj @ inj_cols, project @ section
 
 
@@ -235,10 +234,10 @@ class TestExtensionMaps:
         fld = Field(p)
         rng = random.Random(7)
         for left, right in extension_pairs(p):
-            data = ext1_data(right, left)
+            data = Ext1Data(right, left)
             res = resolve(right)
             s = res.section()
-            assert same(res.cover_matrix() @ s,
+            assert same(res.differential(0) @ s,
                         Matrix.identity(fld, right.dim))
             assert not s.take_rows(res.free_positions(1)).a.any()
             classes = [Matrix.identity(fld, data.dim).take_cols([i])
@@ -321,7 +320,7 @@ def test_ext1_and_dual_coordinates(p, ring, seed_right, seed_left):
     left = random.Random(seed_left).choice(
         [random_module(alg, 2, 2, seed_left), residue_field(alg),
          regular_module(alg), canonical_module(alg)])
-    data = ext1_data(right, left)
+    data = Ext1Data(right, left)
     boundaries, reps, basis = reference_ext1(ExtTable(right, left))
     assert same(data.boundaries, boundaries)
     assert same(data.reps, reps)
@@ -335,12 +334,11 @@ def test_ext1_and_dual_coordinates(p, ring, seed_right, seed_left):
         want = reference_coords(dual.flat, Matrix(fld, (reg.var_actions[v] @ stack)
                                                   .a.reshape(right.dim * alg.dim, h)))
         assert same(act, want)
-    bid = biduality(right)
     ev = dual.flat.a.reshape(alg.dim, right.dim, h).transpose(0, 2, 1)
-    assert same(bid.map.matrix, reference_coords(
-        bid.double_dual.flat, Matrix(fld, ev.reshape(alg.dim * h, right.dim))))
+    assert same(biduality(right).matrix, reference_coords(
+        r_dual(dual.module).flat, Matrix(fld, ev.reshape(alg.dim * h, right.dim))))
     res = resolve(right)
-    cover = ModuleMap(res.ambient_free(0), right, res.cover_matrix())
+    cover = ModuleMap(res.ambient_free(0), right, res.differential(0))
     dual_free = r_dual(cover.source)
     composed = dual.map_from_coords(Matrix.identity(fld, h)) @ cover.matrix
     assert same(dual_map(cover, dual, dual_free).matrix, reference_coords(
@@ -372,7 +370,7 @@ def reference_omega_of_map(g, steps):
     """The syzygy transport with one carried solve against each target cover."""
     for _ in range(steps):
         res_x, res_y = resolve(g.source), resolve(g.target)
-        sols, ok = res_y.cover_matrix().solve_columns(
+        sols, ok = res_y.differential(0).solve_columns(
             g.matrix @ res_x.generator_images(0))
         assert all(ok)
         u = assemble_action_columns(free_module(g.source.algebra, res_y.betti(0)), sols)
@@ -410,7 +408,7 @@ def test_lifts_read_the_section(p, ring, seed, plus_k):
     # any lift through the cover is the section times its target
     y = Matrix.from_rows(fld, [[fld.random(rng) for _ in range(4)]
                                for _ in range(mod.dim)])
-    want, ok = res.cover_matrix().solve_columns(y)
+    want, ok = res.differential(0).solve_columns(y)
     assert all(ok)
     assert same(res.section() @ y, want)
     # the syzygy transport of maps: a ring element acting on the module,

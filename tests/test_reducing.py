@@ -375,24 +375,21 @@ class TestTransformCosyzygy:
         # chain base is k = syz(R/x); Ext^1(k, ring) is nonzero, so the
         # transport must refuse rather than attempt the construction
         seq = pd_cert_for_k(plane)
-        outcome = transform_cosyzygy(seq, mod_rx(plane), window=4)
-        assert not outcome.ok
-        assert "Ext" in outcome.reason
+        with pytest.raises(CertificateError, match="Ext"):
+            transform_cosyzygy(seq, mod_rx(plane), window=4)
 
     def test_base_identification_rejection(self, line3):
         seq = ReducingSequence(free_module(line3, 1), [], "pd")
-        outcome = transform_cosyzygy(seq, mod_rx(line3), window=4)
-        assert not outcome.ok
-        assert "base" in outcome.reason
+        with pytest.raises(CertificateError, match="base"):
+            transform_cosyzygy(seq, mod_rx(line3), window=4)
 
     def test_window_guard(self, line3):
         seq = transform_syzygy(
             search(mod_rx(line3), "pd",
                    SearchConfig(max_r=1, max_a=2, max_b=2, max_n=2)
                    ).sequence)
-        outcome = transform_cosyzygy(seq, mod_rx(line3), window=2)
-        assert not outcome.ok
-        assert "window" in outcome.reason
+        with pytest.raises(CertificateError, match="window"):
+            transform_cosyzygy(seq, mod_rx(line3), window=2)
 
     def test_roundtrip_line3(self, line3):
         m = mod_rx(line3)
@@ -401,9 +398,7 @@ class TestTransformCosyzygy:
                      ).sequence
         shifted = transform_syzygy(seq)
         assert verify(shifted).ok
-        outcome = transform_cosyzygy(shifted, m, window=5)
-        assert outcome.ok, outcome.reason
-        back = outcome.sequence
+        back = transform_cosyzygy(shifted, m, window=5)
         assert back.base is m
         assert verify(back).ok
         assert back.r == seq.r
@@ -413,9 +408,9 @@ class TestTransformCosyzygy:
     def test_unverified_input_chain_rejected(self, line3):
         shifted = transform_syzygy(pd_cert_for_rx(line3))
         shifted.steps[0].a += 1  # the stored left term stays the old power
-        outcome = transform_cosyzygy(shifted, mod_rx(line3), window=5)
-        assert not outcome.ok
-        assert outcome.reason == (
+        with pytest.raises(CertificateError) as exc:
+            transform_cosyzygy(shifted, mod_rx(line3), window=5)
+        assert str(exc.value) == (
             "input chain failed verification: left term is not the "
             "declared power of the previous chain module")
 
@@ -427,17 +422,15 @@ class TestTransformCosyzygy:
         monkeypatch.setattr(reducing, "verify", lambda seq, window: (
             real(seq, window) if seq is shifted
             else reducing._fail("made up", 1, seq.target, seq.r)))
-        outcome = transform_cosyzygy(shifted, mod_rx(line3), window=5)
-        assert not outcome.ok
-        assert outcome.reason == "transported chain failed verification: made up"
+        with pytest.raises(CertificateError) as exc:
+            transform_cosyzygy(shifted, mod_rx(line3), window=5)
+        assert str(exc.value) == "transported chain failed verification: made up"
 
     def test_roundtrip_trivial(self, line2):
         k = residue_field(line2)
         seq = search(k, "gdim").sequence  # r = 0, Gorenstein
         shifted = transform_syzygy(seq)
-        outcome = transform_cosyzygy(shifted, k, window=4)
-        assert outcome.ok, outcome.reason
-        assert outcome.sequence.r == 0
+        assert transform_cosyzygy(shifted, k, window=4).r == 0
 
 
 # Gorenstein rings, so that every chain found lifts back; Q on the smaller
@@ -477,7 +470,6 @@ def test_transports_verify_over_four_fields(case, target, split_a):
     assert verify(seq).ok
     shifted = transform_syzygy(seq)
     assert verify(shifted).ok
-    outcome = transform_cosyzygy(shifted, mod)
-    assert outcome.ok, outcome.reason
-    assert outcome.sequence.base is mod and outcome.sequence.r == seq.r
-    assert verify(outcome.sequence).ok
+    back = transform_cosyzygy(shifted, mod)
+    assert back.base is mod and back.r == seq.r
+    assert verify(back).ok

@@ -80,7 +80,7 @@ class TestResidueFieldOverPlane:
             amb = res.ambient_free(0)
             ShortExactSequence(
                 ModuleMap(res.syzygy_module(1), amb, res.syzygy_subspace(1)),
-                ModuleMap(amb, mod, res.cover_matrix())).validate()
+                ModuleMap(amb, mod, res.differential(0))).validate()
 
 
 class TestLiteralSharing:
@@ -135,7 +135,7 @@ class TestFreeAndZero:
         f = free_module(plane, 2)
         res = resolve(f)
         assert res.betti_list(3) == [2, 0, 0, 0]
-        assert res.cover_matrix() == Matrix.identity(plane.field, f.dim)
+        assert res.differential(0) == Matrix.identity(plane.field, f.dim)
         assert res.terminated_at(3) == 1
         assert res.syzygy_module(1).dim == 0
 
@@ -162,7 +162,7 @@ class TestFreeAndZero:
             return
         rank = mod.dim // alg.dim
         assert res.betti_list(2) == [rank, 0, 0]
-        assert res.cover_matrix() == Matrix.identity(alg.field, mod.dim)
+        assert res.differential(0) == Matrix.identity(alg.field, mod.dim)
         assert res.syzygy_module(1).dim == 0
         assert res.terminated_at(2) == (0 if rank == 0 else 1)
         assert ext_dims(mod, k, 2) == [rank, 0, 0]
@@ -231,7 +231,7 @@ class TestStructuralChecks:
         for i in range(1, 3):
             prod = res.differential(i) @ res.differential(i + 1)
             assert prod.is_zero()
-        assert (res.cover_matrix() @ res.differential(1)).is_zero()
+        assert (res.differential(0) @ res.differential(1)).is_zero()
 
     def test_exactness_rank_bookkeeping(self, plane):
         k = residue_field(plane)
@@ -307,4 +307,13 @@ def test_missing_section_is_a_resolution_error(plane, monkeypatch):
     with pytest.raises(ResolutionError, match="no section"):
         res.section()
     monkeypatch.undo()
-    assert res.cover_matrix() @ res.section() == Matrix.identity(plane.field, 1)
+    assert res.differential(0) @ res.section() == Matrix.identity(plane.field, 1)
+
+
+def test_a_negative_differential_index_is_refused(plane):
+    """d_0 is the cover; a negative index names no step, and is refused
+    with a `ResolutionError` before any list of steps is indexed by it."""
+    res = resolve(residue_field(plane))
+    assert res.differential(0).a.shape == (1, plane.dim)
+    with pytest.raises(ResolutionError, match="start at index 0"):
+        res.differential(-1)

@@ -32,7 +32,7 @@ from redhom.modules import (
     split_free_summands,
     split_ses,
 )
-from redhom.homalg import ext1_data, extension_from_psi
+from redhom.homalg import Ext1Data, extension_from_psi
 from redhom.resolution import resolve
 from redhom.reducing import (
     MAX_MIDDLE_DIM,
@@ -94,7 +94,7 @@ def _reference_dfs(mod, depth, st, on_build=None):
             if rest is not None:
                 return [step] + rest
         if n not in small_cache:
-            small_cache[n] = ext1_data(resolve(mod).syzygy_module(n), mod)
+            small_cache[n] = Ext1Data(resolve(mod).syzygy_module(n), mod)
         small = small_cache[n]
         if small.dim == 0:
             continue
@@ -346,8 +346,8 @@ def test_window_zero_builds_and_matches_reference(monkeypatch):
 
 def _counted_dfs(monkeypatch, module, target, cfg):
     """Run `_dfs` with counters on `reducing.random_matrix` and
-    `reducing.ext1_data`.  Returns the state, the generator of each draw
-    (kept alive, so that draws group by cell) and, per `ext1_data` call,
+    `reducing.Ext1Data`.  Returns the state, the generator of each draw
+    (kept alive, so that draws group by cell) and, per `Ext1Data` call,
     whether the budget was already spent."""
     st = _SearchState(cfg, target)
     rngs, ext1_after_budget = [], []
@@ -358,11 +358,11 @@ def _counted_dfs(monkeypatch, module, target, cfg):
 
     def ext1(*args):
         ext1_after_budget.append(st.exhausted)
-        return ext1_data(*args)
+        return Ext1Data(*args)
 
     with monkeypatch.context() as mp:
         mp.setattr(reducing, "random_matrix", drawing)
-        mp.setattr(reducing, "ext1_data", ext1)
+        mp.setattr(reducing, "Ext1Data", ext1)
         reducing._dfs(module, 0, st)
     return st, rngs, ext1_after_budget
 

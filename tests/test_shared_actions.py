@@ -129,7 +129,7 @@ def test_labels_are_each_modules_own():
     each are labelled after that module."""
     rx = load_workspace(LINE3).module("Rx")
     syz2 = resolve(rx).syzygy_module(2)
-    pp = pushforward(pushforward(rx).forward).forward
+    pp = pushforward(pushforward(rx).right).right
     assert (syz2.label, pp.label) == ("syz^2(Rx)", "push(push(Rx))")
     assert shared(syz2) is shared(pp) is shared(rx)
     assert resolve(pp).chain is resolve(rx).chain
@@ -137,8 +137,8 @@ def test_labels_are_each_modules_own():
                      (pp, "syz^1(push(push(Rx)))")):
         assert resolve(mod).syzygy_module(1).label == syz
         assert r_dual(mod).module.label == f"({mod.label})^"
-        assert pushforward(mod).forward.label == f"push({mod.label})"
-        assert pushforward(mod).sequence.left is mod
+        assert pushforward(mod).right.label == f"push({mod.label})"
+        assert pushforward(mod).left is mod
 
 
 def test_shared_arrays_are_read_only():
@@ -148,10 +148,10 @@ def test_shared_arrays_are_read_only():
     one, two = resolve(residue_field(alg)), resolve(residue_field(alg))
     rx = load_workspace(LINE3).module("Rx")
     dual, push = r_dual(rx), pushforward(rx)
-    arrays = [one.differential(2), one.cover_matrix(), one.section(),
+    arrays = [one.differential(2), one.differential(0), one.section(),
               one.generator_images(1), one.syzygy_subspace(1), dual.flat,
-              *dual.module.var_actions, push.sequence.inject.matrix,
-              push.sequence.project.matrix, *push.forward.var_actions]
+              *dual.module.var_actions, push.inject.matrix,
+              push.project.matrix, *push.right.var_actions]
     assert two.differential(2) is one.differential(2) and two.section() is one.section()
     for mat in arrays:
         with pytest.raises(ValueError):

@@ -91,12 +91,11 @@ def assert_same_as_fresh(mod: Module) -> None:
     if isinstance(want, str):
         assert got == want
         return
-    for g, w in ((got.sequence.inject, want.sequence.inject),
-                 (got.sequence.project, want.sequence.project)):
+    for g, w in ((got.inject, want.inject), (got.project, want.project)):
         assert same(g.matrix, w.matrix)
-    assert got.forward.dim == want.forward.dim
-    assert all(same(g, w) for g, w in zip(got.forward.var_actions,
-                                          want.forward.var_actions))
+    assert got.right.dim == want.right.dim
+    assert all(same(g, w) for g, w in zip(got.right.var_actions,
+                                          want.right.var_actions))
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -119,8 +118,8 @@ def test_one_object_per_module(p):
     assert r_dual(mod).flat is r_dual(mod).flat is r_dual(fresh_copy(mod)).flat
     assert r_dual(mod).module.var_stack is r_dual(fresh_copy(mod)).module.var_stack
     push, again = pushforward(mod), pushforward(fresh_copy(mod))
-    assert push.sequence.inject.matrix is again.sequence.inject.matrix
-    assert push.sequence.project.matrix is again.sequence.project.matrix
+    assert push.inject.matrix is again.inject.matrix
+    assert push.project.matrix is again.project.matrix
     assert free_module(alg, 2) is free_module(alg, 2)
     assert regular_module(alg) is free_module(alg, 1)
     assert resolve(mod).ambient_free(0) is free_module(alg, resolve(mod).betti(0))

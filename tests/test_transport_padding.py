@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from redhom import reducing
-from redhom.homalg import ext1_data, extension_from_class
+from redhom.homalg import Ext1Data, extension_from_class
 from redhom.linalg import Matrix
 from redhom.modules import (ModuleMap, direct_sum, free_module, power_module,
                             split_ses)
@@ -101,7 +101,7 @@ def build_chain(chain, ws, name, p):
     mod = ws.module(name)
     if chain == "glued":
         right = syzygy(mod, 2)
-        data = ext1_data(right, mod)
+        data = Ext1Data(right, mod)
         ses = extension_from_class(
             data, Matrix.identity(ws.algebra.field, 1))
         return ReducingSequence(mod, [
@@ -117,14 +117,11 @@ def transport(way, chain, ws_name, name, p):
     ws = load_workspace(EXAMPLES / f"{ws_name}.json")
     seq = build_chain(chain, ws, name, p)
     if way == "cosyzygy":
-        outcome = transform_cosyzygy(seq, ws.module(name))
-    else:
-        shifted = transform_syzygy(seq)
-        if way == "syzygy":
-            return shifted
-        outcome = transform_cosyzygy(shifted, seq.base)
-    assert outcome.ok, outcome.reason
-    return outcome.sequence
+        return transform_cosyzygy(seq, ws.module(name))
+    shifted = transform_syzygy(seq)
+    if way == "syzygy":
+        return shifted
+    return transform_cosyzygy(shifted, seq.base)
 
 
 @pytest.mark.parametrize("case", CASES,
