@@ -12,8 +12,8 @@ and charged before any of them is read, as building it would be.  A
 module's table reads its chain's, so ranks and the gather of the target
 are computed once per chain and target actions (`modules.shared`), and
 each table charges what it reads through its own index.  First Ext
-(`Ext1Data`) eliminates the same sparse columns; only its class basis,
-which extension classes are realized from and read back in, is dense.
+(`Ext1Data`) ranks the same sparse columns; only its class basis, built
+when extension classes are realized or read back, is dense.
 Every lift through a minimal cover is a product with its section.
 
 Ring duals keep their basis maps once, as the columns of the Hom matrix
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -358,10 +359,13 @@ def is_totally_reflexive(mod: Module, window: int = 10) -> TRVerdict:
 class Ext1Data:
     """Full first-Ext workspace for one (right term, left term) pair.
 
-    Cocycles live on the first free module of the right term's resolution
-    in flat coordinates, as the unit-at-free kernel of Ext transition 1.
-    The pivot columns of [transition 0 | cocycles] are the coboundaries
-    and then the class representatives.  The psi conversions move between
+    Cochains live on the first free module of the right term's resolution
+    in flat coordinates C^1.  `dim` is |C^1| - rank T^1 - rank T^0, for
+    T^i the Ext transitions, each ranked on a copy of its columns.  The
+    dense class basis is refused here, sized by its pivot count |C^1| -
+    rank T^1, and built on first read: the pivot columns of [T^0 |
+    cocycles], the unit-at-free kernel of T^1, are the coboundaries and
+    then the class representatives.  The psi conversions move between
     such cochains and maps on the first syzygy; `psis` lifts through d_1 by
     the section of the syzygy's cover, d_1's rows at its free positions.
     """
@@ -373,20 +377,30 @@ class Ext1Data:
         self.res = resolve(right)
         self.beta1 = self.res.betti(1)
         self.flat_dim = self.beta1 * left.dim
-        table, fld = ExtTable(right, left), self.alg.field
-        t1 = table.transition_columns(1)
+        self._table, fld = ExtTable(right, left), self.alg.field
+        self._cols, rank = {}, {}
+        for i in (1, 0):  # charged as `ExtTable._rank` charges
+            self._cols[i] = self._table.transition_columns(i)
+            rows = [dict(col) for col in self._cols[i] if col]
+            rank[i] = len(sparse_rref(fld, rows, back=False,
+                                      grow=lambda m: self._table._charge(i, len(rows) + m)))
+        _check_dense_size("Ext^1 class basis", self.flat_dim * (self.flat_dim - rank[1]), fld,
+                          f" as a dense {self.flat_dim}x{self.flat_dim - rank[1]} matrix")
+        self._r0, self.dim = rank[0], self.flat_dim - rank[1] - rank[0]
+
+    @cached_property
+    def _class_basis(self) -> Matrix:
+        fld, t1 = self.alg.field, self._cols[1]
         cocycles = _basis_columns(self.alg, *sparse_kernel(
-            fld, t1, lambda m: table._charge(1, len(t1) + m)))
-        cols = table.transition_columns(0) + cocycles
-        free = set(sparse_kernel(fld, cols, lambda m: table._charge(0, len(cols) + m))[0])
-        pivots = [j for j in range(len(cols)) if j not in free]
-        _check_dense_size("Ext^1 class basis", self.flat_dim * len(pivots), fld,
-                          f" as a dense {self.flat_dim}x{len(pivots)} matrix")
-        self._class_basis = Matrix.from_sparse(fld, self.flat_dim, [cols[j] for j in pivots])
-        nb = sum(j < len(cols) - len(cocycles) for j in pivots)
-        self.boundaries = self._class_basis.take_cols(range(nb))
-        self.reps = self._class_basis.take_cols(range(nb, len(pivots)))
-        self.dim = self.reps.cols
+            fld, t1, lambda m: self._table._charge(1, len(t1) + m)))
+        cols = self._cols[0] + cocycles
+        free = set(sparse_kernel(fld, cols, lambda m: self._table._charge(0, len(cols) + m))[0])
+        return Matrix.from_sparse(fld, self.flat_dim,
+                                  [col for j, col in enumerate(cols) if j not in free])
+
+    boundaries = property(lambda self: self._class_basis.take_cols(range(self._r0)))
+    reps = property(lambda self: self._class_basis.take_cols(
+        range(self._r0, self._class_basis.cols)))
 
     def psis(self, flats: Matrix) -> np.ndarray:
         """The cocycles in the columns of `flats` restricted to the first
@@ -580,17 +594,10 @@ def horseshoe(ses: ShortExactSequence) -> Horseshoe:
 # -- the syzygy map on first Ext --------------------------------------------------------
 
 
-@dataclass
-class ExtSyzygyMap:
-    """Matrix of the map sending an extension class to the class of its
-    horseshoe sequence, over the chosen representative bases."""
-
-    source_data: Ext1Data      # pair (right, left)
-    target_data: Ext1Data      # pair (right syzygy, left syzygy)
-    matrix: Matrix
-
-
-def ext_syzygy_map(right: Module, left: Module) -> ExtSyzygyMap:
+def ext_syzygy_map(right: Module, left: Module) -> tuple[Ext1Data, Ext1Data, Matrix]:
+    """The Ext^1 data of (right, left) and of their first syzygies, and the
+    matrix, over their representative bases, of the map sending an
+    extension class to the class of its horseshoe sequence."""
     src = Ext1Data(right, left)
     tgt = Ext1Data(resolve(right).syzygy_module(1),
                    resolve(left).syzygy_module(1))
@@ -598,5 +605,4 @@ def ext_syzygy_map(right: Module, left: Module) -> ExtSyzygyMap:
     units = Matrix.identity(fld, src.dim)
     cols = [class_of_ses(tgt, horseshoe(extension_from_class(
         src, units.take_cols([i]))).sequence) for i in range(src.dim)]
-    mat = Matrix.hstack(cols) if cols else Matrix.zeros(fld, tgt.dim, 0)
-    return ExtSyzygyMap(src, tgt, mat)
+    return src, tgt, Matrix.hstack(cols) if cols else Matrix.zeros(fld, tgt.dim, 0)

@@ -48,13 +48,13 @@ class Module:
     Building a module checks only its shape; `validate_module` checks that
     the actions commute and satisfy the algebra's relations, and is called
     where actions come from outside input (`reducing.module_from_dict`).
-    Kept on it once computed: action stack, radical and socle spans, its
-    entry in the algebra's table of actions (`shared`), its powers
-    (`power_module`) and its resolution (`resolution.resolve`), whose
-    charges and labelled syzygy modules are its own."""
+    Kept on it once computed: action stack, radical and socle dimensions,
+    top (`top`), its entry in the algebra's table of actions (`shared`),
+    its powers (`power_module`) and its resolution (`resolution.resolve`),
+    whose charges and labelled syzygy modules are its own."""
 
     __slots__ = ("algebra", "dim", "label", "free_rank", "summands",
-                 "_actions", "_stack", "_radical", "_socle",
+                 "_actions", "_stack", "_radical", "_socle", "_top",
                  "_resolution", "_shared", "_powers")
 
     def __init__(self, algebra: Algebra, dim: int, actions, label: str = "",
@@ -66,8 +66,7 @@ class Module:
         self.summands: list[tuple["Module", int]] | None = None
         self._actions = None
         self._stack = None
-        self._radical = None
-        self._socle = None
+        self._radical = self._socle = self._top = None
         self._resolution = self._shared = self._powers = None
         if actions is not None:
             try:
@@ -113,30 +112,42 @@ class Module:
 
     # -- structure -------------------------------------------------------
 
-    def radical_span(self) -> Matrix:
-        """Independent columns spanning (maximal ideal) * module, taken
-        from the variable actions side by side (x_v's columns span x_v M)."""
+    def radical_dim(self) -> int:
+        """dim mM: the rank of the variable actions side by side (x_v's
+        columns span x_v M), summed over the parts of a remembered sum."""
         if self._radical is None:
             alg = self.algebra
-            self._radical = column_space_basis(Matrix(alg.field, self.var_stack
-                .transpose(1, 0, 2).reshape(self.dim, alg.nvars * self.dim)))
+            self._radical = sum(p.radical_dim() for p, _ in self.summands) \
+                if self.summands else Matrix(alg.field, self.var_stack.transpose(
+                    1, 0, 2).reshape(self.dim, alg.nvars * self.dim)).rank()
         return self._radical
 
-    def socle_span(self) -> Matrix:
+    def socle_dim(self) -> int:
+        """dim soc M: dim M minus the rank of the variable actions stacked,
+        summed over the parts of a remembered sum."""
         if self._socle is None:
             alg = self.algebra
-            if self.summands:  # the kernel splits over the parts, in order
-                self._socle = Matrix.block_diag(
-                    alg.field, [p.socle_span() for p, _ in self.summands])
-            else:
-                self._socle = Matrix(alg.field, self.var_stack.reshape(
-                    alg.nvars * self.dim, self.dim)).kernel_basis()
+            self._socle = sum(p.socle_dim() for p, _ in self.summands) \
+                if self.summands else self.dim - Matrix(alg.field, self.var_stack
+                    .reshape(alg.nvars * self.dim, self.dim)).rank()
         return self._socle
+
+    def top(self) -> tuple[Matrix, list[int]]:
+        """Kernel data of the actions' transposes stacked, read-only: free
+        positions indexing a basis of M/mM, and a basis whose transpose
+        projects onto it (an rref is unique for its row space, so any
+        spanning set of mM, transposed, gives the same data)."""
+        if self._top is None:
+            alg = self.algebra
+            self._top = Matrix(alg.field, self.var_stack.transpose(0, 2, 1).reshape(
+                alg.nvars * self.dim, self.dim)).kernel_data()
+            self._top[0].a.flags.writeable = False
+        return self._top
 
     def gens_count(self) -> int:
         if self.free_rank is not None:
             return self.free_rank
-        return self.dim - self.radical_span().cols
+        return self.dim - self.radical_dim()
 
     def min_generators(self) -> Matrix:
         """Unit-vector generators: a basis of the module modulo its radical."""
@@ -144,8 +155,7 @@ class Module:
         if self.free_rank is not None:  # each generator's unit coordinate
             free_pos = list(range(0, self.dim, self.algebra.dim))
         else:
-            free_pos = sorted(set(range(self.dim)) - set(
-                self.radical_span().transpose().rref()[1]))
+            free_pos = self.top()[1]
         out = Matrix.zeros(fld, self.dim, len(free_pos))
         out.a[free_pos, range(len(free_pos))] = fld.one()
         return out
@@ -160,7 +170,7 @@ class Module:
 
     def is_radical_killed(self) -> bool:
         """True when the maximal ideal acts as zero."""
-        return self.radical_span().cols == 0
+        return self.radical_dim() == 0
 
     def __repr__(self):
         tag = self.label or "module"
@@ -529,7 +539,7 @@ def _hom_tops(src: Module, tgt: Module) -> tuple[Matrix, np.ndarray]:
     hom = hom_space_matrix(src, tgt)
     maps = hom.a.T.reshape(hom.cols, tgt.dim, src.dim)
     on_gens = contract(fld, "jab,bc->jac", maps, src.min_generators().a)
-    proj = tgt.radical_span().transpose().kernel_basis().transpose()  # onto M/mM
+    proj = tgt.top()[0].transpose()  # onto M/mM
     return hom, contract(fld, "ia,jab->jib", proj.a, on_gens)
 
 
@@ -572,10 +582,10 @@ def is_isomorphic(m1: Module, m2: Module, seed: int = 0) -> IsoVerdict:
         return IsoVerdict("no", reason=f"dimensions {m1.dim} != {m2.dim}")
     if m1.dim == 0:
         return IsoVerdict("yes", ModuleMap(m1, m2, Matrix.zeros(fld, 0, 0)))
-    r1, r2 = m1.radical_span().cols, m2.radical_span().cols
+    r1, r2 = m1.radical_dim(), m2.radical_dim()
     if r1 != r2:
         return IsoVerdict("no", reason=f"radical dimensions {r1} != {r2}")
-    s1, s2 = m1.socle_span().cols, m2.socle_span().cols
+    s1, s2 = m1.socle_dim(), m2.socle_dim()
     if s1 != s2:
         return IsoVerdict("no", reason=f"socle dimensions {s1} != {s2}")
     if r1 == 0:
@@ -619,8 +629,9 @@ def split_free_summands(mod: Module) -> FreeSplit:
     rows 0 are independent give the free rank c, phi: M -> R^c splits
     by one solved section, and the kernel of phi is the remainder.  A
     summand R would add d, d - 1 and dim soc R to dim M, dim mM and dim
-    soc M; a module with less of any has rank 0 and is returned before the
-    Hom system is built (exactly: a nonzero top makes M onto R, so split).
+    soc M (`radical_dim`, `socle_dim`); a module with less of any has
+    rank 0 and is returned before the Hom system is built (exactly: a
+    nonzero top makes M onto R, so split).
     Past it the split is kept once per actions (`shared`): modules with
     those actions share remainder and sum, each with a witness onto itself,
     [section | kernel inclusion], bijective as M = im(section) (+) ker phi.
@@ -629,8 +640,8 @@ def split_free_summands(mod: Module) -> FreeSplit:
     if mod.free_rank is not None:
         return FreeSplit(mod.free_rank, zero_module(alg),
                          ModuleMap.identity(mod))
-    if (mod.dim < alg.dim or mod.radical_span().cols < alg.dim - 1
-            or mod.socle_span().cols < alg.socle_dim):
+    if (mod.dim < alg.dim or mod.radical_dim() < alg.dim - 1
+            or mod.socle_dim() < alg.socle_dim):
         return FreeSplit(0, mod, ModuleMap.identity(mod))
     if "peel" not in shared(mod):  # nothing is kept if the system is refused
         shared(mod)["peel"] = _peel(mod)

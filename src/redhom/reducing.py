@@ -454,7 +454,7 @@ def _dfs(mod: Module, depth: int, st: _SearchState):
     # sums, so is_isomorphic refuses a cell where they differ: only the
     # cells `_size_multiples` lists are tested.
     def sizes(m):
-        return m.dim, m.radical_span().cols, m.socle_span().cols
+        return m.dim, m.radical_dim(), m.socle_dim()
     vx = sizes(split_free_summands(mod).remainder)
     for n in range(1, cfg.max_n + 1):
         if syzygy(mod, n).dim == 0:
@@ -728,14 +728,13 @@ def transform_cosyzygy(seq: ReducingSequence, module: Module,
         s_prev = rho.target.summands[0][0].dim
         psi_new = Matrix.block_diag(
             fld, [rho.matrix.take_rows(range(s_prev))] * a) @ psi_eta
-        smap = ext_syzygy_map(right_w, power_module(w_prev, a))
-        eta_shift = smap.target_data.class_of_psi(psi_new)
-        coords = smap.matrix.solve(eta_shift)
+        data_w, data_shift, smap = ext_syzygy_map(right_w, power_module(w_prev, a))
+        coords = smap.solve(data_shift.class_of_psi(psi_new))
         if coords is None:
             raise CertificateError(
                 f"step {idx}: degree-one class does not lift through "
                 "the syzygy shift")
-        ses_w = extension_from_class(smap.source_data, coords)
+        ses_w = extension_from_class(data_w, coords)
         shoe = horseshoe(ses_w)
         z2, i2, p2 = _padded(shoe, a, c_prev)
         i2 = i2 @ Matrix.block_diag(fld, [rho.matrix] * a)

@@ -850,3 +850,22 @@ def test_runtime_never_imports_sympy():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_a_command_reads_only_what_it_names(tmp_path, capsys):
+    """plane.json with cert_k's first base entry set to "3/": `resolve k`
+    reads no certificate, so it prints the clean file's stdout, and only
+    `reduce verify cert_k` reads the entry, exiting 2 at its pointer."""
+    clean = EXAMPLES / "plane.json"
+    data = json.loads(clean.read_text())
+    data["certificates"]["cert_k"]["base"]["actions"][0][0][0] = "3/"
+    broken = tmp_path / "broken_cert.json"
+    broken.write_text(json.dumps(data))
+    outs = []
+    for path in (clean, broken):
+        assert cli.main(["--workspace", str(path), "resolve", "k", "--window", "4"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert cli.main(["--workspace", str(broken), "reduce", "verify", "cert_k"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"]["pointer"] == "/certificates/cert_k/base/actions/0"

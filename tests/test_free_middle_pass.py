@@ -35,11 +35,13 @@ from redhom.reducing import search
 from redhom.resolution import syzygy
 from redhom.workspace import load_workspace
 
+from test_module_ranks import radical_span, socle_span
+
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
 
 def sizes(mod):
-    return mod.dim, mod.radical_span().cols, mod.socle_span().cols
+    return mod.dim, radical_span(mod).cols, socle_span(mod).cols
 
 
 def modules():

@@ -34,6 +34,8 @@ from redhom.modules import (
     split_free_summands,
 )
 
+from test_module_ranks import radical_span, socle_span
+
 # Q on m^3 is left out: its Hom systems of R^2 + X, eliminated in
 # fractions, take seconds each.
 RINGS = [build_algebra(Field(p), ["x", "y"], [], nil)
@@ -54,8 +56,8 @@ def in_random_basis(mod: Module, rng: random.Random) -> Module:
 
 def refused(mod: Module) -> bool:
     alg = mod.algebra
-    return (mod.dim < alg.dim or mod.radical_span().cols < alg.dim - 1
-            or mod.socle_span().cols < alg.socle_dim)
+    return (mod.dim < alg.dim or radical_span(mod).cols < alg.dim - 1
+            or socle_span(mod).cols < alg.socle_dim)
 
 
 def full_split(mod: Module) -> FreeSplit:

@@ -35,6 +35,8 @@ from redhom.modules import (
 from redhom.reducing import omega_of_map
 from redhom.resolution import resolve
 
+from test_module_ranks import radical_span, socle_span
+
 PRIMES = [2, 3, 2**31 - 1, None]  # None is Q
 
 
@@ -154,8 +156,8 @@ def submodule_spans(mod, rng):
              "all": Matrix.identity(fld, mod.dim)}
     if mod.dim == 0:
         return spans
-    spans["radical"] = mod.radical_span()
-    spans["socle"] = mod.socle_span()
+    spans["radical"] = radical_span(mod)
+    spans["socle"] = socle_span(mod)
     x, y = mod.var_actions
     for t, (a, b) in enumerate(((1, 0), (0, 1), (1, rng.randrange(1, 5)))):
         g = x.scale(a) + y.scale(b)

@@ -31,6 +31,8 @@ from redhom.modules import (
     zero_module,
 )
 
+from test_module_ranks import radical_span, socle_span
+
 
 @pytest.fixture(scope="module")
 def plane():
@@ -57,7 +59,7 @@ class TestConstructors:
         assert r.dim == 3
         assert r.is_free()
         assert r.gens_count() == 1
-        assert r.radical_span().cols == 2
+        assert r.radical_dim() == radical_span(r).cols == 2
 
     def test_free_module_layout(self, plane):
         f = free_module(plane, 2)
@@ -78,8 +80,8 @@ class TestPresentation:
         m = from_presentation(plane, 1, [["x"]], label="R/x")
         assert m.dim == 2
         assert m.gens_count() == 1
-        assert m.radical_span().cols == 1
-        assert m.socle_span().cols == 1
+        assert m.radical_dim() == radical_span(m).cols == 1
+        assert m.socle_dim() == socle_span(m).cols == 1
         assert not m.is_free()
 
     def test_two_generators(self, plane):
@@ -136,7 +138,7 @@ class TestSumsAndPowers:
             # read off the parts' socles, as the kernel of the stacked actions
             frees = direct_sum([free_module(alg, 2), free_module(alg, 1)])
             for t in (s, frees):
-                assert t.socle_span() == Matrix.vstack(t.var_actions).kernel_basis()
+                assert t.socle_dim() == Matrix.vstack(t.var_actions).kernel_basis().cols
 
     def test_sum_refusals(self, plane, line3):
         with pytest.raises(ModuleError, match="direct sum of nothing"):
@@ -219,7 +221,7 @@ class TestMaps:
 class TestSubQuotient:
     def test_quotient_by_radical(self, plane):
         r = regular_module(plane)
-        q, proj = quotient_module(r, r.radical_span())
+        q, proj = quotient_module(r, radical_span(r))
         assert q.dim == 1
         assert proj.rank() == proj.target.dim
         verdict = is_isomorphic(q, residue_field(plane))

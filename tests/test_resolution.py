@@ -26,6 +26,8 @@ from redhom.resolution import (
     syzygy,
 )
 
+from test_module_ranks import socle_span
+
 
 @pytest.fixture(scope="module")
 def plane():
@@ -215,7 +217,7 @@ class TestDualizingModule:
         w = Module(plane, 3, plane.var_stack.transpose(0, 2, 1),
                    label="w")
         assert w.gens_count() == 2
-        assert w.socle_span().cols == 1
+        assert w.socle_dim() == socle_span(w).cols == 1
         res = resolve(w)
         assert res.betti_list(3) == [2, 3, 6, 12]
         s1 = res.syzygy_module(1)

@@ -46,6 +46,8 @@ from redhom.reducing import (
     sequence_to_dict,
 )
 
+from test_module_ranks import radical_span, socle_span
+
 
 def _reference_dfs(mod, depth, st, on_build=None):
     """The search before the last-depth skip, drawing in every cell from
@@ -149,7 +151,7 @@ def _new_search(module, target, cfg):
 def _no_residue_summand(mod, target, window):
     """Exact and closed under summands: the socle lies in the radical,
     i.e. the residue field is not a direct summand."""
-    soc, rad = mod.socle_span(), mod.radical_span()
+    soc, rad = socle_span(mod), radical_span(mod)
     both = Matrix(mod.algebra.field, np.hstack([soc.a, rad.a]))
     return both.rank() == rad.rank()
 
