@@ -217,7 +217,8 @@ def _cmd_dual(args) -> int:
     ws = _need_workspace(args)
     mod = ws.module(args.module)
     ev = biduality(mod)
-    dual, torsionless, reflexive = r_dual(mod).module, ev.is_injective(), ev.is_isomorphism()
+    dual, torsionless = r_dual(mod).module, ev.is_injective()
+    reflexive = torsionless and ev.source.dim == ev.target.dim
     report = {"command": "dual", "module": args.module, "dim": mod.dim,
               "dual_dim": dual.dim, "dual_min_gens": dual.gens_count(),
               "torsionless": torsionless, "reflexive": reflexive}

@@ -14,7 +14,11 @@ are computed once per chain and target actions (`modules.shared`), and
 each table charges what it reads through its own index.  First Ext
 (`Ext1Data`) ranks the same sparse columns; only its class basis, built
 when extension classes are realized or read back, is dense.
-Every lift through a minimal cover is a product with its section.
+Every lift through a minimal cover is a product with its section.  A
+sequence's cocycle is that lift restricted to the right term's syzygy
+(`psi_of_ses`); its class is that cocycle modulo coboundaries.  `horseshoe`
+returns the syzygy sequence itself: its middle is the literal sum
+syz^1(middle) + R^f, and f is read off the second summand.
 
 Ring duals keep their basis maps once, as the columns of the Hom matrix
 (`DualData.flat`, row-major dim R x dim M maps); `DualData.stack()` is the
@@ -256,10 +260,6 @@ def ext_dims(source: Module, target: Module, window: int) -> list[int]:
     return ExtTable(source, target).dims(window)
 
 
-def ext_dim(source: Module, target: Module, i: int) -> int:
-    return ExtTable(source, target).dim(i)
-
-
 def ext_vanishes_through(source: Module, target: Module,
                          window: int) -> tuple[bool, int | None]:
     """Whether every Ext^i vanishes for 1 <= i <= window; on failure
@@ -479,19 +479,24 @@ def _lift_cover(res, surj: ModuleMap) -> Matrix:
     return sols
 
 
-def class_of_ses(data: Ext1Data, ses: ShortExactSequence) -> Matrix:
-    """Extension class of a sequence with this pair's outer terms.
-
-    The middle may be anything (free summands included); only the two
-    maps matter.
-    """
-    if ses.right.dim != data.right.dim or ses.left.dim != data.left.dim:
-        raise HomAlgError("sequence outer terms do not match the pair")
-    lift = assemble_action_columns(ses.project.source, _lift_cover(data.res, ses.project))
-    psi, ok = ses.inject.matrix.solve_columns(lift @ data.res.syzygy_subspace(1))
+def psi_of_ses(ses: ShortExactSequence) -> Matrix:
+    """A cocycle of the sequence as a map off the right term's first
+    syzygy (in its coordinates) to the left term: the right term's cover
+    lifted through the projection, restricted to the syzygy.  The middle
+    may be anything (free summands included); only the two maps matter."""
+    res = resolve(ses.right)
+    lift = assemble_action_columns(ses.project.source, _lift_cover(res, ses.project))
+    psi, ok = ses.inject.matrix.solve_columns(lift @ res.syzygy_subspace(1))
     if not all(ok):
         raise HomAlgError("syzygy image does not land in the left term")
-    return data.class_of_psi(psi)
+    return psi
+
+
+def class_of_ses(data: Ext1Data, ses: ShortExactSequence) -> Matrix:
+    """Extension class of a sequence with this pair's outer terms."""
+    if ses.right.dim != data.right.dim or ses.left.dim != data.left.dim:
+        raise HomAlgError("sequence outer terms do not match the pair")
+    return data.class_of_psi(psi_of_ses(ses))
 
 
 # -- pushforward -------------------------------------------------------------------
@@ -526,22 +531,12 @@ def pushforward(mod: Module) -> ShortExactSequence:
 # -- horseshoe construction -----------------------------------------------------------
 
 
-@dataclass
-class Horseshoe:
-    """Syzygy sequence of a short exact sequence.
-
-    The middle is the literal direct sum of the middle term's first
-    syzygy, which `reducing._padded` pads with carried free blocks, and
-    a free module of the recorded rank.
-    """
-
-    sequence: ShortExactSequence
-    free_rank: int
-
-
-def horseshoe(ses: ShortExactSequence) -> Horseshoe:
+def horseshoe(ses: ShortExactSequence) -> ShortExactSequence:
     """The horseshoe lemma's syzygy sequence (the lemma makes the middle
-    embedding injective); each raise reads a solve's result or a count."""
+    embedding injective); each raise reads a solve's result or a count.
+    Its middle is the literal direct sum syz^1(middle) + R^f, so the free
+    rank f is its second summand's, which `reducing._padded` pads with
+    carried free blocks."""
     alg = ses.left.algebra
     fld = alg.field
     res_n, res_l, res_m = resolve(ses.left), resolve(ses.middle), resolve(ses.right)
@@ -588,7 +583,7 @@ def horseshoe(ses: ShortExactSequence) -> Horseshoe:
     proj_rows = [g_n * d + p for p in res_m.free_positions(1)]
     project = ModuleMap(middle, res_m.syzygy_module(1),
                         Matrix(fld, embed.a[proj_rows, :].copy()))
-    return Horseshoe(ShortExactSequence(inject, project), f_rank)
+    return ShortExactSequence(inject, project)
 
 
 # -- the syzygy map on first Ext --------------------------------------------------------
@@ -604,5 +599,5 @@ def ext_syzygy_map(right: Module, left: Module) -> tuple[Ext1Data, Ext1Data, Mat
     fld = right.algebra.field
     units = Matrix.identity(fld, src.dim)
     cols = [class_of_ses(tgt, horseshoe(extension_from_class(
-        src, units.take_cols([i]))).sequence) for i in range(src.dim)]
+        src, units.take_cols([i])))) for i in range(src.dim)]
     return src, tgt, Matrix.hstack(cols) if cols else Matrix.zeros(fld, tgt.dim, 0)

@@ -12,12 +12,12 @@ went through.
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, contract
+from .linalg import Matrix
 from .modules import (
     Module,
     ModuleMap,
     hom_dim,
-    hom_space_matrix,
+    hom_solve,
     regular_module,
     split_free_summands,
 )
@@ -290,15 +290,9 @@ def check_t2(mod: Module, seq: ReducingSequence,
     for i, step in enumerate(seq.steps, start=1):
         ses = step.sequence
         emb = ses.inject.matrix.take_cols(range(prev.dim)) @ emb
-        split_ok = False
-        if emb.rank() == mod.dim:
-            # column j: basis map j of Hom(middle, mod) composed with emb
-            hom = hom_space_matrix(ses.middle, mod)
-            sysmat = contract(fld, "abj,bc->acj", hom.a.reshape(
-                mod.dim, ses.middle.dim, hom.cols), emb.a)
-            target = Matrix.identity(fld, mod.dim).a.reshape(mod.dim ** 2, 1)
-            split_ok = hom.cols > 0 and Matrix(fld, sysmat.reshape(
-                mod.dim ** 2, hom.cols)).solve(Matrix(fld, target)) is not None
+        split_ok = emb.rank() == mod.dim and hom_solve(
+            ses.middle, mod, emb, Matrix.identity(fld, mod.dim),
+            Matrix.zeros(fld, 0, mod.dim), Matrix.zeros(fld, 0, ses.middle.dim)) is not None
         report.conclusions.append(_entry(
             f"summand_in_K{i}", split_ok,
             "retraction solved" if split_ok else "no retraction exists"))

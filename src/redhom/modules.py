@@ -519,6 +519,25 @@ def hom_dim(src: Module, tgt: Module) -> int:
     return hom_space_matrix(src, tgt).cols
 
 
+def hom_solve(src: Module, tgt: Module, a: Matrix, b: Matrix,
+              c: Matrix, d: Matrix) -> ModuleMap | None:
+    """A module map f: src -> tgt with f a = b and c f = d, or None: one
+    solve for coordinates in `hom_space_matrix`'s basis, whose column j
+    of the stacked system is basis map j composed each way, flattened."""
+    fld = src.algebra.field
+    hom = hom_space_matrix(src, tgt)
+    h = hom.cols
+    maps = hom.a.reshape(tgt.dim, src.dim, h)
+    system = np.vstack([
+        contract(fld, "abj,bc->acj", maps, a.a).reshape(b.a.size, h),
+        contract(fld, "ca,abj->cbj", c.a, maps).reshape(d.a.size, h)])
+    rhs = np.concatenate([b.a.ravel(), d.a.ravel()])[:, None]
+    coeffs = Matrix(fld, system).solve(Matrix(fld, rhs))
+    if coeffs is None:
+        return None
+    return ModuleMap(src, tgt, Matrix(fld, (hom @ coeffs).a.reshape(tgt.dim, src.dim)))
+
+
 # -- isomorphism testing ------------------------------------------------------
 
 

@@ -33,7 +33,7 @@ from .modules import (
     assemble_action_columns,
     direct_sum,
     free_module,
-    hom_space_matrix,
+    hom_solve,
     is_isomorphic,
     power_module,
     regular_module,
@@ -45,15 +45,13 @@ from . import resolution
 from .resolution import resolve, syzygy
 from .homalg import (
     Ext1Data,
-    class_of_ses,
-    ext_dim,
     ext_syzygy_map,
     ext_vanishes_through,
     extension_from_class,
     extension_from_psi,
-    Horseshoe,
     horseshoe,
     is_totally_reflexive,
+    psi_of_ses,
 )
 
 TARGETS = ("pd", "gdim")
@@ -587,22 +585,23 @@ def omega_of_map(g: ModuleMap, steps: int = 1) -> ModuleMap:
     return g
 
 
-def _padded(shoe: Horseshoe, a: int, c_prev: int):
-    """The horseshoe's sequence padded with a·c_prev carried free blocks.
+def _padded(ses: ShortExactSequence, a: int, c_prev: int):
+    """A horseshoe sequence padded with a·c_prev carried free blocks.
 
     Its source is a copies of syz ⊕ R^c_prev, whose coordinates `order`
     lists with the a syzygy blocks (the horseshoe's left term) first and
-    the a free blocks after them.  Returns syz¹(middle) ⊕
-    R^(free_rank + a·c_prev), the columns of block_diag(inject, I) taken
-    back into the source's order (at argsort(order)), and [project | 0].
+    the a free blocks after them.  The horseshoe's middle is syz¹(middle)
+    ⊕ R^f.  Returns syz¹(middle) ⊕ R^(f + a·c_prev), whose free rank the
+    transports carry as the next c_prev, the columns of
+    block_diag(inject, I) taken back into the source's order (at
+    argsort(order)), and [project | 0].
     """
-    ses = shoe.sequence
     alg = ses.left.algebra
     fld = alg.field
     s_prev = ses.left.dim // a  # the left term is syz(prev)^a
     c = c_prev * alg.dim
-    middle = direct_sum([ses.middle.summands[0][0],
-                         free_module(alg, shoe.free_rank + a * c_prev)])
+    (omega, _), (free, _) = ses.middle.summands
+    middle = direct_sum([omega, free_module(alg, free.free_rank + a * c_prev)])
     at = np.arange(a * (s_prev + c)).reshape(a, s_prev + c)
     order = np.concatenate((at[:, :s_prev], at[:, s_prev:]), axis=None)
     inj = Matrix.block_diag(fld, [ses.inject.matrix, Matrix.identity(fld, a * c)]
@@ -642,7 +641,7 @@ def transform_syzygy(seq: ReducingSequence,
         shoe = horseshoe(ShortExactSequence(
             ModuleMap(left_lit, ses.middle, ses.inject.matrix), proj_norm))
         middle_new, inj, proj = _padded(shoe, a, c_prev)
-        right_new = shoe.sequence.right
+        right_new = shoe.right
         rebuilt = _syzygy_of_power(prev_new, b, n)
         if rebuilt.dim != right_new.dim:
             raise CertificateError("transported right term has wrong size")
@@ -654,7 +653,7 @@ def transform_syzygy(seq: ReducingSequence,
             ModuleMap(right_new, rebuilt, Matrix.identity(fld, rebuilt.dim))))
         prev_old = ses.middle
         prev_new = middle_new
-        c_prev = shoe.free_rank + a * c_prev
+        c_prev = middle_new.summands[1][0].free_rank
     return ReducingSequence(new_base, new_steps, seq.target)
 
 
@@ -705,7 +704,7 @@ def transform_cosyzygy(seq: ReducingSequence, module: Module,
         mid_old = ses.middle
         right_w = _syzygy_of_power(w_prev, b, n)
         x_up = _syzygy_of_power(w_prev, b, n + 1)
-        if ext_dim(x_up, reg, 1) != 0:
+        if not ext_vanishes_through(x_up, reg, 1)[0]:
             raise CertificateError(
                 f"step {idx}: Ext^1 of the shifted right term against "
                 "the ring is nonzero")
@@ -717,17 +716,14 @@ def transform_cosyzygy(seq: ReducingSequence, module: Module,
         theta_mat = omega_rho.matrix @ step.witness.matrix
         if x_up.dim != omega_rho.target.dim:
             raise CertificateError("shifted right term has wrong size")
-        left_lit = power_module(prev_old, a)
-        data_k = Ext1Data(x_up, left_lit)
         ses_old = ShortExactSequence(
-            ModuleMap(left_lit, mid_old, ses.inject.matrix),
+            ModuleMap(power_module(prev_old, a), mid_old, ses.inject.matrix),
             ModuleMap(mid_old, x_up, theta_mat @ ses.project.matrix))
-        eta = class_of_ses(data_k, ses_old)
-        psi_eta = data_k.psi_from_class(eta)
-        # psi_eta read in syz(w_prev^a): the syzygy rows of rho, per copy
+        # the old step's cocycle read in syz(w_prev^a): the syzygy rows of
+        # rho, per copy; pushed forward, coboundaries stay coboundaries
         s_prev = rho.target.summands[0][0].dim
         psi_new = Matrix.block_diag(
-            fld, [rho.matrix.take_rows(range(s_prev))] * a) @ psi_eta
+            fld, [rho.matrix.take_rows(range(s_prev))] * a) @ psi_of_ses(ses_old)
         data_w, data_shift, smap = ext_syzygy_map(right_w, power_module(w_prev, a))
         coords = smap.solve(data_shift.class_of_psi(psi_new))
         if coords is None:
@@ -735,33 +731,21 @@ def transform_cosyzygy(seq: ReducingSequence, module: Module,
                 f"step {idx}: degree-one class does not lift through "
                 "the syzygy shift")
         ses_w = extension_from_class(data_w, coords)
-        shoe = horseshoe(ses_w)
-        z2, i2, p2 = _padded(shoe, a, c_prev)
+        z2, i2, p2 = _padded(horseshoe(ses_w), a, c_prev)
         i2 = i2 @ Matrix.block_diag(fld, [rho.matrix] * a)
-        # the two extensions share end maps, so a connecting map solved in
-        # Hom exists iff their classes agree, and is an isomorphism (five lemma)
-        # column j: basis map j of Hom(mid_old, z2) after i1, then p2
-        # after it, flattened; the connecting map matches i2 and p1
-        hom = hom_space_matrix(mid_old, z2)
-        h = hom.cols
-        maps = hom.a.reshape(z2.dim, mid_old.dim, h)
-        i1, p1 = ses_old.inject.matrix, ses_old.project.matrix
-        sysmat = np.vstack([
-            contract(fld, "abj,bc->acj", maps, i1.a).reshape(i2.a.size, h),
-            contract(fld, "ca,abj->cbj", p2.a, maps).reshape(p1.a.size, h)])
-        rhs = np.concatenate([i2.a.ravel(), p1.a.ravel()])[:, None]
-        coeffs = Matrix(fld, sysmat).solve(Matrix(fld, rhs))
-        if coeffs is None:
+        # the two extensions share end maps, so a connecting map, the next
+        # rho, with rho i1 = i2 and p2 rho = p1 exists iff their classes
+        # agree, and is an isomorphism (five lemma)
+        rho = hom_solve(mid_old, z2, ses_old.inject.matrix, i2, p2,
+                        ses_old.project.matrix)
+        if rho is None:
             raise CertificateError(
                 f"step {idx}: equivalent extensions admit no connecting map")
-        tau_mat = Matrix(fld, (hom @ coeffs).a.reshape(z2.dim, mid_old.dim))
-        tau = ModuleMap(mid_old, z2, tau_mat)
         new_steps.append(ReducingStep(
             a, b, n, ses_w, ModuleMap.identity(right_w)))
-        rho = tau
         w_prev = ses_w.middle
         prev_old = mid_old
-        c_prev = shoe.free_rank + a * c_prev
+        c_prev = z2.summands[1][0].free_rank
     lifted = ReducingSequence(module, new_steps, seq.target)
     report = verify(lifted, window=window)
     if not report.ok:

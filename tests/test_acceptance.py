@@ -234,11 +234,10 @@ def test_criterion_06_extension_horseshoe_suite():
             ses.validate()
             assert ses.middle.dim == left.dim + right.dim
             hs = horseshoe(ses)
-            hs.sequence.validate()
-            assert (hs.sequence.left.dim + hs.sequence.right.dim
-                    == hs.sequence.middle.dim)
-            assert (hs.sequence.middle.dim
-                    == syzygy(ses.middle, 1).dim + hs.free_rank * alg.dim)
+            hs.validate()
+            assert hs.left.dim + hs.right.dim == hs.middle.dim
+            assert hs.middle.dim == (syzygy(ses.middle, 1).dim
+                                     + hs.middle.summands[1][0].free_rank * alg.dim)
             total += 1
     assert total - split_classes >= 10  # enough genuinely glued middles
     print(f"C6 PASS: {total} extension sequences exact ({split_classes} "

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from redhom import algebra, cli
+from redhom import algebra, cli, homalg
 from redhom.linalg import GF2, Matrix
 from redhom.algebra import build_algebra
 from redhom.homalg import HomAlgError
@@ -255,6 +255,18 @@ class TestTransportRoundTrips:
         self.transform(capsys, tmp_path / "lifted.json", "cosyzygy", "cert_rx", "Rx2")
         assert self.accepted(capsys, tmp_path / "lifted.json") is True
 
+    def test_cosyzygy_builds_two_ext1_per_step(self, capsys, monkeypatch):
+        """Each lifted step builds the source and target of `ext_syzygy_map`
+        and no other first-Ext workspace: the old step's cocycle is read
+        off its sequence (`psi_of_ses`), not off a class."""
+        built, init = [], homalg.Ext1Data.__init__
+        monkeypatch.setattr(homalg.Ext1Data, "__init__",
+                            lambda data, *args: built.append(args) or init(data, *args))
+        code, report, _ = run(capsys, "--workspace", str(EXAMPLES / "line3.json"),
+                              "reduce", "transform", "cosyzygy", "cert_rx", "Rx2")
+        assert code == 0 and report["steps"]
+        assert len(built) == 2 * len(report["steps"])
+
     def test_syzygy_round_trip(self, capsys, tmp_path):
         # the shifted chain is built through the horseshoe
         self.transform(capsys, tmp_path / "shifted.json", "syzygy", "cert_rx_gdim")
@@ -401,6 +413,24 @@ class TestTheorems:
         names = {c["name"]: c for c in report["conclusions"]}
         assert names["summand_in_K1"]["ok"] is True
         assert "retraction" in names["summand_in_K1"]["detail"]
+
+    def test_t2_on_zero_module(self, tmp_path, capsys):
+        """The zero module is a summand of every chain module: its
+        retraction solves an empty system."""
+        ws = tmp_path / "zero.json"
+        ws.write_text(json.dumps({**PLANE, "modules": {"zero": {"kind": "free", "rank": 0}}}))
+        zero = ModuleMap.identity(zero_module(build_algebra(GF2, ["x", "y"], [], 2)))
+        seq = ReducingSequence(zero.source, [ReducingStep(
+            1, 1, 1, ShortExactSequence(zero, zero), zero)], "pd")
+        cert = str(tmp_path / "zero_cert.json")
+        save_certificate(seq, cert)
+        code, report, _ = run(capsys, "--workspace", str(ws), "reduce", "verify", cert)
+        assert code == 0 and report["accepted"] is True
+        code, report, _ = run(capsys, "--workspace", str(ws), "theorem", "t2", "zero", cert)
+        assert code == 0 and report["ok"] is True
+        names = {c["name"]: c for c in report["conclusions"]}
+        assert names["summand_in_K1"] == {"detail": "retraction solved",
+                                          "name": "summand_in_K1", "ok": True}
 
     def test_ptransfer(self, line3_ws, tmp_path, capsys):
         cert = str(tmp_path / "c.json")

@@ -9,12 +9,12 @@ from redhom.algebra import build_algebra
 from redhom.corpus import random_module
 from redhom.homalg import (
     Ext1Data,
+    ExtTable,
     HomAlgError,
     biduality,
     canonical_module,
     class_of_ses,
     dual_map,
-    ext_dim,
     ext_dims,
     ext_syzygy_map,
     ext_vanishes_through,
@@ -23,11 +23,13 @@ from redhom.homalg import (
     horseshoe,
     k_dual,
     p_invariant,
+    psi_of_ses,
     pushforward,
     r_dual,
 )
-from redhom.linalg import GF2, GF3, Field, Matrix
+from redhom.linalg import GF2, GF3, Field, Matrix, random_matrix
 from redhom.modules import (
+    Module,
     ModuleMap,
     ShortExactSequence,
     direct_sum,
@@ -238,7 +240,7 @@ class TestExtensions:
         for alg in (plane, line3):
             k = residue_field(alg)
             data = Ext1Data(k, k)
-            assert data.dim == ext_dim(k, k, 1)
+            assert data.dim == ExtTable(k, k).dim(1)
 
     def test_zero_class_is_literal_split(self, plane):
         k = residue_field(plane)
@@ -341,35 +343,35 @@ class TestHorseshoe:
         mod = from_presentation(line3, 1, [["x"]], label="R/x")
         ses = split_ses(k, mod)
         shoe = horseshoe(ses)
-        assert shoe.free_rank == 0
-        shoe.sequence.validate()
-        mid = shoe.sequence.middle
+        assert shoe.middle.summands[1][0].free_rank == 0
+        shoe.validate()
+        mid = shoe.middle
         assert mid.summands[0][0] is resolve(ses.middle).syzygy_module(1)
 
     def test_cover_sequence_over_line(self, line3):
         k = residue_field(line3)
         shoe = horseshoe(cover_sequence(k))
-        assert shoe.free_rank == 1
-        shoe.sequence.validate()
-        assert shoe.sequence.middle.dim == 3
-        assert shoe.sequence.left.dim == 1
-        assert shoe.sequence.right.dim == 2
+        assert shoe.middle.summands[1][0].free_rank == 1
+        shoe.validate()
+        assert shoe.middle.dim == 3
+        assert shoe.left.dim == 1
+        assert shoe.right.dim == 2
 
     def test_cover_sequence_over_plane(self, plane):
         k = residue_field(plane)
         shoe = horseshoe(cover_sequence(k))
-        assert shoe.free_rank == 2
-        shoe.sequence.validate()
-        assert shoe.sequence.middle.dim == 6
+        assert shoe.middle.summands[1][0].free_rank == 2
+        shoe.validate()
+        assert shoe.middle.dim == 6
 
     def test_extension_then_horseshoe(self, plane):
         k = residue_field(plane)
         data = Ext1Data(k, k)
         ses = extension_from_class(data, unit(plane.field, 2, 1))
         shoe = horseshoe(ses)
-        shoe.sequence.validate()
-        assert shoe.sequence.left is syzygy(k, 1)
-        assert shoe.sequence.right is syzygy(k, 1)
+        shoe.validate()
+        assert shoe.left is syzygy(k, 1)
+        assert shoe.right is syzygy(k, 1)
 
 
 HORSESHOE_RINGS = [(p, names, nil) for p in (2, 3, 2**31 - 1, None)
@@ -382,8 +384,8 @@ HORSESHOE_RINGS = [(p, names, nil) for p in (2, 3, 2**31 - 1, None)
 @settings(deadline=None, derandomize=True, database=None)
 def test_horseshoe_is_exact_with_the_betti_free_rank(ring, kind, seed_right, seed_left):
     """The horseshoe lemma, which `horseshoe` does not re-check: its
-    sequence is an exact sequence of module maps, and its free summand has
-    rank beta_0(left) + beta_0(right) - beta_0(middle)."""
+    sequence is an exact sequence of module maps, and the free summand of
+    its middle has rank beta_0(left) + beta_0(right) - beta_0(middle)."""
     p, names, nil = ring
     alg = build_algebra(Field(p), names, [], nil)
     right = random_module(alg, 2, 2, seed_right)
@@ -400,9 +402,37 @@ def test_horseshoe_is_exact_with_the_betti_free_rank(ring, kind, seed_right, see
         ses = extension_from_class(data, Matrix.column(
             alg.field, [alg.field.random(rng) for _ in range(data.dim)]))
     shoe = horseshoe(ses)
-    shoe.sequence.validate()
-    assert shoe.free_rank == (resolve(ses.left).betti(0) + resolve(ses.right).betti(0)
+    shoe.validate()
+    free, _ = shoe.middle.summands[1]
+    assert free.free_rank == (resolve(ses.left).betti(0) + resolve(ses.right).betti(0)
                               - resolve(ses.middle).betti(0))
+
+
+@given(st.sampled_from(HORSESHOE_RINGS), st.integers(0, 10**6), st.integers(0, 10**6))
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+def test_the_cocycle_of_a_sequence_has_its_class(ring, seed_right, seed_left):
+    """The extension built from a sequence's cocycle (`psi_of_ses`) has
+    the sequence's class, here for extensions whose middle is written in a
+    random basis; `transform_cosyzygy` reads the cocycle and never the
+    class."""
+    p, names, nil = ring
+    alg = build_algebra(Field(p), names, [], nil)
+    fld, rng = alg.field, random.Random(seed_right + seed_left)
+    right, left = random_module(alg, 2, 2, seed_right), random_module(alg, 2, 2, seed_left)
+    data = Ext1Data(right, left)
+    coords = random_matrix(fld, data.dim, 1, rng)
+    ses = extension_from_class(data, coords)
+    n = ses.middle.dim
+    lower, upper = ([[int(i == j) if i <= j else rng.randrange(-1, 2)
+                      for j in range(n)] for i in range(n)] for _ in range(2))
+    change = Matrix.from_rows(fld, lower) @ Matrix.from_rows(fld, upper).transpose()
+    back = change.inverse()
+    middle = Module(alg, n, [back @ act @ change for act in ses.middle.var_actions])
+    moved = ShortExactSequence(ModuleMap(left, middle, back @ ses.inject.matrix),
+                               ModuleMap(middle, right, ses.project.matrix @ change))
+    want = class_of_ses(data, moved)
+    assert want == coords  # a change of basis of the middle keeps the class
+    assert class_of_ses(data, extension_from_psi(left, right, psi_of_ses(moved))) == want
 
 
 # -- syzygy map on first Ext -----------------------------------------------------------
@@ -430,4 +460,4 @@ class TestExtSyzygyMap:
         zero = Matrix.zeros(line2.field, data.dim, 1)
         shoe = horseshoe(extension_from_class(data, zero))
         tgt = Ext1Data(syzygy(k, 1), syzygy(k, 1))
-        assert class_of_ses(tgt, shoe.sequence).is_zero()
+        assert class_of_ses(tgt, shoe).is_zero()

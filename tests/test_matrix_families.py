@@ -263,21 +263,22 @@ def hom_columns(hom: Matrix, rows: int, cols: int, fn) -> Matrix:
 
 
 def capture_systems(monkeypatch, module):
-    """Record each `hom_space_matrix` call of `module` and the first
-    `Matrix.solve` after it, as [source, target, hom, (matrix, rhs)]."""
+    """Record each `hom_solve` call of `module`, with the Hom basis of its
+    pair, and the first `Matrix.solve` after it, as [source, target, hom,
+    (matrix, rhs)]."""
     calls = []
-    real_hom, real_solve = module.hom_space_matrix, Matrix.solve
+    real_hom_solve, real_solve = module.hom_solve, Matrix.solve
 
-    def hom(src, tgt):
-        calls.append([src, tgt, real_hom(src, tgt), None])
-        return calls[-1][2]
+    def hom_solve(src, tgt, *maps):
+        calls.append([src, tgt, hom_space_matrix(src, tgt), None])
+        return real_hom_solve(src, tgt, *maps)
 
     def solve(self, target):
         if calls and calls[-1][3] is None:
             calls[-1][3] = (self, target)
         return real_solve(self, target)
 
-    monkeypatch.setattr(module, "hom_space_matrix", hom)
+    monkeypatch.setattr(module, "hom_solve", hom_solve)
     monkeypatch.setattr(Matrix, "solve", solve)
     return calls
 
@@ -340,7 +341,7 @@ def test_cosyzygy_connecting_system(p, relation, monkeypatch):
             shifted.steps, out.steps, calls):
         assert mid is old.sequence.middle
         i1 = old.sequence.inject.matrix
-        proj = horseshoe(new.sequence).sequence.project.matrix
+        proj = horseshoe(new.sequence).project.matrix
         p2 = Matrix.zeros(alg.field, proj.rows, z2.dim)
         p2.a[:, :proj.cols] = proj.a
         want = Matrix.vstack([

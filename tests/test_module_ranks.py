@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from redhom.algebra import build_algebra
 from redhom.corpus import random_module
-from redhom.homalg import Ext1Data, ext_dim, ext_dims
+from redhom.homalg import Ext1Data, ExtTable, ext_dims
 from redhom.linalg import QQ, Field, Matrix, column_space_basis
 from redhom.modules import (Module, direct_sum, free_module, residue_field,
                            zero_module)
@@ -111,7 +111,7 @@ def test_ext1_dimension_is_read_off_ranks(right, left):
               for kind in ("columns", "generators") for i in range(3)]
     data = Ext1Data(right, left)
     assert "_class_basis" not in vars(data)  # dim is read without it
-    assert data.dim == ext_dim(right, left, 1) == ext_dims(right, left, 2)[1]
+    assert data.dim == ExtTable(right, left).dim(1) == ext_dims(right, left, 2)[1]
     assert data.dim == data.reps.cols
     assert data.boundaries.cols + data.reps.cols == data._class_basis.cols
     # the ranks eliminate copies: the resolution's columns are unchanged

@@ -3,9 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from redhom.algebra import build_algebra
-from redhom.linalg import GF2, GF3, Matrix
+from redhom.corpus import random_module
+from redhom.linalg import GF2, GF3, Field, Matrix, random_matrix
 from redhom.modules import (
     Module,
     ModuleError,
@@ -16,6 +18,7 @@ from redhom.modules import (
     free_module,
     from_presentation,
     hom_dim,
+    hom_solve,
     hom_space_matrix,
     injection_map,
     is_isomorphic,
@@ -353,3 +356,30 @@ class TestValidation:
         shift = Matrix.from_rows(GF3, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
         with pytest.raises(ModuleError, match="relation"):
             validate_module(Module(alg, 3, [shift, Matrix.zeros(GF3, 3, 3)]))
+
+
+SOLVE_RINGS = [(p, names, nil) for p in (2, 3, 2**31 - 1, None)
+               for names, nil in ((["x", "y"], 2), (["x"], 3))]
+
+
+@given(st.sampled_from(SOLVE_RINGS), st.integers(0, 10**6))
+@settings(deadline=None, derandomize=True, database=None)
+def test_hom_solve_finds_a_planted_map(ring, seed):
+    """For b = f a and d = c f, f a random map in Hom(X, Y) and a, c any
+    matrices, `hom_solve` returns a module map meeting both composites;
+    with a = 0 and b != 0 it returns None."""
+    p, names, nil = ring
+    alg = build_algebra(Field(p), names, [], nil)
+    fld, rng = alg.field, random.Random(seed)
+    x, y = random_module(alg, 2, 2, seed), random_module(alg, 2, 2, seed + 1)
+    hom = hom_space_matrix(x, y)
+    f = Matrix(fld, (hom @ random_matrix(fld, hom.cols, 1, rng)).a.reshape(y.dim, x.dim))
+    a = random_matrix(fld, x.dim, rng.randrange(3), rng)
+    c = random_matrix(fld, rng.randrange(3), y.dim, rng)
+    got = hom_solve(x, y, a, f @ a, c, c @ f)
+    assert got is not None and got.source is x and got.target is y
+    got.check_linear()
+    assert got.matrix @ a == f @ a and c @ got.matrix == c @ f
+    b = Matrix.zeros(fld, y.dim, 1)
+    b.a[rng.randrange(y.dim), 0] = fld.one()
+    assert hom_solve(x, y, Matrix.zeros(fld, x.dim, 1), b, c, c @ f) is None

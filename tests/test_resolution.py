@@ -1,5 +1,9 @@
 """Minimal resolutions: betti oracles, literal sharing, step caps."""
 
+import ast
+from functools import reduce
+from pathlib import Path
+
 import pytest
 
 from redhom.algebra import build_algebra
@@ -319,3 +323,29 @@ def test_a_negative_differential_index_is_refused(plane):
     assert res.differential(0).a.shape == (1, plane.dim)
     with pytest.raises(ResolutionError, match="start at index 0"):
         res.differential(-1)
+
+
+def tracer_resolution_names() -> list[str]:
+    """The `resolution.*` names among the elements of `EXTRA`, the keys of
+    `ATTRS` and the values of `COUNTS` in `perfbench/tracer.py`, read from
+    its source: nothing under perfbench/ is imported, run or written."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    values = {t.id: node.value for node in ast.parse(path.read_text()).body
+              if isinstance(node, ast.Assign) for t in node.targets
+              if isinstance(t, ast.Name)}
+    nodes = [*values["EXTRA"].elts, *values["ATTRS"].keys, *values["COUNTS"].values]
+    return sorted({n.value for n in nodes if n.value.startswith("resolution.")})
+
+
+def test_the_tracer_counts_chains_not_views(plane):
+    """Every `resolution.*` name the tracer wraps or counts is an attribute
+    of `redhom.resolution`, and a module's resolution reads a
+    `ChainResolution` without being one, so counting chains counts each
+    chain of steps once."""
+    names = tracer_resolution_names()
+    missing = [n for n in names if reduce(
+        lambda obj, a: getattr(obj, a, None), n.split(".")[1:], resolution) is None]
+    assert names and missing == []
+    res = resolve(residue_field(plane))
+    assert isinstance(res.chain, ChainResolution)
+    assert not isinstance(res, ChainResolution)

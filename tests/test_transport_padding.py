@@ -49,11 +49,10 @@ CASES = ([("syzygy", "certificate", ws, cert, a)
             for c in (1, 2)])
 
 
-def reference_padded(shoe, a, c_prev):
-    ses = shoe.sequence
+def reference_padded(ses, a, c_prev):
     alg = ses.left.algebra
-    fld, d, f = alg.field, alg.dim, shoe.free_rank
-    omega = ses.middle.summands[0][0]
+    (omega, _), (free, _) = ses.middle.summands
+    fld, d, f = alg.field, alg.dim, free.free_rank
     s_prev = ses.left.dim // a
     head = omega.dim + f * d  # rows of the horseshoe's own middle
     blk = s_prev + c_prev * d
@@ -131,9 +130,9 @@ def test_padded_steps_match_block_loops(monkeypatch, case):
     carried = []
 
     def spy(build):
-        def run(shoe, a, c_prev):
+        def run(ses, a, c_prev):
             carried.append(c_prev)
-            return build(shoe, a, c_prev)
+            return build(ses, a, c_prev)
         return run
 
     monkeypatch.setattr(reducing, "_padded", spy(reference_padded))
