@@ -9,16 +9,16 @@ stderr.
 The list: `--help` at every level of `cli.COMMANDS`; usage and bound
 errors; every certify-cli command of `perfbench/reference.json` (with
 `--seed 1` where the reference is seeded); the README "Command line"
-examples in order, as `scripts/check_readme_cli.py` reads them; the
+examples in order, with the exit code each documents (`examples`); the
 searches on `plane.json` that exhaust their budget; the main theorem on
 `line3.json` at window 60; a too-deeply-nested workspace and certificate
 file; a workspace with a malformed F_2 scalar in module `bad`, under
 `algebra info`, which does not read it, and `resolve bad`; and `corpus
 run`.  Everything runs in a fresh temporary directory holding a copy of
-`docs/examples`, so paths in the keys and the output are relative and two
-runs, or two checkouts, can be compared byte for byte.  A command that
-raises instead of returning is recorded with the exception's type under
-"raised".
+`docs/examples`, so paths in the keys and the output are relative and
+two runs, or two checkouts, can be compared byte for byte; tier-1 runs
+it as two processes and compares them.  A command that raises instead
+of returning is recorded with the exception's type under "raised".
 
 `--pinned` prints only the entries whose text the program writes: it
 leaves out `--help` and the usage errors, which argparse words, and its
@@ -35,6 +35,7 @@ import io
 import itertools
 import json
 import os
+import re
 import shlex
 import shutil
 import sys
@@ -42,9 +43,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts")]
+sys.path.insert(0, str(ROOT / "src"))
 
-from check_readme_cli import examples
 from redhom import cli
 
 PLANE = ["--workspace", "docs/examples/plane.json"]
@@ -87,6 +87,21 @@ MALFORMED = [  # written by `write_malformed`
 ]
 
 
+def examples() -> list[tuple[list[str], int]]:
+    """(arguments, documented exit code) of each README "Command line"
+    example line `redhom ARGS`: the number after "# exits", else 0."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
+    out = []
+    for line in block.split("```", 1)[0].strip().splitlines():
+        cmd, _, comment = line.partition("#")
+        code = re.match(r"\s*exits (\d+)", comment)
+        argv = shlex.split(cmd)
+        assert argv[0] == "redhom", line
+        out.append((argv[1:], int(code.group(1)) if code else 0))
+    return out
+
+
 def command_lines() -> list[list[str]]:
     paths = ["", *dict.fromkeys(" ".join(leaf.split()[:i])
                                 for leaf in cli.COMMANDS
@@ -96,10 +111,8 @@ def command_lines() -> list[list[str]]:
     for spec in reference["certify-cli"]["commands"]:
         lines.append(["--workspace", f"docs/examples/{spec['workspace']}",
                       *spec["argv"], *(["--seed", "1"] * bool(spec.get("seeded")))])
-    for argv, _ in examples():
-        lines.append([os.path.relpath(a, ROOT) if a.startswith(str(ROOT)) else a
-                      for a in argv])
-    return lines + EXHAUSTED + [LONG_CHAIN] + MALFORMED + [["corpus", "run"]]
+    return (lines + [argv for argv, _ in examples()] + EXHAUSTED + [LONG_CHAIN]
+            + MALFORMED + [["corpus", "run"]])
 
 
 def is_pinned(argv: list[str]) -> bool:

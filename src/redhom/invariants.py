@@ -105,24 +105,18 @@ def gdim(mod: Module, window: int = 10,
 @dataclass
 class TheoremReport:
     name: str
-    ok: bool
     window: int
     hypotheses: list   # {"name", "ok", "detail"} in fixed order
     conclusions: list  # populated only when all hypotheses hold
 
+    @property
+    def ok(self) -> bool:
+        """Every hypothesis and every conclusion holds."""
+        return all(e["ok"] for e in self.hypotheses + self.conclusions)
+
 
 def _entry(name: str, ok: bool, detail: str = "") -> dict:
     return {"name": name, "ok": bool(ok), "detail": detail}
-
-
-def _hypotheses_fail(report: TheoremReport) -> bool:
-    return not all(h["ok"] for h in report.hypotheses)
-
-
-def _finish(report: TheoremReport) -> TheoremReport:
-    report.ok = (all(h["ok"] for h in report.hypotheses)
-                 and all(c["ok"] for c in report.conclusions))
-    return report
 
 
 def _dual_sequence_exact(ses) -> bool:
@@ -216,7 +210,7 @@ def check_main_theorem(mod: Module, seq: ReducingSequence,
     torsionless exactly when it embeds into its free hull, when the
     chain goes on past it.  Stage 0's Ext vanishing is the second hypothesis.
     """
-    report = TheoremReport("main", False, window, [], [])
+    report = TheoremReport("main", window, [], [])
     rep = verify(seq, window=window) if seq is not None else None
     report.hypotheses.append(_entry(
         "chain_verifies",
@@ -228,8 +222,8 @@ def check_main_theorem(mod: Module, seq: ReducingSequence,
     report.hypotheses.append(_entry(
         "ext_vanishing", okv,
         "" if okv else f"Ext^{bad}(module, ring) is nonzero"))
-    if _hypotheses_fail(report):
-        return _finish(report)
+    if not report.ok:
+        return report
     cr = complete_resolution(mod, window)
     report.conclusions.append(_entry(
         "torsionless", mod.dim == 0 or bool(cr.chain),
@@ -258,7 +252,7 @@ def check_main_theorem(mod: Module, seq: ReducingSequence,
         report.conclusions.append(_entry(
             "complete_resolution", cr.ok,
             cr.reason or f"exact={cr.exact} dual_exact={cr.dual_exact}"))
-    return _finish(report)
+    return report
 
 
 def check_t2(mod: Module, seq: ReducingSequence,
@@ -271,7 +265,7 @@ def check_t2(mod: Module, seq: ReducingSequence,
     of module maps), and Ext^j(K_i, mod) = 0 on the window shrunk by the
     accumulated syzygy depths.
     """
-    report = TheoremReport("t2", False, window, [], [])
+    report = TheoremReport("t2", window, [], [])
     rep = verify(seq, window=window) if seq is not None else None
     report.hypotheses.append(_entry(
         "chain_verifies",
@@ -281,8 +275,8 @@ def check_t2(mod: Module, seq: ReducingSequence,
     report.hypotheses.append(_entry(
         "self_ext_vanishing", okv,
         "" if okv else f"Ext^{bad}(module, module) is nonzero"))
-    if _hypotheses_fail(report):
-        return _finish(report)
+    if not report.ok:
+        return report
     fld = mod.algebra.field
     emb = Matrix.identity(fld, mod.dim)
     prev = seq.base
@@ -312,7 +306,7 @@ def check_t2(mod: Module, seq: ReducingSequence,
     if not report.conclusions:
         report.conclusions.append(_entry(
             "trivial_chain", True, "no steps; the module is its own summand"))
-    return _finish(report)
+    return report
 
 
 def is_semidualizing(cmod: Module, window: int = 10) -> bool:
@@ -320,9 +314,7 @@ def is_semidualizing(cmod: Module, window: int = 10) -> bool:
     vanishing through the window."""
     alg = cmod.algebra
     fld = alg.field
-    if cmod.dim == 0:
-        return False
-    if hom_dim(cmod, cmod) != alg.dim:
+    if hom_dim(cmod, cmod) != alg.dim:  # the zero module fails here
         return False
     # the homothety R -> End(C) as rows: row t is b_t's action, flattened
     homothety = Matrix(fld, cmod.action_stack().reshape(alg.dim, cmod.dim ** 2))
@@ -338,11 +330,11 @@ def check_cor33(alg, window: int = 10,
     chain: Gorenstein rings get the trivial chain on omega = R, and over
     a non-Gorenstein ring omega is semidualizing yet the bounded search
     comes back empty."""
-    report = TheoremReport("cor33", False, window, [], [])
+    report = TheoremReport("cor33", window, [], [])
     omega = canonical_module(alg)
     report.hypotheses.append(_entry("window_positive", window >= 1))
-    if _hypotheses_fail(report):
-        return _finish(report)
+    if not report.ok:
+        return report
     result = search(omega, "gdim", config)
     if alg.is_gorenstein:
         report.conclusions.append(_entry(
@@ -361,7 +353,7 @@ def check_cor33(alg, window: int = 10,
         report.conclusions.append(_entry(
             "search_absent", not result.found,
             f"search: {result.reason} ({result.candidates} candidates)"))
-    return _finish(report)
+    return report
 
 
 def structure_test(mod: Module) -> tuple[bool, int, int]:
@@ -387,7 +379,7 @@ def check_prop27(alg, mod: Module,
         raise ValueError("the radical of the algebra must square to zero")
     if alg.is_gorenstein:
         raise ValueError("the algebra must not be Gorenstein")
-    report = TheoremReport("prop27", False, 0, [], [])
+    report = TheoremReport("prop27", 0, [], [])
     report.hypotheses.append(_entry("radical_square_zero", True))
     report.hypotheses.append(_entry("non_gorenstein", True))
     structured, alpha, beta = structure_test(mod)
@@ -410,7 +402,7 @@ def check_prop27(alg, mod: Module,
         report.conclusions.append(_entry(
             "gdim_search_absent", not res_gd.found,
             f"search: {res_gd.reason} ({res_gd.candidates} candidates)"))
-    return _finish(report)
+    return report
 
 
 def check_P_transfer(seq: ReducingSequence, nmod: Module,
@@ -421,7 +413,7 @@ def check_P_transfer(seq: ReducingSequence, nmod: Module,
     Hypothesis: the base's index is window-certified finite.  Conclusion:
     every chain module reports the same value.
     """
-    report = TheoremReport("ptransfer", False, window, [], [])
+    report = TheoremReport("ptransfer", window, [], [])
     rep = verify(seq, window=window)
     report.hypotheses.append(_entry(
         "chain_verifies", rep.ok, rep.reason))
@@ -429,8 +421,8 @@ def check_P_transfer(seq: ReducingSequence, nmod: Module,
     report.hypotheses.append(_entry(
         "base_value_finite", base_p.kind != "above_window",
         base_p.describe()))
-    if _hypotheses_fail(report):
-        return _finish(report)
+    if not report.ok:
+        return report
     for i in range(1, seq.r + 1):
         val = p_invariant(seq.module_at(i), nmod, window)
         report.conclusions.append(_entry(
@@ -439,4 +431,4 @@ def check_P_transfer(seq: ReducingSequence, nmod: Module,
     if not report.conclusions:
         report.conclusions.append(_entry(
             "trivial_chain", True, "no steps; nothing to transfer"))
-    return _finish(report)
+    return report

@@ -10,9 +10,10 @@ over.  Its constructor chooses every per-field operation once (listed in
 its docstring): how entries are stored (int8 for p <= 127, int64 for
 larger p, object arrays of Fractions over Q), the scalar operations, the
 parser's coefficient normaliser, the dense product, the uncarried `rref`
-and `rank`, and the rounds of `algebra_radical`.  `Matrix`, the
-elimination loops, the radical and the polynomial parser are written
-once against these and never ask which field they are over.
+(`_sparse_dense_rref` over Q) and `rank`, and the rounds of
+`algebra_radical`.  `Matrix`, the elimination loops, the radical and the
+polynomial parser are written once against these and never ask which
+field they are over.
 
 Products come in two kinds.  Dense ones (`contract`, `Matrix @`) go
 through the field's `product`: over F_p in the storage dtype while no
@@ -29,8 +30,9 @@ column j; one XOR is one row operation) with an echelon basis keyed by
 leading bit, so the work follows the nonzeros; `rank` skips the
 back-substitution.  Rows of at most 64 columns become ints by one
 product with the column bits and come back by one shift-and-mask; wider
-rows go through packed bytes.  The rref is unique, so the results equal
-those of the general loop `_rref_in_place`, which the other fields run.
+rows go through packed bytes.  Over Q `rref` runs `sparse_rref` on the
+rows as dicts.  The rref is unique, so the results equal those of the
+general loop `_rref_in_place`, which the other fields run.
 Carried solves (`solve_columns`, `solve`) run the general loop on every
 field, because the carried values of an unsolvable column depend on the
 order of row operations; `inverse` reads A^-1 off the rref of [A | I].
@@ -165,6 +167,7 @@ class Field:
             self.random = lambda rng: Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
             self.residue, self.entry_bits = (lambda c: c), math.inf
             self.product = _rational_product
+            self.rref = partial(_sparse_dense_rref, self)
             self.radical_rounds = lambda n: 1
             return
         if not (2 <= p < 2**31):
@@ -448,6 +451,15 @@ def row_kernel(field: Field, cols: int, rows, grow=None) -> tuple[list[int], dic
             if j != c:
                 block[j][c] = field.coerce(-v)
     return [j for j in range(cols) if j not in kept], dict(block)
+
+
+def _sparse_dense_rref(field: Field, a: np.ndarray):
+    """Q's uncarried `rref`: `sparse_rref` of the rows, kept in pivot order."""
+    kept = sparse_rref(field, ({j: v for j, v in enumerate(row) if v} for row in a.tolist()))
+    out, piv = field.zeros(a.shape), sorted(kept)
+    for i, c in enumerate(piv):
+        out[i, list(kept[c])] = list(kept[c].values())
+    return out, piv
 
 
 # ---------------------------------------------------------------------------

@@ -89,10 +89,13 @@ class Resolution:
 
     Subclasses implement `extend`, `betti`, `syzygy_module` (not a chain),
     `columns(i)` (the sparse columns of d_i, the cover for i = 0) and
-    `generators(i)` (its columns j*d), or `_sparse` for both, and
+    `generators(i)` (its columns j*d), or `_sparse` for both,
     `syzygy_layout(i)` (the i-th syzygy as the kernel of d_{i-1}, as
-    `linalg.sparse_kernel` lays it out); the dense accessors are built
-    here from those."""
+    `linalg.sparse_kernel` lays it out), and `parts(i)`, read after
+    `extend(i)`: [(part, j, m)] when step i (generators, kernel layout and
+    Betti number) is the direct sum of m copies of each part's step j, as
+    data, in order (past a split tail, up to the order of blocks); [] when
+    step i is computed here.  The dense accessors are built from those."""
 
     module: Module
     chain: "ChainResolution | None" = None  # the chain whose steps these are
@@ -157,13 +160,6 @@ class Resolution:
 
     def ambient_free(self, i: int) -> Module:
         return free_module(self.module.algebra, self.betti(i))
-
-    def parts(self, i: int) -> list[tuple["Resolution", int, int]]:
-        """[(part, j, m)] when step i (generators, kernel layout and Betti
-        number) is the direct sum of m copies of each part's step j, as
-        data, in order (past a split tail, up to the order of blocks); []
-        when step i is computed here.  Read after `extend(i)`."""
-        return []
 
     def terminated_at(self, upto: int) -> int | None:
         """Smallest index within the window where the resolution dies."""

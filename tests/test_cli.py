@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from redhom import algebra, cli, homalg
-from redhom.linalg import GF2, Matrix
+from redhom import algebra, cli, homalg, reducing
+from redhom.linalg import GF2, Matrix, random_matrix
 from redhom.algebra import build_algebra
 from redhom.homalg import HomAlgError
 from redhom.modules import (ModuleMap, free_module, residue_field,
@@ -348,6 +348,23 @@ class TestSameInEveryProcess:
         # sixty stages whose actions alternate between two modules
         report = self.twice("theorem", "main", "Rx", "cert_rx_gdim", "--window", "60")
         assert report["ok"] is True
+
+
+def test_per_cell_search_draws_are_the_same_in_every_process(monkeypatch, capsys):
+    """The pd search of two_gen over F_2[x,y]/m^2 within a = b = n = 1
+    draws 4 random classes at depth 0, each gluing a middle, and finds no
+    chain (exit 1); as two processes, PYTHONHASHSEED 0 and 1, it prints
+    the same stdout."""
+    argv = ["--workspace", str(EXAMPLES / "plane.json"), "reduce", "search", "two_gen",
+            "--target", "pd", "--max-a", "1", "--max-b", "1", "--max-n", "1"]
+    draws = []
+    monkeypatch.setattr(reducing, "random_matrix",
+                        lambda *a: draws.append(a) or random_matrix(*a))
+    assert cli.main(argv) == 1
+    assert len(draws) == 4
+    runs = [cli_process(seed, *argv) for seed in (0, 1)]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 1
 
 
 class TestTheorems:

@@ -7,7 +7,10 @@ alters an output on purpose regenerates the file in the same commit.
 """
 
 import json
+import os
+import shlex
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,6 +25,30 @@ from redhom import cli  # noqa: E402
 def test_outputs_match_the_pinned_snapshot(capsys):
     code = cli_snapshot.main(["--check", str(PINNED)])
     assert code == 0, capsys.readouterr().err
+
+
+def test_readme_examples_exit_as_documented_with_one_document():
+    """Each README "Command line" example, as pinned: it exits with the
+    code its line documents ("# exits N", else 0), and its stdout is one
+    JSON document."""
+    pinned = json.loads(PINNED.read_text())
+    cases = cli_snapshot.examples()
+    assert len(cases) >= 15  # the examples when this was written
+    for argv, code in cases:
+        entry = pinned[shlex.join(argv)]
+        assert entry["exit"] == code, argv
+        json.loads(entry["stdout"])  # raises on no document or on more than one
+
+
+def test_the_whole_snapshot_is_the_same_in_every_process():
+    """The unpinned snapshot, help and usage errors included, run as two
+    processes at PYTHONHASHSEED 0 and 1: both exit 0 with the same bytes
+    on stdout."""
+    runs = [subprocess.run([sys.executable, str(ROOT / "scripts" / "cli_snapshot.py")],
+                           env=dict(os.environ, PYTHONHASHSEED=str(seed)),
+                           capture_output=True, timeout=600) for seed in (0, 1)]
+    assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_first_difference_names_key_stream_and_line():

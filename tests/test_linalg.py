@@ -479,6 +479,42 @@ class TestGF2Bitset:
             assert m.rank() == len(m.rref()[1])
 
 
+@st.composite
+def qq_arrays(draw):
+    """A rational array of 0-12 rows and 0-12 columns, so zero-sized,
+    wide and tall ones too: zero, sparse, dense, or of low rank, whose
+    rows are dependent."""
+    r, c = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["zero", "sparse", "dense", "low rank"]))
+    if kind == "low rank":
+        return low_rank_matrix(QQ, r, c, rng.randrange(min(r, c) + 1), rng).a
+    a, full = QQ.zeros((r, c)), random_matrix(QQ, r, c, rng).a
+    keep = {"zero": 0, "sparse": 0.2, "dense": 1}[kind]
+    for i, j in product(range(r), range(c)):
+        if rng.random() < keep:
+            a[i, j] = full[i, j]
+    return a
+
+
+class TestQSparseRref:
+    """Q's uncarried rref runs `sparse_rref` on the rows as dicts; it and
+    rank agree with the general loop `_rref_in_place`, and leave their
+    input as it was."""
+
+    @given(qq_arrays())
+    @settings(deadline=None, derandomize=True, database=None)
+    def test_rref_and_rank_match_the_general_loop(self, a):
+        before = a.tolist()
+        want, want_piv = _rref_in_place(a.copy(), QQ, a.shape[1])
+        out, piv = QQ.rref(a)
+        assert piv == want_piv
+        assert out.shape == a.shape and out.dtype == object
+        assert out.tolist() == want.tolist()
+        assert Matrix(QQ, a).rank() == QQ.rank(a) == len(want_piv)
+        assert a.tolist() == before
+
+
 STORAGE = [(GF2, np.int8), (GF3, np.int8), (Field(127), np.int8),
            (Field(131), np.int64), (Field(P31), np.int64), (QQ, object)]
 # The most terms whose sums of products of entries p - 1 fit in int8:
