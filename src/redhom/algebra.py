@@ -21,6 +21,15 @@ block-diagonal copies of these, kept per rank (`free_varmat`,
 algebra the constants are also kept in sparse form (`structure`): their
 nonzero entries listed by the index they read (`linalg.by_gather`), one
 map per layout, built once per algebra on first use.
+
+What a presentation determines is built once per process: the basis
+monomials and their index, the normal-form table, the product stack, the
+socle and the embedding dimension, kept read-only for the last 32
+presentations (`_structure`).  Each `build_algebra` call returns a new
+`Algebra` over them, with the caller's field, its own lists and its own
+`_table`, so everything built from it (the sparse products, free blocks,
+monomial steps, and the modules, resolutions and Ext tables kept in the
+table) lives per `Algebra` object.
 """
 
 from __future__ import annotations
@@ -31,6 +40,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 import math
+from operator import add
+from types import MappingProxyType
 
 import numpy as np
 
@@ -304,10 +315,41 @@ class Algebra:
 
 def build_algebra(fld: Field, var_names: list[str], relations: list[str],
                   nilpotency: int) -> Algebra:
-    """Construct the algebra and all cached structure data.
+    """A new algebra on `fld`, with its own lists and empty `_table`, over
+    the read-only structure `_structure` builds once per presentation.
 
     `relations` are polynomial strings with zero constant term; the ideal
     they generate is enlarged by all monomials of degree `nilpotency`.
+    A presentation whose build would take more than MAX_STEP_BYTES is
+    refused with an `AlgebraError` before its tables are allocated.
+    """
+    from .resolution import ENTRY_BYTES, MAX_STEP_BYTES  # it imports this module
+    mons, stack, socle, emb, mon_index, nf_table = _structure(
+        fld, tuple(var_names), tuple(relations), nilpotency,
+        (MAX_STEP_BYTES, ENTRY_BYTES))
+    d = len(mons)
+    alg = Algebra(
+        field=fld, var_names=list(var_names), nilpotency=nilpotency,
+        relation_srcs=list(relations), basis_mons=list(mons), dim=d,
+        mult=stack[:d], var_stack=stack[d:],
+        socle_basis=Matrix(fld, socle), embedding_dim=emb,
+    )
+    alg._mon_index = mon_index             # type: ignore[attr-defined]
+    alg._nf_table = Matrix(fld, nf_table)  # type: ignore[attr-defined]
+    return alg
+
+
+@lru_cache(maxsize=32)
+def _structure(fld: Field, names: tuple, relations: tuple, nilpotency: int,
+               caps: tuple) -> tuple:
+    """The structure of the presentation, read-only, as (basis monomials,
+    the (d+n, d, d) product stack, the socle basis, the embedding
+    dimension, the monomial index, the (d, nm) normal-form table).
+
+    Kept per presentation and `caps` (`resolution.MAX_STEP_BYTES` and
+    `ENTRY_BYTES`, which the refusals below and the parser's read), so a
+    hit is what a cold build under the same caps returns; a refusal is
+    raised, never kept.
 
     The table is a commutative ring's with m^N = 0 by construction: the
     rows u*f below degree N are closed under each x_v, so they span
@@ -316,81 +358,86 @@ def build_algebra(fld: Field, var_names: list[str], relations: list[str],
     """
     if nilpotency < 1:
         raise AlgebraError("nilpotency bound must be at least 1")
-    if len(set(var_names)) != len(var_names):
+    if len(set(names)) != len(names):
         raise AlgebraError("duplicate variable names")
-    from .resolution import _check_dense_size  # resolution imports this module
-    n = len(var_names)
+    n = len(names)
     nm = math.comb(n + nilpotency - 1, n)
-    _check_dense_size(f"the {nm}x{nm} normal-form kernel of the monomials below "
-                      f"degree {nilpotency}", nm * nm, fld, error=AlgebraError)
+    # at most one ideal row per relation and monomial below degree N - 1;
+    # kept: the ideal, its echelon form, the kernel's pivot block and the
+    # nm x nm kernel; wide: the elimination's copy and three temporaries
+    rows = len(relations) * math.comb(n + nilpotency - 2, n) if nilpotency > 1 else 0
+    _refuse_past(f"the {nm}x{nm} normal-form kernel of the monomials below "
+                 f"degree {nilpotency}", fld, 3 * rows * nm + nm * nm, 4 * rows * nm)
     mons = _monomials_below(n, nilpotency)
     mon_index = {m: i for i, m in enumerate(mons)}
 
     parsed = []
     for src in relations:
-        poly = parse_polynomial(src, var_names, fld, nilpotency)
+        poly = parse_polynomial(src, names, fld, nilpotency)
         if (0,) * n in poly:
             raise AlgebraError(f"relation {src!r} has a nonzero constant term")
         if poly:
             parsed.append(poly)
 
-    # span of the relation ideal inside the degree-truncated monomial space
-    rows = []
+    # the relation ideal inside the degree-truncated monomial space: a
+    # row u*f for each relation f and monomial u below degree N - deg f
+    # (never 0: u times a term of degree deg f)
+    shifts = []
     for poly in parsed:
-        fdeg = min(sum(m) for m in poly)
-        for u in mons:
-            if sum(u) + fdeg >= nilpotency:
-                continue
-            row = [fld.zero()] * nm  # never 0: u times a term of degree fdeg
-            for m, c in poly.items():
-                tot = tuple(a + b for a, b in zip(u, m))
-                if sum(tot) < nilpotency:
-                    row[mon_index[tot]] = fld.add(row[mon_index[tot]], c)
-            rows.append(row)
-    ideal = Matrix.from_rows(fld, rows) if rows else Matrix.zeros(fld, 0, nm)
+        fdeg = min(map(sum, poly))
+        shifts += [(u, poly) for u in mons if sum(u) + fdeg < nilpotency]
+    ideal = fld.zeros((len(shifts), nm))
+    for r, (u, poly) in enumerate(shifts):
+        for m, c in poly.items():
+            if sum(tot := tuple(map(add, u, m))) < nilpotency:
+                ideal[r, mon_index[tot]] = c
     # the kernel of the ideal's rows, in unit-at-free-column layout, is
     # the transpose of the normal-form map onto the free (basis) monomials
-    kb, basis_pos = ideal.kernel_data()
-    basis_mons = [mons[i] for i in basis_pos]
+    kb, basis_pos = Matrix(fld, ideal).kernel_data()
+    del ideal
+    basis_mons = tuple(mons[i] for i in basis_pos)
     d = len(basis_mons)
-    _check_dense_size(f"the {d + n}x{d}x{d} product table", (d + n) * d * d, fld,
-                      error=AlgebraError)
+    # kept: the stack, the table below, the socle basis and the copy of
+    # m^2's spanning set; wide: the gather's index, and the elimination of
+    # the n*d x d actions (a copy and three temporaries)
+    _refuse_past(f"the {d + n}x{d}x{d} product table", fld,
+                 (d + n) * d * d + d * (nm + 1) + (n + 1) * d * d,
+                 (d + n) * d + 4 * n * d * d)
 
-    # normal form of every truncated monomial, as a (d x nm) table
-    nf_table = kb.transpose()
-    # every product b_i b_j and x_v b_j, gathered in one step from columns
-    # of the table as stack[i, a, j], coordinate a of left[i] * b_j;
-    # monomials of degree >= N are not in `mon_index` and read column nm, 0
-    table = np.hstack([nf_table.a, fld.zeros((d, 1))])
-    left = np.vstack([np.array(basis_mons, dtype=np.intp).reshape(d, n),
-                      np.eye(n, dtype=np.intp)])
-    tot = (left[:, None, :] + left[:d]).reshape((d + n) * d, n).tolist()
-    cols = np.array([mon_index.get(tuple(m), nm) for m in tot], dtype=np.intp)
-    stack = table[np.arange(d)[:, None], cols.reshape(d + n, 1, d)]
-    stack.flags.writeable = False
-    mult, var_stack = stack[:d], stack[d:]
+    # the normal form of every truncated monomial as column of a (d x nm)
+    # table, and column nm, 0, for the monomials of degree >= N
+    table = fld.zeros((d, nm + 1))
+    table[:, :nm] = kb.a.T
+    del kb
+    # every product b_i b_j and x_v b_j, gathered from columns of the
+    # table as stack[i, a, j] and stack[d + v, a, j], their coordinate a
+    units = tuple(tuple(int(v == w) for w in range(n)) for v in range(n))
+    cols = np.fromiter((mon_index.get(tuple(map(add, u, w)), nm)
+                        for u in basis_mons + units for w in basis_mons),
+                       dtype=np.intp, count=(d + n) * d).reshape(d + n, d)
+    stack = fld.zeros((d + n, d, d))
+    for i, row in enumerate(cols):  # "clip" writes to `out` unbuffered
+        table.take(row, axis=1, out=stack[i], mode="clip")
+    var_stack = stack[d:]
 
     # socle: simultaneous kernel of the variable actions
-    socle = Matrix(fld, var_stack.reshape(n * d, d)).kernel_basis()
+    socle = Matrix(fld, var_stack.reshape(n * d, d)).kernel_basis().a
 
     # embedding dimension: dim m minus dim m^2
     m2 = var_stack[:, :, 1:].transpose(1, 0, 2).reshape(d, n * (d - 1))
     emb = (d - 1) - Matrix(fld, m2).rank()
 
-    alg = Algebra(
-        field=fld, var_names=list(var_names), nilpotency=nilpotency,
-        relation_srcs=list(relations), basis_mons=basis_mons, dim=d,
-        mult=mult, var_stack=var_stack,
-        socle_basis=socle, embedding_dim=emb,
-    )
-    alg._mon_index = mon_index  # type: ignore[attr-defined]
-    alg._nf_table = nf_table    # type: ignore[attr-defined]
-    return alg
+    for shared in (stack, socle, table):  # before any view is taken out
+        shared.flags.writeable = False
+    return basis_mons, stack, socle, emb, MappingProxyType(mon_index), table[:, :nm]
 
 
-@lru_cache(maxsize=32)
-def _cached_algebra(p: int | None, names: tuple, rels: tuple, nilp: int) -> Algebra:
-    return build_algebra(Field(p), list(names), list(rels), nilp)
+def _refuse_past(what: str, fld: Field, kept: int, wide: int) -> None:
+    """Refuse to build `what` when `kept` entries in `fld`'s storage dtype
+    and `wide` in its wide one would take more than MAX_STEP_BYTES."""
+    from .resolution import _check_dense_size  # resolution imports this module
+    _check_dense_size(what, wide + -(-kept * fld.dtype.itemsize // fld.wide.itemsize),
+                      fld, error=AlgebraError)
 
 
 def algebra_from_presentation(pres: dict) -> Algebra:
@@ -402,4 +449,4 @@ def algebra_from_presentation(pres: dict) -> Algebra:
     if not (isinstance(names, list) and isinstance(rels, list)
             and all(isinstance(s, str) for s in names + rels)):
         raise ValueError("variables and relations must be lists of strings")
-    return _cached_algebra(ch or None, tuple(names), tuple(rels), nilp)
+    return build_algebra(Field(ch or None), names, rels, nilp)
