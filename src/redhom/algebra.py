@@ -254,19 +254,9 @@ class Algebra:
         poly = parse_polynomial(src, self.var_names, self.field,
                                 self.nilpotency)
         vec = Matrix.zeros(self.field, self.dim, 1)
-        for mon, coef in poly.items():
-            vec = vec + self._mon_nf(mon).scale(coef)
+        for mon, coef in poly.items():  # every term is below degree N
+            vec = vec + self._nf_table.take_cols([self._mon_index[mon]]).scale(coef)
         return vec
-
-    def _mon_nf(self, mon: tuple[int, ...]) -> Matrix:
-        """Normal form of an arbitrary monomial as a basis column."""
-        if sum(mon) >= self.nilpotency:
-            return Matrix.zeros(self.field, self.dim, 1)
-        try:
-            idx = self._mon_index[mon]
-        except KeyError:
-            raise AlgebraError(f"monomial {mon} has wrong arity") from None
-        return Matrix(self.field, self._nf_table.a[:, idx:idx + 1].copy())
 
     def free_varmat(self, rank: int) -> np.ndarray:
         """`var_stack` on the rank-g free module (block diagonal)."""

@@ -14,7 +14,8 @@ nested too deeply to read, a `--save` path that cannot be written, or
 `theorem main` at `--window 0` (pointer ""), 3 an internal error (any other
 exception inside a command: a `HomAlgError`, a `ResolutionError`, including a
 resolution step, an Ext transition or the Hom system of a `dual` or
-`pushforward` refused past the cap, a failed assertion or a fault; pointer "").
+`pushforward` refused past the cap, a failed assertion or a fault, such as a
+`reduce search` whose chain fails its own check; pointer "").
 `main(argv)` may be called many times in one process with the same output:
 one parser tree per process, each subcommand's parser built on first use.
 """
@@ -403,9 +404,6 @@ def main(argv=None) -> int:
     except InputError as exc:
         return _error(args.command, exc.pointer, exc.message,
                       f"input error at {exc.pointer or '/'}: {exc.message}", 2)
-    except CertificateError as exc:
-        report = {"command": args.command, "ok": False, "reason": str(exc)}
-        return _emit(report, f"failed: {exc}", 1)
     except ValueError as exc:
         return _error(args.command, "", str(exc), f"input error: {exc}", 2)
     except Exception as exc:  # HomAlgError, ResolutionError or any other fault

@@ -300,10 +300,8 @@ def p_invariant(source: Module, target: Module, window: int) -> PValue:
     dims = ext_dims(source, target, window)
     if dims[window] != 0:
         return PValue("above_window", None, window, dims)
-    last = max((i for i, d in enumerate(dims) if d != 0), default=None)
-    if last is None:
-        raise HomAlgError("no nonvanishing index for nonzero modules")
-    return PValue("finite", last, window, dims)
+    # dims[0] = dim Hom(source, target) is nonzero: source -> k -> soc target
+    return PValue("finite", max(i for i, d in enumerate(dims) if d), window, dims)
 
 
 # -- total reflexivity, windowed -----------------------------------------------

@@ -284,7 +284,7 @@ def check_t2(mod: Module, seq: ReducingSequence,
     for i, step in enumerate(seq.steps, start=1):
         ses = step.sequence
         emb = ses.inject.matrix.take_cols(range(prev.dim)) @ emb
-        split_ok = emb.rank() == mod.dim and hom_solve(
+        split_ok = hom_solve(
             ses.middle, mod, emb, Matrix.identity(fld, mod.dim),
             Matrix.zeros(fld, 0, mod.dim), Matrix.zeros(fld, 0, ses.middle.dim)) is not None
         report.conclusions.append(_entry(

@@ -424,16 +424,14 @@ def _combination_psi(fld, psis, coeffs, a, b):
     return Matrix(fld, big.reshape(a * rows, b * cols))
 
 
-def _size_multiples(vx, vs, max_a: int, max_b: int) -> list[tuple[int, int]]:
-    """The cells (b, a), b ascending, where a vx = b vs for size vectors:
-    every cell when both are zero, else the multiples of the least one."""
-    x, s = max(zip(vx, vs))  # nonzero unless both vectors are zero
-    if not (x or s):
-        return [(b, a) for b in range(1, max_b + 1) for a in range(1, max_a + 1)]
-    a0, b0 = s // math.gcd(x, s), x // math.gcd(x, s)
-    if not (a0 and b0) or any(a0 * u != b0 * v for u, v in zip(vx, vs)):
-        return []
-    return [(t * b0, t * a0) for t in range(1, min(max_a // a0, max_b // b0) + 1)]
+def _least_multiple(vx, vs, max_a: int, max_b: int) -> tuple[int, int] | None:
+    """The least cell (b, a) where a vx = b vs for the size vectors of two
+    nonzero modules, or None when there is none within the bounds."""
+    g = math.gcd(vx[0], vs[0])  # dimensions, both positive
+    a, b = vs[0] // g, vx[0] // g
+    if a > max_a or b > max_b or any(a * u != b * v for u, v in zip(vx, vs)):
+        return None
+    return b, a
 
 
 def _dfs(mod: Module, depth: int, st: _SearchState):
@@ -448,18 +446,19 @@ def _dfs(mod: Module, depth: int, st: _SearchState):
     psis = functools.cache(lambda n: smalls(n).psis(smalls(n).reps))
     cells = []
     # first pass: free-middle closures; cost nothing, close the chain.
-    # peel(mod^a) leaves X^a and syz^{n+1}(mod^b) is S^b; sizes add over
-    # sums, so is_isomorphic refuses a cell where they differ: only the
-    # cells `_size_multiples` lists are tested.
+    # peel(mod^a) leaves X^a and syz^{n+1}(mod^b) is S^b, both nonzero as
+    # mod is not free (by Auslander-Buchsbaum no syzygy of it is zero).
+    # Sizes add over sums, so is_isomorphic refuses a cell where they
+    # differ, and by Krull-Schmidt X^{ta} = S^{tb} exactly when X^a = S^b:
+    # only the least size-matched cell is tested.
     def sizes(m):
         return m.dim, m.radical_dim(), m.socle_dim()
     vx = sizes(split_free_summands(mod).remainder)
     for n in range(1, cfg.max_n + 1):
-        if syzygy(mod, n).dim == 0:
-            continue
-        vs = sizes(syzygy(mod, n + 1))
-        for b, a in _size_multiples(vx, vs, cfg.max_a, cfg.max_b):
+        cell = _least_multiple(vx, sizes(syzygy(mod, n + 1)), cfg.max_a, cfg.max_b)
+        if cell is not None:
             # stable identification: mod^a = free + syz^{n+1}(mod^b)
+            b, a = cell
             peel = split_free_summands(power_module(mod, a))
             pw_b = power_module(mod, b)
             ver = is_isomorphic(peel.remainder, syzygy(pw_b, n + 1), seed=cfg.seed)
@@ -532,9 +531,9 @@ def search(module: Module, target: str,
     bounds.  The free-middle construction is scanned across every cell
     first: it closes the chain immediately and costs no budget.  With
     the node's module peeled as M = R^c + X, a cell is tested for
-    X^a = syz^{n+1}(M^b) only when a times the dimension, radical and
-    socle dimension of X equals b times those of syz^{n+1}(M): the
-    multiples of the least such (a, b), listed in closed form.  Each
+    X^a = syz^{n+1}(M^b) only at the least (a, b) where a times the
+    dimension, radical and socle dimension of X equals b times those of
+    syz^{n+1}(M): by Krull-Schmidt a larger multiple answers as it does.  Each
     cell then builds syz^n(M^b) and tries the split extension, then
     extensions glued from the basis degree-one cocycle classes and from
     `samples` random ones.  Powers M^a are one object each, split once
@@ -643,8 +642,6 @@ def transform_syzygy(seq: ReducingSequence,
         middle_new, inj, proj = _padded(shoe, a, c_prev)
         right_new = shoe.right
         rebuilt = _syzygy_of_power(prev_new, b, n)
-        if rebuilt.dim != right_new.dim:
-            raise CertificateError("transported right term has wrong size")
         new_steps.append(ReducingStep(
             a, b, n,
             ShortExactSequence(
@@ -714,8 +711,6 @@ def transform_cosyzygy(seq: ReducingSequence, module: Module,
                           Matrix.block_diag(fld, [rho.matrix] * b))
         omega_rho = omega_of_map(rho_b, steps=n)
         theta_mat = omega_rho.matrix @ step.witness.matrix
-        if x_up.dim != omega_rho.target.dim:
-            raise CertificateError("shifted right term has wrong size")
         ses_old = ShortExactSequence(
             ModuleMap(power_module(prev_old, a), mid_old, ses.inject.matrix),
             ModuleMap(mid_old, x_up, theta_mat @ ses.project.matrix))

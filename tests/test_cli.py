@@ -583,6 +583,24 @@ class TestErrorPaths:
         assert err.startswith("internal error: ResolutionError")
         assert err.count("\n") == 1
 
+    def test_search_whose_chain_fails_its_check_is_json(self, plane_ws, capsys,
+                                                        monkeypatch):
+        """A search whose assembled chain its own `verify` rejects is a
+        fault: exit 3 and one JSON document."""
+        monkeypatch.setattr(reducing, "verify", lambda seq, window: reducing._fail(
+            "planted rejection", 1, seq.target, seq.r))
+        code = cli.main(["--workspace", plane_ws, "reduce", "search", "k",
+                         "--target", "pd"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        report = json.loads(out)  # one JSON document
+        assert report["command"] == "reduce"
+        assert report["error"] == {
+            "message": "search assembled an invalid chain: planted rejection",
+            "pointer": ""}
+        assert err.startswith("internal error: CertificateError")
+        assert err.count("\n") == 1
+
     def test_other_exceptions_are_json(self, plane_ws, capsys, monkeypatch):
         """Any other exception inside a command is an internal error too:
         exit 3 and one JSON document, not a traceback."""

@@ -1,16 +1,17 @@
-"""The search's free-middle pass refuses cells by additive sizes.
+"""The search's free-middle pass tests one cell per n, found by sizes.
 
 For M = R^c + X, the peeled power M^a has remainder X^a, and the sum
 resolution makes syz^{n+1}(M^b) the literal sum S^b with S = syz^{n+1}(M).
 Dimension, radical dimension and socle dimension add over direct sums, so
-`_dfs` passes to `is_isomorphic` only the cells (n, b, a) where
-a * sizes(X) == b * sizes(S).  For each n these are the multiples
-t (a0, b0) of the least solution, or every cell when both size vectors
-are zero, and `_size_multiples` lists them in closed form, b ascending.
-The first test checks that every refused cell is one `is_isomorphic`
-answers no; the next that a search builds nothing for the refused cells;
-the last that the closed form lists the cells the double loop over (b, a)
-passes, in its order.
+`is_isomorphic` answers no where a * sizes(X) != b * sizes(S).  For a
+non-free M both X and S are nonzero, and the cells that match are the
+multiples t (a0, b0) of the least one; by Krull-Schmidt X^{t a0} = S^{t b0}
+exactly when X^{a0} = S^{b0}, so `_dfs` tests only the least cell, which
+`_least_multiple` finds.  The first test checks that every refused cell is
+one `is_isomorphic` answers no; the next that a search builds nothing for
+the refused cells; then that `_least_multiple` finds the first cell the
+double loop over (b, a) passes, and that the double of the least cell
+answers as the least cell does, "yes" and "no" alike.
 """
 
 import itertools
@@ -121,9 +122,55 @@ def test_k_needs_one_isomorphism_test(counted):
 
 
 @pytest.mark.parametrize("max_a, max_b", [(8, 8), (5, 3), (2, 7)])
-def test_size_multiples_match_the_double_loop(max_a, max_b):
-    small = list(itertools.product(range(4), repeat=3))
+def test_least_multiple_is_the_first_cell_of_the_double_loop(max_a, max_b):
+    """Over every pair of size vectors of nonzero modules (dimension at
+    least 1) with entries below 4."""
+    small = list(itertools.product(range(1, 4), range(4), range(4)))
     for vx, vs in itertools.product(small, small):
-        assert reducing._size_multiples(vx, vs, max_a, max_b) == [
-            (b, a) for b in range(1, max_b + 1) for a in range(1, max_a + 1)
-            if all(a * x == b * s for x, s in zip(vx, vs))], (vx, vs)
+        cells = [(b, a) for b in range(1, max_b + 1)
+                 for a in range(1, max_a + 1)
+                 if all(a * x == b * s for x, s in zip(vx, vs))]
+        assert reducing._least_multiple(vx, vs, max_a, max_b) == \
+            (cells[0] if cells else None), (vx, vs)
+
+
+def least_cell(mod, n, bound):
+    return reducing._least_multiple(sizes(split_free_summands(mod).remainder),
+                                    sizes(syzygy(mod, n + 1)), bound, bound)
+
+
+def verdict(mod, a, b, n):
+    rem = split_free_summands(power_module(mod, a)).remainder
+    return is_isomorphic(rem, syzygy(power_module(mod, b), n + 1)).kind
+
+
+SPARSE = build_algebra(GF2, ["x", "y", "z"], ["x^2", "y^2", "y*z", "z^2"], 3)
+
+
+@pytest.mark.parametrize("seed, kind", [(41, "no"), (43, "no"), (50, "yes")])
+def test_the_least_cell_answers_as_its_double(seed, kind):
+    """The least cell (b, a) = (1, 4) at n = 1 of three cokernels over
+    F_2[x,y,z]/(x^2, y^2, yz, z^2), two answering no and one yes, answers
+    as (2, 8) does."""
+    mod = random_module(SPARSE, 3, 3, seed)
+    assert least_cell(mod, 1, 8) == (1, 4)
+    assert verdict(mod, 4, 1, 1) == verdict(mod, 8, 2, 1) == kind
+
+
+@pytest.mark.parametrize("alg", [
+    build_algebra(GF2, ["x", "y"], [], 2), build_algebra(GF3, ["x", "y"], [], 2),
+    build_algebra(QQ, ["x", "y"], [], 2), build_algebra(GF2, ["x"], [], 3),
+    build_algebra(GF3, ["x"], [], 4), SPARSE],
+    ids=lambda a: f"{a.field}-{a.nvars}-m{a.nilpotency}")
+def test_krull_schmidt_decides_at_the_least_cell(alg):
+    """For every non-free cokernel of seeds 0-59 and n = 1, 2 with a least
+    size-matched cell (b, a) within 4 x 4, X^{2a} = S^{2b} exactly when
+    X^a = S^b; each ring has such a cell."""
+    cells = 0
+    for seed, n in itertools.product(range(60), (1, 2)):
+        mod = random_module(alg, 3, 3, seed)
+        if not mod.is_free() and (cell := least_cell(mod, n, 4)) is not None:
+            b, a = cell
+            cells += 1
+            assert verdict(mod, a, b, n) == verdict(mod, 2 * a, 2 * b, n), (seed, n)
+    assert cells
