@@ -20,16 +20,18 @@ block-diagonal copies of these, kept per rank (`free_varmat`,
 `free_action_stack`).  For the products of sparse columns by the
 algebra the constants are also kept in sparse form (`structure`): their
 nonzero entries listed by the index they read (`linalg.by_gather`), one
-map per layout, built once per algebra on first use.
+read-only map per layout, built on first use.
 
 What a presentation determines is built once per process: the basis
 monomials and their index, the normal-form table, the product stack, the
 socle and the embedding dimension, kept read-only for the last 32
-presentations (`_structure`).  Each `build_algebra` call returns a new
-`Algebra` over them, with the caller's field, its own lists and its own
-`_table`, so everything built from it (the sparse products, free blocks,
-monomial steps, and the modules, resolutions and Ext tables kept in the
-table) lives per `Algebra` object.
+presentations (`_structure`).  Beside them it keeps one slot, filled on
+first use and read by every build of the presentation: the sparse
+product layouts and the monomial steps, all immutable (`_layouts`).
+Each `build_algebra` call returns a new `Algebra` over them, with the
+caller's field, its own lists and its own `_table`, so what depends on
+modules (their actions, resolutions and Ext tables) and the free blocks
+per rank live per `Algebra` object.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations_with_replacement
 import math
 from operator import add
@@ -174,17 +176,19 @@ _LAYOUTS = {
 }
 
 
-def structure(alg, kind: str, v: int | None = None) -> dict[int, list]:
+def structure(alg, kind: str, v: int | None = None) -> MappingProxyType:
     """The sparse product `kind` of `alg` (see `_LAYOUTS`) as
-    `linalg.by_gather` lists it, built from its dense tables on first
-    use and kept in its `_table`, so each is built once per algebra;
-    `v` names the variable of "left"."""
-    cache = vars(alg).setdefault("_table", {})
+    `linalg.by_gather` lists it, read-only (a mapping of tuples), built
+    from its dense tables on first use and kept in its `_layouts`: once
+    per presentation for a built algebra, once per object for anything
+    else with the same tables.  `v` names the variable of "left"."""
+    kept = vars(alg).setdefault("_layouts", {})
     key = (kind, v)
-    if key not in cache:
+    if key not in kept:
         dense = alg.action_stack() if v is None else alg.var_stack[v]
-        cache[key] = by_gather(dense, *_LAYOUTS[kind])
-    return cache[key]
+        kept[key] = MappingProxyType({g: tuple(prods) for g, prods in by_gather(
+            dense, *_LAYOUTS[kind]).items()})
+    return kept[key]
 
 
 @dataclass(eq=False)
@@ -201,9 +205,12 @@ class Algebra:
     var_stack: np.ndarray  # (nvars, dim, dim): var_stack[v] multiplies by x_v
     socle_basis: Matrix
     embedding_dim: int
-    # what is built once per algebra, and an entry per module actions
-    # (`modules.shared`)
-    _table: dict = dc_field(default_factory=dict, repr=False)
+    # the free blocks per rank, and an entry per module actions
+    # (`modules.shared`); never carried by `dataclasses.replace`
+    _table: dict = dc_field(default_factory=dict, repr=False, init=False)
+    # the sparse layouts and monomial steps, shared by every build of the
+    # presentation (`_structure`); a replaced copy builds its own
+    _layouts: dict = dc_field(default_factory=dict, repr=False, init=False)
 
     @property
     def nvars(self) -> int:
@@ -229,18 +236,25 @@ class Algebra:
         """All regular-representation matrices as one (dim, dim, dim) array."""
         return self.mult
 
-    @cached_property
-    def monomial_steps(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        """(v, t, s) index arrays per degree and variable, degrees
-        ascending: b_t = x_v b_s for the first variable v of b_t."""
-        index = {m: i for i, m in enumerate(self.basis_mons)}
-        steps: dict[tuple[int, int], list] = {}
-        for t, mon in enumerate(self.basis_mons[1:], 1):
-            v = next(i for i, e in enumerate(mon) if e)
-            steps.setdefault((sum(mon), v), []).append(
-                (t, index[mon[:v] + (mon[v] - 1,) + mon[v + 1:]]))
-        return [(v, *np.array(ts, dtype=np.intp).T)
-                for (_, v), ts in sorted(steps.items())]
+    @property
+    def monomial_steps(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+        """(v, t, s) read-only index arrays per degree and variable, degrees
+        ascending: b_t = x_v b_s for the first variable v of b_t.  Built
+        on first use and kept in `_layouts`."""
+        if "steps" not in self._layouts:
+            index = {m: i for i, m in enumerate(self.basis_mons)}
+            steps: dict[tuple[int, int], list] = {}
+            for t, mon in enumerate(self.basis_mons[1:], 1):
+                v = next(i for i, e in enumerate(mon) if e)
+                steps.setdefault((sum(mon), v), []).append(
+                    (t, index[mon[:v] + (mon[v] - 1,) + mon[v + 1:]]))
+            out = []
+            for (_, v), ts in sorted(steps.items()):
+                ts = np.array(ts, dtype=np.intp)
+                ts.flags.writeable = False
+                out.append((v, *ts.T))
+            self._layouts["steps"] = tuple(out)
+        return self._layouts["steps"]
 
     def mon_label(self, mon: tuple[int, ...]) -> str:
         return "*".join(name if e == 1 else f"{name}^{e}"
@@ -306,7 +320,8 @@ class Algebra:
 def build_algebra(fld: Field, var_names: list[str], relations: list[str],
                   nilpotency: int) -> Algebra:
     """A new algebra on `fld`, with its own lists and empty `_table`, over
-    the read-only structure `_structure` builds once per presentation.
+    the read-only structure `_structure` builds once per presentation and
+    the `_layouts` slot it keeps beside it.
 
     `relations` are polynomial strings with zero constant term; the ideal
     they generate is enlarged by all monomials of degree `nilpotency`.
@@ -314,7 +329,7 @@ def build_algebra(fld: Field, var_names: list[str], relations: list[str],
     refused with an `AlgebraError` before its tables are allocated.
     """
     from .resolution import ENTRY_BYTES, MAX_STEP_BYTES  # it imports this module
-    mons, stack, socle, emb, mon_index, nf_table = _structure(
+    mons, stack, socle, emb, mon_index, nf_table, layouts = _structure(
         fld, tuple(var_names), tuple(relations), nilpotency,
         (MAX_STEP_BYTES, ENTRY_BYTES))
     d = len(mons)
@@ -324,6 +339,7 @@ def build_algebra(fld: Field, var_names: list[str], relations: list[str],
         mult=stack[:d], var_stack=stack[d:],
         socle_basis=Matrix(fld, socle), embedding_dim=emb,
     )
+    alg._layouts = layouts
     alg._mon_index = mon_index             # type: ignore[attr-defined]
     alg._nf_table = Matrix(fld, nf_table)  # type: ignore[attr-defined]
     return alg
@@ -334,7 +350,8 @@ def _structure(fld: Field, names: tuple, relations: tuple, nilpotency: int,
                caps: tuple) -> tuple:
     """The structure of the presentation, read-only, as (basis monomials,
     the (d+n, d, d) product stack, the socle basis, the embedding
-    dimension, the monomial index, the (d, nm) normal-form table).
+    dimension, the monomial index, the (d, nm) normal-form table, the
+    `Algebra._layouts` slot its builds fill on first use).
 
     Kept per presentation and `caps` (`resolution.MAX_STEP_BYTES` and
     `ENTRY_BYTES`, which the refusals below and the parser's read), so a
@@ -419,7 +436,8 @@ def _structure(fld: Field, names: tuple, relations: tuple, nilpotency: int,
 
     for shared in (stack, socle, table):  # before any view is taken out
         shared.flags.writeable = False
-    return basis_mons, stack, socle, emb, MappingProxyType(mon_index), table[:, :nm]
+    return (basis_mons, stack, socle, emb, MappingProxyType(mon_index),
+            table[:, :nm], {})
 
 
 def _refuse_past(what: str, fld: Field, kept: int, wide: int) -> None:

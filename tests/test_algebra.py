@@ -17,9 +17,10 @@ from redhom.algebra import (
     algebra_from_presentation,
     build_algebra,
     parse_polynomial,
+    structure,
 )
-from redhom.linalg import (GF2, GF3, QQ, Field, Matrix, column_space_basis,
-                           contract)
+from redhom.linalg import (GF2, GF3, QQ, Field, Matrix, by_gather,
+                           column_space_basis, contract)
 from redhom.workspace import load_workspace
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -186,6 +187,22 @@ def corrupted(alg, t, a, b):
     mult = alg.mult.copy()
     mult[t, a, b] = alg.field.add(mult[t, a, b], alg.field.one())
     return dataclasses.replace(alg, mult=mult)
+
+
+def test_a_replaced_copy_lays_out_its_own_table():
+    """`dataclasses.replace` carries neither the `_table` nor the kept
+    layouts: a copy of F_2[x,y]/m^3 with one product changed reads its
+    own `mult`, and the presentation's builds still read theirs."""
+    alg = build_algebra(GF2, ["x", "y"], [], 3)
+    kept = structure(alg, "columns")
+    alg.free_varmat(2)
+    bad = corrupted(alg, 1, 2, 3)
+    assert bad._table == {} and bad._layouts == {}
+    cols = structure(bad, "columns")
+    assert dict(cols) == {g: tuple(prods) for g, prods
+                          in by_gather(bad.mult, 2, (1, 0)).items()}
+    assert cols != kept and ((2, 1), 1) in cols[3]
+    assert structure(build_algebra(GF2, ["x", "y"], [], 3), "columns") is kept
 
 
 class TestAssociativityCheck:

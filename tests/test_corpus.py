@@ -5,9 +5,11 @@ import random
 import numpy as np
 import pytest
 
+from redhom import corpus
 from redhom.algebra import build_algebra
 from redhom.corpus import (
     ExploreConfig,
+    Fixture,
     explore_q22,
     line_algebra,
     plane_algebra,
@@ -148,3 +150,17 @@ class TestRunner:
 
     def test_repeated_runs_agree(self):
         assert run_corpus("gorenstein") == run_corpus("gorenstein")
+
+    def test_a_raising_fixture_is_recorded(self, monkeypatch):
+        """A fixture that raises is reported as failed, with no checks and
+        the traceback's last lines, and fails the whole run; the fixtures
+        after it still run."""
+        def broken():
+            raise RuntimeError("fixture broke")
+        monkeypatch.setattr(corpus, "FIXTURES",
+                            [Fixture("broken", broken), *corpus.FIXTURES[:1]])
+        outcome = run_corpus()
+        failed, passed = outcome["fixtures"]
+        assert (failed["name"], failed["ok"], failed["checks"]) == ("broken", False, [])
+        assert "RuntimeError: fixture broke" in failed["error"]
+        assert passed["ok"] is True and outcome["all_ok"] is False

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from redhom.algebra import build_algebra
+from redhom.corpus import random_module
 from redhom.homalg import canonical_module
 from redhom.linalg import Field, Matrix, algebra_radical
 from redhom.modules import (
@@ -217,6 +218,20 @@ class TestVerdicts:
         verdict = is_isomorphic(a, b)
         assert verdict.kind == "no"
         assert "radical forms" in verdict.reason
+
+    def test_refused_by_ring_and_by_socle(self):
+        """Modules over two presentations are refused before their
+        dimensions are read.  Over F_2[x,y]/m^2 the canonical module and a
+        random cokernel agree in dimension (3) and radical dimension (1),
+        and their socles (1 and 2) refuse them."""
+        alg = plane_over(2)
+        line = build_algebra(Field(2), ["x"], [], 2)
+        verdict = is_isomorphic(residue_field(alg), residue_field(line))
+        assert (verdict.kind, verdict.reason) == ("no", "different algebras")
+        w, m = canonical_module(alg), random_module(alg, 2, 3, 0)
+        assert (w.dim, w.radical_dim()) == (m.dim, m.radical_dim()) == (3, 1)
+        verdict = is_isomorphic(w, m)
+        assert (verdict.kind, verdict.reason) == ("no", "socle dimensions 1 != 2")
 
     def test_residue_field_f4(self):
         mod = pencil(plane_over(2))

@@ -269,6 +269,10 @@ class TestSearch:
         assert result.found and not result.exhausted
         assert result.candidates == 0  # free-middle construction is free
 
+    def test_unknown_target_raises(self, plane):
+        with pytest.raises(ValueError, match="target must be one of"):
+            search(residue_field(plane), "both")
+
     def test_square_zero_three_variables(self):
         alg = build_algebra(GF2, ["x", "y", "z"], [], 2)
         result = search(residue_field(alg), "pd",

@@ -190,6 +190,14 @@ class TestFreeAndZero:
         assert res.betti_list(3) == [2, 2, 4, 8]
         assert len(resolve(s.summands[1][0]).chain._steps) == 1
 
+    def test_syzygy_zero_is_the_module(self, plane):
+        """Index 0 of a module's resolution and of a sum's is the module
+        itself."""
+        k = residue_field(plane)
+        s = direct_sum([k, free_module(plane, 1)])
+        assert resolve(k).syzygy_module(0) is k
+        assert resolve(s).syzygy_module(0) is s
+
     def test_infinite_resolutions_do_not_terminate(self, plane):
         k = residue_field(plane)
         assert resolve(k).terminated_at(6) is None

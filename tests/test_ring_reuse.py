@@ -1,13 +1,15 @@
 """A ring's structure is built once per presentation and process; every
 `build_algebra` call still returns a new `Algebra`, with the caller's field
-and its own `_table`, over read-only shared arrays.  Its refusals hold
-for a presentation built earlier, and predict at least what a cold build
-takes."""
+and its own `_table`, over read-only shared arrays and the immutable
+sparse layouts and monomial steps its builds fill on first use.  Its
+refusals hold for a presentation built earlier, and predict at least what
+a cold build takes."""
 
 import json
 import random
 import re
 import tracemalloc
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -38,16 +40,62 @@ def presentations(draw):
 
 
 def same(a, b) -> bool:
-    """Equal values: arrays and matrices entry by entry, with their dtype."""
+    """Equal values: arrays and matrices entry by entry, with their dtype,
+    and mappings and tuples item by item."""
     if isinstance(a, Matrix):
         return isinstance(b, Matrix) and a.field == b.field and same(a.a, b.a)
     if isinstance(a, np.ndarray):
         return a.dtype == b.dtype and a.shape == b.shape and bool((a == b).all())
+    if isinstance(a, Mapping):
+        return type(a) is type(b) and a.keys() == b.keys() \
+            and all(same(a[k], b[k]) for k in a)
+    if isinstance(a, tuple):
+        return type(a) is type(b) and len(a) == len(b) \
+            and all(map(same, a, b))
     return type(a) is type(b) and a == b
 
 
 def built(p, names, rels, nilp):
     return build_algebra(Field(p), list(names), list(rels), nilp)
+
+
+def layouts(alg) -> dict:
+    """Every sparse layout and the monomial steps of `alg`, by name."""
+    return {"columns": structure(alg, "columns"),
+            **{("left", v): structure(alg, "left", v) for v in range(alg.nvars)},
+            "steps": alg.monomial_steps}
+
+
+def cold_layouts(alg) -> dict:
+    """`layouts(alg)` read off its own `mult`, `var_stack` and `basis_mons`
+    by loops over their entries, as lists."""
+    d, mult = alg.dim, alg.mult.tolist()
+    out = {"columns": {}}
+    for b, a, t in np.ndindex(d, d, d):
+        if c := mult[t][a][b]:
+            out["columns"].setdefault(b, []).append(((a, t), c))
+    for v, act in enumerate(alg.var_stack.tolist()):
+        out["left", v] = {}
+        for b, a in np.ndindex(d, d):
+            if c := act[a][b]:
+                out["left", v].setdefault(b, []).append(((a,), c))
+    steps = {}  # b_t = x_v b_s, v the first variable of b_t
+    for t, mon in enumerate(alg.basis_mons[1:], 1):
+        v = next(i for i, e in enumerate(mon) if e)
+        s = alg.basis_mons.index(mon[:v] + (mon[v] - 1,) + mon[v + 1:])
+        steps.setdefault((sum(mon), v), []).append((t, s))
+    out["steps"] = [(v, [t for t, _ in ts], [s for _, s in ts])
+                    for (_, v), ts in sorted(steps.items())]
+    return out
+
+
+def as_lists(kept: dict) -> dict:
+    """`layouts(alg)` with its mappings, tuples and arrays as dicts and
+    lists, to compare with `cold_layouts`."""
+    out = {k: {g: list(prods) for g, prods in m.items()}
+           for k, m in kept.items() if k != "steps"}
+    out["steps"] = [(v, t.tolist(), s.tolist()) for v, t, s in kept["steps"]]
+    return out
 
 
 @settings(deadline=None, derandomize=True, database=None)
@@ -60,9 +108,12 @@ def test_a_hit_equals_a_cold_build(pres):
     fld = Field(pres[0])
     hit = build_algebra(fld, list(pres[1]), list(pres[2]), pres[3])
     assert algebra._structure.cache_info().hits == hits + 1
+    layouts(hit)
     algebra._structure.cache_clear()
     cold = built(*pres)
+    layouts(cold)
     assert cold.mult.base is not hit.mult.base
+    assert cold._layouts is not hit._layouts and len(hit._layouts) == hit.nvars + 2
     assert set(vars(hit)) == set(vars(cold))
     for name in vars(cold):
         assert same(getattr(hit, name), getattr(cold, name)), name
@@ -73,9 +124,9 @@ def test_a_hit_equals_a_cold_build(pres):
 @settings(deadline=None, derandomize=True, database=None)
 @given(presentations())
 def test_builds_share_no_table_and_no_list(pres):
-    """Two builds of one presentation share no `_table`, no list and no
-    lazily built table: what one builds or changes the other does not
-    see."""
+    """Two builds of one presentation share no `_table` and no list: what
+    one builds or changes there the other does not see.  They share the
+    sparse layouts and monomial steps, which refuse changes."""
     a, b = built(*pres), built(*pres)
     assert a is not b and a._table is not b._table
     for name in ("var_names", "relation_srcs", "basis_mons"):
@@ -83,7 +134,10 @@ def test_builds_share_no_table_and_no_list(pres):
     structure(a, "columns")
     a.free_varmat(2)
     assert b._table == {}
-    assert a.monomial_steps is not b.monomial_steps
+    assert structure(b, "columns") is structure(a, "columns")
+    assert b.monomial_steps is a.monomial_steps
+    with pytest.raises(TypeError):
+        structure(b, "columns")[0] = ()
     a.var_names.append("w")
     a.basis_mons.clear()
     assert b.var_names == list(pres[1]) and len(b.basis_mons) == b.dim
@@ -100,6 +154,38 @@ def test_shared_arrays_are_read_only(pres):
             arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
     with pytest.raises(TypeError):
         alg._mon_index[(0,) * alg.nvars] = 0
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(presentations())
+def test_layouts_are_kept_per_presentation(pres):
+    """Every build's sparse layouts and monomial steps are those read off
+    its own tables; a second build of the presentation gets the same
+    objects, and not the first's `_table`; and none of them can be
+    changed: mappings refuse items, tuples have no `append`, arrays
+    refuse writes."""
+    a = built(*pres)
+    kept = layouts(a)
+    assert as_lists(kept) == cold_layouts(a)
+    b = built(*pres)
+    assert b._table is not a._table
+    again = layouts(b)
+    assert as_lists(again) == cold_layouts(b)
+    assert all(again[k] is kept[k] for k in kept)
+    for k, m in kept.items():
+        if k == "steps":
+            assert type(m) is tuple
+            for _, t, s in m:
+                for arr in (t, s):
+                    with pytest.raises(ValueError, match="read-only"):
+                        arr[0] = arr[0]
+            continue
+        with pytest.raises(TypeError):
+            m[0] = ()
+        for prods in m.values():
+            assert type(prods) is tuple
+            with pytest.raises(AttributeError):
+                prods.append(prods[0])
 
 
 def refusal(build) -> str:
