@@ -338,9 +338,7 @@ def from_presentation(alg: Algebra, n_gens: int, rel_rows: list[list[str]],
     for row in rel_rows:
         if len(row) != s:
             raise ModuleError("ragged relation matrix")
-    if n_gens == 0:
-        return zero_module(alg)
-    if s == 0:
+    if s == 0:  # free, the zero module for no generators
         return free_module(alg, n_gens, label=label)
     return presented_module(alg, np.array(
         [[alg.element_from_string(rel_rows[i][j]).a[:, 0] for i in range(n_gens)]

@@ -35,16 +35,19 @@ would be charged before elimination, so a refusal and its message do
 not depend on what else was resolved, also in a part stepped to read it.
 
 Four classes implement it.  `ChainResolution` is the chain of steps of
-some actions; a free module's chain starts from its identity cover, whose
-empty kernel ends it at index 1.  `ShiftedResolution` is the view of a
-parent from one of its syzygies on: every syzygy module the parent
-materializes carries it as its resolution, so taking a syzygy of a
-syzygy reuses the same differentials instead of recomputing them.  A
-module's resolution, `ModuleResolution`, is the view of its chain at
-offset 0 that keeps the module's own charges and labelled syzygies.
-`SumResolution` concatenates the column lists of the parts of a direct
-sum, which makes equalities like "syzygy of a sum is the sum of
-syzygies" literal object-level identities rather than isomorphisms.
+some actions; a free module's chain starts from its identity cover,
+whose empty kernel ends it at index 1.  A module that m kills, such as
+k, is its own top, as the variables generate m, so its chain too starts
+from its identity cover, with no elimination; any other module's cover
+is read off `Module.top`.  `ShiftedResolution` is the view of a parent
+from one of its syzygies on: every syzygy module the parent materializes
+carries it as its resolution, so taking a syzygy of a syzygy reuses the
+same differentials instead of recomputing them.  A module's resolution,
+`ModuleResolution`, is the view of its chain at offset 0 that keeps the
+module's own charges and labelled syzygies.  `SumResolution`
+concatenates the column lists of the parts of a direct sum, which makes
+equalities like "syzygy of a sum is the sum of syzygies" literal
+object-level identities rather than isomorphisms.
 """
 
 from __future__ import annotations
@@ -176,7 +179,9 @@ class ChainResolution(Resolution):
     layout of the kernel of d_i.  Its `module` is any module with its
     actions, whose label is not read; each module reads it through its own
     `ModuleResolution`.  A free module is covered by the unit columns of
-    its own coordinates.
+    its own coordinates, and a module whose variables all act as zero
+    (k, or any module m kills) by its identity cover: column j*d + t is
+    e_j for t = 0 and zero for t >= 1.
 
     Stepping stops at the first tail whose shape is known (see the module
     docstring): `_period` (s, p) once a kernel layout repeats, or
@@ -190,10 +195,12 @@ class ChainResolution(Resolution):
         fld, d = module.algebra.field, module.algebra.dim
         self._columns: dict[int, list[dict]] = {}
         if seed is None:
-            if module.free_rank is None:
-                cover = assemble_action_columns(module, module.min_generators()).sparse_columns()
-            else:
+            if module.free_rank is not None:
                 cover = [{j: fld.one()} for j in range(module.dim)]
+            elif not module.var_stack.any():  # m kills it, so it is its own top
+                cover = [{} if t else {j: fld.one()} for j in range(module.dim) for t in range(d)]
+            else:
+                cover = assemble_action_columns(module, module.min_generators()).sparse_columns()
             self._columns[0] = cover
             seed = cover[::d], sparse_kernel(fld, cover)
         self._betti = [len(seed[0])]
@@ -275,15 +282,19 @@ class ChainResolution(Resolution):
         index plus `shift`: a part names the step it is read for."""
         while True:
             i = self._same(i)
+            if i in self._reads:
+                return self._reads[i]
             if i < len(self._betti):
                 return self._betti[i], self._entries[i]
             if not self._steps[-1][1][0]:
                 return 0, 0
-            if i not in self._reads and (parts := self.parts(i)):
-                reads = [[m * x for x in p._read(t, shift + i - t)] for p, t, m in parts]
-                self._reads[i] = tuple(map(sum, zip(*reads)))
-            if i in self._reads:
-                return self._reads[i]
+            if parts := self.parts(i):
+                betti = entries = 0
+                for p, t, m in parts:
+                    b, e = p._read(t, shift + i - t)
+                    betti, entries = betti + m * b, entries + m * e
+                self._reads[i] = betti, entries
+                return betti, entries
             if i == len(self._betti):
                 gens, _, entries = self._next()
                 return len(gens), entries

@@ -19,7 +19,7 @@ from redhom.corpus import (
 )
 from redhom.linalg import GF2, GF3, QQ, Field
 from redhom.modules import from_presentation, split_free_summands
-from redhom.reducing import module_to_dict
+from redhom.reducing import SearchResult, module_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +150,16 @@ class TestRunner:
 
     def test_repeated_runs_agree(self):
         assert run_corpus("gorenstein") == run_corpus("gorenstein")
+
+    @pytest.mark.parametrize("fixture", ["_fixture_plane_flagship", "_fixture_square_zero_e3"])
+    def test_a_fixture_whose_search_fails_stops_at_it(self, monkeypatch, fixture):
+        """A search that finds nothing fails the fixture's first check, and
+        nothing after it is checked."""
+        def nothing(module, target, config):
+            return SearchResult(False, None, target, False, 0, "no certificate within bounds")
+        monkeypatch.setattr(corpus, "search", nothing)
+        assert getattr(corpus, fixture)() == [
+            {"name": "search_found", "ok": False, "detail": "no certificate within bounds"}]
 
     def test_a_raising_fixture_is_recorded(self, monkeypatch):
         """A fixture that raises is reported as failed, with no checks and

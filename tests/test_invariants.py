@@ -9,6 +9,7 @@ from redhom.modules import (
     direct_sum,
     free_module,
     from_presentation,
+    hom_dim,
     power_module,
     residue_field,
     regular_module,
@@ -265,6 +266,14 @@ class TestSemidualizing:
 
     def test_zero_is_not(self, plane):
         assert not is_semidualizing(zero_module(plane))
+
+    def test_a_module_with_an_annihilator_is_not(self):
+        """k^2 over F_2[x]/x^4 has an endomorphism space of the ring's
+        dimension, 4, but m kills it: the homothety has rank 1."""
+        line4 = build_algebra(GF2, ["x"], [], 4)
+        k2 = power_module(residue_field(line4), 2)
+        assert hom_dim(k2, k2) == line4.dim
+        assert not is_semidualizing(k2)
 
 
 class TestCor33:

@@ -206,6 +206,15 @@ class TestMaps:
         assert cok.dim == 2
         assert proj.rank() == proj.target.dim
 
+    def test_reprs_name_labels_and_shapes(self, plane):
+        r, k = regular_module(plane), residue_field(plane)
+        cover = ModuleMap(r, k, Matrix.from_rows(GF2, [[1, 0, 0]]))
+        unlabelled = Module(plane, 1, GF2.zeros((2, 1, 1)))
+        assert repr(k) == "Module(k, dim=1 over GF(2))"
+        assert repr(unlabelled) == "Module(module, dim=1 over GF(2))"
+        assert repr(cover) == "ModuleMap(R -> k, 1x3)"
+        assert repr(ModuleMap.zero(unlabelled, k)) == "ModuleMap(? -> k, 1x1)"
+
     def test_ses_validation_catches_non_exact(self, plane):
         r = regular_module(plane)
         k = residue_field(plane)

@@ -310,6 +310,29 @@ class TestSearch:
         assert (step.a, step.b, step.n) == (1, 1, 1)
         assert step.sequence.middle.free_rank == 1
 
+    def test_a_zero_drawn_class_builds_no_extension(self, plane, monkeypatch):
+        """Before the last depth a random draw of zero coefficients gives
+        the zero cocycle, which is skipped: it is the split middle."""
+        drawn, built = [], []
+        combine, extend = reducing._combination_psi, reducing.extension_from_psi
+
+        def combination(*args):
+            drawn.append(combine(*args))
+            return drawn[-1]
+
+        def extension(left, right, psi):
+            built.append(psi)
+            return extend(left, right, psi)
+
+        monkeypatch.setattr(reducing, "_combination_psi", combination)
+        monkeypatch.setattr(reducing, "extension_from_psi", extension)
+        result = search(mod_rx(plane), "pd", SearchConfig(
+            max_r=2, max_a=1, max_b=1, max_n=1, budget=30, window=4))
+        assert not result.found
+        assert sum(psi.is_zero() for psi in drawn) == 3
+        assert len(built) == len(drawn) - 3
+        assert not any(psi.is_zero() for psi in built)
+
     def test_deterministic(self, plane):
         cfg = SearchConfig(max_r=1, max_a=2, max_b=2, max_n=1, budget=30,
                            seed=7)

@@ -75,6 +75,12 @@ class TestModuleKinds:
                    "relations": [["x", "y"]]}}))
         assert ws.module("P").dim == 5
 
+    def test_presentation_without_generators_is_zero(self):
+        ws = workspace_from_dict(plane_dict(
+            {"Z": {"kind": "presentation", "generators": 0}}))
+        mod = ws.module("Z")
+        assert (mod.dim, mod.free_rank, mod.label) == (0, 0, "0")
+
     def test_actions(self):
         acts = [[["0"]], [["0"]]]
         ws = workspace_from_dict(plane_dict(
