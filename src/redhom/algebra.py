@@ -363,6 +363,7 @@ def _structure(fld: Field, names: tuple, relations: tuple, nilpotency: int,
     (I + m^N)/m^N, and every product is read off that quotient's normal
     form.  `TestRingAxioms` in tests/test_algebra.py checks it.
     """
+    from .resolution import _refuse_past  # resolution imports this module
     if nilpotency < 1:
         raise AlgebraError("nilpotency bound must be at least 1")
     if len(set(names)) != len(names):
@@ -374,7 +375,8 @@ def _structure(fld: Field, names: tuple, relations: tuple, nilpotency: int,
     # nm x nm kernel; wide: the elimination's copy and three temporaries
     rows = len(relations) * math.comb(n + nilpotency - 2, n) if nilpotency > 1 else 0
     _refuse_past(f"the {nm}x{nm} normal-form kernel of the monomials below "
-                 f"degree {nilpotency}", fld, 3 * rows * nm + nm * nm, 4 * rows * nm)
+                 f"degree {nilpotency}", fld, 3 * rows * nm + nm * nm, 4 * rows * nm,
+                 error=AlgebraError)
     mons = _monomials_below(n, nilpotency)
     mon_index = {m: i for i, m in enumerate(mons)}
 
@@ -409,7 +411,7 @@ def _structure(fld: Field, names: tuple, relations: tuple, nilpotency: int,
     # the n*d x d actions (a copy and three temporaries)
     _refuse_past(f"the {d + n}x{d}x{d} product table", fld,
                  (d + n) * d * d + d * (nm + 1) + (n + 1) * d * d,
-                 (d + n) * d + 4 * n * d * d)
+                 (d + n) * d + 4 * n * d * d, error=AlgebraError)
 
     # the normal form of every truncated monomial as column of a (d x nm)
     # table, and column nm, 0, for the monomials of degree >= N
@@ -438,14 +440,6 @@ def _structure(fld: Field, names: tuple, relations: tuple, nilpotency: int,
         shared.flags.writeable = False
     return (basis_mons, stack, socle, emb, MappingProxyType(mon_index),
             table[:, :nm], {})
-
-
-def _refuse_past(what: str, fld: Field, kept: int, wide: int) -> None:
-    """Refuse to build `what` when `kept` entries in `fld`'s storage dtype
-    and `wide` in its wide one would take more than MAX_STEP_BYTES."""
-    from .resolution import _check_dense_size  # resolution imports this module
-    _check_dense_size(what, wide + -(-kept * fld.dtype.itemsize // fld.wide.itemsize),
-                      fld, error=AlgebraError)
 
 
 def algebra_from_presentation(pres: dict) -> Algebra:

@@ -420,12 +420,11 @@ class Ext1Data:
         return Matrix(fld, self.psis(flat)[0])
 
     def class_of_psi(self, psi: Matrix) -> Matrix:
-        """Class of the cocycle extending a map off the first syzygy."""
+        """Class of the cocycle extending a map off the first syzygy, such
+        as a sequence's (`psi_of_ses`): its coordinates past the coboundaries."""
         gens = psi @ resolve(self.res.syzygy_module(1)).generator_images(0)
         flat = Matrix(self.alg.field, gens.a.T.reshape(self.flat_dim, 1))  # generator-major
-        sol, ok = self._class_basis.solve_columns(flat)
-        if not all(ok):
-            raise HomAlgError("vector is not a cocycle for this pair")
+        sol = self._class_basis.solve_columns(flat)[0]
         return Matrix(self.alg.field, sol.a[self.boundaries.cols:, :].copy())
 
 
@@ -481,19 +480,15 @@ def psi_of_ses(ses: ShortExactSequence) -> Matrix:
     """A cocycle of the sequence as a map off the right term's first
     syzygy (in its coordinates) to the left term: the right term's cover
     lifted through the projection, restricted to the syzygy.  The middle
-    may be anything (free summands included); only the two maps matter."""
+    may be anything (free summands included); only the two maps matter.
+    Exactness puts the lifted syzygy in the image of the injection."""
     res = resolve(ses.right)
     lift = assemble_action_columns(ses.project.source, _lift_cover(res, ses.project))
-    psi, ok = ses.inject.matrix.solve_columns(lift @ res.syzygy_subspace(1))
-    if not all(ok):
-        raise HomAlgError("syzygy image does not land in the left term")
-    return psi
+    return ses.inject.matrix.solve_columns(lift @ res.syzygy_subspace(1))[0]
 
 
 def class_of_ses(data: Ext1Data, ses: ShortExactSequence) -> Matrix:
     """Extension class of a sequence with this pair's outer terms."""
-    if ses.right.dim != data.right.dim or ses.left.dim != data.left.dim:
-        raise HomAlgError("sequence outer terms do not match the pair")
     return data.class_of_psi(psi_of_ses(ses))
 
 

@@ -256,10 +256,8 @@ def residue_field(alg: Algebra) -> Module:
 
 
 def free_module(alg: Algebra, rank: int, label: str = "") -> Module:
-    """The rank-g free module, one object per (algebra, rank, label), kept
+    """The free module of rank g >= 0, one per (algebra, rank, label), kept
     in the rank's entry of the algebra's table (`shared`)."""
-    if rank < 0:
-        raise ModuleError("negative rank")
     if rank == 0:
         return zero_module(alg)
     mods = alg._table.setdefault(("free", rank), {}).setdefault("modules", {})
@@ -311,8 +309,6 @@ def power_module(mod: Module, a: int) -> Module:
 
 
 def injection_map(summed: Module, idx: int) -> "ModuleMap":
-    if summed.summands is None:
-        raise ModuleError("module was not built as a direct sum")
     part, off = summed.summands[idx]
     m = Matrix.zeros(summed.algebra.field, summed.dim, part.dim)
     m.a[off:off + part.dim, :] = Matrix.identity(summed.algebra.field, part.dim).a
@@ -320,8 +316,6 @@ def injection_map(summed: Module, idx: int) -> "ModuleMap":
 
 
 def projection_map(summed: Module, idx: int) -> "ModuleMap":
-    if summed.summands is None:
-        raise ModuleError("module was not built as a direct sum")
     part, off = summed.summands[idx]
     m = Matrix.zeros(summed.algebra.field, part.dim, summed.dim)
     m.a[:, off:off + part.dim] = Matrix.identity(summed.algebra.field, part.dim).a
@@ -331,13 +325,8 @@ def projection_map(summed: Module, idx: int) -> "ModuleMap":
 def from_presentation(alg: Algebra, n_gens: int, rel_rows: list[list[str]],
                       label: str = "") -> Module:
     """Cokernel of the map free(s) -> free(n_gens) given by a relation
-    matrix with polynomial-string entries (rows indexed by generator)."""
-    if len(rel_rows) != n_gens:
-        raise ModuleError(f"expected {n_gens} relation rows, got {len(rel_rows)}")
+    matrix with polynomial-string entries, one equal-length row per generator."""
     s = len(rel_rows[0]) if rel_rows and rel_rows[0] else 0
-    for row in rel_rows:
-        if len(row) != s:
-            raise ModuleError("ragged relation matrix")
     if s == 0:  # free, the zero module for no generators
         return free_module(alg, n_gens, label=label)
     return presented_module(alg, np.array(
@@ -498,14 +487,18 @@ def kernel_module(f: ModuleMap, label: str = "") -> tuple[Module, ModuleMap]:
 
 def hom_space_matrix(src: Module, tgt: Module) -> Matrix:
     """Columns are row-major vectorized k-matrices of the linear maps; the
-    system is refused before it is built past `resolution.MAX_STEP_BYTES`.
+    system is refused before it is built, when what its build holds would
+    pass `resolution.MAX_STEP_BYTES`.
     Its row (v, i, k), column (j, l), is A_v[l, k] [i = j] - B_v[i, j] [k = l]."""
     alg = src.algebra
     fld = alg.field
     nm = src.dim * tgt.dim
-    from .resolution import _check_dense_size  # resolution imports this module
-    _check_dense_size("Hom system", alg.nvars * nm * nm, fld,
-                      f" as a dense {alg.nvars * nm}x{nm} matrix")
+    size = alg.nvars * nm * nm
+    from .resolution import _refuse_past  # resolution imports this module
+    # kept: the two blocks and their difference; wide: the elimination's
+    # copy and three temporaries, more than the unreduced difference
+    _refuse_past("Hom system", fld, 3 * size, 4 * size,
+                 f" as a dense {alg.nvars * nm}x{nm} matrix")
     shape = (alg.nvars * nm, nm)
     right = contract(fld, "ij,vlk->vikjl", Matrix.identity(fld, tgt.dim).a, src.var_stack)
     left = contract(fld, "vij,kl->vikjl", tgt.var_stack, Matrix.identity(fld, src.dim).a)

@@ -72,8 +72,8 @@ from .modules import (
 # refused before its differential is built, or as fill-in grows.  For k
 # over F_2[x,y]/m^2 the step to window 15 predicts 35 MB.  Ext transitions
 # and their eliminations are held to the same cap, and so is every dense
-# array sized up front: an algebra's tables, a Hom system, the Ext^1 class
-# basis and a certificate's powers (`_check_dense_size`).
+# array sized up front: an algebra's tables and a Hom system (`_refuse_past`),
+# the Ext^1 class basis and a certificate's powers (`_check_dense_size`).
 MAX_STEP_BYTES = 2**30
 ENTRY_BYTES = 212
 
@@ -590,6 +590,14 @@ def _check_dense_size(what: str, entries: int, field, how: str = "",
     if size > MAX_STEP_BYTES:
         raise error(f"{what} would allocate {size} bytes{how}, over "
                     f"MAX_STEP_BYTES = {MAX_STEP_BYTES}")
+
+
+def _refuse_past(what: str, field, kept: int, wide: int, how: str = "",
+                 error=ResolutionError) -> None:
+    """`_check_dense_size` for `kept` entries in `field`'s storage dtype
+    and `wide` in its wide one, each array counted in its own dtype."""
+    _check_dense_size(what, wide + -(-kept * field.dtype.itemsize // field.wide.itemsize),
+                      field, how, error)
 
 
 def resolve(module: Module) -> Resolution:

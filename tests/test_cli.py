@@ -639,10 +639,13 @@ class TestErrorPaths:
 
     def test_hom_system_over_the_cap_is_json(self, plane_ws, capsys, monkeypatch):
         """`dual R` over F_2[x,y]/m^2 solves Hom(R, R) and Hom(R*, R), each
-        two stacked 9 x 9 blocks, copied as 18 x 9 int64: a cap of that
-        size answers, and one byte less refuses before `contract`, which
-        builds the system's blocks, runs."""
-        size = 18 * 9 * GF2.wide.itemsize
+        an 18 x 9 system: its two blocks and their difference in int8, and
+        the elimination's copy and three temporaries in int64, are counted.
+        A cap of that size answers, and one byte less refuses before
+        `contract`, which builds the system's blocks, runs."""
+        entries, wide = 18 * 9, GF2.wide.itemsize
+        size = (-(-3 * entries * GF2.dtype.itemsize // wide) + 4 * entries) * wide
+        assert size == 5672
         monkeypatch.setattr("redhom.resolution.MAX_STEP_BYTES", size)
         code, report, _ = run(capsys, "--workspace", plane_ws, "dual", "R")
         assert (code, report["dual_dim"]) == (0, 3)

@@ -289,6 +289,15 @@ class TestExtensions:
         assert peel.rank == 1
         assert peel.remainder.dim == 0
 
+    def test_a_projection_that_is_not_onto_is_refused(self, plane):
+        """The cover of the right term lifts only through a surjection."""
+        k = residue_field(plane)
+        ses = cover_sequence(k)
+        bad = ShortExactSequence(ses.inject, ModuleMap.zero(ses.middle, k))
+        for build in (psi_of_ses, horseshoe):
+            with pytest.raises(HomAlgError, match="cover does not lift"):
+                build(bad)
+
     def test_psi_shape_is_checked(self, plane):
         k = residue_field(plane)
         bad = Matrix.zeros(plane.field, 3, 5)

@@ -593,6 +593,24 @@ class TestSolve:
         inv = m.inverse()
         assert (m @ inv) == Matrix.identity(GF3, 2)
         assert Matrix.from_rows(GF3, [[1, 1], [1, 1]]).inverse() is None
+        assert Matrix.from_rows(GF3, [[1, 1]]).inverse() is None
+
+    @pytest.mark.parametrize("f", [GF2, Field(P31), QQ], ids=str)
+    def test_products_and_equality_across_fields_and_shapes(self, f):
+        """int8, int64 and object storage: `@` across fields is refused,
+        np.dot refuses mismatched shapes by itself, and `==` is False
+        against another field or shape and not defined for a non-matrix."""
+        eye = Matrix.identity(f, 2)
+        other = GF3 if f.p != 3 else GF2
+        with pytest.raises(ValueError, match="field mismatch"):
+            eye @ Matrix.identity(other, 2)
+        for a, b in ((2, 3), (0, 1), (3, 0)):
+            with pytest.raises(ValueError):
+                Matrix.zeros(f, 2, a) @ Matrix.zeros(f, b, 2)
+        assert eye == Matrix.identity(f, 2)
+        assert eye != Matrix.identity(other, 2)
+        assert eye != Matrix.identity(f, 3)
+        assert eye.__eq__(eye.a) is NotImplemented and eye != 1
 
     @pytest.mark.parametrize("f", FIELDS + [Field(P31)], ids=str)
     def test_inverse_matches_carried_solve(self, f):

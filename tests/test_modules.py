@@ -185,6 +185,8 @@ class TestMaps:
         bad.a[0, 0] = 1
         with pytest.raises(ModuleError):
             ModuleMap(k, r, bad).check_linear()
+        with pytest.raises(ModuleError, match="map shape 1x3 does not match 3x1"):
+            ModuleMap(k, r, bad.transpose())
 
     def test_cover_map_and_kernel(self, plane):
         r = regular_module(plane)
@@ -192,6 +194,8 @@ class TestMaps:
         cover = ModuleMap(r, k, Matrix.from_rows(GF2, [[1, 0, 0]]))
         cover.check_linear()
         assert cover.rank() == cover.target.dim
+        with pytest.raises(ModuleError, match="not invertible"):
+            cover.inverse()  # not square
         ker, incl = kernel_module(cover)
         assert ker.dim == 2
         assert ker.is_radical_killed()
@@ -202,6 +206,8 @@ class TestMaps:
         x_mult = ModuleMap(r, r, Matrix(plane.field, plane.var_stack[0]))
         x_mult.check_linear()
         assert x_mult.rank() == 1
+        with pytest.raises(ModuleError, match="not invertible"):
+            x_mult.inverse()  # square and singular
         cok, proj = quotient_module(r, x_mult.matrix)
         assert cok.dim == 2
         assert proj.rank() == proj.target.dim

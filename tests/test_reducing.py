@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from redhom import reducing, resolution
+from redhom import homalg, reducing, resolution
 from redhom.algebra import build_algebra
 from redhom.linalg import GF2, QQ, Field, Matrix
 from redhom.modules import (
@@ -108,6 +108,16 @@ class TestVerify:
         assert not report.ok
         assert report.step == 1
         assert "exact" in report.reason
+
+    def test_sequence_maps_on_different_middles_rejected(self, plane):
+        seq = pd_cert_for_k(plane)
+        ses = seq.steps[0].sequence
+        ses.project = ModuleMap.zero(free_module(plane, 1), ses.right)
+        assert ses.inject.target.dim != 3
+        report = verify(seq)
+        assert (report.ok, report.step) == (False, 1)
+        assert report.reason == ("sequence is not exact: sequence maps do "
+                                 "not share a middle module")
 
     def test_wrong_left_power_rejected(self, plane):
         seq = pd_cert_for_k(plane)
@@ -480,7 +490,13 @@ def test_transports_verify_over_four_fields(case, target, split_a):
     (so r reaches 2): the syzygy transport verifies, and the cosyzygy
     transport lifts it back to a chain for the module that verifies.
     Neither transport re-checks the horseshoes, transported classes or
-    connecting maps it builds, so these assertions pin them."""
+    connecting maps it builds, so these assertions pin them.  Spies check
+    the theorems the cosyzygy transport relies on at every step: each
+    class lifts through the syzygy shift (dimension shifting), the two
+    extensions have a connecting map that is an isomorphism (five lemma),
+    and every solve in `class_of_psi` and `psi_of_ses` is solvable in
+    every column (a sequence's cocycle lands in its left term, and is a
+    cocycle)."""
     (p, names, rels, nil), relations = case
     alg = build_algebra(Field(p), names, rels, nil)
     mod = (from_presentation(alg, 1, [relations]) if relations
@@ -497,6 +513,37 @@ def test_transports_verify_over_four_fields(case, target, split_a):
     assert verify(seq).ok
     shifted = transform_syzygy(seq)
     assert verify(shifted).ok
-    back = transform_cosyzygy(shifted, mod)
+    lifts, connections = [], []
+    real_solve, real_hom_solve = Matrix.solve_columns, reducing.hom_solve
+    real_extension = reducing.extension_from_class
+
+    def solved(fn):
+        """fn with every `solve_columns` inside it asserted solvable."""
+        def call(*args):
+            def solve_columns(self, targets):
+                x, ok = real_solve(self, targets)
+                assert all(ok)
+                return x, ok
+            with pytest.MonkeyPatch.context() as inner:
+                inner.setattr(Matrix, "solve_columns", solve_columns)
+                return fn(*args)
+        return call
+
+    def extension_from_class(data, coords):
+        lifts.append(coords is not None)
+        return real_extension(data, coords)
+
+    def hom_solve(*args):
+        rho = real_hom_solve(*args)
+        connections.append(rho is not None and rho.is_isomorphism())
+        return rho
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homalg.Ext1Data, "class_of_psi", solved(homalg.Ext1Data.class_of_psi))
+        mp.setattr(homalg, "psi_of_ses", solved(homalg.psi_of_ses))
+        mp.setattr(reducing, "psi_of_ses", solved(reducing.psi_of_ses))
+        mp.setattr(reducing, "extension_from_class", extension_from_class)
+        mp.setattr(reducing, "hom_solve", hom_solve)
+        back = transform_cosyzygy(shifted, mod)
+    assert lifts == connections == [True] * seq.r
     assert back.base is mod and back.r == seq.r
     assert verify(back).ok

@@ -197,6 +197,11 @@ class TestFreeAndZero:
         s = direct_sum([k, free_module(plane, 1)])
         assert resolve(k).syzygy_module(0) is k
         assert resolve(s).syzygy_module(0) is s
+        # its subspace and layout start at 1: index 0 would read step -1
+        for res in (resolve(k), resolve(s)):
+            for read in (res.syzygy_subspace, res.syzygy_layout):
+                with pytest.raises(ResolutionError, match="start at index 1"):
+                    read(0)
 
     def test_infinite_resolutions_do_not_terminate(self, plane):
         k = residue_field(plane)
