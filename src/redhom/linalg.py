@@ -9,7 +9,7 @@ Storage contract: `Field` is the only code that knows which field it is
 over.  Its constructor chooses every per-field operation once (listed in
 its docstring): how entries are stored (int8 for p <= 127, int64 for
 larger p, object arrays of Fractions over Q), the scalar operations, the
-parser's coefficient normaliser, the dense product, the uncarried `rref`
+parser's coefficient normaliser, the dense product, the `rref`
 (`_sparse_dense_rref` over Q) and `rank`, and the rounds of
 `algebra_radical`.  `Matrix`, the elimination loops, the radical and the
 polynomial parser are written once against these and never ask which
@@ -33,9 +33,10 @@ product with the column bits and come back by one shift-and-mask; wider
 rows go through packed bytes.  Over Q `rref` runs `sparse_rref` on the
 rows as dicts.  The rref is unique, so the results equal those of the
 general loop `_rref_in_place`, which the other fields run.
-Carried solves (`solve_columns`, `solve`) run the general loop on every
-field, because the carried values of an unsolvable column depend on the
-order of row operations; `inverse` reads A^-1 off the rref of [A | I].
+Carried solves (`solve_columns`, `solve`, `inverse`) run the same `rref`
+on [A | B] and keep the pivots in A's columns.  The rref is unique, so a
+column of B in A's column span reads, in A's pivot rows, its solution,
+and 0 below them, whatever pivots B's other columns hold.
 
 Layout contract relied on by the rest of the package: `kernel_basis`
 returns its columns in unit-at-free-column form (each basis vector has a
@@ -56,10 +57,6 @@ return the free positions and the block -R[piv, free] as {free position:
 The rref is unique, so both give what `kernel_data` gives.  A dense
 matrix is built from sparse columns only by `Matrix.from_sparse`, once,
 where a module-sized caller asks for one (`sparse_columns` goes back).
-
-Row reduction never chooses pivots inside carried (augmented) columns,
-which keeps batched solves exact even when some targets lie outside the
-column span.
 """
 
 from __future__ import annotations
@@ -142,7 +139,7 @@ class Field:
       its values have at most `entry_bits` bits (unbounded over Q);
     - kernels: `product(kernel, a, b, terms)`, a numpy kernel summing
       `terms` products per entry, exactly, in the storage dtype;
-      `rref(a)` (an array and its pivots) and `rank(a)`, uncarried; and
+      `rref(a)` (an array and its pivots) and `rank(a)`; and
       `radical_rounds(n)`, the rounds of `algebra_radical`.
     """
 
@@ -153,7 +150,7 @@ class Field:
 
     def __init__(self, p: int | None = None):
         self.p = p
-        self.rref = lambda a: _rref_in_place(a.astype(self.wide), self, a.shape[1])
+        self.rref = lambda a: _rref_in_place(a.astype(self.wide), self)
         # through `_rref_carry`, which perfbench's tracer times as elimination
         self.rank = lambda a: len(Matrix(self, a)._rref_carry(None)[1])
         if p is None:
@@ -465,14 +462,14 @@ def _sparse_dense_rref(field: Field, a: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _rref_in_place(a: np.ndarray, field: Field, pivot_cols: int):
+def _rref_in_place(a: np.ndarray, field: Field):
     """In-place reduced row echelon form of `a`, an array in the field's
-    wide dtype; pivots restricted to the leading `pivot_cols` columns.
-    Every row operation reduces its result, so `a` stays canonical."""
-    r = a.shape[0]
+    wide dtype, and its pivots.  Every row operation reduces its result,
+    so `a` stays canonical."""
+    r, c = a.shape
     pivots: list[int] = []
     row = 0
-    for col in range(pivot_cols):
+    for col in range(c):
         if row == r:
             break
         nz = a[row:, col].nonzero()[0]
@@ -664,19 +661,15 @@ class Matrix:
     # -- reduction ---------------------------------------------------------
 
     def _rref_carry(self, carry: "Matrix | None"):
-        """Reduced row echelon form with optional carried columns.
+        """(R, pivots, C): the field's `rref` of [self | carry], or of self
+        alone, cut after self's columns, with the pivots among them.
 
-        Pivots are chosen only among self's columns; row operations are
-        applied to the carried block as well.  Returns (R, pivots, C).
-        Without carried columns the field's `rref` kernel runs.
-        """
-        f = self.field
-        if carry is None:
-            r, piv = f.rref(self.a)
-            return Matrix(f, r.astype(f.dtype, copy=False)), piv, None
-        joint, piv = _rref_in_place(np.hstack([self.a, carry.a]).astype(f.wide), f, self.cols)
-        return (Matrix(f, joint[:, :self.cols].astype(f.dtype)), piv,
-                Matrix(f, joint[:, self.cols:].astype(f.dtype)))
+        Those pivots come first, so R is the rref of self and C is the
+        carried block (no columns without `carry`)."""
+        f, n = self.field, self.cols
+        joint, piv = f.rref(self.a if carry is None else np.hstack([self.a, carry.a]))
+        joint = joint.astype(f.dtype, copy=False)
+        return Matrix(f, joint[:, :n]), [c for c in piv if c < n], Matrix(f, joint[:, n:])
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         r, piv, _ = self._rref_carry(None)
@@ -724,12 +717,9 @@ class Matrix:
         return x if all(ok) else None
 
     def inverse(self) -> "Matrix | None":
-        """[A | I] row-reduces to [I | A^-1] exactly when A is invertible."""
-        n = self.rows
-        if n != self.cols:
-            return None
-        r, piv = Matrix.hstack([self, Matrix.identity(self.field, n)]).rref()
-        return r.take_cols(range(n, 2 * n)) if piv == tuple(range(n)) else None
+        """A^-1, the solution of A X = I; None if A is singular or not square."""
+        square = self.rows == self.cols
+        return self.solve(Matrix.identity(self.field, self.rows)) if square else None
 
 
 def nf_columns(rref: Matrix, pivots, vectors: Matrix) -> Matrix:

@@ -324,10 +324,52 @@ def assert_rref_and_kernel(m):
     return ref_piv
 
 
+@st.composite
+def carried_systems(draw):
+    """A matrix A over F_2, F_3, F_{2^31-1} or Q, random, of low rank or
+    zero, of 0-8 rows and 0-8 columns (over F_2 sometimes 60-66, so
+    [A | B] may cross the 64-column word), and 0-4 targets B, each A x
+    (solvable) or random (unsolvable unless A's columns span it)."""
+    f = draw(st.sampled_from(KERNEL_FIELDS))
+    r = draw(st.integers(0, 8))
+    c = draw(st.integers(0, 8) | (st.integers(60, 66) if f.p == 2 else st.nothing()))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "low rank", "zero"]))
+    rank = {"random": None, "low rank": rng.randrange(min(r, c) + 1), "zero": 0}[kind]
+    m = random_matrix(f, r, c, rng) if rank is None else low_rank_matrix(f, r, c, rank, rng)
+    t = Matrix.zeros(f, r, 0)
+    for solvable in draw(st.lists(st.booleans(), max_size=4)):
+        t = Matrix.hstack([t, m @ random_matrix(f, c, 1, rng) if solvable
+                           else random_matrix(f, r, 1, rng)])
+    return m, t
+
+
+@st.composite
+def square_or_not(draw):
+    """An n x n matrix over F_2, F_3, F_{2^31-1} or Q, n in 0-7, that is
+    invertible (a product of unit lower and upper triangular ones),
+    singular (of rank below n), or random; or a random non-square one."""
+    f = draw(st.sampled_from(KERNEL_FIELDS))
+    n = draw(st.integers(0, 7))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["invertible", "singular", "random", "non-square"]))
+    if kind == "invertible":
+        lower, upper = random_matrix(f, n, n, rng), random_matrix(f, n, n, rng)
+        lower.a[np.triu_indices(n)] = upper.a[np.tril_indices(n)] = f.zero()
+        eye = Matrix.identity(f, n)
+        return (lower + eye) @ (upper + eye)
+    if kind == "singular":
+        return low_rank_matrix(f, n, n, rng.randrange(n) if n else 0, rng)
+    return random_matrix(f, n, n if kind == "random" else draw(
+        st.integers(0, 7).filter(lambda c: c != n)), rng)
+
+
 class TestEliminationMatchesReference:
-    """rref, kernel_data and carried solves agree entry for entry with the
-    plain-Python Gauss-Jordan above, on every field; over GF(2) rref and
-    kernel_data run on bitset rows and carried solves on the general loop."""
+    """rref and kernel_data agree entry for entry with the plain-Python
+    Gauss-Jordan above, on every field, and carried solves agree with it
+    in `ok` and on the solvable columns; each runs the field's own rref
+    (over GF(2) on bitset rows), which may pivot inside unsolvable
+    targets, whose values are meaningless."""
 
     def assert_same(self, m, t):
         f = m.field
@@ -343,7 +385,8 @@ class TestEliminationMatchesReference:
                    for j in range(t.cols)]
         x, ok = m.solve_columns(t)
         assert ok == want_ok
-        assert x.a.tolist() == want_x
+        solvable = [j for j in range(t.cols) if want_ok[j]]
+        assert x.a[:, solvable].tolist() == [[row[j] for j in solvable] for row in want_x]
 
     def cases(self, f, rows, cols, rng):
         for rank in (None, min(rows, cols) // 2):
@@ -364,6 +407,29 @@ class TestEliminationMatchesReference:
         for rows, cols in [(5, 9), (9, 5), (7, 7), (1, 4), (4, 1)]:
             for m, t in self.cases(f, rows, cols, rng):
                 self.assert_same(m, t)
+
+    @given(carried_systems())
+    @settings(deadline=None, derandomize=True, database=None)
+    def test_carried_solves_match_reference(self, system):
+        self.assert_same(*system)
+
+    @given(square_or_not())
+    @settings(deadline=None, derandomize=True, database=None)
+    def test_inverse_matches_reference_rref(self, m):
+        # A^-1 is the right half of the rref of [A | I] when A's columns
+        # are its pivots; a singular or non-square A has none
+        f, n = m.field, m.rows
+        got = m.inverse()
+        if n != m.cols:
+            assert got is None
+            return
+        eye = Matrix.identity(f, n).a.tolist()
+        ref, piv = reference_rref(f, [a + b for a, b in zip(m.a.tolist(), eye)], n)
+        if piv != list(range(n)):
+            assert got is None
+            return
+        assert got.a.shape == (n, n) and got.a.dtype == f.dtype
+        assert got.a.tolist() == [row[n:] for row in ref]
 
 
 GF2_WIDTHS = [0, 1, 7, 8, 9, 63, 64, 65]
@@ -440,7 +506,7 @@ class TestGF2Bitset:
                 view = a[:, :c]
                 assert _gf2_rows(view) == bytes_rows(view)
                 out, piv = _gf2_rref(view)
-                want, want_piv = _rref_in_place(view.astype(np.int64), GF2, c)
+                want, want_piv = _rref_in_place(view.astype(np.int64), GF2)
                 assert piv == want_piv
                 assert out.dtype == np.int8
                 assert out.tolist() == want.tolist()
@@ -506,7 +572,7 @@ class TestQSparseRref:
     @settings(deadline=None, derandomize=True, database=None)
     def test_rref_and_rank_match_the_general_loop(self, a):
         before = a.tolist()
-        want, want_piv = _rref_in_place(a.copy(), QQ, a.shape[1])
+        want, want_piv = _rref_in_place(a.copy(), QQ)
         out, piv = QQ.rref(a)
         assert piv == want_piv
         assert out.shape == a.shape and out.dtype == object
@@ -646,7 +712,7 @@ class TestGF2PackedPath:
         r_bits, piv_bits = m.rref()
         from redhom.linalg import _rref_in_place
 
-        a64, piv_gen = _rref_in_place(m.a.astype(np.int64).copy(), GF2, cols)
+        a64, piv_gen = _rref_in_place(m.a.astype(np.int64).copy(), GF2)
         assert list(piv_bits) == piv_gen
         assert r_bits.a.tolist() == [[int(x) for x in row] for row in a64]
 
