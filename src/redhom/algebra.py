@@ -286,8 +286,7 @@ class Algebra:
         if (kind, rank) not in self._table:
             d = self.dim
             out = self.field.zeros((len(stack), rank * d, rank * d))
-            for j in range(0, rank * d, d):
-                out[:, j:j + d, j:j + d] = stack
+            np.einsum("vjajb->vjab", out.reshape(len(stack), rank, d, rank, d))[...] = stack[:, None]
             out.flags.writeable = False
             self._table[kind, rank] = out
         return self._table[kind, rank]

@@ -489,21 +489,20 @@ def hom_space_matrix(src: Module, tgt: Module) -> Matrix:
     """Columns are row-major vectorized k-matrices of the linear maps; the
     system is refused before it is built, when what its build holds would
     pass `resolution.MAX_STEP_BYTES`.
-    Its row (v, i, k), column (j, l), is A_v[l, k] [i = j] - B_v[i, j] [k = l]."""
+    Its row (v, i, k), column (j, l), is A_v[l, k] [i = j] - B_v[i, j] [k = l],
+    written onto the two diagonals i = j and k = l of one array."""
     alg = src.algebra
     fld = alg.field
     nm = src.dim * tgt.dim
     size = alg.nvars * nm * nm
     from .resolution import _refuse_past  # resolution imports this module
-    # kept: the two blocks and their difference; wide: the elimination's
-    # copy and three temporaries, more than the unreduced difference
-    _refuse_past("Hom system", fld, 3 * size, 4 * size,
+    # kept: the system; wide: the elimination's copy and three temporaries
+    _refuse_past("Hom system", fld, size, 4 * size,
                  f" as a dense {alg.nvars * nm}x{nm} matrix")
-    shape = (alg.nvars * nm, nm)
-    right = contract(fld, "ij,vlk->vikjl", Matrix.identity(fld, tgt.dim).a, src.var_stack)
-    left = contract(fld, "vij,kl->vikjl", tgt.var_stack, Matrix.identity(fld, src.dim).a)
-    return (Matrix(fld, right.reshape(shape))
-            - Matrix(fld, left.reshape(shape))).kernel_basis()
+    out = fld.zeros((alg.nvars, tgt.dim, src.dim, tgt.dim, src.dim))
+    np.einsum("vikil->vilk", out)[...] = src.var_stack[:, None]
+    np.einsum("vikjk->vikj", out)[...] -= tgt.var_stack[:, :, None]
+    return Matrix(fld, fld.reduce(out, out=out).reshape(alg.nvars * nm, nm)).kernel_basis()
 
 
 def hom_dim(src: Module, tgt: Module) -> int:

@@ -365,18 +365,29 @@ class TestSerialization:
         assert s["socle_dimension"] == 2
 
 
+def assert_free_blocks(a, stack, blocks, rank):
+    """`blocks` is `stack` on the rank-g free module, one block per
+    generator, in the storage dtype and read-only."""
+    assert blocks.shape == (len(stack), rank * a.dim, rank * a.dim)
+    assert blocks.dtype == a.field.dtype and not blocks.flags.writeable
+    for got, block in zip(blocks, stack):
+        assert Matrix(a.field, got) == Matrix.block_diag(
+            a.field, [Matrix(a.field, block)] * rank)
+
+
 class TestFreeHelpers:
     def test_free_varmat_block_structure(self):
-        a = truncated_line(3)
-        vms = a.free_varmat(2)
-        assert vms.shape == (1, 6, 6)
-        x = Matrix(a.field, a.var_stack[0])
-        assert Matrix(a.field, vms[0, :3, :3]) == x
-        assert Matrix(a.field, vms[0, 3:, 3:]) == x
-        assert not vms[0, :3, 3:].any()
+        for f in FIELDS:
+            a = build_algebra(f, ["x", "y"], [], 3)
+            for rank in range(1, 6):
+                assert_free_blocks(a, a.var_stack, a.free_varmat(rank), rank)
+                assert a.free_varmat(rank) is a.free_varmat(rank)
 
     def test_action_stack_identity_slot(self):
-        a = square_zero_two_vars()
-        st = a.free_action_stack(2)
-        assert st.shape == (3, 6, 6)
-        assert (st[0] == Matrix.identity(GF2, 6).a).all()
+        for f in FIELDS:
+            a = build_algebra(f, ["x", "y"], [], 2)
+            for rank in range(1, 6):
+                st = a.free_action_stack(rank)
+                assert_free_blocks(a, a.mult, st, rank)
+                assert a.free_action_stack(rank) is st
+                assert Matrix(f, st[0]) == Matrix.identity(f, 3 * rank)

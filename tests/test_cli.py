@@ -5,7 +5,9 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from redhom import algebra, cli, homalg, reducing
@@ -639,20 +641,20 @@ class TestErrorPaths:
 
     def test_hom_system_over_the_cap_is_json(self, plane_ws, capsys, monkeypatch):
         """`dual R` over F_2[x,y]/m^2 solves Hom(R, R) and Hom(R*, R), each
-        an 18 x 9 system: its two blocks and their difference in int8, and
-        the elimination's copy and three temporaries in int64, are counted.
-        A cap of that size answers, and one byte less refuses before
-        `contract`, which builds the system's blocks, runs."""
+        an 18 x 9 system: the system in int8, and the elimination's copy and
+        three temporaries in int64, are counted.  A cap of that size
+        answers, and one byte less refuses before the system is written:
+        `redhom.modules` calls `np.einsum` only to write its diagonals."""
         entries, wide = 18 * 9, GF2.wide.itemsize
-        size = (-(-3 * entries * GF2.dtype.itemsize // wide) + 4 * entries) * wide
-        assert size == 5672
+        size = (-(-entries * GF2.dtype.itemsize // wide) + 4 * entries) * wide
+        assert size == 5352
         monkeypatch.setattr("redhom.resolution.MAX_STEP_BYTES", size)
         code, report, _ = run(capsys, "--workspace", plane_ws, "dual", "R")
         assert (code, report["dual_dim"]) == (0, 3)
 
-        def contract(*args):
+        def einsum(*args):
             raise AssertionError("the Hom system was built")
-        monkeypatch.setattr("redhom.modules.contract", contract)
+        monkeypatch.setattr("redhom.modules.np", SimpleNamespace(**{**vars(np), "einsum": einsum}))
         monkeypatch.setattr("redhom.resolution.MAX_STEP_BYTES", size - 1)
         code = cli.main(["--workspace", plane_ws, "dual", "R"])
         out, err = capsys.readouterr()

@@ -346,13 +346,14 @@ def carried_systems(draw):
 
 @st.composite
 def square_or_not(draw):
-    """An n x n matrix over F_2, F_3, F_{2^31-1} or Q, n in 0-7, that is
+    """An n x n matrix over F_2, F_3, F_{2^31-1} or Q, n in 0-7 (over F_2
+    sometimes 33, so [A | I] crosses the 64-column word), that is
     invertible (a product of unit lower and upper triangular ones),
     singular (of rank below n), or random; or a random non-square one."""
     f = draw(st.sampled_from(KERNEL_FIELDS))
-    n = draw(st.integers(0, 7))
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["invertible", "singular", "random", "non-square"]))
+    n = draw(st.integers(0, 7) | (st.just(33) if f.p == 2 else st.nothing()))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     if kind == "invertible":
         lower, upper = random_matrix(f, n, n, rng), random_matrix(f, n, n, rng)
         lower.a[np.triu_indices(n)] = upper.a[np.tril_indices(n)] = f.zero()
@@ -646,8 +647,9 @@ class TestSolve:
         assert m.solve(t.take_cols([1])) is None
 
     def test_augmented_pivot_does_not_corrupt(self):
-        # carried columns must never become pivots: the second target sits
-        # outside the span and would otherwise poison the first
+        # the second target sits outside the span, and the rref of [A | T]
+        # takes a pivot inside it: that pivot must not change the first,
+        # solvable target's solution
         m = Matrix.from_rows(GF3, [[1, 0], [0, 0], [0, 0]])
         t = Matrix.from_rows(GF3, [[2, 0], [0, 1], [0, 2]])
         x, ok = m.solve_columns(t)
@@ -677,23 +679,6 @@ class TestSolve:
         assert eye != Matrix.identity(other, 2)
         assert eye != Matrix.identity(f, 3)
         assert eye.__eq__(eye.a) is NotImplemented and eye != 1
-
-    @pytest.mark.parametrize("f", FIELDS + [Field(P31)], ids=str)
-    def test_inverse_matches_carried_solve(self, f):
-        # the rref of [A | I] gives what solving A X = I gives, or None
-        rng = random.Random(61)
-        # 33 columns: [A | I] is wider than a machine word over GF(2)
-        for n in (0, 1, 3, 6, 33 if f.p == 2 else 7):
-            lower, upper = random_matrix(f, n, n, rng), random_matrix(f, n, n, rng)
-            lower.a[np.triu_indices(n)] = upper.a[np.tril_indices(n)] = f.zero()
-            eye = Matrix.identity(f, n)
-            singular = low_rank_matrix(f, n, n, max(n - 1, 0), rng)
-            for m in ((lower + eye) @ (upper + eye), singular):
-                x, ok = m.solve_columns(Matrix.identity(f, n))
-                want = x if all(ok) else None
-                got = m.inverse()
-                assert (got is None) == (want is None)
-                assert got is None or (got.a.dtype == f.dtype and got == want)
 
     def test_rational_solve_exact(self):
         m = Matrix.from_rows(QQ, [[Fraction(1, 2), 1], [0, Fraction(2, 3)]])
