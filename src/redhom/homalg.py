@@ -12,7 +12,8 @@ and charged before any of them is read, as building it would be.  A
 module's table reads its chain's, so ranks and the gather of the target
 are computed once per chain and target actions (`modules.shared`), and
 each table charges what it reads through its own index.  First Ext
-(`Ext1Data`) ranks the same sparse columns; only its class basis, built
+(`Ext1Data`) ranks its two transitions whole, by the tables' elimination
+(`ExtTable._eliminate`); only its class basis, built from them again
 when extension classes are realized or read back, is dense.
 Every lift through a minimal cover is a product with its section.  A
 sequence's cocycle is that lift restricted to the right term's syzygy
@@ -179,13 +180,12 @@ class ExtTable:
 
     def transition_columns(self, i: int) -> list[dict]:
         """Map from maps-out-of-F_i to maps-out-of-F_{i+1} as sparse
-        columns (generator-major, target-coordinate-minor), refused past
-        `MAX_STEP_BYTES`: column (s, b) holds sum_t c acts[t][a, b] at row
-        (j, a), c the coefficient at (s, t) of generator j's image."""
+        columns (generator-major, target-coordinate-minor), uncharged:
+        column (s, b) holds sum_t c acts[t][a, b] at row (j, a), c the
+        coefficient at (s, t) of generator j's image."""
         fld, d = self.source.algebra.field, self.source.algebra.dim
         dn, images = self.target.dim, self.res.generators(i + 1)
         cols: list[dict] = [{} for _ in range(self.res.betti(i) * dn)]
-        self._charge(i, self._own_entries(i))
         for j, img in enumerate(images):
             for r, c in img.items():
                 for (a, b), x in self._acts.get(r % d, ()):
@@ -194,21 +194,18 @@ class ExtTable:
         return [{k: w for k, v in col.items() if (w := fld.coerce(v))}
                 if col else col for col in cols]
 
-    def _entries(self, i: int) -> int:
-        """What transition i is charged, once per index: summed over the
-        parts of step i + 1 when it has them."""
+    def _entries(self, i: int, own: bool = False) -> int:
+        """What transition i is charged, counted once per index: its
+        columns, and per nonzero of a generator image the target's action
+        entries it meets; unless `own`, summed over the parts of step
+        i + 1 when it has them, which is the same number."""
         if i not in self._sizes:
-            parts = self.res.parts(i + 1)
+            d, parts = self.source.algebra.dim, [] if own else self.res.parts(i + 1)
             self._sizes[i] = sum(m * self._part(p)._entries(j - 1) for p, j, m in parts) \
-                if parts else self._own_entries(i)
+                if parts else self.res.betti(i) * self.target.dim + sum(
+                    len(self._acts.get(r % d, ())) for img in self.res.generators(i + 1)
+                    for r in img)
         return self._sizes[i]
-
-    def _own_entries(self, i: int) -> int:
-        """What building transition i is charged: its columns, and per
-        nonzero of a generator image the target's action entries it meets."""
-        d = self.source.algebra.dim
-        return self.res.betti(i) * self.target.dim + sum(
-            len(self._acts.get(r % d, ())) for img in self.res.generators(i + 1) for r in img)
 
     def _charge(self, i: int, entries: int) -> None:
         dn, res = self.target.dim, self.res
@@ -222,10 +219,20 @@ class ExtTable:
             part.source, part.res, part._ranks, part._sizes = key.module, key, {}, {}
         return self._tables[key]
 
+    def _eliminate(self, i: int, charge=None) -> int:
+        """Rank of transition i, built and eliminated: charged its own
+        entries first, then its fill-in as it grows, through `charge` (a
+        caller's) or the table's own index."""
+        charge = charge or (lambda n: self._charge(i, n))
+        charge(self._entries(i, own=True))
+        cols = [col for col in self.transition_columns(i) if col]
+        return len(sparse_rref(self.source.algebra.field, cols, back=False,
+                               grow=lambda m: charge(len(cols) + m)))
+
     def _rank(self, i: int, charge=None) -> int:
-        """Rank of transition i: built and eliminated, or summed over the
-        parts of step i + 1, charged first as building it would be; a
-        part charges its fill-in through its caller's `charge`."""
+        """Rank of transition i: summed over the parts of step i + 1,
+        charged first as building it would be, or `_eliminate`d; a part
+        charges its fill-in through its caller's `charge`."""
         if i < 0:
             return 0
         if i not in self._ranks:
@@ -239,10 +246,7 @@ class ExtTable:
                     rank += m * part._rank(j - 1, lambda n: charge(total - part._entries(j - 1) + n))
                 self._ranks[i] = rank
             else:
-                cols = [col for col in self.transition_columns(i) if col]
-                self._ranks[i] = len(sparse_rref(
-                    self.source.algebra.field, cols, back=False,
-                    grow=lambda m: charge(len(cols) + m)))
+                self._ranks[i] = self._eliminate(i, charge)
         return self._ranks[i]
 
     def dim(self, i: int) -> int:
@@ -359,13 +363,14 @@ class Ext1Data:
 
     Cochains live on the first free module of the right term's resolution
     in flat coordinates C^1.  `dim` is |C^1| - rank T^1 - rank T^0, for
-    T^i the Ext transitions, each ranked on a copy of its columns.  The
-    dense class basis is refused here, sized by its pivot count |C^1| -
-    rank T^1, and built on first read: the pivot columns of [T^0 |
-    cocycles], the unit-at-free kernel of T^1, are the coboundaries and
-    then the class representatives.  The psi conversions move between
-    such cochains and maps on the first syzygy; `psis` lifts through d_1 by
-    the section of the syzygy's cover, d_1's rows at its free positions.
+    T^i the Ext transitions, each ranked by `ExtTable._eliminate`, which
+    keeps no columns.  The dense class basis is refused here, sized by
+    its pivot count |C^1| - rank T^1, and built on first read from both
+    transitions built again: the pivot columns of [T^0 | cocycles], the
+    unit-at-free kernel of T^1, are the coboundaries and then the class
+    representatives.  The psi conversions move between such cochains and
+    maps on the first syzygy; `psis` lifts through d_1 by the section of
+    the syzygy's cover, d_1's rows at its free positions.
     """
 
     def __init__(self, right: Module, left: Module):
@@ -376,23 +381,18 @@ class Ext1Data:
         self.beta1 = self.res.betti(1)
         self.flat_dim = self.beta1 * left.dim
         self._table, fld = ExtTable(right, left), self.alg.field
-        self._cols, rank = {}, {}
-        for i in (1, 0):  # charged as `ExtTable._rank` charges
-            self._cols[i] = self._table.transition_columns(i)
-            rows = [dict(col) for col in self._cols[i] if col]
-            rank[i] = len(sparse_rref(fld, rows, back=False,
-                                      grow=lambda m: self._table._charge(i, len(rows) + m)))
-        _check_dense_size("Ext^1 class basis", self.flat_dim * (self.flat_dim - rank[1]), fld,
-                          f" as a dense {self.flat_dim}x{self.flat_dim - rank[1]} matrix")
-        self._r0, self.dim = rank[0], self.flat_dim - rank[1] - rank[0]
+        r1, self._r0 = self._table._eliminate(1), self._table._eliminate(0)
+        _check_dense_size("Ext^1 class basis", self.flat_dim * (self.flat_dim - r1), fld,
+                          f" as a dense {self.flat_dim}x{self.flat_dim - r1} matrix")
+        self.dim = self.flat_dim - r1 - self._r0
 
     @cached_property
     def _class_basis(self) -> Matrix:
-        fld, t1 = self.alg.field, self._cols[1]
+        fld, table, t1 = self.alg.field, self._table, self._table.transition_columns(1)
         cocycles = _basis_columns(self.alg, *sparse_kernel(
-            fld, t1, lambda m: self._table._charge(1, len(t1) + m)))
-        cols = self._cols[0] + cocycles
-        free = set(sparse_kernel(fld, cols, lambda m: self._table._charge(0, len(cols) + m))[0])
+            fld, t1, lambda m: table._charge(1, len(t1) + m)))
+        cols = table.transition_columns(0) + cocycles
+        free = set(sparse_kernel(fld, cols, lambda m: table._charge(0, len(cols) + m))[0])
         return Matrix.from_sparse(fld, self.flat_dim,
                                   [col for j, col in enumerate(cols) if j not in free])
 
@@ -425,7 +425,7 @@ class Ext1Data:
         gens = psi @ resolve(self.res.syzygy_module(1)).generator_images(0)
         flat = Matrix(self.alg.field, gens.a.T.reshape(self.flat_dim, 1))  # generator-major
         sol = self._class_basis.solve_columns(flat)[0]
-        return Matrix(self.alg.field, sol.a[self.boundaries.cols:, :].copy())
+        return Matrix(self.alg.field, sol.a[self._r0:, :].copy())
 
 
 # -- extensions ------------------------------------------------------------------

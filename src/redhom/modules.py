@@ -445,15 +445,6 @@ def split_ses(left: Module, right: Module) -> ShortExactSequence:
 # -- sub/quotient ----------------------------------------------------------
 
 
-def _on_basis(mod: Module, basis: Matrix, va: np.ndarray,
-              label: str) -> tuple[Module, ModuleMap]:
-    """The submodule with actions `va` on the columns of `basis`, and its
-    inclusion."""
-    sub = Module(mod.algebra, basis.cols, va, label=label) if basis.cols \
-        else zero_module(mod.algebra)
-    return sub, ModuleMap(sub, mod, basis)
-
-
 def kernel_actions(mod: Module, kb: Matrix, fp: list[int]) -> np.ndarray:
     """The actions of `mod` on the submodule spanned by a kernel basis
     with free positions `fp`, as one (nvars, len(fp), len(fp)) array:
@@ -478,8 +469,11 @@ def quotient_module(mod: Module, span: Matrix,
 
 
 def kernel_module(f: ModuleMap, label: str = "") -> tuple[Module, ModuleMap]:
+    """The kernel of f, on its kernel basis, and its inclusion."""
     kb, fp = f.matrix.kernel_data()
-    return _on_basis(f.source, kb, kernel_actions(f.source, kb, fp), label)
+    sub = Module(f.source.algebra, len(fp), kernel_actions(f.source, kb, fp), label=label) \
+        if fp else zero_module(f.source.algebra)
+    return sub, ModuleMap(sub, f.source, kb)
 
 
 # -- hom spaces --------------------------------------------------------------

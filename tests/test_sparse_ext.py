@@ -2,22 +2,25 @@
 pinned against the dense product they replace, written out below as
 `dense_transition`; the rank `ExtTable._rank` reads off `sparse_rref`
 against `Matrix.rank`; the step cap on oversized transitions and on
-the one dense matrix first Ext builds; and no transition past the end of
-a finished resolution."""
+the one dense matrix first Ext builds; each built transition counted
+once for its charge; and no transition past the end of a finished
+resolution."""
 
 import json
 import random
+import sys
+from collections import defaultdict
 
 import pytest
 
-from redhom import cli, resolution
+from redhom import cli, homalg, resolution
 from redhom.algebra import build_algebra
 from redhom.corpus import random_module
 from redhom.homalg import Ext1Data, ExtTable, canonical_module, ext_dims
 from redhom.linalg import GF2, GF3, QQ, Field, Matrix, contract
 from redhom.modules import (Module, free_module, from_presentation,
                             residue_field, zero_module)
-from redhom.resolution import resolve
+from redhom.resolution import ChainResolution, Resolution, resolve
 
 FIELDS = [GF2, GF3, Field(2**31 - 1), QQ]
 RINGS = {"xy/m2": 2, "xy/m3": 3}
@@ -159,7 +162,7 @@ def test_fill_in_is_refused_as_it_grows(monkeypatch):
     mod = fill_in_module()
     monkeypatch.setattr(resolution, "MAX_STEP_BYTES", 502 * resolution.ENTRY_BYTES)
     table = ExtTable(mod, mod)
-    table.transition_columns(2)  # passes the check before it is built
+    table.transition_columns(2)  # uncharged: `_rank` charges 502 entries, then refuses 504
     with pytest.raises(resolution.ResolutionError, match="Ext transition 2"):
         table._rank(2)
     monkeypatch.setattr(resolution, "MAX_STEP_BYTES", 504 * resolution.ENTRY_BYTES)
@@ -179,6 +182,45 @@ def test_fill_in_of_a_part_names_the_callers_transition(monkeypatch):
         f"Ext transition 1 would allocate {504 * resolution.ENTRY_BYTES} bytes "
         "(a 42x28 sparse matrix and its elimination, 504 entries)")
     assert "use a window below 1 (--window" in str(exc.value)
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """(resolution, transition i) -> [walks of step i + 1's generator
+    images for a charge, builds], over the calls `redhom.homalg` makes."""
+    seen = defaultdict(lambda: [0, 0])
+
+    def counted(method):
+        def wrapped(self, i):
+            caller = sys._getframe(1).f_code
+            if caller.co_filename == homalg.__file__:
+                seen[id(self), i - 1][caller.co_name == "transition_columns"] += 1
+            return method(self, i)
+        return wrapped
+    for cls in (Resolution, ChainResolution):
+        monkeypatch.setattr(cls, "generators", counted(cls.generators))
+    return seen
+
+
+def test_each_built_transition_is_walked_once_for_its_charge(walks):
+    """A table of `fill_in_module` (no tail through the window) and one of
+    its syzygy's (ranks read through parts) walk each transition they
+    build once for its charge; `Ext1Data` builds each of its two
+    transitions once and keeps no columns, and its class basis builds
+    them again, uncharged."""
+    mod = fill_in_module()
+    for source, target, window in ((mod, mod, 3),
+                                   (resolve(mod).syzygy_module(1), free_module(mod.algebra, 1), 2)):
+        walks.clear()
+        ExtTable(source, target).dims(window)
+        assert len(walks) == window + 1
+        assert all(w == [1, 1] for w in walks.values())
+    walks.clear()
+    data = Ext1Data(mod, mod)
+    assert sorted(walks.values()) == [[1, 1], [1, 1]]
+    assert not [v for v in vars(data).values() if isinstance(v, (dict, list))]
+    assert data._class_basis.rows == data.flat_dim
+    assert sorted(walks.values()) == [[1, 2], [1, 2]]
 
 
 def test_dense_transition_is_refused_before_it_is_built(monkeypatch):
